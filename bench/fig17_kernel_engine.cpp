@@ -7,9 +7,9 @@
 // per-vector minimum metric out, single thread, no pool — so the numbers
 // isolate the engine from scheduling:
 //
-//   * scalar  — FlexCoreDetector::path_metric per path (the pre-engine hot
-//     loop: interleaved std::complex<double>, one libcall-heavy walk per
-//     path);
+//   * scalar  — the scalar reference walk per path (tests/reference_walk.h,
+//     the pre-engine hot loop: interleaved std::complex<double>, one
+//     libcall-heavy walk per path);
 //   * block   — path_metric_block over the compiled PathPlan (split-SoA,
 //     lane-parallel), in the fp64 tier (bit-identical), the fp32 tier
 //     (reduced precision) and the int16 quantized tier (":i16", 16 lanes
@@ -36,6 +36,7 @@
 #include "detect/fcsd.h"
 #include "detect/path_grid.h"
 #include "parallel/thread_pool.h"
+#include "reference_walk.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
@@ -43,6 +44,7 @@ namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
 namespace fb = flexcore::bench;
 namespace fl = flexcore::linalg;
+namespace fr = flexcore::testref;
 using flexcore::modulation::Constellation;
 
 namespace {
@@ -70,15 +72,16 @@ Timing time_kernel(std::size_t total_walks, int reps, Eval&& eval) {
   return t;
 }
 
-/// Sum over vectors of the minimum path metric, via the scalar kernel.
-template <typename D>
-double scan_scalar(const D& det, const std::vector<fl::CVec>& ybars,
+/// Sum over vectors of the minimum path metric, via the scalar reference
+/// walk.
+template <typename Ref>
+double scan_scalar(const Ref& ref, const std::vector<fl::CVec>& ybars,
                    std::size_t paths) {
   double sum = 0.0;
   for (const fl::CVec& ybar : ybars) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t p = 0; p < paths; ++p) {
-      best = std::min(best, det.path_metric(ybar, p));
+      best = std::min(best, ref.path_metric(ybar, p));
     }
     sum += best;
   }
@@ -184,8 +187,9 @@ int main() {
     const auto ybars = rotated_batch(*det64, h, qam, noise, nvec, rng);
     const std::size_t walks = nvec * paths;
 
+    const fr::FlexCoreReference ref64(*det64);
     const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(*det64, ybars, paths); });
+        walks, reps, [&] { return scan_scalar(ref64, ybars, paths); });
     const Timing blk64 = time_kernel(
         walks, reps, [&] { return scan_block(*det64, ybars, paths); });
     const Timing blk32 = time_kernel(
@@ -281,8 +285,9 @@ int main() {
       }
     }
     const std::size_t walks = nvec * paths;
+    const fr::FcsdReference ref64(fcsd64, qam);
     const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(fcsd64, ybars, paths); });
+        walks, reps, [&] { return scan_scalar(ref64, ybars, paths); });
     const Timing blk64 = time_kernel(
         walks, reps, [&] { return scan_block(fcsd64, ybars, paths); });
     const Timing blk32 = time_kernel(

@@ -14,6 +14,7 @@
 #include "core/ordering_lut.h"
 #include "core/preprocessing.h"
 #include "linalg/qr.h"
+#include "reference_walk.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
@@ -100,18 +101,20 @@ void BM_FlexCorePathWalk(benchmark::State& state) {
   fl::CVec s(12, qam.point(0));
   const auto y = ch::transmit(h, s, nv, rng);
   const auto ybar = det->rotate(y);
+  const flexcore::testref::FlexCoreReference ref(*det);
   std::size_t p = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(det->path_metric(ybar, p));
+    benchmark::DoNotOptimize(ref.path_metric(ybar, p));
     p = (p + 1) % det->active_paths();
   }
 }
 BENCHMARK(BM_FlexCorePathWalk);
 
 // ---- the lane-parallel kernel engine (detect/path_kernels.h) ----
-// BM_PathMetricScalar and BM_PathMetricBlock walk the SAME full path set
-// per iteration (all active paths of one rotated vector), so their ratio
-// is the block-kernel speedup fig17 gates on.
+// BM_PathMetricScalar (the scalar reference walk of tests/reference_walk.h)
+// and BM_PathMetricBlock walk the SAME full path set per iteration (all
+// active paths of one rotated vector), so their ratio is the block-kernel
+// speedup fig17 gates on.
 
 struct KernelFixture {
   Constellation qam{64};
@@ -139,10 +142,11 @@ struct KernelFixture {
 void BM_PathMetricScalar(benchmark::State& state) {
   KernelFixture fx("flexcore-128");
   const std::size_t paths = fx.det->active_paths();
+  const flexcore::testref::FlexCoreReference ref(*fx.det);
   for (auto _ : state) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t p = 0; p < paths; ++p) {
-      best = std::min(best, fx.det->path_metric(fx.ybar, p));
+      best = std::min(best, ref.path_metric(fx.ybar, p));
     }
     benchmark::DoNotOptimize(best);
   }

@@ -1,8 +1,8 @@
 #include "api/uplink_pipeline.h"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -23,18 +23,23 @@ bool non_finite(const linalg::cplx& z) {
   return !std::isfinite(z.real()) || !std::isfinite(z.imag());
 }
 
-/// Sentinel of the preprocessing failure index: "every subcarrier
-/// installed cleanly".
-constexpr std::size_t kNoBadSubcarrier = static_cast<std::size_t>(-1);
-
 /// Cold failure tail of detect_frame's preprocessing stage, hoisted out of
 /// the FLEXCORE_HOT_PATH function so its message construction never counts
-/// against the hot-path contract.
-[[noreturn]] void throw_preprocess_failure(std::size_t f) {
-  throw NumericError(
-      "detect_frame: preprocessing failed at subcarrier " +
-      std::to_string(f) +
-      " (non-finite or rank-deficient channel); caches invalidated");
+/// against the hot-path contract.  A logic error — the detector refusing
+/// the channel's shape, e.g. more streams than the path kernels support —
+/// propagates unchanged; anything else failed numerically.
+[[noreturn]] void throw_preprocess_failure(std::size_t f,
+                                           const std::exception_ptr& e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::logic_error&) {
+    throw;
+  } catch (...) {
+    throw NumericError(
+        "detect_frame: preprocessing failed at subcarrier " +
+        std::to_string(f) +
+        " (non-finite or rank-deficient channel); caches invalidated");
+  }
 }
 
 }  // namespace
@@ -266,8 +271,8 @@ bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
   out->tasks = frame_grid_.tasks;
   out->detect_seconds = frame_grid_.elapsed_seconds;
 
-  // Winner reconstruction: one instrumented walk per vector, SIC fallback
-  // where every path was deactivated — same policy as detect_batch.  Timed
+  // Winner reconstruction: one exact walk per vector, SIC fallback where
+  // every path was deactivated — same policy as detect_batch.  Timed
   // separately from the grid (FrameResult::reconstruct_seconds feeds the
   // runtime's per-stage latency breakdown).
   const auto rec_t0 = std::chrono::steady_clock::now();
@@ -357,32 +362,30 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
     const std::uint64_t pre_t0_ns =
         obs::want_span(job.trace) ? obs::now_ns() : 0;
     const auto t0 = std::chrono::steady_clock::now();
-    // Numeric guard: an exception must NOT escape a pool task (a throw on
-    // a spawned worker is std::terminate), so each task catches its own
-    // QR failure and the lowest failing subcarrier is reported through an
-    // atomic min instead.  The channel was already scanned for NaN/Inf by
-    // validate_frame_job, so this catches the finite-but-degenerate cases
-    // (rank-deficient H) that only QR can detect.
-    std::atomic<std::size_t> first_bad{kNoBadSubcarrier};
+    // An exception must NOT escape a pool task (a throw on a spawned
+    // worker is std::terminate), so each task parks its own set_channel
+    // failure and the lowest failing subcarrier is reported.  The channel
+    // was already scanned for NaN/Inf by validate_frame_job, so a numeric
+    // failure here is a finite-but-degenerate case (rank-deficient H) that
+    // only QR can detect.
+    // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
+    frame_errors_.assign(nsc, nullptr);
     pool_->parallel_for(nsc, [&](std::size_t f) {
       try {
         frame_dets_[f]->set_channel(job.channels[f], job.noise_var);
-      } catch (const std::exception&) {
-        std::size_t seen = first_bad.load(std::memory_order_relaxed);
-        while (f < seen &&
-               !first_bad.compare_exchange_weak(seen, f,
-                                                std::memory_order_relaxed)) {
-        }
+      } catch (...) {
+        frame_errors_[f] = std::current_exception();
       }
     });
-    if (first_bad.load(std::memory_order_relaxed) != kNoBadSubcarrier) {
-      // The failing clone holds stale per-channel state; clean subcarriers
+    for (std::size_t f = 0; f < nsc; ++f) {
+      if (!frame_errors_[f]) continue;
+      // The failing clone keeps its previous channel; clean subcarriers
       // installed fine but the FRAME is unusable.  Drop the reuse cache so
       // no later frame can walk the mixed state, then fail this one.
       frame_ready_channels_ = 0;
       frame_ready_rows_ = 0;
       frame_ready_cols_ = 0;
-      throw_preprocess_failure(first_bad.load(std::memory_order_relaxed));
+      throw_preprocess_failure(f, frame_errors_[f]);
     }
     out.preprocess_seconds = seconds_since(t0);
     if (obs::want_span(job.trace)) {

@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -140,7 +141,9 @@ class NonFiniteError : public std::invalid_argument {
 /// numerically (non-finite or rank-deficient QR).  The pipeline invalidates
 /// its preprocessing caches FIRST, so the next frame re-preprocesses from
 /// scratch — a quarantined frame never poisons its successor.  Also
-/// quarantined by api::Runtime.
+/// quarantined by api::Runtime.  A detector refusing the channel's shape
+/// (a std::logic_error, e.g. more streams than the path kernels' 32)
+/// propagates unchanged instead: a failed frame, not a numeric fault.
 class NumericError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -300,6 +303,7 @@ class UplinkPipeline {
   detect::FrameGridOutput frame_grid_;
   detect::WorkspaceBank workspaces_;
   std::vector<std::uint8_t> frame_fell_;
+  std::vector<std::exception_ptr> frame_errors_;  // set_channel failures
   // Per-call scratch of try_typed_frame, hoisted so steady-state frames
   // reuse its capacity: the typed clone pointers (stored type-erased; the
   // template reads them back as the D* it stored) and per-subcarrier path

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -12,12 +11,14 @@
 
 #include "detect/path_grid.h"
 #include "obs/obs.h"
-#include "parallel/thread_pool.h"
 
 namespace flexcore::core {
 
 FlexCoreDetector::FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg)
-    : constellation_(&c), cfg_(cfg), lut_(c, cfg.lut_source) {
+    : constellation_(&c),
+      cfg_(cfg),
+      lut_(c, cfg.lut_source),
+      plans_(cfg.precision) {
   if (cfg_.num_pes == 0) {
     throw std::invalid_argument("FlexCoreDetector: num_pes must be >= 1");
   }
@@ -32,6 +33,7 @@ std::string FlexCoreDetector::name() const {
 }
 
 void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
+  detect::require_kernel_streams("FlexCoreDetector", h.cols());
   noise_var_ = noise_var;
   qr_ = linalg::sorted_qr_wubben(h);
 
@@ -45,37 +47,11 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   preproc_ = find_most_promising_paths(qr_.R, noise_var, *constellation_, pcfg);
   active_paths_ = preproc_.paths.size();
 
-  const std::size_t nt = qr_.R.cols();
-  const int q = constellation_->order();
-  r_diag_inv_.resize(nt);
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
-  for (std::size_t i = 0; i < nt; ++i) {
-    r_diag_inv_[i] = cplx{1.0, 0.0} / qr_.R(i, i);
-    for (int x = 0; x < q; ++x) {
-      rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
-    }
-  }
-
-  // Compile the selected path set into the block kernel's PathPlan (the
-  // configured precision tier only; the other tier's plan is dropped so
-  // stale state can never be evaluated).
   const bool exact = cfg_.ordering == OrderingMode::kExactSort;
-  if (cfg_.precision == detect::Precision::kInt16) {
-    plan16_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan64_.clear();
-    plan32_.clear();
-  } else if (cfg_.precision == detect::Precision::kFloat32) {
-    plan32_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan64_.clear();
-    plan16_.clear();
-  } else {
-    plan64_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan32_.clear();
-    plan16_.clear();
-  }
+  plans_.compile([&](auto& plan) {
+    plan.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_, exact,
+                          cfg_.invalid_policy);
+  });
 }
 
 std::size_t FlexCoreDetector::active_paths() const { return active_paths_; }
@@ -88,252 +64,105 @@ void FlexCoreDetector::rotate_into(const CVec& y,
   linalg::hermitian_mul_into(qr_.Q, y, out);
 }
 
-FlexCoreDetector::PathEval FlexCoreDetector::evaluate_path(
-    const CVec& ybar, std::size_t path_index) const {
-  detect::Workspace ws;
-  PathEval ev;
-  ev.valid = evaluate_path(ybar, path_index, ws, &ev.metric, &ev.stats);
-  ev.symbols = ws.symbols;
-  return ev;
+FLEXCORE_HOT_PATH
+double FlexCoreDetector::walk_best(std::span<const cplx> ybar,
+                                   std::span<int> symbols) const {
+  std::size_t best_path = 0;
+  double best_metric = std::numeric_limits<double>::infinity();
+  detect::scan_paths(plan(), ybar, active_paths_, &best_path, &best_metric);
+  return std::isinf(best_metric) ? best_metric
+                                 : plan().walk_path(ybar, best_path, symbols);
 }
 
 FLEXCORE_HOT_PATH
-bool FlexCoreDetector::evaluate_path(std::span<const cplx> ybar,
-                                     std::size_t path_index,
-                                     detect::Workspace& ws, double* metric,
-                                     DetectionStats* stats) const {
-  const CMat& r = qr_.R;
-  const std::size_t nt = r.cols();
-  const PositionVector& p = preproc_.paths[path_index].p;
-
-  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
-  ws.symbols.assign(nt, 0);
-  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
-  ws.s.assign(nt, cplx{0.0, 0.0});
-  *metric = 0.0;
-  *stats = DetectionStats{};
-
-  for (std::size_t ii = 0; ii < nt; ++ii) {
-    const std::size_t i = nt - 1 - ii;
-    // Interference cancellation (Eq. 5 numerator).
-    cplx b = ybar[i];
-    for (std::size_t j = i + 1; j < nt; ++j) {
-      b -= r(i, j) * ws.s[j];
-      stats->real_mults += 4;
-      stats->flops += 8;
-    }
-    // Effective received point and k-th closest symbol.
-    const cplx eff = b * r_diag_inv_[i];
-    int x;
-    if (cfg_.ordering == OrderingMode::kLut) {
-      x = lut_.kth_symbol(eff, p[i], cfg_.invalid_policy);
-    } else {
-      x = (p[i] <= constellation_->order())
-              ? constellation_->kth_nearest_exact(eff, p[i])
-              : -1;
-    }
-    if (x < 0) return false;  // deactivated processing element
-    ws.symbols[i] = x;
-    ws.s[i] = constellation_->point(x);
-    *metric += linalg::abs2(b - rx_[i][static_cast<std::size_t>(x)]);
-    // Table 2 accounting: 4 real mults per cancelled term + 4 per level for
-    // the PED constant multiply (the FPGA design folds the divide into a
-    // multiply by R(l,l), so no extra cost is counted for `eff`).
-    stats->real_mults += 4;
-    stats->flops += 11;
-    ++stats->nodes_visited;
-  }
-  return true;
+bool FlexCoreDetector::finish(std::span<const cplx> ybar, double metric,
+                              detect::Workspace& ws,
+                              DetectionResult* res) const {
+  // Every PE deactivated (possible only for tiny path budgets at extreme
+  // noise): plain SIC, which is always valid.
+  const bool fell = std::isinf(metric);
+  res->metric = fell ? plan().walk_sic(ybar, ws.symbols) : metric;
+  res->stats = plan().walk_stats(active_paths_);
+  // The tree-order decisions sit in ws.symbols; unpermute straight from
+  // there into the caller's buffer so steady state allocates nothing.
+  linalg::unpermute_into(ws.symbols, qr_.perm, &res->symbols);
+  return fell;
 }
 
 FLEXCORE_HOT_PATH
-double FlexCoreDetector::path_metric(std::span<const cplx> ybar,
-                                     std::size_t path_index) const {
-  const CMat& r = qr_.R;
-  const std::size_t nt = r.cols();
-  assert(nt <= 32);
-  const PositionVector& p = preproc_.paths[path_index].p;
-
-  std::array<cplx, 32> s;
-  double metric = 0.0;
-  for (std::size_t ii = 0; ii < nt; ++ii) {
-    const std::size_t i = nt - 1 - ii;
-    cplx b = ybar[i];
-    for (std::size_t j = i + 1; j < nt; ++j) b -= r(i, j) * s[j];
-    const cplx eff = b * r_diag_inv_[i];
-    const int x = (cfg_.ordering == OrderingMode::kLut)
-                      ? lut_.kth_symbol(eff, p[i], cfg_.invalid_policy)
-                      : constellation_->kth_nearest_exact(eff, p[i]);
-    if (x < 0) return std::numeric_limits<double>::infinity();
-    s[i] = constellation_->point(x);
-    metric += linalg::abs2(b - rx_[i][static_cast<std::size_t>(x)]);
-  }
-  return metric;
-}
-
-DetectionResult FlexCoreDetector::reduce(const CVec& ybar,
-                                         std::vector<PathEval>* keep_all,
-                                         bool* fell) const {
-  DetectionResult res;
-  res.metric = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (std::size_t pidx = 0; pidx < active_paths_; ++pidx) {
-    PathEval ev = evaluate_path(ybar, pidx);
-    res.stats += ev.stats;
-    if (ev.valid && ev.metric < res.metric) {
-      res.metric = ev.metric;
-      res.symbols = ev.symbols;
-      any = true;
-    }
-    if (keep_all) keep_all->push_back(std::move(ev));
-  }
-  if (!any) {
-    // Every PE was deactivated (possible only for tiny path budgets at
-    // extreme noise).
-    detect::Workspace ws;
-    sic_fallback_into(ybar, ws, &res);
-  }
-  if (fell != nullptr) *fell = !any;
-  res.stats.paths_evaluated = active_paths_;
-  res.symbols = linalg::unpermute(res.symbols, qr_.perm);
-  return res;
-}
-
-void FlexCoreDetector::sic_fallback_into(std::span<const cplx> ybar,
-                                         detect::Workspace& ws,
-                                         DetectionResult* res) const {
-  const std::size_t nt = qr_.R.cols();
-  ws.symbols.assign(nt, 0);
-  ws.s.assign(nt, cplx{0.0, 0.0});
-  double metric = 0.0;
-  for (std::size_t ii = 0; ii < nt; ++ii) {
-    const std::size_t i = nt - 1 - ii;
-    cplx b = ybar[i];
-    for (std::size_t j = i + 1; j < nt; ++j) b -= qr_.R(i, j) * ws.s[j];
-    ws.symbols[i] = constellation_->slice(b * r_diag_inv_[i]);
-    ws.s[i] = constellation_->point(ws.symbols[i]);
-    metric +=
-        linalg::abs2(b - rx_[i][static_cast<std::size_t>(ws.symbols[i])]);
-  }
-  res->symbols = ws.symbols;
-  res->metric = metric;
-}
-
 bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
                                           std::size_t best_path,
                                           double best_metric,
                                           detect::Workspace& ws,
                                           DetectionResult* res) const {
-  // The double walk re-deriving the winner can disagree with the grid only
-  // in the reduced-precision tiers, where a decision that lands near a cell
-  // boundary can fall on the other side of it: the fp32 or int16 kernel may
-  // crown a path the exact walk deactivates, or deactivate every path the
-  // exact walk keeps.  Those vectors are rescued with one exact scalar
-  // rescan (the quantized grid already paid for the other 99%+); only when
-  // the exact scan also finds every path dead does the vector drop to plain
-  // SIC, exactly like the fp64 tier.
-  bool fell = true;
-  if (!std::isinf(best_metric) &&
-      evaluate_path(ybar, best_path, ws, &res->metric, &res->stats)) {
-    res->symbols = ws.symbols;
-    fell = false;
-  } else {
-    std::size_t rescue_path = 0;
-    double rescue_metric = std::numeric_limits<double>::infinity();
-    if (cfg_.precision != detect::Precision::kFloat64) {
-      if (cfg_.precision == detect::Precision::kInt16) {
-        // One exact scalar rescan of every active path, rescuing an i16
-        // winner that fell on the wrong side of a quantization boundary.
-        obs::counter_add(obs::Counter::kI16BoundaryRescans);
-      }
-      for (std::size_t p = 0; p < active_paths_; ++p) {
-        const double m = path_metric(ybar, p);
-        if (m < rescue_metric) {
-          rescue_metric = m;
-          rescue_path = p;
-        }
-      }
+  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
+  ws.symbols.resize(ybar.size());
+  double metric = std::isinf(best_metric)
+                      ? best_metric
+                      : plan().walk_path(ybar, best_path, ws.symbols);
+  // The exact walk can disagree with the grid only in the reduced-precision
+  // tiers, where a decision that lands near a cell boundary can fall on the
+  // other side of it: the fp32 or int16 kernel may crown a path the exact
+  // walk deactivates, or deactivate every path the exact walk keeps.  Those
+  // vectors are rescued with one exact block scan (the quantized grid
+  // already paid for the other 99%+); only when that scan also finds every
+  // path dead does the vector drop to plain SIC, exactly like the fp64
+  // tier.
+  if (std::isinf(metric) && cfg_.precision != detect::Precision::kFloat64) {
+    if (cfg_.precision == detect::Precision::kInt16) {
+      obs::counter_add(obs::Counter::kI16BoundaryRescans);
     }
-    if (std::isfinite(rescue_metric) &&
-        evaluate_path(ybar, rescue_path, ws, &res->metric, &res->stats)) {
-      res->symbols = ws.symbols;
-      fell = false;
-    } else {
-      res->stats = DetectionStats{};
-      sic_fallback_into(ybar, ws, res);
-    }
+    metric = walk_best(ybar, ws.symbols);
   }
-  res->stats.paths_evaluated = active_paths_;
-  // Every branch above leaves the winning tree-order decisions in
-  // ws.symbols; unpermute straight from there into the caller's buffer so
-  // the steady-state reconstruction allocates nothing.
-  linalg::unpermute_into(ws.symbols, qr_.perm, &res->symbols);
-  return fell;
+  return finish(ybar, metric, ws, res);
+}
+
+bool FlexCoreDetector::detect_into(const CVec& y, detect::Workspace& ws,
+                                   DetectionResult* res) const {
+  ws.ybar.resize(qr_.R.cols());
+  rotate_into(y, ws.ybar);
+  ws.symbols.resize(ws.ybar.size());
+  return finish(ws.ybar, walk_best(ws.ybar, ws.symbols), ws, res);
 }
 
 void FlexCoreDetector::detect_batch(std::span<const CVec> ys,
                                     detect::BatchResult* out) const {
   if (pool_ == nullptr || active_paths_ == 0 || ys.empty()) {
-    // Sequential loop with the base-class contract (full per-path
-    // instrumentation, tasks = vector count), but with the SIC-fallback
-    // counter kept consistent with the pooled grid path.
-    out->results.clear();
-    out->results.reserve(ys.size());
+    // Sequential loop with the base-class contract (tasks = vector
+    // count), but with the SIC-fallback counter kept consistent with the
+    // pooled grid path.
+    out->results.assign(ys.size(), DetectionResult{});
     out->stats = DetectionStats{};
     out->sic_fallbacks = 0;
     out->tasks = ys.size();
     const auto t0 = std::chrono::steady_clock::now();
-    for (const CVec& y : ys) {
-      bool fell = false;
-      out->results.push_back(reduce(rotate(y), nullptr, &fell));
-      out->stats += out->results.back().stats;
-      out->sic_fallbacks += fell;
+    detect::Workspace ws;
+    for (std::size_t v = 0; v < ys.size(); ++v) {
+      out->sic_fallbacks += detect_into(ys[v], ws, &out->results[v]);
+      out->stats += out->results[v].stats;
     }
     out->elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     return;
   }
-  const std::size_t nv = ys.size();
-  detect::run_path_grid(*this, active_paths_, ys, qr_.R.cols(), *pool_,
-                        &grid_);
-
-  out->results.assign(nv, DetectionResult{});
-  out->stats = DetectionStats{};
-  out->sic_fallbacks = 0;
-  out->tasks = grid_.tasks;
-  out->elapsed_seconds = grid_.elapsed_seconds;
-
-  // Winner reconstruction: one instrumented path walk per vector (the grid
-  // itself runs the metric-only block kernel), plus the SIC fallback for
-  // vectors whose every path was deactivated — the caller-level policy the
-  // raw task grid historically punted on.
-  fell_.assign(nv, 0);
-  workspaces_.ensure(pool_->size());
-  pool_->parallel_for_worker(nv, [&](std::size_t w, std::size_t v) {
-    fell_[v] = reconstruct_winner(grid_.ybar(v), grid_.best_path[v],
-                                  grid_.best_metric[v], workspaces_.at(w),
-                                  &out->results[v]);
-  });
-  for (std::size_t v = 0; v < nv; ++v) {
-    out->stats += out->results[v].stats;
-    out->sic_fallbacks += fell_[v];
-  }
+  detect::detect_batch_on_pool(*this, active_paths_, ys, qr_.R.cols(), *pool_,
+                               &batch_, out);
 }
 
 DetectionResult FlexCoreDetector::detect(const CVec& y) const {
-  return reduce(rotate(y), nullptr);
+  detect::Workspace ws;
+  DetectionResult res;
+  detect_into(y, ws, &res);
+  return res;
 }
 
 SoftOutput FlexCoreDetector::detect_soft(const CVec& y) const {
-  const CVec ybar = rotate(y);
-  std::vector<PathEval> all;
-  all.reserve(active_paths_);
-
   SoftOutput out;
-  out.hard = reduce(ybar, &all);
+  out.hard = detect(y);
 
-  const std::size_t nt = qr_.R.cols();
+  const CVec ybar = rotate(y);
+  const std::size_t nt = ybar.size();
   const int bits = constellation_->bits_per_symbol();
   // min metric per (antenna, bit, value) over the candidate list.
   constexpr double inf = std::numeric_limits<double>::infinity();
@@ -341,16 +170,18 @@ SoftOutput FlexCoreDetector::detect_soft(const CVec& y) const {
       nt, std::vector<std::array<double, 2>>(static_cast<std::size_t>(bits),
                                              {inf, inf}));
 
+  std::vector<int> tree(nt), sym;
   std::vector<std::uint8_t> bitbuf;
-  for (const PathEval& ev : all) {
-    if (!ev.valid) continue;
-    const std::vector<int> sym = linalg::unpermute(ev.symbols, qr_.perm);
+  for (std::size_t p = 0; p < active_paths_; ++p) {
+    const double metric = plan().walk_path(ybar, p, tree);
+    if (std::isinf(metric)) continue;
+    linalg::unpermute_into(tree, qr_.perm, &sym);
     for (std::size_t a = 0; a < nt; ++a) {
       bitbuf.clear();
       constellation_->unmap_bits(sym[a], bitbuf);
-      for (int b = 0; b < bits; ++b) {
-        auto& slot = best[a][static_cast<std::size_t>(b)][bitbuf[static_cast<std::size_t>(b)]];
-        slot = std::min(slot, ev.metric);
+      for (std::size_t b = 0; b < static_cast<std::size_t>(bits); ++b) {
+        double& slot = best[a][b][bitbuf[b]];
+        slot = std::min(slot, metric);
       }
     }
   }

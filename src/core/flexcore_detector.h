@@ -9,15 +9,15 @@
 //   det.set_channel(H, noise_var);        // QR + pre-processing
 //   DetectionResult r = det.detect(y);    // parallel-friendly path walk
 //
-// The per-path work (evaluate_path) is pure and thread-safe, so callers can
-// fan the paths out across any execution resource; detect() runs them
-// sequentially, detect_batch fans the single-channel grid across a thread
-// pool, and api::UplinkPipeline::detect_frame runs whole OFDM frames as one
+// set_channel compiles the selected paths into a detect::PathPlan, whose
+// per-path walk is pure and thread-safe, so callers can fan the paths out
+// across any execution resource; detect() scans them sequentially,
+// detect_batch fans the single-channel grid across a thread pool, and
+// api::UplinkPipeline::detect_frame runs whole OFDM frames as one
 // multi-channel grid the way the paper maps tasks onto GPU threads / FPGA
 // engines.
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "core/ordering_lut.h"
@@ -63,11 +63,11 @@ struct FlexCoreConfig {
   /// Pre-processing nodes expanded per round (1 = sequential).
   std::size_t batch_expand = 1;
   /// Compute tier of the path grids (detect/path_kernels.h): kFloat64 is
-  /// bit-identical to the scalar kernels; kFloat32 evaluates the block
-  /// kernel in single precision (spec suffix ":fp32"); kInt16 runs the
-  /// quantized fixed-point kernel (spec suffix ":i16", accuracy bounded by
+  /// the exact plan; kFloat32 evaluates the block kernel in single
+  /// precision (spec suffix ":fp32"); kInt16 runs the quantized
+  /// fixed-point kernel (spec suffix ":i16", accuracy bounded by
   /// detect::kI16SerTolerance).  Winner reconstruction and the sequential
-  /// detect() path stay double in every tier.
+  /// detect() path run the exact plan in every tier.
   detect::Precision precision = detect::Precision::kFloat64;
 };
 
@@ -125,69 +125,37 @@ class FlexCoreDetector : public Detector {
     return out;
   }
 
-  /// Result of walking one path; `valid` is false when a LUT entry pointed
-  /// outside the constellation and the policy deactivated the PE.
-  struct PathEval {
-    bool valid = false;
-    double metric = 0.0;
-    std::vector<int> symbols;  // tree (permuted) order
-    DetectionStats stats;
-  };
-
-  /// Walks path `path_index` (into preprocessing().paths); thread-safe.
-  PathEval evaluate_path(const CVec& ybar, std::size_t path_index) const;
-
-  /// Buffer-reusing instrumented path walk: symbol decisions land in
-  /// ws.symbols (tree order), scratch in ws.s, and *stats is overwritten
-  /// with this walk's counters.  Returns false when the path was
-  /// deactivated (then ws.symbols/metric are partial, as in PathEval).
-  bool evaluate_path(std::span<const linalg::cplx> ybar,
-                     std::size_t path_index, detect::Workspace& ws,
-                     double* metric, DetectionStats* stats) const;
-
-  /// Metric-only path walk for the hot loop of the task grids: no
-  /// allocation, no instrumentation.  Returns +infinity for deactivated
-  /// paths.  Requires Nt <= 32.  Always full (double) precision.
-  double path_metric(std::span<const linalg::cplx> ybar,
-                     std::size_t path_index) const;
-
   /// Lane-parallel block kernel: metrics of paths [first_path,
   /// first_path + n_paths) in one call, through the PathPlan compiled by
-  /// set_channel in the configured precision tier.  At kFloat64 the
-  /// metrics are bit-identical to path_metric per path; at kFloat32 the
-  /// grid runs single precision.  Thread-safe, allocation-free.
+  /// set_channel in the configured precision tier.  Thread-safe,
+  /// allocation-free.
   void path_metric_block(std::span<const linalg::cplx> ybar,
                          std::size_t first_path, std::size_t n_paths,
                          double* out_metrics) const {
-    if (cfg_.precision == detect::Precision::kInt16) {
-      plan16_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else if (cfg_.precision == detect::Precision::kFloat32) {
-      plan32_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else {
-      plan64_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    }
+    plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
   }
 
-  /// Heap footprint of the compiled plan of the configured tier (the
-  /// number the precision ladder halves; reported by bench/micro_kernels).
-  std::size_t plan_footprint_bytes() const {
-    switch (cfg_.precision) {
-      case detect::Precision::kInt16: return plan16_.footprint_bytes();
-      case detect::Precision::kFloat32: return plan32_.footprint_bytes();
-      default: return plan64_.footprint_bytes();
-    }
-  }
+  /// Heap footprint of the compiled plan of the configured tier.
+  std::size_t plan_footprint_bytes() const { return plans_.footprint_bytes(); }
+
+  /// The exact (fp64) plan of the current channel, compiled in every tier:
+  /// the walk behind detect(), reconstruction, soft output and the SIC
+  /// fallback.
+  const detect::PathPlan& plan() const noexcept { return plans_.exact(); }
 
   /// The quantized plan of the current channel (compiled only when the
   /// configured precision is kInt16) — quantization introspection for
   /// tests and benches.
-  const detect::PathPlanI16& plan_i16() const noexcept { return plan16_; }
+  const detect::PathPlanI16& plan_i16() const noexcept { return plans_.i16(); }
 
   /// Builds the final DetectionResult of one vector from a grid verdict
-  /// (run_path_grid / run_frame_grid): an instrumented walk of the winning
-  /// path, or the plain-SIC fallback when `best_metric` is +infinity (every
-  /// path deactivated).  Symbols come back in ORIGINAL antenna order.
-  /// Returns true when the fallback fired.  Scratch lives in `ws`.
+  /// (run_path_grid / run_frame_grid): the exact plan's walk of the
+  /// winning path, or the plain-SIC fallback when `best_metric` is
+  /// +infinity (every path deactivated).  In the reduced tiers a winner
+  /// the exact walk deactivates is first rescued by an exact block scan.
+  /// Symbols come back in ORIGINAL antenna order; stats are the closed
+  /// form of the whole grid (PathPlan::walk_stats).  Returns true when the
+  /// fallback fired.  Scratch lives in `ws`.
   bool reconstruct_winner(std::span<const linalg::cplx> ybar,
                           std::size_t best_path, double best_metric,
                           detect::Workspace& ws, DetectionResult* res) const;
@@ -201,17 +169,20 @@ class FlexCoreDetector : public Detector {
   const OrderingLut& lut() const noexcept { return lut_; }
 
  private:
-  /// Sequential reduction over all active paths; sets *fell (when given) if
-  /// every path was deactivated and the SIC fallback produced the result.
-  DetectionResult reduce(const CVec& ybar, std::vector<PathEval>* keep_all,
-                         bool* fell = nullptr) const;
+  /// Exact scan of every active path, then the winner's walk into
+  /// `symbols`; +infinity when every path is deactivated.
+  double walk_best(std::span<const linalg::cplx> ybar,
+                   std::span<int> symbols) const;
 
-  /// Fallback when every PE was deactivated: walks the [1,1,...,1] path
-  /// with exact slicing (plain SIC), which is always valid.  Fills
-  /// `res->symbols` in tree (permuted) order and `res->metric`; scratch
-  /// lives in `ws`.
-  void sic_fallback_into(std::span<const linalg::cplx> ybar,
-                         detect::Workspace& ws, DetectionResult* res) const;
+  /// Completes a result from an exact walk already in ws.symbols (metric
+  /// `metric`), or from plain SIC when `metric` is +infinity; returns true
+  /// when SIC fired.
+  bool finish(std::span<const linalg::cplx> ybar, double metric,
+              detect::Workspace& ws, DetectionResult* res) const;
+
+  /// detect() into caller storage; returns true when SIC fired.
+  bool detect_into(const CVec& y, detect::Workspace& ws,
+                   DetectionResult* res) const;
 
   const Constellation* constellation_;
   parallel::ThreadPool* pool_ = nullptr;
@@ -221,20 +192,8 @@ class FlexCoreDetector : public Detector {
   PreprocessingResult preproc_;
   std::size_t active_paths_ = 0;
   double noise_var_ = 1.0;
-  CVec r_diag_inv_;        // 1 / R(i,i)
-  std::vector<CVec> rx_;   // rx_[i][x] = R(i,i) * point(x)
-  // Compiled path plans for the block kernel (only the configured
-  // precision tier is compiled per set_channel).
-  detect::PathPlan plan64_;
-  detect::PathPlanF plan32_;
-  detect::PathPlanI16 plan16_;
-  // Per-worker reconstruction scratch plus the reusable grid output, kept
-  // across detect_batch calls so repeated per-subcarrier batches stay at
-  // their high-water mark (zero steady-state allocations).  Guarded by the
-  // detect_batch contract (one driver thread at a time).
-  mutable detect::WorkspaceBank workspaces_;
-  mutable detect::PathGridOutput grid_;
-  mutable std::vector<std::uint8_t> fell_;
+  detect::TieredPlans plans_;
+  mutable detect::BatchScratch batch_;  // pooled detect_batch buffers
 };
 
 }  // namespace flexcore::core

@@ -62,11 +62,10 @@ struct DetectionResult {
 /// Batch API contract:
 ///  * `results` holds one DetectionResult per input vector, in input order,
 ///    identical (symbols and metric) to what per-vector detect() returns.
-///  * `stats` is the sum of the per-vector stats.  Path-parallel overrides
-///    (FlexCore, FCSD) run the grid with the uninstrumented metric-only
-///    kernel and attribute only the winning path's walk to each vector, so
-///    absolute counter values are lower than the sequential default loop's;
-///    `paths_evaluated` always reflects the full grid.
+///  * `stats` is the sum of the per-vector stats, identical to per-vector
+///    detect()'s.  Path-parallel detectors (FlexCore, FCSD) report the
+///    closed-form cost of walking every path in full
+///    (detect::PathPlan::walk_stats), the work their grids really do.
 ///  * `sic_fallbacks` counts vectors for which every path was deactivated
 ///    (FlexCore's out-of-constellation policy) and the detector fell back
 ///    to plain SIC slicing — the raw task grid punts this policy to

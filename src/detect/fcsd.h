@@ -26,7 +26,7 @@ class FcsdDetector : public Detector {
   /// grid stays double.
   FcsdDetector(const Constellation& c, std::size_t full_levels,
                Precision precision = Precision::kFloat64)
-      : constellation_(&c), full_levels_(full_levels), precision_(precision) {}
+      : constellation_(&c), full_levels_(full_levels), plans_(precision) {}
 
   void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
@@ -42,7 +42,7 @@ class FcsdDetector : public Detector {
 
   std::string name() const override {
     return "fcsd-L" + std::to_string(full_levels_) +
-           precision_suffix(precision_);
+           precision_suffix(precision());
   }
   std::size_t parallel_tasks() const override { return num_paths(); }
 
@@ -61,63 +61,31 @@ class FcsdDetector : public Detector {
     return out;
   }
 
-  /// Evaluation of a single FCSD path, the unit of parallel work.
-  struct PathEval {
-    double metric = 0.0;
-    std::vector<int> symbols;  // permuted (tree) order
-    DetectionStats stats;
-  };
-
-  /// Evaluates path `path_index` in [0, num_paths()): the base-|Q| digits of
-  /// the index select the symbols of the fully-expanded top levels.  Thread-
-  /// safe; used directly by the parallel engine benchmarks.
-  PathEval evaluate_path(const CVec& ybar, std::size_t path_index) const;
-
-  /// Buffer-reusing instrumented path walk: symbol decisions land in
-  /// ws.symbols (tree order), scratch in ws.s, counters overwrite *stats.
-  /// Every FCSD path is valid, so there is no failure mode.
-  void evaluate_path(std::span<const linalg::cplx> ybar,
-                     std::size_t path_index, detect::Workspace& ws,
-                     double* metric, DetectionStats* stats) const;
-
-  /// Metric-only path walk (no allocation / instrumentation) for the
-  /// task grids' hot loop.  Requires Nt <= 32.  Always double precision.
-  double path_metric(std::span<const linalg::cplx> ybar,
-                     std::size_t path_index) const;
-
   /// Lane-parallel block kernel over the PathPlan compiled by set_channel
-  /// (the configured precision tier).  Bit-identical to path_metric per
-  /// path at kFloat64.  Thread-safe, allocation-free.
+  /// (the configured precision tier).  Thread-safe, allocation-free.
   void path_metric_block(std::span<const linalg::cplx> ybar,
                          std::size_t first_path, std::size_t n_paths,
                          double* out_metrics) const {
-    if (precision_ == Precision::kInt16) {
-      plan16_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else if (precision_ == Precision::kFloat32) {
-      plan32_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else {
-      plan64_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    }
+    plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
   }
 
-  Precision precision() const noexcept { return precision_; }
+  Precision precision() const noexcept { return plans_.precision(); }
 
   /// Heap footprint of the compiled plan of the configured tier.
-  std::size_t plan_footprint_bytes() const {
-    switch (precision_) {
-      case Precision::kInt16: return plan16_.footprint_bytes();
-      case Precision::kFloat32: return plan32_.footprint_bytes();
-      default: return plan64_.footprint_bytes();
-    }
-  }
+  std::size_t plan_footprint_bytes() const { return plans_.footprint_bytes(); }
+
+  /// The exact (fp64) plan of the current channel, compiled in every tier:
+  /// the walk behind detect() and reconstruction.
+  const PathPlan& plan() const noexcept { return plans_.exact(); }
 
   /// The quantized plan of the current channel (compiled only when the
   /// configured precision is kInt16).
-  const PathPlanI16& plan_i16() const noexcept { return plan16_; }
+  const PathPlanI16& plan_i16() const noexcept { return plans_.i16(); }
 
   /// Builds the final DetectionResult of one vector from a grid verdict:
-  /// an instrumented walk of the winning path, symbols in ORIGINAL antenna
-  /// order.  Always returns false (FCSD has no fallback).  Scratch in `ws`.
+  /// the exact plan's walk of the winning path, symbols in ORIGINAL antenna
+  /// order, stats the closed form of the whole grid.  Always returns false
+  /// (every FCSD path is valid, so there is no fallback).  Scratch in `ws`.
   bool reconstruct_winner(std::span<const linalg::cplx> ybar,
                           std::size_t best_path, double best_metric,
                           detect::Workspace& ws, DetectionResult* res) const;
@@ -127,21 +95,10 @@ class FcsdDetector : public Detector {
  private:
   const Constellation* constellation_;
   std::size_t full_levels_;
-  Precision precision_;
   parallel::ThreadPool* pool_ = nullptr;
   linalg::QrResult qr_;
-  std::vector<CVec> rx_;  // rx_[i][x] = R(i,i) * point(x)
-  // Compiled path plans for the block kernel (only the configured
-  // precision tier is compiled per set_channel).
-  PathPlan plan64_;
-  PathPlanF plan32_;
-  PathPlanI16 plan16_;
-  // Per-worker reconstruction scratch plus the reusable grid output, kept
-  // across detect_batch calls so repeated per-subcarrier batches stay at
-  // their high-water mark (zero steady-state allocations).  Guarded by the
-  // detect_batch contract (one driver thread at a time).
-  mutable detect::WorkspaceBank workspaces_;
-  mutable PathGridOutput grid_;
+  TieredPlans plans_;
+  mutable BatchScratch batch_;  // pooled detect_batch buffers
 };
 
 }  // namespace flexcore::detect

@@ -2,11 +2,12 @@
 // §4): the GPU implementation generates Nsc * |E| threads (FlexCore) or
 // Nsc * |Q|^L threads (FCSD); here the same grids are executed by a
 // ThreadPool, with each task scanning its paths through the lane-parallel
-// block kernel (detect/path_kernels.h) where the detector provides one.
+// block kernel (detect/path_kernels.h).
 //
 // Two granularities are provided:
 //  * run_path_grid  — the single-channel (vector x path) grid behind
-//    Detector::detect_batch; the Fig. 11 benchmark times exactly this grid.
+//    Detector::detect_batch (detect_batch_on_pool adds the per-vector
+//    winner reconstruction); the Fig. 11 benchmark times exactly this grid.
 //  * run_frame_grid — the multi-channel (subcarrier x vector x path) grid
 //    behind api::UplinkPipeline::detect_frame: one flat job covering every
 //    subcarrier of an OFDM frame.
@@ -18,12 +19,14 @@
 #pragma once
 
 #include <chrono>
-#include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
 
+#include "detect/detector.h"
+#include "detect/workspace.h"
 #include "linalg/simd.h"
 #include "linalg/types.h"
 #include "parallel/hot_path.h"
@@ -33,27 +36,17 @@ namespace flexcore::detect {
 
 /// A detector whose per-vector work decomposes into independent fixed
 /// paths, with allocation-free span kernels: rotate_into writes ybar = Q^H y
-/// into a caller buffer and path_metric scores one path of a rotated
-/// vector.
+/// into a caller buffer and the lane-parallel block kernel
+/// (detect/path_kernels.h) path_metric_block scores a block of paths of a
+/// rotated vector per call.
 template <typename D>
 concept PathParallelDetector = requires(const D& d, const linalg::CVec& y,
                                         std::span<linalg::cplx> out,
                                         std::span<const linalg::cplx> ybar,
-                                        std::size_t i) {
+                                        std::size_t i, double* metrics) {
   d.rotate_into(y, out);
-  { d.path_metric(ybar, i) } -> std::convertible_to<double>;
+  d.path_metric_block(ybar, i, i, metrics);
 };
-
-/// A path-parallel detector that additionally exposes the lane-parallel
-/// block kernel (detect/path_kernels.h): path_metric_block scores a whole
-/// block of paths per call.  The grids use it automatically.
-template <typename D>
-concept BlockKernelDetector =
-    PathParallelDetector<D> &&
-    requires(const D& d, std::span<const linalg::cplx> ybar, std::size_t i,
-             double* out) {
-      d.path_metric_block(ybar, i, i, out);
-    };
 
 /// Paths per block-kernel call.  Sized for the widest tier: the int16
 /// quantized plans evaluate a FUSED PAIR of 16-lane blocks per kernel call
@@ -64,35 +57,25 @@ concept BlockKernelDetector =
 /// bit-exact results — unchanged.
 inline constexpr std::size_t kPathBlockLanes = 2 * linalg::kSimdLanesI16;
 
-/// Scans paths [0, num_paths) of one rotated vector, tracking the minimum
-/// inline (strict <, first index wins — the sequential reduction's
-/// tie-break, so results are bit-identical at any thread count and block
-/// width).  Uses the block kernel when the detector has one.
-template <typename D>
+/// Scans paths [0, num_paths) of one rotated vector through a block kernel
+/// (a PathParallelDetector or a compiled plan), tracking the minimum inline
+/// (strict <, first index wins — the sequential reduction's tie-break, so
+/// results are bit-identical at any thread count and block width).
+template <typename K>
 FLEXCORE_HOT_PATH
-inline void scan_paths(const D& det, std::span<const linalg::cplx> ybar,
+inline void scan_paths(const K& kernel, std::span<const linalg::cplx> ybar,
                        std::size_t num_paths, std::size_t* best_path,
                        double* best_metric) {
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_p = 0;
-  if constexpr (BlockKernelDetector<D>) {
-    double m[kPathBlockLanes];
-    for (std::size_t p = 0; p < num_paths; p += kPathBlockLanes) {
-      const std::size_t n = std::min(kPathBlockLanes, num_paths - p);
-      det.path_metric_block(ybar, p, n, m);
-      for (std::size_t k = 0; k < n; ++k) {
-        if (m[k] < best) {
-          best = m[k];
-          best_p = p + k;
-        }
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < num_paths; ++p) {
-      const double m = det.path_metric(ybar, p);
-      if (m < best) {
-        best = m;
-        best_p = p;
+  double m[kPathBlockLanes];
+  for (std::size_t p = 0; p < num_paths; p += kPathBlockLanes) {
+    const std::size_t n = std::min(kPathBlockLanes, num_paths - p);
+    kernel.path_metric_block(ybar, p, n, m);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (m[k] < best) {
+        best = m[k];
+        best_p = p + k;
       }
     }
   }
@@ -161,6 +144,47 @@ void run_path_grid(const D& det, std::size_t num_paths,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+/// A detector's reusable detect_batch buffers: the grid output, per-worker
+/// reconstruction scratch and per-vector fallback flags, kept at their
+/// high-water mark across calls (zero steady-state allocations).  Guarded
+/// by the detect_batch contract (one driver thread at a time).
+struct BatchScratch {
+  PathGridOutput grid;
+  WorkspaceBank workspaces;
+  std::vector<std::uint8_t> fell;
+};
+
+/// Detector::detect_batch over `pool` for a path-parallel detector: the
+/// vector x path grid, then one det.reconstruct_winner per vector on
+/// per-worker scratch (the exact winner walk plus whatever fallback policy
+/// the detector applies — the raw grid punts on it).
+template <PathParallelDetector D>
+void detect_batch_on_pool(const D& det, std::size_t num_paths,
+                          std::span<const linalg::CVec> ys, std::size_t nt,
+                          parallel::ThreadPool& pool, BatchScratch* scratch,
+                          BatchResult* out) {
+  const std::size_t nv = ys.size();
+  PathGridOutput& grid = scratch->grid;
+  run_path_grid(det, num_paths, ys, nt, pool, &grid);
+  out->results.assign(nv, DetectionResult{});
+  out->stats = DetectionStats{};
+  out->sic_fallbacks = 0;
+  out->tasks = grid.tasks;
+  out->elapsed_seconds = grid.elapsed_seconds;
+
+  scratch->fell.assign(nv, 0);
+  scratch->workspaces.ensure(pool.size());
+  pool.parallel_for_worker(nv, [&](std::size_t w, std::size_t v) {
+    scratch->fell[v] = det.reconstruct_winner(
+        grid.ybar(v), grid.best_path[v], grid.best_metric[v],
+        scratch->workspaces.at(w), &out->results[v]);
+  });
+  for (std::size_t v = 0; v < nv; ++v) {
+    out->stats += out->results[v].stats;
+    out->sic_fallbacks += scratch->fell[v];
+  }
+}
+
 /// Output of one multi-channel frame-grid run.  "Unit" u = f * nv + t is
 /// the (subcarrier f, vector t) pair, subcarrier-major — the same layout as
 /// the input vectors.  Buffers are resized, never shrunk, so reusing the
@@ -184,9 +208,9 @@ struct FrameGridOutput {
 /// per-subcarrier detector (channel already installed) evaluating
 /// `num_paths[f]` paths for each of the `vectors_per_channel` vectors
 /// `ys[f * vectors_per_channel + ...]`.  Each task rotates its vector into
-/// the flat ybar buffer and scans its paths (block kernel where available,
-/// scalar metric otherwise) with the minimum tracked inline.  Steady-state
-/// tasks perform zero heap allocations.
+/// the flat ybar buffer and scans its paths through the block kernel with
+/// the minimum tracked inline.  Steady-state tasks perform zero heap
+/// allocations.
 template <PathParallelDetector D>
 FLEXCORE_HOT_PATH
 void run_frame_grid(std::span<const D* const> dets,

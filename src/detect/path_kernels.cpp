@@ -11,19 +11,27 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "perfmodel/fixed_point.h"
 
 namespace flexcore::detect {
+
+void require_kernel_streams(const char* who, std::size_t nt) {
+  if (nt == 0 || nt > PathPlan::kMaxLevels) {
+    throw std::invalid_argument(std::string(who) + ": " +
+                                std::to_string(nt) +
+                                " streams, outside the path kernels' "
+                                "1..32-stream limit");
+  }
+}
 
 template <typename T>
 void PathPlanT<T>::compile_channel(const linalg::CMat& r,
                                    const modulation::Constellation& c,
                                    bool with_diag_inverse) {
   const std::size_t nt = r.cols();
-  if (nt == 0 || nt > kMaxLevels) {
-    throw std::invalid_argument("PathPlan: need 1 <= Nt <= 32");
-  }
+  require_kernel_streams("PathPlan", nt);
   nt_ = nt;
   q_ = c.order();
   side_ = c.side();
@@ -236,26 +244,28 @@ inline V splat(T s) noexcept {
 }  // namespace
 
 template <typename T>
+template <std::size_t N, bool kSic>
 FLEXCORE_HOT_PATH
-void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
-                              double out[kLanes]) const {
+void PathPlanT<T>::walk(const linalg::cplx* ybar, std::size_t path0,
+                        double out[N], int* symbols) const {
   const std::size_t nt = nt_;
   const std::size_t q = static_cast<std::size_t>(q_);
-  const std::size_t path0 = block * kLanes;
+  const std::size_t block = path0 / kLanes;
 
-  // Lane-parallel walk state: lane = path.  Same per-level recurrence as
-  // the scalar path_metric, with the complex arithmetic written split over
-  // LaneVec registers (element-wise, branch-free).
-  using VecT = typename LaneVecOf<T, kLanes>::type;
+  // Lane-parallel walk state: lane = path, the complex arithmetic written
+  // split over LaneVec registers (element-wise, branch-free).
+  using VecT = typename LaneVecOf<T, N>::type;
   VecT br, bi;
   VecT er{}, ei{};
   VecT acc{};
   VecT sre[kMaxLevels], sim[kMaxLevels];
-  std::int32_t xs[kLanes];
-  std::uint8_t dead[kLanes] = {};
+  std::int32_t xs[N];
+  std::uint8_t dead[N] = {};
 
   const std::int32_t* sel_base =
-      mode_ == Mode::kFcsd ? nullptr : ranks_.data() + block * nt * kLanes;
+      mode_ == Mode::kFcsd
+          ? nullptr
+          : ranks_.data() + block * nt * kLanes + path0 % kLanes;
 
   for (std::size_t ii = 0; ii < nt; ++ii) {
     const std::size_t i = nt - 1 - ii;
@@ -277,16 +287,16 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
       if (ii < full_levels_) {
         // Enumerated level: base-|Q| digit ii of the path index.
         const std::size_t pw = powq_[ii];
-        for (std::size_t l = 0; l < kLanes; ++l) {
+        for (std::size_t l = 0; l < N; ++l) {
           xs[l] = static_cast<std::int32_t>(((path0 + l) / pw) % q);
         }
       } else {
         // Greedy extension: nearest point to b / R(i,i) — the complex
-        // division stays std::complex (the scalar kernel's exact library
+        // division stays std::complex (the scalar walk's exact library
         // semantics), the slice is the same round-and-clamp inlined.
         // flexcore-lint: allow-next-line(HP005) scalar-exact library division
         const std::complex<T> rd{rrow_re[i], rrow_im[i]};
-        for (std::size_t l = 0; l < kLanes; ++l) {
+        for (std::size_t l = 0; l < N; ++l) {
           // flexcore-lint: allow-next-line(HP005) scalar-exact library division
           const std::complex<T> bq = std::complex<T>{br[l], bi[l]} / rd;
           const double qr = static_cast<double>(bq.real());
@@ -308,32 +318,38 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
       er = br * rdr - bi * rdj;
       ei = br * rdj + bi * rdr;
       const std::int32_t* sel = sel_base + i * kLanes;
-      if (mode_ == Mode::kLutRank) {
+      if (kSic || mode_ == Mode::kLutRank) {
         // Branch-light split lookup, phased: (A) the slicer prescaling per
         // lane (the glue stays double and uses the constellation's shared
         // inv_scale(), so the fp64 tier reproduces OrderingLut::kth_symbol
-        // exactly), then either the rank-1 fast path (rounded slicer
-        // center + bounds check, no residual/triangle work — most
-        // block-levels of a most-promising path set) or the general path
-        // (B: center rounding + triangle classification, C: per-lane
-        // table gathers and bounds checks).
-        double ar[kLanes], aq[kLanes];
-        for (std::size_t l = 0; l < kLanes; ++l) {
+        // and Constellation::slice exactly), then either the rank-1 fast
+        // path (rounded slicer center + bounds check, no residual/triangle
+        // work — most block-levels of a most-promising path set, and every
+        // level of the SIC walk, which clamps instead of deactivating) or
+        // the general path (B: center rounding + triangle classification,
+        // C: per-lane table gathers and bounds checks).
+        double ar[N], aq[N];
+        for (std::size_t l = 0; l < N; ++l) {
           ar[l] = (static_cast<double>(er[l]) * inv_scale_ + (side_ - 1)) / 2.0;
           aq[l] = (static_cast<double>(ei[l]) * inv_scale_ + (side_ - 1)) / 2.0;
         }
-        if (all_rank_one_[block * nt + i]) {
-          for (std::size_t l = 0; l < kLanes; ++l) {
+        if (kSic || all_rank_one_[block * nt + i]) {
+          for (std::size_t l = 0; l < N; ++l) {
             const std::int32_t cil = round_half_away(ar[l]);
             const std::int32_t cql = round_half_away(aq[l]);
-            const bool valid = !dead[l] && cil >= 0 && cil < side_ &&
-                               cql >= 0 && cql < side_;
-            xs[l] = valid ? cil * side_ + cql : 0;
-            dead[l] = valid ? 0 : 1;
+            if constexpr (kSic) {
+              xs[l] = std::clamp(cil, 0, side_ - 1) * side_ +
+                      std::clamp(cql, 0, side_ - 1);
+            } else {
+              const bool valid = !dead[l] && cil >= 0 && cil < side_ &&
+                                 cql >= 0 && cql < side_;
+              xs[l] = valid ? cil * side_ + cql : 0;
+              dead[l] = valid ? 0 : 1;
+            }
           }
         } else {
-          std::int32_t ci[kLanes], cq[kLanes], tri[kLanes];
-          for (std::size_t l = 0; l < kLanes; ++l) {
+          std::int32_t ci[N], cq[N], tri[N];
+          for (std::size_t l = 0; l < N; ++l) {
             const int cil = round_half_away(ar[l]);
             const int cql = round_half_away(aq[l]);
             const double u = static_cast<double>(er[l]) -
@@ -346,7 +362,7 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
             cq[l] = cql;
             tri[l] = (av > au ? 4 : 0) | (u < 0.0 ? 2 : 0) | (v < 0.0 ? 1 : 0);
           }
-          for (std::size_t l = 0; l < kLanes; ++l) {
+          for (std::size_t l = 0; l < N; ++l) {
             if (dead[l]) {
               xs[l] = 0;  // lane already deactivated; keep the walk defined
               continue;
@@ -373,7 +389,7 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
         }
       } else {
         // Ablation modes: per-lane calls into the reference lookups.
-        for (std::size_t l = 0; l < kLanes; ++l) {
+        for (std::size_t l = 0; l < N; ++l) {
           if (dead[l]) {
             xs[l] = 0;
             continue;
@@ -392,11 +408,12 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
         }
       }
     }
+    if constexpr (N == 1) symbols[i] = xs[0];
 
     // Decided point + partial Euclidean distance, all lanes.
     const T* rx_re_row = rx_.re.data() + i * q;
     const T* rx_im_row = rx_.im.data() + i * q;
-    for (std::size_t l = 0; l < kLanes; ++l) {
+    for (std::size_t l = 0; l < N; ++l) {
       const std::int32_t x = xs[l];
       sre[i][l] = pt_.re[static_cast<std::size_t>(x)];
       sim[i][l] = pt_.im[static_cast<std::size_t>(x)];
@@ -406,7 +423,7 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
     }
   }
 
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < N; ++l) {
     out[l] = dead[l] ? std::numeric_limits<double>::infinity()
                      : static_cast<double>(acc[l]);
   }
@@ -423,13 +440,63 @@ void PathPlanT<T>::path_metric_block(std::span<const linalg::cplx> ybar,
   std::size_t written = 0;
   while (written < n_paths) {
     const std::size_t p = first_path + written;
-    const std::size_t block = p / kLanes;
     const std::size_t lane0 = p % kLanes;
-    eval_block(ybar.data(), block, tmp);
+    walk<kLanes, false>(ybar.data(), p - lane0, tmp, nullptr);
     const std::size_t take = std::min(n_paths - written, kLanes - lane0);
     for (std::size_t k = 0; k < take; ++k) out[written + k] = tmp[lane0 + k];
     written += take;
   }
+}
+
+template <typename T>
+FLEXCORE_HOT_PATH
+double PathPlanT<T>::walk_path(std::span<const linalg::cplx> ybar,
+                               std::size_t path,
+                               std::span<int> symbols) const {
+  assert(compiled() && ybar.size() == nt_ && symbols.size() == nt_);
+  assert(path < num_paths_);
+  double m;
+  walk<1, false>(ybar.data(), path, &m, symbols.data());
+  return m;
+}
+
+template <typename T>
+FLEXCORE_HOT_PATH
+double PathPlanT<T>::walk_sic(std::span<const linalg::cplx> ybar,
+                              std::span<int> symbols) const {
+  assert(mode_ != Mode::kFcsd && ybar.size() == nt_ && symbols.size() == nt_);
+  double m;
+  walk<1, true>(ybar.data(), 0, &m, symbols.data());
+  return m;
+}
+
+template <typename T>
+DetectionStats PathPlanT<T>::walk_stats(std::size_t n_paths) const noexcept {
+  // Table 2 accounting per full walk: 4 real multiplies (8 flops) per
+  // cancelled term, nt(nt-1)/2 terms.  Per level, FlexCore adds the PED
+  // constant multiply (4 mults, 11 flops; the FPGA folds the 1/R(i,i)
+  // divide into a multiply by R(i,i), so `eff` costs nothing extra); FCSD
+  // adds 2 mults / 5 flops, plus 4 mults / 8 flops for the complex divide
+  // of every greedily sliced level.
+  const std::uint64_t nt = nt_;
+  const std::uint64_t terms = nt * (nt == 0 ? 0 : nt - 1) / 2;
+  std::uint64_t mults = 4 * terms;
+  std::uint64_t flops = 8 * terms;
+  if (mode_ == Mode::kFcsd) {
+    const std::uint64_t greedy = nt - full_levels_;
+    mults += 2 * nt + 4 * greedy;
+    flops += 5 * nt + 8 * greedy;
+  } else {
+    mults += 4 * nt;
+    flops += 11 * nt;
+  }
+  const std::uint64_t n = n_paths;
+  DetectionStats s;
+  s.nodes_visited = n * nt;
+  s.real_mults = n * mults;
+  s.flops = n * flops;
+  s.paths_evaluated = n;
+  return s;
 }
 
 template <typename T>
@@ -668,9 +735,7 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // (The fp tiers skip 1/R(i,i) for FCSD; the quantized tier always
   // compiles it — the greedy FCSD slice runs through the same LUT slicer.)
   const std::size_t nt = r.cols();
-  if (nt == 0 || nt > kMaxLevels) {
-    throw std::invalid_argument("PathPlanI16: need 1 <= Nt <= 32");
-  }
+  require_kernel_streams("PathPlanI16", nt);
   nt_ = nt;
   q_ = c.order();
   side_ = c.side();

@@ -21,13 +21,17 @@
 //    auto-vectorizer turns into SIMD, with scalar gathers only for the
 //    data-dependent k-th-symbol lookups.
 //
-// The plan is templated on the compute scalar: PathPlan (double) is
-// bit-identical to the detector's scalar path_metric — same operations in
-// the same order on the same values, verified by tests/kernel_test.cpp —
-// while PathPlanF (float) is the reduced-precision tier in the spirit of
-// the paper's fixed-point FPGA datapath (selected by Precision::kFloat32 /
-// the ":fp32" registry spec suffix; see README "Kernel engine & precision
-// tiers" for when it is safe).
+// The plan is templated on the compute scalar.  PathPlan (double) is the
+// library's one exact per-path walk: the grids, winner reconstruction,
+// sequential detect(), soft output, the SIC fallback and the reduced
+// tiers' exact rescue all run it (walk_path / walk_sic are the same walk
+// at width 1).  It is bit-identical to the scalar std::complex reference
+// walk in tests/reference_walk.h — same operations in the same order on
+// the same values, verified by tests/kernel_test.cpp.  PathPlanF (float)
+// is the reduced-precision tier in the spirit of the paper's fixed-point
+// FPGA datapath (selected by Precision::kFloat32 / the ":fp32" registry
+// spec suffix; see README "Kernel engine & precision tiers" for when it
+// is safe).
 #pragma once
 
 #include <cstddef>
@@ -38,6 +42,7 @@
 
 #include "core/ordering_lut.h"
 #include "core/preprocessing.h"
+#include "detect/detector.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "modulation/constellation.h"
@@ -72,6 +77,12 @@ constexpr const char* precision_suffix(Precision p) noexcept {
 /// assumes this bound when it sheds to ":i16" under load.
 inline constexpr double kI16SerTolerance = 1e-2;
 
+/// Throws std::invalid_argument naming the path kernels' 32-stream limit
+/// (PathPlanT::kMaxLevels) unless 1 <= nt <= 32.  Detectors call it before
+/// touching any state, so a refused channel leaves the previous one
+/// installed.
+void require_kernel_streams(const char* who, std::size_t nt);
+
 /// A compiled, SoA-blocked path set for one installed channel.  Compile
 /// once per set_channel (cheap next to QR + path selection), evaluate with
 /// path_metric_block from any thread — the plan is immutable after
@@ -81,7 +92,7 @@ class PathPlanT {
  public:
   /// Paths per block (lanes per path_metric_block call).
   static constexpr std::size_t kLanes = linalg::kSimdLanes;
-  /// Tree-depth cap shared with the scalar kernels (Nt <= 32).
+  /// Tree-depth cap of every path kernel (Nt <= 32).
   static constexpr std::size_t kMaxLevels = 32;
 
   /// Compiles a FlexCore path set: `paths[p].p[i]` is the 1-based closeness
@@ -110,13 +121,34 @@ class PathPlanT {
 
   /// Evaluates paths [first_path, first_path + n_paths) against the rotated
   /// vector `ybar` (length levels()), writing one Euclidean metric per path
-  /// to `out` (+infinity for deactivated paths).  Equals the detector's
-  /// scalar path_metric per path — bitwise for T = double.  Whole blocks
-  /// are evaluated internally, so aligning first_path to kLanes avoids
-  /// wasted lanes; any alignment is correct.
+  /// to `out` (+infinity for deactivated paths).  Equals the scalar
+  /// reference walk per path — bitwise for T = double.  Whole blocks are
+  /// evaluated internally, so aligning first_path to kLanes avoids wasted
+  /// lanes; any alignment is correct.
   void path_metric_block(std::span<const linalg::cplx> ybar,
                          std::size_t first_path, std::size_t n_paths,
                          double* out) const;
+
+  /// Walks the single path `path`: the block walk instantiated at width 1,
+  /// so the returned metric is bitwise the one path_metric_block reports
+  /// for it.  Writes the per-level symbol decisions (tree order) to
+  /// `symbols` (length levels()); +infinity means the path was
+  /// deactivated and `symbols` is then partial.
+  double walk_path(std::span<const linalg::cplx> ybar, std::size_t path,
+                   std::span<int> symbols) const;
+
+  /// Plain SIC (FlexCore plans only): the same width-1 walk at rank 1 on
+  /// every level, with the slice clamped into the constellation instead of
+  /// deactivating the path — always valid.  FlexCore's fallback when every
+  /// selected path is deactivated.
+  double walk_sic(std::span<const linalg::cplx> ybar,
+                  std::span<int> symbols) const;
+
+  /// Cost of `n_paths` full walks in the paper's Table 2 accounting, with
+  /// paths_evaluated = n_paths.  Closed form from the plan's shape: every
+  /// walk runs all levels, because a deactivated lane keeps computing
+  /// beside its block — the work the grid really does.
+  DetectionStats walk_stats(std::size_t n_paths) const noexcept;
 
   /// Heap bytes of the compiled plan (channel state + selector tables) —
   /// the footprint the precision tiers halve step by step; reported by
@@ -134,8 +166,12 @@ class PathPlanT {
   void compile_channel(const linalg::CMat& r,
                        const modulation::Constellation& c,
                        bool with_diag_inverse);
-  void eval_block(const linalg::cplx* ybar, std::size_t block,
-                  double out[kLanes]) const;
+  /// The walk itself, over the N consecutive paths starting at `path0`
+  /// (N = kLanes: one aligned block; N = 1: any single path, decisions
+  /// written to `symbols`).  kSic selects the clamped rank-1 walk.
+  template <std::size_t N, bool kSic>
+  void walk(const linalg::cplx* ybar, std::size_t path0, double out[N],
+            int* symbols) const;
 
   Mode mode_ = Mode::kLutRank;
   std::size_t nt_ = 0;         ///< levels (0 = not compiled)
@@ -173,7 +209,7 @@ class PathPlanT {
   core::InvalidEntryPolicy policy_ = core::InvalidEntryPolicy::kDeactivate;
 };
 
-/// The exact tier (bit-identical to the scalar kernels).
+/// The exact tier (bit-identical to the scalar reference walk).
 using PathPlan = PathPlanT<double>;
 /// The reduced-precision tier (paper's fixed-point datapath analogue).
 using PathPlanF = PathPlanT<float>;
@@ -368,6 +404,60 @@ class PathPlanI16 {
   const modulation::Constellation* c_ = nullptr;
   const core::OrderingLut* lut_ = nullptr;
   core::InvalidEntryPolicy policy_ = core::InvalidEntryPolicy::kDeactivate;
+};
+
+/// The compiled plans of one path-parallel detector: the exact plan
+/// always (every exact walk runs on it), plus the configured reduced
+/// tier's plan (the other reduced plan stays empty, so stale state can
+/// never be evaluated).
+class TieredPlans {
+ public:
+  explicit TieredPlans(Precision precision) : precision_(precision) {}
+
+  /// Recompiles every plan the tier needs through `fn(plan)`, one call per
+  /// plan (PathPlan first, then PathPlanF or PathPlanI16).
+  template <typename Compile>
+  void compile(Compile&& fn) {
+    fn(exact_);
+    fp32_.clear();
+    i16_.clear();
+    if (precision_ == Precision::kInt16) {
+      fn(i16_);
+    } else if (precision_ == Precision::kFloat32) {
+      fn(fp32_);
+    }
+  }
+
+  Precision precision() const noexcept { return precision_; }
+  const PathPlan& exact() const noexcept { return exact_; }
+  const PathPlanI16& i16() const noexcept { return i16_; }
+
+  /// The grids' block kernel, in the configured tier.
+  void path_metric_block(std::span<const linalg::cplx> ybar,
+                         std::size_t first_path, std::size_t n_paths,
+                         double* out) const {
+    if (precision_ == Precision::kInt16) {
+      i16_.path_metric_block(ybar, first_path, n_paths, out);
+    } else if (precision_ == Precision::kFloat32) {
+      fp32_.path_metric_block(ybar, first_path, n_paths, out);
+    } else {
+      exact_.path_metric_block(ybar, first_path, n_paths, out);
+    }
+  }
+
+  /// Heap footprint of the configured tier's plan (the number the
+  /// precision ladder halves; reported by bench/micro_kernels).
+  std::size_t footprint_bytes() const noexcept {
+    return precision_ == Precision::kInt16     ? i16_.footprint_bytes()
+           : precision_ == Precision::kFloat32 ? fp32_.footprint_bytes()
+                                               : exact_.footprint_bytes();
+  }
+
+ private:
+  Precision precision_;
+  PathPlan exact_;
+  PathPlanF fp32_;
+  PathPlanI16 i16_;
 };
 
 }  // namespace flexcore::detect

@@ -1,7 +1,7 @@
 // Per-worker scratch arenas for the detection hot path.
 //
 // The task grids (detect/path_grid.h) and the buffer-reusing detector entry
-// points (FlexCoreDetector/FcsdDetector::evaluate_path + reconstruct_winner,
+// points (FlexCoreDetector/FcsdDetector::reconstruct_winner,
 // SicDetector/KBestDetector::detect_into) take a Workspace instead of
 // allocating CVecs and symbol vectors per call: every buffer grows to its
 // high-water mark on first use and is reused afterwards, so steady-state

@@ -17,6 +17,7 @@
 #include "detect/fcsd.h"
 #include "frame_fixtures.h"
 #include "parallel/thread_pool.h"
+#include "reference_walk.h"
 
 namespace fa = flexcore::api;
 namespace fc = flexcore::core;
@@ -41,6 +42,17 @@ std::vector<CVec> random_batch(const Constellation& c, const CMat& h,
     ys.push_back(ch::transmit(h, s, nv, rng));
   }
   return ys;
+}
+
+/// Per-vector DetectionStats equality (the grid and the sequential loop
+/// both report the closed-form cost of the whole path set).
+void expect_same_stats(const fd::DetectionStats& got,
+                       const fd::DetectionStats& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.nodes_visited, want.nodes_visited) << what;
+  EXPECT_EQ(got.real_mults, want.real_mults) << what;
+  EXPECT_EQ(got.flops, want.flops) << what;
+  EXPECT_EQ(got.paths_evaluated, want.paths_evaluated) << what;
 }
 
 }  // namespace
@@ -171,99 +183,122 @@ TEST(Batch, DefaultLoopMatchesPerVectorDetect) {
 
 TEST(Batch, FlexCoreThreadedOverrideMatchesDefaultLoop) {
   Constellation c(64);
-  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
-      "flexcore-32", {.constellation = &c});
   ch::Rng rng(8);
   const CMat h = ch::rayleigh_iid(8, 8, rng);
   const double nv = ch::noise_var_for_snr_db(16.0);
-  det->set_channel(h, nv);
   const auto ys = random_batch(c, h, 24, nv, rng);
 
-  // Without a pool: the sequential base-class loop.
-  fd::BatchResult seq;
-  det->detect_batch(ys, &seq);
-  EXPECT_EQ(seq.tasks, ys.size());
+  for (const char* spec : {"flexcore-32", "a-flexcore-32", "flexcore-32:i16"}) {
+    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+        spec, {.constellation = &c});
+    det->set_channel(h, nv);
 
-  // With a pool: the vector x path task grid.
-  flexcore::parallel::ThreadPool pool(3);
-  det->set_thread_pool(&pool);
-  fd::BatchResult grid;
-  det->detect_batch(ys, &grid);
-  EXPECT_EQ(grid.tasks, ys.size() * det->active_paths());
+    // Without a pool: the sequential base-class loop.
+    fd::BatchResult seq;
+    det->detect_batch(ys, &seq);
+    EXPECT_EQ(seq.tasks, ys.size()) << spec;
 
-  ASSERT_EQ(grid.results.size(), seq.results.size());
-  for (std::size_t v = 0; v < ys.size(); ++v) {
-    EXPECT_EQ(grid.results[v].symbols, seq.results[v].symbols)
-        << "vector " << v;
-    EXPECT_NEAR(grid.results[v].metric, seq.results[v].metric, 1e-12);
-    EXPECT_EQ(grid.results[v].stats.paths_evaluated, det->active_paths());
+    // With a pool: the vector x path task grid.
+    flexcore::parallel::ThreadPool pool(3);
+    det->set_thread_pool(&pool);
+    fd::BatchResult grid;
+    det->detect_batch(ys, &grid);
+    EXPECT_EQ(grid.tasks, ys.size() * det->active_paths()) << spec;
+
+    ASSERT_EQ(grid.results.size(), seq.results.size()) << spec;
+    for (std::size_t v = 0; v < ys.size(); ++v) {
+      const std::string what =
+          std::string(spec) + " vector " + std::to_string(v);
+      EXPECT_EQ(grid.results[v].symbols, seq.results[v].symbols) << what;
+      EXPECT_EQ(grid.results[v].metric, seq.results[v].metric) << what;
+      expect_same_stats(grid.results[v].stats, seq.results[v].stats, what);
+      EXPECT_EQ(grid.results[v].stats.paths_evaluated, det->active_paths())
+          << what;
+    }
+    expect_same_stats(grid.stats, seq.stats, spec);
+
+    // Detaching the pool restores the sequential loop.
+    det->set_thread_pool(nullptr);
+    fd::BatchResult seq2;
+    det->detect_batch(ys, &seq2);
+    EXPECT_EQ(seq2.tasks, ys.size()) << spec;
   }
-
-  // Detaching the pool restores the sequential loop.
-  det->set_thread_pool(nullptr);
-  fd::BatchResult seq2;
-  det->detect_batch(ys, &seq2);
-  EXPECT_EQ(seq2.tasks, ys.size());
 }
 
 TEST(Batch, FlexCoreSicFallbackAppliedInBatch) {
   // A tiny path budget at extreme noise deactivates every PE for some
   // vectors; detect_batch must apply the same SIC fallback detect() does
-  // and report the count.
+  // and report the count — in the exact tier and through the reduced
+  // tier's exact rescue.
   Constellation c(64);
-  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
-      "flexcore-2", {.constellation = &c});
   ch::Rng rng(9);
   const CMat h = ch::rayleigh_iid(8, 8, rng);
   const double nv = 4.0;  // brutal noise
-  det->set_channel(h, nv);
   const auto ys = random_batch(c, h, 200, nv, rng);
-
   flexcore::parallel::ThreadPool pool(2);
-  det->set_thread_pool(&pool);
-  fd::BatchResult out;
-  det->detect_batch(ys, &out);
 
-  std::size_t fallbacks = 0;
-  for (std::size_t v = 0; v < ys.size(); ++v) {
-    const auto want = det->detect(ys[v]);
-    EXPECT_EQ(out.results[v].symbols, want.symbols) << "vector " << v;
-    EXPECT_NEAR(out.results[v].metric, want.metric, 1e-12);
-    const auto ybar = det->rotate(ys[v]);
-    bool any_valid = false;
-    for (std::size_t pth = 0; pth < det->active_paths(); ++pth) {
-      any_valid = any_valid || det->evaluate_path(ybar, pth).valid;
+  for (const char* spec :
+       {"flexcore-2", "a-flexcore-32", "flexcore-32:i16", "flexcore-2:i16"}) {
+    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+        spec, {.constellation = &c});
+    det->set_channel(h, nv);
+    det->set_thread_pool(&pool);
+    fd::BatchResult out;
+    det->detect_batch(ys, &out);
+    const flexcore::testref::FlexCoreReference ref(*det);
+
+    std::size_t fallbacks = 0;
+    for (std::size_t v = 0; v < ys.size(); ++v) {
+      const std::string what =
+          std::string(spec) + " vector " + std::to_string(v);
+      const auto want = det->detect(ys[v]);
+      EXPECT_EQ(out.results[v].symbols, want.symbols) << what;
+      EXPECT_EQ(out.results[v].metric, want.metric) << what;
+      expect_same_stats(out.results[v].stats, want.stats, what);
+      bool fell = false;
+      const auto exact = ref.detect(det->rotate(ys[v]), &fell);
+      EXPECT_EQ(want.symbols, exact.symbols) << what;
+      EXPECT_EQ(want.metric, exact.metric) << what;
+      fallbacks += fell;
     }
-    fallbacks += !any_valid;
+    EXPECT_EQ(out.sic_fallbacks, fallbacks) << spec;
+    if (std::string(spec).starts_with("flexcore-2")) {
+      EXPECT_GT(out.sic_fallbacks, 0u)
+          << spec << ": scenario no longer exercises the fallback";
+    }
   }
-  EXPECT_EQ(out.sic_fallbacks, fallbacks);
-  EXPECT_GT(out.sic_fallbacks, 0u)
-      << "scenario no longer exercises the fallback; lower the budget";
 }
 
 TEST(Batch, FcsdThreadedOverrideMatchesDefaultLoop) {
   Constellation c(16);
-  const auto det =
-      fa::make_detector_as<fd::FcsdDetector>("fcsd-L1", {.constellation = &c});
   ch::Rng rng(10);
   const CMat h = ch::rayleigh_iid(6, 6, rng);
   const double nv = 0.05;
-  det->set_channel(h, nv);
   const auto ys = random_batch(c, h, 20, nv, rng);
 
-  fd::BatchResult seq;
-  det->detect_batch(ys, &seq);
+  for (const char* spec : {"fcsd-L1", "fcsd-L2"}) {
+    const auto det =
+        fa::make_detector_as<fd::FcsdDetector>(spec, {.constellation = &c});
+    det->set_channel(h, nv);
 
-  flexcore::parallel::ThreadPool pool(3);
-  det->set_thread_pool(&pool);
-  fd::BatchResult grid;
-  det->detect_batch(ys, &grid);
-  EXPECT_EQ(grid.tasks, ys.size() * det->num_paths());
-  EXPECT_EQ(grid.sic_fallbacks, 0u);
+    fd::BatchResult seq;
+    det->detect_batch(ys, &seq);
 
-  for (std::size_t v = 0; v < ys.size(); ++v) {
-    EXPECT_EQ(grid.results[v].symbols, seq.results[v].symbols);
-    EXPECT_NEAR(grid.results[v].metric, seq.results[v].metric, 1e-12);
+    flexcore::parallel::ThreadPool pool(3);
+    det->set_thread_pool(&pool);
+    fd::BatchResult grid;
+    det->detect_batch(ys, &grid);
+    EXPECT_EQ(grid.tasks, ys.size() * det->num_paths()) << spec;
+    EXPECT_EQ(grid.sic_fallbacks, 0u) << spec;
+
+    for (std::size_t v = 0; v < ys.size(); ++v) {
+      const std::string what =
+          std::string(spec) + " vector " + std::to_string(v);
+      EXPECT_EQ(grid.results[v].symbols, seq.results[v].symbols) << what;
+      EXPECT_EQ(grid.results[v].metric, seq.results[v].metric) << what;
+      expect_same_stats(grid.results[v].stats, seq.results[v].stats, what);
+    }
+    expect_same_stats(grid.stats, seq.stats, spec);
   }
 }
 

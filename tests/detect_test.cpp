@@ -16,6 +16,7 @@
 #include "detect/ml_sphere.h"
 #include "detect/sic.h"
 #include "detect/trellis.h"
+#include "reference_walk.h"
 
 namespace fa = flexcore::api;
 namespace fd = flexcore::detect;
@@ -339,32 +340,24 @@ TEST(Fcsd, DetectEqualsBestPathEvaluation) {
   Constellation c(16);
   const double nv = ch::noise_var_for_snr_db(6.0);
   ch::Rng rng(13);
-  const auto det =
-      fa::make_detector_as<fd::FcsdDetector>("fcsd-L1", {.constellation = &c});
-  const Scenario sc = make_scenario(c, 4, 4, nv, rng);
-  det->set_channel(sc.h, nv);
-  const auto res = det->detect(sc.y);
-
-  const CVec ybar = det->rotate(sc.y);
-  double best = 1e300;
-  for (std::size_t p = 0; p < det->num_paths(); ++p) {
-    best = std::min(best, det->evaluate_path(ybar, p).metric);
-  }
-  EXPECT_NEAR(res.metric, best, 1e-10);
-}
-
-TEST(Fcsd, PathMetricMatchesEvaluatePath) {
-  Constellation c(16);
-  const double nv = ch::noise_var_for_snr_db(6.0);
-  ch::Rng rng(14);
-  const auto det =
-      fa::make_detector_as<fd::FcsdDetector>("fcsd-L2", {.constellation = &c});
-  const Scenario sc = make_scenario(c, 4, 4, nv, rng);
-  det->set_channel(sc.h, nv);
-  const CVec ybar = det->rotate(sc.y);
-  for (std::size_t p = 0; p < det->num_paths(); p += 7) {
-    EXPECT_NEAR(det->path_metric(ybar, p), det->evaluate_path(ybar, p).metric,
-                1e-12);
+  for (const char* spec : {"fcsd-L1", "fcsd-L2"}) {
+    const auto det =
+        fa::make_detector_as<fd::FcsdDetector>(spec, {.constellation = &c});
+    const Scenario sc = make_scenario(c, 4, 4, nv, rng);
+    det->set_channel(sc.h, nv);
+    const auto res = det->detect(sc.y);
+    const flexcore::testref::FcsdReference ref(*det, c);
+    const CVec ybar = det->rotate(sc.y);
+    const auto want = ref.detect(ybar);
+    EXPECT_EQ(res.symbols, want.symbols) << spec;
+    EXPECT_EQ(res.metric, want.metric) << spec;
+    // Closed form: every path is charged one full instrumented walk.
+    const fd::DetectionStats one = ref.evaluate_path(ybar, 0).stats;
+    EXPECT_EQ(res.stats.paths_evaluated, det->num_paths()) << spec;
+    EXPECT_EQ(res.stats.real_mults, det->num_paths() * one.real_mults) << spec;
+    EXPECT_EQ(res.stats.flops, det->num_paths() * one.flops) << spec;
+    EXPECT_EQ(res.stats.nodes_visited, det->num_paths() * one.nodes_visited)
+        << spec;
   }
 }
 

@@ -1,8 +1,10 @@
 // Tests for the lane-parallel path-kernel engine (detect/path_kernels.h):
-// fp64 block kernels bit-identical to the scalar path_metric across
-// detector families x constellations x MIMO sizes, the fp32 tier within a
-// documented SER tolerance on a fig12-style sweep, and the ":fp32" spec
-// grammar round-tripping through the registry.
+// the exact fp64 plan (block walk, single-path walk, SIC walk) bit-identical
+// to the scalar reference walks of tests/reference_walk.h across detector
+// families x ordering modes x constellations x MIMO sizes, the reduced
+// tiers within their documented SER tolerances, the i16 tier's exact
+// rescue, and the precision spec grammar round-tripping through the
+// registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +23,9 @@
 #include "detect/fcsd.h"
 #include "detect/path_kernels.h"
 #include "parallel/thread_pool.h"
+#include "obs/obs.h"
 #include "perfmodel/fixed_point.h"
+#include "reference_walk.h"
 #include "sim/frame_synth.h"
 
 namespace fa = flexcore::api;
@@ -30,6 +34,7 @@ namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
 namespace fs = flexcore::sim;
 namespace fl = flexcore::linalg;
+namespace fr = flexcore::testref;
 using flexcore::modulation::Constellation;
 
 namespace {
@@ -51,63 +56,141 @@ fl::CVec random_y(const fl::CMat& h, const Constellation& c, double nv,
   return ch::transmit(h, s, nv, rng);
 }
 
-/// Asserts the block kernel reproduces the scalar path_metric bit-for-bit
-/// over every path of one rotated vector.
-template <typename D>
-void expect_block_matches_scalar(const D& det, std::size_t paths,
-                                 const fl::CVec& ybar, const char* what) {
+/// Asserts the exact plan reproduces the scalar reference walk bit for bit
+/// over every path of one rotated vector: the block metrics, and the
+/// single-path walk's metric and symbols.  Also pins the closed-form
+/// walk_stats to the reference's instrumented count of a full walk.
+/// Returns the number of deactivated paths.
+template <typename Ref>
+std::size_t expect_plan_matches_reference(const fd::PathPlan& plan,
+                                          const Ref& ref, std::size_t paths,
+                                          const fl::CVec& ybar,
+                                          const std::string& what) {
   std::vector<double> blk(paths);
-  det.path_metric_block(ybar, 0, paths, blk.data());
+  plan.path_metric_block(ybar, 0, paths, blk.data());
+  std::vector<int> symbols(ybar.size());
+  const fd::DetectionStats full = plan.walk_stats(1);
+  std::size_t dead = 0;
   for (std::size_t p = 0; p < paths; ++p) {
-    const double scalar = det.path_metric(ybar, p);
-    EXPECT_EQ(scalar, blk[p]) << what << " path " << p;
+    const fr::PathEval ev = ref.evaluate_path(ybar, p);
+    const double want =
+        ev.valid ? ev.metric : std::numeric_limits<double>::infinity();
+    EXPECT_EQ(ref.path_metric(ybar, p), want) << what << " path " << p;
+    EXPECT_EQ(blk[p], want) << what << " path " << p;
+    EXPECT_EQ(plan.walk_path(ybar, p, symbols), want) << what << " path " << p;
+    if (ev.valid) {
+      EXPECT_EQ(symbols, ev.symbols) << what << " path " << p;
+      EXPECT_EQ(ev.stats.real_mults, full.real_mults) << what;
+      EXPECT_EQ(ev.stats.flops, full.flops) << what;
+      EXPECT_EQ(ev.stats.nodes_visited, full.nodes_visited) << what;
+    }
+    dead += !ev.valid;
   }
+  return dead;
 }
 
 // ----------------------------------------------------- fp64 bit-identity
 
-TEST(KernelEquivalence, FlexCoreFp64BlockMatchesScalar) {
+TEST(KernelEquivalence, FlexCorePlanMatchesReference) {
+  // Every FlexCore walk mode: the triangle LUT with deactivation (the
+  // block fast path), the LUT with skip-to-valid and the exhaustive sort
+  // (the per-lane ablation modes), for plain and adaptive FlexCore.
+  struct Mode {
+    const char* name;
+    fc::OrderingMode ordering;
+    fc::InvalidEntryPolicy policy;
+  };
+  const Mode modes[] = {
+      {"lut", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kDeactivate},
+      {"skip", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kSkipToValid},
+      {"exact", fc::OrderingMode::kExactSort,
+       fc::InvalidEntryPolicy::kDeactivate},
+  };
   for (int qam : {4, 16, 64}) {
     Constellation c(qam);
     for (std::size_t nt : {2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
       ch::Rng rng(100 * static_cast<std::uint64_t>(qam) + nt);
       const auto h = ch::rayleigh_iid(nt, nt, rng);
       const double nv = ch::noise_var_for_snr_db(15.0);
-      for (const char* family : {"flexcore-24", "a-flexcore-24"}) {
-        const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
-            family, {.constellation = &c});
-        det->set_channel(h, nv);
-        for (int rep = 0; rep < 4; ++rep) {
-          const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-          expect_block_matches_scalar(*det, det->active_paths(), ybar,
-                                      family);
+      for (const Mode& mode : modes) {
+        fa::DetectorConfig cfg{.constellation = &c};
+        cfg.flexcore.ordering = mode.ordering;
+        cfg.flexcore.invalid_policy = mode.policy;
+        for (const char* family : {"flexcore-24", "a-flexcore-24"}) {
+          const auto det =
+              fa::make_detector_as<fc::FlexCoreDetector>(family, cfg);
+          ASSERT_EQ(det->config().invalid_policy, mode.policy);
+          det->set_channel(h, nv);
+          const fr::FlexCoreReference ref(*det);
+          const std::string what = std::string(family) + "/" + mode.name +
+                                   " qam=" + std::to_string(qam) +
+                                   " nt=" + std::to_string(nt);
+          for (int rep = 0; rep < 3; ++rep) {
+            const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+            expect_plan_matches_reference(det->plan(), ref,
+                                          det->active_paths(), ybar, what);
+          }
         }
       }
     }
   }
 }
 
-TEST(KernelEquivalence, FcsdFp64BlockMatchesScalar) {
+TEST(KernelEquivalence, FcsdPlanMatchesReference) {
   for (int qam : {4, 16, 64}) {
     Constellation c(qam);
     for (std::size_t nt : {2u, 4u, 8u, 12u, 16u}) {
       ch::Rng rng(999 * static_cast<std::uint64_t>(qam) + nt);
       const auto h = ch::rayleigh_iid(nt, nt, rng);
       const double nv = ch::noise_var_for_snr_db(15.0);
-      fd::FcsdDetector det(c, 1);
-      det.set_channel(h, nv);
-      for (int rep = 0; rep < 4; ++rep) {
-        const fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
-        expect_block_matches_scalar(det, det.num_paths(), ybar, "fcsd-L1");
+      for (std::size_t levels : {1u, 2u}) {
+        fd::FcsdDetector det(c, levels);
+        det.set_channel(h, nv);
+        const fr::FcsdReference ref(det, c);
+        const std::string what = "fcsd-L" + std::to_string(levels) +
+                                 " qam=" + std::to_string(qam) +
+                                 " nt=" + std::to_string(nt);
+        for (int rep = 0; rep < 2; ++rep) {
+          const fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
+          expect_plan_matches_reference(det.plan(), ref, det.num_paths(),
+                                        ybar, what);
+        }
       }
     }
   }
 }
 
-TEST(KernelEquivalence, DeactivatedPathsMatchAsInfinity) {
+TEST(KernelEquivalence, SicWalkMatchesReference) {
+  // The clamped rank-1 walk is plain SIC, at operating noise and at noise
+  // brutal enough that nearly every slice lands outside the grid.
+  for (int qam : {4, 16, 64}) {
+    Constellation c(qam);
+    for (std::size_t nt : {2u, 4u, 8u, 12u, 16u}) {
+      ch::Rng rng(31 * static_cast<std::uint64_t>(qam) + nt);
+      const auto h = ch::rayleigh_iid(nt, nt, rng);
+      const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+          "flexcore-4", {.constellation = &c});
+      for (double nv : {ch::noise_var_for_snr_db(15.0), 4.0}) {
+        det->set_channel(h, nv);
+        const fr::FlexCoreReference ref(*det);
+        std::vector<int> symbols(nt);
+        for (int rep = 0; rep < 4; ++rep) {
+          const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+          const fr::PathEval want = ref.sic(ybar);
+          EXPECT_EQ(det->plan().walk_sic(ybar, symbols), want.metric)
+              << "qam=" << qam << " nt=" << nt << " nv=" << nv;
+          EXPECT_EQ(symbols, want.symbols)
+              << "qam=" << qam << " nt=" << nt << " nv=" << nv;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, DeactivatedPathsMatchReference) {
   // Brutal noise pushes effective points far outside the constellation, so
-  // LUT entries deactivate; the block kernel must report exactly the same
-  // +infinity verdicts as the scalar walk.
+  // LUT entries deactivate; the plan must report exactly the reference's
+  // +infinity verdicts.
   Constellation c(64);
   ch::Rng rng(7);
   const auto h = ch::rayleigh_iid(8, 8, rng);
@@ -115,51 +198,16 @@ TEST(KernelEquivalence, DeactivatedPathsMatchAsInfinity) {
   const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
       "flexcore-32", {.constellation = &c});
   det->set_channel(h, nv);
+  const fr::FlexCoreReference ref(*det);
 
   std::size_t saw_inf = 0;
   for (int rep = 0; rep < 20; ++rep) {
     const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-    std::vector<double> blk(det->active_paths());
-    det->path_metric_block(ybar, 0, blk.size(), blk.data());
-    for (std::size_t p = 0; p < blk.size(); ++p) {
-      const double scalar = det->path_metric(ybar, p);
-      EXPECT_EQ(scalar, blk[p]) << "path " << p;
-      saw_inf += std::isinf(blk[p]);
-    }
+    saw_inf += expect_plan_matches_reference(
+        det->plan(), ref, det->active_paths(), ybar, "flexcore-32");
   }
   EXPECT_GT(saw_inf, 0u)
       << "scenario no longer deactivates any PE; raise the noise";
-}
-
-TEST(KernelEquivalence, AblationOrderingModesMatchScalar) {
-  // The exact-sort ordering and the skip-to-valid LUT policy compile to
-  // the per-lane fallback modes; both must still match the scalar kernel
-  // bitwise.
-  Constellation c(16);
-  ch::Rng rng(11);
-  const auto h = ch::rayleigh_iid(6, 6, rng);
-  const double nv = ch::noise_var_for_snr_db(12.0);
-
-  fa::DetectorConfig cfg{.constellation = &c};
-  cfg.flexcore.num_pes = 16;
-  cfg.flexcore.ordering = fc::OrderingMode::kExactSort;
-  const auto exact =
-      fa::make_detector_as<fc::FlexCoreDetector>("flexcore-16", cfg);
-  exact->set_channel(h, nv);
-
-  cfg.flexcore.ordering = fc::OrderingMode::kLut;
-  cfg.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
-  const auto skipper =
-      fa::make_detector_as<fc::FlexCoreDetector>("flexcore-16", cfg);
-  skipper->set_channel(h, nv);
-
-  for (int rep = 0; rep < 4; ++rep) {
-    const fl::CVec y = random_y(h, c, nv, rng);
-    expect_block_matches_scalar(*exact, exact->active_paths(),
-                                exact->rotate(y), "exact-sort");
-    expect_block_matches_scalar(*skipper, skipper->active_paths(),
-                                skipper->rotate(y), "skip-to-valid");
-  }
 }
 
 TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
@@ -437,6 +485,61 @@ TEST(KernelI16, MetricsBitIdenticalAcrossRepeatsAndGolden) {
   EXPECT_EQ(h1, 0xe45c3940471ad014ull)
       << "i16 metric bit patterns changed: if intentional, re-pin the "
          "golden hash (std::printf(\"%llx\", h1))";
+}
+
+// Outside the KernelI16 suite on purpose: it compares against the scalar
+// reference bit for bit, a guarantee stated at the portable default flags
+// (the native-arch CI job runs KernelI16.* only).
+TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
+  // Near a cell boundary the quantized grid can crown a path the exact walk
+  // deactivates, or deactivate every path the exact walk keeps.
+  // reconstruct_winner rescues those vectors with an exact block scan,
+  // counted by obs::Counter::kI16BoundaryRescans.  The rescue must be
+  // reached, counted once per rescued vector, and decide exactly like the
+  // reference: the exact argmin over all paths, or SIC when every path is
+  // dead.
+  Constellation c(64);
+  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-64:i16", {.constellation = &c});
+  const double nv = ch::noise_var_for_snr_db(18.0);
+  const auto rescans = [] {
+    return flexcore::obs::metrics_snapshot().counters[static_cast<std::size_t>(
+        flexcore::obs::Counter::kI16BoundaryRescans)];
+  };
+  const std::uint64_t rescans0 = rescans();
+
+  ch::Rng rng(12);
+  std::size_t rescued = 0;
+  fd::Workspace ws;
+  std::vector<int> symbols(12);
+  for (int channel = 0; channel < 8; ++channel) {
+    const auto h = ch::rayleigh_iid(12, 12, rng);
+    det->set_channel(h, nv);
+    const fr::FlexCoreReference ref(*det);
+    for (int v = 0; v < 256; ++v) {
+      const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+      std::size_t best_path = 0;
+      double best_metric = 0.0;
+      fd::scan_paths(*det, ybar, det->active_paths(), &best_path,
+                     &best_metric);  // the i16 grid's verdict
+      fd::DetectionResult got;
+      det->reconstruct_winner(ybar, best_path, best_metric, ws, &got);
+      if (!std::isinf(best_metric) &&
+          !std::isinf(det->plan().walk_path(ybar, best_path, symbols))) {
+        continue;  // the exact walk confirms the grid's winner
+      }
+      ++rescued;
+      SCOPED_TRACE("channel " + std::to_string(channel) + " vector " +
+                   std::to_string(v));
+      const fd::DetectionResult want = ref.detect(ybar);
+      EXPECT_EQ(got.symbols, want.symbols);
+      EXPECT_EQ(got.metric, want.metric);
+    }
+  }
+  EXPECT_GT(rescued, 0u) << "scenario no longer reaches the i16 rescue";
+  if (flexcore::obs::kLevel >= 1) {
+    EXPECT_EQ(rescans() - rescans0, rescued);
+  }
 }
 
 TEST(KernelI16, FootprintOrderingAcrossTiers) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -210,8 +211,14 @@ TEST(ThreadPool, AffinityPinsSpawnedWorkersOnly) {
   std::atomic<int> off_target{0};
   std::atomic<int> spawned_seen{0};
   // A round where worker 0 races through every chunk proves nothing; retry
-  // until a spawned worker participated (virtually always round one).
-  for (int round = 0; round < 50 && spawned_seen.load() == 0; ++round) {
+  // until a spawned worker participated (usually round one).  The budget is
+  // wall-clock, not a round count: a round takes microseconds, and the
+  // pinned workers can wait longer than fifty of them for their cpu while
+  // the submitter or another process holds it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (spawned_seen.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
     pool.parallel_for_worker(10000, [&](std::size_t w, std::size_t) {
       if (w == 0) return;
       spawned_seen.fetch_add(1, std::memory_order_relaxed);

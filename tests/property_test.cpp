@@ -134,10 +134,11 @@ TEST_P(BijectionSweep, PreprocessingCoversDistinctLeavesExactly) {
   const fl::CVec ybar = det->rotate(y);
 
   std::set<std::vector<int>> leaves;
+  std::vector<int> symbols(4);
   for (std::size_t p = 0; p < det->active_paths(); ++p) {
-    const auto ev = det->evaluate_path(ybar, p);
-    ASSERT_TRUE(ev.valid);  // exact ordering never deactivates for k <= |Q|
-    EXPECT_TRUE(leaves.insert(ev.symbols).second)
+    // Exact ordering never deactivates for k <= |Q|.
+    ASSERT_TRUE(std::isfinite(det->plan().walk_path(ybar, p, symbols)));
+    EXPECT_TRUE(leaves.insert(symbols).second)
         << "two position vectors resolved to the same leaf";
   }
 }

@@ -561,6 +561,39 @@ TEST(Runtime, NonFiniteFrameIsQuarantinedAndNeverPoisonsTheNext) {
       << "quarantined frames record no latency sample";
 }
 
+TEST(Runtime, OversizedFrameFailsWithoutQuarantineAndTheCellRecovers) {
+  // A full-rank 33x33 frame exceeds the path kernels' 32-stream limit: the
+  // detector refuses it before touching its state, and the pipeline must
+  // report that refusal as a failed frame — not as a numeric fault.
+  fa::RuntimeConfig rcfg;
+  rcfg.threads = 1;
+  rcfg.dispatchers = 0;
+  fa::Runtime rt(rcfg);
+  fa::Cell& cell = rt.open_cell({.detector = "flexcore-16", .qam_order = 16});
+  const double nv = 0.05;
+  const Frame wide = make_frame(cell.constellation(), 1, 1, 33, 33, nv, 84);
+  const Frame clean = make_frame(cell.constellation(), 2, 2, 8, 8, nv, 85);
+
+  fa::FrameTicket refused = rt.submit(cell, job_of(wide, nv));
+  fa::FrameTicket ok = rt.submit(cell, job_of(clean, nv));
+  ASSERT_TRUE(rt.run_one());
+  ASSERT_TRUE(rt.run_one());
+
+  EXPECT_EQ(refused.wait(), fa::TicketStatus::kFailed);
+  EXPECT_NE(refused.error().find("32-stream limit"), std::string::npos)
+      << refused.error();
+  EXPECT_EQ(ok.wait(), fa::TicketStatus::kDone);
+  expect_bit_identical(ok.try_get()->results,
+                       sync_reference("flexcore-16", 16, clean, nv),
+                       "frame after the refused one");
+
+  const fa::RuntimeStats rs = rt.stats();
+  expect_consistent(rs);
+  EXPECT_EQ(rs.frames_quarantined, 0u);
+  EXPECT_EQ(rs.frames_failed, 1u);
+  EXPECT_EQ(rs.frames_out, 1u);
+}
+
 TEST(Runtime, AdmissionScanRejectsNonFiniteFramesAtSubmit) {
   fa::RuntimeConfig rcfg;
   rcfg.threads = 1;
