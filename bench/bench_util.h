@@ -40,7 +40,7 @@ inline void append_latency_buckets(BenchJson& json,
     } else {
       key = "lat_us_inf";
     }
-    json.field(key.c_str(), rs.latency_buckets[i]);
+    json.field(key.c_str(), rs.stage(obs::Stage::kComplete).buckets()[i]);
   }
 }
 

@@ -1,13 +1,13 @@
-// Sharded-runtime sweep (new figure, beyond the paper): monolithic
-// api::Runtime vs api::ShardedRuntime as the antenna-cluster count C and
-// the served-cell count vary.  Each cell is a flexcore-16 / 16-QAM large-
-// aperture uplink (B=16 receive antennas, Nt=4 streams — the tall-channel
-// regime decentralized baseband processing targets); producer threads
-// submit OFDM frames back-to-back.  shards=0 rows are the monolithic
-// baseline; C=1 exercises the bit-identical bypass; C in {2,4,8} run the
-// per-cluster partial-QR fronthaul with its own thread pools.  Emits
-// BENCH_sharded.json (per-shard counters included) for the perf
-// trajectory.
+// Sharded-runtime sweep (new figure, beyond the paper): api::Runtime with
+// and without its shard fabric as the antenna-cluster count C
+// (RuntimeConfig::shards) and the served-cell count vary.  Each cell is a
+// flexcore-16 / 16-QAM large-aperture uplink (B=16 receive antennas, Nt=4
+// streams — the tall-channel regime decentralized baseband processing
+// targets); producer threads submit OFDM frames back-to-back.  shards=0
+// rows are the monolithic baseline; C=1 builds no fabric either (a second
+// monolithic row); C in {2,4,8} run the per-cluster partial-QR fronthaul
+// with its own thread pools.  Emits BENCH_sharded.json (per-shard counters
+// included) for the perf trajectory.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +18,6 @@
 #include "bench_util.h"
 #include "channel/channel.h"
 #include "obs/trace_export.h"
-#include "shard/sharded_runtime.h"
 #include "sim/frame_synth.h"
 
 namespace fa = flexcore::api;
@@ -34,10 +33,8 @@ struct SweepResult {
   fa::RuntimeStats stats;
 };
 
-/// One run: `cells` producers x `frames_per_cell` frames through either a
-/// monolithic runtime (shards == 0) or a C-shard decentralized front-end.
-template <typename RuntimeT>
-SweepResult drive(RuntimeT& rt, std::size_t cells,
+/// One run: `cells` producers x `frames_per_cell` frames through `rt`.
+SweepResult drive(fa::Runtime& rt, std::size_t cells,
                   std::size_t frames_per_cell,
                   const std::vector<fs::SynthFrame>& frames,
                   double noise_var) {
@@ -97,22 +94,13 @@ int main() {
 
   for (const std::size_t cells : {1u, 2u, 4u}) {
     for (const std::size_t shards : {0u, 1u, 2u, 4u, 8u}) {
-      SweepResult r;
-      if (shards == 0) {
-        fa::RuntimeConfig rcfg;
-        rcfg.dispatchers = std::min<std::size_t>(cells, 4);
-        rcfg.queue_capacity = 16;
-        fa::Runtime rt(rcfg);
-        r = drive(rt, cells, frames_per_cell, frames, noise_var);
-      } else {
-        fa::ShardedRuntimeConfig scfg;
-        scfg.shards = shards;
-        scfg.threads_per_shard = 0;  // split hardware threads across shards
-        scfg.runtime.dispatchers = std::min<std::size_t>(cells, 4);
-        scfg.runtime.queue_capacity = 16;
-        fa::ShardedRuntime rt(scfg);
-        r = drive(rt, cells, frames_per_cell, frames, noise_var);
-      }
+      fa::RuntimeConfig rcfg;
+      rcfg.dispatchers = std::min<std::size_t>(cells, 4);
+      rcfg.queue_capacity = 16;
+      rcfg.shards = std::max<std::size_t>(shards, 1);
+      fa::Runtime rt(rcfg);
+      const SweepResult r =
+          drive(rt, cells, frames_per_cell, frames, noise_var);
 
       const double vps =
           static_cast<double>(r.stats.frames_out * vectors_per_frame) /
@@ -156,8 +144,7 @@ int main() {
   }
 
   std::printf("\nShape checks:\n");
-  std::printf("  * shards=1 tracks mono closely (pure bypass, one extra "
-              "hop).\n");
+  std::printf("  * shards=1 is monolithic (no fabric is built).\n");
   std::printf("  * For B >> C*Nt the merged stack shrinks detection-side "
               "preprocessing (16 rows -> 8 at C=2).\n");
   std::printf("  * Per-shard frames are identical across shards; rows sum "

@@ -1,9 +1,10 @@
 // Fig. 19 (new, beyond the paper): long-horizon chaos soak of the serving
 // stack.  Four scenario campaigns (sim::default_soak_corpus — mobility,
-// churn, interference, diurnal) drive a ShardedRuntime through thousands of
-// frames and >= 1000 detector reconfigurations while fault::Injector
-// corrupts payloads/channels, fails and stalls antenna clusters, squeezes
-// deadlines and fires submit storms — all from one fixed seed, so any
+// churn, interference, diurnal) drive an api::Runtime (two of them behind
+// its shard fabric) through thousands of frames and >= 1000 detector
+// reconfigurations while fault::Injector corrupts payloads/channels, fails
+// and stalls antenna clusters, squeezes deadlines and fires submit storms
+// — all from one fixed seed, so any
 // failure replays exactly.  The harness asserts the robustness contract
 // (zero ticket loss, per-cell FIFO, fault containment, accounting identity,
 // bounded SER vs a synchronous oracle, and a still-clean steady-state hot

@@ -183,8 +183,8 @@ void BM_PathMetricBlockI16(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(paths));
-  // Label carries the compiled plan footprint next to fp64/fp32 below, so
-  // one run shows both halvings (bytes and time) of the quantized tier.
+  // Label carries the detector's compiled plan footprint (the exact plan
+  // plus the int16 plan) next to fp64/fp32 below.
   state.SetLabel("i16 plan_bytes=" +
                  std::to_string(fx.det->plan_footprint_bytes()));
 }
@@ -193,8 +193,8 @@ BENCHMARK(BM_PathMetricBlockI16);
 void BM_PlanFootprint(benchmark::State& state) {
   // Not a timing benchmark so much as a tracked-number report: compiled
   // plan heap bytes per precision tier for the fig17 fixture (12x12,
-  // 64-QAM, 128 paths).  The i16 tier's SoA storage should come in under
-  // half of fp64's.
+  // 64-QAM, 128 paths).  Every tier holds the exact fp64 plan, so a
+  // reduced tier reports exact + reduced (more than fp64 alone).
   const char* spec = state.range(0) == 16   ? "flexcore-128:i16"
                      : state.range(0) == 32 ? "flexcore-128:fp32"
                                             : "flexcore-128";

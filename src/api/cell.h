@@ -22,6 +22,10 @@
 
 #include "api/uplink_pipeline.h"
 
+namespace flexcore::shard {
+struct MergedFrame;
+}
+
 namespace flexcore::api {
 
 struct TicketState;  // defined in runtime.cpp; shared with FrameTicket
@@ -38,13 +42,6 @@ struct CellConfig {
   /// Detector tuning forwarded to api::make_detector (constellation field
   /// is ignored — the cell owns its constellation).
   DetectorConfig tuning;
-  /// Compute tier of the cell's path grids: kFloat32 runs the
-  /// single-precision kernel tier and kInt16 the quantized int16 tier
-  /// (forwarded to the cell's pipeline; a detector-spec suffix
-  /// ":fp32"/":fp64"/":i16" still overrides).  The control plane's
-  /// degrade ladder also reaches these tiers by emitting ":fp32" and then
-  /// ":i16" specs under sustained load.
-  detect::Precision precision = detect::Precision::kFloat64;
   /// Static-channel coherence policy: when true, every frame after the
   /// cell's first reuses the per-subcarrier preprocessing (QR + path
   /// selection) of the previous frame — the caller asserts the channels are
@@ -130,6 +127,9 @@ class Cell {
   /// Everything below is guarded by the owning Runtime's mutex.
   struct Pending {
     FrameJob job;
+    /// The shard fabric's merged (S, z) that `job` borrows when the frame
+    /// ran the shard stage (null otherwise); released with the entry.
+    std::shared_ptr<const shard::MergedFrame> merged;
     /// Control message: apply this spec instead of detecting.  Exempt from
     /// admission capacity, deadlines and load shedding (deadline stays
     /// time_point::max(), so expire_stale never touches it).  The tuning

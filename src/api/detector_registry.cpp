@@ -26,19 +26,15 @@ const Constellation& require_constellation(const DetectorConfig& cfg,
   return *cfg.constellation;
 }
 
-/// Strips a trailing precision-tier suffix (":fp32" / ":fp64" / ":i16")
-/// off a spec, recording the tier in *precision (left untouched when no
-/// suffix is present, so DetectorConfig::precision stays the default).
+/// Strips a trailing precision-tier suffix (":fp32" / ":i16") off a spec,
+/// recording the tier in *precision (fp64 when no suffix is present).
 /// Only the path-parallel factories call this — "zf:fp32" and "zf:i16"
 /// stay unknown specs.
 std::string_view strip_precision(std::string_view spec,
                                  detect::Precision* precision) {
+  *precision = detect::Precision::kFloat64;
   if (spec.ends_with(":fp32")) {
     *precision = detect::Precision::kFloat32;
-    return spec.substr(0, spec.size() - 5);
-  }
-  if (spec.ends_with(":fp64")) {
-    *precision = detect::Precision::kFloat64;
     return spec.substr(0, spec.size() - 5);
   }
   if (spec.ends_with(":i16")) {
@@ -46,19 +42,6 @@ std::string_view strip_precision(std::string_view spec,
     return spec.substr(0, spec.size() - 4);
   }
   return spec;
-}
-
-/// Tier resolution for the FlexCore families, one rule in one place:
-/// flexcore.precision < DetectorConfig.precision < spec suffix.  Returns
-/// the spec with any suffix stripped, with the resolved tier in
-/// fcfg->precision.
-std::string_view resolve_flexcore_tier(std::string_view spec,
-                                       const DetectorConfig& cfg,
-                                       core::FlexCoreConfig* fcfg) {
-  if (cfg.precision != detect::Precision::kFloat64) {
-    fcfg->precision = cfg.precision;
-  }
-  return strip_precision(spec, &fcfg->precision);
 }
 
 /// Parses "<family>" (returns nullopt in *value) or "<family>-<digits>"
@@ -126,7 +109,7 @@ void register_builtins(DetectorRegistry& r) {
   r.add({"fcsd", "fcsd-L1", "fcsd-L<L>[:fp32|:i16] (bare = L1)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {
-           detect::Precision precision = cfg.precision;
+           detect::Precision precision;
            const std::string_view stem = strip_precision(spec, &precision);
            std::size_t levels = 1;
            if (stem != "fcsd") {
@@ -181,7 +164,7 @@ void register_builtins(DetectorRegistry& r) {
              -> std::unique_ptr<detect::Detector> {
            core::FlexCoreConfig fcfg = cfg.flexcore;
            const std::string_view stem =
-               resolve_flexcore_tier(spec, cfg, &fcfg);
+               strip_precision(spec, &fcfg.precision);
            std::optional<std::size_t> pes;
            if (!match_family(stem, "flexcore", &pes)) return nullptr;
            fcfg.adaptive_threshold = 0.0;  // the spec family decides
@@ -197,7 +180,7 @@ void register_builtins(DetectorRegistry& r) {
              -> std::unique_ptr<detect::Detector> {
            core::FlexCoreConfig fcfg = cfg.flexcore;
            const std::string_view stem =
-               resolve_flexcore_tier(spec, cfg, &fcfg);
+               strip_precision(spec, &fcfg.precision);
            std::optional<std::size_t> pes;
            if (!match_family(stem, "a-flexcore", &pes)) return nullptr;
            if (fcfg.adaptive_threshold <= 0.0) {

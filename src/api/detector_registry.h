@@ -14,10 +14,10 @@
 // (flexcore-<PEs>, a-flexcore-<PEs>, fcsd-L<L>, kbest-<K>, akbest-<B>);
 // bare family names fall back to the values in DetectorConfig.  The
 // path-parallel families additionally accept a precision-tier suffix
-// (":fp32" / ":fp64" / ":i16", e.g. "flexcore-128:fp32" or
-// "fcsd-L1:i16") selecting the compute tier of their block kernels; it
-// overrides DetectorConfig::precision.  Unknown specs — including a tier
-// suffix on a family without block kernels, e.g. "zf:i16" — throw
+// (":fp32" / ":i16", e.g. "flexcore-128:fp32" or "fcsd-L1:i16") selecting
+// the compute tier of their block kernels; the suffix is the only way to
+// pick a tier, and a bare spec runs fp64.  Unknown specs — including a
+// tier suffix on a family without block kernels, e.g. "zf:i16" — throw
 // std::invalid_argument listing the registered families.
 //
 // This registry is the seam later scaling work plugs into: alternative
@@ -45,8 +45,9 @@ struct DetectorConfig {
   const modulation::Constellation* constellation = nullptr;
 
   /// Base configuration for the "flexcore"/"a-flexcore" families (a spec
-  /// suffix overrides num_pes; the spec family decides adaptive vs plain).
-  /// Its pe_model also feeds the "akbest" family.
+  /// suffix overrides num_pes; the spec family decides adaptive vs plain
+  /// and the tier suffix decides `precision`).  Its pe_model also feeds
+  /// the "akbest" family.
   core::FlexCoreConfig flexcore;
 
   /// Options for the "ml-sd" family.
@@ -55,11 +56,6 @@ struct DetectorConfig {
   /// a-FlexCore activation threshold used when flexcore.adaptive_threshold
   /// is unset (0); 0.95 is the paper's Fig. 10 operating point.
   double adaptive_threshold = 0.95;
-
-  /// Compute tier for the path-parallel families (flexcore / a-flexcore /
-  /// fcsd); a ":fp32"/":fp64"/":i16" spec suffix overrides it.  Other
-  /// families ignore it (they have no reduced-precision kernels).
-  detect::Precision precision = detect::Precision::kFloat64;
 };
 
 /// Registry of detector factories.  A factory inspects the spec and returns

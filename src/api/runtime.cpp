@@ -1,6 +1,7 @@
 #include "api/runtime.h"
 
 #include "parallel/hot_path_guard.h"
+#include "shard/fabric.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -226,6 +227,10 @@ Runtime::Runtime(const RuntimeConfig& cfg)
   if (cfg_.queue_capacity == 0) {
     throw std::invalid_argument("Runtime: queue_capacity must be >= 1");
   }
+  if (cfg_.shards == 0) {
+    throw std::invalid_argument("Runtime: shards must be >= 1");
+  }
+  if (cfg_.shards > 1) fabric_ = std::make_unique<shard::Fabric>(cfg_);
   dispatchers_.reserve(cfg_.dispatchers);
   for (std::size_t d = 0; d < cfg_.dispatchers; ++d) {
     dispatchers_.emplace_back([this, d] {
@@ -259,12 +264,6 @@ Cell& Runtime::open_cell(const CellConfig& cfg) {
   return *cells_.back();
 }
 
-std::size_t Runtime::cell_count() const {
-  std::lock_guard lock(mu_);
-  parallel::guard_detail::note_lock();
-  return cells_.size();
-}
-
 FrameTicket Runtime::submit(Cell& cell, const FrameJob& job,
                             std::uint64_t deadline_us) {
   // Shape checks always; the per-entry non-finite scan only when the
@@ -273,12 +272,36 @@ FrameTicket Runtime::submit(Cell& cell, const FrameJob& job,
   // quarantining instead of throwing.
   validate_frame_job(job, cfg_.admission_scan ? FrameCheck::kFull
                                               : FrameCheck::kShape);
+  Cell::Pending pf;
+  pf.job = job;
+  // Decide the frame's trace identity exactly once (unless the caller
+  // stamped it), before the shard stage, so every cluster's span and the
+  // dispatch-side stages agree on the frame id and the sampling verdict.
+  if (!pf.job.trace.decided) {
+    pf.job.trace = obs::begin_frame(static_cast<std::uint32_t>(cell.id_));
+  }
+  const obs::TraceCtx trace = pf.job.trace;
+  shard::Fabric::Result sharded;
+  if (fabric_ != nullptr && fabric_->clusters(job) > 1) {
+    sharded = fabric_->run(job, trace);
+    pf.job.channels = std::span<const linalg::CMat>(sharded.merged->channels);
+    pf.job.ys = std::span<const linalg::CVec>(sharded.merged->zs);
+    if (deadline_us > 0) {
+      const auto spent = static_cast<std::uint64_t>(sharded.stage_us);
+      deadline_us = deadline_us > spent + 1 ? deadline_us - spent : 1;
+    }
+  }
   const std::uint64_t sub_t0_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
   auto st = std::make_shared<TicketState>();
   st->cell_id = cell.id_;
 
   std::unique_lock lock(mu_);
   parallel::guard_detail::note_lock();
+  if (sharded.merged != nullptr) {
+    stage_record(obs::Stage::kShardPartialQr, sharded.stage_us);
+    shard_retries_ += sharded.retries;
+    if (sharded.bypassed) ++shard_bypasses_;
+  }
   while (true) {
     if (shutdown_) {
       throw std::logic_error("Runtime::submit: runtime is shutting down");
@@ -327,16 +350,7 @@ FrameTicket Runtime::submit(Cell& cell, const FrameJob& job,
   // sequence order and completion order all coincide.
   st->seq = cell.next_seq_++;
   ++cell.frames_in_;
-  Cell::Pending pf;
-  pf.job = job;
-  // Decide the frame's trace identity exactly once: a ShardedRuntime (or a
-  // caller stamping jobs itself) already decided, the monolithic path
-  // decides here — under the runtime lock, so the id sequence follows
-  // admission order.
-  if (!pf.job.trace.decided) {
-    pf.job.trace = obs::begin_frame(static_cast<std::uint32_t>(cell.id_));
-  }
-  const obs::TraceCtx trace = pf.job.trace;
+  pf.merged = std::move(sharded.merged);
   pf.ticket = st;
   pf.submitted = Clock::now();
   pf.deadline = deadline_us > 0
@@ -351,8 +365,9 @@ FrameTicket Runtime::submit(Cell& cell, const FrameJob& job,
     runnable_cv_.notify_one();
   }
   if (obs::want_span(trace) && sub_t0_ns != 0) {
-    // Admission span: submit() entry to enqueue — the blocking wait under
-    // backpressure is exactly this span's duration.
+    // Admission span: end of the shard stage (submit() entry when none
+    // ran) to enqueue — the blocking wait under backpressure is exactly
+    // this span's duration.
     obs::record_span(obs::Stage::kSubmit, sub_t0_ns, obs::now_ns(), trace);
   }
   return FrameTicket(std::move(st));
@@ -515,6 +530,9 @@ void Runtime::process_next(std::unique_lock<std::mutex>& lock) {
     }
   }
   const auto done = Clock::now();
+  // Detection no longer reads the job: the shard buffers go back to the
+  // fabric before the ticket wakes anyone who may submit the next frame.
+  pf.merged.reset();
   const double latency_us =
       std::chrono::duration<double, std::micro>(done - pf.submitted).count();
   const double queue_wait_us =
@@ -545,10 +563,9 @@ void Runtime::process_next(std::unique_lock<std::mutex>& lock) {
     case TicketStatus::kDone:
       ++cell->frames_out_;
       cell->warm_ = true;
-      latency_.record(latency_us);
       // Per-stage breakdown, one sample per stage per kDone frame (reuse
       // hits record a 0 us preprocess sample), so every dispatch-side
-      // stage count equals latency_count.
+      // stage count equals latency_count (the kComplete count).
       stage_record(obs::Stage::kQueueWait, queue_wait_us);
       stage_record(obs::Stage::kPreprocess, pre_us);
       stage_record(obs::Stage::kPathGrid, grid_us);
@@ -685,9 +702,10 @@ void Runtime::drain() {
 }
 
 RuntimeStats Runtime::stats() const {
+  RuntimeStats out;
+  if (fabric_ != nullptr) out.shards = fabric_->shard_stats();
   std::lock_guard lock(mu_);
   parallel::guard_detail::note_lock();
-  RuntimeStats out;
   out.cells.reserve(cells_.size());
   for (const auto& cell : cells_) {
     CellStats cs;
@@ -718,11 +736,14 @@ RuntimeStats Runtime::stats() const {
   }
   out.queue_depth = queued_total_;
   out.in_flight = in_flight_;
-  out.latency_count = latency_.count();
-  out.latency_mean_us = latency_.mean_us();
-  out.latency_p50_us = latency_.quantile_us(0.50);
-  out.latency_p99_us = latency_.quantile_us(0.99);
-  out.latency_buckets = latency_.buckets();
+  out.shard_retries = shard_retries_;
+  out.shard_bypasses = shard_bypasses_;
+  const LatencyHistogram& done = stage_latency_[static_cast<std::size_t>(
+      obs::Stage::kComplete)];
+  out.latency_count = done.count();
+  out.latency_mean_us = done.mean_us();
+  out.latency_p50_us = done.quantile_interp_us(0.50);
+  out.latency_p99_us = done.quantile_interp_us(0.99);
   out.stage_latency = stage_latency_;
   return out;
 }

@@ -40,6 +40,11 @@
 //     its result is never partially written (try_get() stays null).  A
 //     frame already being detected always runs to completion.  Other
 //     policies ignore deadlines.
+//   * Sharding — with `shards` > 1, submit() first runs the frame through
+//     the shard fabric (shard/fabric.h): per-antenna-cluster partial QR
+//     on per-shard driver threads and pools, merged into runtime-owned
+//     (S, z) buffers that the admitted job borrows instead of the
+//     caller's spans.
 #pragma once
 
 #include <array>
@@ -60,6 +65,10 @@
 #include "api/uplink_pipeline.h"
 #include "obs/obs.h"
 #include "parallel/thread_pool.h"
+
+namespace flexcore::shard {
+class Fabric;
+}
 
 namespace flexcore::api {
 
@@ -110,6 +119,23 @@ enum class CellHealth { kHealthy, kDegraded, kQuarantining };
 
 const char* to_string(CellHealth health);
 
+/// Verdict of a ShardFaultProbe for one (shard, frame) prep attempt.
+/// Chaos harnesses install a probe (fault::Injector::shard_probe) to
+/// simulate cluster failures: `fail` makes the shard skip the prep and
+/// report a fault (exercising the retry-then-bypass ladder), `stall_us`
+/// sleeps the driver first (exercising the stall budget).
+struct ShardFaultAction {
+  bool fail = false;
+  std::uint32_t stall_us = 0;
+};
+
+/// Called by each shard driver before it preprocesses a frame.  Invoked
+/// concurrently from the C driver threads — must be thread-safe; `frame`
+/// is the sharded-path frame sequence number (0-based, identical across
+/// the shards of one frame).
+using ShardFaultProbe =
+    std::function<ShardFaultAction(std::size_t shard, std::uint64_t frame)>;
+
 struct RuntimeConfig {
   /// Worker threads of the ONE pool shared by every cell's task grids
   /// (0 = all hardware threads) — the PE pool of the paper, serving all
@@ -132,12 +158,36 @@ struct RuntimeConfig {
   /// harnesses run with false so corruption exercises the quarantine
   /// machinery end to end; detect_frame itself ALWAYS runs the full scan.
   bool admission_scan = true;
+  /// Antenna clusters C of the shard fabric.  1 (default) = monolithic:
+  /// no fabric is built.  A frame with fewer antenna rows than C uses one
+  /// cluster per row; a frame left with a single cluster skips the stage
+  /// and is admitted verbatim.
+  std::size_t shards = 1;
+  /// Worker threads of each shard's pool (the caller-participates
+  /// convention of parallel::ThreadPool: 1 = the driver thread alone).
+  /// 0 = split the hardware threads evenly across shards (>= 1 each).
+  std::size_t threads_per_shard = 0;
+  /// Pin each shard's threads (driver + spawned workers) to their own CPU
+  /// slice, shard s owning cpus [s*T, (s+1)*T) mod hardware_concurrency —
+  /// the "each cluster owns its cores" deployment.  Best-effort (see
+  /// parallel::PoolOptions).
+  bool pin_shard_workers = false;
+  /// Upper bound, in microseconds, submit() waits for the shard fabric
+  /// before cancelling the frame's fan-out and bypassing it (identity
+  /// merge — the ticket NEVER hangs on a dead cluster).  0 waits forever.
+  /// At any budget no shard driver reads the caller's job after submit()
+  /// returns.
+  std::uint64_t shard_stall_budget_us = 0;
+  /// Chaos hook run by each shard driver before it preprocesses a frame
+  /// (see ShardFaultProbe).  Read once at construction; empty in
+  /// production.
+  ShardFaultProbe shard_fault_probe;
 };
 
 /// Fixed-bucket latency histogram: bucket 0 counts [0, 1) us, bucket i
 /// counts [2^(i-1), 2^i) us, the last bucket is open-ended.  Quantiles
-/// report the upper bucket edge, i.e. a conservative power-of-two estimate
-/// — deterministic, allocation-free, and cheap enough for the submit path.
+/// interpolate linearly inside the winning bucket — deterministic,
+/// allocation-free, and cheap enough for the submit path.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 32;
@@ -153,29 +203,9 @@ class LatencyHistogram {
     return count_ > 0 ? sum_us_ / static_cast<double>(count_) : 0.0;
   }
 
-  /// Upper edge of the bucket containing the q-quantile sample (q in
-  /// [0, 1]); 0 when empty.
-  double quantile_us(double q) const noexcept {
-    if (count_ == 0) return 0.0;
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    // 1-based rank of the q-quantile sample: ceil(q * count), min 1.
-    auto target = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    if (target == 0) target = 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      seen += buckets_[i];
-      if (seen >= target) return upper_edge_us(i);
-    }
-    return upper_edge_us(kBuckets - 1);
-  }
-
-  /// Linearly-interpolated quantile: instead of the conservative upper
-  /// edge, the estimate walks into the winning bucket proportionally to
-  /// the target rank's position among that bucket's samples — a smoother
-  /// estimator for the per-stage breakdowns.  quantile_us stays the
-  /// conservative power-of-two answer tests pin exact values against.
+  /// q-quantile (q in [0, 1]; 0 when empty): the estimate walks into the
+  /// winning bucket proportionally to the target rank's position among
+  /// that bucket's samples.
   double quantile_interp_us(double q) const noexcept {
     if (count_ == 0) return 0.0;
     if (q < 0.0) q = 0.0;
@@ -199,16 +229,6 @@ class LatencyHistogram {
       seen += buckets_[i];
     }
     return upper_edge_us(kBuckets - 1);
-  }
-
-  /// Accumulates another histogram into this one (bucket-wise; counts and
-  /// sums add) — how ShardedRuntime folds its shard-stage distribution
-  /// into the inner runtime's per-stage snapshot, and how bench harnesses
-  /// aggregate across sweeps.
-  void merge(const LatencyHistogram& other) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-    sum_us_ += other.sum_us_;
   }
 
   static std::size_t bucket_of(double us) noexcept {
@@ -238,14 +258,13 @@ class LatencyHistogram {
   double sum_us_ = 0.0;
 };
 
-/// Per-antenna-cluster counters of a decentralized (sharded) runtime.
-/// Populated only by api::ShardedRuntime::stats() — a monolithic Runtime
-/// reports an empty `shards` vector.  Consistency invariant (checked by
-/// tests): every shard preprocesses every sharded-path frame exactly once,
-/// so `frames` is identical across shards and equals the number of frames
-/// submitted through the decentralized path — the C=1 bypass never reaches
-/// the shard stage, while frames later shed by the inner admission queue
-/// were still preprocessed first (the fronthaul runs before admission).
+/// Per-antenna-cluster counters of the shard fabric.  Reported only by a
+/// runtime with shards > 1.  Consistency invariant (checked by tests):
+/// every shard preprocesses every sharded-path frame exactly once, so
+/// `frames` is identical across shards and equals the number of frames
+/// that ran the shard stage — single-cluster frames skip it, while frames
+/// later shed by admission were still preprocessed first (the fronthaul
+/// runs before admission).
 struct ShardStats {
   std::size_t shard_id = 0;
   std::size_t threads = 0;         ///< workers of this shard's pool
@@ -255,16 +274,16 @@ struct ShardStats {
   std::uint64_t rows_processed = 0;  ///< antenna rows factorized, summed
   double busy_seconds = 0.0;       ///< wall time inside the shard stage
   /// Prep attempts this shard failed (numeric faults in the partial QR or
-  /// injected shard failures) — each triggers the submit-side
-  /// retry-then-bypass ladder.
+  /// injected shard failures) — each triggers the retry-then-bypass
+  /// ladder.
   std::uint64_t faults = 0;
 };
 
 /// Point-in-time snapshot of the runtime's counters (Runtime::stats()).
 struct RuntimeStats {
   std::vector<CellStats> cells;
-  /// Per-antenna-cluster preprocessing counters; empty unless the stats
-  /// came from a ShardedRuntime (see ShardStats).
+  /// Per-antenna-cluster preprocessing counters; empty unless shards > 1
+  /// (see ShardStats).
   std::vector<ShardStats> shards;
   std::uint64_t frames_in = 0;  ///< sums of the per-cell counters
   std::uint64_t frames_out = 0;
@@ -272,8 +291,8 @@ struct RuntimeStats {
   std::uint64_t frames_expired = 0;
   std::uint64_t frames_failed = 0;
   std::uint64_t frames_quarantined = 0;  ///< completed kQuarantined
-  /// Sharded-runtime degradation counters (0 on a monolithic Runtime):
-  /// shard-stage fan-outs re-run after a shard fault, and frames rerouted
+  /// Shard-fabric degradation counters (0 when shards == 1): shard-stage
+  /// fan-outs re-run after a shard fault, and frames rerouted
   /// merged-monolithic because the fabric failed twice or stalled past the
   /// budget.
   std::uint64_t shard_retries = 0;
@@ -281,15 +300,12 @@ struct RuntimeStats {
   std::uint64_t reconfigs = 0;  ///< reconfigurations applied, all cells
   std::size_t queue_depth = 0;  ///< queued across all cells (not in flight)
   std::size_t in_flight = 0;    ///< frames currently being detected
-  /// submit -> completion latency of kDone frames (queue wait included).
+  /// Admission -> completion latency of kDone frames (queue wait
+  /// included): a view of stage_latency[kComplete].
   std::uint64_t latency_count = 0;
   double latency_mean_us = 0.0;
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
-  /// The full latency distribution: bucket i counts frames in
-  /// [LatencyHistogram::upper_edge_us(i-1), upper_edge_us(i)) — see
-  /// LatencyHistogram for the exact edges.  Sums to latency_count.
-  std::array<std::uint64_t, LatencyHistogram::kBuckets> latency_buckets{};
   /// Per-stage latency breakdown of kDone frames, indexed by obs::Stage.
   /// Always on (independent of the FLEXCORE_OBS span gating — recording is
   /// an O(1) array bump inside sections the runtime already locks).  The
@@ -297,9 +313,9 @@ struct RuntimeStats {
   /// kReconstruct, kComplete) each count exactly latency_count samples —
   /// a reuse-preprocessing hit records a 0 us preprocess sample rather
   /// than skipping it, so the breakdown always sums consistently.
-  /// kShardPartialQr is populated only by ShardedRuntime and counts every
-  /// sharded-path frame (measured at submit, before admission can shed
-  /// the frame, so its count can exceed latency_count under shedding).
+  /// kShardPartialQr counts every frame that ran the shard stage (measured
+  /// in submit, before admission can shed the frame, so its count can
+  /// exceed latency_count under shedding).
   std::array<LatencyHistogram, obs::kStageCount> stage_latency{};
   const LatencyHistogram& stage(obs::Stage s) const noexcept {
     return stage_latency[static_cast<std::size_t>(s)];
@@ -401,8 +417,10 @@ class Runtime {
   /// after shutdown began) and returns a ticket immediately — unless the
   /// queue is full and the policy blocks.  `deadline_us` > 0 arms a
   /// deadline that many microseconds from now (kDeadlineExpire only;
-  /// 0 = none).  The job's channel/ys spans are BORROWED: they must stay
-  /// valid until the ticket reaches a terminal state.
+  /// 0 = none; the shard stage counts against it).  The job's channel/ys
+  /// spans are BORROWED: they must stay valid until the ticket reaches a
+  /// terminal state — unless the frame ran the shard stage, whose merged
+  /// buffers replace them, in which case they are released on return.
   FrameTicket submit(Cell& cell, const FrameJob& job,
                      std::uint64_t deadline_us = 0);
 
@@ -439,7 +457,6 @@ class Runtime {
 
   parallel::ThreadPool& pool() noexcept { return pool_; }
   const RuntimeConfig& config() const noexcept { return cfg_; }
-  std::size_t cell_count() const;
 
  private:
   void dispatcher_loop();
@@ -467,6 +484,9 @@ class Runtime {
 
   RuntimeConfig cfg_;
   parallel::ThreadPool pool_;
+  /// The shard stage; null when shards == 1.  Declared before cells_ so it
+  /// outlives every queued entry holding one of its merged buffers.
+  std::unique_ptr<shard::Fabric> fabric_;
 
   mutable std::mutex mu_;
   std::condition_variable runnable_cv_;      ///< dispatchers wait for work
@@ -479,9 +499,10 @@ class Runtime {
   std::size_t in_flight_ = 0;         ///< frames being detected
   std::size_t in_flight_reconfigs_ = 0;  ///< reconfigs being applied
   bool shutdown_ = false;
-  LatencyHistogram latency_;
   /// Per-stage breakdown behind mu_ (see RuntimeStats::stage_latency).
   std::array<LatencyHistogram, obs::kStageCount> stage_latency_{};
+  std::uint64_t shard_retries_ = 0;   ///< behind mu_
+  std::uint64_t shard_bypasses_ = 0;  ///< behind mu_
 
   std::vector<std::thread> dispatchers_;
 };

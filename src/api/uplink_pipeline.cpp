@@ -146,11 +146,6 @@ void validate_frame_job(const FrameJob& job, FrameCheck check) {
 
 UplinkPipeline::UplinkPipeline(const PipelineConfig& cfg)
     : cfg_(cfg), constellation_(cfg.qam_order) {
-  // Fold the session-level precision knob into the tuning every detector
-  // construction (including clones and reconfigure swaps) flows through.
-  if (cfg_.precision != detect::Precision::kFloat64) {
-    cfg_.tuning.precision = cfg_.precision;
-  }
   if (cfg.shared_pool != nullptr) {
     pool_ = cfg.shared_pool;
   } else {

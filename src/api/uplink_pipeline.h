@@ -67,13 +67,6 @@ struct PipelineConfig {
   /// Detector tuning forwarded to api::make_detector.  Its `constellation`
   /// field is ignored — the pipeline owns the constellation.
   DetectorConfig tuning;
-  /// Compute tier of the session's path grids (detect/path_kernels.h).
-  /// kFloat32 selects the single-precision kernel tier and kInt16 the
-  /// quantized int16 tier end-to-end (the knob is folded into
-  /// `tuning.precision` at construction, so it also covers frame-detector
-  /// clones and later reconfigure calls); a spec suffix
-  /// (":fp32"/":fp64"/":i16") still overrides per detector.
-  detect::Precision precision = detect::Precision::kFloat64;
 };
 
 /// One frame's worth of detection work: every data subcarrier's channel
@@ -100,12 +93,12 @@ struct FrameJob {
   /// The per-subcarrier loop cannot amortize this: set_channel overwrites
   /// the single-channel state on every subcarrier.
   bool reuse_preprocessing = false;
-  /// Flight-recorder identity of this frame (obs/obs.h), decided once at
-  /// the OUTERMOST submit — ShardedRuntime::submit, else Runtime::submit —
-  /// so the shard fabric and the pipeline agree on the sampling verdict
-  /// and frame id.  Callers driving detect_frame directly may leave it
-  /// default-initialized (undecided frames record no spans) or stamp it
-  /// with obs::begin_frame themselves.
+  /// Flight-recorder identity of this frame (obs/obs.h), decided once in
+  /// Runtime::submit (before its shard stage) so the shard fabric and the
+  /// pipeline agree on the sampling verdict and frame id.  Callers
+  /// driving detect_frame directly may leave it default-initialized
+  /// (undecided frames record no spans) or stamp it with obs::begin_frame
+  /// themselves.
   obs::TraceCtx trace;
 };
 

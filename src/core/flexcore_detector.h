@@ -135,7 +135,7 @@ class FlexCoreDetector : public Detector {
     plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
   }
 
-  /// Heap footprint of the compiled plan of the configured tier.
+  /// Heap footprint of the compiled plans (exact + the reduced tier's).
   std::size_t plan_footprint_bytes() const { return plans_.footprint_bytes(); }
 
   /// The exact (fp64) plan of the current channel, compiled in every tier:

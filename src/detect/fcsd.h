@@ -71,7 +71,7 @@ class FcsdDetector : public Detector {
 
   Precision precision() const noexcept { return plans_.precision(); }
 
-  /// Heap footprint of the compiled plan of the configured tier.
+  /// Heap footprint of the compiled plans (exact + the reduced tier's).
   std::size_t plan_footprint_bytes() const { return plans_.footprint_bytes(); }
 
   /// The exact (fp64) plan of the current channel, compiled in every tier:

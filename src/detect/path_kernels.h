@@ -445,12 +445,11 @@ class TieredPlans {
     }
   }
 
-  /// Heap footprint of the configured tier's plan (the number the
-  /// precision ladder halves; reported by bench/micro_kernels).
+  /// Heap footprint of every compiled plan: the exact plan plus, in a
+  /// reduced tier, that tier's plan (reported by bench/micro_kernels).
   std::size_t footprint_bytes() const noexcept {
-    return precision_ == Precision::kInt16     ? i16_.footprint_bytes()
-           : precision_ == Precision::kFloat32 ? fp32_.footprint_bytes()
-                                               : exact_.footprint_bytes();
+    return exact_.footprint_bytes() + fp32_.footprint_bytes() +
+           i16_.footprint_bytes();
   }
 
  private:

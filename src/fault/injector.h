@@ -17,8 +17,9 @@
 //     (deadline squeeze, duplicate-submit storms) the driving harness
 //     enacts.
 //   * Shard faults (shard_probe) plug into
-//     api::ShardedRuntime::set_fault_probe: per-(cluster, frame) fail and
-//     stall verdicts exercising the retry-then-bypass ladder.
+//     api::RuntimeConfig::shard_fault_probe: per-(cluster, frame) fail and
+//     stall verdicts exercising the shard fabric's retry-then-bypass
+//     ladder.
 //
 // Everything is thread-safe: decisions are stateless hashes and the
 // injection counters are relaxed atomics (shard probes run concurrently on
@@ -32,7 +33,7 @@
 #include <limits>
 #include <vector>
 
-#include "shard/sharded_runtime.h"
+#include "api/runtime.h"
 #include "sim/frame_synth.h"
 
 namespace flexcore::fault {
@@ -109,8 +110,8 @@ class Injector {
   /// Thread-safe — called concurrently by the cluster drivers.
   api::ShardFaultAction shard_action(std::size_t shard, std::uint64_t frame);
 
-  /// The verdict bound as a ShardedRuntime probe (keep `this` alive while
-  /// installed).
+  /// The verdict bound as a RuntimeConfig::shard_fault_probe (keep `this`
+  /// alive as long as the runtime it is installed in).
   api::ShardFaultProbe shard_probe() {
     return [this](std::size_t shard, std::uint64_t frame) {
       return shard_action(shard, frame);

@@ -28,10 +28,10 @@
 //     FLEXCORE_OBS_RING=<n> the per-thread ring capacity) — production
 //     benches turn tracing on without a recompile.
 //
-// Frames are correlated across threads by obs::TraceCtx, decided ONCE at
-// the outermost submit (ShardedRuntime::submit or Runtime::submit — see
-// FrameJob::trace) so the shard fabric, the dispatcher and the pipeline all
-// agree on whether a frame is sampled and which id it carries.
+// Frames are correlated across threads by obs::TraceCtx, decided ONCE in
+// Runtime::submit, before its shard stage (see FrameJob::trace), so the
+// shard fabric, the dispatcher and the pipeline all agree on whether a
+// frame is sampled and which id it carries.
 //
 // Draining (drain_spans / metrics_snapshot) and exporting
 // (obs/trace_export.h) are control-plane operations: they lock the ring
@@ -108,7 +108,7 @@ enum class ControlReason : std::uint8_t {
 const char* to_string(ControlReason reason);
 ControlReason control_reason_from(const char* reason);
 
-/// Per-frame trace identity, decided once at the outermost submit and
+/// Per-frame trace identity, decided once in Runtime::submit and
 /// carried through the shard fabric, dispatcher and pipeline in
 /// FrameJob::trace.  decided == false means "nobody sampled this frame
 /// yet" — the first layer that sees it calls begin_frame().

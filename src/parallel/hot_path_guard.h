@@ -28,7 +28,7 @@
 // (hot_path_guard_enabled() then reports false and tests skip their
 // allocation assertions).  Lock events come from the explicit
 // guard_detail::note_lock() calls at every ThreadPool / Runtime /
-// ShardedRuntime lock-acquisition site and from the GuardedMutex wrapper.
+// shard-fabric lock-acquisition site and from the GuardedMutex wrapper.
 //
 // The counters answer "how many", not "is it contended": the invariant the
 // repo enforces is that lock acquisitions on the dispatch path are O(1)

@@ -24,7 +24,7 @@
 // too: Q_c^H n_c stays white with the same per-entry variance.
 //
 // Why it scales: each cluster's QR is O(rows_c * Nt^2) on its own memory
-// (and, in api::ShardedRuntime, its own thread pool / CPU set), and the
+// (and, in the shard fabric, its own thread pool / CPU set), and the
 // detection-side preprocessing then factorizes the K x Nt stack instead of
 // the B x Nt channel — for B >> C * Nt the serial part shrinks by B / K.
 #pragma once
@@ -91,8 +91,8 @@ linalg::CMat stack_partials(std::span<const PartialQr> partials);
 
 /// Convenience for tests and single-subcarrier callers: full partial-QR
 /// pipeline over one channel + one received vector under `plan`, returning
-/// the merged (S, z) pair.  api::ShardedRuntime runs the same three
-/// primitives spread across per-shard thread pools instead.
+/// the merged (S, z) pair.  The shard fabric (shard/fabric.h) runs the
+/// same three primitives spread across per-shard thread pools instead.
 struct MergedChannel {
   linalg::CMat s;    ///< stacked compressed channel, K x Nt
   linalg::CVec z;    ///< stacked rotated receive vector, K entries

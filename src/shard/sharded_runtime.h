@@ -1,218 +1,34 @@
-// Sharded baseband runtime: decentralized per-antenna-cluster
-// preprocessing in front of the unchanged asynchronous detection runtime.
-//
-// A centralized large-MIMO receiver funnels all B antenna streams into one
-// compute domain before detection — the interconnect/memory bottleneck the
-// decentralized baseband processing literature (Li et al., RaPro) removes
-// by splitting the array into C antenna clusters that preprocess locally
-// and feedforward only compressed partials.  api::ShardedRuntime is that
-// architecture on this CPU reproduction:
-//
-//     antennas [0..B) split into C contiguous clusters (shard::plan_shards)
-//        |
-//        v         per shard: OWN driver thread + OWN ThreadPool
-//   +---------+   (optionally CPU-pinned)  — partial QR of its antenna
-//   | shard 0 |----+   rows for EVERY subcarrier, local ybar rotation
-//   | shard 1 |----+--> merged (S, z) per subcarrier  [stack, no barrier
-//   |   ...   |----+    math — see shard/partial_qr.h: exact, not approx]
-//   +---------+
-//        |
-//        v
-//   api::Runtime (UNCHANGED): admission queue, per-cell FIFO, backpressure
-//   policies, deadlines, dispatchers, the shared detection PE pool.
-//
-// The public surface mirrors api::Runtime (open_cell / submit / reconfigure
-// / run_one / drain / stats) and every Runtime guarantee carries over:
-// tickets behave identically, frames of one cell complete in FIFO order,
-// QueuePolicy semantics are those of the inner runtime.  Two deliberate
-// semantic points:
-//
-//  * submit() runs the DECENTRALIZED PREPROCESSING SYNCHRONOUSLY on the
-//    shard fabric before enqueueing the merged job — that is the paper
-//    architecture (the fronthaul hands the detector compressed partials,
-//    not raw antennas), and it keeps the borrowed-span lifetime contract
-//    trivially safe: the caller's channels/ys are released when submit
-//    returns; the inner runtime only ever borrows the ShardedRuntime's own
-//    merged buffers (recycled through a freelist when the ticket
-//    completes).  An armed deadline_us is measured from THIS submit call:
-//    the shard-stage wall time is deducted before the inner submit.
-//  * With ONE effective shard (config shards == 1, or a single-antenna
-//    frame) the shard stage is bypassed entirely and the caller's job is
-//    forwarded verbatim — results are BIT-IDENTICAL to a monolithic
-//    api::Runtime with the same RuntimeConfig (runtime_test's cross-check
-//    corpus runs on both).  With C > 1 the merged job is mathematically
-//    equivalent (same Gram ⇒ same orderings and filters) but not
-//    bit-identical — rotations reorder floating-point sums.
-//
-// RuntimeStats::shards carries per-cluster counters (frames, partial QRs,
-// antenna rows, busy seconds, pool pinning) on top of the inner runtime's
-// snapshot; bench/fig18_sharded_runtime.cpp sweeps shards x cells against
-// the monolithic runtime into BENCH_sharded.json.
+// Compatibility shim for the serving benchmark (servebench/), which is
+// frozen until its next revision and still names these types.  The shard
+// fabric is a stage of api::Runtime now (RuntimeConfig::shards; see
+// shard/fabric.h): ShardedRuntime is nothing but a Runtime built from the
+// old config shape.  Every other caller uses api::Runtime directly.  This
+// header is removed when the benchmark is next revised.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
 
 #include "api/runtime.h"
-#include "shard/partial_qr.h"
 
 namespace flexcore::api {
 
-/// Verdict of a ShardFaultProbe for one (shard, frame) prep attempt.
-/// Chaos harnesses install a probe (fault::Injector::shard_probe) to
-/// simulate cluster failures: `fail` makes the shard skip the prep and
-/// report a fault (exercising the submit-side retry-then-bypass ladder),
-/// `stall_us` sleeps the driver first (exercising the stall budget).
-struct ShardFaultAction {
-  bool fail = false;
-  std::uint32_t stall_us = 0;
-};
-
-/// Called by each shard driver before it preprocesses a frame.  Invoked
-/// concurrently from the C driver threads — must be thread-safe; `frame`
-/// is the sharded-path frame sequence number (0-based, identical across
-/// the shards of one frame).
-using ShardFaultProbe =
-    std::function<ShardFaultAction(std::size_t shard, std::uint64_t frame)>;
-
 struct ShardedRuntimeConfig {
-  /// Antenna clusters C.  Each gets a driver thread + private ThreadPool.
-  /// A frame with fewer antenna rows than C uses one cluster per row;
-  /// 1 = pure pass-through to the inner runtime (bit-identical).
   std::size_t shards = 2;
-  /// Worker threads of each shard's pool (the caller-participates
-  /// convention of parallel::ThreadPool: 1 = the driver thread alone).
-  /// 0 = split the hardware threads evenly across shards (>= 1 each).
   std::size_t threads_per_shard = 0;
-  /// Pin each shard's threads (driver + spawned workers) to their own CPU
-  /// slice, shard s owning cpus [s*T, (s+1)*T) mod hardware_concurrency —
-  /// the "each cluster owns its cores" deployment.  Best-effort (see
-  /// parallel::PoolOptions); off by default.
-  bool pin_shard_workers = false;
-  /// Upper bound, in microseconds, submit() waits for the shard fabric
-  /// before declaring the frame's fan-out stalled and bypassing it
-  /// (merged-monolithic fallback — the ticket NEVER hangs on a dead
-  /// cluster).  0 (default) waits forever — exactly the pre-fault-layer
-  /// semantics.  With a nonzero budget the caller's job spans must stay
-  /// valid for up to one budget window past submit (an abandoned driver
-  /// may still be reading them while it winds down); harnesses that arm
-  /// the budget keep their frames alive anyway.
-  std::uint64_t shard_stall_budget_us = 0;
-  /// The inner detection runtime (shared PE pool, dispatchers, admission
-  /// queue, policy) — exactly api::Runtime's knobs.
   RuntimeConfig runtime;
 };
 
-/// Decentralized front-end + api::Runtime back-end.  Thread-safety matches
-/// Runtime: submit/reconfigure/stats/drain from any thread; open_cell must
-/// not race submit.
-class ShardedRuntime {
+class ShardedRuntime : public Runtime {
  public:
-  explicit ShardedRuntime(const ShardedRuntimeConfig& cfg = {});
-  /// Joins the shard drivers after the inner runtime drained (frames in
-  /// flight keep their merged buffers alive through ticket callbacks).
-  ~ShardedRuntime();
+  explicit ShardedRuntime(const ShardedRuntimeConfig& cfg)
+      : Runtime([&cfg] {
+          RuntimeConfig rcfg = cfg.runtime;
+          rcfg.shards = cfg.shards;
+          rcfg.threads_per_shard = cfg.threads_per_shard;
+          return rcfg;
+        }()) {}
 
-  ShardedRuntime(const ShardedRuntime&) = delete;
-  ShardedRuntime& operator=(const ShardedRuntime&) = delete;
-
-  /// Opens a per-cell session on the inner runtime (same contract).
-  Cell& open_cell(const CellConfig& cfg);
-
-  /// Validates the job (api::validate_frame_job, at the call site), runs
-  /// the per-cluster partial QR + rotation across the shard fabric, and
-  /// submits the merged job to the inner runtime.  The caller's spans are
-  /// NOT retained past the return — unlike Runtime::submit, the borrowed
-  /// data may be freed as soon as this call comes back.  Admission
-  /// behaviour (blocking, dropping, expiring) is the inner runtime's.
-  FrameTicket submit(Cell& cell, const FrameJob& job,
-                     std::uint64_t deadline_us = 0);
-
-  /// Forwards to the inner runtime (control messages carry no antenna
-  /// data — nothing to shard).
-  FrameTicket reconfigure(Cell& cell, const CellReconfig& rc);
-
-  /// Manual pump of the inner runtime's queue (poll mode; see Runtime).
-  bool run_one();
-  /// Blocks until the inner runtime is idle.
-  void drain();
-
-  /// Inner runtime snapshot plus per-shard counters (stats().shards).
-  RuntimeStats stats() const;
-
-  /// Clusters configured (the cap; thin frames may use fewer).
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  /// Resolved workers per shard pool (>= 1).
-  std::size_t threads_per_shard() const noexcept { return threads_per_shard_; }
-
-  /// Installs the per-(shard, frame) fault probe (chaos testing; see
-  /// ShardFaultProbe).  Install BEFORE the first submit and never swap
-  /// while frames are in flight — the drivers read it unlocked.
-  void set_fault_probe(ShardFaultProbe probe) {
-    fault_probe_ = std::move(probe);
-  }
-
-  Runtime& runtime() noexcept { return runtime_; }
-  const ShardedRuntimeConfig& config() const noexcept { return cfg_; }
-
- private:
-  /// One frame's merged buffers: per-subcarrier stacked channels S (K x Nt)
-  /// and the stacked rotated vectors z, laid out like FrameJob::ys.  Owned
-  /// by the freelist; kept alive while in flight by the ticket callback.
-  struct MergedFrame {
-    std::vector<linalg::CMat> channels;
-    std::vector<linalg::CVec> zs;
-  };
-
-  /// One frame's shard-stage work order, shared by the C driver threads.
-  struct PrepJob;
-
-  /// One antenna cluster: driver thread + mailbox + private pool.
-  struct Shard;
-
-  std::shared_ptr<MergedFrame> acquire_merged(std::size_t nsc, std::size_t k,
-                                              std::size_t nt,
-                                              std::size_t n_vectors);
-  void recycle_merged(std::shared_ptr<MergedFrame> m);
-  void shard_loop(std::size_t shard_id);
-  /// This shard's slice of one frame: partial QR + rotation for every
-  /// subcarrier, fanned over the shard's own pool.  Returns false when any
-  /// subcarrier's partial failed numerically (non-finite / degenerate
-  /// channel rows) — exceptions never cross the pool boundary; the caller
-  /// marks the attempt failed and the submit side retries or bypasses.
-  bool run_prep(std::size_t shard_id, PrepJob& pj);
-
-  ShardedRuntimeConfig cfg_;
-  std::size_t threads_per_shard_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// Chaos hook (empty in production).  Written only before frames flow.
-  ShardFaultProbe fault_probe_;
-  /// Sharded-path frame sequence handed to the probe (pass-throughs and
-  /// reconfigures don't count).
-  std::atomic<std::uint64_t> frame_seq_{0};
-  /// Degradation counters folded into stats() (shard_retries /
-  /// shard_bypasses on RuntimeStats).
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> bypasses_{0};
-
-  mutable std::mutex freelist_mu_;
-  std::vector<std::shared_ptr<MergedFrame>> freelist_;
-
-  /// Submit-side shard-stage latency (fan-out -> merge wait), merged into
-  /// stats().stage_latency[obs::Stage::kShardPartialQr].  Own mutex: the
-  /// shard stage never touches the inner runtime's lock.
-  mutable std::mutex shard_hist_mu_;
-  LatencyHistogram shard_hist_;
-
-  /// LAST member on purpose: destroyed FIRST, so its destructor's drain —
-  /// which fires the ticket callbacks that recycle merged buffers into
-  /// freelist_ — runs while the freelist (and the shards) still exist.
-  Runtime runtime_;
+  Runtime& runtime() noexcept { return *this; }
 };
 
 }  // namespace flexcore::api

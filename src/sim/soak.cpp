@@ -37,8 +37,7 @@ struct CompletionLog {
 };
 
 /// One submitted frame kept alive until the campaign ends (the runtime
-/// borrows the SynthFrame's spans until the ticket is terminal; a stalled
-/// shard driver may read them a little longer still).
+/// borrows the SynthFrame's spans until the ticket is terminal).
 struct PendingFrame {
   api::FrameTicket ticket;
   std::shared_ptr<SynthFrame> frame;
@@ -95,22 +94,18 @@ SoakScenarioReport run_soak_scenario(const SoakScenarioConfig& cfg) {
   rep.name = cfg.name;
   const auto t_start = std::chrono::steady_clock::now();
 
-  // Declaration order is lifetime order: the injector (probe), completion
-  // log (callbacks) and pending frames (borrowed spans) must all outlive
-  // the runtime — a stalled shard driver can still be winding down inside
-  // the runtime's destructor.
+  // Declaration order is lifetime order: the injector (shard probe) and
+  // completion log (callbacks) must outlive the runtime — a stalled shard
+  // driver can still be winding down inside the runtime's destructor.
   fault::Injector injector(cfg.faults);
   CompletionLog log;
   std::vector<PendingFrame> pending;
   std::vector<api::FrameTicket> control;  // reconfigure tickets
   pending.reserve(cfg.rounds * cfg.cells * (cfg.frames_per_cell + 2));
 
-  api::ShardedRuntimeConfig scfg;
-  scfg.shards = std::max<std::size_t>(1, cfg.shards);
-  scfg.shard_stall_budget_us = cfg.shard_stall_budget_us;
-  scfg.runtime = cfg.runtime;
-  api::ShardedRuntime rt(scfg);
-  rt.set_fault_probe(injector.shard_probe());
+  api::RuntimeConfig rcfg = cfg.runtime;
+  rcfg.shard_fault_probe = injector.shard_probe();
+  api::Runtime rt(rcfg);
 
   const double noise_var = channel::noise_var_for_snr_db(cfg.snr_db);
 
@@ -304,7 +299,7 @@ SoakScenarioReport run_soak_scenario(const SoakScenarioConfig& cfg) {
   }
 
   // Accuracy spot checks on sampled clean done-frames: re-detect on a
-  // fresh synchronous pipeline with the spec that was live.  shards <= 1
+  // fresh synchronous pipeline with the spec that was live.  shards == 1
   // must be bit-identical; any shard count must hold the SER margin.
   if (cfg.spot_check_every > 0) {
     std::map<std::string, std::unique_ptr<api::UplinkPipeline>> oracles;
@@ -332,7 +327,7 @@ SoakScenarioReport run_soak_scenario(const SoakScenarioConfig& cfg) {
       rep.clean_errors += count_symbol_errors(*pf.frame, res->results);
       rep.oracle_errors += count_symbol_errors(*pf.frame, ref.results);
       rep.clean_symbols += pf.frame->tx.size();
-      if (cfg.shards <= 1) {
+      if (cfg.runtime.shards == 1) {
         bool same = res->results.size() == ref.results.size();
         for (std::size_t v = 0; same && v < ref.results.size(); ++v) {
           same = res->results[v].symbols == ref.results[v].symbols;
@@ -388,7 +383,6 @@ std::vector<SoakScenarioConfig> default_soak_corpus(std::size_t rounds,
     c.cells = 2;
     c.rounds = rounds;
     c.rho = 0.90;
-    c.shards = 1;
     c.seed = seed + 1;
     c.spot_check_every = 8;
     c.runtime.dispatchers = 2;
@@ -418,14 +412,14 @@ std::vector<SoakScenarioConfig> default_soak_corpus(std::size_t rounds,
     c.rounds = rounds;
     c.churn = true;
     c.rho = 0.97;
-    c.shards = 2;
-    c.shard_stall_budget_us = 4000;
     c.seed = seed + 2;
     c.spot_check_every = 12;
     c.runtime.dispatchers = 2;
     c.runtime.queue_capacity = 8;
     c.runtime.policy = api::QueuePolicy::kBlock;
     c.runtime.admission_scan = false;
+    c.runtime.shards = 2;
+    c.runtime.shard_stall_budget_us = 4000;
     c.faults.seed = seed + 22;
     c.faults.rules = {
         {.kind = fault::FaultKind::kShardFail, .probability = 0.05},
@@ -447,7 +441,6 @@ std::vector<SoakScenarioConfig> default_soak_corpus(std::size_t rounds,
     c.rounds = rounds;
     c.rho = 0.95;
     c.interference_coupling = 0.15;
-    c.shards = 2;
     c.seed = seed + 3;
     c.spot_check_every = 12;
     c.deadline_us = 20000;
@@ -455,6 +448,7 @@ std::vector<SoakScenarioConfig> default_soak_corpus(std::size_t rounds,
     c.runtime.queue_capacity = 8;
     c.runtime.policy = api::QueuePolicy::kDeadlineExpire;
     c.runtime.admission_scan = false;
+    c.runtime.shards = 2;
     c.faults.seed = seed + 33;
     c.faults.rules = {
         {.kind = fault::FaultKind::kDeadlinePressure, .probability = 0.05},
@@ -476,7 +470,6 @@ std::vector<SoakScenarioConfig> default_soak_corpus(std::size_t rounds,
     c.rho = 0.98;
     c.diurnal_amplitude = 0.9;
     c.diurnal_period = 16.0;
-    c.shards = 1;
     c.seed = seed + 4;
     c.spot_check_every = 8;
     c.runtime.dispatchers = 1;

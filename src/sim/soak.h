@@ -1,9 +1,9 @@
 // Long-horizon scenario soak harness: chaos campaigns over the serving
 // runtime with invariants checked continuously.
 //
-// A soak scenario drives an api::ShardedRuntime (shards == 1 degenerates to
-// the monolithic runtime, bit-identical) through many coherence rounds of a
-// living deployment — Gauss-Markov channel aging, per-round detector
+// A soak scenario drives an api::Runtime (runtime.shards > 1 puts the shard
+// fabric in front of admission) through many coherence rounds of a living
+// deployment — Gauss-Markov channel aging, per-round detector
 // reconfigurations, user churn with cells opening and closing mid-run,
 // inter-cell interference coupling, diurnal load curves — while a
 // fault::Injector corrupts payloads/channels, fails and stalls antenna
@@ -20,7 +20,7 @@
 //   * accounting — the per-cell counter identity of RuntimeStats holds at
 //     the end of the campaign;
 //   * accuracy — on sampled clean done-frames, detection matches a fresh
-//     synchronous pipeline bit-for-bit (shards <= 1) and the clean-frame
+//     synchronous pipeline bit-for-bit (shards == 1) and the clean-frame
 //     SER stays within ser_margin of that oracle (any shard count).
 //
 // Violations are collected as human-readable strings in the report, not
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "fault/injector.h"
-#include "shard/sharded_runtime.h"
 
 namespace flexcore::sim {
 
@@ -70,10 +69,11 @@ struct SoakScenarioConfig {
   /// Per-frame deadline armed at submit (0 = none; kDeadlineExpire only).
   std::uint64_t deadline_us = 0;
   std::uint64_t seed = 1;
-  std::size_t shards = 1;  ///< 1 = monolithic path (bit-identity checked)
-  std::uint64_t shard_stall_budget_us = 0;
   fault::FaultPlan faults;
-  api::RuntimeConfig runtime;  ///< inner runtime knobs (policy, queue, ...)
+  /// Runtime knobs (policy, queue, shards, stall budget, ...); the
+  /// harness installs the injector's shard probe itself.  shards == 1 is
+  /// the monolithic path, where bit-identity is checked.
+  api::RuntimeConfig runtime;
   /// Sample period of the synchronous-oracle spot check (0 disables).
   std::size_t spot_check_every = 16;
   /// Allowed clean-frame SER excess over the oracle (absolute).
@@ -97,7 +97,7 @@ struct SoakScenarioReport {
   std::size_t tickets_lost = 0;  ///< non-terminal after the bounded wait
   std::size_t fifo_violations = 0;
   std::size_t spot_checks = 0;     ///< clean done-frames re-detected
-  std::size_t bit_mismatches = 0;  ///< ... that differed (shards <= 1)
+  std::size_t bit_mismatches = 0;  ///< ... that differed (shards == 1)
   std::size_t clean_symbols = 0;   ///< symbols scored on spot-checked frames
   std::size_t clean_errors = 0;    ///< runtime symbol errors on those
   std::size_t oracle_errors = 0;   ///< oracle symbol errors on those

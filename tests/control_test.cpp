@@ -393,6 +393,7 @@ TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
   ASSERT_EQ(frame.wait(), fa::TicketStatus::kDone);
   EXPECT_EQ(frame.try_get()->results.size(), fr.ys.size());
   EXPECT_EQ(rt.stats().cells[0].detector, "flexcore-16:fp32");
+  EXPECT_EQ(rt.stats().cells[0].detector, cell.pipeline().detector().name());
 
   // The fp32 grid stays close to the fp64 reference at this SNR (the
   // kernel suite quantifies the tolerance; here we only guard wiring).
@@ -402,6 +403,18 @@ TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
     mismatched += frame.try_get()->results[v].symbols != ref[v].symbols;
   }
   EXPECT_LE(mismatched, ref.size() / 4);
+
+  // The control ladder restores with a bare spec: it must run fp64 again,
+  // and the reported spec must be the one running.
+  fa::FrameTicket back = rt.reconfigure(cell, {.detector = "flexcore-16"});
+  fa::FrameTicket after = rt.submit(cell, job);
+  while (rt.run_one()) {
+  }
+  EXPECT_EQ(back.wait(), fa::TicketStatus::kDone);
+  ASSERT_EQ(after.wait(), fa::TicketStatus::kDone);
+  EXPECT_EQ(rt.stats().cells[0].detector, "flexcore-16");
+  EXPECT_EQ(rt.stats().cells[0].detector, cell.pipeline().detector().name());
+  expect_bit_identical(after.try_get()->results, ref, "restored fp64");
 }
 
 TEST(Reconfigure, BypassesFullQueueAndShedding) {

@@ -1,15 +1,18 @@
 // Tests for the fault-injection chaos layer: fault::Injector determinism
 // (seeded decisions, windows, target filters, probability), the frame
 // mutations (non-finite / finite-garbage / rank-deficient), the shard-side
-// fail/stall verdicts, and api::ShardedRuntime's retry-then-bypass ladder
+// fail/stall verdicts, and the shard fabric's retry-then-bypass ladder
 // under an always-hostile probe (bypass is the identity merge, so detection
-// stays bit-identical to the monolithic path even with the fabric down).
+// stays bit-identical to the monolithic path even with the fabric down),
+// plus the caller-lifetime contract of a stalled shard stage.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/runtime.h"
@@ -17,7 +20,6 @@
 #include "channel/channel.h"
 #include "fault/injector.h"
 #include "frame_fixtures.h"
-#include "shard/sharded_runtime.h"
 
 namespace fa = flexcore::api;
 namespace fd = flexcore::detect;
@@ -256,7 +258,7 @@ TEST(Injector, KindNamesAndCorruptionClasses) {
 
 // ------------------------------------------- retry-then-bypass ladder
 
-TEST(ShardedRuntimeFaults, AllShardsDownFallsBackBitIdentical) {
+TEST(ShardFabricFaults, AllShardsDownFallsBackBitIdentical) {
   // Every prep attempt fails on every cluster: after the retry the fabric
   // is bypassed with the identity merge, so every frame still completes
   // kDone with results bit-identical to the monolithic pipeline.
@@ -268,13 +270,13 @@ TEST(ShardedRuntimeFaults, AllShardsDownFallsBackBitIdentical) {
   const double nv = ch::noise_var_for_snr_db(14.0);
   std::vector<Frame> frames;
   std::vector<fa::FrameTicket> tickets;
-  fa::ShardedRuntimeConfig scfg;
-  scfg.shards = 2;
-  scfg.threads_per_shard = 1;
-  scfg.runtime.threads = 2;
-  scfg.runtime.dispatchers = 1;
-  fa::ShardedRuntime rt(scfg);
-  rt.set_fault_probe(inj.shard_probe());
+  fa::RuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.threads_per_shard = 1;
+  rcfg.threads = 2;
+  rcfg.dispatchers = 1;
+  rcfg.shard_fault_probe = inj.shard_probe();
+  fa::Runtime rt(rcfg);
   fa::Cell& cell = rt.open_cell({.detector = "flexcore-16", .qam_order = 16});
   for (std::size_t i = 0; i < kFrames; ++i) {
     frames.push_back(make_frame(cell.constellation(), 4, 3, 12, 4, nv,
@@ -302,7 +304,7 @@ TEST(ShardedRuntimeFaults, AllShardsDownFallsBackBitIdentical) {
   EXPECT_GT(inj.injected(ff::FaultKind::kShardFail), 0u);
 }
 
-TEST(ShardedRuntimeFaults, TransientFaultHealsViaRetry) {
+TEST(ShardFabricFaults, TransientFaultHealsViaRetry) {
   // A genuinely TRANSIENT fault (fails the first attempt only — an
   // Injector verdict is a pure hash of (shard, frame), so it would fail
   // the retry too): the re-fan succeeds, no bypass, and detection matches
@@ -316,11 +318,11 @@ TEST(ShardedRuntimeFaults, TransientFaultHealsViaRetry) {
       };
 
   const double nv = ch::noise_var_for_snr_db(14.0);
-  fa::ShardedRuntimeConfig scfg;
-  scfg.shards = 2;
-  scfg.threads_per_shard = 1;
-  scfg.runtime.threads = 1;
-  scfg.runtime.dispatchers = 1;
+  fa::RuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.threads_per_shard = 1;
+  rcfg.threads = 1;
+  rcfg.dispatchers = 1;
 
   std::vector<Frame> frames;
   {
@@ -331,8 +333,9 @@ TEST(ShardedRuntimeFaults, TransientFaultHealsViaRetry) {
   }
 
   auto run = [&](bool hostile) {
-    fa::ShardedRuntime rt(scfg);
-    if (hostile) rt.set_fault_probe(transient);
+    fa::RuntimeConfig cfg = rcfg;
+    if (hostile) cfg.shard_fault_probe = transient;
+    fa::Runtime rt(cfg);
     fa::Cell& cell =
         rt.open_cell({.detector = "flexcore-16", .qam_order = 16});
     std::vector<fa::FrameTicket> tickets;
@@ -359,11 +362,10 @@ TEST(ShardedRuntimeFaults, TransientFaultHealsViaRetry) {
   }
 }
 
-TEST(ShardedRuntimeFaults, StallPastBudgetBypassesInsteadOfHanging) {
-  // A cluster sleeping far past the stall budget: submit abandons the
+TEST(ShardFabricFaults, StallPastBudgetBypassesInsteadOfHanging) {
+  // A cluster sleeping far past the stall budget: submit cancels the
   // fan-out, reroutes merged-monolithic, and the ticket terminates kDone
-  // bit-identical to the reference — frames outlive the runtime so the
-  // stalled driver's borrowed spans stay valid (the documented contract).
+  // bit-identical to the reference.
   ff::Injector inj({.seed = 9,
                     .rules = {{.kind = ff::FaultKind::kShardStall,
                                .shard = 0,
@@ -382,14 +384,14 @@ TEST(ShardedRuntimeFaults, StallPastBudgetBypassesInsteadOfHanging) {
   std::vector<fa::FrameTicket> tickets;
   std::uint64_t bypasses = 0, frames_out = 0;
   {
-    fa::ShardedRuntimeConfig scfg;
-    scfg.shards = 2;
-    scfg.threads_per_shard = 1;
-    scfg.runtime.threads = 1;
-    scfg.runtime.dispatchers = 1;
-    scfg.shard_stall_budget_us = 1'000;
-    fa::ShardedRuntime rt(scfg);
-    rt.set_fault_probe(inj.shard_probe());
+    fa::RuntimeConfig rcfg;
+    rcfg.shards = 2;
+    rcfg.threads_per_shard = 1;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 1;
+    rcfg.shard_stall_budget_us = 1'000;
+    rcfg.shard_fault_probe = inj.shard_probe();
+    fa::Runtime rt(rcfg);
     fa::Cell& cell =
         rt.open_cell({.detector = "flexcore-16", .qam_order = 16});
     for (const Frame& fr : frames) {
@@ -411,4 +413,59 @@ TEST(ShardedRuntimeFaults, StallPastBudgetBypassesInsteadOfHanging) {
                          "stall-bypassed frame");
   }
   EXPECT_GT(inj.injected(ff::FaultKind::kShardStall), 0u);
+}
+
+TEST(ShardFabricFaults, CallerJobMayDieRightAfterAStalledSubmit) {
+  // The caller-lifetime contract at a stall budget far below one partial
+  // QR: each frame and its FrameJob go out of scope the moment submit()
+  // returns.  Shard 1 holds every frame until its submit() has returned,
+  // so every fan-out times out, typically with shard 0 mid-read.  A
+  // driver reading the job afterwards is a use-after-free the sanitizer
+  // build reports; instead every driver either claimed its slice before
+  // the submitter gave up (and was waited for) or skips it.  Every ticket
+  // still completes kDone with the reference symbols (bypassed frames
+  // detect the raw antennas).
+  constexpr std::size_t kFrames = 4;
+  const double nv = ch::noise_var_for_snr_db(20.0);
+  const Constellation qam(16);
+  std::vector<std::vector<fd::DetectionResult>> want;
+  std::vector<fa::FrameTicket> tickets;
+  std::atomic<std::uint64_t> returned{0};  // submit() calls that returned
+
+  fa::RuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.threads_per_shard = 1;
+  rcfg.threads = 1;
+  rcfg.dispatchers = 1;
+  rcfg.shard_stall_budget_us = 1;
+  rcfg.shard_fault_probe = [&returned](std::size_t shard,
+                                       std::uint64_t frame) {
+    while (shard == 1 && returned.load() <= frame) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return fa::ShardFaultAction{};
+  };
+  fa::Runtime rt(rcfg);
+  fa::Cell& cell = rt.open_cell({.detector = "flexcore-16", .qam_order = 16});
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Frame fr = make_frame(qam, 48, 7, 64, 8, nv, 900 + i);
+    want.push_back(sync_reference("flexcore-16", 16, fr, nv));
+    const fa::FrameJob job = job_of(fr, nv);
+    tickets.push_back(rt.submit(cell, job));
+    returned.fetch_add(1);
+  }
+  rt.drain();
+
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(tickets[i].wait(), fa::TicketStatus::kDone) << "frame " << i;
+    const auto& got = tickets[i].try_get()->results;
+    ASSERT_EQ(got.size(), want[i].size());
+    for (std::size_t v = 0; v < got.size(); ++v) {
+      EXPECT_EQ(got[v].symbols, want[i][v].symbols)
+          << "frame " << i << " vector " << v;
+    }
+  }
+  const fa::RuntimeStats rs = rt.stats();
+  EXPECT_EQ(rs.frames_out, kFrames);
+  EXPECT_EQ(rs.shard_bypasses, kFrames) << "every fan-out must time out";
 }

@@ -449,7 +449,7 @@ TEST(Frame, Fp32TierRunsAndStaysClose) {
   fa::UplinkPipeline p64(c64);
 
   fa::PipelineConfig c32 = c64;
-  c32.precision = flexcore::detect::Precision::kFloat32;
+  c32.detector = "flexcore-16:fp32";
   fa::UplinkPipeline p32(c32);
   EXPECT_EQ(p32.detector().name(), "flexcore-16:fp32");
 

@@ -9,9 +9,9 @@
 //  * UplinkPipeline::detect_frame steady state (reuse overload +
 //    reuse_preprocessing, threads=1) performs ZERO heap allocations and
 //    ZERO lock acquisitions;
-//  * Runtime run_one and ShardedRuntime submit→complete cycles have an
-//    O(1)-per-frame control-plane envelope: allocation and lock counts do
-//    not grow with the grid's path count.
+//  * Runtime run_one and sharded (shards = 2) submit→complete cycles have
+//    an O(1)-per-frame control-plane envelope: allocation and lock counts
+//    do not grow with the grid's path count.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -26,7 +26,6 @@
 #include "obs/obs.h"
 #include "parallel/hot_path_guard.h"
 #include "parallel/thread_pool.h"
-#include "shard/sharded_runtime.h"
 
 namespace fa = flexcore::api;
 namespace fd = flexcore::detect;
@@ -245,16 +244,16 @@ TEST(RuntimeEnvelope, RunOneCostIndependentOfPathCount) {
 }
 
 TEST(ShardedEnvelope, SubmitCompleteCostIndependentOfPathCount) {
-  // The decentralized front-end adds shard mailbox handoffs per frame —
+  // The shard stage adds mailbox handoffs and claims per frame —
   // still O(1): counts for a 128-path cell stay within a constant of the
   // 8-path cell's, nowhere near the 16x task-count ratio.  Process scope:
   // shard drivers and dispatchers do the work on their own threads.
-  fa::ShardedRuntimeConfig scfg;
-  scfg.shards = 2;
-  scfg.threads_per_shard = 1;
-  scfg.runtime.threads = 1;
-  scfg.runtime.dispatchers = 1;
-  fa::ShardedRuntime rt(scfg);
+  fa::RuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.threads_per_shard = 1;
+  rcfg.threads = 1;
+  rcfg.dispatchers = 1;
+  fa::Runtime rt(rcfg);
   fa::CellConfig small_cfg{.detector = "flexcore-8", .qam_order = 16};
   small_cfg.reuse_preprocessing = true;
   fa::CellConfig big_cfg{.detector = "flexcore-128", .qam_order = 16};

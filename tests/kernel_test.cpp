@@ -257,7 +257,7 @@ TEST(KernelPrecision, Fp32SerWithinToleranceOnSweep) {
     fa::UplinkPipeline p64(c64);
 
     fa::PipelineConfig c32 = c64;
-    c32.precision = fd::Precision::kFloat32;
+    c32.detector = "flexcore-64:fp32";
     fa::UplinkPipeline p32(c32);
 
     const auto r64 = p64.detect_frame(fs::frame_job_of(fr, noise));
@@ -285,17 +285,15 @@ TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
     // the same detector spelling.
     EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
   }
-  // ":fp64" is accepted and normalizes to the suffix-free spelling.
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", cfg)->name(),
+  // The suffix alone picks the tier: a bare spec is fp64 (whatever
+  // cfg.flexcore.precision says), and there is no ":fp64" spelling.
+  fa::DetectorConfig fp32_base = cfg;
+  fp32_base.flexcore.precision = fd::Precision::kFloat32;
+  EXPECT_EQ(fa::make_detector("flexcore-16", fp32_base)->name(),
             "flexcore-16");
-  // The config knob selects the tier without a suffix...
-  fa::DetectorConfig fp32 = cfg;
-  fp32.precision = fd::Precision::kFloat32;
-  EXPECT_EQ(fa::make_detector("flexcore-16", fp32)->name(),
-            "flexcore-16:fp32");
-  // ...and an explicit suffix overrides the knob.
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", fp32)->name(),
-            "flexcore-16");
+  EXPECT_THROW(fa::make_detector("flexcore-16:fp64", cfg),
+               std::invalid_argument);
+  EXPECT_THROW(fa::make_detector("fcsd-L1:fp64", cfg), std::invalid_argument);
   // Families without a reduced-precision tier reject the suffix.
   EXPECT_THROW(fa::make_detector("zf:fp32", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("kbest-8:fp32", cfg), std::invalid_argument);
@@ -543,23 +541,42 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
 }
 
 TEST(KernelI16, FootprintOrderingAcrossTiers) {
-  // The storage story of the tier ladder: int16 SoA plans are smaller than
-  // fp32 plans, which are smaller than fp64 plans, for the same channel.
+  // The storage story of the tier ladder: on one channel the int16 SoA
+  // plan is smaller than the fp32 plan, which is smaller than the fp64
+  // plan.  A reduced-tier detector also holds the exact plan (every exact
+  // walk runs on it), so its footprint is exact + reduced.
   Constellation c(64);
   ch::Rng rng(33);
   const auto h = ch::rayleigh_iid(12, 12, rng);
   const double nv = ch::noise_var_for_snr_db(18.0);
-  std::size_t bytes[3] = {0, 0, 0};
-  const char* specs[3] = {"flexcore-128:i16", "flexcore-128:fp32",
-                          "flexcore-128"};
-  for (int t = 0; t < 3; ++t) {
-    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
-        specs[t], {.constellation = &c});
+  const auto make = [&](const char* spec) {
+    auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+        spec, {.constellation = &c});
     det->set_channel(h, nv);
-    bytes[t] = det->plan_footprint_bytes();
-  }
-  EXPECT_LT(bytes[0], bytes[1]) << "i16 plan must undercut fp32";
-  EXPECT_LT(bytes[1], bytes[2]) << "fp32 plan must undercut fp64";
+    return det;
+  };
+  const auto fp64 = make("flexcore-128");
+  const auto fp32 = make("flexcore-128:fp32");
+  const auto i16 = make("flexcore-128:i16");
+
+  // The three plans of this channel, compiled from the fp64 detector's
+  // preprocessing exactly as the detectors compile theirs.
+  const auto bytes_of = [&](auto&& plan) {
+    plan.compile_flexcore(
+        fp64->qr().R, fp64->preprocessing().paths, c, fp64->lut(),
+        fp64->config().ordering == fc::OrderingMode::kExactSort,
+        fp64->config().invalid_policy);
+    return plan.footprint_bytes();
+  };
+  const std::size_t b16 = bytes_of(fd::PathPlanI16{});
+  const std::size_t b32 = bytes_of(fd::PathPlanF{});
+  const std::size_t b64 = bytes_of(fd::PathPlan{});
+  EXPECT_LT(b16, b32) << "i16 plan must undercut fp32";
+  EXPECT_LT(b32, b64) << "fp32 plan must undercut fp64";
+
+  EXPECT_EQ(fp64->plan_footprint_bytes(), b64);
+  EXPECT_EQ(fp32->plan_footprint_bytes(), b64 + b32);
+  EXPECT_EQ(i16->plan_footprint_bytes(), b64 + b16);
 }
 
 TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
@@ -571,14 +588,9 @@ TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
     EXPECT_EQ(det->name(), spec);
     EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
   }
-  // The config knob selects the tier without a suffix, and a suffix
-  // overrides the knob.
-  fa::DetectorConfig i16 = cfg;
-  i16.precision = fd::Precision::kInt16;
-  EXPECT_EQ(fa::make_detector("flexcore-16", i16)->name(),
-            "flexcore-16:i16");
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", i16)->name(),
-            "flexcore-16");
+  // No ":fp64" spelling: a bare spec is the fp64 tier.
+  EXPECT_THROW(fa::make_detector("a-flexcore-8:fp64", cfg),
+               std::invalid_argument);
   // Detectors without block kernels reject the tier like any unknown spec.
   EXPECT_THROW(fa::make_detector("zf:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("kbest-8:i16", cfg), std::invalid_argument);

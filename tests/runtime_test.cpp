@@ -1,7 +1,10 @@
 // Tests for the asynchronous multi-cell runtime: api::Runtime / api::Cell /
 // api::FrameTicket — submit/poll semantics, per-cell FIFO ordering,
 // bit-identity with the synchronous path, the three backpressure policies,
-// deadline expiry and the RuntimeStats counters.
+// deadline expiry and the RuntimeStats counters.  The FIFO/bit-identity
+// stress test and the backpressure tests run with shards in {1, 2, 4}: with
+// C > 1 the reference is detect_frame on the merged (S, z) the public
+// shard:: calls build.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,8 +32,12 @@ using flexcore::testing::expect_bit_identical;
 using flexcore::testing::Frame;
 using flexcore::testing::job_of;
 using flexcore::testing::make_frame;
+using flexcore::testing::merged_frame;
 
 namespace {
+
+/// The shard counts the cross-check corpus runs with (1 = monolithic).
+constexpr std::size_t kShardCounts[] = {1, 2, 4};
 
 /// Synchronous reference: detect_frame on a standalone single-threaded
 /// pipeline with the same spec.
@@ -43,6 +50,21 @@ std::vector<fd::DetectionResult> sync_reference(const std::string& spec,
   cfg.threads = 1;
   fa::UplinkPipeline pipe(cfg);
   return pipe.detect_frame(job_of(fr, noise_var)).results;
+}
+
+/// Reference for a frame admitted by a runtime with `shards` clusters.
+std::vector<fd::DetectionResult> reference(const std::string& spec, int qam,
+                                           const Frame& fr, double noise_var,
+                                           std::size_t shards) {
+  return sync_reference(spec, qam, shards > 1 ? merged_frame(fr, shards) : fr,
+                        noise_var);
+}
+
+/// A runtime config with `shards` clusters of one thread each.
+fa::RuntimeConfig sharded(fa::RuntimeConfig rcfg, std::size_t shards) {
+  rcfg.shards = shards;
+  rcfg.threads_per_shard = 1;
+  return rcfg;
 }
 
 /// frames_in must account for every frame: completed, shed, queued or in
@@ -155,80 +177,94 @@ TEST(Runtime, MalformedJobsThrowSynchronouslyAtSubmit) {
 
 TEST(Runtime, FourCellStressFifoAndBitIdentical) {
   // The acceptance scenario: interleaved frames from 4 cells with distinct
-  // detector specs on a small shared pool.  Per cell: completion callbacks
-  // fire in submission order and every result is bit-identical to the
-  // synchronous single-cell path.
+  // detector specs on a small shared pool, tall 16x4 frames so every shard
+  // count compresses.  Per cell: completion callbacks fire in submission
+  // order and every result is bit-identical to the synchronous single-cell
+  // path (on the merged frame when sharded).
   constexpr std::size_t kCells = 4;
   constexpr std::size_t kFramesPerCell = 6;
   const char* specs[kCells] = {"flexcore-8", "flexcore-16", "a-flexcore-12",
                                "fcsd-L1"};
-
-  fa::RuntimeConfig rcfg;
-  rcfg.threads = 3;  // small pool, many concurrent grids
-  rcfg.dispatchers = 3;
-  rcfg.queue_capacity = 8;
-  fa::Runtime rt(rcfg);
-
   const double nv = ch::noise_var_for_snr_db(12.0);
-  std::vector<fa::Cell*> cells;
-  std::vector<std::vector<Frame>> frames(kCells);
-  for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
-    cells.push_back(
-        &rt.open_cell({.detector = specs[cidx], .qam_order = 16}));
-    for (std::size_t i = 0; i < kFramesPerCell; ++i) {
-      frames[cidx].push_back(make_frame(cells[cidx]->constellation(), 6, 3, 4,
-                                        4, nv, 100 + 17 * cidx + i));
-    }
-  }
 
-  std::mutex order_mu;
-  std::vector<std::vector<std::uint64_t>> completion_order(kCells);
-  std::vector<std::vector<fa::FrameTicket>> tickets(kCells);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 3;  // small pool, many concurrent grids
+    rcfg.dispatchers = 3;
+    rcfg.queue_capacity = 8;
+    fa::Runtime rt(sharded(rcfg, shards));
 
-  // Interleave submissions across cells (round-robin), as concurrent
-  // uplinks would arrive.
-  for (std::size_t i = 0; i < kFramesPerCell; ++i) {
+    std::vector<fa::Cell*> cells;
+    std::vector<std::vector<Frame>> frames(kCells);
     for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
-      fa::FrameTicket t = rt.submit(*cells[cidx], job_of(frames[cidx][i], nv));
-      t.on_complete([&, cidx, i](fa::TicketStatus st, const fa::FrameResult*) {
-        EXPECT_EQ(st, fa::TicketStatus::kDone);
-        std::lock_guard lock(order_mu);
-        completion_order[cidx].push_back(i);
-      });
-      tickets[cidx].push_back(std::move(t));
+      cells.push_back(
+          &rt.open_cell({.detector = specs[cidx], .qam_order = 16}));
+      for (std::size_t i = 0; i < kFramesPerCell; ++i) {
+        frames[cidx].push_back(make_frame(cells[cidx]->constellation(), 6, 3,
+                                          16, 4, nv, 100 + 17 * cidx + i));
+      }
     }
-  }
-  rt.drain();
 
-  for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
-    // (a) FIFO completion per cell.
-    ASSERT_EQ(completion_order[cidx].size(), kFramesPerCell) << specs[cidx];
-    for (std::size_t i = 0; i < kFramesPerCell; ++i) {
-      EXPECT_EQ(completion_order[cidx][i], i)
-          << specs[cidx] << ": completions out of submission order";
-      EXPECT_EQ(tickets[cidx][i].sequence(), i);
-    }
-    // (b) bit-identity with the synchronous path, every frame.
-    for (std::size_t i = 0; i < kFramesPerCell; ++i) {
-      const fa::FrameResult* r = tickets[cidx][i].try_get();
-      ASSERT_NE(r, nullptr);
-      expect_bit_identical(
-          r->results, sync_reference(specs[cidx], 16, frames[cidx][i], nv),
-          specs[cidx]);
-    }
-  }
+    std::mutex order_mu;
+    std::vector<std::vector<std::uint64_t>> completion_order(kCells);
+    std::vector<std::vector<fa::FrameTicket>> tickets(kCells);
 
-  // (c) stats consistent with the completed tickets.
-  const fa::RuntimeStats rs = rt.stats();
-  expect_consistent(rs);
-  EXPECT_EQ(rs.frames_in, kCells * kFramesPerCell);
-  EXPECT_EQ(rs.frames_out, kCells * kFramesPerCell);
-  EXPECT_EQ(rs.frames_dropped + rs.frames_expired + rs.frames_failed, 0u);
-  EXPECT_EQ(rs.queue_depth, 0u);
-  EXPECT_EQ(rs.in_flight, 0u);
-  EXPECT_EQ(rs.latency_count, kCells * kFramesPerCell);
-  EXPECT_GT(rs.latency_p50_us, 0.0);
-  EXPECT_GE(rs.latency_p99_us, rs.latency_p50_us);
+    // Interleave submissions across cells (round-robin), as concurrent
+    // uplinks would arrive.
+    for (std::size_t i = 0; i < kFramesPerCell; ++i) {
+      for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
+        fa::FrameTicket t =
+            rt.submit(*cells[cidx], job_of(frames[cidx][i], nv));
+        t.on_complete(
+            [&, cidx, i](fa::TicketStatus st, const fa::FrameResult*) {
+              EXPECT_EQ(st, fa::TicketStatus::kDone);
+              std::lock_guard lock(order_mu);
+              completion_order[cidx].push_back(i);
+            });
+        tickets[cidx].push_back(std::move(t));
+      }
+    }
+    rt.drain();
+
+    for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
+      // (a) FIFO completion per cell.
+      ASSERT_EQ(completion_order[cidx].size(), kFramesPerCell) << specs[cidx];
+      for (std::size_t i = 0; i < kFramesPerCell; ++i) {
+        EXPECT_EQ(completion_order[cidx][i], i)
+            << specs[cidx] << ": completions out of submission order";
+        EXPECT_EQ(tickets[cidx][i].sequence(), i);
+      }
+      // (b) bit-identity with the synchronous path, every frame.
+      for (std::size_t i = 0; i < kFramesPerCell; ++i) {
+        const fa::FrameResult* r = tickets[cidx][i].try_get();
+        ASSERT_NE(r, nullptr);
+        expect_bit_identical(
+            r->results,
+            reference(specs[cidx], 16, frames[cidx][i], nv, shards),
+            specs[cidx]);
+      }
+    }
+
+    // (c) stats consistent with the completed tickets.
+    const fa::RuntimeStats rs = rt.stats();
+    expect_consistent(rs);
+    constexpr std::size_t kFrames = kCells * kFramesPerCell;
+    EXPECT_EQ(rs.frames_in, kFrames);
+    EXPECT_EQ(rs.frames_out, kFrames);
+    EXPECT_EQ(rs.frames_dropped + rs.frames_expired + rs.frames_failed, 0u);
+    EXPECT_EQ(rs.queue_depth, 0u);
+    EXPECT_EQ(rs.in_flight, 0u);
+    EXPECT_EQ(rs.latency_count, kFrames);
+    EXPECT_GT(rs.latency_p50_us, 0.0);
+    EXPECT_GE(rs.latency_p99_us, rs.latency_p50_us);
+    // (d) the shard stage ran once per frame, on every cluster.
+    EXPECT_EQ(rs.stage(flexcore::obs::Stage::kShardPartialQr).count(),
+              shards > 1 ? kFrames : 0u);
+    EXPECT_EQ(rs.shards.size(), shards > 1 ? shards : 0u);
+    for (const fa::ShardStats& ss : rs.shards) EXPECT_EQ(ss.frames, kFrames);
+    EXPECT_EQ(rs.shard_retries + rs.shard_bypasses, 0u);
+  }
 }
 
 TEST(Runtime, CellCoherencePolicyReusesPreprocessingAndMatches) {
@@ -268,175 +304,200 @@ TEST(Runtime, CellCoherencePolicyReusesPreprocessingAndMatches) {
 // ------------------------------------------------------ backpressure: Block
 
 TEST(Runtime, BlockPolicyBlocksSubmitterUntilSlotFrees) {
-  fa::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.dispatchers = 0;  // deterministic: we pump with run_one()
-  rcfg.queue_capacity = 1;
-  rcfg.policy = fa::QueuePolicy::kBlock;
-  fa::Runtime rt(rcfg);
-  fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
-  const double nv = 0.05;
-  const Frame fr = make_frame(cell.constellation(), 2, 2, 4, 4, nv, 60);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 0;  // deterministic: we pump with run_one()
+    rcfg.queue_capacity = 1;
+    rcfg.policy = fa::QueuePolicy::kBlock;
+    fa::Runtime rt(sharded(rcfg, shards));
+    fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    const double nv = 0.05;
+    const Frame fr = make_frame(cell.constellation(), 2, 2, 16, 4, nv, 60);
 
-  fa::FrameTicket first = rt.submit(cell, job_of(fr, nv));  // fills the queue
-  std::atomic<bool> second_submitted{false};
-  fa::FrameTicket second;
-  std::thread submitter([&] {
-    second = rt.submit(cell, job_of(fr, nv));  // must block: queue is full
-    second_submitted.store(true);
-  });
+    fa::FrameTicket first = rt.submit(cell, job_of(fr, nv));  // fills queue
+    std::atomic<bool> second_submitted{false};
+    fa::FrameTicket second;
+    std::thread submitter([&] {
+      second = rt.submit(cell, job_of(fr, nv));  // must block: queue full
+      second_submitted.store(true);
+    });
 
-  // Give the submitter ample time to reach the blocking wait.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(second_submitted.load())
-      << "submit returned while the bounded queue was full";
+    // Give the submitter ample time to reach the blocking wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(second_submitted.load())
+        << "submit returned while the bounded queue was full";
 
-  ASSERT_TRUE(rt.run_one());  // frees the slot -> submitter unblocks
-  submitter.join();
-  EXPECT_TRUE(second_submitted.load());
-  ASSERT_TRUE(rt.run_one());
-  EXPECT_FALSE(rt.run_one());
+    ASSERT_TRUE(rt.run_one());  // frees the slot -> submitter unblocks
+    submitter.join();
+    EXPECT_TRUE(second_submitted.load());
+    ASSERT_TRUE(rt.run_one());
+    EXPECT_FALSE(rt.run_one());
 
-  EXPECT_EQ(first.wait(), fa::TicketStatus::kDone);
-  EXPECT_EQ(second.wait(), fa::TicketStatus::kDone);
-  const fa::RuntimeStats rs = rt.stats();
-  expect_consistent(rs);
-  EXPECT_EQ(rs.frames_out, 2u);
-  EXPECT_EQ(rs.frames_dropped, 0u);
+    EXPECT_EQ(first.wait(), fa::TicketStatus::kDone);
+    EXPECT_EQ(second.wait(), fa::TicketStatus::kDone);
+    const auto want = reference("flexcore-8", 16, fr, nv, shards);
+    expect_bit_identical(first.try_get()->results, want, "first");
+    expect_bit_identical(second.try_get()->results, want, "second");
+    const fa::RuntimeStats rs = rt.stats();
+    expect_consistent(rs);
+    EXPECT_EQ(rs.frames_out, 2u);
+    EXPECT_EQ(rs.frames_dropped, 0u);
+  }
 }
 
 // ------------------------------------------------- backpressure: DropNewest
 
 TEST(Runtime, DropNewestRejectsWhenSaturatedAndKeepsFifo) {
-  fa::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.dispatchers = 0;
-  rcfg.queue_capacity = 2;
-  rcfg.policy = fa::QueuePolicy::kDropNewest;
-  fa::Runtime rt(rcfg);
-  fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
-  const double nv = 0.05;
-  const Frame fr = make_frame(cell.constellation(), 2, 2, 4, 4, nv, 61);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 0;
+    rcfg.queue_capacity = 2;
+    rcfg.policy = fa::QueuePolicy::kDropNewest;
+    fa::Runtime rt(sharded(rcfg, shards));
+    fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    const double nv = 0.05;
+    const Frame fr = make_frame(cell.constellation(), 2, 2, 16, 4, nv, 61);
 
-  fa::FrameTicket a = rt.submit(cell, job_of(fr, nv));
-  fa::FrameTicket b = rt.submit(cell, job_of(fr, nv));
-  fa::FrameTicket c = rt.submit(cell, job_of(fr, nv));  // queue full -> shed
+    fa::FrameTicket a = rt.submit(cell, job_of(fr, nv));
+    fa::FrameTicket b = rt.submit(cell, job_of(fr, nv));
+    fa::FrameTicket c = rt.submit(cell, job_of(fr, nv));  // full -> shed
 
-  EXPECT_EQ(c.status(), fa::TicketStatus::kDropped);
-  EXPECT_EQ(c.wait(), fa::TicketStatus::kDropped);
-  EXPECT_EQ(c.try_get(), nullptr) << "dropped frames expose no result";
-  EXPECT_THROW(c.take(), std::logic_error);
+    EXPECT_EQ(c.status(), fa::TicketStatus::kDropped);
+    EXPECT_EQ(c.wait(), fa::TicketStatus::kDropped);
+    EXPECT_EQ(c.try_get(), nullptr) << "dropped frames expose no result";
+    EXPECT_THROW(c.take(), std::logic_error);
 
-  // The queued frames are untouched by the shed and complete FIFO.
-  while (rt.run_one()) {
+    // The queued frames are untouched by the shed and complete FIFO.
+    while (rt.run_one()) {
+    }
+    EXPECT_EQ(a.wait(), fa::TicketStatus::kDone);
+    EXPECT_EQ(b.wait(), fa::TicketStatus::kDone);
+    const auto want = reference("flexcore-8", 16, fr, nv, shards);
+    expect_bit_identical(a.try_get()->results, want, "kept a");
+    expect_bit_identical(b.try_get()->results, want, "kept b");
+
+    const fa::RuntimeStats rs = rt.stats();
+    expect_consistent(rs);
+    EXPECT_EQ(rs.frames_in, 3u);
+    EXPECT_EQ(rs.frames_out, 2u);
+    EXPECT_EQ(rs.frames_dropped, 1u);
+    // Dropped frames still consume a sequence number (admission order).
+    EXPECT_EQ(c.sequence(), 2u);
+    // The fronthaul runs before admission: the shed frame was preprocessed.
+    EXPECT_EQ(rs.stage(flexcore::obs::Stage::kShardPartialQr).count(),
+              shards > 1 ? 3u : 0u);
   }
-  EXPECT_EQ(a.wait(), fa::TicketStatus::kDone);
-  EXPECT_EQ(b.wait(), fa::TicketStatus::kDone);
-  expect_bit_identical(a.try_get()->results,
-                       sync_reference("flexcore-8", 16, fr, nv), "kept a");
-
-  const fa::RuntimeStats rs = rt.stats();
-  expect_consistent(rs);
-  EXPECT_EQ(rs.frames_in, 3u);
-  EXPECT_EQ(rs.frames_out, 2u);
-  EXPECT_EQ(rs.frames_dropped, 1u);
-  // Dropped frames still consume a sequence number (admission order).
-  EXPECT_EQ(c.sequence(), 2u);
 }
 
 // -------------------------------------------- backpressure: DeadlineExpire
 
 TEST(Runtime, DeadlineExpireAtDispatchNeverWritesResult) {
-  fa::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.dispatchers = 0;
-  rcfg.queue_capacity = 4;
-  rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
-  fa::Runtime rt(rcfg);
-  fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
-  const double nv = 0.05;
-  const Frame fr = make_frame(cell.constellation(), 2, 2, 4, 4, nv, 62);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 0;
+    rcfg.queue_capacity = 4;
+    rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
+    fa::Runtime rt(sharded(rcfg, shards));
+    fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    const double nv = 0.05;
+    const Frame fr = make_frame(cell.constellation(), 2, 2, 16, 4, nv, 62);
 
-  fa::FrameTicket stale = rt.submit(cell, job_of(fr, nv), /*deadline_us=*/1);
-  fa::FrameTicket fresh = rt.submit(cell, job_of(fr, nv));  // no deadline
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    fa::FrameTicket stale =
+        rt.submit(cell, job_of(fr, nv), /*deadline_us=*/1);
+    fa::FrameTicket fresh = rt.submit(cell, job_of(fr, nv));  // no deadline
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
-  ASSERT_TRUE(rt.run_one());  // dispatches `stale` -> expired, not detected
-  ASSERT_TRUE(rt.run_one());
-  EXPECT_FALSE(rt.run_one());
+    ASSERT_TRUE(rt.run_one());  // dispatches `stale` -> expired, not detected
+    ASSERT_TRUE(rt.run_one());
+    EXPECT_FALSE(rt.run_one());
 
-  EXPECT_EQ(stale.wait(), fa::TicketStatus::kExpired);
-  EXPECT_EQ(stale.try_get(), nullptr)
-      << "expired frames must never expose a partially-written result";
-  EXPECT_THROW(stale.take(), std::logic_error);
-  EXPECT_EQ(fresh.wait(), fa::TicketStatus::kDone);
-  expect_bit_identical(fresh.try_get()->results,
-                       sync_reference("flexcore-8", 16, fr, nv), "fresh");
+    EXPECT_EQ(stale.wait(), fa::TicketStatus::kExpired);
+    EXPECT_EQ(stale.try_get(), nullptr)
+        << "expired frames must never expose a partially-written result";
+    EXPECT_THROW(stale.take(), std::logic_error);
+    EXPECT_EQ(fresh.wait(), fa::TicketStatus::kDone);
+    expect_bit_identical(fresh.try_get()->results,
+                         reference("flexcore-8", 16, fr, nv, shards), "fresh");
 
-  const fa::RuntimeStats rs = rt.stats();
-  expect_consistent(rs);
-  EXPECT_EQ(rs.frames_expired, 1u);
-  EXPECT_EQ(rs.frames_out, 1u);
-  EXPECT_EQ(rs.latency_count, 1u) << "expired frames record no latency";
+    const fa::RuntimeStats rs = rt.stats();
+    expect_consistent(rs);
+    EXPECT_EQ(rs.frames_expired, 1u);
+    EXPECT_EQ(rs.frames_out, 1u);
+    EXPECT_EQ(rs.latency_count, 1u) << "expired frames record no latency";
+  }
 }
 
 TEST(Runtime, DeadlineExpireFreesQueueSpaceAtAdmission) {
-  fa::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.dispatchers = 0;
-  rcfg.queue_capacity = 2;
-  rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
-  fa::Runtime rt(rcfg);
-  fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
-  const double nv = 0.05;
-  const Frame fr = make_frame(cell.constellation(), 2, 2, 4, 4, nv, 63);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 0;
+    rcfg.queue_capacity = 2;
+    rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
+    fa::Runtime rt(sharded(rcfg, shards));
+    fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    const double nv = 0.05;
+    const Frame fr = make_frame(cell.constellation(), 2, 2, 16, 4, nv, 63);
 
-  // Fill the queue with short-deadline frames, let them go stale, then
-  // submit again: admission expires the stale pair instead of blocking.
-  fa::FrameTicket s1 = rt.submit(cell, job_of(fr, nv), 1);
-  fa::FrameTicket s2 = rt.submit(cell, job_of(fr, nv), 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fa::FrameTicket live = rt.submit(cell, job_of(fr, nv));
+    // Fill the queue with short-deadline frames, let them go stale, then
+    // submit again: admission expires the stale pair instead of blocking.
+    fa::FrameTicket s1 = rt.submit(cell, job_of(fr, nv), 1);
+    fa::FrameTicket s2 = rt.submit(cell, job_of(fr, nv), 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    fa::FrameTicket live = rt.submit(cell, job_of(fr, nv));
 
-  EXPECT_EQ(s1.status(), fa::TicketStatus::kExpired);
-  EXPECT_EQ(s2.status(), fa::TicketStatus::kExpired);
-  ASSERT_TRUE(rt.run_one());
-  EXPECT_EQ(live.wait(), fa::TicketStatus::kDone);
+    EXPECT_EQ(s1.status(), fa::TicketStatus::kExpired);
+    EXPECT_EQ(s2.status(), fa::TicketStatus::kExpired);
+    ASSERT_TRUE(rt.run_one());
+    EXPECT_EQ(live.wait(), fa::TicketStatus::kDone);
+    expect_bit_identical(live.try_get()->results,
+                         reference("flexcore-8", 16, fr, nv, shards), "live");
 
-  const fa::RuntimeStats rs = rt.stats();
-  expect_consistent(rs);
-  EXPECT_EQ(rs.frames_in, 3u);
-  EXPECT_EQ(rs.frames_expired, 2u);
-  EXPECT_EQ(rs.frames_out, 1u);
+    const fa::RuntimeStats rs = rt.stats();
+    expect_consistent(rs);
+    EXPECT_EQ(rs.frames_in, 3u);
+    EXPECT_EQ(rs.frames_expired, 2u);
+    EXPECT_EQ(rs.frames_out, 1u);
+  }
 }
 
 TEST(Runtime, DeadlineExpireFullQueueWaitsForStalenessNotForever) {
   // Regression: with a full queue whose frames are not YET stale, submit
   // must sleep until the earliest queued deadline and then expire it —
   // not block forever (in poll mode nobody else would ever wake it).
-  fa::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.dispatchers = 0;  // poll mode: the submitting thread is alone
-  rcfg.queue_capacity = 1;
-  rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
-  fa::Runtime rt(rcfg);
-  fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
-  const double nv = 0.05;
-  const Frame fr = make_frame(cell.constellation(), 2, 2, 4, 4, nv, 64);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 0;  // poll mode: the submitting thread is alone
+    rcfg.queue_capacity = 1;
+    rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
+    fa::Runtime rt(sharded(rcfg, shards));
+    fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    const double nv = 0.05;
+    const Frame fr = make_frame(cell.constellation(), 2, 2, 16, 4, nv, 64);
 
-  fa::FrameTicket stale =
-      rt.submit(cell, job_of(fr, nv), /*deadline_us=*/20000);
-  // Queue is full and `stale` is 20ms from its deadline: this call must
-  // wait ~20ms, expire it, and admit the new frame on the same thread.
-  fa::FrameTicket live = rt.submit(cell, job_of(fr, nv));
+    fa::FrameTicket stale =
+        rt.submit(cell, job_of(fr, nv), /*deadline_us=*/20000);
+    // Queue is full and `stale` is 20ms from its deadline: this call must
+    // wait ~20ms, expire it, and admit the new frame on the same thread.
+    fa::FrameTicket live = rt.submit(cell, job_of(fr, nv));
 
-  EXPECT_EQ(stale.status(), fa::TicketStatus::kExpired);
-  ASSERT_TRUE(rt.run_one());
-  EXPECT_EQ(live.wait(), fa::TicketStatus::kDone);
-  const fa::RuntimeStats rs = rt.stats();
-  expect_consistent(rs);
-  EXPECT_EQ(rs.frames_expired, 1u);
-  EXPECT_EQ(rs.frames_out, 1u);
+    EXPECT_EQ(stale.status(), fa::TicketStatus::kExpired);
+    ASSERT_TRUE(rt.run_one());
+    EXPECT_EQ(live.wait(), fa::TicketStatus::kDone);
+    const fa::RuntimeStats rs = rt.stats();
+    expect_consistent(rs);
+    EXPECT_EQ(rs.frames_expired, 1u);
+    EXPECT_EQ(rs.frames_out, 1u);
+  }
 }
 
 // -------------------------------------------------------- drain + lifecycle
@@ -662,7 +723,7 @@ TEST(Runtime, WatchdogDegradesOnBadBurstsAndRecovers) {
 TEST(LatencyHistogram, BucketsAndQuantiles) {
   fa::LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile_us(0.5), 0.0);
+  EXPECT_EQ(h.quantile_interp_us(0.5), 0.0);
 
   // 0.5us -> bucket 0; 1.5 -> [1,2); 3 -> [2,4); 1000 -> [512,1024).
   h.record(0.5);
@@ -675,18 +736,28 @@ TEST(LatencyHistogram, BucketsAndQuantiles) {
   EXPECT_EQ(fa::LatencyHistogram::bucket_of(3.0), 2u);
   EXPECT_EQ(fa::LatencyHistogram::bucket_of(1000.0), 10u);
 
-  // Quantiles report the conservative upper bucket edge.
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.0), 1.0);    // first sample's bucket
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.25), 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.75), 4.0);
-  EXPECT_DOUBLE_EQ(h.quantile_us(1.0), 1024.0);
+  // One sample per bucket: each rank lands on its bucket's upper edge.
+  EXPECT_DOUBLE_EQ(h.quantile_interp_us(0.0), 1.0);  // first sample's bucket
+  EXPECT_DOUBLE_EQ(h.quantile_interp_us(0.25), 1.0);
+  EXPECT_DOUBLE_EQ(h.quantile_interp_us(0.5), 2.0);
+  EXPECT_DOUBLE_EQ(h.quantile_interp_us(0.75), 4.0);
+  EXPECT_DOUBLE_EQ(h.quantile_interp_us(1.0), 1024.0);
   EXPECT_DOUBLE_EQ(h.mean_us(), (0.5 + 1.5 + 3.0 + 1000.0) / 4.0);
 
-  // Monstrous samples land in the open-ended last bucket.
+  // Two samples in [512, 1024): the lower rank interpolates halfway.
+  fa::LatencyHistogram pair;
+  pair.record(600.0);
+  pair.record(700.0);
+  EXPECT_DOUBLE_EQ(pair.quantile_interp_us(0.5), 768.0);
+  EXPECT_DOUBLE_EQ(pair.quantile_interp_us(1.0), 1024.0);
+
+  // Monstrous samples land in the open-ended last bucket, whose upper edge
+  // is taken as twice its lower one.
   fa::LatencyHistogram big;
   big.record(1e30);
   EXPECT_EQ(fa::LatencyHistogram::bucket_of(1e30),
             fa::LatencyHistogram::kBuckets - 1);
-  EXPECT_GT(big.quantile_us(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(big.quantile_interp_us(0.5),
+                   2.0 * fa::LatencyHistogram::upper_edge_us(
+                             fa::LatencyHistogram::kBuckets - 2));
 }

@@ -1,9 +1,10 @@
 // Tests for the decentralized baseband layer: shard::plan_shards /
-// shard::compute_partial / the partial-QR feedforward merge, and
-// api::ShardedRuntime — merge equivalence against the monolithic QR
-// (property-tested over random channels for all three detector families),
-// the C=1 bit-identity bypass, rank-deficient clusters, and the per-shard
-// RuntimeStats counters.
+// shard::compute_partial / the partial-QR feedforward merge, and the shard
+// fabric in front of api::Runtime (RuntimeConfig::shards) — merge
+// equivalence against the monolithic QR (property-tested over random
+// channels for all three detector families), the single-cluster
+// pass-through, rank-deficient clusters, and the per-shard RuntimeStats
+// counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +20,6 @@
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
 #include "shard/partial_qr.h"
-#include "shard/sharded_runtime.h"
 
 namespace fa = flexcore::api;
 namespace fd = flexcore::detect;
@@ -310,7 +310,7 @@ TEST(FrameJobValidation, RejectsUnderDeterminedAndMismatchedAntennas) {
   }
 }
 
-// -------------------------------------------------------- ShardedRuntime
+// -------------------------------------------------------- sharded Runtime
 
 namespace {
 
@@ -327,63 +327,39 @@ std::vector<fd::DetectionResult> sync_reference(const std::string& spec,
 
 }  // namespace
 
-TEST(ShardedRuntime, SingleShardIsBitIdenticalToMonolithicRuntime) {
-  // The C=1 bypass: the multi-cell FIFO/stress scenario of runtime_test,
-  // run on a ShardedRuntime with one shard — every result bit-identical to
-  // the synchronous reference (hence to the monolithic runtime, whose own
-  // bit-identity the runtime suite pins).
-  constexpr std::size_t kCells = 3;
-  constexpr std::size_t kFramesPerCell = 4;
-  const char* specs[kCells] = {"flexcore-8", "a-flexcore-12", "fcsd-L1"};
-
-  fa::ShardedRuntimeConfig scfg;
-  scfg.shards = 1;
-  scfg.threads_per_shard = 1;
-  scfg.runtime.threads = 3;
-  scfg.runtime.dispatchers = 2;
-  scfg.runtime.queue_capacity = 8;
-  fa::ShardedRuntime rt(scfg);
-
+TEST(ShardFabric, SingleClusterFramesPassThroughBitIdentical) {
+  // shards = 1 builds no fabric at all; with shards = 4, frames with ONE
+  // antenna row leave a single cluster and skip the stage.  Either way the
+  // caller's job is admitted verbatim — results bit-identical to the
+  // synchronous reference, and the fabric's counters stay untouched.
   const double nv = ch::noise_var_for_snr_db(12.0);
-  std::vector<fa::Cell*> cells;
-  std::vector<std::vector<Frame>> frames(kCells);
-  for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
-    cells.push_back(&rt.open_cell({.detector = specs[cidx], .qam_order = 16}));
-    for (std::size_t i = 0; i < kFramesPerCell; ++i) {
-      frames[cidx].push_back(make_frame(cells[cidx]->constellation(), 4, 3, 6,
-                                        4, nv, 300 + 13 * cidx + i));
-    }
-  }
+  const Constellation qam(16);
+  const Frame fr = make_frame(qam, 4, 3, 1, 1, nv, 300);
 
-  std::vector<std::vector<fa::FrameTicket>> tickets(kCells);
-  for (std::size_t i = 0; i < kFramesPerCell; ++i) {
-    for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
-      tickets[cidx].push_back(
-          rt.submit(*cells[cidx], job_of(frames[cidx][i], nv)));
-    }
-  }
-  rt.drain();
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    fa::RuntimeConfig rcfg;
+    rcfg.shards = shards;
+    rcfg.threads_per_shard = 1;
+    rcfg.threads = 2;
+    rcfg.dispatchers = 1;
+    fa::Runtime rt(rcfg);
+    fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    fa::FrameTicket t = rt.submit(cell, job_of(fr, nv));
+    ASSERT_EQ(t.wait(), fa::TicketStatus::kDone);
+    expect_bit_identical(t.try_get()->results,
+                         sync_reference("flexcore-8", 16, fr, nv), "pass");
 
-  for (std::size_t cidx = 0; cidx < kCells; ++cidx) {
-    for (std::size_t i = 0; i < kFramesPerCell; ++i) {
-      ASSERT_EQ(tickets[cidx][i].wait(), fa::TicketStatus::kDone);
-      EXPECT_EQ(tickets[cidx][i].sequence(), i) << "per-cell FIFO order";
-      const fa::FrameResult* r = tickets[cidx][i].try_get();
-      ASSERT_NE(r, nullptr);
-      expect_bit_identical(
-          r->results, sync_reference(specs[cidx], 16, frames[cidx][i], nv),
-          specs[cidx]);
+    const fa::RuntimeStats rs = rt.stats();
+    EXPECT_EQ(rs.shards.size(), shards == 1 ? 0u : shards);
+    for (const fa::ShardStats& ss : rs.shards) {
+      EXPECT_EQ(ss.frames, 0u) << "a single cluster never reaches the fabric";
     }
+    EXPECT_EQ(rs.stage(flexcore::obs::Stage::kShardPartialQr).count(), 0u);
   }
-
-  const fa::RuntimeStats rs = rt.stats();
-  EXPECT_EQ(rs.frames_out, kCells * kFramesPerCell);
-  ASSERT_EQ(rs.shards.size(), 1u);
-  EXPECT_EQ(rs.shards[0].frames, 0u)
-      << "the C=1 bypass must never reach the shard stage";
 }
 
-TEST(ShardedRuntime, MultiShardMatchesMonolithicSymbolsAndCounters) {
+TEST(ShardFabric, MultiShardMatchesMonolithicSymbolsAndCounters) {
   // C in {2, 4} against the monolithic runtime on the same frames: same
   // detected symbols, metrics within the merge tolerance, and per-shard
   // counters consistent with the tickets.
@@ -403,11 +379,10 @@ TEST(ShardedRuntime, MultiShardMatchesMonolithicSymbolsAndCounters) {
     fa::Cell& mono_cell =
         mono.open_cell({.detector = "flexcore-16", .qam_order = 16});
 
-    fa::ShardedRuntimeConfig scfg;
+    fa::RuntimeConfig scfg = mono_cfg;
     scfg.shards = shards;
     scfg.threads_per_shard = 2;
-    scfg.runtime = mono_cfg;
-    fa::ShardedRuntime rt(scfg);
+    fa::Runtime rt(scfg);
     fa::Cell& cell = rt.open_cell({.detector = "flexcore-16", .qam_order = 16});
 
     std::vector<Frame> frames;
@@ -455,17 +430,17 @@ TEST(ShardedRuntime, MultiShardMatchesMonolithicSymbolsAndCounters) {
   }
 }
 
-TEST(ShardedRuntime, PollModeAndDeadlinesComposeWithShardStage) {
+TEST(ShardFabric, PollModeAndDeadlinesComposeWithShardStage) {
   // dispatchers == 0: the shard stage runs in submit, detection is pumped
   // by run_one(); a generous deadline survives the shard-stage deduction.
-  fa::ShardedRuntimeConfig scfg;
-  scfg.shards = 2;
-  scfg.threads_per_shard = 1;
-  scfg.runtime.threads = 1;
-  scfg.runtime.dispatchers = 0;
-  scfg.runtime.queue_capacity = 4;
-  scfg.runtime.policy = fa::QueuePolicy::kDeadlineExpire;
-  fa::ShardedRuntime rt(scfg);
+  fa::RuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.threads_per_shard = 1;
+  rcfg.threads = 1;
+  rcfg.dispatchers = 0;
+  rcfg.queue_capacity = 4;
+  rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
+  fa::Runtime rt(rcfg);
   fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
   const double nv = 0.05;
   const Frame fr = make_frame(cell.constellation(), 3, 2, 8, 4, nv, 510);
@@ -483,11 +458,11 @@ TEST(ShardedRuntime, PollModeAndDeadlinesComposeWithShardStage) {
   EXPECT_EQ(rs.frames_out, 1u);
 }
 
-TEST(ShardedRuntime, ValidatesJobsBeforeTheShardStage) {
-  fa::ShardedRuntimeConfig scfg;
-  scfg.shards = 2;
-  scfg.runtime.dispatchers = 0;
-  fa::ShardedRuntime rt(scfg);
+TEST(ShardFabric, ValidatesJobsBeforeTheShardStage) {
+  fa::RuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.dispatchers = 0;
+  fa::Runtime rt(rcfg);
   fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
   const Frame fr = make_frame(cell.constellation(), 2, 2, 6, 4, 0.05, 520);
 

@@ -89,7 +89,7 @@ TEST(Soak, DeadShardFabricBypassesEveryFrameAndStaysDone) {
   cfg.frames_per_cell = 2;
   cfg.reconfig_cycle = {"flexcore-8"};
   cfg.seed = 93;
-  cfg.shards = 2;
+  cfg.runtime.shards = 2;
   cfg.runtime.threads = 2;
   cfg.runtime.dispatchers = 1;
   cfg.runtime.admission_scan = false;

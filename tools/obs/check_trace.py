@@ -1,16 +1,5 @@
 #!/usr/bin/env python3
-"""CI checks for the flight-recorder observability subsystem.
-
-Two subcommands:
-
-  validate <trace.json> [--min-events N] [--expect-track NAME ...]
-      Structural validation of a Chrome trace-event file exported by
-      obs::export_chrome_trace: traceEvents array, known phases only,
-      complete events with non-negative durations, thread_name metadata
-      covering every tid that carries events, per-tid timestamps sorted
-      (the exporter emits them sorted), and stage names drawn from the
-      obs::Stage taxonomy.  --expect-track asserts a named track exists
-      (e.g. shard0/shard1 for the sharded bench).
+"""CI throughput gate for the flight-recorder observability subsystem.
 
   compare --baseline a1.json [a2.json ...] --candidate b1.json [...]
       Throughput gate between BENCH_*.json files (same bench, same
@@ -22,6 +11,8 @@ Two subcommands:
       more than any real tracing overhead, and best-of-N only damps
       noise — it cannot hide a systematic regression.
 
+Trace validation lives in the C++ tool: `trace_dump --validate`.
+
 Exit code 0 on success, 1 on any failed check.
 """
 import argparse
@@ -29,64 +20,10 @@ import json
 import math
 import sys
 
-STAGES = {
-    "submit", "queue-wait", "shard-partial-qr", "preprocess", "path-grid",
-    "reconstruct", "complete", "control",
-}
-
 
 def fail(msg):
     print(f"FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def validate(args):
-    with open(args.trace) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        fail("top level is not an object")
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        fail('missing "traceEvents" array')
-
-    tracks = {}     # tid -> name
-    last_ts = {}    # tid -> last seen ts
-    counts = {"M": 0, "X": 0, "i": 0}
-    for ev in events:
-        ph = ev.get("ph")
-        if ph not in counts:
-            fail(f"unexpected phase {ph!r} in {ev}")
-        counts[ph] += 1
-        if ph == "M":
-            if ev.get("name") == "thread_name":
-                tracks[ev.get("tid")] = ev.get("args", {}).get("name")
-            continue
-        name, ts, tid = ev.get("name"), ev.get("ts"), ev.get("tid")
-        if not isinstance(name, str) or not isinstance(ts, (int, float)):
-            fail(f"X/i event missing name or ts: {ev}")
-        if name not in STAGES:
-            fail(f"unknown stage name {name!r}")
-        if tid in last_ts and ts < last_ts[tid]:
-            fail(f"timestamps not sorted on tid {tid}")
-        last_ts[tid] = ts
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                fail(f"X event with bad dur: {ev}")
-        if tid not in tracks:
-            # Metadata is emitted before events; a tid seen first in an
-            # event was never named.
-            fail(f"tid {tid} carries events but has no thread_name")
-
-    total = counts["X"] + counts["i"]
-    if total < args.min_events:
-        fail(f"only {total} span events (expected >= {args.min_events})")
-    names = set(tracks.values())
-    for want in args.expect_track or []:
-        if want not in names:
-            fail(f"expected track {want!r}; have {sorted(names)}")
-    print(f"OK: {total} span events on {len(tracks)} tracks "
-          f"({counts['X']} complete, {counts['i']} instant)")
 
 
 def geomean_vps(path, field):
@@ -125,12 +62,6 @@ def compare(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    v = sub.add_parser("validate")
-    v.add_argument("trace")
-    v.add_argument("--min-events", type=int, default=1)
-    v.add_argument("--expect-track", action="append", default=[])
-    v.set_defaults(func=validate)
 
     c = sub.add_parser("compare")
     c.add_argument("--baseline", nargs="+", required=True)

@@ -2,9 +2,13 @@
 // obs::export_chrome_trace (fig15/fig18 FLEXCORE_TRACE_OUT, tests).
 //
 //   trace_dump <trace.json>            per-stage & per-track summary table
-//   trace_dump --validate <trace.json> structural checks only, exit 0/1
+//   trace_dump --validate <trace.json> checks only, exit 0/1
 //   trace_dump --self-test             record a synthetic trace through the
-//                                      obs API, export, re-parse, validate
+//                                      obs API, export, re-parse, validate;
+//                                      then feed the validator broken traces
+//
+//   --min-events N       at least N span events (ph "X" + "i")
+//   --expect-track NAME  a track named NAME exists (repeatable)
 //
 // Validation (what CI's obs-smoke job relies on):
 //   * top level is an object with a "traceEvents" array
@@ -12,6 +16,9 @@
 //   * ph:"X" events carry name/ts/dur (numbers, dur >= 0) and pid/tid
 //   * ph:"M" thread_name metadata names every tid used by an X/i event
 //   * per tid, X events sorted by ts (the exporter emits them sorted)
+//   * spans of the flight recorder (cat "flexcore") are named after an
+//     obs::Stage; spans other writers add keep their own names
+//   * the --min-events / --expect-track expectations
 //
 // The JSON parser below is deliberately minimal (objects, arrays, strings
 // with escapes, numbers, true/false/null) — enough for the trace format,
@@ -223,6 +230,20 @@ struct TraceReport {
   std::map<std::string, std::size_t> per_track;  ///< tid -> event count
 };
 
+/// What the caller expects of a trace beyond its structure.
+struct Expectations {
+  std::size_t min_events = 0;       ///< --min-events
+  std::vector<std::string> tracks;  ///< --expect-track
+};
+
+bool is_stage_name(const std::string& name) {
+  namespace obs = flexcore::obs;
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    if (name == obs::to_string(static_cast<obs::Stage>(s))) return true;
+  }
+  return false;
+}
+
 std::string tid_key(const JsonValue& ev) {
   const JsonValue* tid = ev.find("tid");
   if (tid == nullptr) return "?";
@@ -273,6 +294,12 @@ bool analyze(const JsonValue& root, TraceReport* report, std::string* error) {
     if (name == nullptr || name->type != JsonValue::Type::kString ||
         ts == nullptr || ts->type != JsonValue::Type::kNumber) {
       *error = "X/i event missing name or ts";
+      return false;
+    }
+    const JsonValue* cat = ev.find("cat");
+    if (cat != nullptr && cat->str == "flexcore" &&
+        !is_stage_name(name->str)) {
+      *error = "unknown stage name \"" + name->str + "\"";
       return false;
     }
     ++report->per_track[tid];
@@ -332,11 +359,32 @@ void print_summary(const TraceReport& report) {
   }
 }
 
-bool validate_text(const std::string& text, TraceReport* report,
-                   std::string* error) {
+bool meets(const TraceReport& report, const Expectations& want,
+           std::string* error) {
+  const std::size_t spans = report.complete + report.instants;
+  if (spans < want.min_events) {
+    *error = "only " + std::to_string(spans) + " span events (expected >= " +
+             std::to_string(want.min_events) + ")";
+    return false;
+  }
+  for (const std::string& track : want.tracks) {
+    const bool found = std::any_of(
+        report.track_names.begin(), report.track_names.end(),
+        [&](const auto& named) { return named.second == track; });
+    if (!found) {
+      *error = "no track named \"" + track + "\"";
+      return false;
+    }
+  }
+  return true;
+}
+
+bool validate_text(const std::string& text, const Expectations& want,
+                   TraceReport* report, std::string* error) {
   JsonValue root;
   JsonParser parser(text);
-  return parser.parse(&root, error) && analyze(root, report, error);
+  return parser.parse(&root, error) && analyze(root, report, error) &&
+         meets(*report, want, error);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +416,8 @@ int self_test() {
   const std::string json = obs::chrome_trace_json();
   TraceReport report;
   std::string error;
-  if (!validate_text(json, &report, &error)) {
+  const Expectations want{.min_events = 4, .tracks = {"driver", "worker"}};
+  if (!validate_text(json, want, &report, &error)) {
     std::fprintf(stderr, "self-test: invalid trace: %s\n", error.c_str());
     return 1;
   }
@@ -385,6 +434,28 @@ int self_test() {
     std::fprintf(stderr, "self-test: unexpected trace contents:\n%s\n",
                  json.c_str());
     return 1;
+  }
+  // Every check must also reject what it exists to catch.
+  std::string renamed = json;
+  const std::size_t at = renamed.find("\"path-grid\"");
+  renamed.replace(at, std::strlen("\"path-grid\""), "\"bogus-stage\"");
+  const struct {
+    const char* what;
+    const std::string& text;
+    Expectations want;
+  } broken[] = {
+      {"an unknown stage", renamed, {}},
+      {"a missing track", json, {.tracks = {"shard7"}}},
+      {"too few events", json, {.min_events = 5}},
+  };
+  for (const auto& bad : broken) {
+    TraceReport r;
+    std::string why;
+    if (validate_text(bad.text, bad.want, &r, &why)) {
+      std::fprintf(stderr, "self-test: accepted %s\n", bad.what);
+      return 1;
+    }
+    std::printf("self-test: rejects %s (%s)\n", bad.what, why.c_str());
   }
   print_summary(report);
   std::printf("\nself-test: PASS\n");
@@ -407,10 +478,16 @@ bool read_file(const char* path, std::string* out) {
 int main(int argc, char** argv) {
   bool validate_only = false;
   const char* path = nullptr;
+  Expectations want;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--self-test") == 0) return self_test();
+    const bool has_value = i + 1 < argc;
     if (std::strcmp(argv[i], "--validate") == 0) {
       validate_only = true;
+    } else if (std::strcmp(argv[i], "--min-events") == 0 && has_value) {
+      want.min_events = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--expect-track") == 0 && has_value) {
+      want.tracks.emplace_back(argv[++i]);
     } else if (path == nullptr) {
       path = argv[i];
     } else {
@@ -420,7 +497,8 @@ int main(int argc, char** argv) {
   }
   if (path == nullptr) {
     std::fprintf(stderr,
-                 "usage: trace_dump [--validate] <trace.json>\n"
+                 "usage: trace_dump [--validate] [--min-events N] "
+                 "[--expect-track NAME]... <trace.json>\n"
                  "       trace_dump --self-test\n");
     return 2;
   }
@@ -431,7 +509,7 @@ int main(int argc, char** argv) {
   }
   TraceReport report;
   std::string error;
-  if (!validate_text(text, &report, &error)) {
+  if (!validate_text(text, want, &report, &error)) {
     std::fprintf(stderr, "%s: INVALID: %s\n", path, error.c_str());
     return 1;
   }
