@@ -35,6 +35,7 @@
 #include "core/flexcore_detector.h"
 #include "detect/fcsd.h"
 #include "detect/path_grid.h"
+#include "detect/path_kernels.h"
 #include "parallel/thread_pool.h"
 #include "reference_walk.h"
 
@@ -105,9 +106,13 @@ double scan_block(const D& det, const std::vector<fl::CVec>& ybars,
 
 /// One scalar + three block rows for a (detector, MIMO size) sweep point —
 /// the single place that defines the BENCH_kernels.json timing-row schema.
+/// `flops_per_path` is the plan's Table 2 count of one walk
+/// (PathPlan::walk_stats), the same work in every tier, so `gflops` is
+/// the work rate each kernel achieves on it; `isa` is the dispatched
+/// kernel copy (detect::kernel_isa) the block rows ran.
 void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
-               std::size_t paths, const Timing& scalar, const Timing& blk64,
-               const Timing& blk32, const Timing& blk16) {
+               std::size_t paths, double flops_per_path, const Timing& scalar,
+               const Timing& blk64, const Timing& blk32, const Timing& blk16) {
   const struct {
     const char* kernel;
     const char* precision;
@@ -124,8 +129,11 @@ void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
         .field("paths", paths)
         .field("kernel", r.kernel)
         .field("precision", r.precision)
+        .field("isa", fd::kernel_isa())
         .field("ns_per_path", r.ns)
-        .field("speedup_vs_scalar", scalar.ns_per_path / r.ns);
+        .field("speedup_vs_scalar", scalar.ns_per_path / r.ns)
+        .field("flops_per_path", flops_per_path)
+        .field("gflops", flops_per_path / r.ns);
   }
 }
 
@@ -158,11 +166,11 @@ int main() {
   fb::BenchJson json("kernels");
   fb::banner("Fig. 17: lane-parallel kernel engine vs scalar path loop");
   std::printf("(64-QAM, flexcore-128, %zu vectors, best of %d, single "
-              "thread)\n\n",
-              nvec, reps);
-  std::printf("%-6s %-8s %-15s %-12s %-12s %-12s %-10s\n", "MIMO", "paths",
-              "scalar ns/path", "block fp64", "block fp32", "block i16",
-              "speedup");
+              "thread, kernel copy %s)\n\n",
+              nvec, reps, fd::kernel_isa());
+  std::printf("%-6s %-8s %-15s %-12s %-12s %-12s %-12s %-11s %-10s\n", "MIMO",
+              "paths", "scalar ns/path", "block fp64", "block fp32",
+              "block i16", "speedup", "flops/path", "fp64 GFLOP/s");
   fb::rule();
 
   bool gate_seen = false;
@@ -196,10 +204,8 @@ int main() {
         walks, reps, [&] { return scan_block(*det32, ybars, paths); });
     const Timing blk16 = time_kernel(
         walks, reps, [&] { return scan_block(*det16, ybars, paths); });
-    // Relative tolerance, not bit equality: tests/kernel_test.cpp proves
-    // bitwise identity at the portable default flags; under
-    // FLEXCORE_NATIVE_ARCH, FMA contraction may legitimately move the
-    // split kernels by ULPs relative to the scalar libcall path.
+    // A sanity check of the timed scans only: tests/kernel_test.cpp proves
+    // the plan bitwise equal to the reference walk in every ISA copy.
     const double drift = std::fabs(blk64.checksum - scalar.checksum);
     if (drift > 1e-9 * std::fabs(scalar.checksum)) {
       std::fprintf(stderr,
@@ -222,11 +228,18 @@ int main() {
 
     const double speedup64 = scalar.ns_per_path / blk64.ns_per_path;
     const double speedup16 = scalar.ns_per_path / blk16.ns_per_path;
-    std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %-12.2f "
-                "%.2fx/%.2fx\n",
+    const double flops =
+        static_cast<double>(det64->plan().walk_stats(1).flops);
+    char speedups[32];
+    std::snprintf(speedups, sizeof speedups, "%.2fx/%.2fx", speedup64,
+                  speedup16);
+    std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %-12.2f %-12s "
+                "%-11.0f %.2f\n",
                 nt, nt, paths, scalar.ns_per_path, blk64.ns_per_path,
-                blk32.ns_per_path, blk16.ns_per_path, speedup64, speedup16);
-    emit_rows(json, "flexcore-128", nt, paths, scalar, blk64, blk32, blk16);
+                blk32.ns_per_path, blk16.ns_per_path, speedups, flops,
+                flops / blk64.ns_per_path);
+    emit_rows(json, "flexcore-128", nt, paths, flops, scalar, blk64, blk32,
+              blk16);
 
     if (nt == 12) {
       gate_seen = true;
@@ -294,12 +307,17 @@ int main() {
         walks, reps, [&] { return scan_block(fcsd32, ybars, paths); });
     const Timing blk16 = time_kernel(
         walks, reps, [&] { return scan_block(fcsd16, ybars, paths); });
+    const double flops =
+        static_cast<double>(fcsd64.plan().walk_stats(1).flops);
     std::printf("\nfcsd-L1 12x12: scalar %.2f ns/path, block fp64 %.2f "
-                "(%.2fx), block fp32 %.2f, block i16 %.2f\n",
+                "(%.2fx, %.0f flops/path, %.2f GFLOP/s), block fp32 %.2f, "
+                "block i16 %.2f\n",
                 scalar.ns_per_path, blk64.ns_per_path,
-                scalar.ns_per_path / blk64.ns_per_path, blk32.ns_per_path,
+                scalar.ns_per_path / blk64.ns_per_path, flops,
+                flops / blk64.ns_per_path, blk32.ns_per_path,
                 blk16.ns_per_path);
-    emit_rows(json, "fcsd-L1", nt, paths, scalar, blk64, blk32, blk16);
+    emit_rows(json, "fcsd-L1", nt, paths, flops, scalar, blk64, blk32,
+              blk16);
   }
 
   // --- end-to-end SER gate of the quantized tier ---------------------------

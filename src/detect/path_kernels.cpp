@@ -6,12 +6,16 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <complex>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "perfmodel/fixed_point.h"
 
@@ -102,22 +106,27 @@ void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
     }
   }
 
-  // Rank-1 uniformity flags: a most-promising path set is rank 1 at almost
-  // every (path, level), and the LUT's first entry is the slicer center
-  // itself (offset (0,0), invariant under all 8 transforms).  Where a whole
-  // block agrees, the kernel skips the residual/triangle math and the table
-  // gather entirely — only when the base order really starts at the center,
-  // which compile verifies rather than assumes.
-  all_rank_one_.assign(nb * nt_, 0);
+  // Per-lane fix masks, one byte per (block, level): bit l is set when
+  // lane l must take the triangle-LUT path there.  A most-promising path
+  // set is rank 1 at almost every (path, level), and the LUT's first entry
+  // is the slicer center itself (offset (0,0), invariant under all 8
+  // transforms), so a rank-1 lane's decision is the rounded center the
+  // walk slices in the lanes — only when the base order really starts at
+  // the center, which compile verifies rather than assumes.  Only the LUT
+  // mode reads the masks.
+  static_assert(kLanes <= 8, "one fix-mask byte per (block, level)");
+  fix_.assign(nb * nt_, 0);
   const auto& base0 = lut.base_order().front();
-  if (mode_ == Mode::kLutRank && base0.di == 0 && base0.dq == 0) {
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t i = 0; i < nt_; ++i) {
-        const std::int32_t* lane = ranks_.data() + (b * nt_ + i) * kLanes;
-        bool all_one = true;
-        for (std::size_t l = 0; l < kLanes; ++l) all_one &= lane[l] == 1;
-        all_rank_one_[b * nt_ + i] = all_one;
+  const bool center_first =
+      mode_ == Mode::kLutRank && base0.di == 0 && base0.dq == 0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t i = 0; i < nt_; ++i) {
+      const std::int32_t* lane = ranks_.data() + (b * nt_ + i) * kLanes;
+      unsigned m = 0;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (!center_first || lane[l] != 1) m |= 1u << l;
       }
+      fix_[b * nt_ + i] = static_cast<std::uint8_t>(m);
     }
   }
 
@@ -159,6 +168,7 @@ void PathPlanT<T>::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   full_levels_ = full_levels;
   lut_ = nullptr;
   ranks_.clear();
+  fix_.clear();
   powq_.resize(full_levels);
   num_paths_ = 1;
   for (std::size_t d = 0; d < full_levels; ++d) {
@@ -170,11 +180,11 @@ void PathPlanT<T>::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
 namespace {
 
 /// Round to nearest, ties away from zero — std::lround's rule — as
-/// branch-light, auto-vectorizable arithmetic (no libm call).  Matches
-/// lround bit-for-bit on every value the detectors can produce: the 1e9
-/// clamp only engages for effective points astronomically far outside any
-/// constellation, where both implementations land on an out-of-range axis
-/// index and the entry deactivates either way.
+/// branch-light arithmetic (no libm call).  Matches lround bit-for-bit on
+/// every value the detectors can produce: the 1e9 clamp only engages for
+/// effective points astronomically far outside any constellation, where
+/// both implementations land on an out-of-range axis index and the entry
+/// deactivates either way.  The fp walk's lane form is fround_half_away.
 inline int round_half_away(double a) noexcept {
   // !(a < 1e9) also catches NaN (a rank-deficient channel propagates NaN
   // through 1/R(i,i)): it folds to the upper clamp — defined behavior,
@@ -186,247 +196,282 @@ inline int round_half_away(double a) noexcept {
   return t + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
 }
 
-// The lane-block register type of the kernel.  GCC/Clang vector extensions
-// pin the codegen: element-wise IEEE ops on kLanes-wide values, lowered to
-// whatever SIMD width the target has — no auto-vectorizer guesswork (the
-// loop vectorizer likes to fuse the j-recurrence across iterations, which
-// costs a storm of cross-lane shuffles).  Element-wise semantics are
-// identical to the scalar formulas, so bit-identity is untouched.  The
-// fallback struct keeps other compilers correct, just slower.
-#if defined(__GNUC__) || defined(__clang__)
-template <typename T, std::size_t N>
-struct LaneVecOf {
-  typedef T type __attribute__((vector_size(sizeof(T) * N)));
-};
-#else
-template <typename T, std::size_t N>
-struct LaneVecFallback {
-  T v[N];
-  T operator[](std::size_t i) const { return v[i]; }
-  T& operator[](std::size_t i) { return v[i]; }
-  friend LaneVecFallback operator*(const LaneVecFallback& a,
-                                   const LaneVecFallback& b) {
-    LaneVecFallback r;
-    for (std::size_t i = 0; i < N; ++i) r.v[i] = a.v[i] * b.v[i];
-    return r;
-  }
-  friend LaneVecFallback operator+(const LaneVecFallback& a,
-                                   const LaneVecFallback& b) {
-    LaneVecFallback r;
-    for (std::size_t i = 0; i < N; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-  }
-  friend LaneVecFallback operator-(const LaneVecFallback& a,
-                                   const LaneVecFallback& b) {
-    LaneVecFallback r;
-    for (std::size_t i = 0; i < N; ++i) r.v[i] = a.v[i] - b.v[i];
-    return r;
-  }
-  LaneVecFallback& operator-=(const LaneVecFallback& o) {
-    for (std::size_t i = 0; i < N; ++i) v[i] -= o.v[i];
-    return *this;
-  }
-};
-template <typename T, std::size_t N>
-struct LaneVecOf {
-  using type = LaneVecFallback<T, N>;
-};
-#endif
+// PathPlanT::Mode as the fp walk reads it from FpKernelState::mode.
+constexpr int kFpModeLut = 0;      // FlexCore, triangle LUT, kDeactivate
+constexpr int kFpModeGeneric = 1;  // FlexCore, triangle LUT, kSkipToValid
+constexpr int kFpModeFcsd = 3;     // FCSD (2 is the exact-sort ablation)
 
-/// Broadcast a scalar across all lanes.
-template <typename V, typename T>
-inline V splat(T s) noexcept {
-  V v{};
-  for (std::size_t i = 0; i < sizeof(V) / sizeof(T); ++i) v[i] = s;
-  return v;
-}
+constexpr std::int32_t kI16Max = perfmodel::I16Format::kMax;
+constexpr std::int32_t kI16Min = perfmodel::I16Format::kMin;
+
+/// The compiled-plan state the dispatched int16 kernel reads: raw pointers
+/// only, filled per path_metric_block call (the plan is immutable while
+/// grids run, so the pointers stay valid across the whole scan).
+struct I16KernelState {
+  std::size_t nt = 0, q = 0, full_levels = 0;
+  int side = 0, pbits = 0, fbits = 0;
+  int pt_half = 0;  // lround(scale * 2^P): PAM half-step at the point scale
+  int mode = 0;  // PathPlanI16::Mode, as int: 0 lut / 1 generic / 2 exact / 3 fcsd
+  double metric_unscale = 0.0;
+  const std::int16_t* r_re = nullptr;
+  const std::int16_t* r_im = nullptr;
+  const std::int32_t* rx_pack = nullptr;
+  const std::int32_t* pt_pack = nullptr;
+  const std::int16_t* rdi_re = nullptr;
+  const std::int16_t* rdi_im = nullptr;
+  const std::int32_t* rh_re = nullptr;  // R(i,i)*scale at 2^F (affine rx)
+  const std::int32_t* rh_im = nullptr;
+  const int* gbits = nullptr;
+  const int* slicer_shift = nullptr;
+  const std::int32_t* slice_ar = nullptr;
+  const std::int32_t* slice_ai = nullptr;
+  const std::int32_t* slice_off = nullptr;
+  const std::int32_t* slice_s = nullptr;
+  const std::uint8_t* slice_live = nullptr;
+  const std::int8_t* slicer = nullptr;
+  const std::int32_t* pam = nullptr;
+  int pam_span = 0;
+  const std::int16_t* ranks = nullptr;
+  const std::uint32_t* fix_mask = nullptr;
+  const std::int8_t* lut_di = nullptr;
+  const std::int8_t* lut_dq = nullptr;
+  const std::size_t* powq = nullptr;
+  const core::OrderingLut* lut = nullptr;
+  const modulation::Constellation* cst = nullptr;
+  core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate;
+};
 
 }  // namespace
 
+/// The compiled-plan state the exact fp walk reads (PathPlanT::
+/// fill_kernel_state), the fp analogue of I16KernelState.
 template <typename T>
-template <std::size_t N, bool kSic>
-FLEXCORE_HOT_PATH
-void PathPlanT<T>::walk(const linalg::cplx* ybar, std::size_t path0,
-                        double out[N], int* symbols) const {
-  const std::size_t nt = nt_;
-  const std::size_t q = static_cast<std::size_t>(q_);
-  const std::size_t block = path0 / kLanes;
+struct FpKernelState {
+  std::size_t nt = 0, q = 0, full_levels = 0;
+  int side = 0;
+  int mode = kFpModeLut;
+  double scale = 0.0, inv_scale = 0.0;
+  const T* r_re = nullptr;  // R rows; the diagonal is R(i,i) for rx
+  const T* r_im = nullptr;
+  const T* rdi_re = nullptr;  // 1/R(i,i) (FlexCore plans)
+  const T* rdi_im = nullptr;
+  const T* rx_re = nullptr;  // R(i,i)*point tables (table modes, fp32)
+  const T* rx_im = nullptr;
+  const T* pt_re = nullptr;  // constellation points (table modes, fp32)
+  const T* pt_im = nullptr;
+  const std::int32_t* ranks = nullptr;
+  const std::uint8_t* fix = nullptr;
+  const std::int8_t* lut_di = nullptr;
+  const std::int8_t* lut_dq = nullptr;
+  const std::size_t* powq = nullptr;
+  const core::OrderingLut* lut = nullptr;
+  const modulation::Constellation* cst = nullptr;
+  core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate;
+};
 
-  // Lane-parallel walk state: lane = path, the complex arithmetic written
-  // split over LaneVec registers (element-wise, branch-free).
-  using VecT = typename LaneVecOf<T, N>::type;
-  VecT br, bi;
-  VecT er{}, ei{};
-  VecT acc{};
-  VecT sre[kMaxLevels], sim[kMaxLevels];
-  std::int32_t xs[N];
-  std::uint8_t dead[N] = {};
+namespace {
 
-  const std::int32_t* sel_base =
-      mode_ == Mode::kFcsd
-          ? nullptr
-          : ranks_.data() + block * nt * kLanes + path0 % kLanes;
+// Runtime-dispatched kernels: the library ships portable (baseline-ISA)
+// binaries, but a lane kernel lives or dies by the register width — so on
+// x86-64 both kernel bodies (the int16 kernel and the exact fp walk) are
+// compiled once per ISA tier (baseline, SSE4.1, AVX2, AVX-512F) and one
+// startup __builtin_cpu_supports decision selects the widest supported
+// copy through plain function pointers.  (Explicit dispatch rather than
+// attribute((target_clones)): the ifunc machinery was observed picking a
+// narrow clone on some loaders, and a function pointer is inspectable.)
+// Every copy computes bit-identical results — the i16 datapath is pure
+// integer, and the fp walk is element-wise IEEE arithmetic with FMA
+// contraction off (CMakeLists.txt) — so dispatch cannot change detection
+// output.  Sanitized builds compile only the baseline copy: same code,
+// fully instrumented (the UBSan job covers the saturating int arithmetic).
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define FLEXCORE_KERNEL_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FLEXCORE_KERNEL_SANITIZED 1
+#endif
+#ifndef FLEXCORE_KERNEL_SANITIZED
+#define FLEXCORE_KERNEL_SANITIZED 0
+#endif
 
-  for (std::size_t ii = 0; ii < nt; ++ii) {
-    const std::size_t i = nt - 1 - ii;
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && \
+    !FLEXCORE_KERNEL_SANITIZED
+#define FLEXCORE_KERNEL_MULTIVERSION 1
+#else
+#define FLEXCORE_KERNEL_MULTIVERSION 0
+#endif
 
-    // b = ybar[i] - sum_{j>i} R(i,j) * s[j]  (Eq. 5 numerator), all lanes.
-    br = splat<VecT>(static_cast<T>(ybar[i].real()));
-    bi = splat<VecT>(static_cast<T>(ybar[i].imag()));
-    const T* rrow_re = r_.re.data() + i * nt;
-    const T* rrow_im = r_.im.data() + i * nt;
-    for (std::size_t j = i + 1; j < nt; ++j) {
-      const VecT rr = splat<VecT>(rrow_re[j]);
-      const VecT rj = splat<VecT>(rrow_im[j]);
-      br -= rr * sre[j] - rj * sim[j];
-      bi -= rr * sim[j] + rj * sre[j];
-    }
+#if defined(__GNUC__) || defined(__clang__)
+// The bodies must inline into each per-ISA wrapper so they are lowered
+// with that wrapper's vector width (an out-of-line copy would be
+// baseline-lowered and defeat the dispatch).
+#define FLEXCORE_KERNEL_FORCE_INLINE inline __attribute__((always_inline))
+#else
+#define FLEXCORE_KERNEL_FORCE_INLINE inline
+#endif
 
-    // Per-lane symbol decision (the data-dependent gather step).
-    if (mode_ == Mode::kFcsd) {
-      if (ii < full_levels_) {
-        // Enumerated level: base-|Q| digit ii of the path index.
-        const std::size_t pw = powq_[ii];
-        for (std::size_t l = 0; l < N; ++l) {
-          xs[l] = static_cast<std::int32_t>(((path0 + l) / pw) % q);
-        }
-      } else {
-        // Greedy extension: nearest point to b / R(i,i) — the complex
-        // division stays std::complex (the scalar walk's exact library
-        // semantics), the slice is the same round-and-clamp inlined.
-        // flexcore-lint: allow-next-line(HP005) scalar-exact library division
-        const std::complex<T> rd{rrow_re[i], rrow_im[i]};
-        for (std::size_t l = 0; l < N; ++l) {
-          // flexcore-lint: allow-next-line(HP005) scalar-exact library division
-          const std::complex<T> bq = std::complex<T>{br[l], bi[l]} / rd;
-          const double qr = static_cast<double>(bq.real());
-          const double qi = static_cast<double>(bq.imag());
-          const int ir = std::clamp(
-              round_half_away((qr * inv_scale_ + (side_ - 1)) / 2.0), 0,
-              side_ - 1);
-          const int iq = std::clamp(
-              round_half_away((qi * inv_scale_ + (side_ - 1)) / 2.0), 0,
-              side_ - 1);
-          xs[l] = ir * side_ + iq;
-        }
-      }
+// Each copy: one namespace (FLEXCORE_ISA_NS) holding both kernel bodies,
+// lowered under one target scope whose native register width is
+// FLEXCORE_ISA_VEC_BYTES (the fp walk's sub-vector width).
+#if FLEXCORE_KERNEL_MULTIVERSION
+#pragma GCC push_options
+#pragma GCC target("sse4.1")
+#define FLEXCORE_ISA_NS isa_sse41
+#define FLEXCORE_ISA_VEC_BYTES 16
+#include "detect/path_kernels_i16_kernel.inc"
+#include "detect/path_kernels_fp_walk.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define FLEXCORE_ISA_NS isa_avx2
+#define FLEXCORE_ISA_VEC_BYTES 32
+#include "detect/path_kernels_i16_kernel.inc"
+#include "detect/path_kernels_fp_walk.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#define FLEXCORE_ISA_NS isa_avx512
+#define FLEXCORE_ISA_VEC_BYTES 64
+#include "detect/path_kernels_i16_kernel.inc"
+#include "detect/path_kernels_fp_walk.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+#pragma GCC pop_options
+#endif  // FLEXCORE_KERNEL_MULTIVERSION
+
+// The baseline-ISA copy always exists: it is the only copy on non-x86 /
+// non-GNU / sanitized builds, the fallback on ancient x86-64, the
+// reference the cross-ISA tests pin via FLEXCORE_I16_ISA, and the home of
+// the single-path walks (walk_path / walk_sic run it at width 1).  Its
+// width is the build's own (FLEXCORE_NATIVE_ARCH raises it).
+#define FLEXCORE_ISA_NS isa_base
+#if defined(__AVX512F__)
+#define FLEXCORE_ISA_VEC_BYTES 64
+#elif defined(__AVX__)
+#define FLEXCORE_ISA_VEC_BYTES 32
+#else
+#define FLEXCORE_ISA_VEC_BYTES 16
+#endif
+#include "detect/path_kernels_i16_kernel.inc"
+#include "detect/path_kernels_fp_walk.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+
+using I16EvalFn = void (*)(const I16KernelState&, const std::int32_t*,
+                           const std::int32_t*, std::size_t, double*);
+template <typename T>
+using FpBlocksFn = void (*)(const FpKernelState<T>&, const linalg::cplx*,
+                            std::size_t, std::size_t, double*);
+
+/// One per-ISA copy of the path kernels: the i16 kernel (solo 16-lane
+/// block / fused adjacent pair) and the exact fp walk's block loop in both
+/// fp tiers.
+struct KernelCopy {
+  const char* isa;
+  I16EvalFn i16_one;
+  I16EvalFn i16_pair;
+  FpBlocksFn<double> fp64;
+  FpBlocksFn<float> fp32;
+
+  template <typename T>
+  FpBlocksFn<T> fp() const noexcept {
+    if constexpr (std::is_same_v<T, double>) {
+      return fp64;
     } else {
-      // eff = b * (1/R(i,i)): the naive complex product, as std::complex
-      // multiplication evaluates for finite values.
-      const VecT rdr = splat<VecT>(rdi_.re[i]);
-      const VecT rdj = splat<VecT>(rdi_.im[i]);
-      er = br * rdr - bi * rdj;
-      ei = br * rdj + bi * rdr;
-      const std::int32_t* sel = sel_base + i * kLanes;
-      if (kSic || mode_ == Mode::kLutRank) {
-        // Branch-light split lookup, phased: (A) the slicer prescaling per
-        // lane (the glue stays double and uses the constellation's shared
-        // inv_scale(), so the fp64 tier reproduces OrderingLut::kth_symbol
-        // and Constellation::slice exactly), then either the rank-1 fast
-        // path (rounded slicer center + bounds check, no residual/triangle
-        // work — most block-levels of a most-promising path set, and every
-        // level of the SIC walk, which clamps instead of deactivating) or
-        // the general path (B: center rounding + triangle classification,
-        // C: per-lane table gathers and bounds checks).
-        double ar[N], aq[N];
-        for (std::size_t l = 0; l < N; ++l) {
-          ar[l] = (static_cast<double>(er[l]) * inv_scale_ + (side_ - 1)) / 2.0;
-          aq[l] = (static_cast<double>(ei[l]) * inv_scale_ + (side_ - 1)) / 2.0;
-        }
-        if (kSic || all_rank_one_[block * nt + i]) {
-          for (std::size_t l = 0; l < N; ++l) {
-            const std::int32_t cil = round_half_away(ar[l]);
-            const std::int32_t cql = round_half_away(aq[l]);
-            if constexpr (kSic) {
-              xs[l] = std::clamp(cil, 0, side_ - 1) * side_ +
-                      std::clamp(cql, 0, side_ - 1);
-            } else {
-              const bool valid = !dead[l] && cil >= 0 && cil < side_ &&
-                                 cql >= 0 && cql < side_;
-              xs[l] = valid ? cil * side_ + cql : 0;
-              dead[l] = valid ? 0 : 1;
-            }
-          }
-        } else {
-          std::int32_t ci[N], cq[N], tri[N];
-          for (std::size_t l = 0; l < N; ++l) {
-            const int cil = round_half_away(ar[l]);
-            const int cql = round_half_away(aq[l]);
-            const double u = static_cast<double>(er[l]) -
-                             (2.0 * cil - (side_ - 1)) * scale_;
-            const double v = static_cast<double>(ei[l]) -
-                             (2.0 * cql - (side_ - 1)) * scale_;
-            const double au = std::fabs(u);
-            const double av = std::fabs(v);
-            ci[l] = cil;
-            cq[l] = cql;
-            tri[l] = (av > au ? 4 : 0) | (u < 0.0 ? 2 : 0) | (v < 0.0 ? 1 : 0);
-          }
-          for (std::size_t l = 0; l < N; ++l) {
-            if (dead[l]) {
-              xs[l] = 0;  // lane already deactivated; keep the walk defined
-              continue;
-            }
-            const std::int32_t k = sel[l];
-            int x = -1;
-            if (k >= 1 && k <= q_) {
-              const std::size_t e =
-                  static_cast<std::size_t>(tri[l]) * q +
-                  static_cast<std::size_t>(k - 1);
-              const int ai = ci[l] + lut_di_[e];
-              const int aq2 = cq[l] + lut_dq_[e];
-              if (ai >= 0 && ai < side_ && aq2 >= 0 && aq2 < side_) {
-                x = ai * side_ + aq2;
-              }
-            }
-            if (x < 0) {
-              dead[l] = 1;
-              xs[l] = 0;
-            } else {
-              xs[l] = x;
-            }
-          }
-        }
-      } else {
-        // Ablation modes: per-lane calls into the reference lookups.
-        for (std::size_t l = 0; l < N; ++l) {
-          if (dead[l]) {
-            xs[l] = 0;
-            continue;
-          }
-          const linalg::cplx eff{static_cast<double>(er[l]),
-                                 static_cast<double>(ei[l])};
-          const int x = mode_ == Mode::kGenericRank
-                            ? lut_->kth_symbol(eff, sel[l], policy_)
-                            : c_->kth_nearest_exact(eff, sel[l]);
-          if (x < 0) {
-            dead[l] = 1;
-            xs[l] = 0;
-          } else {
-            xs[l] = x;
-          }
-        }
-      }
-    }
-    if constexpr (N == 1) symbols[i] = xs[0];
-
-    // Decided point + partial Euclidean distance, all lanes.
-    const T* rx_re_row = rx_.re.data() + i * q;
-    const T* rx_im_row = rx_.im.data() + i * q;
-    for (std::size_t l = 0; l < N; ++l) {
-      const std::int32_t x = xs[l];
-      sre[i][l] = pt_.re[static_cast<std::size_t>(x)];
-      sim[i][l] = pt_.im[static_cast<std::size_t>(x)];
-      const T dr = br[l] - rx_re_row[static_cast<std::size_t>(x)];
-      const T dj = bi[l] - rx_im_row[static_cast<std::size_t>(x)];
-      acc[l] += dr * dr + dj * dj;
+      return fp32;
     }
   }
+};
 
-  for (std::size_t l = 0; l < N; ++l) {
-    out[l] = dead[l] ? std::numeric_limits<double>::infinity()
-                     : static_cast<double>(acc[l]);
+#define FLEXCORE_KERNEL_COPY(ns, name) \
+  KernelCopy { name, ns::eval_one, ns::eval_pair, ns::fp64_blocks, \
+               ns::fp32_blocks }
+
+/// Runs once (static init): the widest copy the CPU supports wins.  The
+/// FLEXCORE_I16_ISA environment variable ("base", "sse41", "avx2",
+/// "avx512") pins a copy of both tiers — every copy computes bit-identical
+/// results, so the pin exists for benchmarking and for the cross-ISA
+/// equivalence tests, not correctness.  A pin that names no copy this
+/// build and CPU can run is reported once on stderr and ignored.
+KernelCopy pick_kernels() {
+#if FLEXCORE_KERNEL_MULTIVERSION
+  __builtin_cpu_init();
+  const KernelCopy copies[] = {FLEXCORE_KERNEL_COPY(isa_base, "base"),
+                               FLEXCORE_KERNEL_COPY(isa_sse41, "sse41"),
+                               FLEXCORE_KERNEL_COPY(isa_avx2, "avx2"),
+                               FLEXCORE_KERNEL_COPY(isa_avx512, "avx512")};
+  const bool runs[] = {true, __builtin_cpu_supports("sse4.1") != 0,
+                       __builtin_cpu_supports("avx2") != 0,
+                       __builtin_cpu_supports("avx512f") != 0};
+#else
+  const KernelCopy copies[] = {FLEXCORE_KERNEL_COPY(isa_base, "base")};
+  const bool runs[] = {true};
+#endif
+  const std::size_t n = std::size(copies);
+  std::size_t pick = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (runs[k]) pick = k;  // ascending width: the last runnable is widest
   }
+  if (const char* pin = std::getenv("FLEXCORE_I16_ISA")) {
+    std::size_t k = 0;
+    while (k < n && std::strcmp(pin, copies[k].isa) != 0) ++k;
+    if (k < n && runs[k]) {
+      pick = k;
+    } else {
+      std::fprintf(stderr,
+                   "flexcore: FLEXCORE_I16_ISA=%s names no kernel copy this "
+                   "build and CPU can run; dispatching %s\n",
+                   pin, copies[pick].isa);
+    }
+  }
+  return copies[pick];
+}
+
+#undef FLEXCORE_KERNEL_COPY
+
+const KernelCopy g_kernels = pick_kernels();
+
+}  // namespace
+
+const char* kernel_isa() noexcept { return g_kernels.isa; }
+
+template <typename T>
+void PathPlanT<T>::fill_kernel_state(FpKernelState<T>* st) const noexcept {
+  static_assert(static_cast<int>(Mode::kLutRank) == kFpModeLut &&
+                static_cast<int>(Mode::kGenericRank) == kFpModeGeneric &&
+                static_cast<int>(Mode::kFcsd) == kFpModeFcsd);
+  st->nt = nt_;
+  st->q = static_cast<std::size_t>(q_);
+  st->full_levels = full_levels_;
+  st->side = side_;
+  st->mode = static_cast<int>(mode_);
+  st->scale = scale_;
+  st->inv_scale = inv_scale_;
+  st->r_re = r_.re.data();
+  st->r_im = r_.im.data();
+  st->rdi_re = rdi_.re.data();
+  st->rdi_im = rdi_.im.data();
+  st->rx_re = rx_.re.data();
+  st->rx_im = rx_.im.data();
+  st->pt_re = pt_.re.data();
+  st->pt_im = pt_.im.data();
+  st->ranks = ranks_.data();
+  st->fix = fix_.data();
+  st->lut_di = lut_di_.data();
+  st->lut_dq = lut_dq_.data();
+  st->powq = powq_.data();
+  st->lut = lut_;
+  st->cst = c_;
+  st->policy = policy_;
 }
 
 template <typename T>
@@ -436,16 +481,9 @@ void PathPlanT<T>::path_metric_block(std::span<const linalg::cplx> ybar,
                                      std::size_t n_paths, double* out) const {
   assert(compiled() && ybar.size() == nt_);
   assert(first_path + n_paths <= num_paths_);
-  double tmp[kLanes];
-  std::size_t written = 0;
-  while (written < n_paths) {
-    const std::size_t p = first_path + written;
-    const std::size_t lane0 = p % kLanes;
-    walk<kLanes, false>(ybar.data(), p - lane0, tmp, nullptr);
-    const std::size_t take = std::min(n_paths - written, kLanes - lane0);
-    for (std::size_t k = 0; k < take; ++k) out[written + k] = tmp[lane0 + k];
-    written += take;
-  }
+  FpKernelState<T> st;
+  fill_kernel_state(&st);
+  g_kernels.fp<T>()(st, ybar.data(), first_path, n_paths, out);
 }
 
 template <typename T>
@@ -455,8 +493,10 @@ double PathPlanT<T>::walk_path(std::span<const linalg::cplx> ybar,
                                std::span<int> symbols) const {
   assert(compiled() && ybar.size() == nt_ && symbols.size() == nt_);
   assert(path < num_paths_);
+  FpKernelState<T> st;
+  fill_kernel_state(&st);
   double m;
-  walk<1, false>(ybar.data(), path, &m, symbols.data());
+  isa_base::fp_walk<T, 1, false>(st, ybar.data(), path, &m, symbols.data());
   return m;
 }
 
@@ -465,8 +505,10 @@ FLEXCORE_HOT_PATH
 double PathPlanT<T>::walk_sic(std::span<const linalg::cplx> ybar,
                               std::span<int> symbols) const {
   assert(mode_ != Mode::kFcsd && ybar.size() == nt_ && symbols.size() == nt_);
+  FpKernelState<T> st;
+  fill_kernel_state(&st);
   double m;
-  walk<1, true>(ybar.data(), 0, &m, symbols.data());
+  isa_base::fp_walk<T, 1, true>(st, ybar.data(), 0, &m, symbols.data());
   return m;
 }
 
@@ -505,7 +547,7 @@ std::size_t PathPlanT<T>::footprint_bytes() const noexcept {
     return (v.re.size() + v.im.size()) * sizeof(T);
   };
   return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
-         ranks_.size() * sizeof(std::int32_t) + all_rank_one_.size() +
+         ranks_.size() * sizeof(std::int32_t) + fix_.size() +
          lut_di_.size() + lut_dq_.size() + powq_.size() * sizeof(std::size_t);
 }
 
@@ -542,9 +584,6 @@ template class PathPlanT<float>;
 
 namespace {
 
-constexpr std::int32_t kI16Max = perfmodel::I16Format::kMax;
-constexpr std::int32_t kI16Min = perfmodel::I16Format::kMin;
-
 /// Round-to-nearest int16 store with NaN-safe saturation (NaN folds to the
 /// upper clamp, like round_half_away's 1e9 rule).
 inline std::int16_t quantize_i16(double v) noexcept {
@@ -572,160 +611,6 @@ inline std::int32_t pack_i16_pair(std::int16_t re, std::int16_t im) noexcept {
       (static_cast<std::uint32_t>(static_cast<std::uint16_t>(im)) << 16);
   return static_cast<std::int32_t>(u);
 }
-
-/// The compiled-plan state the dispatched kernel reads: raw pointers only,
-/// filled per path_metric_block call (the plan is immutable while grids
-/// run, so the pointers stay valid across the whole scan).
-struct I16KernelState {
-  std::size_t nt = 0, q = 0, full_levels = 0;
-  int side = 0, pbits = 0, fbits = 0;
-  int pt_half = 0;  // lround(scale * 2^P): PAM half-step at the point scale
-  int mode = 0;  // PathPlanI16::Mode, as int: 0 lut / 1 generic / 2 exact / 3 fcsd
-  double metric_unscale = 0.0;
-  const std::int16_t* r_re = nullptr;
-  const std::int16_t* r_im = nullptr;
-  const std::int32_t* rx_pack = nullptr;
-  const std::int32_t* pt_pack = nullptr;
-  const std::int16_t* rdi_re = nullptr;
-  const std::int16_t* rdi_im = nullptr;
-  const std::int32_t* rh_re = nullptr;  // R(i,i)*scale at 2^F (affine rx)
-  const std::int32_t* rh_im = nullptr;
-  const int* gbits = nullptr;
-  const int* slicer_shift = nullptr;
-  const std::int32_t* slice_ar = nullptr;
-  const std::int32_t* slice_ai = nullptr;
-  const std::int32_t* slice_off = nullptr;
-  const std::int32_t* slice_s = nullptr;
-  const std::uint8_t* slice_live = nullptr;
-  const std::int8_t* slicer = nullptr;
-  const std::int32_t* pam = nullptr;
-  int pam_span = 0;
-  const std::int16_t* ranks = nullptr;
-  const std::uint32_t* fix_mask = nullptr;
-  const std::int8_t* lut_di = nullptr;
-  const std::int8_t* lut_dq = nullptr;
-  const std::size_t* powq = nullptr;
-  const core::OrderingLut* lut = nullptr;
-  const modulation::Constellation* cst = nullptr;
-  core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate;
-};
-
-// Runtime-dispatched kernel: the library ships portable (baseline-ISA)
-// binaries, but an integer kernel lives or dies by pmulld/AVX2 — so on
-// x86-64 the kernel body is compiled once per ISA tier (baseline, SSE4.1,
-// AVX2, AVX-512F) and one startup __builtin_cpu_supports decision selects
-// the widest supported copy through a plain function pointer.  (Explicit
-// dispatch rather than attribute((target_clones)): the ifunc machinery was
-// observed picking a narrow clone on some loaders, and a function pointer
-// is inspectable.)  Every copy computes bit-identical results — the
-// datapath is pure integer — so dispatch cannot change detection output.
-// Sanitized builds compile only the baseline copy: same code, fully
-// instrumented (the UBSan job covers the saturating int arithmetic).
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define FLEXCORE_I16_SANITIZED 1
-#endif
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FLEXCORE_I16_SANITIZED 1
-#endif
-#ifndef FLEXCORE_I16_SANITIZED
-#define FLEXCORE_I16_SANITIZED 0
-#endif
-
-#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && \
-    !FLEXCORE_I16_SANITIZED
-#define FLEXCORE_I16_MULTIVERSION 1
-#else
-#define FLEXCORE_I16_MULTIVERSION 0
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
-// The body must inline into each per-ISA wrapper so it is lowered with that
-// wrapper's vector width (an out-of-line copy would be baseline-lowered and
-// defeat the dispatch).
-#define FLEXCORE_I16_FORCE_INLINE inline __attribute__((always_inline))
-#else
-#define FLEXCORE_I16_FORCE_INLINE inline
-#endif
-
-#if FLEXCORE_I16_MULTIVERSION
-#pragma GCC push_options
-#pragma GCC target("sse4.1")
-#define FLEXCORE_I16_NS i16_sse41
-#include "detect/path_kernels_i16_kernel.inc"
-#undef FLEXCORE_I16_NS
-#pragma GCC pop_options
-
-#pragma GCC push_options
-#pragma GCC target("avx2")
-#define FLEXCORE_I16_NS i16_avx2
-#include "detect/path_kernels_i16_kernel.inc"
-#undef FLEXCORE_I16_NS
-#pragma GCC pop_options
-
-#pragma GCC push_options
-#pragma GCC target("avx512f")
-#define FLEXCORE_I16_NS i16_avx512
-#include "detect/path_kernels_i16_kernel.inc"
-#undef FLEXCORE_I16_NS
-#pragma GCC pop_options
-#endif  // FLEXCORE_I16_MULTIVERSION
-
-// The baseline-ISA copy always exists: it is the only copy on non-x86 /
-// non-GNU / sanitized builds, the fallback on ancient x86-64, and the
-// reference the cross-ISA equivalence test pins via FLEXCORE_I16_ISA.
-#define FLEXCORE_I16_NS i16_base
-#include "detect/path_kernels_i16_kernel.inc"
-#undef FLEXCORE_I16_NS
-
-using I16EvalFn = void (*)(const I16KernelState&, const std::int32_t*,
-                           const std::int32_t*, std::size_t, double*);
-
-/// The selected kernel copy (solo 16-lane block / fused adjacent pair).
-struct I16Kernels {
-  I16EvalFn one;
-  I16EvalFn pair;
-};
-
-/// Runs once (static init): widest ISA the CPU supports wins.  The
-/// FLEXCORE_I16_ISA environment knob ("base", "sse41", "avx2", "avx512")
-/// pins a specific copy — every copy computes bit-identical results, so
-/// the knob exists for benchmarking and for the cross-ISA equivalence
-/// tests, not correctness.
-I16Kernels pick_i16_kernels() {
-#if FLEXCORE_I16_MULTIVERSION
-  __builtin_cpu_init();
-  if (const char* pin = std::getenv("FLEXCORE_I16_ISA")) {
-    if (std::strcmp(pin, "base") == 0) {
-      return {i16_base::eval_one, i16_base::eval_pair};
-    }
-    if (std::strcmp(pin, "sse41") == 0 && __builtin_cpu_supports("sse4.1")) {
-      return {i16_sse41::eval_one, i16_sse41::eval_pair};
-    }
-    if (std::strcmp(pin, "avx2") == 0 && __builtin_cpu_supports("avx2")) {
-      return {i16_avx2::eval_one, i16_avx2::eval_pair};
-    }
-    if (std::strcmp(pin, "avx512") == 0 &&
-        __builtin_cpu_supports("avx512f")) {
-      return {i16_avx512::eval_one, i16_avx512::eval_pair};
-    }
-  }
-  if (__builtin_cpu_supports("avx512f")) {
-    return {i16_avx512::eval_one, i16_avx512::eval_pair};
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return {i16_avx2::eval_one, i16_avx2::eval_pair};
-  }
-  if (__builtin_cpu_supports("sse4.1")) {
-    return {i16_sse41::eval_one, i16_sse41::eval_pair};
-  }
-#endif
-  return {i16_base::eval_one, i16_base::eval_pair};
-}
-
-const I16Kernels g_i16_kernels = pick_i16_kernels();
 
 }  // namespace
 
@@ -1138,12 +1023,12 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
     // Block-aligned runs of >= 2 blocks go through the fused-pair kernel —
     // the grid scanner feeds 32-path chunks precisely to hit this path.
     if (lane0 == 0 && n_paths - written >= 2 * kLanes) {
-      g_i16_kernels.pair(st, yr, yi, block, tmp);
+      g_kernels.i16_pair(st, yr, yi, block, tmp);
       for (std::size_t k = 0; k < 2 * kLanes; ++k) out[written + k] = tmp[k];
       written += 2 * kLanes;
       continue;
     }
-    g_i16_kernels.one(st, yr, yi, block, tmp);
+    g_kernels.i16_one(st, yr, yi, block, tmp);
     const std::size_t take = std::min(n_paths - written, kLanes - lane0);
     for (std::size_t k = 0; k < take; ++k) out[written + k] = tmp[lane0 + k];
     written += take;

@@ -10,16 +10,22 @@
 //  * At preprocessing time (set_channel) the detector COMPILES its path set
 //    into a PathPlan: per-level symbol selectors laid out path-major-blocked
 //    (blocks of kLanes paths, selectors of one level contiguous across the
-//    block's lanes), the channel state (R rows, 1/R(i,i), the R(i,i)*point
+//    block's lanes), a per-(block, level) fix mask of the lanes whose rank
+//    is above 1, the channel state (R rows, 1/R(i,i), the R(i,i)*point
 //    reconstruction table, the constellation points) split into re/im
 //    structure-of-arrays, and the triangle LUT expanded into all 8 dihedral
 //    transforms so the per-level lookup is table-walk + bounds check, no
 //    reflection branches.
 //  * path_metric_block(ybar, first, n, out) then evaluates a whole block of
 //    paths per call: lane = path, the per-level interference-cancellation
-//    loop written as branch-light split real/imag arithmetic the
-//    auto-vectorizer turns into SIMD, with scalar gathers only for the
-//    data-dependent k-th-symbol lookups.
+//    loop written as split real/imag lane-register arithmetic.  Rank-1
+//    lanes never gather: slicing, liveness and the decided point and its
+//    metric reference are rebuilt in the lanes from the sliced axis
+//    indices.  Only fix-mask lanes (rank > 1) and the table modes (FCSD,
+//    skip-to-valid, exact sort) take per-lane lookups, on staged arrays.
+//  * The walk, like the int16 kernel, is compiled once per x86-64 ISA
+//    (baseline, SSE4.1, AVX2, AVX-512F), each copy at its native register
+//    width, and dispatched at startup (kernel_isa() names the copy).
 //
 // The plan is templated on the compute scalar.  PathPlan (double) is the
 // library's one exact per-path walk: the grids, winner reconstruction,
@@ -27,11 +33,12 @@
 // tiers' exact rescue all run it (walk_path / walk_sic are the same walk
 // at width 1).  It is bit-identical to the scalar std::complex reference
 // walk in tests/reference_walk.h — same operations in the same order on
-// the same values, verified by tests/kernel_test.cpp.  PathPlanF (float)
-// is the reduced-precision tier in the spirit of the paper's fixed-point
-// FPGA datapath (selected by Precision::kFloat32 / the ":fp32" registry
-// spec suffix; see README "Kernel engine & precision tiers" for when it
-// is safe).
+// the same values, in every ISA copy, verified by tests/kernel_test.cpp
+// (the build turns FMA contraction off, so no copy fuses a multiply-add
+// the reference rounds twice).  PathPlanF (float) is the reduced-precision
+// tier in the spirit of the paper's fixed-point FPGA datapath (selected by
+// the ":fp32" registry spec suffix; see README "Kernel engine & precision
+// tiers" for when it is safe).
 #pragma once
 
 #include <cstddef>
@@ -82,6 +89,19 @@ inline constexpr double kI16SerTolerance = 1e-2;
 /// touching any state, so a refused channel leaves the previous one
 /// installed.
 void require_kernel_streams(const char* who, std::size_t nt);
+
+/// Name of the per-ISA kernel copy this process dispatched: "base",
+/// "sse41", "avx2" or "avx512".  One copy serves every tier (the exact fp
+/// walk's blocks and the i16 kernel).  Picked once at startup, widest
+/// supported first; the FLEXCORE_I16_ISA environment variable pins a copy,
+/// and a pin this build or CPU cannot honour is reported once on stderr
+/// and ignored.
+const char* kernel_isa() noexcept;
+
+/// The raw view of a compiled PathPlanT that the per-ISA walk copies read
+/// (defined in path_kernels.cpp).
+template <typename T>
+struct FpKernelState;
 
 /// A compiled, SoA-blocked path set for one installed channel.  Compile
 /// once per set_channel (cheap next to QR + path selection), evaluate with
@@ -166,12 +186,9 @@ class PathPlanT {
   void compile_channel(const linalg::CMat& r,
                        const modulation::Constellation& c,
                        bool with_diag_inverse);
-  /// The walk itself, over the N consecutive paths starting at `path0`
-  /// (N = kLanes: one aligned block; N = 1: any single path, decisions
-  /// written to `symbols`).  kSic selects the clamped rank-1 walk.
-  template <std::size_t N, bool kSic>
-  void walk(const linalg::cplx* ybar, std::size_t path0, double out[N],
-            int* symbols) const;
+  /// Copies the plan's scalars and table pointers into the walk's kernel
+  /// state (once per call; valid while the plan is unchanged).
+  void fill_kernel_state(FpKernelState<T>* st) const noexcept;
 
   Mode mode_ = Mode::kLutRank;
   std::size_t nt_ = 0;         ///< levels (0 = not compiled)
@@ -191,10 +208,11 @@ class PathPlanT {
   // is the 1-based closeness rank of path block*kLanes+lane at `level`
   // (tail lanes of the last block hold rank 1 and are never emitted).
   std::vector<std::int32_t> ranks_;
-  // all_rank_one_[block * nt_ + level]: every lane of the block selects
-  // rank 1 there, so the k-th-symbol lookup reduces to the slicer center
-  // (see compile_flexcore).
-  std::vector<std::uint8_t> all_rank_one_;
+  // fix_[block * nt_ + level]: bit l set when lane l must take the
+  // triangle-LUT path at that level (rank > 1, or a LUT whose first entry
+  // is not the slicer center); every other lane's decision is the slicer
+  // center itself (see compile_flexcore).
+  std::vector<std::uint8_t> fix_;
 
   // Expanded triangle LUT: entry [t * q + (k-1)] is base-order entry k
   // under dihedral transform t = swap*4 | flip_u*2 | flip_v.
@@ -391,10 +409,7 @@ class PathPlanI16 {
   std::vector<std::int16_t> ranks_;
   // fix_mask_[block * nt_ + level]: bit l set when lane l must take the
   // scalar table path at that level (rank > 1, or a LUT whose first entry
-  // is not the slicer center).  The finer per-LANE grain — versus
-  // PathPlanT's per-block all_rank_one_ — matters at kLanes = 16: one
-  // rank-2 path no longer drags fifteen rank-1 neighbours off the vector
-  // fast path.
+  // is not the slicer center) — PathPlanT's fix_ at twice the lane count.
   std::vector<std::uint32_t> fix_mask_;
   std::vector<std::int8_t> lut_di_, lut_dq_;
 

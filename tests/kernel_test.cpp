@@ -1,16 +1,19 @@
 // Tests for the lane-parallel path-kernel engine (detect/path_kernels.h):
 // the exact fp64 plan (block walk, single-path walk, SIC walk) bit-identical
 // to the scalar reference walks of tests/reference_walk.h across detector
-// families x ordering modes x constellations x MIMO sizes, the reduced
-// tiers within their documented SER tolerances, the i16 tier's exact
-// rescue, and the precision spec grammar round-tripping through the
-// registry.
+// families x ordering modes x constellations x MIMO sizes — in whichever
+// per-ISA copy FLEXCORE_I16_ISA pins — the reduced tiers within their
+// documented SER tolerances, the i16 tier's exact rescue, and the
+// precision spec grammar round-tripping through the registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <utility>
@@ -106,34 +109,69 @@ TEST(KernelEquivalence, FlexCorePlanMatchesReference) {
       {"exact", fc::OrderingMode::kExactSort,
        fc::InvalidEntryPolicy::kDeactivate},
   };
+  const auto check = [&](const Constellation& c, const fl::CMat& h,
+                         double nv, std::initializer_list<const char*> families,
+                         ch::Rng& rng, const std::string& shape) {
+    for (const Mode& mode : modes) {
+      fa::DetectorConfig cfg{.constellation = &c};
+      cfg.flexcore.ordering = mode.ordering;
+      cfg.flexcore.invalid_policy = mode.policy;
+      for (const char* family : families) {
+        const auto det =
+            fa::make_detector_as<fc::FlexCoreDetector>(family, cfg);
+        ASSERT_EQ(det->config().invalid_policy, mode.policy);
+        det->set_channel(h, nv);
+        const fr::FlexCoreReference ref(*det);
+        const std::string what =
+            std::string(family) + "/" + mode.name + " " + shape;
+        for (int rep = 0; rep < 3; ++rep) {
+          const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+          expect_plan_matches_reference(det->plan(), ref, det->active_paths(),
+                                        ybar, what);
+        }
+      }
+    }
+  };
   for (int qam : {4, 16, 64}) {
     Constellation c(qam);
     for (std::size_t nt : {2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
       ch::Rng rng(100 * static_cast<std::uint64_t>(qam) + nt);
       const auto h = ch::rayleigh_iid(nt, nt, rng);
-      const double nv = ch::noise_var_for_snr_db(15.0);
-      for (const Mode& mode : modes) {
-        fa::DetectorConfig cfg{.constellation = &c};
-        cfg.flexcore.ordering = mode.ordering;
-        cfg.flexcore.invalid_policy = mode.policy;
-        for (const char* family : {"flexcore-24", "a-flexcore-24"}) {
-          const auto det =
-              fa::make_detector_as<fc::FlexCoreDetector>(family, cfg);
-          ASSERT_EQ(det->config().invalid_policy, mode.policy);
-          det->set_channel(h, nv);
-          const fr::FlexCoreReference ref(*det);
-          const std::string what = std::string(family) + "/" + mode.name +
-                                   " qam=" + std::to_string(qam) +
-                                   " nt=" + std::to_string(nt);
-          for (int rep = 0; rep < 3; ++rep) {
-            const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-            expect_plan_matches_reference(det->plan(), ref,
-                                          det->active_paths(), ybar, what);
-          }
-        }
+      check(c, h, ch::noise_var_for_snr_db(15.0),
+            {"flexcore-24", "a-flexcore-24"}, rng,
+            "qam=" + std::to_string(qam) + " nt=" + std::to_string(nt));
+    }
+  }
+
+  // The serving benchmark's shape: 12x12, 64-QAM, 18 dB, 64 paths.  Its
+  // path sets hold both kinds of (block, level) the walk's fix mask
+  // separates — every lane rank 1 (the gather-free lanes alone) and rank-1
+  // lanes beside rank > 1 lanes (patched through the LUT) — and the test
+  // asserts that they do.
+  Constellation c(64);
+  ch::Rng rng(1812);
+  const auto h = ch::rayleigh_iid(12, 12, rng);
+  const double nv = ch::noise_var_for_snr_db(18.0);
+  check(c, h, nv, {"flexcore-64", "a-flexcore-64"}, rng, "qam=64 nt=12 18dB");
+  std::size_t uniform = 0, mixed = 0;
+  for (const char* family : {"flexcore-64", "a-flexcore-64"}) {
+    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+        family, {.constellation = &c});
+    det->set_channel(h, nv);
+    const auto& paths = det->preprocessing().paths;
+    constexpr std::size_t kL = fd::PathPlan::kLanes;
+    for (std::size_t b = 0; b < paths.size(); b += kL) {
+      const std::size_t end = std::min(paths.size(), b + kL);
+      for (std::size_t i = 0; i < 12; ++i) {
+        std::size_t above = 0;
+        for (std::size_t p = b; p < end; ++p) above += paths[p].p[i] != 1;
+        uniform += above == 0;
+        mixed += above != 0 && above < end - b;
       }
     }
   }
+  EXPECT_GT(uniform, 0u);
+  EXPECT_GT(mixed, 0u);
 }
 
 TEST(KernelEquivalence, FcsdPlanMatchesReference) {
@@ -188,26 +226,78 @@ TEST(KernelEquivalence, SicWalkMatchesReference) {
 }
 
 TEST(KernelEquivalence, DeactivatedPathsMatchReference) {
-  // Brutal noise pushes effective points far outside the constellation, so
+  // Heavy noise pushes effective points far outside the constellation, so
   // LUT entries deactivate; the plan must report exactly the reference's
-  // +infinity verdicts.
+  // +infinity verdicts.  At nv = 4 every path dies; at nv = 0.3 lanes die
+  // beside live neighbours of their block, the walk's per-lane liveness.
   Constellation c(64);
   ch::Rng rng(7);
   const auto h = ch::rayleigh_iid(8, 8, rng);
-  const double nv = 4.0;
   const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
       "flexcore-32", {.constellation = &c});
-  det->set_channel(h, nv);
-  const fr::FlexCoreReference ref(*det);
 
-  std::size_t saw_inf = 0;
-  for (int rep = 0; rep < 20; ++rep) {
-    const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-    saw_inf += expect_plan_matches_reference(
-        det->plan(), ref, det->active_paths(), ybar, "flexcore-32");
+  std::size_t saw_inf = 0, split_blocks = 0;
+  for (const double nv : {4.0, 0.3}) {
+    det->set_channel(h, nv);
+    const fr::FlexCoreReference ref(*det);
+    const std::size_t paths = det->active_paths();
+    std::vector<double> m(paths);
+    for (int rep = 0; rep < 20; ++rep) {
+      const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+      saw_inf += expect_plan_matches_reference(det->plan(), ref, paths, ybar,
+                                               "flexcore-32");
+      det->plan().path_metric_block(ybar, 0, paths, m.data());
+      for (std::size_t b = 0; b < paths; b += fd::PathPlan::kLanes) {
+        const std::size_t end = std::min(paths, b + fd::PathPlan::kLanes);
+        const auto dead = static_cast<std::size_t>(
+            std::count_if(m.begin() + static_cast<std::ptrdiff_t>(b),
+                          m.begin() + static_cast<std::ptrdiff_t>(end),
+                          [](double v) { return std::isinf(v); }));
+        split_blocks += dead > 0 && dead < end - b;
+      }
+    }
   }
   EXPECT_GT(saw_inf, 0u)
       << "scenario no longer deactivates any PE; raise the noise";
+  EXPECT_GT(split_blocks, 0u) << "no block mixes dead and live lanes";
+}
+
+/// Whether this build and CPU can run the kernel copy named `isa`, by the
+/// dispatcher's rule (detect/path_kernels.cpp): every copy the CPU
+/// supports on non-sanitized x86-64 GNU/Clang builds, only "base"
+/// elsewhere.
+bool isa_runnable(const std::string& isa) {
+  if (isa == "base") return true;
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  return false;
+#endif
+#endif
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  __builtin_cpu_init();
+  if (isa == "sse41") return __builtin_cpu_supports("sse4.1");
+  if (isa == "avx2") return __builtin_cpu_supports("avx2");
+  if (isa == "avx512") return __builtin_cpu_supports("avx512f");
+#endif
+  return false;
+}
+
+TEST(KernelEquivalence, DispatchHonoursIsaPin) {
+  // The bit-identity suites run once per FLEXCORE_I16_ISA pin; a pin the
+  // dispatcher ignored would test one copy twice and pass.  Prints the
+  // dispatched copy so every run's log names it.
+  const std::string isa = fd::kernel_isa();
+  std::printf("[ dispatch ] kernel_isa() = %s\n", isa.c_str());
+  EXPECT_TRUE(isa == "base" || isa == "sse41" || isa == "avx2" ||
+              isa == "avx512")
+      << isa;
+  EXPECT_TRUE(isa_runnable(isa)) << isa;
+  const char* pin = std::getenv("FLEXCORE_I16_ISA");
+  if (pin != nullptr && isa_runnable(pin)) {
+    EXPECT_EQ(isa, pin);
+  }
 }
 
 TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
@@ -450,10 +540,10 @@ TEST(KernelI16, SerWithinToleranceAcrossFamiliesAndQam) {
 TEST(KernelI16, MetricsBitIdenticalAcrossRepeatsAndGolden) {
   // The tier is pure-integer end-to-end, so its metrics are bit-identical
   // across runs, builds and ISAs.  The FNV hash below pins the exact bit
-  // patterns of one fixed scenario: CI runs this suite both with the
-  // native dispatch and with FLEXCORE_I16_ISA=base, so a divergence
-  // between any per-ISA kernel copy and the portable fallback — or any
-  // unintended change to the quantized datapath — fails here.
+  // patterns of one fixed scenario: CI runs this suite under the native
+  // dispatch and once per FLEXCORE_I16_ISA pin, so a divergence between
+  // any per-ISA kernel copy and the portable fallback — or any unintended
+  // change to the quantized datapath — fails here.
   Constellation c(64);
   ch::Rng rng(90);
   const auto h = ch::rayleigh_iid(12, 12, rng);
@@ -485,9 +575,9 @@ TEST(KernelI16, MetricsBitIdenticalAcrossRepeatsAndGolden) {
          "golden hash (std::printf(\"%llx\", h1))";
 }
 
-// Outside the KernelI16 suite on purpose: it compares against the scalar
-// reference bit for bit, a guarantee stated at the portable default flags
-// (the native-arch CI job runs KernelI16.* only).
+// Outside the KernelI16 suite on purpose: it compares the exact walk
+// against the scalar reference bit for bit, which CI checks once per ISA
+// copy and under the native-arch build alongside KernelEquivalence.
 TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
   // Near a cell boundary the quantized grid can crown a path the exact walk
   // deactivates, or deactivate every path the exact walk keeps.
