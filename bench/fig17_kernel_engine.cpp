@@ -16,6 +16,11 @@
 //     per block, LUT-compiled slicing — the paper's Table 3 fixed-point
 //     datapath).
 //
+// Report-only rows (no gate) time the serving benchmark's two shapes:
+// coherent-12x12's flexcore-64 at 12x12 / 64-QAM / 18 dB, and
+// massive-64x8-sharded's flexcore-32 on a 64x8 channel at 16-QAM / -2 dB
+// (8 levels).
+//
 // Emits BENCH_kernels.json and EXITS NON-ZERO when any gate fails:
 //   * fp64 block >= 1.5x over the scalar loop at 12x12 / 64-QAM;
 //   * i16 block faster than fp32 block at 12x12 and 16x16;
@@ -26,6 +31,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "api/detector_registry.h"
@@ -111,8 +117,9 @@ double scan_block(const D& det, const std::vector<fl::CVec>& ybars,
 /// the work rate each kernel achieves on it; `isa` is the dispatched
 /// kernel copy (detect::kernel_isa) the block rows ran.
 void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
-               std::size_t paths, double flops_per_path, const Timing& scalar,
-               const Timing& blk64, const Timing& blk32, const Timing& blk16) {
+               int qam, std::size_t paths, double flops_per_path,
+               const Timing& scalar, const Timing& blk64, const Timing& blk32,
+               const Timing& blk16) {
   const struct {
     const char* kernel;
     const char* precision;
@@ -125,7 +132,7 @@ void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
     json.row()
         .field("detector", detector)
         .field("mimo", mimo)
-        .field("qam", 64)
+        .field("qam", qam)
         .field("paths", paths)
         .field("kernel", r.kernel)
         .field("precision", r.precision)
@@ -154,6 +161,70 @@ std::vector<fl::CVec> rotated_batch(const fc::FlexCoreDetector& det,
   return ybars;
 }
 
+/// One FlexCore sweep point: the scalar reference walk and the fp64, fp32
+/// and i16 block scans of `spec` on one channel, with the checksum sanity
+/// checks.  Returns false (after printing why) when a checksum diverges.
+struct SweepPoint {
+  std::size_t paths = 0;
+  double flops = 0.0;  ///< Table 2 flops of one walk
+  Timing scalar, blk64, blk32, blk16;
+};
+
+bool sweep_point(const char* spec, const Constellation& qam, std::size_t nr,
+                 std::size_t nt, double snr_db, std::uint64_t seed,
+                 std::size_t nvec, int reps, SweepPoint* pt) {
+  ch::Rng rng(seed);
+  const auto h = ch::rayleigh_iid(nr, nt, rng);
+  const double noise = ch::noise_var_for_snr_db(snr_db);
+
+  const fa::DetectorConfig dcfg{.constellation = &qam};
+  const std::string base = spec;
+  const auto det64 = fa::make_detector_as<fc::FlexCoreDetector>(base, dcfg);
+  det64->set_channel(h, noise);
+  const auto det32 =
+      fa::make_detector_as<fc::FlexCoreDetector>(base + ":fp32", dcfg);
+  det32->set_channel(h, noise);
+  const auto det16 =
+      fa::make_detector_as<fc::FlexCoreDetector>(base + ":i16", dcfg);
+  det16->set_channel(h, noise);
+  const std::size_t paths = det64->active_paths();
+  const auto ybars = rotated_batch(*det64, h, qam, noise, nvec, rng);
+  const std::size_t walks = nvec * paths;
+
+  const fr::FlexCoreReference ref64(*det64);
+  pt->paths = paths;
+  pt->flops = static_cast<double>(det64->plan().walk_stats(1).flops);
+  pt->scalar = time_kernel(walks, reps,
+                           [&] { return scan_scalar(ref64, ybars, paths); });
+  pt->blk64 = time_kernel(walks, reps,
+                          [&] { return scan_block(*det64, ybars, paths); });
+  pt->blk32 = time_kernel(walks, reps,
+                          [&] { return scan_block(*det32, ybars, paths); });
+  pt->blk16 = time_kernel(walks, reps,
+                          [&] { return scan_block(*det16, ybars, paths); });
+  // A sanity check of the timed scans only: tests/kernel_test.cpp proves
+  // the plan bitwise equal to the reference walk in every ISA copy.
+  const double want = pt->scalar.checksum;
+  if (std::fabs(pt->blk64.checksum - want) > 1e-9 * std::fabs(want)) {
+    std::fprintf(stderr,
+                 "FAIL: fp64 block checksum %.17g vs scalar %.17g, %s at "
+                 "%zux%zu\n",
+                 pt->blk64.checksum, want, spec, nr, nt);
+    return false;
+  }
+  // The quantized checksum only sanity-checks magnitude (its metrics are
+  // rounded): it must be finite and in the ballpark of the exact sum.
+  if (!std::isfinite(pt->blk16.checksum) ||
+      std::fabs(pt->blk16.checksum - want) > 0.25 * std::fabs(want) + 1.0) {
+    std::fprintf(stderr,
+                 "FAIL: i16 block checksum %.17g vs scalar %.17g, %s at "
+                 "%zux%zu\n",
+                 pt->blk16.checksum, want, spec, nr, nt);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -177,69 +248,23 @@ int main() {
   bool gate_ok = false;
   bool i16_gates_ok = true;
   for (std::size_t nt : {4u, 8u, 12u, 16u}) {
-    ch::Rng rng(900 + nt);
-    const auto h = ch::rayleigh_iid(nt, nt, rng);
-    const double noise = ch::noise_var_for_snr_db(18.0);
-
-    const fa::DetectorConfig dcfg{.constellation = &qam};
-    const auto det64 =
-        fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128", dcfg);
-    det64->set_channel(h, noise);
-    const auto det32 =
-        fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128:fp32", dcfg);
-    det32->set_channel(h, noise);
-    const auto det16 =
-        fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128:i16", dcfg);
-    det16->set_channel(h, noise);
-    const std::size_t paths = det64->active_paths();
-    const auto ybars = rotated_batch(*det64, h, qam, noise, nvec, rng);
-    const std::size_t walks = nvec * paths;
-
-    const fr::FlexCoreReference ref64(*det64);
-    const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(ref64, ybars, paths); });
-    const Timing blk64 = time_kernel(
-        walks, reps, [&] { return scan_block(*det64, ybars, paths); });
-    const Timing blk32 = time_kernel(
-        walks, reps, [&] { return scan_block(*det32, ybars, paths); });
-    const Timing blk16 = time_kernel(
-        walks, reps, [&] { return scan_block(*det16, ybars, paths); });
-    // A sanity check of the timed scans only: tests/kernel_test.cpp proves
-    // the plan bitwise equal to the reference walk in every ISA copy.
-    const double drift = std::fabs(blk64.checksum - scalar.checksum);
-    if (drift > 1e-9 * std::fabs(scalar.checksum)) {
-      std::fprintf(stderr,
-                   "FAIL: fp64 block checksum %.17g vs scalar %.17g at "
-                   "%zux%zu\n",
-                   blk64.checksum, scalar.checksum, nt, nt);
+    SweepPoint pt;
+    if (!sweep_point("flexcore-128", qam, nt, nt, 18.0, 900 + nt, nvec, reps,
+                     &pt)) {
       return 1;
     }
-    // The quantized checksum only sanity-checks magnitude (its metrics are
-    // rounded): it must be finite and in the ballpark of the exact sum.
-    if (!std::isfinite(blk16.checksum) ||
-        std::fabs(blk16.checksum - scalar.checksum) >
-            0.25 * std::fabs(scalar.checksum) + 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: i16 block checksum %.17g vs scalar %.17g at "
-                   "%zux%zu\n",
-                   blk16.checksum, scalar.checksum, nt, nt);
-      return 1;
-    }
-
-    const double speedup64 = scalar.ns_per_path / blk64.ns_per_path;
-    const double speedup16 = scalar.ns_per_path / blk16.ns_per_path;
-    const double flops =
-        static_cast<double>(det64->plan().walk_stats(1).flops);
+    const double speedup64 = pt.scalar.ns_per_path / pt.blk64.ns_per_path;
+    const double speedup16 = pt.scalar.ns_per_path / pt.blk16.ns_per_path;
     char speedups[32];
     std::snprintf(speedups, sizeof speedups, "%.2fx/%.2fx", speedup64,
                   speedup16);
     std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %-12.2f %-12s "
                 "%-11.0f %.2f\n",
-                nt, nt, paths, scalar.ns_per_path, blk64.ns_per_path,
-                blk32.ns_per_path, blk16.ns_per_path, speedups, flops,
-                flops / blk64.ns_per_path);
-    emit_rows(json, "flexcore-128", nt, paths, flops, scalar, blk64, blk32,
-              blk16);
+                nt, nt, pt.paths, pt.scalar.ns_per_path, pt.blk64.ns_per_path,
+                pt.blk32.ns_per_path, pt.blk16.ns_per_path, speedups, pt.flops,
+                pt.flops / pt.blk64.ns_per_path);
+    emit_rows(json, "flexcore-128", nt, 64, pt.paths, pt.flops, pt.scalar,
+              pt.blk64, pt.blk32, pt.blk16);
 
     if (nt == 12) {
       gate_seen = true;
@@ -248,11 +273,11 @@ int main() {
     // i16 gates: faster than fp32 at the large sizes, and >= kI16Gate over
     // the fp64 scalar loop at 16x16.
     if (nt == 12 || nt == 16) {
-      if (blk16.ns_per_path >= blk32.ns_per_path) {
+      if (pt.blk16.ns_per_path >= pt.blk32.ns_per_path) {
         std::fprintf(stderr,
                      "FAIL: i16 block (%.2f ns) not faster than fp32 "
                      "(%.2f ns) at %zux%zu\n",
-                     blk16.ns_per_path, blk32.ns_per_path, nt, nt);
+                     pt.blk16.ns_per_path, pt.blk32.ns_per_path, nt, nt);
         i16_gates_ok = false;
       }
     }
@@ -262,6 +287,37 @@ int main() {
                    "fp64 scalar loop at 16x16\n",
                    speedup16, kI16Gate);
       i16_gates_ok = false;
+    }
+  }
+
+  // Serving-shape rows, report only: the path sets the serving
+  // benchmark's coherent and massive workloads run.
+  {
+    struct Serving {
+      const char* spec;
+      int qam;
+      std::size_t nr, nt;
+      double snr_db;
+      std::uint64_t seed;
+    };
+    const Serving shapes[] = {{"flexcore-64", 64, 12, 12, 18.0, 1812},
+                              {"flexcore-32", 16, 64, 8, -2.0, 6408}};
+    std::printf("\nserving shapes (report only): ns/path scalar, block "
+                "fp64 / fp32 / i16\n");
+    for (const Serving& sv : shapes) {
+      const Constellation c(sv.qam);
+      SweepPoint pt;
+      if (!sweep_point(sv.spec, c, sv.nr, sv.nt, sv.snr_db, sv.seed, nvec,
+                       reps, &pt)) {
+        return 1;
+      }
+      std::printf("%-12s %zux%zu %3d-QAM %+5.1f dB, %3zu paths: %.2f, "
+                  "%.2f / %.2f / %.2f\n",
+                  sv.spec, sv.nr, sv.nt, sv.qam, sv.snr_db, pt.paths,
+                  pt.scalar.ns_per_path, pt.blk64.ns_per_path,
+                  pt.blk32.ns_per_path, pt.blk16.ns_per_path);
+      emit_rows(json, sv.spec, sv.nt, sv.qam, pt.paths, pt.flops, pt.scalar,
+                pt.blk64, pt.blk32, pt.blk16);
     }
   }
 
@@ -316,7 +372,7 @@ int main() {
                 scalar.ns_per_path / blk64.ns_per_path, flops,
                 flops / blk64.ns_per_path, blk32.ns_per_path,
                 blk16.ns_per_path);
-    emit_rows(json, "fcsd-L1", nt, paths, flops, scalar, blk64, blk32,
+    emit_rows(json, "fcsd-L1", nt, 64, paths, flops, scalar, blk64, blk32,
               blk16);
   }
 

@@ -3,7 +3,6 @@
 #include "parallel/hot_path.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <complex>
@@ -29,6 +28,66 @@ void require_kernel_streams(const char* who, std::size_t nt) {
                                 "1..32-stream limit");
   }
 }
+
+namespace {
+
+/// Throws std::invalid_argument, in every build, unless each path holds
+/// exactly `nt` ranks — checked before a plan is modified, so a refused
+/// path set leaves the previous plan intact.
+void require_path_lengths(const char* who,
+                          std::span<const core::RankedPath> paths,
+                          std::size_t nt) {
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    if (paths[p].p.size() != nt) {
+      throw std::invalid_argument(
+          std::string(who) + ": path " + std::to_string(p) + " holds " +
+          std::to_string(paths[p].p.size()) + " ranks for " +
+          std::to_string(nt) + " levels");
+    }
+  }
+}
+
+/// Selector code of an invalid rank (outside 1..|Q|): di = -128, which no
+/// real LUT offset takes (|di| <= side).
+constexpr std::uint16_t kSelInvalid = 0x0080;
+
+/// The LUT mode's selector code of rank k: the base-triangle offset
+/// (di, dq) of OrderingLut entry k as two's-complement bytes, di low and
+/// dq high, or kSelInvalid.  Offset (0, 0) codes to 0, so a block whose
+/// codes are all 0 decides at the slicer center on every lane.
+std::uint16_t selector_code(const core::OrderingLut& lut, int k) {
+  const auto& base = lut.base_order();
+  if (k < 1 || k > static_cast<int>(base.size())) return kSelInvalid;
+  const core::OrderingLut::Offset o = base[static_cast<std::size_t>(k - 1)];
+  return static_cast<std::uint16_t>(
+      static_cast<unsigned>(static_cast<std::uint8_t>(o.di)) |
+      (static_cast<unsigned>(static_cast<std::uint8_t>(o.dq)) << 8));
+}
+
+/// Fills a FlexCore plan's selector table, path-major-blocked at `lanes`
+/// paths per block: selector codes when `lut` is given (the LUT mode),
+/// otherwise the ranks themselves clamped to [0, q + 1] (every rank outside
+/// 1..q is invalid alike).  Tail lanes of the last block get rank 1.
+void compile_selectors(std::span<const core::RankedPath> paths,
+                       std::size_t nt, std::size_t lanes,
+                       const core::OrderingLut* lut, int q,
+                       std::vector<std::uint16_t>* sel) {
+  const auto code = [&](int k) {
+    return lut != nullptr ? selector_code(*lut, k)
+                          : static_cast<std::uint16_t>(std::clamp(k, 0, q + 1));
+  };
+  sel->assign(linalg::simd_blocks_of(paths.size(), lanes) * nt * lanes,
+              code(1));
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    const std::size_t b = p / lanes;
+    const std::size_t l = p % lanes;
+    for (std::size_t i = 0; i < nt; ++i) {
+      (*sel)[(b * nt + i) * lanes + l] = code(paths[p].p[i]);
+    }
+  }
+}
+
+}  // namespace
 
 template <typename T>
 void PathPlanT<T>::compile_channel(const linalg::CMat& r,
@@ -81,6 +140,7 @@ void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
                                     const core::OrderingLut& lut,
                                     bool exact_ordering,
                                     core::InvalidEntryPolicy policy) {
+  require_path_lengths("PathPlan", paths, r.cols());
   compile_channel(r, c, /*with_diag_inverse=*/true);
   num_paths_ = paths.size();
   lut_ = &lut;
@@ -91,70 +151,8 @@ void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
           : policy == core::InvalidEntryPolicy::kDeactivate
               ? Mode::kLutRank
               : Mode::kGenericRank;
-
-  // Selector table, path-major-blocked.  Tail lanes of the last block get
-  // rank 1; their metrics are computed and discarded, never emitted.
-  const std::size_t nb = linalg::simd_blocks(num_paths_);
-  ranks_.assign(nb * nt_ * kLanes, 1);
-  for (std::size_t p = 0; p < num_paths_; ++p) {
-    const core::PositionVector& pv = paths[p].p;
-    assert(pv.size() == nt_);
-    const std::size_t b = p / kLanes;
-    const std::size_t l = p % kLanes;
-    for (std::size_t i = 0; i < nt_; ++i) {
-      ranks_[(b * nt_ + i) * kLanes + l] = pv[i];
-    }
-  }
-
-  // Per-lane fix masks, one byte per (block, level): bit l is set when
-  // lane l must take the triangle-LUT path there.  A most-promising path
-  // set is rank 1 at almost every (path, level), and the LUT's first entry
-  // is the slicer center itself (offset (0,0), invariant under all 8
-  // transforms), so a rank-1 lane's decision is the rounded center the
-  // walk slices in the lanes — only when the base order really starts at
-  // the center, which compile verifies rather than assumes.  Only the LUT
-  // mode reads the masks.
-  static_assert(kLanes <= 8, "one fix-mask byte per (block, level)");
-  fix_.assign(nb * nt_, 0);
-  const auto& base0 = lut.base_order().front();
-  const bool center_first =
-      mode_ == Mode::kLutRank && base0.di == 0 && base0.dq == 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t i = 0; i < nt_; ++i) {
-      const std::int32_t* lane = ranks_.data() + (b * nt_ + i) * kLanes;
-      unsigned m = 0;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        if (!center_first || lane[l] != 1) m |= 1u << l;
-      }
-      fix_[b * nt_ + i] = static_cast<std::uint8_t>(m);
-    }
-  }
-
-  // Expand the canonical triangle order under all 8 dihedral transforms so
-  // the per-lane lookup needs no reflection logic — the same swap-then-flip
-  // sequence OrderingLut::kth_symbol applies per entry.
-  if (mode_ == Mode::kLutRank) {
-    const auto& base = lut.base_order();
-    const std::size_t q = base.size();
-    lut_di_.resize(8 * q);
-    lut_dq_.resize(8 * q);
-    for (int t = 0; t < 8; ++t) {
-      const bool swap_axes = (t & 4) != 0;
-      const bool flip_u = (t & 2) != 0;
-      const bool flip_v = (t & 1) != 0;
-      for (std::size_t k = 0; k < q; ++k) {
-        int di = base[k].di;
-        int dq = base[k].dq;
-        if (swap_axes) std::swap(di, dq);
-        if (flip_u) di = -di;
-        if (flip_v) dq = -dq;
-        lut_di_[static_cast<std::size_t>(t) * q + k] =
-            static_cast<std::int8_t>(di);
-        lut_dq_[static_cast<std::size_t>(t) * q + k] =
-            static_cast<std::int8_t>(dq);
-      }
-    }
-  }
+  compile_selectors(paths, nt_, kLanes,
+                    mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
 }
 
 template <typename T>
@@ -167,8 +165,7 @@ void PathPlanT<T>::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   mode_ = Mode::kFcsd;
   full_levels_ = full_levels;
   lut_ = nullptr;
-  ranks_.clear();
-  fix_.clear();
+  sel_.clear();
   powq_.resize(full_levels);
   num_paths_ = 1;
   for (std::size_t d = 0; d < full_levels; ++d) {
@@ -229,12 +226,18 @@ struct I16KernelState {
   const std::int32_t* slice_s = nullptr;
   const std::uint8_t* slice_live = nullptr;
   const std::int8_t* slicer = nullptr;
-  const std::int32_t* pam = nullptr;
-  int pam_span = 0;
-  const std::int16_t* ranks = nullptr;
-  const std::uint32_t* fix_mask = nullptr;
-  const std::int8_t* lut_di = nullptr;
-  const std::int8_t* lut_dq = nullptr;
+  const std::int32_t* tab_c = nullptr;  // table slicer, affine form
+  const std::int32_t* tab_d = nullptr;
+  const std::int32_t* tab_s = nullptr;
+  const std::int32_t* tab_lo = nullptr;
+  const std::int32_t* tab_hi = nullptr;
+  const std::int64_t* pam_e = nullptr;  // PAM reference, affine form
+  const std::int64_t* pam_p = nullptr;
+  const std::int32_t* pam_f = nullptr;
+  const std::int32_t* pam_d = nullptr;
+  const std::int32_t* pam_s = nullptr;
+  const std::uint8_t* pam_wide = nullptr;
+  const std::uint16_t* sel = nullptr;
   const std::size_t* powq = nullptr;
   const core::OrderingLut* lut = nullptr;
   const modulation::Constellation* cst = nullptr;
@@ -259,10 +262,7 @@ struct FpKernelState {
   const T* rx_im = nullptr;
   const T* pt_re = nullptr;  // constellation points (table modes, fp32)
   const T* pt_im = nullptr;
-  const std::int32_t* ranks = nullptr;
-  const std::uint8_t* fix = nullptr;
-  const std::int8_t* lut_di = nullptr;
-  const std::int8_t* lut_dq = nullptr;
+  const std::uint16_t* sel = nullptr;  // selector codes / clamped ranks
   const std::size_t* powq = nullptr;
   const core::OrderingLut* lut = nullptr;
   const modulation::Constellation* cst = nullptr;
@@ -321,8 +321,8 @@ namespace {
 #pragma GCC target("sse4.1")
 #define FLEXCORE_ISA_NS isa_sse41
 #define FLEXCORE_ISA_VEC_BYTES 16
-#include "detect/path_kernels_i16_kernel.inc"
 #include "detect/path_kernels_fp_walk.inc"
+#include "detect/path_kernels_i16_kernel.inc"
 #undef FLEXCORE_ISA_VEC_BYTES
 #undef FLEXCORE_ISA_NS
 #pragma GCC pop_options
@@ -331,8 +331,8 @@ namespace {
 #pragma GCC target("avx2")
 #define FLEXCORE_ISA_NS isa_avx2
 #define FLEXCORE_ISA_VEC_BYTES 32
-#include "detect/path_kernels_i16_kernel.inc"
 #include "detect/path_kernels_fp_walk.inc"
+#include "detect/path_kernels_i16_kernel.inc"
 #undef FLEXCORE_ISA_VEC_BYTES
 #undef FLEXCORE_ISA_NS
 #pragma GCC pop_options
@@ -341,8 +341,8 @@ namespace {
 #pragma GCC target("avx512f")
 #define FLEXCORE_ISA_NS isa_avx512
 #define FLEXCORE_ISA_VEC_BYTES 64
-#include "detect/path_kernels_i16_kernel.inc"
 #include "detect/path_kernels_fp_walk.inc"
+#include "detect/path_kernels_i16_kernel.inc"
 #undef FLEXCORE_ISA_VEC_BYTES
 #undef FLEXCORE_ISA_NS
 #pragma GCC pop_options
@@ -361,8 +361,8 @@ namespace {
 #else
 #define FLEXCORE_ISA_VEC_BYTES 16
 #endif
-#include "detect/path_kernels_i16_kernel.inc"
 #include "detect/path_kernels_fp_walk.inc"
+#include "detect/path_kernels_i16_kernel.inc"
 #undef FLEXCORE_ISA_VEC_BYTES
 #undef FLEXCORE_ISA_NS
 
@@ -464,10 +464,7 @@ void PathPlanT<T>::fill_kernel_state(FpKernelState<T>* st) const noexcept {
   st->rx_im = rx_.im.data();
   st->pt_re = pt_.re.data();
   st->pt_im = pt_.im.data();
-  st->ranks = ranks_.data();
-  st->fix = fix_.data();
-  st->lut_di = lut_di_.data();
-  st->lut_dq = lut_dq_.data();
+  st->sel = sel_.data();
   st->powq = powq_.data();
   st->lut = lut_;
   st->cst = c_;
@@ -547,8 +544,8 @@ std::size_t PathPlanT<T>::footprint_bytes() const noexcept {
     return (v.re.size() + v.im.size()) * sizeof(T);
   };
   return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
-         ranks_.size() * sizeof(std::int32_t) + fix_.size() +
-         lut_di_.size() + lut_dq_.size() + powq_.size() * sizeof(std::size_t);
+         sel_.size() * sizeof(std::uint16_t) +
+         powq_.size() * sizeof(std::size_t);
 }
 
 template class PathPlanT<double>;
@@ -612,13 +609,53 @@ inline std::int32_t pack_i16_pair(std::int16_t re, std::int16_t im) noexcept {
   return static_cast<std::int32_t>(u);
 }
 
+/// The floor-affine form (x * c + d) >> s through the points (x[k], y[k]),
+/// k < n, x ascending.  Closed form c = round(slope * 2^s), tried with its
+/// two neighbours for s = s_max down to s_max - 3; d is the least value of
+/// the interval every point admits, so a candidate is checked against all
+/// points at once.  The form is monotone (c >= 0), so the ends of each run
+/// of equal y suffice to pin a whole step function.  `in_range(c, d)`
+/// vetoes fits whose lane arithmetic could leave int32.  Returns false when
+/// nothing fits.
+template <typename InRange>
+bool fit_floor_affine(const std::int64_t* x, const std::int64_t* y,
+                      std::size_t n, double slope, int s_max,
+                      InRange in_range, std::int64_t* c_out,
+                      std::int64_t* d_out, int* s_out) {
+  for (int ds = 0; ds < 4; ++ds) {
+    const int s = std::max(1, s_max - ds);
+    const std::int64_t one = std::int64_t{1} << s;
+    const std::int64_t c0 = std::llround(std::ldexp(slope, s));
+    for (const std::int64_t c : {c0, c0 - 1, c0 + 1}) {
+      if (c < 0) continue;
+      std::int64_t dlo = std::numeric_limits<std::int64_t>::min();
+      std::int64_t dhi = std::numeric_limits<std::int64_t>::max();
+      for (std::size_t k = 0; k < n && dlo <= dhi; ++k) {
+        dlo = std::max(dlo, y[k] * one - x[k] * c);
+        dhi = std::min(dhi, (y[k] + 1) * one - 1 - x[k] * c);
+      }
+      if (dlo <= dhi && in_range(c, dlo)) {
+        *c_out = c;
+        *d_out = dlo;
+        *s_out = s;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+constexpr std::int64_t kI32Limit = 2147483647;
+
 }  // namespace
 
 void PathPlanI16::compile_channel(const linalg::CMat& r,
                                   const modulation::Constellation& c,
-                                  bool /*with_diag_inverse*/) {
+                                  bool with_slicer_table) {
   // (The fp tiers skip 1/R(i,i) for FCSD; the quantized tier always
-  // compiles it — the greedy FCSD slice runs through the same LUT slicer.)
+  // compiles it — the greedy FCSD slice runs through the same LUT slicer.
+  // Only FCSD reads the slicer tables; FlexCore plans keep their affine
+  // forms alone.)
   const std::size_t nt = r.cols();
   require_kernel_streams("PathPlanI16", nt);
   nt_ = nt;
@@ -751,15 +788,23 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   rdi_im_q_.assign(nt, 0);
   gbits_.assign(nt, 0);
   slicer_shift_.assign(nt, 0);
-  slicer_.assign(nt * kSlicerBuckets, kSlicerInvalid);
+  slicer_.assign(with_slicer_table ? nt * kSlicerBuckets : 0, kSlicerInvalid);
   slice_ar_.assign(nt, 0);
   slice_ai_.assign(nt, 0);
   slice_off_.assign(nt, 0);
   slice_s_.assign(nt, 1);
   slice_live_.assign(nt, 0);
-  pam_span_ = side_ + 2 * kPamPad + 1;
-  pam_q_.assign(nt * static_cast<std::size_t>(pam_span_), 0);
-  constexpr double kPamCap = 1073741824.0;  // 2^30: unreachable by eff_raw
+  pam_e_.assign(nt, 0);
+  pam_p_.assign(nt, 0);
+  pam_f_.assign(nt, 0);
+  pam_d_.assign(nt, 0);
+  pam_s_.assign(nt, 1);
+  pam_wide_.assign(nt, 0);
+  tab_c_.assign(nt, 0);
+  tab_d_.assign(nt, 0);
+  tab_s_.assign(nt, 1);
+  tab_lo_.assign(nt, 1);  // empty [lo, hi]: every rank > 1 lane dies
+  tab_hi_.assign(nt, 0);
 
   for (std::size_t i = 0; i < nt; ++i) {
     // flexcore-lint: allow-next-line(HP005) LUT compile time, not per-path
@@ -776,17 +821,7 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
       rdi_im_q_[i] = quantize_i16(inv.imag() * gs);
     }
 
-    // PAM residual table at eff's scale 2^(F+G_i); saturated entries are
-    // unreachable (|eff_raw| <= 2*kMax^2 but table values would be wider).
     const double es = std::ldexp(1.0, fbits_ + gbits_[i]);
-    for (int a = -kPamPad; a <= side_ + kPamPad; ++a) {
-      const double val = (2.0 * a - (side_ - 1)) * scale_ * es;
-      const double cl = !(val < kPamCap) ? kPamCap
-                        : (val < -kPamCap ? -kPamCap : val);
-      pam_q_[i * static_cast<std::size_t>(pam_span_) +
-             static_cast<std::size_t>(a + kPamPad)] =
-          static_cast<std::int32_t>(cl >= 0.0 ? cl + 0.5 : cl - 0.5);
-    }
 
     if (!invertible) continue;  // slicer stays all-sentinel: lanes die here
 
@@ -827,6 +862,8 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
       }
     }
     const double bucket = std::ldexp(1.0, sh);
+    std::int8_t tab[kSlicerBuckets];
+    std::fill(std::begin(tab), std::end(tab), kSlicerInvalid);
     for (std::size_t t = 1; t + 1 < kSlicerBuckets; ++t) {
       // The same rounded-center rule as the fp slicer, evaluated once per
       // bucket midpoint at compile time.
@@ -835,10 +872,150 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
       const int a =
           round_half_away((e_mid * inv_scale_ + (side_ - 1)) / 2.0);
       if (a > -kPamPad && a < side_ + kPamPad) {
-        slicer_[i * kSlicerBuckets + t] = static_cast<std::int8_t>(a);
+        tab[t] = static_cast<std::int8_t>(a);
       }
     }
+
+    // The same table in lane form for the kernel's rank > 1 lanes, and
+    // whether their residuals erx - pam need 64-bit lanes: |erx| stays
+    // under 128 * 2^shift on every in-coverage bucket.
+    fit_table_slicer(i, bucket / es * inv_scale_ / 2.0, tab);
+    if (with_slicer_table) {
+      std::copy(std::begin(tab), std::end(tab),
+                slicer_.begin() +
+                    static_cast<std::ptrdiff_t>(i * kSlicerBuckets));
+    }
+    fit_pam_row(i, scale_ * es, std::ldexp(128.0, sh));
   }
+}
+
+void PathPlanI16::fit_pam_row(std::size_t level, double x, double erx_max) {
+  // The PAM reference of the triangle classification at eff's scale: for
+  // the in-coverage centers a = a_lo .. a_hi, U_a = round((2a - (side-1))
+  // * x), which the kernel saturates to +-2^30 (only wide levels reach
+  // that, and saturated entries are unreachable: eff_raw itself is
+  // bounded by 2*kMax^2).  Consecutive entries step by floor(2x) or one
+  // more, so U_a = e + (a - a_mid) * p + r_k with k = a - a_lo and
+  // r_k = (k * f + d) >> s a floor-affine remainder — lane arithmetic, no
+  // table.  Where rounding defeats the fit, the closed form
+  // r_k = floor(k * frac(2x) + phi) defines the row instead (it moves an
+  // entry by one unit only at a near-tie).
+  constexpr double kPamCap = 1073741824.0;  // 2^30
+  constexpr int kRow = 2 * kPamPad + 16;    // room for side <= 16
+  const int a_lo = 1 - kPamPad;
+  const int n = side_ + 2 * kPamPad - 1;
+  const int a_mid = side_ / 2;
+  if (n > kRow) {
+    throw std::invalid_argument("PathPlanI16: constellation side above 16");
+  }
+  std::int64_t u[kRow] = {};
+  for (int k = 0; k < n; ++k) {
+    const double val = (2.0 * (a_lo + k) - (side_ - 1)) * x;
+    const double cl = std::clamp(val, -4.0e18, 4.0e18);
+    u[k] = static_cast<std::int64_t>(cl >= 0.0 ? cl + 0.5 : cl - 0.5);
+  }
+  const std::int64_t p = static_cast<std::int64_t>(std::floor(2.0 * x));
+  std::int64_t ks[kRow] = {}, r[kRow] = {};
+  for (int k = 0; k < n; ++k) {
+    ks[k] = k;
+    r[k] = u[k] - u[0] - k * p;
+  }
+  std::int64_t f = 0, d = 0;
+  int s = 24;
+  const bool ok = fit_floor_affine(
+      ks, r, static_cast<std::size_t>(n), 2.0 * x - static_cast<double>(p), s,
+      [&](std::int64_t c, std::int64_t dd) {
+        return (n - 1) * c + dd < kI32Limit;
+      },
+      &f, &d, &s);
+  if (!ok) {
+    const double m0 = (2.0 * a_lo - (side_ - 1)) * x + 0.5;
+    s = 24;
+    f = std::llround(std::ldexp(2.0 * x - static_cast<double>(p), s));
+    d = std::llround(std::ldexp(m0 - std::floor(m0), s));
+  }
+  const std::int64_t e = u[0] - (a_lo - a_mid) * p;
+  pam_e_[level] = e;
+  pam_p_[level] = p;
+  pam_f_[level] = static_cast<std::int32_t>(f);
+  pam_d_[level] = static_cast<std::int32_t>(d);
+  pam_s_[level] = s;
+  // int32 lanes are exact when every |eff| the classification sees
+  // (< 128 * 2^shift) plus the reference stays under 2^31, and the
+  // form's own partial sums do; otherwise, or when an entry saturates,
+  // the kernel runs the reference and residuals in 64-bit lanes.
+  bool wide = false;
+  for (int k = 0; k < n; ++k) {
+    const std::int64_t lin = (a_lo + k - a_mid) * p;
+    const std::int64_t row = e + lin + ((k * f + d) >> s);
+    wide = wide || std::llabs(lin) >= kI32Limit ||
+           std::llabs(e + lin) >= kI32Limit ||
+           static_cast<double>(std::llabs(row)) > kPamCap ||
+           erx_max + static_cast<double>(std::llabs(row)) >= 2147483648.0;
+  }
+  pam_wide_[level] = wide ? 1 : 0;
+}
+
+void PathPlanI16::fit_table_slicer(std::size_t level, double kappa,
+                                   std::int8_t* tab) {
+  // On its in-coverage buckets the table holds a = round((t - 127.5) *
+  // kappa + (side-1)/2), kappa the axis steps per bucket — a step function
+  // of t.  Closed form: c = kappa * 2^s and d the rounded offset, with s
+  // as large as int32 allows for every t in [0, 255].  Each candidate is
+  // checked against every in-coverage bucket through the interval of d it
+  // admits; rounding can defeat the closed form, so a few neighbouring
+  // (s, c) are tried before giving up.
+  int lo = 1, hi = 0;
+  const auto coverage = [&] {
+    lo = 1;
+    while (lo < 255 && tab[lo] == kSlicerInvalid) ++lo;
+    hi = 254;
+    while (hi >= lo && tab[hi] == kSlicerInvalid) --hi;
+  };
+  coverage();
+  if (lo > hi) return;  // all sentinel: the level kills rank > 1 lanes
+  const double off = 0.5 - 127.5 * kappa + 0.5 * (side_ - 1);
+  const double span = 255.0 * kappa + std::fabs(off) + 2.0;
+  const int s_max = std::clamp(
+      static_cast<int>(std::floor(std::log2(2147483647.0 / span))), 1, 30);
+  // The ends of each run of equal entries.
+  std::int64_t xs[kSlicerBuckets], ys[kSlicerBuckets];
+  std::size_t n = 0;
+  for (int t = lo; t <= hi; ++t) {
+    if (t == lo || t == hi || tab[t] != tab[t - 1] || tab[t] != tab[t + 1]) {
+      xs[n] = t;
+      ys[n++] = tab[t];
+    }
+  }
+  std::int64_t c = 0, d = 0;
+  int s = s_max;
+  const bool ok = fit_floor_affine(
+      xs, ys, n, kappa, s_max,
+      [](std::int64_t cc, std::int64_t dd) {
+        return cc > 0 && std::llabs(dd) < kI32Limit &&
+               std::llabs(255 * cc + dd) < kI32Limit;
+      },
+      &c, &d, &s);
+  if (!ok) {
+    // No exact form (a bucket midpoint within rounding of a decision
+    // boundary): the closed form at s_max defines the table instead, so
+    // the table modes and the lanes still slice alike.
+    s = s_max;
+    c = std::llround(std::ldexp(kappa, s));
+    d = std::llround(std::ldexp(off, s));
+    for (int t = 1; t + 1 < static_cast<int>(kSlicerBuckets); ++t) {
+      const std::int64_t a = (t * c + d) >> s;
+      tab[t] = a > -kPamPad && a < side_ + kPamPad
+                   ? static_cast<std::int8_t>(a)
+                   : kSlicerInvalid;
+    }
+    coverage();
+  }
+  tab_c_[level] = static_cast<std::int32_t>(c);
+  tab_d_[level] = static_cast<std::int32_t>(d);
+  tab_s_[level] = s;
+  tab_lo_[level] = lo;
+  tab_hi_[level] = hi;
 }
 
 void PathPlanI16::compile_flexcore(const linalg::CMat& r,
@@ -847,7 +1024,8 @@ void PathPlanI16::compile_flexcore(const linalg::CMat& r,
                                    const core::OrderingLut& lut,
                                    bool exact_ordering,
                                    core::InvalidEntryPolicy policy) {
-  compile_channel(r, c, /*with_diag_inverse=*/true);
+  require_path_lengths("PathPlanI16", paths, r.cols());
+  compile_channel(r, c, /*with_slicer_table=*/false);
   num_paths_ = paths.size();
   lut_ = &lut;
   policy_ = policy;
@@ -857,61 +1035,8 @@ void PathPlanI16::compile_flexcore(const linalg::CMat& r,
           : policy == core::InvalidEntryPolicy::kDeactivate
               ? Mode::kLutRank
               : Mode::kGenericRank;
-
-  // Selector table, path-major-blocked at the doubled lane width; ranks
-  // are <= |Q| <= 256 so int16 entries halve the table too.
-  const std::size_t nb = linalg::simd_blocks_of(num_paths_, kLanes);
-  ranks_.assign(nb * nt_ * kLanes, 1);
-  for (std::size_t p = 0; p < num_paths_; ++p) {
-    const core::PositionVector& pv = paths[p].p;
-    assert(pv.size() == nt_);
-    const std::size_t b = p / kLanes;
-    const std::size_t l = p % kLanes;
-    for (std::size_t i = 0; i < nt_; ++i) {
-      ranks_[(b * nt_ + i) * kLanes + l] = static_cast<std::int16_t>(pv[i]);
-    }
-  }
-
-  // Per-lane fix masks: a rank-1 lane's decision is the slicer center
-  // itself only when the LUT's first entry really is the center, which
-  // compile verifies rather than assumes; every other lane is flagged for
-  // the scalar table path.
-  fix_mask_.assign(nb * nt_, 0);
-  const auto& base0 = lut.base_order().front();
-  const bool center_first =
-      mode_ == Mode::kLutRank && base0.di == 0 && base0.dq == 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t i = 0; i < nt_; ++i) {
-      const std::int16_t* lane = ranks_.data() + (b * nt_ + i) * kLanes;
-      std::uint32_t m = 0;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        if (!center_first || lane[l] != 1) m |= std::uint32_t{1} << l;
-      }
-      fix_mask_[b * nt_ + i] = m;
-    }
-  }
-  if (mode_ == Mode::kLutRank) {
-    const auto& base = lut.base_order();
-    const std::size_t q = base.size();
-    lut_di_.resize(8 * q);
-    lut_dq_.resize(8 * q);
-    for (int t = 0; t < 8; ++t) {
-      const bool swap_axes = (t & 4) != 0;
-      const bool flip_u = (t & 2) != 0;
-      const bool flip_v = (t & 1) != 0;
-      for (std::size_t k = 0; k < q; ++k) {
-        int di = base[k].di;
-        int dq = base[k].dq;
-        if (swap_axes) std::swap(di, dq);
-        if (flip_u) di = -di;
-        if (flip_v) dq = -dq;
-        lut_di_[static_cast<std::size_t>(t) * q + k] =
-            static_cast<std::int8_t>(di);
-        lut_dq_[static_cast<std::size_t>(t) * q + k] =
-            static_cast<std::int8_t>(dq);
-      }
-    }
-  }
+  compile_selectors(paths, nt_, kLanes,
+                    mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
 }
 
 void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
@@ -919,12 +1044,11 @@ void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   if (full_levels > r.cols()) {
     throw std::invalid_argument("PathPlanI16: fcsd full_levels > Nt");
   }
-  compile_channel(r, c, /*with_diag_inverse=*/true);
+  compile_channel(r, c, /*with_slicer_table=*/true);
   mode_ = Mode::kFcsd;
   full_levels_ = full_levels;
   lut_ = nullptr;
-  ranks_.clear();
-  fix_mask_.clear();
+  sel_.clear();
   powq_.resize(full_levels);
   num_paths_ = 1;
   for (std::size_t d = 0; d < full_levels; ++d) {
@@ -934,13 +1058,23 @@ void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
 }
 
 int PathPlanI16::slicer_center(std::size_t level, double eff) const {
-  assert(compiled() && level < nt_);
+  if (level >= nt_) {
+    throw std::invalid_argument("PathPlanI16::slicer_center: level " +
+                                std::to_string(level) + " of a " +
+                                std::to_string(nt_) + "-level plan");
+  }
   // Quantize eff exactly like the kernel sees it mid-walk, then run the
   // same shift + bias + clamp + table read.
   const double es = std::ldexp(1.0, fbits_ + gbits_[level]);
   const std::int32_t er = quantize_i32(eff * es, 2147221504.0 /* ~2^31 */);
   const int t = std::clamp((er >> slicer_shift_[level]) + 128, 0, 255);
-  return slicer_[level * kSlicerBuckets + static_cast<std::size_t>(t)];
+  if (!slicer_.empty()) {
+    return slicer_[level * kSlicerBuckets + static_cast<std::size_t>(t)];
+  }
+  // FlexCore plans keep only the table's affine form, equal to it on the
+  // in-coverage buckets and sentinel elsewhere.
+  if (t < tab_lo_[level] || t > tab_hi_[level]) return kSlicerInvalid;
+  return (t * tab_c_[level] + tab_d_[level]) >> tab_s_[level];
 }
 
 std::size_t PathPlanI16::footprint_bytes() const noexcept {
@@ -956,10 +1090,12 @@ std::size_t PathPlanI16::footprint_bytes() const noexcept {
           slice_s_.size()) *
              sizeof(std::int32_t) +
          slice_live_.size() + slicer_.size() +
-         pam_q_.size() * sizeof(std::int32_t) +
-         ranks_.size() * sizeof(std::int16_t) +
-         fix_mask_.size() * sizeof(std::uint32_t) + lut_di_.size() +
-         lut_dq_.size() + powq_.size() * sizeof(std::size_t);
+         (tab_c_.size() + tab_d_.size() + tab_s_.size() + tab_lo_.size() +
+          tab_hi_.size() + pam_f_.size() + pam_d_.size() + pam_s_.size()) *
+             sizeof(std::int32_t) +
+         (pam_e_.size() + pam_p_.size()) * sizeof(std::int64_t) +
+         pam_wide_.size() + sel_.size() * sizeof(std::uint16_t) +
+         powq_.size() * sizeof(std::size_t);
 }
 
 FLEXCORE_HOT_PATH
@@ -1003,12 +1139,18 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.slice_s = slice_s_.data();
   st.slice_live = slice_live_.data();
   st.slicer = slicer_.data();
-  st.pam = pam_q_.data();
-  st.pam_span = pam_span_;
-  st.ranks = ranks_.empty() ? nullptr : ranks_.data();
-  st.fix_mask = fix_mask_.empty() ? nullptr : fix_mask_.data();
-  st.lut_di = lut_di_.data();
-  st.lut_dq = lut_dq_.data();
+  st.tab_c = tab_c_.data();
+  st.tab_d = tab_d_.data();
+  st.tab_s = tab_s_.data();
+  st.tab_lo = tab_lo_.data();
+  st.tab_hi = tab_hi_.data();
+  st.pam_e = pam_e_.data();
+  st.pam_p = pam_p_.data();
+  st.pam_f = pam_f_.data();
+  st.pam_d = pam_d_.data();
+  st.pam_s = pam_s_.data();
+  st.pam_wide = pam_wide_.data();
+  st.sel = sel_.empty() ? nullptr : sel_.data();
   st.powq = powq_.data();
   st.lut = lut_;
   st.cst = c_;

@@ -8,24 +8,28 @@
 // CPU SIMD lanes instead:
 //
 //  * At preprocessing time (set_channel) the detector COMPILES its path set
-//    into a PathPlan: per-level symbol selectors laid out path-major-blocked
-//    (blocks of kLanes paths, selectors of one level contiguous across the
-//    block's lanes), a per-(block, level) fix mask of the lanes whose rank
-//    is above 1, the channel state (R rows, 1/R(i,i), the R(i,i)*point
-//    reconstruction table, the constellation points) split into re/im
-//    structure-of-arrays, and the triangle LUT expanded into all 8 dihedral
-//    transforms so the per-level lookup is table-walk + bounds check, no
-//    reflection branches.
-//  * path_metric_block(ybar, first, n, out) then evaluates a whole block of
+//    into a PathPlan: one selector code per (path, level) laid out
+//    path-major-blocked (blocks of kLanes paths, codes of one level
+//    contiguous across the block's lanes) — the base-triangle LUT offset
+//    of the path's rank there, or an invalid-rank sentinel — plus the
+//    channel state (R rows, 1/R(i,i), the R(i,i)*point reconstruction
+//    table, the constellation points) split into re/im structure-of-arrays.
+//  * path_metric_block(ybar, first, n, out) then evaluates whole blocks of
 //    paths per call: lane = path, the per-level interference-cancellation
-//    loop written as split real/imag lane-register arithmetic.  Rank-1
-//    lanes never gather: slicing, liveness and the decided point and its
-//    metric reference are rebuilt in the lanes from the sliced axis
-//    indices.  Only fix-mask lanes (rank > 1) and the table modes (FCSD,
-//    skip-to-valid, exact sort) take per-lane lookups, on staged arrays.
+//    loop written as split real/imag lane-register arithmetic.  Every lane
+//    decides in the registers: the rounded slicer center, the dihedral
+//    transform picked from the residual by lane selects, the transformed
+//    LUT offset and the bounds test that deactivates a lane, then the
+//    decided point and its metric reference rebuilt from the axis indices.
+//    A rank is data (a selector code), not control flow.  Only the table
+//    modes (FCSD, skip-to-valid, exact sort) decide per lane on staged
+//    arrays.
 //  * The walk, like the int16 kernel, is compiled once per x86-64 ISA
 //    (baseline, SSE4.1, AVX2, AVX-512F), each copy at its native register
-//    width, and dispatched at startup (kernel_isa() names the copy).
+//    width, and dispatched at startup (kernel_isa() names the copy).  A
+//    call keeps four native-width chains in flight (4 x the copy's doubles
+//    per call, never less than one block), so one lane's decision chain
+//    overlaps the others'.
 //
 // The plan is templated on the compute scalar.  PathPlan (double) is the
 // library's one exact per-path walk: the grids, winner reconstruction,
@@ -118,9 +122,10 @@ class PathPlanT {
   /// Compiles a FlexCore path set: `paths[p].p[i]` is the 1-based closeness
   /// rank at level i.  `exact_ordering` selects the exhaustive-sort
   /// ablation instead of the triangle LUT; `policy` is the detector's
-  /// invalid-entry policy (kDeactivate compiles to the branch-light
-  /// transformed-LUT fast path, kSkipToValid falls back to per-lane
-  /// OrderingLut calls).  `lut` must outlive the plan.
+  /// invalid-entry policy (kDeactivate compiles to the in-lane LUT walk,
+  /// kSkipToValid falls back to per-lane OrderingLut calls).  `lut` must
+  /// outlive the plan.  Throws std::invalid_argument, before touching the
+  /// plan, when a path does not hold exactly r.cols() ranks.
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,
@@ -204,19 +209,12 @@ class PathPlanT {
   linalg::SplitVec<T> r_, rdi_, rx_, pt_;
 
   // FlexCore selector table, path-major-blocked:
-  //   ranks_[(block * nt_ + level) * kLanes + lane]
-  // is the 1-based closeness rank of path block*kLanes+lane at `level`
-  // (tail lanes of the last block hold rank 1 and are never emitted).
-  std::vector<std::int32_t> ranks_;
-  // fix_[block * nt_ + level]: bit l set when lane l must take the
-  // triangle-LUT path at that level (rank > 1, or a LUT whose first entry
-  // is not the slicer center); every other lane's decision is the slicer
-  // center itself (see compile_flexcore).
-  std::vector<std::uint8_t> fix_;
-
-  // Expanded triangle LUT: entry [t * q + (k-1)] is base-order entry k
-  // under dihedral transform t = swap*4 | flip_u*2 | flip_v.
-  std::vector<std::int8_t> lut_di_, lut_dq_;
+  //   sel_[(block * nt_ + level) * kLanes + lane]
+  // is path block*kLanes+lane's selector code at `level` (tail lanes of the
+  // last block hold rank 1's code and are never emitted).  The LUT mode stores
+  // the base-triangle offset of the rank (selector_code); the ablation
+  // modes store the rank itself, clamped to [0, |Q| + 1].
+  std::vector<std::uint16_t> sel_;
 
   // FCSD digit decode: powq_[d] = |Q|^d for the enumerated levels.
   std::size_t full_levels_ = 0;
@@ -256,6 +254,12 @@ extern template class PathPlanT<float>;
 ///    range, so the runtime rounded-center divide/compare chain collapses
 ///    to shift + clamp + table index (out-of-coverage buckets hold a
 ///    sentinel that deactivates the lane / clamps the greedy FCSD slice).
+///    The LUT-rank mode reads no table: rank-1 lanes slice through an
+///    affine form with 1/R(i,i) folded in, rank > 1 lanes through the
+///    table's exact affine form, and the triangle classification's PAM
+///    reference is an affine form too — every lane decides in the
+///    registers, at the copy's native int32 width.  FlexCore plans keep
+///    only the affine forms; FCSD plans store the tables.
 ///
 /// Metrics are returned as doubles (raw accumulator * 2^-2F), so the grid
 /// min-reduction and winner reconstruction are unchanged.  The tier is
@@ -272,9 +276,9 @@ class PathPlanI16 {
   /// (deactivates the lane in FlexCore modes; clamps in FCSD greedy mode).
   static constexpr std::int8_t kSlicerInvalid =
       std::numeric_limits<std::int8_t>::min();
-  /// Extended axis-index pad kept around the constellation in the slicer /
-  /// PAM residual tables (LUT offsets reach at most a couple of steps
-  /// outside before the bounds check kills the lane).
+  /// Extended axis-index pad kept around the constellation in the slicer
+  /// coverage and the PAM reference (LUT offsets reach at most a couple of
+  /// steps outside before the bounds check kills the lane).
   static constexpr int kPamPad = 4;
 
   /// Same contracts as PathPlanT::compile_flexcore / compile_fcsd.
@@ -313,7 +317,7 @@ class PathPlanI16 {
   /// coordinate (value domain): the unclamped axis index the kernel would
   /// pick, or kSlicerInvalid when `eff` falls outside the table coverage.
   /// Exposed so tests can check golden patterns against hand-computed
-  /// slices.
+  /// slices.  Throws std::invalid_argument unless level < levels().
   int slicer_center(std::size_t level, double eff) const;
 
  private:
@@ -321,7 +325,14 @@ class PathPlanI16 {
 
   void compile_channel(const linalg::CMat& r,
                        const modulation::Constellation& c,
-                       bool with_diag_inverse);
+                       bool with_slicer_table);
+  /// Compiles level `level`'s slicer table `tab` (kSlicerBuckets entries)
+  /// into tab_c_ .. tab_hi_; `kappa` is the table's axis steps per bucket.
+  void fit_table_slicer(std::size_t level, double kappa, std::int8_t* tab);
+  /// Compiles level `level`'s PAM reference into pam_e_ .. pam_wide_; `x`
+  /// is the PAM half-step at eff's scale, `erx_max` the largest |eff| an
+  /// in-coverage lane can hold there.
+  void fit_pam_row(std::size_t level, double x, double erx_max);
 
   Mode mode_ = Mode::kLutRank;
   std::size_t nt_ = 0;
@@ -373,7 +384,9 @@ class PathPlanI16 {
 
   // LUT-compiled slicer, per level: bucket = (eff_raw >> shift) + 128,
   // clamped to [0, 255]; the int8 entry is the unclamped center axis index
-  // or kSlicerInvalid.  eff_raw is at scale 2^(F + gbits_[level]).
+  // or kSlicerInvalid.  eff_raw is at scale 2^(F + gbits_[level]).  Only
+  // FCSD plans store the tables; FlexCore plans keep their affine form
+  // (tab_c_ .. tab_hi_ below).
   std::vector<int> slicer_shift_;
   std::vector<std::int8_t> slicer_;  // nt_ * kSlicerBuckets
 
@@ -396,22 +409,31 @@ class PathPlanI16 {
   std::vector<std::int32_t> slice_ar_, slice_ai_, slice_off_, slice_s_;
   std::vector<std::uint8_t> slice_live_;
 
-  // PAM residual tables for the triangle classification, per level at the
-  // eff_raw scale, over the padded axis range [-kPamPad, side + kPamPad]:
-  // pam_q_[level * pam_span_ + (a + kPamPad)] ~= pam_level(a) * 2^(F+G_i),
-  // saturated to +-2^30 (saturated entries are unreachable: eff_raw itself
-  // is bounded by 2*kMax^2).
-  std::vector<std::int32_t> pam_q_;
-  int pam_span_ = 0;
+  // The table slicer in lane form, for rank > 1 lanes (which keep the
+  // table slicer's center; rank-1 lanes keep the affine one above): per
+  // level, the in-coverage buckets are [tab_lo_, tab_hi_] (empty on a
+  // rank-deficient level), and on them the table entry is exactly
+  //   (bucket * tab_c_ + tab_d_) >> tab_s_,
+  // checked against every in-coverage bucket at compile time.
+  std::vector<std::int32_t> tab_c_, tab_d_, tab_s_, tab_lo_, tab_hi_;
+
+  // PAM reference of the triangle classification, per level at the
+  // eff_raw scale, as lane arithmetic instead of a table: for an
+  // in-coverage center a in (-kPamPad, side + kPamPad),
+  //   pam(a) = pam_e_ + (a - side/2) * pam_p_
+  //            + (((a + kPamPad - 1) * pam_f_ + pam_d_) >> pam_s_)
+  // ~= pam_level(a) * 2^(F+G_i), saturated to +-2^30 (see fit_pam_row).
+  // pam_wide_[level] is 1 when erx - pam might not fit int32 there
+  // (128 * 2^shift + max|pam| >= 2^31, or a saturated entry), and the
+  // kernel then forms the reference and residuals in 64-bit lanes.
+  std::vector<std::int64_t> pam_e_, pam_p_;
+  std::vector<std::int32_t> pam_f_, pam_d_, pam_s_;
+  std::vector<std::uint8_t> pam_wide_;
 
   // FlexCore selector table, path-major-blocked exactly like PathPlanT but
-  // kLanes = 16 wide and int16 entries (ranks <= 256).
-  std::vector<std::int16_t> ranks_;
-  // fix_mask_[block * nt_ + level]: bit l set when lane l must take the
-  // scalar table path at that level (rank > 1, or a LUT whose first entry
-  // is not the slicer center) — PathPlanT's fix_ at twice the lane count.
-  std::vector<std::uint32_t> fix_mask_;
-  std::vector<std::int8_t> lut_di_, lut_dq_;
+  // kLanes = 16 wide: the same selector codes (LUT mode) or clamped ranks
+  // (ablation modes).
+  std::vector<std::uint16_t> sel_;
 
   std::size_t full_levels_ = 0;
   std::vector<std::size_t> powq_;

@@ -15,6 +15,8 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -302,28 +304,181 @@ TEST(KernelEquivalence, DispatchHonoursIsaPin) {
 
 TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
   // path_metric_block accepts any (first, n) range, not just whole blocks.
+  // The walk evaluates four native-width chains per call (up to 32 paths
+  // on AVX-512) from block-aligned starts and single blocks elsewhere, so
+  // the ranges below start on and off block and chunk boundaries and span
+  // several chunks plus a tail; each must equal the reference walk.
   Constellation c(16);
   ch::Rng rng(13);
-  const auto h = ch::rayleigh_iid(6, 6, rng);
+  const auto h = ch::rayleigh_iid(8, 8, rng);
   const double nv = ch::noise_var_for_snr_db(14.0);
   const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
-      "flexcore-29", {.constellation = &c});
+      "flexcore-100", {.constellation = &c});
   det->set_channel(h, nv);
   const std::size_t paths = det->active_paths();
-  ASSERT_GT(paths, 11u);
-  const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-
-  std::vector<double> all(paths);
-  det->path_metric_block(ybar, 0, paths, all.data());
+  ASSERT_GT(paths, 64u);
+  const fr::FlexCoreReference ref(*det);
   const std::pair<std::size_t, std::size_t> ranges[] = {
-      {3, 5}, {7, 9}, {paths - 3, 3}, {1, paths - 1}};
-  for (const auto& [first, n] : ranges) {
-    std::vector<double> part(n);
-    det->path_metric_block(ybar, first, n, part.data());
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(part[k], all[first + k]) << "first=" << first << " k=" << k;
+      {3, 5},           {7, 9},       {paths - 3, 3}, {1, paths - 1},
+      {8, 8},           {8, 40},      {24, 50},       {40, paths - 40},
+      {0, paths},       {32, paths - 32}, {0, 70},    {8, 67},
+      {16, 48},         {56, 33}};
+  for (int rep = 0; rep < 3; ++rep) {
+    const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+    for (const auto& [first, n] : ranges) {
+      ASSERT_LE(first + n, paths);
+      std::vector<double> part(n);
+      det->path_metric_block(ybar, first, n, part.data());
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(part[k], ref.path_metric(ybar, first + k))
+            << "first=" << first << " n=" << n << " k=" << k;
+      }
     }
   }
+}
+
+/// A hand-built path set over `nt` levels: rank 1 everywhere except the
+/// top level (ranks 1..4, so rank > 1 lanes see every residual triangle
+/// there) and two middle levels that cycle through 1, 2, 3, |Q|, |Q| + 1
+/// (invalid: past the LUT) and 0 (invalid), so blocks hold all-rank-1
+/// levels beside mixed ones.
+std::vector<fc::RankedPath> hand_paths(std::size_t nt, int q,
+                                       std::size_t count) {
+  const int top[] = {1, 2, 3, 4};
+  const int mid[] = {1, 2, q, 1, q + 1, 1, 0, 2, 1, 3, 1, 1};
+  std::vector<fc::RankedPath> paths(count);
+  for (std::size_t p = 0; p < count; ++p) {
+    paths[p].p.assign(nt, 1);
+    paths[p].p[nt - 1] = top[p % 4];
+    if (p % 3 != 0) paths[p].p[nt / 2] = mid[(p / 3) % 12];
+    if (p % 5 == 1) paths[p].p[nt / 2 - 1] = mid[(p * 7 + 5) % 12];
+  }
+  return paths;
+}
+
+/// The hand-built scenario: 8x8, 64-QAM, 20 dB, 40 hand paths over the
+/// channel and LUT of a flexcore-8 detector, 64 rotated vectors.
+struct HandScenario {
+  Constellation c{64};
+  std::unique_ptr<fc::FlexCoreDetector> det;
+  std::vector<fc::RankedPath> paths;
+  std::vector<fl::CVec> ybars;
+
+  HandScenario() {
+    ch::Rng rng(4711);
+    const auto h = ch::rayleigh_iid(8, 8, rng);
+    const double nv = ch::noise_var_for_snr_db(20.0);
+    det = fa::make_detector_as<fc::FlexCoreDetector>("flexcore-8",
+                                                     {.constellation = &c});
+    det->set_channel(h, nv);
+    paths = hand_paths(8, c.order(), 40);
+    for (int v = 0; v < 64; ++v) {
+      ybars.push_back(det->rotate(random_y(h, c, nv, rng)));
+    }
+  }
+
+  template <typename Plan>
+  void compile(Plan& plan) const {
+    plan.compile_flexcore(det->qr().R, paths, c, det->lut(), false,
+                          fc::InvalidEntryPolicy::kDeactivate);
+  }
+};
+
+TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
+  // Every decision kind of the LUT walk on one plan: rank 1, ranks 2..|Q|
+  // under all eight dihedral transforms, and both invalid ranks (0 and
+  // |Q| + 1), beside all-rank-1 sub-vectors.
+  const HandScenario sc;
+  fd::PathPlan plan;
+  sc.compile(plan);
+  const fr::FlexCoreReference ref(sc.det->qr().R, sc.c, sc.det->lut(),
+                                  sc.paths, sc.det->config());
+  const fl::CMat& r = sc.det->qr().R;
+  const std::size_t top = r.cols() - 1;
+  const double h = sc.c.scale();
+  unsigned triangles = 0;
+  std::size_t dead = 0;
+  for (const fl::CVec& ybar : sc.ybars) {
+    dead += expect_plan_matches_reference(plan, ref, sc.paths.size(), ybar,
+                                          "hand-built");
+    // The top level's effective point needs no cancellation, so its
+    // residual triangle is known here: the transform every rank > 1 lane
+    // of that level applies.
+    const fl::cplx eff = ybar[top] * (fl::cplx{1.0, 0.0} / r(top, top));
+    const int ci = sc.c.unbounded_axis_index(eff.real());
+    const int cq = sc.c.unbounded_axis_index(eff.imag());
+    const double u = eff.real() - (2.0 * ci - (sc.c.side() - 1)) * h;
+    const double v = eff.imag() - (2.0 * cq - (sc.c.side() - 1)) * h;
+    triangles |= 1u << ((std::fabs(v) > std::fabs(u) ? 4 : 0) |
+                        (u < 0.0 ? 2 : 0) | (v < 0.0 ? 1 : 0));
+  }
+  EXPECT_EQ(triangles, 0xFFu) << "not every dihedral transform occurred";
+  EXPECT_GT(dead, 0u);
+  EXPECT_LT(dead, sc.paths.size() * sc.ybars.size());
+  // An invalid rank deactivates its path whatever the vector.
+  std::vector<double> m(sc.paths.size());
+  plan.path_metric_block(sc.ybars[0], 0, m.size(), m.data());
+  for (std::size_t p = 0; p < sc.paths.size(); ++p) {
+    const auto& pv = sc.paths[p].p;
+    if (std::any_of(pv.begin(), pv.end(),
+                    [&](int k) { return k < 1 || k > sc.c.order(); })) {
+      EXPECT_TRUE(std::isinf(m[p])) << "path " << p;
+    }
+  }
+}
+
+TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
+  // A path must hold one rank per level in every build (a Release build
+  // once read a short one past its end); a refused path set leaves the
+  // previously compiled plan as it was.  slicer_center checks its level.
+  Constellation c(16);
+  ch::Rng rng(5);
+  const auto h = ch::rayleigh_iid(4, 4, rng);
+  const double nv = ch::noise_var_for_snr_db(12.0);
+  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-12", {.constellation = &c});
+  det->set_channel(h, nv);
+  const std::vector<fc::RankedPath> good = det->preprocessing().paths;
+  ASSERT_GT(good.size(), 6u);
+  const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+
+  auto bad_short = good;
+  bad_short[5].p.pop_back();
+  auto bad_long = good;
+  bad_long[2].p.push_back(1);
+  const auto check = [&](auto& plan, const char* tier) {
+    plan.compile_flexcore(det->qr().R, good, c, det->lut(), false,
+                          fc::InvalidEntryPolicy::kDeactivate);
+    std::vector<double> before(good.size()), after(good.size());
+    plan.path_metric_block(ybar, 0, good.size(), before.data());
+    for (const auto* bad : {&bad_short, &bad_long}) {
+      try {
+        plan.compile_flexcore(det->qr().R, *bad, c, det->lut(), false,
+                              fc::InvalidEntryPolicy::kDeactivate);
+        ADD_FAILURE() << tier << ": misshapen path set accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        const bool names_path = bad == &bad_short
+                                    ? what.find("path 5 holds 3") !=
+                                          std::string::npos
+                                    : what.find("path 2 holds 5") !=
+                                          std::string::npos;
+        EXPECT_TRUE(names_path) << tier << ": " << what;
+      }
+    }
+    EXPECT_EQ(plan.num_paths(), good.size()) << tier;
+    EXPECT_EQ(plan.levels(), 4u) << tier;
+    plan.path_metric_block(ybar, 0, good.size(), after.data());
+    EXPECT_EQ(before, after) << tier;
+  };
+  fd::PathPlan fp64;
+  check(fp64, "fp64");
+  fd::PathPlanI16 i16;
+  check(i16, "i16");
+  EXPECT_THROW((void)i16.slicer_center(4, 0.0), std::invalid_argument);
+  EXPECT_NO_THROW((void)i16.slicer_center(3, 0.0));
+  EXPECT_THROW((void)fd::PathPlanI16{}.slicer_center(0, 0.0),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------- fp32 compute tier
@@ -573,6 +728,77 @@ TEST(KernelI16, MetricsBitIdenticalAcrossRepeatsAndGolden) {
   EXPECT_EQ(h1, 0xe45c3940471ad014ull)
       << "i16 metric bit patterns changed: if intentional, re-pin the "
          "golden hash (std::printf(\"%llx\", h1))";
+}
+
+/// FNV-1a over the bit patterns of a metric vector (+inf hashes like any
+/// value).
+std::uint64_t fnv_metrics(std::uint64_t fnv, const std::vector<double>& m) {
+  for (const double v : m) {
+    std::uint64_t bits;
+    static_assert(sizeof bits == sizeof v);
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 64; b += 8) {
+      fnv = (fnv ^ ((bits >> b) & 0xFF)) * 1099511628211ull;
+    }
+  }
+  return fnv;
+}
+
+TEST(KernelI16, HandBuiltRanksGolden) {
+  // The hand-built path set of KernelEquivalence.HandBuiltRanksMatchReference
+  // in the quantized tier: every rank > 1 decision and both invalid ranks
+  // beside all-rank-1 sub-vectors, pinned bit for bit (the hash predates
+  // the in-lane rank decision, so it pins that change to the staged one).
+  const HandScenario sc;
+  fd::PathPlanI16 plan;
+  sc.compile(plan);
+  std::uint64_t fnv = 1469598103934665603ull;
+  std::vector<double> m(sc.paths.size());
+  for (const fl::CVec& ybar : sc.ybars) {
+    plan.path_metric_block(ybar, 0, m.size(), m.data());
+    fnv = fnv_metrics(fnv, m);
+  }
+  EXPECT_EQ(fnv, 0x280a8f1cdb3aec22ull)
+      << "i16 metric bit patterns changed (std::printf(\"%llx\", fnv))";
+}
+
+TEST(KernelI16, TallChannelWideResidualGolden) {
+  // 64 receive antennas, 8 streams: R(i,i) is large, so 1/R(i,i) gets many
+  // fraction bits and the effective point's scale 2^(F+G_i) is so fine
+  // that eff - pam(center) no longer fits int32 — the levels whose
+  // residuals the kernel forms in 64-bit lanes.  Pinned bit for bit at
+  // QPSK and 16-QAM (hashes predate the in-lane rank decision).
+  const std::pair<int, std::uint64_t> goldens[] = {
+      {4, 0x593a733ab8178a7cull}, {16, 0xcd521bbf1b0a56d7ull}};
+  for (const auto& [qam, golden] : goldens) {
+    Constellation c(qam);
+    ch::Rng rng(6400 + static_cast<std::uint64_t>(qam));
+    const auto h = ch::rayleigh_iid(64, 8, rng);
+    const double nv = ch::noise_var_for_snr_db(qam == 4 ? 0.0 : 6.0);
+    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+        "flexcore-64:i16", {.constellation = &c});
+    det->set_channel(h, nv);
+    // The pam reference reaches (side + 7) x at the padded edge and the
+    // slicer's coverage 128 * 2^shift exceeds (side + 4) x, x the PAM
+    // half-step at eff's scale: past 2^31 together, int32 cannot hold
+    // the residual.
+    const fd::PathPlanI16& plan = det->plan_i16();
+    int wide = 0;
+    for (std::size_t i = 0; i < plan.levels(); ++i) {
+      const double x =
+          c.scale() * std::ldexp(1.0, plan.frac_bits() + plan.rdi_bits(i));
+      wide += (2.0 * c.side() + 11.0) * x >= 2147483648.0;
+    }
+    EXPECT_GT(wide, 0) << "qam=" << qam << ": no level needs 64-bit lanes";
+    std::uint64_t fnv = 1469598103934665603ull;
+    std::vector<double> m(det->active_paths());
+    for (int v = 0; v < 16; ++v) {
+      const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+      det->path_metric_block(ybar, 0, m.size(), m.data());
+      fnv = fnv_metrics(fnv, m);
+    }
+    EXPECT_EQ(fnv, golden) << "qam=" << qam;
+  }
 }
 
 // Outside the KernelI16 suite on purpose: it compares the exact walk

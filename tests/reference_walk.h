@@ -59,10 +59,25 @@ inline std::vector<CVec> level_points(const CMat& r,
 class FlexCoreReference {
  public:
   explicit FlexCoreReference(const core::FlexCoreDetector& det)
-      : det_(&det),
-        r_(&det.qr().R),
-        c_(&det.constellation()),
-        rx_(level_points(det.qr().R, det.constellation())) {
+      : FlexCoreReference(det.qr().R, det.constellation(), det.lut(),
+                          det.preprocessing().paths, det.config()) {
+    det_ = &det;
+  }
+
+  /// Test-only: the walk of an explicit path set over upper-triangular `r`
+  /// (`cfg` supplies the ordering mode and invalid-entry policy).  detect()
+  /// needs a detector's permutation and is unavailable here.
+  FlexCoreReference(const CMat& r, const modulation::Constellation& c,
+                    const core::OrderingLut& lut,
+                    std::span<const core::RankedPath> paths,
+                    const core::FlexCoreConfig& cfg)
+      : r_(&r),
+        c_(&c),
+        lut_(&lut),
+        paths_(paths),
+        ordering_(cfg.ordering),
+        policy_(cfg.invalid_policy),
+        rx_(level_points(r, c)) {
     for (std::size_t i = 0; i < r_->cols(); ++i) {
       r_diag_inv_.push_back(cplx{1.0, 0.0} / (*r_)(i, i));
     }
@@ -74,7 +89,7 @@ class FlexCoreReference {
     const CMat& r = *r_;
     const std::size_t nt = r.cols();
     assert(nt <= 32);
-    const core::PositionVector& pv = det_->preprocessing().paths[p].p;
+    const core::PositionVector& pv = paths_[p].p;
 
     std::array<cplx, 32> s;
     double metric = 0.0;
@@ -94,7 +109,7 @@ class FlexCoreReference {
   PathEval evaluate_path(std::span<const cplx> ybar, std::size_t p) const {
     const CMat& r = *r_;
     const std::size_t nt = r.cols();
-    const core::PositionVector& pv = det_->preprocessing().paths[p].p;
+    const core::PositionVector& pv = paths_[p].p;
     PathEval ev;
     ev.symbols.assign(nt, 0);
     CVec s(nt);
@@ -149,6 +164,7 @@ class FlexCoreReference {
   /// then set).  Symbols in ORIGINAL antenna order; no stats.
   detect::DetectionResult detect(std::span<const cplx> ybar,
                                  bool* fell = nullptr) const {
+    assert(det_ != nullptr);
     PathEval best;
     best.metric = std::numeric_limits<double>::infinity();
     for (std::size_t p = 0; p < det_->active_paths(); ++p) {
@@ -166,16 +182,19 @@ class FlexCoreReference {
 
  private:
   int kth_symbol(cplx eff, int rank) const {
-    const core::FlexCoreConfig& cfg = det_->config();
-    if (cfg.ordering == core::OrderingMode::kLut) {
-      return det_->lut().kth_symbol(eff, rank, cfg.invalid_policy);
+    if (ordering_ == core::OrderingMode::kLut) {
+      return lut_->kth_symbol(eff, rank, policy_);
     }
     return rank <= c_->order() ? c_->kth_nearest_exact(eff, rank) : -1;
   }
 
-  const core::FlexCoreDetector* det_;
+  const core::FlexCoreDetector* det_ = nullptr;
   const CMat* r_;
   const modulation::Constellation* c_;
+  const core::OrderingLut* lut_;
+  std::span<const core::RankedPath> paths_;
+  core::OrderingMode ordering_;
+  core::InvalidEntryPolicy policy_;
   std::vector<CVec> rx_;
   CVec r_diag_inv_;
 };
