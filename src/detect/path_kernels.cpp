@@ -47,9 +47,11 @@ void require_path_lengths(const char* who,
   }
 }
 
-/// Selector code of an invalid rank (outside 1..|Q|): di = -128, which no
-/// real LUT offset takes (|di| <= side).
-constexpr std::uint16_t kSelInvalid = 0x0080;
+/// Selector code of an invalid rank (outside 1..|Q|): di = kSelInvalidDi,
+/// which no real LUT offset takes (|di| <= side).
+constexpr int kSelInvalidDi = -128;
+constexpr std::uint16_t kSelInvalid =
+    static_cast<std::uint8_t>(kSelInvalidDi);
 
 /// The LUT mode's selector code of rank k: the base-triangle offset
 /// (di, dq) of OrderingLut entry k as two's-complement bytes, di low and
