@@ -428,9 +428,9 @@ TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
 }
 
 TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
-  // A path must hold one rank per level in every build (a Release build
-  // once read a short one past its end); a refused path set leaves the
-  // previously compiled plan as it was.  slicer_center checks its level.
+  // A path must hold one rank per level, checked in every build, Release
+  // included; a refused path set leaves the previously compiled plan as it
+  // was.  slicer_center checks its level the same way.
   Constellation c(16);
   ch::Rng rng(5);
   const auto h = ch::rayleigh_iid(4, 4, rng);
@@ -747,8 +747,7 @@ std::uint64_t fnv_metrics(std::uint64_t fnv, const std::vector<double>& m) {
 TEST(KernelI16, HandBuiltRanksGolden) {
   // The hand-built path set of KernelEquivalence.HandBuiltRanksMatchReference
   // in the quantized tier: every rank > 1 decision and both invalid ranks
-  // beside all-rank-1 sub-vectors, pinned bit for bit (the hash predates
-  // the in-lane rank decision, so it pins that change to the staged one).
+  // beside all-rank-1 sub-vectors, pinned bit for bit.
   const HandScenario sc;
   fd::PathPlanI16 plan;
   sc.compile(plan);
@@ -765,9 +764,9 @@ TEST(KernelI16, HandBuiltRanksGolden) {
 TEST(KernelI16, TallChannelWideResidualGolden) {
   // 64 receive antennas, 8 streams: R(i,i) is large, so 1/R(i,i) gets many
   // fraction bits and the effective point's scale 2^(F+G_i) is so fine
-  // that eff - pam(center) no longer fits int32 — the levels whose
-  // residuals the kernel forms in 64-bit lanes.  Pinned bit for bit at
-  // QPSK and 16-QAM (hashes predate the in-lane rank decision).
+  // that the compile-time bound |eff| + |pam(center)| < 2^31 fails — the
+  // levels whose residuals the kernel forms in 64-bit lanes.  Pinned bit for bit at
+  // QPSK and 16-QAM.
   const std::pair<int, std::uint64_t> goldens[] = {
       {4, 0x593a733ab8178a7cull}, {16, 0xcd521bbf1b0a56d7ull}};
   for (const auto& [qam, golden] : goldens) {
@@ -780,8 +779,8 @@ TEST(KernelI16, TallChannelWideResidualGolden) {
     det->set_channel(h, nv);
     // The pam reference reaches (side + 7) x at the padded edge and the
     // slicer's coverage 128 * 2^shift exceeds (side + 4) x, x the PAM
-    // half-step at eff's scale: past 2^31 together, int32 cannot hold
-    // the residual.
+    // half-step at eff's scale: past 2^31 together, the int32 bound
+    // fails.
     const fd::PathPlanI16& plan = det->plan_i16();
     int wide = 0;
     for (std::size_t i = 0; i < plan.levels(); ++i) {
