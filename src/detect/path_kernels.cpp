@@ -903,13 +903,11 @@ void PathPlanI16::fit_pam_row(std::size_t level, double x, double erx_max) {
   // r_k = floor(k * frac(2x) + phi) defines the row instead (it moves an
   // entry by one unit only at a near-tie).
   constexpr double kPamCap = 1073741824.0;  // 2^30
-  constexpr int kRow = 2 * kPamPad + 16;    // room for side <= 16
+  constexpr int kRow = 2 * kPamPad + 16;  // side <= 16 (256-QAM)
   const int a_lo = 1 - kPamPad;
   const int n = side_ + 2 * kPamPad - 1;
   const int a_mid = side_ / 2;
-  if (n > kRow) {
-    throw std::invalid_argument("PathPlanI16: constellation side above 16");
-  }
+  assert(n <= kRow);
   std::int64_t u[kRow] = {};
   for (int k = 0; k < n; ++k) {
     const double val = (2.0 * (a_lo + k) - (side_ - 1)) * x;
