@@ -319,10 +319,21 @@ TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
   ASSERT_GT(paths, 64u);
   const fr::FlexCoreReference ref(*det);
   const std::pair<std::size_t, std::size_t> ranges[] = {
-      {3, 5},           {7, 9},       {paths - 3, 3}, {1, paths - 1},
-      {8, 8},           {8, 40},      {24, 50},       {40, paths - 40},
-      {0, paths},       {32, paths - 32}, {0, 70},    {8, 67},
-      {16, 48},         {56, 33}};
+      {3, 5},
+      {7, 9},
+      {paths - 3, 3},
+      {1, paths - 1},
+      {8, 8},
+      {8, 40},
+      {24, 50},
+      {40, paths - 40},
+      {0, paths},
+      {32, paths - 32},
+      {0, 70},
+      {8, 67},
+      {16, 48},
+      {56, 33},
+  };
   for (int rep = 0; rep < 3; ++rep) {
     const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
     for (const auto& [first, n] : ranges) {
@@ -409,8 +420,8 @@ TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
     const int cq = sc.c.unbounded_axis_index(eff.imag());
     const double u = eff.real() - (2.0 * ci - (sc.c.side() - 1)) * h;
     const double v = eff.imag() - (2.0 * cq - (sc.c.side() - 1)) * h;
-    triangles |= 1u << ((std::fabs(v) > std::fabs(u) ? 4 : 0) |
-                        (u < 0.0 ? 2 : 0) | (v < 0.0 ? 1 : 0));
+    const unsigned swap = std::fabs(v) > std::fabs(u) ? 4 : 0;
+    triangles |= 1u << (swap | (u < 0.0 ? 2 : 0) | (v < 0.0 ? 1 : 0));
   }
   EXPECT_EQ(triangles, 0xFFu) << "not every dihedral transform occurred";
   EXPECT_GT(dead, 0u);
@@ -458,12 +469,9 @@ TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
         ADD_FAILURE() << tier << ": misshapen path set accepted";
       } catch (const std::invalid_argument& e) {
         const std::string what = e.what();
-        const bool names_path = bad == &bad_short
-                                    ? what.find("path 5 holds 3") !=
-                                          std::string::npos
-                                    : what.find("path 2 holds 5") !=
-                                          std::string::npos;
-        EXPECT_TRUE(names_path) << tier << ": " << what;
+        const char* want =
+            bad == &bad_short ? "path 5 holds 3" : "path 2 holds 5";
+        EXPECT_NE(what.find(want), std::string::npos) << tier << ": " << what;
       }
     }
     EXPECT_EQ(plan.num_paths(), good.size()) << tier;
@@ -765,8 +773,8 @@ TEST(KernelI16, TallChannelWideResidualGolden) {
   // 64 receive antennas, 8 streams: R(i,i) is large, so 1/R(i,i) gets many
   // fraction bits and the effective point's scale 2^(F+G_i) is so fine
   // that the compile-time bound |eff| + |pam(center)| < 2^31 fails — the
-  // levels whose residuals the kernel forms in 64-bit lanes.  Pinned bit for bit at
-  // QPSK and 16-QAM.
+  // levels whose residuals the kernel forms in 64-bit lanes.  Pinned bit
+  // for bit at QPSK and 16-QAM.
   const std::pair<int, std::uint64_t> goldens[] = {
       {4, 0x593a733ab8178a7cull}, {16, 0xcd521bbf1b0a56d7ull}};
   for (const auto& [qam, golden] : goldens) {
