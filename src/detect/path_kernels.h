@@ -313,9 +313,10 @@ class PathPlanI16 {
   int point_bits() const noexcept { return pbits_; }
   /// Per-level fractional bits of the quantized 1/R(i,i).
   int rdi_bits(std::size_t level) const { return gbits_[level]; }
-  /// Runs the compiled slicer table of `level` on an effective-point
-  /// coordinate (value domain): the unclamped axis index the kernel would
-  /// pick, or kSlicerInvalid when `eff` falls outside the table coverage.
+  /// Runs the compiled slicer of `level` (the table, or on a FlexCore plan
+  /// its exact affine form) on an effective-point coordinate (value
+  /// domain): the unclamped axis index the kernel would pick, or
+  /// kSlicerInvalid when `eff` falls outside the table coverage.
   /// Exposed so tests can check golden patterns against hand-computed
   /// slices.  Throws std::invalid_argument unless level < levels().
   int slicer_center(std::size_t level, double eff) const;
