@@ -227,7 +227,6 @@ struct I16KernelState {
   const std::int32_t* slice_off = nullptr;
   const std::int32_t* slice_s = nullptr;
   const std::uint8_t* slice_live = nullptr;
-  const std::int8_t* slicer = nullptr;
   const std::int32_t* tab_c = nullptr;  // table slicer, affine form
   const std::int32_t* tab_d = nullptr;
   const std::int32_t* tab_s = nullptr;
@@ -578,7 +577,9 @@ template class PathPlanT<float>;
 // out-of-coverage tail and always hold the kSlicerInvalid sentinel, as do
 // all 256 buckets of a level whose 1/R(i,i) is non-finite (rank-deficient
 // channel — the fp tiers' NaN clamp deactivates those lanes; the sentinel
-// does the same here).
+// does the same here).  The table is compiled, not stored: on its
+// in-coverage buckets [lo, hi] it is an exact affine form of the bucket
+// (fit_table_slicer), and every other bucket is the sentinel.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -652,12 +653,10 @@ constexpr std::int64_t kI32Limit = 2147483647;
 }  // namespace
 
 void PathPlanI16::compile_channel(const linalg::CMat& r,
-                                  const modulation::Constellation& c,
-                                  bool with_slicer_table) {
+                                  const modulation::Constellation& c) {
   // (The fp tiers skip 1/R(i,i) for FCSD; the quantized tier always
-  // compiles it — the greedy FCSD slice runs through the same LUT slicer.
-  // Only FCSD reads the slicer tables; FlexCore plans keep their affine
-  // forms alone.)
+  // compiles it — the greedy FCSD slice runs through the same compiled
+  // slicer as rank > 1 lanes.)
   const std::size_t nt = r.cols();
   require_kernel_streams("PathPlanI16", nt);
   nt_ = nt;
@@ -790,7 +789,6 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   rdi_im_q_.assign(nt, 0);
   gbits_.assign(nt, 0);
   slicer_shift_.assign(nt, 0);
-  slicer_.assign(with_slicer_table ? nt * kSlicerBuckets : 0, kSlicerInvalid);
   slice_ar_.assign(nt, 0);
   slice_ai_.assign(nt, 0);
   slice_off_.assign(nt, 0);
@@ -827,7 +825,7 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
 
     if (!invertible) continue;  // slicer stays all-sentinel: lanes die here
 
-    // Compile the slicer LUT: the middle 254 buckets must cover
+    // The slicer LUT's bucket width: the middle 254 buckets must cover
     // +-(side + kPamPad) * scale of effective point; buckets 0/255 are the
     // saturating catch-alls and always sentinel.
     const double cover_raw = (side_ + kPamPad) * scale_ * es;
@@ -878,15 +876,10 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
       }
     }
 
-    // The same table in lane form for the kernel's rank > 1 lanes, and
-    // whether their residuals erx - pam need 64-bit lanes: |erx| stays
-    // under 128 * 2^shift on every in-coverage bucket.
+    // The table's affine form, the one the kernel reads, and whether the
+    // residuals erx - pam of rank > 1 lanes need 64-bit lanes: |erx|
+    // stays under 128 * 2^shift on every in-coverage bucket.
     fit_table_slicer(i, bucket / es * inv_scale_ / 2.0, tab);
-    if (with_slicer_table) {
-      std::copy(std::begin(tab), std::end(tab),
-                slicer_.begin() +
-                    static_cast<std::ptrdiff_t>(i * kSlicerBuckets));
-    }
     fit_pam_row(i, scale_ * es, std::ldexp(128.0, sh));
   }
 }
@@ -894,14 +887,16 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
 void PathPlanI16::fit_pam_row(std::size_t level, double x, double erx_max) {
   // The PAM reference of the triangle classification at eff's scale: for
   // the in-coverage centers a = a_lo .. a_hi, U_a = round((2a - (side-1))
-  // * x), which the kernel saturates to +-2^30 (only wide levels reach
-  // that, and saturated entries are unreachable: eff_raw itself is
-  // bounded by 2*kMax^2).  Consecutive entries step by floor(2x) or one
-  // more, so U_a = e + (a - a_mid) * p + r_k with k = a - a_lo and
-  // r_k = (k * f + d) >> s a floor-affine remainder — lane arithmetic, no
-  // table.  Where rounding defeats the fit, the closed form
-  // r_k = floor(k * frac(2x) + phi) defines the row instead (it moves an
-  // entry by one unit only at a near-tie).
+  // * x), which the kernel saturates to +-2^30.  Only wide levels reach
+  // that, and there a lane can sit on a saturated entry: on tall channels
+  // the int16 clamp of b leaves |eff_raw| near 2^30, in the bucket of a
+  // center one to three steps outside the grid, and the lane's residual
+  // is taken against the saturated value.  Consecutive entries step by
+  // floor(2x) or one more, so U_a = e + (a - a_mid) * p + r_k with
+  // k = a - a_lo and r_k = (k * f + d) >> s a floor-affine remainder —
+  // lane arithmetic, no table.  Where rounding defeats the fit, the closed
+  // form r_k = floor(k * frac(2x) + phi) defines the row instead (it moves
+  // an entry by one unit only at a near-tie).
   constexpr double kPamCap = 1073741824.0;  // 2^30
   constexpr int kRow = 2 * kPamPad + 16;  // side <= 16 (256-QAM)
   const int a_lo = 1 - kPamPad;
@@ -998,8 +993,8 @@ void PathPlanI16::fit_table_slicer(std::size_t level, double kappa,
       &c, &d, &s);
   if (!ok) {
     // No exact form (a bucket midpoint within rounding of a decision
-    // boundary): the closed form at s_max defines the table instead, so
-    // the table modes and the lanes still slice alike.
+    // boundary): the closed form at s_max defines the slicer instead (it
+    // moves a center by one step only at a near-tie).
     s = s_max;
     c = std::llround(std::ldexp(kappa, s));
     d = std::llround(std::ldexp(off, s));
@@ -1025,7 +1020,7 @@ void PathPlanI16::compile_flexcore(const linalg::CMat& r,
                                    bool exact_ordering,
                                    core::InvalidEntryPolicy policy) {
   require_path_lengths("PathPlanI16", paths, r.cols());
-  compile_channel(r, c, /*with_slicer_table=*/false);
+  compile_channel(r, c);
   num_paths_ = paths.size();
   lut_ = &lut;
   policy_ = policy;
@@ -1044,7 +1039,7 @@ void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   if (full_levels > r.cols()) {
     throw std::invalid_argument("PathPlanI16: fcsd full_levels > Nt");
   }
-  compile_channel(r, c, /*with_slicer_table=*/true);
+  compile_channel(r, c);
   mode_ = Mode::kFcsd;
   full_levels_ = full_levels;
   lut_ = nullptr;
@@ -1064,15 +1059,10 @@ int PathPlanI16::slicer_center(std::size_t level, double eff) const {
                                 std::to_string(nt_) + "-level plan");
   }
   // Quantize eff exactly like the kernel sees it mid-walk, then run the
-  // same shift + bias + clamp + table read.
+  // same bucket + coverage test + affine form.
   const double es = std::ldexp(1.0, fbits_ + gbits_[level]);
   const std::int32_t er = quantize_i32(eff * es, 2147221504.0 /* ~2^31 */);
-  const int t = std::clamp((er >> slicer_shift_[level]) + 128, 0, 255);
-  if (!slicer_.empty()) {
-    return slicer_[level * kSlicerBuckets + static_cast<std::size_t>(t)];
-  }
-  // FlexCore plans keep only the table's affine form, equal to it on the
-  // in-coverage buckets and sentinel elsewhere.
+  const int t = (er >> slicer_shift_[level]) + 128;
   if (t < tab_lo_[level] || t > tab_hi_[level]) return kSlicerInvalid;
   return (t * tab_c_[level] + tab_d_[level]) >> tab_s_[level];
 }
@@ -1089,7 +1079,7 @@ std::size_t PathPlanI16::footprint_bytes() const noexcept {
          (slice_ar_.size() + slice_ai_.size() + slice_off_.size() +
           slice_s_.size()) *
              sizeof(std::int32_t) +
-         slice_live_.size() + slicer_.size() +
+         slice_live_.size() +
          (tab_c_.size() + tab_d_.size() + tab_s_.size() + tab_lo_.size() +
           tab_hi_.size() + pam_f_.size() + pam_d_.size() + pam_s_.size()) *
              sizeof(std::int32_t) +
@@ -1138,7 +1128,6 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.slice_off = slice_off_.data();
   st.slice_s = slice_s_.data();
   st.slice_live = slice_live_.data();
-  st.slicer = slicer_.data();
   st.tab_c = tab_c_.data();
   st.tab_d = tab_d_.data();
   st.tab_s = tab_s_.data();

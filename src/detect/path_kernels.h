@@ -249,17 +249,17 @@ extern template class PathPlanT<float>;
 ///    int32 products of int16 values, the effective point is an int32
 ///    product against the quantized 1/R(i,i), and the Euclidean metric
 ///    accumulates saturating in uint32.
-///  * Slicing is LUT-compiled: compile() precomputes one 256-entry int8
-///    slicer table per (plan, level) covering the reachable effective-point
+///  * Slicing is LUT-compiled: compile() evaluates one 256-bucket slicer
+///    table per (plan, level) covering the reachable effective-point
 ///    range, so the runtime rounded-center divide/compare chain collapses
-///    to shift + clamp + table index (out-of-coverage buckets hold a
-///    sentinel that deactivates the lane / clamps the greedy FCSD slice).
-///    The LUT-rank mode reads no table: rank-1 lanes slice through an
-///    affine form with 1/R(i,i) folded in, rank > 1 lanes through the
-///    table's exact affine form, and the triangle classification's PAM
-///    reference is an affine form too — every lane decides in the
-///    registers, at the copy's native int32 width.  FlexCore plans keep
-///    only the affine forms; FCSD plans store the tables.
+///    to shift + bucket arithmetic (out-of-coverage buckets are a sentinel
+///    that deactivates the lane / clamps the greedy FCSD slice).  No plan
+///    stores the table: it is compiled into an exact affine form over its
+///    in-coverage buckets, which rank > 1 lanes and FCSD's greedy slice
+///    read.  Rank-1 lanes slice through a second affine form with
+///    1/R(i,i) folded in, and the triangle classification's PAM reference
+///    is an affine form too — every LUT-rank lane decides in the
+///    registers, at the copy's native int32 width.
 ///
 /// Metrics are returned as doubles (raw accumulator * 2^-2F), so the grid
 /// min-reduction and winner reconstruction are unchanged.  The tier is
@@ -270,9 +270,9 @@ class PathPlanI16 {
   /// Paths per block: twice the fp tier (int32 accumulator lanes).
   static constexpr std::size_t kLanes = linalg::kSimdLanesI16;
   static constexpr std::size_t kMaxLevels = PathPlan::kMaxLevels;
-  /// Entries per compiled per-level slicer table.
+  /// Buckets of each level's compiled slicer.
   static constexpr std::size_t kSlicerBuckets = 256;
-  /// Slicer-table sentinel: effective point outside the table's coverage
+  /// Slicer sentinel: effective point outside the slicer's coverage
   /// (deactivates the lane in FlexCore modes; clamps in FCSD greedy mode).
   static constexpr std::int8_t kSlicerInvalid =
       std::numeric_limits<std::int8_t>::min();
@@ -313,10 +313,10 @@ class PathPlanI16 {
   int point_bits() const noexcept { return pbits_; }
   /// Per-level fractional bits of the quantized 1/R(i,i).
   int rdi_bits(std::size_t level) const { return gbits_[level]; }
-  /// Runs the compiled slicer of `level` (the table, or on a FlexCore plan
-  /// its exact affine form) on an effective-point coordinate (value
-  /// domain): the unclamped axis index the kernel would pick, or
-  /// kSlicerInvalid when `eff` falls outside the table coverage.
+  /// Runs the compiled slicer of `level` — the affine form rank > 1 lanes
+  /// and FCSD's greedy slice read — on an effective-point coordinate
+  /// (value domain): the unclamped axis index the kernel would pick, or
+  /// kSlicerInvalid when `eff` falls outside the slicer's coverage.
   /// Exposed so tests can check golden patterns against hand-computed
   /// slices.  Throws std::invalid_argument unless level < levels().
   int slicer_center(std::size_t level, double eff) const;
@@ -325,8 +325,7 @@ class PathPlanI16 {
   enum class Mode : std::uint8_t { kLutRank, kGenericRank, kExactRank, kFcsd };
 
   void compile_channel(const linalg::CMat& r,
-                       const modulation::Constellation& c,
-                       bool with_slicer_table);
+                       const modulation::Constellation& c);
   /// Compiles level `level`'s slicer table `tab` (kSlicerBuckets entries)
   /// into tab_c_ .. tab_hi_; `kappa` is the table's axis steps per bucket.
   void fit_table_slicer(std::size_t level, double kappa, std::int8_t* tab);
@@ -384,12 +383,10 @@ class PathPlanI16 {
   std::vector<int> gbits_;
 
   // LUT-compiled slicer, per level: bucket = (eff_raw >> shift) + 128,
-  // clamped to [0, 255]; the int8 entry is the unclamped center axis index
-  // or kSlicerInvalid.  eff_raw is at scale 2^(F + gbits_[level]).  Only
-  // FCSD plans store the tables; FlexCore plans keep their affine form
-  // (tab_c_ .. tab_hi_ below).
+  // eff_raw at scale 2^(F + gbits_[level]); the table over the buckets
+  // (the unclamped center axis index, or kSlicerInvalid) is kept only in
+  // its affine form, tab_c_ .. tab_hi_ below.
   std::vector<int> slicer_shift_;
-  std::vector<std::int8_t> slicer_;  // nt_ * kSlicerBuckets
 
   // Affine form of the compiled slicer with the complex 1/R(i,i) rotation
   // folded in, for the lane-vector rank-1 fast path: straight from the
@@ -410,10 +407,11 @@ class PathPlanI16 {
   std::vector<std::int32_t> slice_ar_, slice_ai_, slice_off_, slice_s_;
   std::vector<std::uint8_t> slice_live_;
 
-  // The table slicer in lane form, for rank > 1 lanes (which keep the
-  // table slicer's center; rank-1 lanes keep the affine one above): per
-  // level, the in-coverage buckets are [tab_lo_, tab_hi_] (empty on a
-  // rank-deficient level), and on them the table entry is exactly
+  // The table slicer in affine form, for rank > 1 lanes (which keep the
+  // table slicer's center; rank-1 lanes keep the rotation-folded form
+  // above) and FCSD's greedy slice: per level, the in-coverage buckets are
+  // [tab_lo_, tab_hi_] (empty on a rank-deficient level; every other
+  // bucket is the sentinel), and on them the table entry is exactly
   //   (bucket * tab_c_ + tab_d_) >> tab_s_,
   // checked against every in-coverage bucket at compile time.
   std::vector<std::int32_t> tab_c_, tab_d_, tab_s_, tab_lo_, tab_hi_;
@@ -426,7 +424,9 @@ class PathPlanI16 {
   // ~= pam_level(a) * 2^(F+G_i), saturated to +-2^30 (see fit_pam_row).
   // pam_wide_[level] is 1 when erx - pam might not fit int32 there
   // (128 * 2^shift + max|pam| >= 2^31, or a saturated entry), and the
-  // kernel then forms the reference and residuals in 64-bit lanes.
+  // kernel then forms the reference and residuals in 64-bit lanes.  A
+  // saturated entry is reachable on tall channels (see fit_pam_row), and
+  // int32 lanes would classify such a lane against the unsaturated value.
   std::vector<std::int64_t> pam_e_, pam_p_;
   std::vector<std::int32_t> pam_f_, pam_d_, pam_s_;
   std::vector<std::uint8_t> pam_wide_;

@@ -146,9 +146,9 @@ TEST(KernelEquivalence, FlexCorePlanMatchesReference) {
   }
 
   // The serving benchmark's shape: 12x12, 64-QAM, 18 dB, 64 paths.  Its
-  // path sets hold both kinds of (block, level) the walk's fix mask
-  // separates — every lane rank 1 (the gather-free lanes alone) and rank-1
-  // lanes beside rank > 1 lanes (patched through the LUT) — and the test
+  // path sets hold both kinds of (block, level) the walk treats apart —
+  // every lane rank 1 (the transform is skipped) and rank-1 lanes beside
+  // rank > 1 lanes (the LUT offset decided in the lanes) — and the test
   // asserts that they do.
   Constellation c(64);
   ch::Rng rng(1812);
@@ -389,16 +389,33 @@ struct HandScenario {
   }
 
   template <typename Plan>
-  void compile(Plan& plan) const {
-    plan.compile_flexcore(det->qr().R, paths, c, det->lut(), false,
+  void compile(Plan& plan, bool exact_ordering = false) const {
+    plan.compile_flexcore(det->qr().R, paths, c, det->lut(), exact_ordering,
                           fc::InvalidEntryPolicy::kDeactivate);
   }
 };
 
+/// Asserts every path holding a rank outside 1..|Q| is deactivated on
+/// `plan`, whatever the vector.
+template <typename Plan>
+void expect_invalid_ranks_deactivate(const Plan& plan, const HandScenario& sc,
+                                     const std::string& what) {
+  std::vector<double> m(sc.paths.size());
+  plan.path_metric_block(sc.ybars[0], 0, m.size(), m.data());
+  for (std::size_t p = 0; p < sc.paths.size(); ++p) {
+    const auto& pv = sc.paths[p].p;
+    if (std::any_of(pv.begin(), pv.end(),
+                    [&](int k) { return k < 1 || k > sc.c.order(); })) {
+      EXPECT_TRUE(std::isinf(m[p])) << what << " path " << p;
+    }
+  }
+}
+
 TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
   // Every decision kind of the LUT walk on one plan: rank 1, ranks 2..|Q|
   // under all eight dihedral transforms, and both invalid ranks (0 and
-  // |Q| + 1), beside all-rank-1 sub-vectors.
+  // |Q| + 1), beside all-rank-1 sub-vectors; then the same paths under the
+  // exact-sort ablation.
   const HandScenario sc;
   fd::PathPlan plan;
   sc.compile(plan);
@@ -426,16 +443,23 @@ TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
   EXPECT_EQ(triangles, 0xFFu) << "not every dihedral transform occurred";
   EXPECT_GT(dead, 0u);
   EXPECT_LT(dead, sc.paths.size() * sc.ybars.size());
-  // An invalid rank deactivates its path whatever the vector.
-  std::vector<double> m(sc.paths.size());
-  plan.path_metric_block(sc.ybars[0], 0, m.size(), m.data());
-  for (std::size_t p = 0; p < sc.paths.size(); ++p) {
-    const auto& pv = sc.paths[p].p;
-    if (std::any_of(pv.begin(), pv.end(),
-                    [&](int k) { return k < 1 || k > sc.c.order(); })) {
-      EXPECT_TRUE(std::isinf(m[p])) << "path " << p;
-    }
+  expect_invalid_ranks_deactivate(plan, sc, "lut");
+
+  // The exact-sort ablation on the same paths: ranks 0 and |Q| + 1
+  // deactivate the path there too, in the plan and in the reference.
+  fd::PathPlan exact;
+  sc.compile(exact, /*exact_ordering=*/true);
+  fc::FlexCoreConfig exact_cfg = sc.det->config();
+  exact_cfg.ordering = fc::OrderingMode::kExactSort;
+  const fr::FlexCoreReference exact_ref(r, sc.c, sc.det->lut(), sc.paths,
+                                        exact_cfg);
+  std::size_t exact_dead = 0;
+  for (std::size_t v = 0; v < 16; ++v) {
+    exact_dead += expect_plan_matches_reference(
+        exact, exact_ref, sc.paths.size(), sc.ybars[v], "hand-built exact");
   }
+  EXPECT_GT(exact_dead, 0u);
+  expect_invalid_ranks_deactivate(exact, sc, "exact");
 }
 
 TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
@@ -556,7 +580,8 @@ TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
 
 TEST(KernelI16, SlicerLutGoldenPattern) {
   // With R = I the effective point equals the incoming coordinate, so the
-  // compiled per-level slicer LUT must reproduce the textbook rounded
+  // compiled per-level slicer LUT — the affine form FCSD's greedy slice and
+  // every rank > 1 lane read — must reproduce the textbook rounded
   // slice a = round((eff/scale + side - 1) / 2) over the whole covered
   // grid: exact at cell centers, stable at +-0.7 half-cells (well over a
   // bucket away from every decision boundary), pad indices outside the
@@ -772,31 +797,29 @@ TEST(KernelI16, HandBuiltRanksGolden) {
 TEST(KernelI16, TallChannelWideResidualGolden) {
   // 64 receive antennas, 8 streams: R(i,i) is large, so 1/R(i,i) gets many
   // fraction bits and the effective point's scale 2^(F+G_i) is so fine
-  // that the compile-time bound |eff| + |pam(center)| < 2^31 fails — the
-  // levels whose residuals the kernel forms in 64-bit lanes.  Pinned bit
-  // for bit at QPSK and 16-QAM.
-  const std::pair<int, std::uint64_t> goldens[] = {
-      {4, 0x593a733ab8178a7cull}, {16, 0xcd521bbf1b0a56d7ull}};
-  for (const auto& [qam, golden] : goldens) {
-    Constellation c(qam);
-    ch::Rng rng(6400 + static_cast<std::uint64_t>(qam));
+  // that the PAM reference of a slicer center one or two steps outside the
+  // grid passes 2^30, where the kernel saturates it — the levels whose
+  // residuals it forms in 64-bit lanes.  Such a center is reachable: the
+  // top level's eff is ybar[top] / R(top,top) up to the int16 clamp of b.
+  // Pinned bit for bit at QPSK and 16-QAM, on random vectors and on a
+  // sweep of the top level's eff across the grid's edges, where rank > 1
+  // lanes classify their residual against a saturated reference and the
+  // LUT offset brings some of them back inside.
+  struct Golden {
+    int qam;
+    std::uint64_t random, edge;
+  };
+  const Golden goldens[] = {
+      {4, 0x593a733ab8178a7cull, 0x0d42e3d483c262e3ull},
+      {16, 0xcd521bbf1b0a56d7ull, 0x19a78538bfa4edcbull}};
+  for (const Golden& g : goldens) {
+    Constellation c(g.qam);
+    ch::Rng rng(6400 + static_cast<std::uint64_t>(g.qam));
     const auto h = ch::rayleigh_iid(64, 8, rng);
-    const double nv = ch::noise_var_for_snr_db(qam == 4 ? 0.0 : 6.0);
+    const double nv = ch::noise_var_for_snr_db(g.qam == 4 ? 0.0 : 6.0);
     const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
         "flexcore-64:i16", {.constellation = &c});
     det->set_channel(h, nv);
-    // The pam reference reaches (side + 7) x at the padded edge and the
-    // slicer's coverage 128 * 2^shift exceeds (side + 4) x, x the PAM
-    // half-step at eff's scale: past 2^31 together, the int32 bound
-    // fails.
-    const fd::PathPlanI16& plan = det->plan_i16();
-    int wide = 0;
-    for (std::size_t i = 0; i < plan.levels(); ++i) {
-      const double x =
-          c.scale() * std::ldexp(1.0, plan.frac_bits() + plan.rdi_bits(i));
-      wide += (2.0 * c.side() + 11.0) * x >= 2147483648.0;
-    }
-    EXPECT_GT(wide, 0) << "qam=" << qam << ": no level needs 64-bit lanes";
     std::uint64_t fnv = 1469598103934665603ull;
     std::vector<double> m(det->active_paths());
     for (int v = 0; v < 16; ++v) {
@@ -804,7 +827,79 @@ TEST(KernelI16, TallChannelWideResidualGolden) {
       det->path_metric_block(ybar, 0, m.size(), m.data());
       fnv = fnv_metrics(fnv, m);
     }
-    EXPECT_EQ(fnv, golden) << "qam=" << qam;
+    EXPECT_EQ(fnv, g.random) << "qam=" << g.qam << " random vectors";
+
+    // Every rank at the top level, rank 1 below it.
+    const fl::CMat& r = det->qr().R;
+    const std::size_t top = r.cols() - 1;
+    std::vector<fc::RankedPath> paths(32);
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      paths[p].p.assign(r.cols(), 1);
+      paths[p].p[top] = 1 + static_cast<int>(p) % c.order();
+    }
+    fd::PathPlanI16 plan;
+    plan.compile_flexcore(r, paths, c, det->lut(), false,
+                          fc::InvalidEntryPolicy::kDeactivate);
+    const int side = c.side();
+    // The PAM half-step at eff's scale, and the farthest eff the kernel
+    // slices: b is clamped to int16 at 2^F before the slice.
+    const double x =
+        c.scale() * std::ldexp(1.0, plan.frac_bits() + plan.rdi_bits(top));
+    const double eff_max =
+        flexcore::perfmodel::I16Format::kMax /
+        (std::ldexp(1.0, plan.frac_bits()) * std::abs(r(top, top)));
+    fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+    std::vector<double> e(paths.size());
+    fnv = 1469598103934665603ull;
+    int saturated = 0;
+    // eff's real part from the outermost grid point to 4 PAM steps past it,
+    // on either side; its imaginary part across the grid.
+    for (int k = 0; k <= 200; ++k) {
+      for (const double sign : {-1.0, 1.0}) {
+        const double re = sign * (side - 1 + 0.04 * k) * c.scale();
+        const int a =
+            plan.slicer_center(top, std::clamp(re, -eff_max, eff_max));
+        saturated += a != fd::PathPlanI16::kSlicerInvalid &&
+                     std::fabs(2.0 * a - (side - 1)) * x > 1073741824.0;
+        for (int j = -4 * side; j <= 4 * side; ++j) {
+          ybar[top] = r(top, top) * fl::cplx{re, 0.25 * j * c.scale()};
+          plan.path_metric_block(ybar, 0, e.size(), e.data());
+          fnv = fnv_metrics(fnv, e);
+        }
+      }
+    }
+    EXPECT_GT(saturated, 0) << "qam=" << g.qam
+                            << ": no swept center has a saturated reference";
+    EXPECT_EQ(fnv, g.edge) << "qam=" << g.qam << " edge sweep"
+                           << " (std::printf(\"%llx\", fnv))";
+  }
+}
+
+TEST(KernelI16, FcsdGreedySliceGolden) {
+  // FCSD's greedy levels slice through the same compiled slicer as rank > 1
+  // lanes and clamp an out-of-coverage eff to the grid's edge on its side.
+  // Pinned bit for bit at 16- and 64-QAM, on vectors scaled up to 4x so
+  // that slices fall off the grid and out of the slicer's coverage.
+  const std::pair<int, std::uint64_t> goldens[] = {
+      {16, 0x3222f1574df59eb7ull}, {64, 0x9b1871bc9216184eull}};
+  for (const auto& [qam, golden] : goldens) {
+    Constellation c(qam);
+    ch::Rng rng(770 + static_cast<std::uint64_t>(qam));
+    const auto h = ch::rayleigh_iid(8, 8, rng);
+    const double nv = ch::noise_var_for_snr_db(14.0);
+    const auto det = fa::make_detector_as<fd::FcsdDetector>(
+        "fcsd-L1:i16", {.constellation = &c});
+    det->set_channel(h, nv);
+    std::uint64_t fnv = 1469598103934665603ull;
+    std::vector<double> m(det->num_paths());
+    for (int v = 0; v < 12; ++v) {
+      fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+      for (fl::cplx& z : ybar) z *= static_cast<double>(1 << (v % 3));
+      det->path_metric_block(ybar, 0, m.size(), m.data());
+      fnv = fnv_metrics(fnv, m);
+    }
+    EXPECT_EQ(fnv, golden) << "qam=" << qam
+                           << " (std::printf(\"%llx\", fnv))";
   }
 }
 

@@ -33,8 +33,9 @@ using linalg::CVec;
 using linalg::cplx;
 
 /// One walked path.  `valid` is false when a LUT entry pointed outside the
-/// constellation and the policy deactivated the PE; `symbols` and `metric`
-/// are then partial.
+/// constellation and the policy deactivated the PE, or (exact sort) the
+/// path's rank lies outside 1..|Q|; `symbols` and `metric` are then
+/// partial.
 struct PathEval {
   bool valid = false;
   double metric = 0.0;
@@ -185,7 +186,8 @@ class FlexCoreReference {
     if (ordering_ == core::OrderingMode::kLut) {
       return lut_->kth_symbol(eff, rank, policy_);
     }
-    return rank <= c_->order() ? c_->kth_nearest_exact(eff, rank) : -1;
+    return rank >= 1 && rank <= c_->order() ? c_->kth_nearest_exact(eff, rank)
+                                            : -1;
   }
 
   const core::FlexCoreDetector* det_ = nullptr;
