@@ -32,10 +32,15 @@ std::string FlexCoreDetector::name() const {
   return base;
 }
 
+FLEXCORE_HOT_PATH
 void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   detect::require_kernel_streams("FlexCoreDetector", h.cols());
+  // Factor into scratch and swap on success: a refused channel (rank
+  // deficient or non-finite) leaves the installed one, its noise variance
+  // included, untouched.
+  linalg::sorted_qr_wubben_into(h, &qr_scratch_);
+  std::swap(qr_, qr_scratch_);
   noise_var_ = noise_var;
-  qr_ = linalg::sorted_qr_wubben(h);
 
   PreprocessingConfig pcfg;
   pcfg.num_paths = cfg_.num_pes;
@@ -44,7 +49,8 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   pcfg.pe_model = cfg_.pe_model;
   pcfg.candidate_list_cap = cfg_.candidate_list_cap;
   pcfg.batch_expand = cfg_.batch_expand;
-  preproc_ = find_most_promising_paths(qr_.R, noise_var, *constellation_, pcfg);
+  find_most_promising_paths_into(qr_.R, noise_var, *constellation_, pcfg,
+                                 search_ws_, &preproc_);
   active_paths_ = preproc_.paths.size();
 
   const bool exact = cfg_.ordering == OrderingMode::kExactSort;

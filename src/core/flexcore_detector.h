@@ -189,7 +189,9 @@ class FlexCoreDetector : public Detector {
   FlexCoreConfig cfg_;
   OrderingLut lut_;
   linalg::QrResult qr_;
+  linalg::QrResult qr_scratch_;  // set_channel factors here, swaps on success
   PreprocessingResult preproc_;
+  PathSearchWorkspace search_ws_;  // preproc_'s warm search scratch
   std::size_t active_paths_ = 0;
   double noise_var_ = 1.0;
   detect::TieredPlans plans_;

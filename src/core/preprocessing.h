@@ -16,6 +16,17 @@
 // of a node increments p(w); a node created by incrementing element l only
 // expands children w <= l (this makes every position vector reachable
 // exactly once); a bounded candidate list L of size N_PE holds the frontier.
+//
+// The frontier is flat: each node is packed into a slot of a
+// PathSearchWorkspace — its ranks as bytes (rank - 1, so 256-QAM fits),
+// its pc and the level whose increment created it — and the candidate list
+// is an array of slot indices sorted so that the best node (highest pc,
+// ties to the lexicographically smallest positions) sits last.  A round
+// pops the `batch` best slots off the back, inserts their children in
+// sorted position and trims the worst off the front; expanded and trimmed
+// slots are recycled, and the arrays are sized once per call to the most
+// slots a search can hold live.  With a warm workspace and result
+// (FlexCoreDetector keeps both) the search allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +85,26 @@ struct PreprocessingResult {
   std::uint64_t nodes_expanded = 0;
 };
 
+/// Scratch of the §3.1.1 search, kept between calls so that a warm search
+/// allocates nothing.  Contents are private to find_most_promising_paths;
+/// callers only keep the object alive.
+struct PathSearchWorkspace {
+  /// Node slot s: its pc and the 1-based level whose increment created it.
+  struct Node {
+    double pc = 0.0;
+    std::uint32_t last_inc = 0;
+  };
+  std::vector<Node> nodes;
+  /// Slot s's ranks minus one, at [s * Nt, (s + 1) * Nt).
+  std::vector<std::uint8_t> ranks;
+  std::vector<std::uint32_t> free_slots;  ///< recycled slots, a stack
+  std::vector<std::uint32_t> frontier;    ///< the list: worst first, best last
+  std::vector<std::uint32_t> round;       ///< the slots one round expands
+  /// Path entries (with their position vectors' capacity) parked when a
+  /// result came out shorter than the one before it.
+  std::vector<RankedPath> spare;
+};
+
 /// Computes the per-level error probabilities Pe(l) from the diagonal of R.
 /// Takes a row-range view so the sharded preprocessing can rank paths off a
 /// merged R that lives inside a stacked partial-QR buffer, no copy.
@@ -88,10 +119,20 @@ PreprocessingResult find_most_promising_paths(linalg::CMatView r,
                                               const Constellation& c,
                                               const PreprocessingConfig& cfg);
 
+/// The same search into `out`, reusing its storage and the scratch in `ws`:
+/// allocation-free once both are warm for the configuration.
+void find_most_promising_paths_into(linalg::CMatView r, double noise_var,
+                                    const Constellation& c,
+                                    const PreprocessingConfig& cfg,
+                                    PathSearchWorkspace& ws,
+                                    PreprocessingResult* out);
+
 /// Same search over caller-supplied per-level probabilities Pe(l) (array
 /// index = level-1) — the seam the control plane's path-count solver uses
 /// to invert the model at a *nominal* SNR, with no channel realization in
 /// hand.  `cfg.pe_model` is ignored (the pe values are taken as given).
+/// Throws std::invalid_argument unless 1 <= constellation_order <= 256:
+/// the frontier stores ranks as bytes (every Constellation qualifies).
 PreprocessingResult find_most_promising_paths(const std::vector<double>& pe,
                                               int constellation_order,
                                               const PreprocessingConfig& cfg);

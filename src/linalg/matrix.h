@@ -18,7 +18,8 @@ class CMatView;
 ///
 /// Designed for the small, dense problems of MIMO baseband processing
 /// (channel matrices up to ~16x16).  All operations are bounds-asserted in
-/// debug builds; none allocate except where a new matrix is returned.
+/// debug builds; none allocate except where a new matrix is returned or
+/// assign() grows the storage past its capacity.
 class CMat {
  public:
   CMat() = default;
@@ -35,6 +36,18 @@ class CMat {
 
   /// Matrix whose diagonal is d and off-diagonal entries are zero.
   static CMat diag(const CVec& d);
+
+  /// Reshapes to rows x cols with every entry `value`, reusing the
+  /// storage: no allocation once it has held rows * cols entries.
+  void assign(std::size_t rows, std::size_t cols, cplx value) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, value);
+  }
+  /// Copies the shape and entries of `m`, which must not view this
+  /// matrix, reusing the storage like the overload above.  Defined after
+  /// CMatView below.
+  void assign(CMatView m);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -149,6 +162,12 @@ inline CMatView CMat::row_range(std::size_t row_begin,
                                 std::size_t row_count) const {
   assert(row_begin + row_count <= rows_);
   return CMatView(data() + row_begin * cols_, row_count, cols_);
+}
+
+inline void CMat::assign(CMatView m) {
+  rows_ = m.rows();
+  cols_ = m.cols();
+  data_.assign(m.data(), m.data() + rows_ * cols_);
 }
 
 inline CMat CMatView::materialize() const {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "linalg/solve.h"
+#include "parallel/hot_path.h"
 
 namespace flexcore::linalg {
 
@@ -14,40 +14,56 @@ namespace {
 
 constexpr double kRankTol = 1e-12;
 
-// Shared MGS core: orthogonalizes the columns of `a` in the order chosen by
-// `pick_next`, which receives the current residual column norms (squared,
-// NaN for already-processed columns) and returns the column to process.
-// With Tolerant set, a pivot below the rank tolerance produces a zero Q
-// column / zero R row instead of throwing (the shard-partial contract of
+// The one MGS core: orthogonalizes the columns of `h` in the order chosen
+// by `pick_next` into caller storage — Q, R and, when `perm` is non-null,
+// the column permutation — reusing its capacity.  Q is the working matrix:
+// column k holds the residual of column k until step k normalizes it, and
+// step k then updates every later column row by row (all projections in
+// one pass, all updates in a second), so each projection still sums its
+// rows in ascending order, bit for bit what a column-at-a-time MGS
+// computes.  Until column j is processed, the real part of r(j, j) holds
+// its squared residual norm, downdated after each step (the standard SQRD
+// trick) — the only per-column state `pick_next(k, r)` reads.  With
+// Tolerant set, a pivot below the rank tolerance produces a zero Q column
+// and a zero R row instead of throwing (the shard-partial contract of
 // qr_mgs_tolerant); the branch is compile-time, so the full-rank code path
 // is the same instructions either way.
-template <bool Tolerant = false, typename PickFn>
-QrResult mgs_core(CMatView h, PickFn pick_next) {
+template <bool Tolerant, typename PickFn>
+FLEXCORE_HOT_PATH
+void mgs_core(CMatView h, CMat& q, CMat& r, std::vector<std::size_t>* perm,
+              PickFn pick_next) {
   const std::size_t nr = h.rows();
   const std::size_t nt = h.cols();
   if (nr < nt) throw std::runtime_error("qr: requires rows >= cols");
 
-  CMat a = h.materialize();  // residual columns get overwritten in place
-  CMat q(nr, nt);
-  CMat r(nt, nt);
-  std::vector<std::size_t> perm(nt);
-  std::iota(perm.begin(), perm.end(), 0);
-
-  // norms2[j] tracks the squared residual norm of (current) column j.
-  std::vector<double> norms2(nt);
-  for (std::size_t j = 0; j < nt; ++j) norms2[j] = norm2(a.col(j));
+  // flexcore-lint: allow-next-line(HP001) warm-capacity growth of Q
+  q.assign(h);
+  // flexcore-lint: allow-next-line(HP001) warm-capacity growth of R
+  r.assign(nt, nt, cplx{0.0, 0.0});
+  if (perm != nullptr) {
+    // flexcore-lint: allow-next-line(HP001) warm-capacity growth of the perm
+    perm->resize(nt);
+    std::iota(perm->begin(), perm->end(), std::size_t{0});
+  }
+  cplx* qd = q.data();
+  const auto column_norm2 = [&](std::size_t j) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < nr; ++i) s += abs2(qd[i * nt + j]);
+    return s;
+  };
+  for (std::size_t j = 0; j < nt; ++j) r(j, j) = cplx{column_norm2(j), 0.0};
 
   for (std::size_t k = 0; k < nt; ++k) {
-    const std::size_t pick = pick_next(k, norms2);
+    const std::size_t pick = pick_next(k, r);
     if (pick != k) {
-      a.swap_cols(k, pick);
-      r.swap_cols(k, pick);  // swap already-computed rows' columns
-      std::swap(perm[k], perm[pick]);
-      std::swap(norms2[k], norms2[pick]);
+      q.swap_cols(k, pick);
+      // The computed rows of R, and the two norm slots.
+      for (std::size_t i = 0; i < k; ++i) std::swap(r(i, k), r(i, pick));
+      std::swap(r(k, k), r(pick, pick));
+      if (perm != nullptr) std::swap((*perm)[k], (*perm)[pick]);
     }
 
-    CVec qk = a.col(k);
-    const double nrm = std::sqrt(norm2(qk));
+    const double nrm = std::sqrt(column_norm2(k));
     if (!std::isfinite(nrm)) {
       // NaN/Inf entries would otherwise sail PAST the rank tolerance (NaN
       // comparisons are false) and poison Q/R silently.  Thrown in the
@@ -57,54 +73,83 @@ QrResult mgs_core(CMatView h, PickFn pick_next) {
     }
     if (nrm < kRankTol) {
       if constexpr (Tolerant) {
-        // Residual column k lies in the span of the processed ones: leave
-        // q's column k and r's row k zero.  H = Q R still holds (column k
-        // of H reconstructs from the r(0..k-1, k) entries already stored),
-        // and the dead level contributes nothing to R^H R.
-        norms2[k] = std::numeric_limits<double>::quiet_NaN();
+        // Residual column k lies in the span of the processed ones: zero
+        // q's column k and r's row k.  H = Q R still holds (column k of H
+        // reconstructs from the r(0..k-1, k) entries already stored), and
+        // the dead level contributes nothing to R^H R.
+        for (std::size_t i = 0; i < nr; ++i) qd[i * nt + k] = cplx{0.0, 0.0};
+        r(k, k) = cplx{0.0, 0.0};
         continue;
       }
       throw std::runtime_error("qr: rank-deficient matrix");
     }
     r(k, k) = cplx{nrm, 0.0};
-    for (auto& z : qk) z /= nrm;
-    q.set_col(k, qk);
+    for (std::size_t i = 0; i < nr; ++i) qd[i * nt + k] /= nrm;
 
-    for (std::size_t j = k + 1; j < nt; ++j) {
-      CVec aj = a.col(j);
-      const cplx proj = dot(qk, aj);
-      r(k, j) = proj;
-      axpy(-proj, qk, aj);
-      a.set_col(j, aj);
-      // Cheap norm downdate (standard SQRD trick); re-deriving from the
-      // updated column avoids negative drift.
-      norms2[j] = std::max(0.0, norms2[j] - abs2(proj));
+    // r(k, j) = q_k^H a_j for every j > k, accumulated row by row.
+    cplx* rk = r.data() + k * nt;
+    for (std::size_t i = 0; i < nr; ++i) {
+      const cplx* row = qd + i * nt;
+      const cplx qik = std::conj(row[k]);
+      for (std::size_t j = k + 1; j < nt; ++j) rk[j] += qik * row[j];
     }
-    norms2[k] = std::numeric_limits<double>::quiet_NaN();
+    // a_j -= r(k, j) q_k, again row by row.
+    for (std::size_t i = 0; i < nr; ++i) {
+      cplx* row = qd + i * nt;
+      const cplx qik = row[k];
+      for (std::size_t j = k + 1; j < nt; ++j) row[j] += -rk[j] * qik;
+    }
+    // Cheap norm downdate, clamped against negative drift.
+    for (std::size_t j = k + 1; j < nt; ++j) {
+      r(j, j) = cplx{std::max(0.0, r(j, j).real() - abs2(rk[j])), 0.0};
+    }
   }
-  return QrResult{std::move(q), std::move(r), std::move(perm)};
 }
 
-constexpr auto kNaturalOrder = [](std::size_t k, const std::vector<double>&) {
-  return k;
-};
+constexpr auto kNaturalOrder = [](std::size_t k, const CMat&) { return k; };
 
 }  // namespace
 
-QrResult qr_mgs(CMatView h) { return mgs_core(h, kNaturalOrder); }
+void qr_mgs_into(CMatView h, QrResult* out) {
+  mgs_core<false>(h, out->Q, out->R, &out->perm, kNaturalOrder);
+}
+
+void qr_mgs_tolerant_into(CMatView h, QrResult* out) {
+  mgs_core<true>(h, out->Q, out->R, &out->perm, kNaturalOrder);
+}
+
+void qr_mgs_tolerant_into(CMatView h, CMat* q, CMat* r) {
+  mgs_core<true>(h, *q, *r, nullptr, kNaturalOrder);
+}
+
+void sorted_qr_wubben_into(CMatView h, QrResult* out) {
+  // The not-yet-processed column of minimum residual norm.
+  mgs_core<false>(h, out->Q, out->R, &out->perm,
+                  [](std::size_t k, const CMat& r) {
+                    std::size_t best = k;
+                    for (std::size_t j = k + 1; j < r.cols(); ++j) {
+                      if (r(j, j).real() < r(best, best).real()) best = j;
+                    }
+                    return best;
+                  });
+}
+
+QrResult qr_mgs(CMatView h) {
+  QrResult out;
+  qr_mgs_into(h, &out);
+  return out;
+}
 
 QrResult qr_mgs_tolerant(CMatView h) {
-  return mgs_core<true>(h, kNaturalOrder);
+  QrResult out;
+  qr_mgs_tolerant_into(h, &out);
+  return out;
 }
 
 QrResult sorted_qr_wubben(CMatView h) {
-  return mgs_core(h, [](std::size_t k, const std::vector<double>& norms2) {
-    std::size_t best = k;
-    for (std::size_t j = k + 1; j < norms2.size(); ++j) {
-      if (norms2[j] < norms2[best]) best = j;
-    }
-    return best;
-  });
+  QrResult out;
+  sorted_qr_wubben_into(h, &out);
+  return out;
 }
 
 QrResult qr_householder(CMatView h) {

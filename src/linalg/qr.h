@@ -39,7 +39,16 @@ struct QrResult {
 /// channel matrix or on an antenna-row submatrix of it
 /// (CMat::row_range) — the per-cluster preprocessing of the sharded
 /// baseband layer factorizes each cluster's rows in place, no copies of H.
+///
+/// qr_mgs, qr_mgs_tolerant and sorted_qr_wubben share one MGS core that
+/// works in the output Q's own storage.  Their `_into` forms write into a
+/// caller's QrResult and reuse its capacity, so a warm result of any shape
+/// makes them allocation-free; the by-value forms wrap them.  `h` must not
+/// view the output's storage.  A throw leaves the output unspecified, so
+/// callers that must keep their factors on failure factor into scratch and
+/// swap on success (FlexCoreDetector::set_channel).
 QrResult qr_mgs(CMatView h);
+void qr_mgs_into(CMatView h, QrResult* out);
 
 /// qr_mgs without the full-rank requirement: a (numerically) rank-deficient
 /// pivot yields a zero Q column and a zero R row instead of throwing, so
@@ -49,6 +58,10 @@ QrResult qr_mgs(CMatView h);
 /// partial-QR merge stays exact either way.  For full-column-rank input it
 /// is bit-identical to qr_mgs (same code path).
 QrResult qr_mgs_tolerant(CMatView h);
+void qr_mgs_tolerant_into(CMatView h, QrResult* out);
+/// The same factorization into bare Q and R (its permutation is the
+/// identity), for callers that keep only the factors: the shard partial.
+void qr_mgs_tolerant_into(CMatView h, CMat* q, CMat* r);
 
 /// Thin QR via Householder reflections (numerically more robust; used to
 /// cross-validate MGS in tests).
@@ -59,6 +72,7 @@ QrResult qr_householder(CMatView h);
 /// resulting R tends to have ascending diagonal magnitudes, so detection
 /// (which walks levels Nt..1) sees the most reliable streams first.
 QrResult sorted_qr_wubben(CMatView h);
+void sorted_qr_wubben_into(CMatView h, QrResult* out);
 
 /// FCSD ordering of Barbero & Thompson: the `full_levels` streams with the
 /// *largest* post-detection noise amplification are assigned to the top

@@ -46,18 +46,6 @@ inline double norm2(const CVec& v) noexcept {
   return s;
 }
 
-/// Hermitian inner product <a, b> = a^H b.
-inline cplx dot(const CVec& a, const CVec& b) {
-  cplx s{0.0, 0.0};
-  for (std::size_t i = 0; i < a.size(); ++i) s += std::conj(a[i]) * b[i];
-  return s;
-}
-
-/// y += alpha * x
-inline void axpy(cplx alpha, const CVec& x, CVec& y) {
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 /// Element-wise difference a - b.
 inline CVec sub(const CVec& a, const CVec& b) {
   CVec r(a.size());

@@ -49,10 +49,13 @@ struct Fabric::PrepJob {
 
 struct Fabric::Shard {
   Shard(std::size_t id_in, const parallel::PoolOptions& pool_opts)
-      : id(id_in), pool(pool_opts) {}
+      : id(id_in), pool(pool_opts), worker_partials(pool.size()) {}
 
   const std::size_t id;
   parallel::ThreadPool pool;
+  /// One warm partial per pool worker: run_prep's tasks factorize into
+  /// these, so the stage allocates nothing per subcarrier.
+  std::vector<PartialQr> worker_partials;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -165,14 +168,14 @@ bool Fabric::run_prep(std::size_t shard_id, const PrepJob& pj) {
   const std::size_t nv = pj.nv;
   std::atomic<bool> bad{false};
   // One task per subcarrier on THIS shard's pool: the partial QR of this
-  // cluster's antenna rows, its block copied into the merged stack, and
-  // the cluster's slice of every received vector rotated — Q_c never
-  // outlives the task.
-  sh.pool.parallel_for(pj.nsc, [&](std::size_t f) {
+  // cluster's antenna rows into the worker's own PartialQr, its block
+  // copied into the merged stack, and the cluster's slice of every
+  // received vector rotated.
+  sh.pool.parallel_for_worker(pj.nsc, [&](std::size_t w, std::size_t f) {
     try {
       const linalg::CMat& h = pj.job->channels[f];
-      PartialQr partial =
-          compute_partial(h.row_range(range.begin, range.count));
+      PartialQr& partial = sh.worker_partials[w];
+      compute_partial_into(h.row_range(range.begin, range.count), &partial);
       linalg::CMat& merged_h = pj.merged->channels[f];
       std::memcpy(merged_h.data() + row_off * nt, partial.r.data(),
                   k_c * nt * sizeof(linalg::cplx));

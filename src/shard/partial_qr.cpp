@@ -5,6 +5,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "parallel/hot_path.h"
+
 namespace flexcore::shard {
 
 std::vector<RowRange> plan_shards(std::size_t rows, std::size_t shards) {
@@ -23,20 +25,26 @@ std::vector<RowRange> plan_shards(std::size_t rows, std::size_t shards) {
   return plan;
 }
 
-PartialQr compute_partial(linalg::CMatView h_rows) {
-  PartialQr out;
+FLEXCORE_HOT_PATH
+void compute_partial_into(linalg::CMatView h_rows, PartialQr* out) {
   if (h_rows.rows() < h_rows.cols()) {
     // Thin cluster: fewer antennas than streams — no compression possible,
-    // rows pass through under the identity rotation.
-    out.r = h_rows.materialize();
-    return out;
+    // rows pass through under the identity rotation (an empty Q).
+    // flexcore-lint: allow-next-line(HP001) warm-capacity reshape, to empty
+    out->q.assign(linalg::CMatView{});
+    // flexcore-lint: allow-next-line(HP001) warm-capacity growth of the rows
+    out->r.assign(h_rows);
+    return;
   }
   // With exactly one cluster spanning all rows this IS qr_mgs on the full
   // channel (tolerant path is bit-identical for full-rank input), which is
   // what makes the C=1 partial bit-identity test meaningful.
-  linalg::QrResult qr = linalg::qr_mgs_tolerant(h_rows);
-  out.q = std::move(qr.Q);
-  out.r = std::move(qr.R);
+  linalg::qr_mgs_tolerant_into(h_rows, &out->q, &out->r);
+}
+
+PartialQr compute_partial(linalg::CMatView h_rows) {
+  PartialQr out;
+  compute_partial_into(h_rows, &out);
   return out;
 }
 

@@ -76,6 +76,11 @@ struct PartialQr {
 /// derived from H — each detector family applies its own.
 PartialQr compute_partial(linalg::CMatView h_rows);
 
+/// compute_partial into `out`, reusing its matrices' storage: with a warm
+/// PartialQr (the fabric keeps one per shard-pool worker) the call makes
+/// no allocation.  On a throw `out` is unspecified.
+void compute_partial_into(linalg::CMatView h_rows, PartialQr* out);
+
 /// ybar_c = Q_c^H y_c into `out` (compressed_rows entries); pass-through
 /// clusters copy their slice.  `y_rows` is the cluster's row slice of the
 /// full received vector.

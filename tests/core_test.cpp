@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <set>
 
 #include "api/detector_registry.h"
@@ -15,6 +18,7 @@
 #include "detect/fcsd.h"
 #include "detect/sic.h"
 #include "linalg/qr.h"
+#include "reference_preprocessing.h"
 
 namespace fa = flexcore::api;
 namespace fc = flexcore::core;
@@ -219,6 +223,129 @@ TEST(Preprocessing, ZeroPathsThrows) {
   cfg.num_paths = 0;
   EXPECT_THROW(fc::find_most_promising_paths(qr.R, 0.1, c, cfg),
                std::invalid_argument);
+}
+
+namespace {
+
+/// Bitwise equality of two search results, every field.
+void expect_same_search(const fc::PreprocessingResult& got,
+                        const fc::PreprocessingResult& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.paths.size(), want.paths.size()) << what;
+  for (std::size_t i = 0; i < want.paths.size(); ++i) {
+    ASSERT_EQ(got.paths[i].p, want.paths[i].p) << what << " path " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.paths[i].pc),
+              std::bit_cast<std::uint64_t>(want.paths[i].pc))
+        << what << " path " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.pc_sum),
+            std::bit_cast<std::uint64_t>(want.pc_sum))
+      << what;
+  EXPECT_EQ(got.real_mults, want.real_mults) << what;
+  EXPECT_EQ(got.nodes_expanded, want.nodes_expanded) << what;
+  EXPECT_EQ(got.pe, want.pe) << what;
+}
+
+}  // namespace
+
+TEST(Preprocessing, FlatSearchMatchesMultisetReference) {
+  // The flat frontier against the multiset search it replaced, through
+  // both public overloads and through one warm workspace and result that
+  // every case reuses (shapes and path counts change under it).  Half the
+  // pe-vector cases repeat one Pe on every level (a quarter of those a
+  // near-certain error), so pc ties are common and the positions
+  // tie-break decides.
+  std::mt19937_64 gen(20261017);
+  const auto uniform = [&](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(gen);
+  };
+  const int orders[] = {4, 16, 64, 256};
+  const Constellation constellations[] = {Constellation(4), Constellation(16),
+                                          Constellation(64),
+                                          Constellation(256)};
+  // Ranks at the byte boundary: a top level that is almost surely wrong
+  // runs its rank up to 256 within the first 300 sequential paths.
+  for (std::size_t nt : {1u, 2u}) {
+    for (std::size_t batch : {1u, 8u}) {
+      fc::PreprocessingConfig cfg;
+      cfg.num_paths = 300;
+      cfg.batch_expand = batch;
+      std::vector<double> pe(nt, 1e-3);
+      pe.back() = 1.0 - 1e-9;
+      const auto want = flexcore::testref::multiset_path_search(pe, 256, cfg);
+      const auto got = fc::find_most_promising_paths(pe, 256, cfg);
+      expect_same_search(got, want, "byte boundary nt " + std::to_string(nt));
+      int top = 0;
+      for (const auto& rp : got.paths) {
+        top = std::max(top, *std::max_element(rp.p.begin(), rp.p.end()));
+      }
+      if (batch == 1) {
+        EXPECT_EQ(top, 256) << "nt " << nt;
+      }
+    }
+  }
+
+  fc::PathSearchWorkspace ws;
+  fc::PreprocessingResult warm;
+  for (int iter = 0; iter < 240; ++iter) {
+    const std::size_t nt = uniform(1, 32);
+    const std::size_t qi = uniform(0, 3);
+    const int q = orders[qi];
+    fc::PreprocessingConfig cfg;
+    cfg.num_paths = uniform(1, 300);
+    cfg.stop_threshold = uniform(0, 1) == 0 ? 0.95 : 1.0;
+    const std::size_t cap_kind = uniform(0, 2);
+    if (cap_kind == 1) {
+      cfg.candidate_list_cap = uniform(1, cfg.num_paths);
+    } else if (cap_kind == 2) {
+      cfg.candidate_list_cap = uniform(cfg.num_paths, 4 * cfg.num_paths);
+    }
+    cfg.batch_expand = uniform(1, 8);
+    const std::string what = "iter " + std::to_string(iter) + " nt " +
+                             std::to_string(nt) + " q " + std::to_string(q) +
+                             " paths " + std::to_string(cfg.num_paths) +
+                             " cap " + std::to_string(cfg.candidate_list_cap) +
+                             " batch " + std::to_string(cfg.batch_expand);
+
+    // pe-vector overload (the control plane's seam).
+    std::vector<double> pe(nt);
+    std::uniform_real_distribution<double> pe_dist(1e-6, 0.9);
+    const std::size_t shape = uniform(0, 7);
+    if (shape == 0) {
+      std::fill(pe.begin(), pe.end(), 1.0 - 1e-9);
+    } else if (shape < 4) {
+      std::fill(pe.begin(), pe.end(), pe_dist(gen));
+    } else {
+      for (double& x : pe) x = pe_dist(gen);
+    }
+    const auto want_pe = flexcore::testref::multiset_path_search(pe, q, cfg);
+    expect_same_search(fc::find_most_promising_paths(pe, q, cfg), want_pe,
+                       what + " (pe overload)");
+
+    // R overload, by value and into the warm workspace.
+    const Constellation& c = constellations[qi];
+    const CMat h =
+        random_channel(nt, nt, 1000 + static_cast<std::uint64_t>(iter));
+    const auto qr = flexcore::linalg::sorted_qr_wubben(h);
+    const double nv = std::uniform_real_distribution<double>(0.01, 1.0)(gen);
+    const auto want_r = flexcore::testref::multiset_path_search(
+        fc::level_error_probabilities(qr.R, nv, c, cfg.pe_model), q, cfg);
+    expect_same_search(fc::find_most_promising_paths(qr.R, nv, c, cfg),
+                       want_r, what + " (R overload)");
+    fc::find_most_promising_paths_into(qr.R, nv, c, cfg, ws, &warm);
+    expect_same_search(warm, want_r, what + " (R overload, warm)");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Preprocessing, ConstellationOrderOutsideByteRangeThrows) {
+  fc::PreprocessingConfig cfg;
+  const std::vector<double> pe(4, 0.1);
+  EXPECT_THROW(fc::find_most_promising_paths(pe, 0, cfg),
+               std::invalid_argument);
+  EXPECT_THROW(fc::find_most_promising_paths(pe, 257, cfg),
+               std::invalid_argument);
+  EXPECT_NO_THROW(fc::find_most_promising_paths(pe, 256, cfg));
 }
 
 // ------------------------------------------------------------ ordering LUT
@@ -559,6 +686,33 @@ TEST(FlexCore, RefusedChannelKeepsThePreviousOne) {
     EXPECT_EQ(after.symbols, before.symbols) << spec;
     EXPECT_EQ(after.metric, before.metric) << spec;
   }
+
+  // A rank-deficient channel gets past the shape check and is refused by
+  // the sorted QR part-way through the factorization, at a different
+  // noise variance: hard decisions AND soft output (whose LLRs scale by
+  // 1 / noise_var) must still come from the installed channel.
+  CMat singular = random_channel(8, 8, 39);
+  for (std::size_t i = 0; i < 8; ++i) singular(i, 5) = singular(i, 2);
+  const auto flex = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-16", {.constellation = &c});
+  flex->set_channel(h, 0.05);
+  const auto before = flex->detect(y);
+  const auto soft_before = flex->detect_soft(y);
+  EXPECT_THROW(flex->set_channel(singular, 0.5), std::runtime_error);
+  const auto after = flex->detect(y);
+  EXPECT_EQ(after.symbols, before.symbols);
+  EXPECT_EQ(after.metric, before.metric);
+  const auto soft_after = flex->detect_soft(y);
+  ASSERT_EQ(soft_after.llrs.size(), soft_before.llrs.size());
+  std::size_t llrs = 0;
+  for (std::size_t a = 0; a < soft_before.llrs.size(); ++a) {
+    ASSERT_EQ(soft_after.llrs[a].size(), soft_before.llrs[a].size());
+    for (std::size_t b = 0; b < soft_before.llrs[a].size(); ++b, ++llrs) {
+      EXPECT_EQ(soft_after.llrs[a][b], soft_before.llrs[a][b])
+          << "antenna " << a << " bit " << b;
+    }
+  }
+  EXPECT_EQ(llrs, 32u);
 }
 
 TEST(FlexCore, AdaptiveUsesFewerPesOnCleanChannels) {

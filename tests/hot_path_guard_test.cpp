@@ -8,7 +8,8 @@
 //    inline short-circuit);
 //  * UplinkPipeline::detect_frame steady state (reuse overload +
 //    reuse_preprocessing, threads=1) performs ZERO heap allocations and
-//    ZERO lock acquisitions;
+//    ZERO lock acquisitions, and so do fresh-channel frames (QR, path
+//    search and plan compile per subcarrier) once the scratch is warm;
 //  * Runtime run_one and sharded (shards = 2) submit→complete cycles have
 //    an O(1)-per-frame control-plane envelope: allocation and lock counts
 //    do not grow with the grid's path count.
@@ -186,6 +187,48 @@ TEST(FrameSteadyState, ZeroAllocZeroLockSingleThread) {
   EXPECT_EQ(d.lock_acquisitions, 0u)
       << "steady-state frame took a lock on a threads=1 pool";
   EXPECT_EQ(out.results.size(), fr.ys.size());
+}
+
+TEST(FrameSteadyState, FreshChannelZeroAllocSingleThread) {
+  // Fresh-channel frames: every frame installs new channels, so the sorted
+  // QR, the path search and the plan compile run per subcarrier.  Once two
+  // frames' worth of channels have warmed the detectors' scratch, that
+  // path too touches no heap and no lock — alternating channels, so each
+  // install replaces a different one.  At 4 dB the adaptive detector's
+  // path counts differ between the two frames, so its results shrink and
+  // grow back.
+  for (const char* spec : {"flexcore-32", "a-flexcore-32", "flexcore-16:i16"}) {
+    fa::PipelineConfig cfg;
+    cfg.detector = spec;
+    cfg.qam_order = 16;
+    cfg.threads = 1;
+    fa::UplinkPipeline pipe(cfg);
+    const double nv = ch::noise_var_for_snr_db(4.0);
+    const Frame frame_a =
+        make_frame(pipe.constellation(), 6, 3, 16, 8, nv, 47);
+    const Frame frame_b =
+        make_frame(pipe.constellation(), 6, 3, 16, 8, nv, 53);
+    const fa::FrameJob job_a = job_of(frame_a, nv);
+    const fa::FrameJob job_b = job_of(frame_b, nv);
+    ASSERT_FALSE(job_a.reuse_preprocessing);
+    fa::FrameResult out;
+    for (int warm = 0; warm < 2; ++warm) {
+      pipe.detect_frame(job_a, &out);
+      pipe.detect_frame(job_b, &out);
+    }
+
+    fp::HotPathScope guard("fresh-channel detect_frame", Scope::kThread);
+    pipe.detect_frame(job_a, &out);
+    pipe.detect_frame(job_b, &out);
+    const auto d = guard.delta();
+    if (fp::hot_path_guard_enabled()) {
+      EXPECT_EQ(d.allocations, 0u)
+          << spec << ": fresh-channel frame touched the heap";
+    }
+    EXPECT_EQ(d.lock_acquisitions, 0u) << spec;
+    EXPECT_EQ(out.channels_installed, 6u) << spec;
+    EXPECT_EQ(out.results.size(), frame_b.ys.size()) << spec;
+  }
 }
 
 // ------------------------------------- runtime O(1)-per-frame envelope

@@ -1,12 +1,15 @@
 // Unit and property tests for the linalg substrate.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
 #include "linalg/solve.h"
 #include "linalg/svd.h"
+#include "reference_qr.h"
 
 namespace fl = flexcore::linalg;
 using fl::cplx;
@@ -178,6 +181,103 @@ TEST(Qr, WideMatrixThrows) {
   std::mt19937_64 gen(12);
   const CMat h = random_matrix(2, 4, gen);
   EXPECT_THROW(fl::qr_mgs(h), std::runtime_error);
+}
+
+namespace {
+
+/// Same shape and the same bits in every entry.
+void expect_bitwise(const CMat& got, const CMat& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        want.rows() * want.cols() * sizeof(cplx)),
+            0)
+      << what << "\ngot\n" << got.to_string(17) << "\nwant\n"
+      << want.to_string(17);
+}
+
+void expect_bitwise(const fl::QrResult& got, const fl::QrResult& want,
+                    const std::string& what) {
+  expect_bitwise(got.Q, want.Q, what + " Q");
+  expect_bitwise(got.R, want.R, what + " R");
+  EXPECT_EQ(got.perm, want.perm) << what;
+}
+
+}  // namespace
+
+TEST(Qr, RowwiseCoreMatchesColumnReference) {
+  // The row-by-row MGS core against the column-at-a-time MGS it replaced:
+  // Q, R and perm bit for bit, for every decomposition built on it.  The
+  // `_into` calls share one warm output whose shape changes every case.
+  namespace ref = flexcore::testref;
+  std::mt19937_64 gen(2026);
+  fl::QrResult warm;
+  CMat warm_q, warm_r;
+  const auto check = [&](fl::CMatView h, const std::string& what) {
+    const fl::QrResult want = ref::qr_mgs_by_columns(h);
+    expect_bitwise(fl::qr_mgs(h), want, what + " qr_mgs");
+    fl::qr_mgs_into(h, &warm);
+    expect_bitwise(warm, want, what + " qr_mgs_into");
+    expect_bitwise(fl::qr_mgs_tolerant(h), want, what + " tolerant");
+
+    const fl::QrResult sorted = ref::sorted_qr_wubben_by_columns(h);
+    expect_bitwise(fl::sorted_qr_wubben(h), sorted, what + " wubben");
+    fl::sorted_qr_wubben_into(h, &warm);
+    expect_bitwise(warm, sorted, what + " wubben_into");
+
+    if (h.rows() == h.cols()) {
+      const fl::QrResult fcsd = fl::fcsd_sorted_qr(h.materialize(), 1);
+      fl::QrResult fcsd_want =
+          ref::qr_mgs_by_columns(permuted(h.materialize(), fcsd.perm));
+      fcsd_want.perm = fcsd.perm;
+      expect_bitwise(fcsd, fcsd_want, what + " fcsd");
+    }
+  };
+  // The tolerant form also takes rank-deficient input.
+  const auto check_tolerant = [&](fl::CMatView h, const std::string& what) {
+    const fl::QrResult want = ref::qr_mgs_by_columns(h, /*tolerant=*/true);
+    expect_bitwise(fl::qr_mgs_tolerant(h), want, what + " tolerant");
+    fl::qr_mgs_tolerant_into(h, &warm);
+    expect_bitwise(warm, want, what + " tolerant_into");
+    fl::qr_mgs_tolerant_into(h, &warm_q, &warm_r);
+    expect_bitwise(warm_q, want.Q, what + " tolerant_into Q");
+    expect_bitwise(warm_r, want.R, what + " tolerant_into R");
+  };
+
+  for (int t = 0; t < 40; ++t) {
+    const std::size_t n = 1 + static_cast<std::size_t>(t) % 16;
+    const CMat h = random_matrix(n, n, gen);
+    const std::string what = "square " + std::to_string(n);
+    check(h, what);
+    check_tolerant(h, what);
+  }
+  for (int t = 0; t < 10; ++t) {
+    // A 64 x 8 channel in the two 32-row clusters of the shard layer.
+    const CMat h = random_matrix(64, 8, gen);
+    for (std::size_t c = 0; c < 2; ++c) {
+      const std::string what = "cluster " + std::to_string(c);
+      check(h.row_range(32 * c, 32), what);
+      check_tolerant(h.row_range(32 * c, 32), what);
+    }
+    check(h, "64x8");
+  }
+  for (int t = 0; t < 10; ++t) {
+    // Rank deficient: a duplicated column, and a cluster whose rows are
+    // all zero but five.
+    CMat dup = random_matrix(32, 8, gen);
+    dup.set_col(3 + static_cast<std::size_t>(t) % 5, dup.col(1));
+    check_tolerant(dup, "duplicated column");
+    CMat zero_rows(32, 8);
+    const CMat live = random_matrix(5, 8, gen);
+    for (std::size_t i = 0; i < 5; ++i) {
+      for (std::size_t j = 0; j < 8; ++j) zero_rows(7 * i, j) = live(i, j);
+    }
+    check_tolerant(zero_rows, "zero rows");
+    CMat square_dup = random_matrix(8, 8, gen);
+    square_dup.set_col(7, square_dup.col(0));
+    check_tolerant(square_dup, "square duplicated column");
+  }
 }
 
 TEST(SortedQr, PermIsAPermutation) {
