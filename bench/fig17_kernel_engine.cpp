@@ -11,10 +11,9 @@
 //     the pre-engine hot loop: interleaved std::complex<double>, one
 //     libcall-heavy walk per path);
 //   * block   — path_metric_block over the compiled PathPlan (split-SoA,
-//     lane-parallel), in the fp64 tier (bit-identical), the fp32 tier
-//     (reduced precision) and the int16 quantized tier (":i16", 16 lanes
-//     per block, LUT-compiled slicing — the paper's Table 3 fixed-point
-//     datapath).
+//     lane-parallel), in the fp64 tier (bit-identical) and the int16
+//     quantized tier (":i16", 16 lanes per block, LUT-compiled slicing —
+//     the paper's Table 3 fixed-point datapath).
 //
 // Report-only rows (no gate) time the serving benchmark's two shapes:
 // coherent-12x12's flexcore-64 at 12x12 / 64-QAM / 18 dB, and
@@ -23,10 +22,14 @@
 //
 // Emits BENCH_kernels.json and EXITS NON-ZERO when any gate fails:
 //   * fp64 block >= 1.5x over the scalar loop at 12x12 / 64-QAM;
-//   * i16 block faster than fp32 block at 12x12 and 16x16;
+//   * i16 block faster than the fp64 block at 12x12 and 16x16;
 //   * i16 block >= 1.4x over the fp64 scalar loop at 16x16;
 //   * end-to-end 64-QAM SER of the i16 tier within
 //     detect::kI16SerTolerance of the fp64 tier.
+// The exit status is a bit set, so a caller can tell the gates apart:
+// bit 1 (kFailI16VsFp64) for the i16-vs-fp64 block gate alone, bit 0
+// (kFailGates) for any other gate or a diverged checksum (the run stops
+// there).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -55,6 +58,9 @@ namespace fr = flexcore::testref;
 using flexcore::modulation::Constellation;
 
 namespace {
+
+constexpr int kFailGates = 1;
+constexpr int kFailI16VsFp64 = 2;
 
 struct Timing {
   double ns_per_path = 0.0;
@@ -110,7 +116,7 @@ double scan_block(const D& det, const std::vector<fl::CVec>& ybars,
   return sum;
 }
 
-/// One scalar + three block rows for a (detector, MIMO size) sweep point —
+/// One scalar + two block rows for a (detector, MIMO size) sweep point —
 /// the single place that defines the BENCH_kernels.json timing-row schema.
 /// `flops_per_path` is the plan's Table 2 count of one walk
 /// (PathPlan::walk_stats), the same work in every tier, so `gflops` is
@@ -118,15 +124,13 @@ double scan_block(const D& det, const std::vector<fl::CVec>& ybars,
 /// kernel copy (detect::kernel_isa) the block rows ran.
 void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
                int qam, std::size_t paths, double flops_per_path,
-               const Timing& scalar, const Timing& blk64, const Timing& blk32,
-               const Timing& blk16) {
+               const Timing& scalar, const Timing& blk64, const Timing& blk16) {
   const struct {
     const char* kernel;
     const char* precision;
     double ns;
   } rows[] = {{"scalar", "fp64", scalar.ns_per_path},
               {"block", "fp64", blk64.ns_per_path},
-              {"block", "fp32", blk32.ns_per_path},
               {"block", "i16", blk16.ns_per_path}};
   for (const auto& r : rows) {
     json.row()
@@ -161,13 +165,13 @@ std::vector<fl::CVec> rotated_batch(const fc::FlexCoreDetector& det,
   return ybars;
 }
 
-/// One FlexCore sweep point: the scalar reference walk and the fp64, fp32
-/// and i16 block scans of `spec` on one channel, with the checksum sanity
+/// One FlexCore sweep point: the scalar reference walk and the fp64 and
+/// i16 block scans of `spec` on one channel, with the checksum sanity
 /// checks.  Returns false (after printing why) when a checksum diverges.
 struct SweepPoint {
   std::size_t paths = 0;
   double flops = 0.0;  ///< Table 2 flops of one walk
-  Timing scalar, blk64, blk32, blk16;
+  Timing scalar, blk64, blk16;
 };
 
 bool sweep_point(const char* spec, const Constellation& qam, std::size_t nr,
@@ -181,9 +185,6 @@ bool sweep_point(const char* spec, const Constellation& qam, std::size_t nr,
   const std::string base = spec;
   const auto det64 = fa::make_detector_as<fc::FlexCoreDetector>(base, dcfg);
   det64->set_channel(h, noise);
-  const auto det32 =
-      fa::make_detector_as<fc::FlexCoreDetector>(base + ":fp32", dcfg);
-  det32->set_channel(h, noise);
   const auto det16 =
       fa::make_detector_as<fc::FlexCoreDetector>(base + ":i16", dcfg);
   det16->set_channel(h, noise);
@@ -198,8 +199,6 @@ bool sweep_point(const char* spec, const Constellation& qam, std::size_t nr,
                            [&] { return scan_scalar(ref64, ybars, paths); });
   pt->blk64 = time_kernel(walks, reps,
                           [&] { return scan_block(*det64, ybars, paths); });
-  pt->blk32 = time_kernel(walks, reps,
-                          [&] { return scan_block(*det32, ybars, paths); });
   pt->blk16 = time_kernel(walks, reps,
                           [&] { return scan_block(*det16, ybars, paths); });
   // A sanity check of the timed scans only: tests/kernel_test.cpp proves
@@ -239,46 +238,47 @@ int main() {
   std::printf("(64-QAM, flexcore-128, %zu vectors, best of %d, single "
               "thread, kernel copy %s)\n\n",
               nvec, reps, fd::kernel_isa());
-  std::printf("%-6s %-8s %-15s %-12s %-12s %-12s %-12s %-11s %-10s\n", "MIMO",
-              "paths", "scalar ns/path", "block fp64", "block fp32",
-              "block i16", "speedup", "flops/path", "fp64 GFLOP/s");
+  std::printf("%-6s %-8s %-15s %-12s %-12s %-12s %-11s %-10s\n", "MIMO",
+              "paths", "scalar ns/path", "block fp64", "block i16", "speedup",
+              "flops/path", "fp64 GFLOP/s");
   fb::rule();
 
   bool gate_seen = false;
   bool gate_ok = false;
-  bool i16_gates_ok = true;
+  bool i16_scalar_ok = true;
+  bool i16_vs_fp64_ok = true;
   for (std::size_t nt : {4u, 8u, 12u, 16u}) {
     SweepPoint pt;
     if (!sweep_point("flexcore-128", qam, nt, nt, 18.0, 900 + nt, nvec, reps,
                      &pt)) {
-      return 1;
+      return kFailGates;
     }
     const double speedup64 = pt.scalar.ns_per_path / pt.blk64.ns_per_path;
     const double speedup16 = pt.scalar.ns_per_path / pt.blk16.ns_per_path;
     char speedups[32];
     std::snprintf(speedups, sizeof speedups, "%.2fx/%.2fx", speedup64,
                   speedup16);
-    std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %-12.2f %-12s "
-                "%-11.0f %.2f\n",
+    std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %-12s %-11.0f "
+                "%.2f\n",
                 nt, nt, pt.paths, pt.scalar.ns_per_path, pt.blk64.ns_per_path,
-                pt.blk32.ns_per_path, pt.blk16.ns_per_path, speedups, pt.flops,
+                pt.blk16.ns_per_path, speedups, pt.flops,
                 pt.flops / pt.blk64.ns_per_path);
     emit_rows(json, "flexcore-128", nt, 64, pt.paths, pt.flops, pt.scalar,
-              pt.blk64, pt.blk32, pt.blk16);
+              pt.blk64, pt.blk16);
 
     if (nt == 12) {
       gate_seen = true;
       gate_ok = speedup64 >= kSpeedupGate;
     }
-    // i16 gates: faster than fp32 at the large sizes, and >= kI16Gate over
-    // the fp64 scalar loop at 16x16.
+    // i16 gates: faster than the fp64 block at the large sizes, and
+    // >= kI16Gate over the fp64 scalar loop at 16x16.
     if (nt == 12 || nt == 16) {
-      if (pt.blk16.ns_per_path >= pt.blk32.ns_per_path) {
+      if (pt.blk16.ns_per_path >= pt.blk64.ns_per_path) {
         std::fprintf(stderr,
-                     "FAIL: i16 block (%.2f ns) not faster than fp32 "
-                     "(%.2f ns) at %zux%zu\n",
-                     pt.blk16.ns_per_path, pt.blk32.ns_per_path, nt, nt);
-        i16_gates_ok = false;
+                     "FAIL: i16 block (%.2f ns) not faster than the fp64 "
+                     "block (%.2f ns) at %zux%zu\n",
+                     pt.blk16.ns_per_path, pt.blk64.ns_per_path, nt, nt);
+        i16_vs_fp64_ok = false;
       }
     }
     if (nt == 16 && speedup16 < kI16Gate) {
@@ -286,7 +286,7 @@ int main() {
                    "FAIL: i16 block %.2fx below the %.1fx gate over the "
                    "fp64 scalar loop at 16x16\n",
                    speedup16, kI16Gate);
-      i16_gates_ok = false;
+      i16_scalar_ok = false;
     }
   }
 
@@ -303,21 +303,21 @@ int main() {
     const Serving shapes[] = {{"flexcore-64", 64, 12, 12, 18.0, 1812},
                               {"flexcore-32", 16, 64, 8, -2.0, 6408}};
     std::printf("\nserving shapes (report only): ns/path scalar, block "
-                "fp64 / fp32 / i16\n");
+                "fp64 / i16\n");
     for (const Serving& sv : shapes) {
       const Constellation c(sv.qam);
       SweepPoint pt;
       if (!sweep_point(sv.spec, c, sv.nr, sv.nt, sv.snr_db, sv.seed, nvec,
                        reps, &pt)) {
-        return 1;
+        return kFailGates;
       }
       std::printf("%-12s %zux%zu %3d-QAM %+5.1f dB, %3zu paths: %.2f, "
-                  "%.2f / %.2f / %.2f\n",
+                  "%.2f / %.2f\n",
                   sv.spec, sv.nr, sv.nt, sv.qam, sv.snr_db, pt.paths,
                   pt.scalar.ns_per_path, pt.blk64.ns_per_path,
-                  pt.blk32.ns_per_path, pt.blk16.ns_per_path);
+                  pt.blk16.ns_per_path);
       emit_rows(json, sv.spec, sv.nt, sv.qam, pt.paths, pt.flops, pt.scalar,
-                pt.blk64, pt.blk32, pt.blk16);
+                pt.blk64, pt.blk16);
     }
   }
 
@@ -331,8 +331,6 @@ int main() {
     const double noise = ch::noise_var_for_snr_db(18.0);
     fd::FcsdDetector fcsd64(qam, 1);
     fcsd64.set_channel(h, noise);
-    fd::FcsdDetector fcsd32(qam, 1, fd::Precision::kFloat32);
-    fcsd32.set_channel(h, noise);
     fd::FcsdDetector fcsd16(qam, 1, fd::Precision::kInt16);
     fcsd16.set_channel(h, noise);
     const std::size_t paths = fcsd64.num_paths();
@@ -359,21 +357,16 @@ int main() {
         walks, reps, [&] { return scan_scalar(ref64, ybars, paths); });
     const Timing blk64 = time_kernel(
         walks, reps, [&] { return scan_block(fcsd64, ybars, paths); });
-    const Timing blk32 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd32, ybars, paths); });
     const Timing blk16 = time_kernel(
         walks, reps, [&] { return scan_block(fcsd16, ybars, paths); });
     const double flops =
         static_cast<double>(fcsd64.plan().walk_stats(1).flops);
     std::printf("\nfcsd-L1 12x12: scalar %.2f ns/path, block fp64 %.2f "
-                "(%.2fx, %.0f flops/path, %.2f GFLOP/s), block fp32 %.2f, "
-                "block i16 %.2f\n",
+                "(%.2fx, %.0f flops/path, %.2f GFLOP/s), block i16 %.2f\n",
                 scalar.ns_per_path, blk64.ns_per_path,
                 scalar.ns_per_path / blk64.ns_per_path, flops,
-                flops / blk64.ns_per_path, blk32.ns_per_path,
-                blk16.ns_per_path);
-    emit_rows(json, "fcsd-L1", nt, 64, paths, flops, scalar, blk64, blk32,
-              blk16);
+                flops / blk64.ns_per_path, blk16.ns_per_path);
+    emit_rows(json, "fcsd-L1", nt, 64, paths, flops, scalar, blk64, blk16);
   }
 
   // --- end-to-end SER gate of the quantized tier ---------------------------
@@ -450,24 +443,25 @@ int main() {
   }
 
   json.write();
-  bool fail = false;
+  int status = 0;
   if (!gate_seen || !gate_ok) {
     std::fprintf(stderr,
                  "\nFAIL: fp64 block kernel below the %.1fx speedup gate at "
                  "12x12/64-QAM\n",
                  kSpeedupGate);
-    fail = true;
+    status |= kFailGates;
   }
-  if (!i16_gates_ok) fail = true;
+  if (!i16_scalar_ok) status |= kFailGates;
   if (ser_gap > fd::kI16SerTolerance) {
     std::fprintf(stderr,
                  "\nFAIL: i16 SER gap %+.5f above tolerance %.3f\n", ser_gap,
                  fd::kI16SerTolerance);
-    fail = true;
+    status |= kFailGates;
   }
-  if (fail) return 1;
-  std::printf("\nPASS: fp64 block >= %.1fx at 12x12; i16 block < fp32 at "
-              "12x12/16x16, >= %.1fx at 16x16; i16 SER gap within %.3f\n",
+  if (!i16_vs_fp64_ok) status |= kFailI16VsFp64;
+  if (status != 0) return status;
+  std::printf("\nPASS: fp64 block >= %.1fx at 12x12; i16 block < fp64 block "
+              "at 12x12/16x16, >= %.1fx at 16x16; i16 SER gap within %.3f\n",
               kSpeedupGate, kI16Gate, fd::kI16SerTolerance);
   return 0;
 }

@@ -156,8 +156,7 @@ void BM_PathMetricScalar(benchmark::State& state) {
 BENCHMARK(BM_PathMetricScalar);
 
 void BM_PathMetricBlock(benchmark::State& state) {
-  KernelFixture fx(state.range(0) == 32 ? "flexcore-128:fp32"
-                                        : "flexcore-128");
+  KernelFixture fx("flexcore-128");
   const std::size_t paths = fx.det->active_paths();
   for (auto _ : state) {
     // detect::scan_paths is the exact block-scan loop the grids run.
@@ -168,9 +167,9 @@ void BM_PathMetricBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(paths));
-  state.SetLabel(state.range(0) == 32 ? "fp32" : "fp64");
+  state.SetLabel("fp64");
 }
-BENCHMARK(BM_PathMetricBlock)->Arg(64)->Arg(32);
+BENCHMARK(BM_PathMetricBlock)->Arg(64);
 
 void BM_PathMetricBlockI16(benchmark::State& state) {
   KernelFixture fx("flexcore-128:i16");
@@ -184,7 +183,7 @@ void BM_PathMetricBlockI16(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(paths));
   // Label carries the detector's compiled plan footprint (the exact plan
-  // plus the int16 plan) next to fp64/fp32 below.
+  // plus the int16 plan) next to fp64 below.
   state.SetLabel("i16 plan_bytes=" +
                  std::to_string(fx.det->plan_footprint_bytes()));
 }
@@ -193,11 +192,9 @@ BENCHMARK(BM_PathMetricBlockI16);
 void BM_PlanFootprint(benchmark::State& state) {
   // Not a timing benchmark so much as a tracked-number report: compiled
   // plan heap bytes per precision tier for the fig17 fixture (12x12,
-  // 64-QAM, 128 paths).  Every tier holds the exact fp64 plan, so a
-  // reduced tier reports exact + reduced (more than fp64 alone).
-  const char* spec = state.range(0) == 16   ? "flexcore-128:i16"
-                     : state.range(0) == 32 ? "flexcore-128:fp32"
-                                            : "flexcore-128";
+  // 64-QAM, 128 paths).  Both tiers hold the exact fp64 plan, so the i16
+  // tier reports exact + i16 (more than fp64 alone).
+  const char* spec = state.range(0) == 16 ? "flexcore-128:i16" : "flexcore-128";
   KernelFixture fx(spec);
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -205,11 +202,9 @@ void BM_PlanFootprint(benchmark::State& state) {
     benchmark::DoNotOptimize(bytes);
   }
   state.counters["plan_bytes"] = static_cast<double>(bytes);
-  state.SetLabel(state.range(0) == 16   ? "i16"
-                 : state.range(0) == 32 ? "fp32"
-                                        : "fp64");
+  state.SetLabel(state.range(0) == 16 ? "i16" : "fp64");
 }
-BENCHMARK(BM_PlanFootprint)->Arg(64)->Arg(32)->Arg(16);
+BENCHMARK(BM_PlanFootprint)->Arg(64)->Arg(16);
 
 void BM_RotateInto(benchmark::State& state) {
   KernelFixture fx("flexcore-128");

@@ -26,17 +26,12 @@ const Constellation& require_constellation(const DetectorConfig& cfg,
   return *cfg.constellation;
 }
 
-/// Strips a trailing precision-tier suffix (":fp32" / ":i16") off a spec,
-/// recording the tier in *precision (fp64 when no suffix is present).
-/// Only the path-parallel factories call this — "zf:fp32" and "zf:i16"
-/// stay unknown specs.
+/// Strips a trailing ":i16" precision-tier suffix off a spec, recording the
+/// tier in *precision (fp64 when no suffix is present).  Only the
+/// path-parallel factories call this — "zf:i16" stays an unknown spec.
 std::string_view strip_precision(std::string_view spec,
                                  detect::Precision* precision) {
   *precision = detect::Precision::kFloat64;
-  if (spec.ends_with(":fp32")) {
-    *precision = detect::Precision::kFloat32;
-    return spec.substr(0, spec.size() - 5);
-  }
   if (spec.ends_with(":i16")) {
     *precision = detect::Precision::kInt16;
     return spec.substr(0, spec.size() - 4);
@@ -106,7 +101,7 @@ void register_builtins(DetectorRegistry& r) {
                      c, cfg.ml_sphere);
                })});
 
-  r.add({"fcsd", "fcsd-L1", "fcsd-L<L>[:fp32|:i16] (bare = L1)",
+  r.add({"fcsd", "fcsd-L1", "fcsd-L<L>[:i16] (bare = L1)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {
            detect::Precision precision;
@@ -159,7 +154,7 @@ void register_builtins(DetectorRegistry& r) {
          }});
 
   r.add({"flexcore", "flexcore-64",
-         "flexcore[-<PEs>][:fp32|:i16] (base config: cfg.flexcore)",
+         "flexcore[-<PEs>][:i16] (base config: cfg.flexcore)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {
            core::FlexCoreConfig fcfg = cfg.flexcore;
@@ -174,7 +169,7 @@ void register_builtins(DetectorRegistry& r) {
          }});
 
   r.add({"a-flexcore", "a-flexcore-64",
-         "a-flexcore[-<PEs>][:fp32|:i16] (threshold: "
+         "a-flexcore[-<PEs>][:i16] (threshold: "
          "cfg.flexcore.adaptive_threshold or cfg.adaptive_threshold)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {

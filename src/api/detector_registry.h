@@ -13,10 +13,10 @@
 // Parametric families parse their parameter out of the spec suffix
 // (flexcore-<PEs>, a-flexcore-<PEs>, fcsd-L<L>, kbest-<K>, akbest-<B>);
 // bare family names fall back to the values in DetectorConfig.  The
-// path-parallel families additionally accept a precision-tier suffix
-// (":fp32" / ":i16", e.g. "flexcore-128:fp32" or "fcsd-L1:i16") selecting
-// the compute tier of their block kernels; the suffix is the only way to
-// pick a tier, and a bare spec runs fp64.  Unknown specs — including a
+// path-parallel families additionally accept the precision-tier suffix
+// ":i16" (e.g. "flexcore-128:i16" or "fcsd-L1:i16"), which runs their block
+// kernels in the quantized int16 tier; the suffix is the only way to pick
+// a tier, and a bare spec runs fp64.  Unknown specs — including a
 // tier suffix on a family without block kernels, e.g. "zf:i16" — throw
 // std::invalid_argument listing the registered families.
 //

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "detect/path_kernels.h"
 #include "obs/obs.h"
 
 namespace flexcore::control {
@@ -21,6 +20,15 @@ FeedbackLoop::FeedbackLoop(const modulation::Constellation& c, std::size_t nt,
   }
   if (cfg_.error_window == 0) {
     throw std::invalid_argument("FeedbackLoop: error_window must be >= 1");
+  }
+  // A zero streak threshold would act on every frame: degrade_after = 0
+  // degrades even an idle queue, restore_after = 0 restores on every frame
+  // between load_low and load_high.
+  if (cfg_.degrade_after == 0) {
+    throw std::invalid_argument("FeedbackLoop: degrade_after must be >= 1");
+  }
+  if (cfg_.restore_after == 0) {
+    throw std::invalid_argument("FeedbackLoop: restore_after must be >= 1");
   }
   // Fail at construction, not mid-flight: the degrade ladder must name a
   // realizable family and the solver config must be sane.
@@ -74,7 +82,8 @@ std::optional<Decision> FeedbackLoop::observe(const Observation& obs) {
     } else {
       high_run_ = low_run_ = 0;
     }
-    if (high_run_ >= cfg_.degrade_after && degrade_step_ <= ladder_top()) {
+    if (high_run_ >= cfg_.degrade_after &&
+        degrade_step_ <= cfg_.max_degrade_steps) {
       ++degrade_step_;
       high_run_ = 0;
       load_delta = 1;
@@ -115,20 +124,10 @@ std::optional<Decision> FeedbackLoop::emit(const char* reason) {
   for (std::size_t s = 0; s < halvings; ++s) {
     paths = std::max(cfg_.policy.min_paths, paths / 2);
   }
-  // Terminal rungs past the halvings: fp32 then i16 precision drops (when
-  // enabled), then the family swap.
-  std::string spec;
-  if (degrade_step_ > ladder_top()) {
-    spec = cfg_.degrade_detector;
-  } else {
-    spec = path_spec(cfg_.path_family, *c_, paths);
-    if (cfg_.shed_precision && degrade_step_ == cfg_.max_degrade_steps + 1) {
-      spec += detect::precision_suffix(detect::Precision::kFloat32);
-    } else if (cfg_.shed_precision &&
-               degrade_step_ == cfg_.max_degrade_steps + 2) {
-      spec += detect::precision_suffix(detect::Precision::kInt16);
-    }
-  }
+  // The terminal rung past the halvings: the family swap.
+  const std::string spec = degrade_step_ > cfg_.max_degrade_steps
+                               ? cfg_.degrade_detector
+                               : path_spec(cfg_.path_family, *c_, paths);
   if (current_ && current_->detector == spec) return std::nullopt;
 
   Decision d;

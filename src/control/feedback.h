@@ -19,13 +19,11 @@
 //     re-solves to more paths; sustained clean windows bleed it off;
 //   * load shedding — sustained queue pressure degrades the budget by
 //     halving the path count per step; past max_degrade_steps the ladder
-//     sheds precision — first the ":fp32" kernel tier (a cheaper grid at
-//     full path coverage), then the ":i16" quantized tier (int16 block
-//     kernels with LUT-compiled slicing, the cheapest grid that still
-//     searches every path) — and only then swaps the detector family to
-//     the linear-complexity degrade_detector (graceful degradation
-//     instead of dropped frames); sustained slack restores one step at a
-//     time.
+//     swaps the detector family to the linear-complexity degrade_detector
+//     (graceful degradation instead of dropped frames); sustained slack
+//     restores one step at a time.  The ladder sheds no precision: no
+//     reduced tier beats the fp64 grid on every ISA copy (fig17), so a
+//     precision rung would slow the grid it is meant to relieve.
 #pragma once
 
 #include <cstddef>
@@ -65,24 +63,14 @@ struct ControlConfig {
   /// pressure, at or below load_low as slack; in between both streaks
   /// reset.  degrade_after consecutive pressure frames cost one degrade
   /// step (immediately — load responses skip the SNR hold), restore_after
-  /// slack frames give one back.
+  /// slack frames give one back.  Both must be >= 1.
   double load_high = 0.75;
   double load_low = 0.25;
   std::size_t degrade_after = 3;
   std::size_t restore_after = 8;
-  /// Halvings of the path budget before the terminal ladder rungs.  With
-  /// shed_precision (default), degrade step max_degrade_steps + 1 drops
-  /// the compute tier to fp32 (same spec + ":fp32" — the block kernels run
-  /// single precision, roughly halving grid cost without giving up the
-  /// path search), step max_degrade_steps + 2 drops it further to the
-  /// int16 quantized tier (same spec + ":i16" — fixed-point block kernels,
-  /// SER within detect::kI16SerTolerance of fp64), and step
-  /// max_degrade_steps + 3 is the family swap to degrade_detector.
-  /// Without it, step max_degrade_steps + 1 swaps directly.
+  /// Halvings of the path budget before the terminal rung: degrade step
+  /// max_degrade_steps + 1 swaps the family to degrade_detector.
   std::size_t max_degrade_steps = 3;
-  /// Insert the fp32 and i16 precision rungs between the last halving and
-  /// the family swap.
-  bool shed_precision = true;
   std::string degrade_detector = "zf-sic";
 };
 
@@ -138,14 +126,6 @@ class FeedbackLoop {
   /// Solves the current spec from the smoothed state; emits iff it
   /// differs from the live spec.
   std::optional<Decision> emit(const char* reason);
-
-  /// Highest degrade step before the terminal family swap: the halvings
-  /// plus the fp32 and i16 rungs when enabled.  Shared by observe()
-  /// (step-counter bound) and emit() (spec selection) so the ladder shape
-  /// cannot drift.
-  std::size_t ladder_top() const noexcept {
-    return cfg_.max_degrade_steps + (cfg_.shed_precision ? 2 : 0);
-  }
 
   const modulation::Constellation* c_;
   std::size_t nt_;

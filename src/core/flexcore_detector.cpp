@@ -106,18 +106,16 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
   double metric = std::isinf(best_metric)
                       ? best_metric
                       : plan().walk_path(ybar, best_path, ws.symbols);
-  // The exact walk can disagree with the grid only in the reduced-precision
-  // tiers, where a decision that lands near a cell boundary can fall on the
-  // other side of it: the fp32 or int16 kernel may crown a path the exact
-  // walk deactivates, or deactivate every path the exact walk keeps.  Those
+  // The exact walk can disagree with the grid only in the ":i16" tier,
+  // where a decision that lands near a cell boundary can fall on the other
+  // side of it: the int16 kernel may crown a path the exact walk
+  // deactivates, or deactivate every path the exact walk keeps.  Those
   // vectors are rescued with one exact block scan (the quantized grid
   // already paid for the other 99%+); only when that scan also finds every
   // path dead does the vector drop to plain SIC, exactly like the fp64
   // tier.
-  if (std::isinf(metric) && cfg_.precision != detect::Precision::kFloat64) {
-    if (cfg_.precision == detect::Precision::kInt16) {
-      obs::counter_add(obs::Counter::kI16BoundaryRescans);
-    }
+  if (std::isinf(metric) && cfg_.precision == detect::Precision::kInt16) {
+    obs::counter_add(obs::Counter::kI16BoundaryRescans);
     metric = walk_best(ybar, ws.symbols);
   }
   return finish(ybar, metric, ws, res);

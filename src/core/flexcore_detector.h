@@ -63,11 +63,10 @@ struct FlexCoreConfig {
   /// Pre-processing nodes expanded per round (1 = sequential).
   std::size_t batch_expand = 1;
   /// Compute tier of the path grids (detect/path_kernels.h): kFloat64 is
-  /// the exact plan; kFloat32 evaluates the block kernel in single
-  /// precision (spec suffix ":fp32"); kInt16 runs the quantized
-  /// fixed-point kernel (spec suffix ":i16", accuracy bounded by
-  /// detect::kI16SerTolerance).  Winner reconstruction and the sequential
-  /// detect() path run the exact plan in every tier.
+  /// the exact plan; kInt16 runs the quantized fixed-point kernel (spec
+  /// suffix ":i16", accuracy bounded by detect::kI16SerTolerance).  Winner
+  /// reconstruction and the sequential detect() path run the exact plan in
+  /// both tiers.
   detect::Precision precision = detect::Precision::kFloat64;
 };
 

@@ -22,8 +22,8 @@ class FcsdDetector : public Detector {
  public:
   /// `full_levels` = L, the number of fully-expanded levels (1 or 2 in the
   /// paper's evaluation).  `precision` selects the compute tier of the
-  /// path grids (spec suffix ":fp32" or ":i16"); everything outside the
-  /// grid stays double.
+  /// path grids (spec suffix ":i16"); everything outside the grid stays
+  /// double.
   FcsdDetector(const Constellation& c, std::size_t full_levels,
                Precision precision = Precision::kFloat64)
       : constellation_(&c), full_levels_(full_levels), plans_(precision) {}

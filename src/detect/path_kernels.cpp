@@ -13,7 +13,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "perfmodel/fixed_point.h"
@@ -91,10 +90,9 @@ void compile_selectors(std::span<const core::RankedPath> paths,
 
 }  // namespace
 
-template <typename T>
-void PathPlanT<T>::compile_channel(const linalg::CMat& r,
-                                   const modulation::Constellation& c,
-                                   bool with_diag_inverse) {
+void PathPlan::compile_channel(const linalg::CMat& r,
+                               const modulation::Constellation& c,
+                               bool with_diag_inverse) {
   const std::size_t nt = r.cols();
   require_kernel_streams("PathPlan", nt);
   nt_ = nt;
@@ -135,13 +133,12 @@ void PathPlanT<T>::compile_channel(const linalg::CMat& r,
   }
 }
 
-template <typename T>
-void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
-                                    std::span<const core::RankedPath> paths,
-                                    const modulation::Constellation& c,
-                                    const core::OrderingLut& lut,
-                                    bool exact_ordering,
-                                    core::InvalidEntryPolicy policy) {
+void PathPlan::compile_flexcore(const linalg::CMat& r,
+                                std::span<const core::RankedPath> paths,
+                                const modulation::Constellation& c,
+                                const core::OrderingLut& lut,
+                                bool exact_ordering,
+                                core::InvalidEntryPolicy policy) {
   require_path_lengths("PathPlan", paths, r.cols());
   compile_channel(r, c, /*with_diag_inverse=*/true);
   num_paths_ = paths.size();
@@ -157,9 +154,8 @@ void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
                     mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
 }
 
-template <typename T>
-void PathPlanT<T>::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
-                                const modulation::Constellation& c) {
+void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
+                            const modulation::Constellation& c) {
   if (full_levels > r.cols()) {
     throw std::invalid_argument("PathPlan: fcsd full_levels > Nt");
   }
@@ -195,7 +191,7 @@ inline int round_half_away(double a) noexcept {
   return t + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
 }
 
-// PathPlanT::Mode as the fp walk reads it from FpKernelState::mode.
+// PathPlan::Mode as the fp walk reads it from FpKernelState::mode.
 constexpr int kFpModeLut = 0;      // FlexCore, triangle LUT, kDeactivate
 constexpr int kFpModeGeneric = 1;  // FlexCore, triangle LUT, kSkipToValid
 constexpr int kFpModeFcsd = 3;     // FCSD (2 is the exact-sort ablation)
@@ -247,22 +243,21 @@ struct I16KernelState {
 
 }  // namespace
 
-/// The compiled-plan state the exact fp walk reads (PathPlanT::
+/// The compiled-plan state the exact fp walk reads (PathPlan::
 /// fill_kernel_state), the fp analogue of I16KernelState.
-template <typename T>
 struct FpKernelState {
   std::size_t nt = 0, q = 0, full_levels = 0;
   int side = 0;
   int mode = kFpModeLut;
   double scale = 0.0, inv_scale = 0.0;
-  const T* r_re = nullptr;  // R rows; the diagonal is R(i,i) for rx
-  const T* r_im = nullptr;
-  const T* rdi_re = nullptr;  // 1/R(i,i) (FlexCore plans)
-  const T* rdi_im = nullptr;
-  const T* rx_re = nullptr;  // R(i,i)*point tables (table modes, fp32)
-  const T* rx_im = nullptr;
-  const T* pt_re = nullptr;  // constellation points (table modes, fp32)
-  const T* pt_im = nullptr;
+  const double* r_re = nullptr;  // R rows; the diagonal is R(i,i) for rx
+  const double* r_im = nullptr;
+  const double* rdi_re = nullptr;  // 1/R(i,i) (FlexCore plans)
+  const double* rdi_im = nullptr;
+  const double* rx_re = nullptr;  // R(i,i)*point tables (table modes)
+  const double* rx_im = nullptr;
+  const double* pt_re = nullptr;  // constellation points (table modes)
+  const double* pt_im = nullptr;
   const std::uint16_t* sel = nullptr;  // selector codes / clamped ranks
   const std::size_t* powq = nullptr;
   const core::OrderingLut* lut = nullptr;
@@ -298,21 +293,16 @@ namespace {
 #define FLEXCORE_KERNEL_SANITIZED 0
 #endif
 
-#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && \
-    !FLEXCORE_KERNEL_SANITIZED
+#if defined(__x86_64__) && !FLEXCORE_KERNEL_SANITIZED
 #define FLEXCORE_KERNEL_MULTIVERSION 1
 #else
 #define FLEXCORE_KERNEL_MULTIVERSION 0
 #endif
 
-#if defined(__GNUC__) || defined(__clang__)
 // The bodies must inline into each per-ISA wrapper so they are lowered
 // with that wrapper's vector width (an out-of-line copy would be
 // baseline-lowered and defeat the dispatch).
 #define FLEXCORE_KERNEL_FORCE_INLINE inline __attribute__((always_inline))
-#else
-#define FLEXCORE_KERNEL_FORCE_INLINE inline
-#endif
 
 // Each copy: one namespace (FLEXCORE_ISA_NS) holding both kernel bodies,
 // lowered under one target scope whose native register width is
@@ -349,11 +339,11 @@ namespace {
 #pragma GCC pop_options
 #endif  // FLEXCORE_KERNEL_MULTIVERSION
 
-// The baseline-ISA copy always exists: it is the only copy on non-x86 /
-// non-GNU / sanitized builds, the fallback on ancient x86-64, the
-// reference the cross-ISA tests pin via FLEXCORE_I16_ISA, and the home of
-// the single-path walks (walk_path / walk_sic run it at width 1).  Its
-// width is the build's own (FLEXCORE_NATIVE_ARCH raises it).
+// The baseline-ISA copy always exists: it is the only copy on non-x86 and
+// sanitized builds, the fallback on ancient x86-64, the reference the
+// cross-ISA tests pin via FLEXCORE_I16_ISA, and the home of the
+// single-path walks (walk_path / walk_sic run it at width 1).  Its width
+// is the build's own (FLEXCORE_NATIVE_ARCH raises it).
 #define FLEXCORE_ISA_NS isa_base
 #if defined(__AVX512F__)
 #define FLEXCORE_ISA_VEC_BYTES 64
@@ -369,33 +359,20 @@ namespace {
 
 using I16EvalFn = void (*)(const I16KernelState&, const std::int32_t*,
                            const std::int32_t*, std::size_t, double*);
-template <typename T>
-using FpBlocksFn = void (*)(const FpKernelState<T>&, const linalg::cplx*,
+using FpBlocksFn = void (*)(const FpKernelState&, const linalg::cplx*,
                             std::size_t, std::size_t, double*);
 
 /// One per-ISA copy of the path kernels: the i16 kernel (solo 16-lane
-/// block / fused adjacent pair) and the exact fp walk's block loop in both
-/// fp tiers.
+/// block / fused adjacent pair) and the exact fp walk's block loop.
 struct KernelCopy {
   const char* isa;
   I16EvalFn i16_one;
   I16EvalFn i16_pair;
-  FpBlocksFn<double> fp64;
-  FpBlocksFn<float> fp32;
-
-  template <typename T>
-  FpBlocksFn<T> fp() const noexcept {
-    if constexpr (std::is_same_v<T, double>) {
-      return fp64;
-    } else {
-      return fp32;
-    }
-  }
+  FpBlocksFn fp64;
 };
 
 #define FLEXCORE_KERNEL_COPY(ns, name) \
-  KernelCopy { name, ns::eval_one, ns::eval_pair, ns::fp64_blocks, \
-               ns::fp32_blocks }
+  KernelCopy { name, ns::eval_one, ns::eval_pair, ns::fp_blocks }
 
 /// Runs once (static init): the widest copy the CPU supports wins.  The
 /// FLEXCORE_I16_ISA environment variable ("base", "sse41", "avx2",
@@ -445,8 +422,7 @@ const KernelCopy g_kernels = pick_kernels();
 
 const char* kernel_isa() noexcept { return g_kernels.isa; }
 
-template <typename T>
-void PathPlanT<T>::fill_kernel_state(FpKernelState<T>* st) const noexcept {
+void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   static_assert(static_cast<int>(Mode::kLutRank) == kFpModeLut &&
                 static_cast<int>(Mode::kGenericRank) == kFpModeGeneric &&
                 static_cast<int>(Mode::kFcsd) == kFpModeFcsd);
@@ -472,46 +448,41 @@ void PathPlanT<T>::fill_kernel_state(FpKernelState<T>* st) const noexcept {
   st->policy = policy_;
 }
 
-template <typename T>
 FLEXCORE_HOT_PATH
-void PathPlanT<T>::path_metric_block(std::span<const linalg::cplx> ybar,
-                                     std::size_t first_path,
-                                     std::size_t n_paths, double* out) const {
+void PathPlan::path_metric_block(std::span<const linalg::cplx> ybar,
+                                 std::size_t first_path, std::size_t n_paths,
+                                 double* out) const {
   assert(compiled() && ybar.size() == nt_);
   assert(first_path + n_paths <= num_paths_);
-  FpKernelState<T> st;
+  FpKernelState st;
   fill_kernel_state(&st);
-  g_kernels.fp<T>()(st, ybar.data(), first_path, n_paths, out);
+  g_kernels.fp64(st, ybar.data(), first_path, n_paths, out);
 }
 
-template <typename T>
 FLEXCORE_HOT_PATH
-double PathPlanT<T>::walk_path(std::span<const linalg::cplx> ybar,
-                               std::size_t path,
-                               std::span<int> symbols) const {
+double PathPlan::walk_path(std::span<const linalg::cplx> ybar, std::size_t path,
+                           std::span<int> symbols) const {
   assert(compiled() && ybar.size() == nt_ && symbols.size() == nt_);
   assert(path < num_paths_);
-  FpKernelState<T> st;
+  FpKernelState st;
   fill_kernel_state(&st);
   double m;
-  isa_base::fp_walk<T, 1, false>(st, ybar.data(), path, &m, symbols.data());
+  isa_base::fp_walk<1, false>(st, ybar.data(), path, &m, symbols.data());
   return m;
 }
 
-template <typename T>
 FLEXCORE_HOT_PATH
-double PathPlanT<T>::walk_sic(std::span<const linalg::cplx> ybar,
-                              std::span<int> symbols) const {
+double PathPlan::walk_sic(std::span<const linalg::cplx> ybar,
+                          std::span<int> symbols) const {
   assert(mode_ != Mode::kFcsd && ybar.size() == nt_ && symbols.size() == nt_);
-  FpKernelState<T> st;
+  FpKernelState st;
   fill_kernel_state(&st);
   double m;
-  isa_base::fp_walk<T, 1, true>(st, ybar.data(), 0, &m, symbols.data());
+  isa_base::fp_walk<1, true>(st, ybar.data(), 0, &m, symbols.data());
   return m;
 }
 
-template <typename T>
-DetectionStats PathPlanT<T>::walk_stats(std::size_t n_paths) const noexcept {
+DetectionStats PathPlan::walk_stats(std::size_t n_paths) const noexcept {
   // Table 2 accounting per full walk: 4 real multiplies (8 flops) per
   // cancelled term, nt(nt-1)/2 terms.  Per level, FlexCore adds the PED
   // constant multiply (4 mults, 11 flops; the FPGA folds the 1/R(i,i)
@@ -539,18 +510,14 @@ DetectionStats PathPlanT<T>::walk_stats(std::size_t n_paths) const noexcept {
   return s;
 }
 
-template <typename T>
-std::size_t PathPlanT<T>::footprint_bytes() const noexcept {
-  const auto split = [](const linalg::SplitVec<T>& v) {
-    return (v.re.size() + v.im.size()) * sizeof(T);
+std::size_t PathPlan::footprint_bytes() const noexcept {
+  const auto split = [](const linalg::SplitVec& v) {
+    return (v.re.size() + v.im.size()) * sizeof(double);
   };
   return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
          sel_.size() * sizeof(std::uint16_t) +
          powq_.size() * sizeof(std::size_t);
 }
-
-template class PathPlanT<double>;
-template class PathPlanT<float>;
 
 // ---------------------------------------------------------------------------
 // PathPlanI16 — the quantized tier.
@@ -576,7 +543,7 @@ template class PathPlanT<float>;
 // scale in the middle 254 buckets.  Buckets 0 and 255 absorb the whole
 // out-of-coverage tail and always hold the kSlicerInvalid sentinel, as do
 // all 256 buckets of a level whose 1/R(i,i) is non-finite (rank-deficient
-// channel — the fp tiers' NaN clamp deactivates those lanes; the sentinel
+// channel — the fp walk's NaN clamp deactivates those lanes; the sentinel
 // does the same here).  The table is compiled, not stored: on its
 // in-coverage buckets [lo, hi] it is an exact affine form of the bucket
 // (fit_table_slicer), and every other bucket is the sentinel.
@@ -654,7 +621,7 @@ constexpr std::int64_t kI32Limit = 2147483647;
 
 void PathPlanI16::compile_channel(const linalg::CMat& r,
                                   const modulation::Constellation& c) {
-  // (The fp tiers skip 1/R(i,i) for FCSD; the quantized tier always
+  // (The fp64 plan skips 1/R(i,i) for FCSD; the quantized tier always
   // compiles it — the greedy FCSD slice runs through the same compiled
   // slicer as rank > 1 lanes.)
   const std::size_t nt = r.cols();
@@ -725,11 +692,12 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // Quantized channel state.
   const double fs = std::ldexp(1.0, fbits_);
   const double ps = std::ldexp(1.0, pbits_);
-  r_q_.resize(nt * nt);
+  r_re_q_.resize(nt * nt);
+  r_im_q_.resize(nt * nt);
   for (std::size_t i = 0; i < nt; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
-      r_q_.re[i * nt + j] = quantize_i16(r(i, j).real() * fs);
-      r_q_.im[i * nt + j] = quantize_i16(r(i, j).imag() * fs);
+      r_re_q_[i * nt + j] = quantize_i16(r(i, j).real() * fs);
+      r_im_q_[i * nt + j] = quantize_i16(r(i, j).imag() * fs);
     }
   }
   // rx rows are affine in the axis indices: rx[i][x] = R(i,i) * point(x)
@@ -1068,12 +1036,10 @@ int PathPlanI16::slicer_center(std::size_t level, double eff) const {
 }
 
 std::size_t PathPlanI16::footprint_bytes() const noexcept {
-  const auto split = [](const linalg::SplitVec<std::int16_t>& v) {
-    return (v.re.size() + v.im.size()) * sizeof(std::int16_t);
-  };
-  return split(r_q_) +
+  return (r_re_q_.size() + r_im_q_.size() + rdi_re_q_.size() +
+          rdi_im_q_.size()) *
+             sizeof(std::int16_t) +
          (rx_pack_.size() + pt_pack_.size()) * sizeof(std::int32_t) +
-         (rdi_re_q_.size() + rdi_im_q_.size()) * sizeof(std::int16_t) +
          (rh_re_q_.size() + rh_im_q_.size()) * sizeof(std::int32_t) +
          gbits_.size() * sizeof(int) + slicer_shift_.size() * sizeof(int) +
          (slice_ar_.size() + slice_ai_.size() + slice_off_.size() +
@@ -1113,8 +1079,8 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.pt_half = pt_half_q_;
   st.mode = static_cast<int>(mode_);
   st.metric_unscale = metric_unscale_;
-  st.r_re = r_q_.re.data();
-  st.r_im = r_q_.im.data();
+  st.r_re = r_re_q_.data();
+  st.r_im = r_im_q_.data();
   st.rx_pack = rx_pack_.data();
   st.pt_pack = pt_pack_.data();
   st.rdi_re = rdi_re_q_.data();

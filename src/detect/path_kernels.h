@@ -31,18 +31,17 @@
 //    per call, never less than one block), so one lane's decision chain
 //    overlaps the others'.
 //
-// The plan is templated on the compute scalar.  PathPlan (double) is the
-// library's one exact per-path walk: the grids, winner reconstruction,
-// sequential detect(), soft output, the SIC fallback and the reduced
-// tiers' exact rescue all run it (walk_path / walk_sic are the same walk
-// at width 1).  It is bit-identical to the scalar std::complex reference
-// walk in tests/reference_walk.h — same operations in the same order on
-// the same values, in every ISA copy, verified by tests/kernel_test.cpp
-// (the build turns FMA contraction off, so no copy fuses a multiply-add
-// the reference rounds twice).  PathPlanF (float) is the reduced-precision
-// tier in the spirit of the paper's fixed-point FPGA datapath (selected by
-// the ":fp32" registry spec suffix; see README "Kernel engine & precision
-// tiers" for when it is safe).
+// PathPlan (fp64) is the library's one exact per-path walk: the grids,
+// winner reconstruction, sequential detect(), soft output, the SIC
+// fallback and the quantized tier's exact rescue all run it (walk_path /
+// walk_sic are the same walk at width 1).  It is bit-identical to the
+// scalar std::complex reference walk in tests/reference_walk.h — same
+// operations in the same order on the same values, in every ISA copy,
+// verified by tests/kernel_test.cpp (the build turns FMA contraction off,
+// so no copy fuses a multiply-add the reference rounds twice).
+// PathPlanI16 is the one reduced tier: the paper's 16-bit fixed-point
+// FPGA datapath (selected by the ":i16" registry spec suffix; see README
+// "Kernel engine & precision tiers" for when it is safe).
 #pragma once
 
 #include <cstddef>
@@ -60,59 +59,50 @@
 
 namespace flexcore::detect {
 
-/// Compute tier of the path kernels (and anything else that grows a
-/// reduced-precision variant).  kFloat64 is the exact tier; kFloat32
-/// evaluates the path grid in single precision; kInt16 runs the quantized
-/// fixed-point tier (PathPlanI16) — winner reconstruction and everything
-/// outside the grid stays double in every tier.
+/// Compute tier of the path grids.  kFloat64 is the exact tier; kInt16 runs
+/// the quantized fixed-point tier (PathPlanI16) — winner reconstruction and
+/// everything outside the grid stays double in both.
 enum class Precision {
   kFloat64,
-  kFloat32,
   kInt16,
 };
 
-/// Registry spec suffix of a tier ("" for fp64, ":fp32" for fp32, ":i16"
-/// for the quantized tier), the grammar api::make_detector parses and
-/// Detector::name round-trips.
+/// Registry spec suffix of a tier ("" for fp64, ":i16" for the quantized
+/// tier), the grammar api::make_detector parses and Detector::name
+/// round-trips.
 constexpr const char* precision_suffix(Precision p) noexcept {
-  return p == Precision::kFloat32  ? ":fp32"
-         : p == Precision::kInt16  ? ":i16"
-                                   : "";
+  return p == Precision::kInt16 ? ":i16" : "";
 }
 
 /// Documented accuracy gate of the ":i16" tier: measured 64-QAM SER of the
 /// quantized grid may exceed the fp64 grid's SER by at most this, absolute,
-/// on the standard sweeps (the fp32 analogue is 5e-3).  Enforced by
-/// tests/kernel_test.cpp, bench/ablation_fixed_point.cpp and
-/// bench/fig17_kernel_engine.cpp; the control plane's degrade ladder
-/// assumes this bound when it sheds to ":i16" under load.
+/// on the standard sweeps.  Enforced by tests/kernel_test.cpp,
+/// bench/ablation_fixed_point.cpp and bench/fig17_kernel_engine.cpp.
 inline constexpr double kI16SerTolerance = 1e-2;
 
 /// Throws std::invalid_argument naming the path kernels' 32-stream limit
-/// (PathPlanT::kMaxLevels) unless 1 <= nt <= 32.  Detectors call it before
+/// (PathPlan::kMaxLevels) unless 1 <= nt <= 32.  Detectors call it before
 /// touching any state, so a refused channel leaves the previous one
 /// installed.
 void require_kernel_streams(const char* who, std::size_t nt);
 
 /// Name of the per-ISA kernel copy this process dispatched: "base",
-/// "sse41", "avx2" or "avx512".  One copy serves every tier (the exact fp
+/// "sse41", "avx2" or "avx512".  One copy serves both tiers (the exact fp
 /// walk's blocks and the i16 kernel).  Picked once at startup, widest
 /// supported first; the FLEXCORE_I16_ISA environment variable pins a copy,
 /// and a pin this build or CPU cannot honour is reported once on stderr
 /// and ignored.
 const char* kernel_isa() noexcept;
 
-/// The raw view of a compiled PathPlanT that the per-ISA walk copies read
+/// The raw view of a compiled PathPlan that the per-ISA walk copies read
 /// (defined in path_kernels.cpp).
-template <typename T>
 struct FpKernelState;
 
 /// A compiled, SoA-blocked path set for one installed channel.  Compile
 /// once per set_channel (cheap next to QR + path selection), evaluate with
 /// path_metric_block from any thread — the plan is immutable after
 /// compilation and evaluation touches only stack scratch.
-template <typename T>
-class PathPlanT {
+class PathPlan {
  public:
   /// Paths per block (lanes per path_metric_block call).
   static constexpr std::size_t kLanes = linalg::kSimdLanes;
@@ -146,8 +136,8 @@ class PathPlanT {
 
   /// Evaluates paths [first_path, first_path + n_paths) against the rotated
   /// vector `ybar` (length levels()), writing one Euclidean metric per path
-  /// to `out` (+infinity for deactivated paths).  Equals the scalar
-  /// reference walk per path — bitwise for T = double.  Whole blocks are
+  /// to `out` (+infinity for deactivated paths).  Bitwise equal to the
+  /// scalar reference walk per path.  Whole blocks are
   /// evaluated internally, so aligning first_path to kLanes avoids wasted
   /// lanes; any alignment is correct.
   void path_metric_block(std::span<const linalg::cplx> ybar,
@@ -175,9 +165,8 @@ class PathPlanT {
   /// beside its block — the work the grid really does.
   DetectionStats walk_stats(std::size_t n_paths) const noexcept;
 
-  /// Heap bytes of the compiled plan (channel state + selector tables) —
-  /// the footprint the precision tiers halve step by step; reported by
-  /// bench/micro_kernels.cpp.
+  /// Heap bytes of the compiled plan (channel state + selector tables),
+  /// reported by bench/micro_kernels.cpp.
   std::size_t footprint_bytes() const noexcept;
 
  private:
@@ -193,7 +182,7 @@ class PathPlanT {
                        bool with_diag_inverse);
   /// Copies the plan's scalars and table pointers into the walk's kernel
   /// state (once per call; valid while the plan is unchanged).
-  void fill_kernel_state(FpKernelState<T>* st) const noexcept;
+  void fill_kernel_state(FpKernelState* st) const noexcept;
 
   Mode mode_ = Mode::kLutRank;
   std::size_t nt_ = 0;         ///< levels (0 = not compiled)
@@ -206,7 +195,7 @@ class PathPlanT {
   // Channel state, split re/im.  R rows are stored dense row-major (only
   // the upper triangle is read); rdi is 1/R(i,i); rx[i*q + x] is
   // R(i,i) * point(x); pt is the constellation point table.
-  linalg::SplitVec<T> r_, rdi_, rx_, pt_;
+  linalg::SplitVec r_, rdi_, rx_, pt_;
 
   // FlexCore selector table, path-major-blocked:
   //   sel_[(block * nt_ + level) * kLanes + lane]
@@ -225,26 +214,18 @@ class PathPlanT {
   core::InvalidEntryPolicy policy_ = core::InvalidEntryPolicy::kDeactivate;
 };
 
-/// The exact tier (bit-identical to the scalar reference walk).
-using PathPlan = PathPlanT<double>;
-/// The reduced-precision tier (paper's fixed-point datapath analogue).
-using PathPlanF = PathPlanT<float>;
-
-extern template class PathPlanT<double>;
-extern template class PathPlanT<float>;
-
 /// The quantized tier (":i16"): the paper's 16-bit FPGA datapath (§5.3,
 /// Table 3) mapped onto CPU SIMD.  Same compile/evaluate contract as
-/// PathPlanT, different number format:
+/// PathPlan, different number format:
 ///
 ///  * Channel state is stored as int16 SoA (R rows, R(i,i)*point tables,
 ///    constellation points) under per-plan scale factors computed at
 ///    compile (set_channel) time — power-of-two scales chosen so the whole
 ///    interference-cancellation recurrence is overflow-free in int32 and
 ///    the fractional resolution never exceeds the shared Q-format
-///    (perfmodel::I16Format, Q4.11).  Halving the element width halves the
-///    plan footprint and doubles the lanes per SIMD register vs fp32, so
-///    blocks are kLanes = 16 paths wide.
+///    (perfmodel::I16Format, Q4.11).  The stored state is a quarter of the
+///    fp64 plan's element width, and a register holds twice as many int32
+///    lanes as doubles, so blocks are kLanes = 16 paths wide.
 ///  * The per-level walk runs in 32-bit integer lanes: b accumulates exact
 ///    int32 products of int16 values, the effective point is an int32
 ///    product against the quantized 1/R(i,i), and the Euclidean metric
@@ -267,7 +248,7 @@ extern template class PathPlanT<float>;
 /// accuracy vs fp64 is bounded by kI16SerTolerance, not bit-identity.
 class PathPlanI16 {
  public:
-  /// Paths per block: twice the fp tier (int32 accumulator lanes).
+  /// Paths per block: twice the fp64 plan's (int32 accumulator lanes).
   static constexpr std::size_t kLanes = linalg::kSimdLanesI16;
   static constexpr std::size_t kMaxLevels = PathPlan::kMaxLevels;
   /// Buckets of each level's compiled slicer.
@@ -281,7 +262,7 @@ class PathPlanI16 {
   /// steps outside before the bounds check kills the lane).
   static constexpr int kPamPad = 4;
 
-  /// Same contracts as PathPlanT::compile_flexcore / compile_fcsd.
+  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd.
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,
@@ -295,7 +276,7 @@ class PathPlanI16 {
   std::size_t num_paths() const noexcept { return num_paths_; }
   std::size_t levels() const noexcept { return nt_; }
 
-  /// Same contract as PathPlanT::path_metric_block; metrics are the
+  /// Same contract as PathPlan::path_metric_block; metrics are the
   /// quantized grid's distances (double-valued, +infinity for deactivated
   /// paths), suitable for the same min-reduction.
   void path_metric_block(std::span<const linalg::cplx> ybar,
@@ -360,7 +341,7 @@ class PathPlanI16 {
   double ybar_cap_raw_ = 0.0;
 
   // Quantized R rows, split re/im, int16 raw values (see class comment).
-  linalg::SplitVec<std::int16_t> r_q_;
+  std::vector<std::int16_t> r_re_q_, r_im_q_;
 
   /// Per-level quantized complex row step rh = R(i,i) * scale * 2^F: the
   /// rx table is exactly affine in the doubled axis offsets with this
@@ -378,7 +359,7 @@ class PathPlanI16 {
   // Quantized 1/R(i,i): raw int16 pair at per-level scale 2^gbits_[i]
   // (a non-finite inverse — rank-deficient channel — compiles to raw 0,
   // which drives every slice out of coverage and deactivates the lane,
-  // mirroring the fp tiers' NaN clamp).
+  // mirroring the fp walk's NaN clamp).
   std::vector<std::int16_t> rdi_re_q_, rdi_im_q_;
   std::vector<int> gbits_;
 
@@ -431,7 +412,7 @@ class PathPlanI16 {
   std::vector<std::int32_t> pam_f_, pam_d_, pam_s_;
   std::vector<std::uint8_t> pam_wide_;
 
-  // FlexCore selector table, path-major-blocked exactly like PathPlanT but
+  // FlexCore selector table, path-major-blocked exactly like PathPlan but
   // kLanes = 16 wide: the same selector codes (LUT mode) or clamped ranks
   // (ablation modes).
   std::vector<std::uint16_t> sel_;
@@ -445,25 +426,19 @@ class PathPlanI16 {
 };
 
 /// The compiled plans of one path-parallel detector: the exact plan
-/// always (every exact walk runs on it), plus the configured reduced
-/// tier's plan (the other reduced plan stays empty, so stale state can
-/// never be evaluated).
+/// always (every exact walk runs on it), plus the i16 plan in the ":i16"
+/// tier (it stays empty in fp64, so stale state can never be evaluated).
 class TieredPlans {
  public:
   explicit TieredPlans(Precision precision) : precision_(precision) {}
 
   /// Recompiles every plan the tier needs through `fn(plan)`, one call per
-  /// plan (PathPlan first, then PathPlanF or PathPlanI16).
+  /// plan (PathPlan first, then PathPlanI16 in the ":i16" tier).
   template <typename Compile>
   void compile(Compile&& fn) {
     fn(exact_);
-    fp32_.clear();
     i16_.clear();
-    if (precision_ == Precision::kInt16) {
-      fn(i16_);
-    } else if (precision_ == Precision::kFloat32) {
-      fn(fp32_);
-    }
+    if (precision_ == Precision::kInt16) fn(i16_);
   }
 
   Precision precision() const noexcept { return precision_; }
@@ -476,24 +451,20 @@ class TieredPlans {
                          double* out) const {
     if (precision_ == Precision::kInt16) {
       i16_.path_metric_block(ybar, first_path, n_paths, out);
-    } else if (precision_ == Precision::kFloat32) {
-      fp32_.path_metric_block(ybar, first_path, n_paths, out);
     } else {
       exact_.path_metric_block(ybar, first_path, n_paths, out);
     }
   }
 
-  /// Heap footprint of every compiled plan: the exact plan plus, in a
-  /// reduced tier, that tier's plan (reported by bench/micro_kernels).
+  /// Heap footprint of every compiled plan: the exact plan plus, in the
+  /// ":i16" tier, the i16 plan (reported by bench/micro_kernels).
   std::size_t footprint_bytes() const noexcept {
-    return exact_.footprint_bytes() + fp32_.footprint_bytes() +
-           i16_.footprint_bytes();
+    return exact_.footprint_bytes() + i16_.footprint_bytes();
   }
 
  private:
   Precision precision_;
   PathPlan exact_;
-  PathPlanF fp32_;
   PathPlanI16 i16_;
 };
 

@@ -44,13 +44,10 @@ inline constexpr std::size_t simd_blocks_of(std::size_t n,
   return (n + lanes - 1) / lanes;
 }
 
-/// A complex sequence stored as two parallel scalar arrays, in precision T
-/// (double for the exact tier, float for the reduced-precision tier).
-template <typename T>
+/// A complex sequence stored as two parallel double arrays: the exact fp64
+/// plan's layout (the quantized tier keeps its int16 rows in plain vectors).
 struct SplitVec {
-  std::vector<T> re, im;
-
-  std::size_t size() const noexcept { return re.size(); }
+  std::vector<double> re, im;
 
   void resize(std::size_t n) {
     re.resize(n);
@@ -62,14 +59,9 @@ struct SplitVec {
     im.clear();
   }
 
-  /// Narrowing element store (exact for T = double).
   void set(std::size_t i, cplx z) {
-    re[i] = static_cast<T>(z.real());
-    im[i] = static_cast<T>(z.imag());
-  }
-
-  cplx get(std::size_t i) const {
-    return cplx{static_cast<double>(re[i]), static_cast<double>(im[i])};
+    re[i] = z.real();
+    im[i] = z.imag();
   }
 
   /// Packs an interleaved complex sequence into the split layout.

@@ -7,7 +7,7 @@
 //    channel models, detector plumbing.  Dimensions are tiny (MIMO sizes
 //    up to 16x16), so clarity and numerical robustness win there.
 //  * Split-complex structure-of-arrays (linalg/simd.h: two contiguous
-//    scalar arrays re[], im[], in double or float) is the layout of the
+//    double arrays re[], im[]) is the layout of the
 //    lane-parallel kernel engine (detect/path_kernels.h), where thousands
 //    of identical per-path programs run per received vector and the
 //    auto-vectorizer needs branch-light split arithmetic to fill SIMD

@@ -260,23 +260,18 @@ TEST(FeedbackLoop, LoadDegradesToFamilySwapAndRestores) {
   const std::size_t solved = loop.current()->paths;
   ASSERT_GT(solved, 4u) << "scenario needs headroom to halve";
 
-  // Sustained pressure: halve, halve, drop to fp32, then the quantized
-  // int16 tier, then swap families — the i16 rung sits between the fp32
-  // drop and the zf-sic swap so the loop sheds precision twice before
-  // abandoning tree search.
+  // Sustained pressure: halve, halve, then swap families.
   std::vector<std::string> specs;
   for (int i = 0;
-       i < 30 && loop.degrade_step() <= cfg.max_degrade_steps + 2; ++i) {
+       i < 30 && loop.degrade_step() <= cfg.max_degrade_steps; ++i) {
     if (auto d = loop.observe(load_obs(10.0, 4, 4))) {
       specs.push_back(d->detector);
     }
   }
-  ASSERT_EQ(specs.size(), 5u);
+  ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0], "flexcore-" + std::to_string(solved / 2));
   EXPECT_EQ(specs[1], "flexcore-" + std::to_string(solved / 4));
-  EXPECT_EQ(specs[2], "flexcore-" + std::to_string(solved / 4) + ":fp32");
-  EXPECT_EQ(specs[3], "flexcore-" + std::to_string(solved / 4) + ":i16");
-  EXPECT_EQ(specs[4], "zf-sic");
+  EXPECT_EQ(specs[2], "zf-sic");
   EXPECT_EQ(loop.decisions().back().reason, std::string("load-degrade"));
 
   // Sustained slack walks the ladder back up to the full solved budget.
@@ -287,37 +282,30 @@ TEST(FeedbackLoop, LoadDegradesToFamilySwapAndRestores) {
       EXPECT_EQ(d->reason, std::string("load-restore"));
     }
   }
-  EXPECT_EQ(restores, 5u);
+  EXPECT_EQ(restores, 3u);
   EXPECT_EQ(loop.degrade_step(), 0u);
   EXPECT_EQ(loop.current()->detector,
             "flexcore-" + std::to_string(solved));
 }
 
-TEST(FeedbackLoop, PrecisionRungCanBeDisabled) {
-  // shed_precision = false restores the legacy three-rung ladder: the
-  // family swap follows the last halving directly.
+TEST(FeedbackLoop, RejectsZeroStreakThresholds) {
+  // A zero streak threshold would act on every frame: degrade_after = 0
+  // walks an idle cell down the ladder, restore_after = 0 restores on
+  // every frame between load_low and load_high.  Both are refused at
+  // construction, like the other degenerate knobs.
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 64;
-  cfg.degrade_after = 2;
-  cfg.restore_after = 3;
-  cfg.max_degrade_steps = 1;
-  cfg.shed_precision = false;
-  ctl::FeedbackLoop loop(qam, 4, cfg);
-  loop.observe(snr_obs(10.0));
-  const std::size_t solved = loop.current()->paths;
-  ASSERT_GT(solved, 2u);
-
-  std::vector<std::string> specs;
-  for (int i = 0;
-       i < 20 && loop.degrade_step() <= cfg.max_degrade_steps; ++i) {
-    if (auto d = loop.observe(load_obs(10.0, 4, 4))) {
-      specs.push_back(d->detector);
-    }
-  }
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0], "flexcore-" + std::to_string(solved / 2));
-  EXPECT_EQ(specs[1], "zf-sic");
+  ctl::ControlConfig no_degrade_streak;
+  no_degrade_streak.degrade_after = 0;
+  EXPECT_THROW(ctl::FeedbackLoop(qam, 4, no_degrade_streak),
+               std::invalid_argument);
+  ctl::ControlConfig no_restore_streak;
+  no_restore_streak.restore_after = 0;
+  EXPECT_THROW(ctl::FeedbackLoop(qam, 4, no_restore_streak),
+               std::invalid_argument);
+  ctl::ControlConfig one_frame_streaks;
+  one_frame_streaks.degrade_after = 1;
+  one_frame_streaks.restore_after = 1;
+  EXPECT_NO_THROW(ctl::FeedbackLoop(qam, 4, one_frame_streaks));
 }
 
 TEST(FeedbackLoop, NoDecisionBeforeFirstSnrEstimate) {
@@ -370,10 +358,10 @@ TEST(Reconfigure, FifoSafeAcrossSpecBoundary) {
   }
 }
 
-TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
-  // The degrade ladder's precision rung emits ":fp32" specs; they must
-  // apply through the FIFO-safe reconfigure path like any family swap,
-  // and the live spec in RuntimeStats must reflect the tier.
+TEST(Reconfigure, I16TierSpecAppliesThroughRuntime) {
+  // A ":i16" spec must apply through the FIFO-safe reconfigure path like
+  // any family swap, and the live spec in RuntimeStats must reflect the
+  // tier.
   fa::RuntimeConfig rcfg;
   rcfg.threads = 2;
   rcfg.dispatchers = 0;
@@ -384,18 +372,17 @@ TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
   const Frame fr = make_frame(cell.constellation(), 3, 3, 4, 4, nv, 79);
   const fa::FrameJob job = job_of(fr, nv);
 
-  fa::FrameTicket swap =
-      rt.reconfigure(cell, {.detector = "flexcore-16:fp32"});
+  fa::FrameTicket swap = rt.reconfigure(cell, {.detector = "flexcore-16:i16"});
   fa::FrameTicket frame = rt.submit(cell, job);
   while (rt.run_one()) {
   }
   EXPECT_EQ(swap.wait(), fa::TicketStatus::kDone);
   ASSERT_EQ(frame.wait(), fa::TicketStatus::kDone);
   EXPECT_EQ(frame.try_get()->results.size(), fr.ys.size());
-  EXPECT_EQ(rt.stats().cells[0].detector, "flexcore-16:fp32");
+  EXPECT_EQ(rt.stats().cells[0].detector, "flexcore-16:i16");
   EXPECT_EQ(rt.stats().cells[0].detector, cell.pipeline().detector().name());
 
-  // The fp32 grid stays close to the fp64 reference at this SNR (the
+  // The i16 grid stays close to the fp64 reference at this SNR (the
   // kernel suite quantifies the tolerance; here we only guard wiring).
   const auto ref = sync_reference("flexcore-16", 16, fr, nv);
   std::size_t mismatched = 0;
@@ -404,8 +391,8 @@ TEST(Reconfigure, Fp32TierSpecAppliesThroughRuntime) {
   }
   EXPECT_LE(mismatched, ref.size() / 4);
 
-  // The control ladder restores with a bare spec: it must run fp64 again,
-  // and the reported spec must be the one running.
+  // A bare spec restores the fp64 tier: it must run fp64 again, and the
+  // reported spec must be the one running.
   fa::FrameTicket back = rt.reconfigure(cell, {.detector = "flexcore-16"});
   fa::FrameTicket after = rt.submit(cell, job);
   while (rt.run_one()) {

@@ -432,9 +432,9 @@ TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
   }
 }
 
-TEST(Frame, Fp32TierRunsAndStaysClose) {
-  // The ":fp32" compute tier flows end-to-end through the pipeline: the
-  // frame grid runs the single-precision block kernels, winner
+TEST(Frame, I16TierRunsAndStaysClose) {
+  // The ":i16" compute tier flows end-to-end through the pipeline: the
+  // frame grid runs the quantized int16 block kernels, winner
   // reconstruction stays double, and at a comfortable SNR the symbol
   // decisions match the fp64 tier on the overwhelming majority of
   // vectors (tests/kernel_test.cpp quantifies the SER gap properly).
@@ -448,20 +448,20 @@ TEST(Frame, Fp32TierRunsAndStaysClose) {
   c64.threads = 2;
   fa::UplinkPipeline p64(c64);
 
-  fa::PipelineConfig c32 = c64;
-  c32.detector = "flexcore-16:fp32";
-  fa::UplinkPipeline p32(c32);
-  EXPECT_EQ(p32.detector().name(), "flexcore-16:fp32");
+  fa::PipelineConfig c16 = c64;
+  c16.detector = "flexcore-16:i16";
+  fa::UplinkPipeline p16(c16);
+  EXPECT_EQ(p16.detector().name(), "flexcore-16:i16");
 
   const fa::FrameResult r64 = p64.detect_frame(job_of(fr, nv));
-  const fa::FrameResult r32 = p32.detect_frame(job_of(fr, nv));
-  ASSERT_EQ(r32.results.size(), r64.results.size());
+  const fa::FrameResult r16 = p16.detect_frame(job_of(fr, nv));
+  ASSERT_EQ(r16.results.size(), r64.results.size());
   std::size_t disagreements = 0;
   for (std::size_t v = 0; v < r64.results.size(); ++v) {
-    disagreements += r32.results[v].symbols != r64.results[v].symbols;
+    disagreements += r16.results[v].symbols != r64.results[v].symbols;
   }
   EXPECT_LE(disagreements, r64.results.size() / 10)
-      << "fp32 tier diverged from fp64 on too many vectors";
+      << "i16 tier diverged from fp64 on too many vectors";
 }
 
 }  // namespace

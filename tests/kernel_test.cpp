@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "api/detector_registry.h"
-#include "api/uplink_pipeline.h"
 #include "channel/channel.h"
 #include "core/flexcore_detector.h"
 #include "detect/fcsd.h"
@@ -31,25 +30,16 @@
 #include "obs/obs.h"
 #include "perfmodel/fixed_point.h"
 #include "reference_walk.h"
-#include "sim/frame_synth.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
 namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
-namespace fs = flexcore::sim;
 namespace fl = flexcore::linalg;
 namespace fr = flexcore::testref;
 using flexcore::modulation::Constellation;
 
 namespace {
-
-/// Documented fp32 tolerance: the single-precision tier may move the
-/// measured SER by at most this much (absolute) relative to fp64 on a
-/// Rayleigh sweep at operating SNRs.  In practice the gap is orders of
-/// magnitude smaller — fp32 keeps ~7 significant digits and the metric
-/// margins between winning and runner-up paths are far coarser.
-constexpr double kFp32SerTolerance = 5e-3;
 
 fl::CVec random_y(const fl::CMat& h, const Constellation& c, double nv,
                   ch::Rng& rng) {
@@ -513,67 +503,36 @@ TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
                std::invalid_argument);
 }
 
-// ----------------------------------------------------- fp32 compute tier
-
-TEST(KernelPrecision, Fp32SerWithinToleranceOnSweep) {
-  // fig12-style sweep: Rayleigh channels, 8 users, 64-QAM, across the
-  // operating SNR range; the fp32 tier's SER may not exceed fp64's by more
-  // than the documented tolerance.
-  Constellation c(64);
-  const std::size_t nt = 8, nsc = 24, nv = 8;
-
-  for (double snr_db : {16.0, 20.0, 24.0}) {
-    const double noise = ch::noise_var_for_snr_db(snr_db);
-    const fs::SynthFrame fr = fs::synth_frame(
-        c, nsc, nv, nt, nt, noise, 5000 + static_cast<std::uint64_t>(snr_db));
-
-    fa::PipelineConfig c64;
-    c64.detector = "flexcore-64";
-    c64.qam_order = 64;
-    c64.threads = 2;
-    fa::UplinkPipeline p64(c64);
-
-    fa::PipelineConfig c32 = c64;
-    c32.detector = "flexcore-64:fp32";
-    fa::UplinkPipeline p32(c32);
-
-    const auto r64 = p64.detect_frame(fs::frame_job_of(fr, noise));
-    const auto r32 = p32.detect_frame(fs::frame_job_of(fr, noise));
-    const double symbols = static_cast<double>(nsc * nv * nt);
-    const double ser64 =
-        static_cast<double>(fs::count_symbol_errors(fr, r64.results)) / symbols;
-    const double ser32 =
-        static_cast<double>(fs::count_symbol_errors(fr, r32.results)) / symbols;
-    EXPECT_LE(ser32, ser64 + kFp32SerTolerance)
-        << "snr=" << snr_db << " ser64=" << ser64 << " ser32=" << ser32;
-  }
-}
-
 // ------------------------------------------------------- spec grammar
 
 TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
   Constellation c(16);
   const fa::DetectorConfig cfg{.constellation = &c};
-  for (const char* spec :
-       {"flexcore-16:fp32", "a-flexcore-8:fp32", "fcsd-L1:fp32"}) {
-    const auto det = fa::make_detector(spec, cfg);
-    EXPECT_EQ(det->name(), spec);
-    // name() round-trips: constructing from the reported name reproduces
-    // the same detector spelling.
-    EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
+  // ":i16" is the only tier suffix (KernelI16.SpecGrammarRoundTripsAndRejects
+  // round-trips it): no float tier has a spelling, on the path-parallel
+  // families or elsewhere.
+  for (const char* stem :
+       {"flexcore-16", "a-flexcore-8", "fcsd-L1", "zf", "kbest-8"}) {
+    for (const char* tier : {"fp64", "fp32"}) {
+      const std::string spec = std::string(stem) + ":" + tier;
+      EXPECT_THROW(fa::make_detector(spec, cfg), std::invalid_argument)
+          << spec;
+    }
   }
-  // The suffix alone picks the tier: a bare spec is fp64 (whatever
-  // cfg.flexcore.precision says), and there is no ":fp64" spelling.
-  fa::DetectorConfig fp32_base = cfg;
-  fp32_base.flexcore.precision = fd::Precision::kFloat32;
-  EXPECT_EQ(fa::make_detector("flexcore-16", fp32_base)->name(),
-            "flexcore-16");
-  EXPECT_THROW(fa::make_detector("flexcore-16:fp64", cfg),
-               std::invalid_argument);
-  EXPECT_THROW(fa::make_detector("fcsd-L1:fp64", cfg), std::invalid_argument);
-  // Families without a reduced-precision tier reject the suffix.
-  EXPECT_THROW(fa::make_detector("zf:fp32", cfg), std::invalid_argument);
-  EXPECT_THROW(fa::make_detector("kbest-8:fp32", cfg), std::invalid_argument);
+  for (const std::string& spec : fa::list_specs()) {
+    EXPECT_EQ(spec.find("fp32"), std::string::npos) << spec;
+  }
+  for (const std::string& help : fa::DetectorRegistry::global().patterns()) {
+    EXPECT_EQ(help.find("fp32"), std::string::npos) << help;
+  }
+  // The suffix alone picks the tier: a bare spec is fp64, whatever
+  // cfg.flexcore.precision says.
+  fa::DetectorConfig i16_base = cfg;
+  i16_base.flexcore.precision = fd::Precision::kInt16;
+  const auto bare =
+      fa::make_detector_as<fc::FlexCoreDetector>("flexcore-16", i16_base);
+  EXPECT_EQ(bare->name(), "flexcore-16");
+  EXPECT_EQ(bare->config().precision, fd::Precision::kFloat64);
 }
 
 // ----------------------------------------------------- int16 quantized tier
@@ -959,10 +918,9 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
 }
 
 TEST(KernelI16, FootprintOrderingAcrossTiers) {
-  // The storage story of the tier ladder: on one channel the int16 SoA
-  // plan is smaller than the fp32 plan, which is smaller than the fp64
-  // plan.  A reduced-tier detector also holds the exact plan (every exact
-  // walk runs on it), so its footprint is exact + reduced.
+  // The storage story of the tiers: on one channel the int16 SoA plan is
+  // smaller than the fp64 plan.  An i16 detector also holds the exact plan
+  // (every exact walk runs on it), so its footprint is exact + i16.
   Constellation c(64);
   ch::Rng rng(33);
   const auto h = ch::rayleigh_iid(12, 12, rng);
@@ -974,10 +932,9 @@ TEST(KernelI16, FootprintOrderingAcrossTiers) {
     return det;
   };
   const auto fp64 = make("flexcore-128");
-  const auto fp32 = make("flexcore-128:fp32");
   const auto i16 = make("flexcore-128:i16");
 
-  // The three plans of this channel, compiled from the fp64 detector's
+  // The two plans of this channel, compiled from the fp64 detector's
   // preprocessing exactly as the detectors compile theirs.
   const auto bytes_of = [&](auto&& plan) {
     plan.compile_flexcore(
@@ -987,13 +944,10 @@ TEST(KernelI16, FootprintOrderingAcrossTiers) {
     return plan.footprint_bytes();
   };
   const std::size_t b16 = bytes_of(fd::PathPlanI16{});
-  const std::size_t b32 = bytes_of(fd::PathPlanF{});
   const std::size_t b64 = bytes_of(fd::PathPlan{});
-  EXPECT_LT(b16, b32) << "i16 plan must undercut fp32";
-  EXPECT_LT(b32, b64) << "fp32 plan must undercut fp64";
+  EXPECT_LT(b16, b64) << "i16 plan must undercut fp64";
 
   EXPECT_EQ(fp64->plan_footprint_bytes(), b64);
-  EXPECT_EQ(fp32->plan_footprint_bytes(), b64 + b32);
   EXPECT_EQ(i16->plan_footprint_bytes(), b64 + b16);
 }
 
