@@ -160,22 +160,33 @@ UplinkPipeline::UplinkPipeline(const PipelineConfig& cfg)
   flex_ = dynamic_cast<core::FlexCoreDetector*>(det_.get());
 }
 
-void UplinkPipeline::require_channel(const char* where) const {
+void UplinkPipeline::require_channel(const char* where,
+                                     std::span<const linalg::CVec> ys) const {
   if (!channel_set_) {
     throw std::logic_error(std::string("UplinkPipeline::") + where +
                            ": set_channel has not been called");
+  }
+  for (std::size_t v = 0; v < ys.size(); ++v) {
+    if (ys[v].size() != channel_rows_) {
+      throw std::invalid_argument(
+          std::string("UplinkPipeline::") + where + ": vector " +
+          std::to_string(v) + " has length " + std::to_string(ys[v].size()) +
+          ", the installed channel has " + std::to_string(channel_rows_) +
+          " receive antennas");
+    }
   }
 }
 
 void UplinkPipeline::set_channel(const linalg::CMat& h, double noise_var) {
   det_->set_channel(h, noise_var);
   channel_set_ = true;
+  channel_rows_ = h.rows();
   ++channel_installs_;
 }
 
 detect::BatchResult UplinkPipeline::detect(
     std::span<const linalg::CVec> ys) {
-  require_channel("detect");
+  require_channel("detect", ys);
   detect::BatchResult out;
   det_->detect_batch(ys, &out);
   vectors_detected_ += ys.size();
@@ -184,7 +195,7 @@ detect::BatchResult UplinkPipeline::detect(
 }
 
 detect::DetectionResult UplinkPipeline::detect_one(const linalg::CVec& y) {
-  require_channel("detect_one");
+  require_channel("detect_one", {&y, 1});
   detect::DetectionResult res = det_->detect(y);
   ++vectors_detected_;
   total_stats_ += res.stats;
@@ -266,24 +277,18 @@ bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
   out->tasks = frame_grid_.tasks;
   out->detect_seconds = frame_grid_.elapsed_seconds;
 
-  // Winner reconstruction: one exact walk per vector, SIC fallback where
-  // every path was deactivated — same policy as detect_batch.  Timed
-  // separately from the grid (FrameResult::reconstruct_seconds feeds the
-  // runtime's per-stage latency breakdown).
+  // Winner reconstruction: lane-batched exact walks over groups of one
+  // subcarrier's vectors, SIC fallback where every path was deactivated —
+  // same policy as detect_batch.  Timed separately from the grid
+  // (FrameResult::reconstruct_seconds feeds the runtime's per-stage
+  // latency breakdown).
   const auto rec_t0 = std::chrono::steady_clock::now();
   const std::uint64_t rec_t0_ns = spans ? obs::now_ns() : 0;
-  const std::size_t units = nsc * nv;
-  workspaces_.ensure(pool_->size());
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  frame_fell_.assign(units, 0);
-  pool_->parallel_for_worker(units, [&](std::size_t w, std::size_t u) {
-    frame_fell_[u] = typed[u / nv]->reconstruct_winner(
-        frame_grid_.ybar(u), frame_grid_.best_path[u],
-        frame_grid_.best_metric[u], workspaces_.at(w), &out->results[u]);
-  });
-  for (std::size_t u = 0; u < units; ++u) {
+  out->sic_fallbacks += detect::reconstruct_grid<D>(
+      std::span<const D* const>(typed, nsc), nv, frame_grid_, *pool_,
+      workspaces_, &frame_fell_, out->results);
+  for (std::size_t u = 0; u < nsc * nv; ++u) {
     out->stats += out->results[u].stats;
-    out->sic_fallbacks += frame_fell_[u];
   }
   out->reconstruct_seconds = seconds_since(rec_t0);
   if (spans) {
@@ -411,7 +416,7 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
 
 std::vector<core::SoftOutput> UplinkPipeline::detect_soft(
     std::span<const linalg::CVec> ys) {
-  require_channel("detect_soft");
+  require_channel("detect_soft", ys);
   if (flex_ == nullptr) {
     throw std::logic_error("UplinkPipeline::detect_soft: detector \"" +
                            cfg_.detector + "\" has no soft output");

@@ -191,11 +191,13 @@ class UplinkPipeline {
 
   /// Batched detection of vectors sharing the installed channel, through
   /// the pipeline's thread pool.  Throws std::logic_error before the first
-  /// set_channel.
+  /// set_channel, and std::invalid_argument — before any work runs — when
+  /// a vector's length differs from the channel's antenna count.
   detect::BatchResult detect(std::span<const linalg::CVec> ys);
 
   /// Convenience single-vector path (same contract as Detector::detect).
-  /// Counts toward the session lifecycle counters like detect().
+  /// Counts toward the session lifecycle counters like detect(), and
+  /// checks the channel and the vector's length like it.
   detect::DetectionResult detect_one(const linalg::CVec& y);
 
   /// Frame-level detection: preprocesses every subcarrier channel in
@@ -246,7 +248,8 @@ class UplinkPipeline {
   /// List-based max-log LLRs per vector (the soft-output extension).
   /// Only available when the configured detector supports soft output
   /// (currently the flexcore/a-flexcore families); throws
-  /// std::logic_error otherwise — check supports_soft() first.
+  /// std::logic_error otherwise — check supports_soft() first.  Checks the
+  /// channel and the vectors' lengths like detect().
   std::vector<core::SoftOutput> detect_soft(std::span<const linalg::CVec> ys);
   bool supports_soft() const noexcept { return flex_ != nullptr; }
 
@@ -269,7 +272,11 @@ class UplinkPipeline {
   }
 
  private:
-  void require_channel(const char* where) const;
+  /// Throws std::logic_error before the first set_channel, and
+  /// std::invalid_argument naming the first vector of `ys` whose length is
+  /// not the installed channel's antenna count.
+  void require_channel(const char* where,
+                       std::span<const linalg::CVec> ys) const;
   void ensure_frame_detectors(std::size_t count);
   template <typename D>
   bool try_typed_frame(const FrameJob& job, FrameResult* out);
@@ -282,6 +289,7 @@ class UplinkPipeline {
   std::unique_ptr<detect::Detector> det_;
   core::FlexCoreDetector* flex_ = nullptr;  // non-null iff soft-capable
   bool channel_set_ = false;
+  std::size_t channel_rows_ = 0;  // antennas of the installed channel
   std::size_t channel_installs_ = 0;
   std::size_t vectors_detected_ = 0;
   detect::DetectionStats total_stats_;
@@ -295,7 +303,7 @@ class UplinkPipeline {
   std::size_t frame_ready_cols_ = 0;      // reuse only on an exact match
   detect::FrameGridOutput frame_grid_;
   detect::WorkspaceBank workspaces_;
-  std::vector<std::uint8_t> frame_fell_;
+  std::vector<std::size_t> frame_fell_;  // SIC fallbacks per reconstruct group
   std::vector<std::exception_ptr> frame_errors_;  // set_channel failures
   // Per-call scratch of try_typed_frame, hoisted so steady-state frames
   // reuse its capacity: the typed clone pointers (stored type-erased; the

@@ -82,16 +82,50 @@ double FlexCoreDetector::walk_best(std::span<const cplx> ybar,
 
 FLEXCORE_HOT_PATH
 bool FlexCoreDetector::finish(std::span<const cplx> ybar, double metric,
-                              detect::Workspace& ws,
+                              std::span<int> symbols,
                               DetectionResult* res) const {
   // Every PE deactivated (possible only for tiny path budgets at extreme
   // noise): plain SIC, which is always valid.
   const bool fell = std::isinf(metric);
-  res->metric = fell ? plan().walk_sic(ybar, ws.symbols) : metric;
+  res->metric = fell ? plan().walk_sic(ybar, symbols) : metric;
   res->stats = plan().walk_stats(active_paths_);
-  // The tree-order decisions sit in ws.symbols; unpermute straight from
-  // there into the caller's buffer so steady state allocates nothing.
-  linalg::unpermute_into(ws.symbols, qr_.perm, &res->symbols);
+  // Unpermute the tree-order decisions straight into the caller's buffer
+  // so steady state allocates nothing.
+  linalg::unpermute_into(symbols, qr_.perm, &res->symbols);
+  return fell;
+}
+
+FLEXCORE_HOT_PATH
+std::size_t FlexCoreDetector::reconstruct_winners(
+    std::span<const cplx> ybars, std::span<const std::size_t> best_path,
+    std::span<const double> best_metric, detect::Workspace& ws,
+    std::span<DetectionResult> res) const {
+  const std::size_t nt = qr_.R.cols();
+  const std::size_t n = best_path.size();
+  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
+  ws.symbols.resize(n * nt);
+  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
+  ws.d0.resize(n);
+  plan().walk_paths(ybars, best_path, ws.d0, ws.symbols);
+  std::size_t fell = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::span<const cplx> ybar = ybars.subspan(k * nt, nt);
+    const std::span<int> symbols(ws.symbols.data() + k * nt, nt);
+    double metric = std::isinf(best_metric[k]) ? best_metric[k] : ws.d0[k];
+    // The exact walk can disagree with the grid only in the ":i16" tier,
+    // where a decision that lands near a cell boundary can fall on the
+    // other side of it: the int16 kernel may crown a path the exact walk
+    // deactivates, or deactivate every path the exact walk keeps.  Those
+    // vectors are rescued with one exact block scan (the quantized grid
+    // already paid for the other 99%+); only when that scan also finds
+    // every path dead does the vector drop to plain SIC, exactly like the
+    // fp64 tier.
+    if (std::isinf(metric) && cfg_.precision == detect::Precision::kInt16) {
+      obs::counter_add(obs::Counter::kI16BoundaryRescans);
+      metric = walk_best(ybar, symbols);
+    }
+    fell += finish(ybar, metric, symbols, &res[k]);
+  }
   return fell;
 }
 
@@ -101,24 +135,8 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
                                           double best_metric,
                                           detect::Workspace& ws,
                                           DetectionResult* res) const {
-  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
-  ws.symbols.resize(ybar.size());
-  double metric = std::isinf(best_metric)
-                      ? best_metric
-                      : plan().walk_path(ybar, best_path, ws.symbols);
-  // The exact walk can disagree with the grid only in the ":i16" tier,
-  // where a decision that lands near a cell boundary can fall on the other
-  // side of it: the int16 kernel may crown a path the exact walk
-  // deactivates, or deactivate every path the exact walk keeps.  Those
-  // vectors are rescued with one exact block scan (the quantized grid
-  // already paid for the other 99%+); only when that scan also finds every
-  // path dead does the vector drop to plain SIC, exactly like the fp64
-  // tier.
-  if (std::isinf(metric) && cfg_.precision == detect::Precision::kInt16) {
-    obs::counter_add(obs::Counter::kI16BoundaryRescans);
-    metric = walk_best(ybar, ws.symbols);
-  }
-  return finish(ybar, metric, ws, res);
+  return reconstruct_winners(ybar, {&best_path, 1}, {&best_metric, 1}, ws,
+                             {res, 1}) != 0;
 }
 
 bool FlexCoreDetector::detect_into(const CVec& y, detect::Workspace& ws,
@@ -126,7 +144,7 @@ bool FlexCoreDetector::detect_into(const CVec& y, detect::Workspace& ws,
   ws.ybar.resize(qr_.R.cols());
   rotate_into(y, ws.ybar);
   ws.symbols.resize(ws.ybar.size());
-  return finish(ws.ybar, walk_best(ws.ybar, ws.symbols), ws, res);
+  return finish(ws.ybar, walk_best(ws.ybar, ws.symbols), ws.symbols, res);
 }
 
 void FlexCoreDetector::detect_batch(std::span<const CVec> ys,

@@ -147,14 +147,25 @@ class FlexCoreDetector : public Detector {
   /// tests and benches.
   const detect::PathPlanI16& plan_i16() const noexcept { return plans_.i16(); }
 
-  /// Builds the final DetectionResult of one vector from a grid verdict
-  /// (run_path_grid / run_frame_grid): the exact plan's walk of the
-  /// winning path, or the plain-SIC fallback when `best_metric` is
-  /// +infinity (every path deactivated).  In the reduced tiers a winner
-  /// the exact walk deactivates is first rescued by an exact block scan.
-  /// Symbols come back in ORIGINAL antenna order; stats are the closed
-  /// form of the whole grid (PathPlan::walk_stats).  Returns true when the
-  /// fallback fired.  Scratch lives in `ws`.
+  /// Builds the final DetectionResults of a group of vectors of this
+  /// channel from their grid verdicts (run_path_grid / run_frame_grid):
+  /// vector k's rotated vector is ybars[k * Nt, (k + 1) * Nt), its verdict
+  /// best_path[k] / best_metric[k], its result res[k].  The winners' exact
+  /// walks run lane-batched (PathPlan::walk_paths); a vector whose
+  /// `best_metric` is +infinity (every path deactivated) takes the
+  /// plain-SIC fallback.  In the reduced tiers a winner the exact walk
+  /// deactivates is first rescued by an exact block scan.  Symbols come
+  /// back in ORIGINAL antenna order; stats are the closed form of the
+  /// whole grid (PathPlan::walk_stats).  Returns the number of vectors the
+  /// fallback fired for.  Scratch lives in `ws`.
+  std::size_t reconstruct_winners(std::span<const linalg::cplx> ybars,
+                                  std::span<const std::size_t> best_path,
+                                  std::span<const double> best_metric,
+                                  detect::Workspace& ws,
+                                  std::span<DetectionResult> res) const;
+
+  /// reconstruct_winners for one vector; returns true when the fallback
+  /// fired.
   bool reconstruct_winner(std::span<const linalg::cplx> ybar,
                           std::size_t best_path, double best_metric,
                           detect::Workspace& ws, DetectionResult* res) const;
@@ -173,11 +184,11 @@ class FlexCoreDetector : public Detector {
   double walk_best(std::span<const linalg::cplx> ybar,
                    std::span<int> symbols) const;
 
-  /// Completes a result from an exact walk already in ws.symbols (metric
-  /// `metric`), or from plain SIC when `metric` is +infinity; returns true
-  /// when SIC fired.
+  /// Completes a result from an exact walk already in `symbols` (metric
+  /// `metric`), or from plain SIC into `symbols` when `metric` is
+  /// +infinity; returns true when SIC fired.
   bool finish(std::span<const linalg::cplx> ybar, double metric,
-              detect::Workspace& ws, DetectionResult* res) const;
+              std::span<int> symbols, DetectionResult* res) const;
 
   /// detect() into caller storage; returns true when SIC fired.
   bool detect_into(const CVec& y, detect::Workspace& ws,

@@ -32,17 +32,34 @@ void FcsdDetector::rotate_into(const CVec& y, std::span<cplx> out) const {
 }
 
 FLEXCORE_HOT_PATH
+std::size_t FcsdDetector::reconstruct_winners(
+    std::span<const cplx> ybars, std::span<const std::size_t> best_path,
+    std::span<const double> /*best_metric*/, detect::Workspace& ws,
+    std::span<DetectionResult> res) const {
+  const std::size_t nt = qr_.R.cols();
+  const std::size_t n = best_path.size();
+  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
+  ws.symbols.resize(n * nt);
+  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
+  ws.d0.resize(n);
+  plan().walk_paths(ybars, best_path, ws.d0, ws.symbols);
+  for (std::size_t k = 0; k < n; ++k) {
+    res[k].metric = ws.d0[k];
+    res[k].stats = plan().walk_stats(num_paths());
+    linalg::unpermute_into<int>({ws.symbols.data() + k * nt, nt}, qr_.perm,
+                                &res[k].symbols);
+  }
+  return 0;
+}
+
+FLEXCORE_HOT_PATH
 bool FcsdDetector::reconstruct_winner(std::span<const cplx> ybar,
                                       std::size_t best_path,
-                                      double /*best_metric*/,
+                                      double best_metric,
                                       detect::Workspace& ws,
                                       DetectionResult* res) const {
-  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
-  ws.symbols.resize(ybar.size());
-  res->metric = plan().walk_path(ybar, best_path, ws.symbols);
-  res->stats = plan().walk_stats(num_paths());
-  linalg::unpermute_into(ws.symbols, qr_.perm, &res->symbols);
-  return false;
+  return reconstruct_winners(ybar, {&best_path, 1}, {&best_metric, 1}, ws,
+                             {res, 1}) != 0;
 }
 
 DetectionResult FcsdDetector::detect(const CVec& y) const {

@@ -82,10 +82,19 @@ class FcsdDetector : public Detector {
   /// configured precision is kInt16).
   const PathPlanI16& plan_i16() const noexcept { return plans_.i16(); }
 
-  /// Builds the final DetectionResult of one vector from a grid verdict:
-  /// the exact plan's walk of the winning path, symbols in ORIGINAL antenna
-  /// order, stats the closed form of the whole grid.  Always returns false
-  /// (every FCSD path is valid, so there is no fallback).  Scratch in `ws`.
+  /// Builds the final DetectionResults of a group of vectors of this
+  /// channel from their grid verdicts (layout as in
+  /// FlexCoreDetector::reconstruct_winners): the winners' exact walks, run
+  /// lane-batched, symbols in ORIGINAL antenna order, stats the closed
+  /// form of the whole grid.  Always returns 0 (every FCSD path is valid,
+  /// so there is no fallback).  Scratch in `ws`.
+  std::size_t reconstruct_winners(std::span<const linalg::cplx> ybars,
+                                  std::span<const std::size_t> best_path,
+                                  std::span<const double> best_metric,
+                                  detect::Workspace& ws,
+                                  std::span<DetectionResult> res) const;
+
+  /// reconstruct_winners for one vector; always returns false.
   bool reconstruct_winner(std::span<const linalg::cplx> ybar,
                           std::size_t best_path, double best_metric,
                           detect::Workspace& ws, DetectionResult* res) const;

@@ -6,11 +6,14 @@
 //
 // Two granularities are provided:
 //  * run_path_grid  — the single-channel (vector x path) grid behind
-//    Detector::detect_batch (detect_batch_on_pool adds the per-vector
-//    winner reconstruction); the Fig. 11 benchmark times exactly this grid.
+//    Detector::detect_batch (detect_batch_on_pool adds the winner
+//    reconstruction); the Fig. 11 benchmark times exactly this grid.
 //  * run_frame_grid — the multi-channel (subcarrier x vector x path) grid
 //    behind api::UplinkPipeline::detect_frame: one flat job covering every
 //    subcarrier of an OFDM frame.
+//
+// reconstruct_grid completes either grid's verdicts per group of one
+// channel's vectors, one lane-batched exact walk per group.
 //
 // Both grids write into caller-owned output structs whose buffers are
 // resized, never shrunk, so steady-state runs perform zero heap
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "detect/detector.h"
+#include "detect/path_kernels.h"
 #include "detect/workspace.h"
 #include "linalg/simd.h"
 #include "linalg/types.h"
@@ -101,10 +105,6 @@ struct PathGridOutput {
   std::size_t nt = 0;                  ///< levels per rotated vector
   double elapsed_seconds = 0.0;        ///< wall-clock of the task grid
   std::size_t tasks = 0;               ///< vectors * paths
-
-  std::span<const linalg::cplx> ybar(std::size_t v) const {
-    return {ybars.data() + v * nt, nt};
-  }
 };
 
 /// Runs the full vector x path grid for a batch of received vectors (all
@@ -144,20 +144,57 @@ void run_path_grid(const D& det, std::size_t num_paths,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+/// Winner reconstruction of a grid's verdicts across `pool`: the vectors
+/// of channel f — `vectors_per_channel` consecutive units of `grid` (a
+/// PathGridOutput or FrameGridOutput) — are completed by
+/// dets[f]->reconstruct_winners in groups of at most PathPlan::walk_lanes()
+/// vectors, one lane-batched exact walk per group, on per-worker scratch
+/// (the detector applies its fallback policy; the raw grid punts on it).
+/// Writes results[u] per unit and one fallback count per group to `fell`;
+/// returns their sum.
+template <typename D, typename Grid>
+FLEXCORE_HOT_PATH
+std::size_t reconstruct_grid(std::span<const D* const> dets,
+                             std::size_t vectors_per_channel, const Grid& grid,
+                             parallel::ThreadPool& pool,
+                             WorkspaceBank& workspaces,
+                             std::vector<std::size_t>* fell,
+                             std::span<DetectionResult> results) {
+  const std::size_t nv = vectors_per_channel;
+  const std::size_t nt = grid.nt;
+  const std::size_t lanes = PathPlan::walk_lanes();
+  const std::size_t per_channel = (nv + lanes - 1) / lanes;
+  const std::size_t groups = dets.size() * per_channel;
+  workspaces.ensure(pool.size());
+  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
+  fell->assign(groups, 0);
+  pool.parallel_for_worker(groups, [&](std::size_t w, std::size_t g) {
+    const std::size_t t = (g % per_channel) * lanes;
+    const std::size_t n = std::min(lanes, nv - t);
+    const std::size_t u = (g / per_channel) * nv + t;
+    (*fell)[g] = dets[g / per_channel]->reconstruct_winners(
+        std::span<const linalg::cplx>(grid.ybars).subspan(u * nt, n * nt),
+        std::span<const std::size_t>(grid.best_path).subspan(u, n),
+        std::span<const double>(grid.best_metric).subspan(u, n),
+        workspaces.at(w), results.subspan(u, n));
+  });
+  std::size_t total = 0;
+  for (const std::size_t k : *fell) total += k;
+  return total;
+}
+
 /// A detector's reusable detect_batch buffers: the grid output, per-worker
-/// reconstruction scratch and per-vector fallback flags, kept at their
+/// reconstruction scratch and per-group fallback counts, kept at their
 /// high-water mark across calls (zero steady-state allocations).  Guarded
 /// by the detect_batch contract (one driver thread at a time).
 struct BatchScratch {
   PathGridOutput grid;
   WorkspaceBank workspaces;
-  std::vector<std::uint8_t> fell;
+  std::vector<std::size_t> fell;
 };
 
 /// Detector::detect_batch over `pool` for a path-parallel detector: the
-/// vector x path grid, then one det.reconstruct_winner per vector on
-/// per-worker scratch (the exact winner walk plus whatever fallback policy
-/// the detector applies — the raw grid punts on it).
+/// vector x path grid, then its winner reconstruction (reconstruct_grid).
 template <PathParallelDetector D>
 void detect_batch_on_pool(const D& det, std::size_t num_paths,
                           std::span<const linalg::CVec> ys, std::size_t nt,
@@ -168,21 +205,14 @@ void detect_batch_on_pool(const D& det, std::size_t num_paths,
   run_path_grid(det, num_paths, ys, nt, pool, &grid);
   out->results.assign(nv, DetectionResult{});
   out->stats = DetectionStats{};
-  out->sic_fallbacks = 0;
   out->tasks = grid.tasks;
   out->elapsed_seconds = grid.elapsed_seconds;
 
-  scratch->fell.assign(nv, 0);
-  scratch->workspaces.ensure(pool.size());
-  pool.parallel_for_worker(nv, [&](std::size_t w, std::size_t v) {
-    scratch->fell[v] = det.reconstruct_winner(
-        grid.ybar(v), grid.best_path[v], grid.best_metric[v],
-        scratch->workspaces.at(w), &out->results[v]);
-  });
-  for (std::size_t v = 0; v < nv; ++v) {
-    out->stats += out->results[v].stats;
-    out->sic_fallbacks += scratch->fell[v];
-  }
+  const D* const dets[] = {&det};
+  out->sic_fallbacks =
+      reconstruct_grid<D>(dets, nv, grid, pool, scratch->workspaces,
+                          &scratch->fell, out->results);
+  for (std::size_t v = 0; v < nv; ++v) out->stats += out->results[v].stats;
 }
 
 /// Output of one multi-channel frame-grid run.  "Unit" u = f * nv + t is

@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cmath>
 #include <complex>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -15,6 +14,8 @@
 #include <string>
 #include <utility>
 
+#include "linalg/kernel_copies.h"
+#include "linalg/kernel_isa.h"
 #include "perfmodel/fixed_point.h"
 
 namespace flexcore::detect {
@@ -270,39 +271,14 @@ namespace {
 // Runtime-dispatched kernels: the library ships portable (baseline-ISA)
 // binaries, but a lane kernel lives or dies by the register width — so on
 // x86-64 both kernel bodies (the int16 kernel and the exact fp walk) are
-// compiled once per ISA tier (baseline, SSE4.1, AVX2, AVX-512F) and one
-// startup __builtin_cpu_supports decision selects the widest supported
-// copy through plain function pointers.  (Explicit dispatch rather than
-// attribute((target_clones)): the ifunc machinery was observed picking a
-// narrow clone on some loaders, and a function pointer is inspectable.)
-// Every copy computes bit-identical results — the i16 datapath is pure
-// integer, and the fp walk is element-wise IEEE arithmetic with FMA
-// contraction off (CMakeLists.txt) — so dispatch cannot change detection
-// output.  Sanitized builds compile only the baseline copy: same code,
-// fully instrumented (the UBSan job covers the saturating int arithmetic).
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define FLEXCORE_KERNEL_SANITIZED 1
-#endif
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FLEXCORE_KERNEL_SANITIZED 1
-#endif
-#ifndef FLEXCORE_KERNEL_SANITIZED
-#define FLEXCORE_KERNEL_SANITIZED 0
-#endif
-
-#if defined(__x86_64__) && !FLEXCORE_KERNEL_SANITIZED
-#define FLEXCORE_KERNEL_MULTIVERSION 1
-#else
-#define FLEXCORE_KERNEL_MULTIVERSION 0
-#endif
-
-// The bodies must inline into each per-ISA wrapper so they are lowered
-// with that wrapper's vector width (an out-of-line copy would be
-// baseline-lowered and defeat the dispatch).
-#define FLEXCORE_KERNEL_FORCE_INLINE inline __attribute__((always_inline))
+// compiled once per ISA tier (baseline, SSE4.1, AVX2, AVX-512F), and the
+// process-wide linalg::kernel_copy() selects the copy through plain
+// function pointers (linalg/kernel_isa.h; the build scaffolding is in
+// linalg/kernel_copies.h).  Every copy computes bit-identical results —
+// the i16 datapath is pure integer, and the fp walk is element-wise IEEE
+// arithmetic with FMA contraction off (CMakeLists.txt) — so dispatch
+// cannot change detection output.  Sanitized builds compile only the
+// baseline copy (the UBSan job covers the saturating int arithmetic).
 
 // Each copy: one namespace (FLEXCORE_ISA_NS) holding both kernel bodies,
 // lowered under one target scope whose native register width is
@@ -340,18 +316,11 @@ namespace {
 #endif  // FLEXCORE_KERNEL_MULTIVERSION
 
 // The baseline-ISA copy always exists: it is the only copy on non-x86 and
-// sanitized builds, the fallback on ancient x86-64, the reference the
-// cross-ISA tests pin via FLEXCORE_I16_ISA, and the home of the
-// single-path walks (walk_path / walk_sic run it at width 1).  Its width
-// is the build's own (FLEXCORE_NATIVE_ARCH raises it).
+// sanitized builds, the fallback on ancient x86-64 and the reference the
+// cross-ISA tests pin via FLEXCORE_I16_ISA.  Its width is the build's own
+// (FLEXCORE_NATIVE_ARCH raises it).
 #define FLEXCORE_ISA_NS isa_base
-#if defined(__AVX512F__)
-#define FLEXCORE_ISA_VEC_BYTES 64
-#elif defined(__AVX__)
-#define FLEXCORE_ISA_VEC_BYTES 32
-#else
-#define FLEXCORE_ISA_VEC_BYTES 16
-#endif
+#define FLEXCORE_ISA_VEC_BYTES FLEXCORE_KERNEL_BASE_VEC_BYTES
 #include "detect/path_kernels_fp_walk.inc"
 #include "detect/path_kernels_i16_kernel.inc"
 #undef FLEXCORE_ISA_VEC_BYTES
@@ -361,57 +330,38 @@ using I16EvalFn = void (*)(const I16KernelState&, const std::int32_t*,
                            const std::int32_t*, std::size_t, double*);
 using FpBlocksFn = void (*)(const FpKernelState&, const linalg::cplx*,
                             std::size_t, std::size_t, double*);
+using FpLanesFn = void (*)(const FpKernelState&, const linalg::cplx*,
+                           const std::size_t*, std::size_t, double*, int*);
 
 /// One per-ISA copy of the path kernels: the i16 kernel (solo 16-lane
-/// block / fused adjacent pair) and the exact fp walk's block loop.
+/// block / fused adjacent pair), the exact fp walk's block loop, its
+/// lane-batched path and SIC walks, and the lanes one walk call fills.
 struct KernelCopy {
-  const char* isa;
   I16EvalFn i16_one;
   I16EvalFn i16_pair;
   FpBlocksFn fp64;
+  FpLanesFn fp_paths;
+  FpLanesFn fp_sic;
+  std::size_t walk_lanes;
 };
 
-#define FLEXCORE_KERNEL_COPY(ns, name) \
-  KernelCopy { name, ns::eval_one, ns::eval_pair, ns::fp_blocks }
+#define FLEXCORE_KERNEL_COPY(ns)                                         \
+  KernelCopy {                                                           \
+    ns::eval_one, ns::eval_pair, ns::fp_blocks, ns::fp_lanes<false>,     \
+        ns::fp_lanes<true>, ns::kFpChain                                 \
+  }
 
-/// Runs once (static init): the widest copy the CPU supports wins.  The
-/// FLEXCORE_I16_ISA environment variable ("base", "sse41", "avx2",
-/// "avx512") pins a copy of both tiers — every copy computes bit-identical
-/// results, so the pin exists for benchmarking and for the cross-ISA
-/// equivalence tests, not correctness.  A pin that names no copy this
-/// build and CPU can run is reported once on stderr and ignored.
+/// The copy linalg::kernel_copy() names (one startup choice for every lane
+/// kernel of the process).
 KernelCopy pick_kernels() {
 #if FLEXCORE_KERNEL_MULTIVERSION
-  __builtin_cpu_init();
-  const KernelCopy copies[] = {FLEXCORE_KERNEL_COPY(isa_base, "base"),
-                               FLEXCORE_KERNEL_COPY(isa_sse41, "sse41"),
-                               FLEXCORE_KERNEL_COPY(isa_avx2, "avx2"),
-                               FLEXCORE_KERNEL_COPY(isa_avx512, "avx512")};
-  const bool runs[] = {true, __builtin_cpu_supports("sse4.1") != 0,
-                       __builtin_cpu_supports("avx2") != 0,
-                       __builtin_cpu_supports("avx512f") != 0};
+  const KernelCopy copies[] = {
+      FLEXCORE_KERNEL_COPY(isa_base), FLEXCORE_KERNEL_COPY(isa_sse41),
+      FLEXCORE_KERNEL_COPY(isa_avx2), FLEXCORE_KERNEL_COPY(isa_avx512)};
 #else
-  const KernelCopy copies[] = {FLEXCORE_KERNEL_COPY(isa_base, "base")};
-  const bool runs[] = {true};
+  const KernelCopy copies[] = {FLEXCORE_KERNEL_COPY(isa_base)};
 #endif
-  const std::size_t n = std::size(copies);
-  std::size_t pick = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (runs[k]) pick = k;  // ascending width: the last runnable is widest
-  }
-  if (const char* pin = std::getenv("FLEXCORE_I16_ISA")) {
-    std::size_t k = 0;
-    while (k < n && std::strcmp(pin, copies[k].isa) != 0) ++k;
-    if (k < n && runs[k]) {
-      pick = k;
-    } else {
-      std::fprintf(stderr,
-                   "flexcore: FLEXCORE_I16_ISA=%s names no kernel copy this "
-                   "build and CPU can run; dispatching %s\n",
-                   pin, copies[pick].isa);
-    }
-  }
-  return copies[pick];
+  return copies[static_cast<std::size_t>(linalg::kernel_copy())];
 }
 
 #undef FLEXCORE_KERNEL_COPY
@@ -420,7 +370,7 @@ const KernelCopy g_kernels = pick_kernels();
 
 }  // namespace
 
-const char* kernel_isa() noexcept { return g_kernels.isa; }
+std::size_t PathPlan::walk_lanes() noexcept { return g_kernels.walk_lanes; }
 
 void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   static_assert(static_cast<int>(Mode::kLutRank) == kFpModeLut &&
@@ -460,25 +410,43 @@ void PathPlan::path_metric_block(std::span<const linalg::cplx> ybar,
 }
 
 FLEXCORE_HOT_PATH
-double PathPlan::walk_path(std::span<const linalg::cplx> ybar, std::size_t path,
-                           std::span<int> symbols) const {
-  assert(compiled() && ybar.size() == nt_ && symbols.size() == nt_);
-  assert(path < num_paths_);
+void PathPlan::walk_paths(std::span<const linalg::cplx> ybars,
+                          std::span<const std::size_t> paths,
+                          std::span<double> metrics,
+                          std::span<int> symbols) const {
+  assert(compiled() && ybars.size() == paths.size() * nt_);
+  assert(metrics.size() == paths.size() && symbols.size() == ybars.size());
   FpKernelState st;
   fill_kernel_state(&st);
+  g_kernels.fp_paths(st, ybars.data(), paths.data(), paths.size(),
+                     metrics.data(), symbols.data());
+}
+
+FLEXCORE_HOT_PATH
+double PathPlan::walk_path(std::span<const linalg::cplx> ybar, std::size_t path,
+                           std::span<int> symbols) const {
   double m;
-  isa_base::fp_walk<1, false>(st, ybar.data(), path, &m, symbols.data());
+  walk_paths(ybar, {&path, 1}, {&m, 1}, symbols);
   return m;
+}
+
+FLEXCORE_HOT_PATH
+void PathPlan::walk_sic(std::span<const linalg::cplx> ybars,
+                        std::span<double> metrics,
+                        std::span<int> symbols) const {
+  assert(mode_ != Mode::kFcsd && ybars.size() == metrics.size() * nt_);
+  assert(symbols.size() == ybars.size());
+  FpKernelState st;
+  fill_kernel_state(&st);
+  g_kernels.fp_sic(st, ybars.data(), nullptr, metrics.size(), metrics.data(),
+                   symbols.data());
 }
 
 FLEXCORE_HOT_PATH
 double PathPlan::walk_sic(std::span<const linalg::cplx> ybar,
                           std::span<int> symbols) const {
-  assert(mode_ != Mode::kFcsd && ybar.size() == nt_ && symbols.size() == nt_);
-  FpKernelState st;
-  fill_kernel_state(&st);
   double m;
-  isa_base::fp_walk<1, true>(st, ybar.data(), 0, &m, symbols.data());
+  walk_sic(ybar, {&m, 1}, symbols);
   return m;
 }
 

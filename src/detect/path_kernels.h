@@ -26,19 +26,25 @@
 //    arrays.
 //  * The walk, like the int16 kernel, is compiled once per x86-64 ISA
 //    (baseline, SSE4.1, AVX2, AVX-512F), each copy at its native register
-//    width, and dispatched at startup (kernel_isa() names the copy).  A
-//    call keeps four native-width chains in flight (4 x the copy's doubles
-//    per call, never less than one block), so one lane's decision chain
-//    overlaps the others'.
+//    width, and dispatched by the process-wide startup choice that also
+//    selects the Q^H y rotation's copy (linalg/kernel_isa.h; kernel_isa()
+//    names it).  A call keeps four native-width chains in flight (4 x the
+//    copy's doubles per call, never less than one block), so one lane's
+//    decision chain overlaps the others'.
+//  * walk_paths fills the same lanes with (rotated vector, path) pairs of
+//    one plan instead — winner reconstruction walks a group of vectors'
+//    winners in one call, since a single walk is a latency-bound chain
+//    that only other lanes' walks amortize.
 //
 // PathPlan (fp64) is the library's one exact per-path walk: the grids,
 // winner reconstruction, sequential detect(), soft output, the SIC
 // fallback and the quantized tier's exact rescue all run it (walk_path /
-// walk_sic are the same walk at width 1).  It is bit-identical to the
-// scalar std::complex reference walk in tests/reference_walk.h — same
-// operations in the same order on the same values, in every ISA copy,
-// verified by tests/kernel_test.cpp (the build turns FMA contraction off,
-// so no copy fuses a multiply-add the reference rounds twice).
+// walk_sic are one-lane calls of the lane-batched walk).  It is
+// bit-identical to the scalar std::complex reference walk in
+// tests/reference_walk.h — same operations in the same order on the same
+// values, in every ISA copy and every lane of a batched walk, verified by
+// tests/kernel_test.cpp (the build turns FMA contraction off, so no copy
+// fuses a multiply-add the reference rounds twice).
 // PathPlanI16 is the one reduced tier: the paper's 16-bit fixed-point
 // FPGA datapath (selected by the ":i16" registry spec suffix; see README
 // "Kernel engine & precision tiers" for when it is safe).
@@ -53,6 +59,7 @@
 #include "core/ordering_lut.h"
 #include "core/preprocessing.h"
 #include "detect/detector.h"
+#include "linalg/kernel_isa.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "modulation/constellation.h"
@@ -87,12 +94,10 @@ inline constexpr double kI16SerTolerance = 1e-2;
 void require_kernel_streams(const char* who, std::size_t nt);
 
 /// Name of the per-ISA kernel copy this process dispatched: "base",
-/// "sse41", "avx2" or "avx512".  One copy serves both tiers (the exact fp
-/// walk's blocks and the i16 kernel).  Picked once at startup, widest
-/// supported first; the FLEXCORE_I16_ISA environment variable pins a copy,
-/// and a pin this build or CPU cannot honour is reported once on stderr
-/// and ignored.
-const char* kernel_isa() noexcept;
+/// "sse41", "avx2" or "avx512".  One startup choice (linalg/kernel_isa.h)
+/// selects every lane kernel — the exact fp walk, the i16 kernel and the
+/// Q^H y rotation; the FLEXCORE_I16_ISA environment variable pins it.
+using linalg::kernel_isa;
 
 /// The raw view of a compiled PathPlan that the per-ISA walk copies read
 /// (defined in path_kernels.cpp).
@@ -144,20 +149,42 @@ class PathPlan {
                          std::size_t first_path, std::size_t n_paths,
                          double* out) const;
 
-  /// Walks the single path `path`: the block walk instantiated at width 1,
-  /// so the returned metric is bitwise the one path_metric_block reports
-  /// for it.  Writes the per-level symbol decisions (tree order) to
-  /// `symbols` (length levels()); +infinity means the path was
-  /// deactivated and `symbols` is then partial.
+  /// Lane-batched exact walks: lane k walks path `paths[k]` of its own
+  /// rotated vector ybars[k * L, (k + 1) * L) (L = levels()), writing its
+  /// metric to metrics[k] (+infinity when the path is deactivated) and its
+  /// per-level symbol decisions (tree order) to symbols[k * L, (k+1) * L)
+  /// — partial, and 0 from the deactivating level on, for a dead lane.
+  /// Lanes of one call may mix vectors and paths freely; each metric is
+  /// bitwise the one path_metric_block reports for that (vector, path).
+  /// Runs in the dispatched copy at native width, up to walk_lanes() lanes
+  /// per internal call, so a group of winners shares the decision chains
+  /// of one call.
+  void walk_paths(std::span<const linalg::cplx> ybars,
+                  std::span<const std::size_t> paths,
+                  std::span<double> metrics, std::span<int> symbols) const;
+
+  /// One lane of walk_paths: path `path` of `ybar`, symbols (length
+  /// levels()) in tree order; returns the metric.
   double walk_path(std::span<const linalg::cplx> ybar, std::size_t path,
                    std::span<int> symbols) const;
 
-  /// Plain SIC (FlexCore plans only): the same width-1 walk at rank 1 on
-  /// every level, with the slice clamped into the constellation instead of
-  /// deactivating the path — always valid.  FlexCore's fallback when every
-  /// selected path is deactivated.
+  /// Lane-batched plain SIC (FlexCore plans only): the walk_paths walk at
+  /// rank 1 on every level, with the slice clamped into the constellation
+  /// instead of deactivating the lane — always valid.  FlexCore's fallback
+  /// when every selected path of a vector is deactivated.  Lane k is the
+  /// rotated vector ybars[k * L, (k + 1) * L); metrics has one entry per
+  /// lane and symbols L per lane, as in walk_paths.
+  void walk_sic(std::span<const linalg::cplx> ybars, std::span<double> metrics,
+                std::span<int> symbols) const;
+
+  /// One lane of the batched SIC walk; returns the metric.
   double walk_sic(std::span<const linalg::cplx> ybar,
                   std::span<int> symbols) const;
+
+  /// Lanes one internal walk_paths / walk_sic call fills in the dispatched
+  /// copy: four native registers of doubles (8 on the SSE copies, 16 on
+  /// AVX2, 32 on AVX-512).  Winner reconstruction groups vectors by it.
+  static std::size_t walk_lanes() noexcept;
 
   /// Cost of `n_paths` full walks in the paper's Table 2 accounting, with
   /// paths_evaluated = n_paths.  Closed form from the plan's shape: every

@@ -1,11 +1,14 @@
 // Per-worker scratch arenas for the detection hot path.
 //
 // The task grids (detect/path_grid.h) and the buffer-reusing detector entry
-// points (FlexCoreDetector/FcsdDetector::reconstruct_winner,
+// points (FlexCoreDetector/FcsdDetector::reconstruct_winners,
 // SicDetector/KBestDetector::detect_into) take a Workspace instead of
 // allocating CVecs and symbol vectors per call: every buffer grows to its
 // high-water mark on first use and is reused afterwards, so steady-state
-// path tasks perform zero heap allocations.
+// path tasks perform zero heap allocations.  Group reconstruction keeps
+// its per-lane symbols (levels per vector, vector-major) in `symbols` and
+// the lanes' metrics in `d0`; the lane-batched walk stages each lane's
+// rotated vector and selector codes on its own stack.
 //
 // A WorkspaceBank holds one Workspace per ThreadPool worker; tasks index it
 // with the worker id from ThreadPool::parallel_for_worker, which never runs
@@ -25,7 +28,8 @@ namespace flexcore::detect {
 struct Workspace {
   linalg::CVec ybar;         ///< rotated receive vector (Q^H y)
   linalg::CVec s;            ///< per-level constellation points of a walk
-  std::vector<int> symbols;  ///< per-level symbol decisions (tree order)
+  std::vector<int> symbols;  ///< per-level symbol decisions (tree order),
+                             ///< levels per vector of a reconstruct group
   // Generic double/int pools for level-by-level detectors (K-best keeps its
   // survivor/candidate lists here instead of reallocating them per vector).
   std::vector<double> d0, d1;

@@ -183,22 +183,17 @@ inline CMat CMatView::materialize() const {
 void accumulate_gram(CMatView h, CMat* gram);
 
 /// out = m^H v without materializing the Hermitian transpose or any
-/// temporary (out.size() must equal m.cols()).  This is the rotation
-/// kernel (ybar = Q^H y) of the zero-allocation detection grids; the
-/// span-in/span-out shape also serves the shard layer, which rotates the
-/// row slice of y that its antenna cluster observed.
-inline void hermitian_mul_into(CMatView m, std::span<const cplx> v,
-                               std::span<cplx> out) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  assert(out.size() == cols && v.size() == rows);
-  for (std::size_t i = 0; i < cols; ++i) out[i] = cplx{0.0, 0.0};
-  const cplx* data = m.data();
-  for (std::size_t j = 0; j < rows; ++j) {
-    const cplx vj = v[j];
-    const cplx* row = data + j * cols;
-    for (std::size_t i = 0; i < cols; ++i) out[i] += std::conj(row[i]) * vj;
-  }
-}
+/// temporary (out.size() must equal m.cols(), v.size() m.rows()).  This is
+/// the rotation kernel (ybar = Q^H y) of the zero-allocation detection
+/// grids; the span-in/span-out shape also serves the shard layer, which
+/// rotates the row slice of y that its antenna cluster observed.  A lane
+/// kernel (output columns in lanes, one copy per ISA, linalg/kernel_isa.h)
+/// that sums each entry's rows in ascending order, so every entry is
+/// bitwise `out[i] += std::conj(m(j, i)) * v[j]` over j from +0 — for every
+/// input on which std::complex takes the naive product (all finite
+/// operands whose products stay finite; tests/reference_qr.h keeps that
+/// loop as the reference).
+void hermitian_mul_into(CMatView m, std::span<const cplx> v,
+                        std::span<cplx> out);
 
 }  // namespace flexcore::linalg

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -92,9 +94,9 @@ std::vector<T> unpermute(const std::vector<T>& detected,
 
 /// Buffer-reusing variant for the per-vector hot path: writes into `out`
 /// (resized, warm capacity reused — zero allocations in steady state).
-/// `detected` and `out` must be distinct objects.
+/// `detected` must not view `out`.
 template <typename T>
-void unpermute_into(const std::vector<T>& detected,
+void unpermute_into(std::type_identity_t<std::span<const T>> detected,
                     const std::vector<std::size_t>& perm,
                     std::vector<T>* out) {
   out->resize(detected.size());

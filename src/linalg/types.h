@@ -18,6 +18,13 @@
 // split double tier is bit-identical to the cplx formulas on finite
 // values (same naive multiply std::complex evaluates to), which is what
 // lets the kernels swap in without changing any result.
+//
+// One lane kernel reads cplx storage as it is: the Q^H y rotation
+// (linalg::hermitian_mul_into) loads interleaved (re, im) pairs straight
+// into lanes and swaps each pair in-register, so every Q — the
+// detectors' and the shard clusters' — stays in one layout, with no
+// split copy to rebuild per channel.  It keeps the same naive-multiply
+// bit-identity.
 #pragma once
 
 #include <complex>

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -313,6 +314,44 @@ TEST(Pipeline, DetectRequiresChannel) {
   const std::vector<CVec> ys(3, CVec(4));
   EXPECT_THROW(pipe.detect(ys), std::logic_error);
   EXPECT_THROW(pipe.detect_one(CVec(4)), std::logic_error);
+}
+
+TEST(Pipeline, DetectRejectsWrongLengthVectors) {
+  // A vector shorter or longer than the installed channel's antenna count
+  // is refused before any detection work runs, naming the vector and both
+  // lengths, by every single-channel entry point.
+  fa::PipelineConfig cfg;
+  cfg.detector = "flexcore-16";
+  cfg.qam_order = 16;
+  cfg.threads = 2;
+  fa::UplinkPipeline pipe(cfg);
+  ch::Rng rng(41);
+  const CMat h = ch::rayleigh_iid(12, 12, rng);
+  pipe.set_channel(h, 0.05);
+  std::vector<CVec> ys = random_batch(pipe.constellation(), h, 4, 0.05, rng);
+  ys[2] = CVec(5);
+  const auto expect_rejected = [](const auto& call, const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " accepted a 5-entry vector";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+      EXPECT_NE(msg.find("length 5"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("12 receive antennas"), std::string::npos) << msg;
+    }
+  };
+  expect_rejected([&] { pipe.detect(ys); }, "detect: vector 2");
+  expect_rejected([&] { pipe.detect_one(ys[2]); }, "detect_one: vector 0");
+  expect_rejected([&] { pipe.detect_soft(ys); }, "detect_soft: vector 2");
+  ys[2] = CVec(13);
+  EXPECT_THROW(pipe.detect(ys), std::invalid_argument);
+  EXPECT_EQ(pipe.vectors_detected(), 0u);
+
+  // The refusals left the session usable.
+  ys.pop_back();
+  ys.pop_back();
+  EXPECT_EQ(pipe.detect(ys).results.size(), 2u);
 }
 
 TEST(Pipeline, BatchedDetectMatchesDetectorAndAggregates) {

@@ -37,6 +37,12 @@ using flexcore::testing::Frame;
 using flexcore::testing::job_of;
 using flexcore::testing::make_frame;
 
+/// Vectors per subcarrier a frame test runs: its own count, one, and one
+/// past the lanes of a lane-batched reconstruction walk (a second group).
+std::vector<std::size_t> vector_counts(std::size_t own) {
+  return {own, 1, fd::PathPlan::walk_lanes() + 1};
+}
+
 /// Reference: the sequential per-subcarrier set_channel + detect lifecycle
 /// on a fresh registry-constructed detector.
 std::vector<fd::DetectionResult> sequential_reference(
@@ -93,12 +99,14 @@ TEST(Frame, SingleSubcarrierMatchesDetectBitForBit) {
   cfg.threads = 2;
   fa::UplinkPipeline pipe(cfg);
   const double nv = ch::noise_var_for_snr_db(12.0);
-  const Frame fr = make_frame(pipe.constellation(), 1, 20, 6, 6, nv, 22);
+  for (const std::size_t vpc : vector_counts(20)) {
+    const Frame fr = make_frame(pipe.constellation(), 1, vpc, 6, 6, nv, 22);
 
-  const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
-  expect_bit_identical(out.results,
-                       sequential_reference("flexcore-16", pipe.constellation(),
-                                            fr, nv));
+    const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
+    expect_bit_identical(out.results,
+                         sequential_reference("flexcore-16",
+                                              pipe.constellation(), fr, nv));
+  }
 }
 
 TEST(Frame, SixtyFourSubcarrierFrameMatchesSequentialLifecycle) {
@@ -110,15 +118,19 @@ TEST(Frame, SixtyFourSubcarrierFrameMatchesSequentialLifecycle) {
   cfg.threads = 3;
   fa::UplinkPipeline pipe(cfg);
   const double nv = ch::noise_var_for_snr_db(14.0);
-  const Frame fr = make_frame(pipe.constellation(), 64, 2, 4, 4, nv, 23);
+  std::size_t vectors = 0;
+  for (const std::size_t vpc : vector_counts(2)) {
+    const Frame fr = make_frame(pipe.constellation(), 64, vpc, 4, 4, nv, 23);
 
-  const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
-  expect_bit_identical(out.results,
-                       sequential_reference("flexcore-8", pipe.constellation(),
-                                            fr, nv));
-  EXPECT_EQ(out.channels_installed, 64u);
-  EXPECT_EQ(pipe.vectors_detected(), fr.ys.size());
-  EXPECT_GT(out.tasks, 0u);
+    const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
+    expect_bit_identical(out.results,
+                         sequential_reference("flexcore-8",
+                                              pipe.constellation(), fr, nv));
+    EXPECT_EQ(out.channels_installed, 64u);
+    vectors += fr.ys.size();
+    EXPECT_EQ(pipe.vectors_detected(), vectors);
+    EXPECT_GT(out.tasks, 0u);
+  }
 }
 
 TEST(Frame, AdaptiveFlexcoreFrameMatchesSequentialLifecycle) {
@@ -130,12 +142,14 @@ TEST(Frame, AdaptiveFlexcoreFrameMatchesSequentialLifecycle) {
   cfg.threads = 2;
   fa::UplinkPipeline pipe(cfg);
   const double nv = ch::noise_var_for_snr_db(13.0);
-  const Frame fr = make_frame(pipe.constellation(), 12, 4, 6, 6, nv, 24);
+  for (const std::size_t vpc : vector_counts(4)) {
+    const Frame fr = make_frame(pipe.constellation(), 12, vpc, 6, 6, nv, 24);
 
-  const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
-  expect_bit_identical(out.results,
-                       sequential_reference("a-flexcore-24",
-                                            pipe.constellation(), fr, nv));
+    const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
+    expect_bit_identical(out.results,
+                         sequential_reference("a-flexcore-24",
+                                              pipe.constellation(), fr, nv));
+  }
 }
 
 TEST(Frame, SicFallbackAppliedInsideFrame) {
@@ -165,13 +179,15 @@ TEST(Frame, FcsdFrameMatchesSequentialLifecycle) {
   cfg.threads = 2;
   fa::UplinkPipeline pipe(cfg);
   const double nv = 0.05;
-  const Frame fr = make_frame(pipe.constellation(), 10, 6, 6, 6, nv, 26);
+  for (const std::size_t vpc : vector_counts(6)) {
+    const Frame fr = make_frame(pipe.constellation(), 10, vpc, 6, 6, nv, 26);
 
-  const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
-  expect_bit_identical(out.results,
-                       sequential_reference("fcsd-L1", pipe.constellation(),
-                                            fr, nv));
-  EXPECT_EQ(out.sic_fallbacks, 0u);
+    const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
+    expect_bit_identical(out.results,
+                         sequential_reference("fcsd-L1", pipe.constellation(),
+                                              fr, nv));
+    EXPECT_EQ(out.sic_fallbacks, 0u);
+  }
 }
 
 TEST(Frame, GenericDetectorsRouteThroughBatchFallback) {
@@ -328,6 +344,22 @@ TEST(Frame, ReusePreprocessingSkipsInstallsAndMatches) {
   EXPECT_EQ(pipe.channel_installs(), 10u) << "reuse must not re-install";
   EXPECT_EQ(reused.channels_installed, 0u);
   expect_bit_identical(reused.results, cold.results);
+
+  // Reuse holds at any vector count over the installed channels: one
+  // vector per subcarrier, and one past a reconstruction group.
+  ch::Rng rng(330);
+  for (const std::size_t vpc : vector_counts(4)) {
+    const Frame more = flexcore::sim::synth_frame_over(
+        pipe.constellation(), fr.channels, vpc, nv, rng);
+    fa::FrameJob again = job_of(more, nv);
+    again.reuse_preprocessing = true;
+    const fa::FrameResult hit = pipe.detect_frame(again);
+    EXPECT_EQ(hit.channels_installed, 0u);
+    expect_bit_identical(hit.results,
+                         sequential_reference("flexcore-12",
+                                              pipe.constellation(), more, nv));
+  }
+  EXPECT_EQ(pipe.channel_installs(), 10u);
 
   // A different subcarrier count invalidates the cache: preprocessing runs
   // despite the flag.

@@ -16,12 +16,14 @@
 #include <initializer_list>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/detector_registry.h"
+#include "api/uplink_pipeline.h"
 #include "channel/channel.h"
 #include "core/flexcore_detector.h"
 #include "detect/fcsd.h"
@@ -29,7 +31,9 @@
 #include "parallel/thread_pool.h"
 #include "obs/obs.h"
 #include "perfmodel/fixed_point.h"
+#include "reference_qr.h"
 #include "reference_walk.h"
+#include "shard/partial_qr.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
@@ -37,6 +41,7 @@ namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
 namespace fl = flexcore::linalg;
 namespace fr = flexcore::testref;
+namespace sh = flexcore::shard;
 using flexcore::modulation::Constellation;
 
 namespace {
@@ -450,6 +455,302 @@ TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
   }
   EXPECT_GT(exact_dead, 0u);
   expect_invalid_ranks_deactivate(exact, sc, "exact");
+}
+
+// ------------------------------------------------- lane-batched walks
+
+/// Rotated vectors for lane-batched walks: more than one call's lanes, so
+/// every lane of a group walks a vector of its own.
+std::vector<fl::CVec> lane_ybars(const fl::CMat& h, const Constellation& c,
+                                 double nv, const fl::CMat& q,
+                                 ch::Rng& rng) {
+  std::vector<fl::CVec> ybars;
+  for (std::size_t v = 0; v < fd::PathPlan::walk_lanes() + 8; ++v) {
+    fl::CVec ybar(q.cols());
+    fl::hermitian_mul_into(q, random_y(h, c, nv, rng), ybar);
+    ybars.push_back(std::move(ybar));
+  }
+  return ybars;
+}
+
+/// Lane k's symbols of a lane-batched walk over `nt` levels.
+std::vector<int> lane_symbols(const std::vector<int>& symbols, std::size_t k,
+                              std::size_t nt) {
+  const auto first = symbols.begin() + static_cast<std::ptrdiff_t>(k * nt);
+  return {first, first + static_cast<std::ptrdiff_t>(nt)};
+}
+
+/// Lane-batched walks against the reference, one group of every size from
+/// 1 to walk_lanes() + 1: lane k walks a path of its own over a rotated
+/// vector of its own.  Adds the groups that mix dead and live lanes to
+/// `mixed`.
+template <typename Ref>
+void expect_lanes_match_reference(const fd::PathPlan& plan, const Ref& ref,
+                                  std::size_t num_paths,
+                                  const std::vector<fl::CVec>& ybars,
+                                  const std::string& what,
+                                  std::size_t* mixed = nullptr) {
+  const std::size_t nt = plan.levels();
+  for (std::size_t n = 1; n <= fd::PathPlan::walk_lanes() + 1; ++n) {
+    fl::CVec flat;
+    std::vector<std::size_t> paths(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const fl::CVec& y = ybars[(k + n) % ybars.size()];
+      flat.insert(flat.end(), y.begin(), y.end());
+      paths[k] = (k * 7 + n * 3) % num_paths;
+    }
+    std::vector<double> metrics(n);
+    std::vector<int> symbols(n * nt);
+    plan.walk_paths(flat, paths, metrics, symbols);
+    std::size_t dead = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::span<const fl::cplx> ybar(flat.data() + k * nt, nt);
+      const fr::PathEval ev = ref.evaluate_path(ybar, paths[k]);
+      const std::string lane = what + " group " + std::to_string(n) +
+                               " lane " + std::to_string(k);
+      if (!ev.valid) {
+        EXPECT_TRUE(std::isinf(metrics[k])) << lane;
+        ++dead;
+        continue;
+      }
+      EXPECT_EQ(metrics[k], ev.metric) << lane;
+      EXPECT_EQ(lane_symbols(symbols, k, nt), ev.symbols) << lane;
+    }
+    if (mixed != nullptr && dead > 0 && dead < n) ++*mixed;
+  }
+}
+
+TEST(KernelWalkLanes, FlexCoreLanesMatchReference) {
+  // Every FlexCore walk mode (LUT, skip-to-valid, exact sort) of plain and
+  // adaptive FlexCore, on registry detectors, and the hand-built paths
+  // whose invalid ranks kill lanes beside live ones in the same group.
+  struct Mode {
+    const char* name;
+    fc::OrderingMode ordering;
+    fc::InvalidEntryPolicy policy;
+  };
+  const Mode modes[] = {
+      {"lut", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kDeactivate},
+      {"skip", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kSkipToValid},
+      {"exact", fc::OrderingMode::kExactSort,
+       fc::InvalidEntryPolicy::kDeactivate},
+  };
+  for (int qam : {16, 64}) {
+    Constellation c(qam);
+    ch::Rng rng(600 + static_cast<std::uint64_t>(qam));
+    const auto h = ch::rayleigh_iid(12, 12, rng);
+    const double nv = ch::noise_var_for_snr_db(qam == 64 ? 14.0 : 8.0);
+    for (const Mode& mode : modes) {
+      fa::DetectorConfig cfg{.constellation = &c};
+      cfg.flexcore.ordering = mode.ordering;
+      cfg.flexcore.invalid_policy = mode.policy;
+      for (const char* family : {"flexcore-48", "a-flexcore-48"}) {
+        const auto det =
+            fa::make_detector_as<fc::FlexCoreDetector>(family, cfg);
+        det->set_channel(h, nv);
+        const fr::FlexCoreReference ref(*det);
+        expect_lanes_match_reference(
+            det->plan(), ref, det->active_paths(),
+            lane_ybars(h, c, nv, det->qr().Q, rng),
+            std::string(family) + "/" + mode.name +
+                " qam=" + std::to_string(qam));
+      }
+    }
+  }
+
+  const HandScenario sc;
+  for (const bool exact : {false, true}) {
+    fd::PathPlan plan;
+    sc.compile(plan, exact);
+    fc::FlexCoreConfig cfg = sc.det->config();
+    if (exact) cfg.ordering = fc::OrderingMode::kExactSort;
+    const fr::FlexCoreReference ref(sc.det->qr().R, sc.c, sc.det->lut(),
+                                    sc.paths, cfg);
+    std::size_t mixed = 0;
+    expect_lanes_match_reference(plan, ref, sc.paths.size(), sc.ybars,
+                                 exact ? "hand-built exact" : "hand-built",
+                                 &mixed);
+    EXPECT_GT(mixed, 0u) << "no group mixes dead and live lanes";
+  }
+}
+
+TEST(KernelWalkLanes, FcsdLanesMatchReference) {
+  for (int qam : {4, 16}) {
+    Constellation c(qam);
+    ch::Rng rng(700 + static_cast<std::uint64_t>(qam));
+    const auto h = ch::rayleigh_iid(8, 8, rng);
+    const double nv = ch::noise_var_for_snr_db(12.0);
+    for (std::size_t levels : {1u, 2u}) {
+      fd::FcsdDetector det(c, levels);
+      det.set_channel(h, nv);
+      const fr::FcsdReference ref(det, c);
+      expect_lanes_match_reference(
+          det.plan(), ref, det.num_paths(),
+          lane_ybars(h, c, nv, det.qr().Q, rng),
+          "fcsd-L" + std::to_string(levels) + " qam=" + std::to_string(qam));
+    }
+  }
+}
+
+TEST(KernelWalkLanes, SicLanesMatchReference) {
+  // The batched clamped rank-1 walk at operating noise and at noise that
+  // throws nearly every slice outside the grid.
+  Constellation c(64);
+  ch::Rng rng(801);
+  const auto h = ch::rayleigh_iid(12, 12, rng);
+  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-4", {.constellation = &c});
+  for (double nv : {ch::noise_var_for_snr_db(15.0), 4.0}) {
+    det->set_channel(h, nv);
+    const fr::FlexCoreReference ref(*det);
+    const std::vector<fl::CVec> ybars = lane_ybars(h, c, nv, det->qr().Q, rng);
+    const std::size_t nt = 12;
+    for (std::size_t n = 1; n <= fd::PathPlan::walk_lanes() + 1; ++n) {
+      fl::CVec flat;
+      for (std::size_t k = 0; k < n; ++k) {
+        flat.insert(flat.end(), ybars[(k + n) % ybars.size()].begin(),
+                    ybars[(k + n) % ybars.size()].end());
+      }
+      std::vector<double> metrics(n);
+      std::vector<int> symbols(n * nt);
+      det->plan().walk_sic(flat, metrics, symbols);
+      for (std::size_t k = 0; k < n; ++k) {
+        const fr::PathEval want =
+            ref.sic(std::span<const fl::cplx>(flat.data() + k * nt, nt));
+        EXPECT_EQ(metrics[k], want.metric) << "nv=" << nv << " n=" << n;
+        EXPECT_EQ(lane_symbols(symbols, k, nt), want.symbols)
+            << "nv=" << nv << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelWalkLanes, GroupReconstructionMatchesPerVector) {
+  // reconstruct_winners over a group equals reconstruct_winner per vector,
+  // fallbacks and i16 rescues included, at group sizes 1 .. walk_lanes()
+  // + 1; FCSD's group reconstruction likewise.
+  Constellation c(64);
+  ch::Rng rng(902);
+  const auto h = ch::rayleigh_iid(8, 8, rng);
+  for (const char* spec : {"flexcore-2", "flexcore-32:i16", "fcsd-L1"}) {
+    const auto det = fa::make_detector(spec, {.constellation = &c});
+    const double nv = std::string(spec) == "flexcore-2"
+                          ? 4.0
+                          : ch::noise_var_for_snr_db(18.0);
+    det->set_channel(h, nv);
+    const std::size_t nt = 8;
+    const auto check = [&](const auto& d) {
+      std::size_t fell = 0;
+      for (std::size_t n = 1; n <= fd::PathPlan::walk_lanes() + 1; ++n) {
+        fl::CVec ybars(n * nt);
+        std::vector<std::size_t> best(n);
+        std::vector<double> metric(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::span<fl::cplx> ybar(ybars.data() + k * nt, nt);
+          d.rotate_into(random_y(h, c, nv, rng), ybar);
+          fd::scan_paths(d, std::span<const fl::cplx>(ybar),
+                         d.parallel_tasks(), &best[k], &metric[k]);
+        }
+        fd::Workspace ws;
+        std::vector<fd::DetectionResult> got(n);
+        const std::size_t group_fell =
+            d.reconstruct_winners(ybars, best, metric, ws, got);
+        std::size_t one_fell = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+          fd::DetectionResult want;
+          one_fell += d.reconstruct_winner(
+              std::span<const fl::cplx>(ybars.data() + k * nt, nt), best[k],
+              metric[k], ws, &want);
+          EXPECT_EQ(got[k].symbols, want.symbols) << spec << " n=" << n;
+          EXPECT_EQ(got[k].metric, want.metric) << spec << " n=" << n;
+        }
+        EXPECT_EQ(group_fell, one_fell) << spec << " n=" << n;
+        fell += group_fell;
+      }
+      if (std::string(spec) == "flexcore-2") {
+        EXPECT_GT(fell, 0u) << "scenario no longer reaches the SIC fallback";
+      }
+    };
+    if (const auto* f = dynamic_cast<const fc::FlexCoreDetector*>(det.get())) {
+      check(*f);
+    } else {
+      check(dynamic_cast<const fd::FcsdDetector&>(*det));
+    }
+  }
+}
+
+// ------------------------------------------------------ Q^H y rotation
+
+/// A random double across the kernel's input range: signed zeros,
+/// subnormals and normal values from 1e-150 to 1e150.
+double rotation_value(ch::Rng& rng) {
+  const double sign = rng.uniform_int(2) == 0 ? 1.0 : -1.0;
+  switch (rng.uniform_int(4)) {
+    case 0:
+      return sign * 0.0;
+    case 1:  // subnormal
+      return sign * std::ldexp(rng.uniform(), -1022 - static_cast<int>(
+                                                      rng.uniform_int(52)));
+    default:
+      return sign * (0.5 + rng.uniform()) *
+             std::pow(10.0, static_cast<double>(rng.uniform_int(301)) - 150.0);
+  }
+}
+
+/// Bitwise equality of two complex sequences (signed zeros apart).
+void expect_bitwise(std::span<const fl::cplx> got,
+                    std::span<const fl::cplx> want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(fl::cplx)),
+            0)
+      << what;
+}
+
+TEST(KernelRotation, LaneKernelIsBitIdenticalToScalarLoop) {
+  // hermitian_mul_into against the scalar std::complex loop, bit for bit,
+  // on rows 1..40 and 64 x cols 1..32 (the serving shapes 12x12, 16x8,
+  // 32x8 and 64x8 among them), in whichever copy FLEXCORE_I16_ISA pins.
+  ch::Rng rng(4242);
+  std::vector<std::size_t> rows_set;
+  for (std::size_t r = 1; r <= 40; ++r) rows_set.push_back(r);
+  rows_set.push_back(64);
+  for (const std::size_t rows : rows_set) {
+    for (std::size_t cols = 1; cols <= 32; ++cols) {
+      for (int rep = 0; rep < 2; ++rep) {
+        fl::CMat m(rows, cols);
+        fl::CVec v(rows), got(cols), want(cols);
+        for (std::size_t e = 0; e < rows * cols; ++e) {
+          m.data()[e] = {rotation_value(rng), rotation_value(rng)};
+        }
+        for (fl::cplx& z : v) z = {rotation_value(rng), rotation_value(rng)};
+        fl::hermitian_mul_into(m, v, got);
+        fr::hermitian_mul_scalar(m, v, want);
+        expect_bitwise(got, want,
+                       std::to_string(rows) + "x" + std::to_string(cols));
+      }
+    }
+  }
+}
+
+TEST(KernelRotation, PartialRotationMatchesScalarLoopAndPassesThinClusters) {
+  // shard::rotate_partial: a cluster with rows >= Nt rotates by its Q like
+  // the scalar loop; a thin cluster passes its rows through verbatim.
+  ch::Rng rng(4343);
+  const fl::CMat h = ch::rayleigh_iid(32, 8, rng);
+  fl::CVec y(32);
+  for (fl::cplx& z : y) z = {rotation_value(rng), rotation_value(rng)};
+  const sh::PartialQr full = sh::compute_partial(h.row_range(0, 32));
+  fl::CVec got(8), want(8);
+  sh::rotate_partial(full, y, got);
+  fr::hermitian_mul_scalar(full.q, y, want);
+  expect_bitwise(got, want, "32x8 cluster");
+
+  const sh::PartialQr thin = sh::compute_partial(h.row_range(0, 5));
+  ASSERT_TRUE(thin.q.empty());
+  const std::span<const fl::cplx> y5(y.data(), 5);
+  fl::CVec pass(5);
+  sh::rotate_partial(thin, y5, pass);
+  expect_bitwise(pass, y5, "thin cluster");
 }
 
 TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
@@ -887,18 +1188,25 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
   std::size_t rescued = 0;
   fd::Workspace ws;
   std::vector<int> symbols(12);
-  for (int channel = 0; channel < 8; ++channel) {
+  constexpr std::size_t kChannels = 8, kVectors = 256;
+  std::vector<fl::CMat> channels;
+  std::vector<fl::CVec> ys;
+  std::vector<fd::DetectionResult> per_vector;
+  for (std::size_t channel = 0; channel < kChannels; ++channel) {
     const auto h = ch::rayleigh_iid(12, 12, rng);
+    channels.push_back(h);
     det->set_channel(h, nv);
     const fr::FlexCoreReference ref(*det);
-    for (int v = 0; v < 256; ++v) {
-      const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      ys.push_back(random_y(h, c, nv, rng));
+      const fl::CVec ybar = det->rotate(ys.back());
       std::size_t best_path = 0;
       double best_metric = 0.0;
       fd::scan_paths(*det, ybar, det->active_paths(), &best_path,
                      &best_metric);  // the i16 grid's verdict
       fd::DetectionResult got;
       det->reconstruct_winner(ybar, best_path, best_metric, ws, &got);
+      per_vector.push_back(got);
       if (!std::isinf(best_metric) &&
           !std::isinf(det->plan().walk_path(ybar, best_path, symbols))) {
         continue;  // the exact walk confirms the grid's winner
@@ -914,6 +1222,30 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
   EXPECT_GT(rescued, 0u) << "scenario no longer reaches the i16 rescue";
   if (flexcore::obs::kLevel >= 1) {
     EXPECT_EQ(rescans() - rescans0, rescued);
+  }
+
+  // The same vectors as one frame through detect_frame, whose grouped
+  // reconstruction rescues the same vectors, counted once each, and
+  // decides every vector like the per-vector path above.
+  fa::PipelineConfig pcfg;
+  pcfg.detector = "flexcore-64:i16";
+  pcfg.qam_order = 64;
+  pcfg.threads = 2;
+  fa::UplinkPipeline pipe(pcfg);
+  fa::FrameJob job;
+  job.channels = channels;
+  job.ys = ys;
+  job.vectors_per_channel = kVectors;
+  job.noise_var = nv;
+  const std::uint64_t rescans1 = rescans();
+  const fa::FrameResult frame = pipe.detect_frame(job);
+  if (flexcore::obs::kLevel >= 1) {
+    EXPECT_EQ(rescans() - rescans1, rescued);
+  }
+  ASSERT_EQ(frame.results.size(), per_vector.size());
+  for (std::size_t u = 0; u < per_vector.size(); ++u) {
+    EXPECT_EQ(frame.results[u].symbols, per_vector[u].symbols) << u;
+    EXPECT_EQ(frame.results[u].metric, per_vector[u].metric) << u;
   }
 }
 

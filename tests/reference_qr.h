@@ -1,5 +1,6 @@
 // Column-at-a-time modified Gram-Schmidt: the bit-identity reference of
-// the library's MGS core (linalg/qr.cpp).
+// the library's MGS core (linalg/qr.cpp).  Also the scalar Q^H y loop,
+// the reference of the rotation lane kernel (linalg::hermitian_mul_into).
 //
 // The library orthogonalizes in the output Q's own storage and updates
 // every later column row by row.  This reference is the textbook form it
@@ -14,6 +15,7 @@
 #include <cstddef>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -114,6 +116,29 @@ inline linalg::QrResult sorted_qr_wubben_by_columns(linalg::CMatView h) {
         }
         return best;
       });
+}
+
+/// out = m^H v as the scalar std::complex loop: each entry starts from
+/// +0 and adds conj(m(j, i)) * v[j] in ascending j.  Kept out of GCC's
+/// loop vectorizer: where the target has FMA (-march=native), GCC 12
+/// vectorizes this loop's complex multiply into fused multiply-adds in
+/// spite of -ffp-contract=off, and the reference must be the twice-rounded
+/// product the portable build computes.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-loop-vectorize")))
+#endif
+inline void hermitian_mul_scalar(linalg::CMatView m,
+                                 std::span<const linalg::cplx> v,
+                                 std::span<linalg::cplx> out) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  for (std::size_t i = 0; i < cols; ++i) out[i] = linalg::cplx{0.0, 0.0};
+  const linalg::cplx* data = m.data();
+  for (std::size_t j = 0; j < rows; ++j) {
+    const linalg::cplx vj = v[j];
+    const linalg::cplx* row = data + j * cols;
+    for (std::size_t i = 0; i < cols; ++i) out[i] += std::conj(row[i]) * vj;
+  }
 }
 
 }  // namespace flexcore::testref
