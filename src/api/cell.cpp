@@ -21,7 +21,7 @@ Cell::Cell(std::size_t id, const CellConfig& cfg, parallel::ThreadPool* pool)
   if (cfg_.name.empty()) cfg_.name = "cell" + std::to_string(id);
 }
 
-bool Cell::note_outcome(Outcome outcome) {
+void Cell::note_outcome(Outcome outcome) {
   health_ring_[health_idx_] = outcome;
   health_idx_ = (health_idx_ + 1) % kHealthWindow;
   if (health_len_ < kHealthWindow) ++health_len_;
@@ -43,10 +43,9 @@ bool Cell::note_outcome(Outcome outcome) {
   } else if (bad >= 1 || shed >= 4) {
     verdict = 1;  // kDegraded
   }
-  if (verdict == health_) return false;
+  if (verdict == health_) return;
   health_ = verdict;
   ++health_transitions_;
-  return true;
 }
 
 }  // namespace flexcore::api

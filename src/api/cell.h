@@ -153,10 +153,9 @@ class Cell {
   };
 
   /// Records one terminal outcome into the fixed health ring and
-  /// recomputes the cell's health verdict.  Returns true when the verdict
-  /// CHANGED (the caller bumps the watchdog-transition counter).  Pre: the
-  /// owning Runtime's mutex is held.
-  bool note_outcome(Outcome outcome);
+  /// recomputes the cell's health verdict, counting a change in
+  /// health_transitions_.  Pre: the owning Runtime's mutex is held.
+  void note_outcome(Outcome outcome);
 
   std::size_t id_;
   CellConfig cfg_;

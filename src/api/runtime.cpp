@@ -312,10 +312,7 @@ FrameTicket Runtime::submit(Cell& cell, const FrameJob& job,
         st->seq = cell.next_seq_++;
         ++cell.frames_in_;
         ++cell.frames_dropped_;
-        obs::counter_add(obs::Counter::kFramesDropped);
-        if (cell.note_outcome(Cell::Outcome::kShed)) {
-          obs::counter_add(obs::Counter::kWatchdogTransitions);
-        }
+        cell.note_outcome(Cell::Outcome::kShed);
         lock.unlock();
         FrameTicket ticket(st);
         complete_ticket(*st, TicketStatus::kDropped, FrameResult{}, "");
@@ -358,7 +355,6 @@ FrameTicket Runtime::submit(Cell& cell, const FrameJob& job,
                     : Clock::time_point::max();
   cell.queue_.push_back(std::move(pf));
   ++queued_total_;
-  obs::counter_add(obs::Counter::kFramesSubmitted);
   if (!cell.scheduled_) {
     cell.scheduled_ = true;
     runnable_.push_back(&cell);
@@ -447,9 +443,7 @@ bool Runtime::expire_stale(std::unique_lock<std::mutex>& lock) {
         it = q.erase(it);
         --queued_total_;
         ++cell->frames_expired_;
-        if (cell->note_outcome(Cell::Outcome::kShed)) {
-          obs::counter_add(obs::Counter::kWatchdogTransitions);
-        }
+        cell->note_outcome(Cell::Outcome::kShed);
       } else {
         ++it;
       }
@@ -462,7 +456,6 @@ bool Runtime::expire_stale(std::unique_lock<std::mutex>& lock) {
     }
   }
   if (expired.empty()) return false;
-  obs::counter_add(obs::Counter::kFramesExpired, expired.size());
   space_cv_.notify_all();
   drain_cv_.notify_all();
   lock.unlock();
@@ -558,7 +551,6 @@ void Runtime::process_next(std::unique_lock<std::mutex>& lock) {
   // still see it as in flight — the consistent direction).
   lock.lock();
   parallel::guard_detail::note_lock();  // re-acquired after unlocked section
-  bool transitioned = false;
   switch (status) {
     case TicketStatus::kDone:
       ++cell->frames_out_;
@@ -571,34 +563,27 @@ void Runtime::process_next(std::unique_lock<std::mutex>& lock) {
       stage_record(obs::Stage::kPathGrid, grid_us);
       stage_record(obs::Stage::kReconstruct, rec_us);
       stage_record(obs::Stage::kComplete, latency_us);
-      obs::counter_add(obs::Counter::kFramesCompleted);
-      transitioned = cell->note_outcome(Cell::Outcome::kOk);
+      cell->note_outcome(Cell::Outcome::kOk);
       break;
     case TicketStatus::kExpired:
       ++cell->frames_expired_;
-      obs::counter_add(obs::Counter::kFramesExpired);
-      transitioned = cell->note_outcome(Cell::Outcome::kShed);
+      cell->note_outcome(Cell::Outcome::kShed);
       break;
     case TicketStatus::kFailed:
       ++cell->frames_failed_;
       // Whatever threw may have left the frame detectors' per-channel
       // state partially updated: force the next frame to re-preprocess.
       cell->warm_ = false;
-      obs::counter_add(obs::Counter::kFramesFailed);
-      transitioned = cell->note_outcome(Cell::Outcome::kBad);
+      cell->note_outcome(Cell::Outcome::kBad);
       break;
     case TicketStatus::kQuarantined:
       ++cell->frames_quarantined_;
       // The pipeline invalidated its preprocessing caches; drop the
       // cell-level warmup too so coherence reuse restarts cleanly.
       cell->warm_ = false;
-      obs::counter_add(obs::Counter::kFramesQuarantined);
-      transitioned = cell->note_outcome(Cell::Outcome::kBad);
+      cell->note_outcome(Cell::Outcome::kBad);
       break;
     default: break;
-  }
-  if (transitioned) {
-    obs::counter_add(obs::Counter::kWatchdogTransitions);
   }
   --in_flight_;
   release_cell_locked(cell);
@@ -639,7 +624,6 @@ void Runtime::apply_reconfig(std::unique_lock<std::mutex>& lock, Cell* cell,
     // re-preprocesses even under the cell's coherence policy.
     cell->warm_ = false;
     ++cell->reconfigs_;
-    obs::counter_add(obs::Counter::kReconfigsApplied);
   }
   cell->busy_reconfig_ = false;
   --in_flight_reconfigs_;

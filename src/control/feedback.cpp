@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string_view>
 
 #include "obs/obs.h"
 
@@ -139,11 +138,6 @@ std::optional<Decision> FeedbackLoop::emit(const char* reason) {
   d.reason = reason;
   current_ = d;
   decisions_.push_back(d);
-  obs::counter_add(obs::Counter::kControlDecisions);
-  if (d.reason == std::string_view("load-degrade")) {
-    // degrade_step_ was just incremented: the first shed lands on rung 0.
-    obs::shed_ladder_rung(degrade_step_ - 1);
-  }
   if (obs::tracing_enabled()) {
     // Control decisions are rare and load-bearing: mark every one as an
     // instant event regardless of frame sampling, on the caller's track.

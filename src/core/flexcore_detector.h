@@ -148,7 +148,7 @@ class FlexCoreDetector : public Detector {
   const detect::PathPlanI16& plan_i16() const noexcept { return plans_.i16(); }
 
   /// Builds the final DetectionResults of a group of vectors of this
-  /// channel from their grid verdicts (run_path_grid / run_frame_grid):
+  /// channel from their grid verdicts (detect::run_frame_grid):
   /// vector k's rotated vector is ybars[k * Nt, (k + 1) * Nt), its verdict
   /// best_path[k] / best_metric[k], its result res[k].  The winners' exact
   /// walks run lane-batched (PathPlan::walk_paths); a vector whose

@@ -4,18 +4,16 @@
 // ThreadPool, with each task scanning its paths through the lane-parallel
 // block kernel (detect/path_kernels.h).
 //
-// Two granularities are provided:
-//  * run_path_grid  — the single-channel (vector x path) grid behind
-//    Detector::detect_batch (detect_batch_on_pool adds the winner
-//    reconstruction); the Fig. 11 benchmark times exactly this grid.
-//  * run_frame_grid — the multi-channel (subcarrier x vector x path) grid
-//    behind api::UplinkPipeline::detect_frame: one flat job covering every
-//    subcarrier of an OFDM frame.
+// run_frame_grid is the multi-channel (subcarrier x vector x path) grid
+// behind api::UplinkPipeline::detect_frame: one flat job covering every
+// subcarrier of an OFDM frame.  Detector::detect_batch runs the same grid
+// with a single channel (detect_batch_on_pool adds the winner
+// reconstruction); the Fig. 11 benchmark times exactly that grid.
 //
-// reconstruct_grid completes either grid's verdicts per group of one
+// reconstruct_grid completes the grid's verdicts per group of one
 // channel's vectors, one lane-batched exact walk per group.
 //
-// Both grids write into caller-owned output structs whose buffers are
+// The grid writes into a caller-owned output struct whose buffers are
 // resized, never shrunk, so steady-state runs perform zero heap
 // allocations (verified by the operator-new-counting tests in
 // tests/frame_test.cpp).
@@ -87,134 +85,6 @@ inline void scan_paths(const K& kernel, std::span<const linalg::cplx> ybar,
   *best_metric = best;
 }
 
-/// Output of one single-channel task-grid run.  Rotated inputs live in one
-/// flat buffer, nt per vector; buffers are resized, never shrunk, so
-/// reusing the same PathGridOutput across batches of equal (or smaller)
-/// shape performs no allocation at all.
-///
-/// A best_metric of +infinity means every path of that vector was
-/// deactivated (FlexCore's out-of-constellation policy).  The grid itself
-/// intentionally does not replicate the SIC-fallback policy; callers that
-/// need full DetectionResults should go through Detector::detect_batch,
-/// which applies it.
-struct PathGridOutput {
-  // flexcore-lint: allow-next-line(HP005) documented AoS handoff to detectors
-  std::vector<linalg::cplx> ybars;     ///< flat rotated inputs, nt per vector
-  std::vector<std::size_t> best_path;  ///< winning path index per vector
-  std::vector<double> best_metric;     ///< its Euclidean distance
-  std::size_t nt = 0;                  ///< levels per rotated vector
-  double elapsed_seconds = 0.0;        ///< wall-clock of the task grid
-  std::size_t tasks = 0;               ///< vectors * paths
-};
-
-/// Runs the full vector x path grid for a batch of received vectors (all
-/// sharing the channel installed in `det`, whose R has `nt` columns) across
-/// `pool`.  Each task rotates its vector into the flat ybar buffer and
-/// scans its paths with the min-reduction folded inline (the paper's
-/// pipelined minimum tree) — steady-state tasks allocate nothing.
-template <PathParallelDetector D>
-FLEXCORE_HOT_PATH
-void run_path_grid(const D& det, std::size_t num_paths,
-                   std::span<const linalg::CVec> ys, std::size_t nt,
-                   parallel::ThreadPool& pool, PathGridOutput* out) {
-  const std::size_t nv = ys.size();
-  out->nt = nt;
-  out->tasks = nv * num_paths;
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->ybars.resize(nv * nt);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->best_path.assign(nv, 0);
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  out->best_metric.assign(nv, std::numeric_limits<double>::infinity());
-  if (nv == 0 || num_paths == 0) {
-    out->elapsed_seconds = 0.0;
-    return;
-  }
-
-  // Rotation (ybar = Q^H y) is part of the measured work, as in the paper's
-  // kernel timing.
-  const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_for(nv, [&](std::size_t v) {
-    const std::span<linalg::cplx> ybar{out->ybars.data() + v * nt, nt};
-    det.rotate_into(ys[v], ybar);
-    scan_paths(det, std::span<const linalg::cplx>(ybar), num_paths,
-               &out->best_path[v], &out->best_metric[v]);
-  });
-  out->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-/// Winner reconstruction of a grid's verdicts across `pool`: the vectors
-/// of channel f — `vectors_per_channel` consecutive units of `grid` (a
-/// PathGridOutput or FrameGridOutput) — are completed by
-/// dets[f]->reconstruct_winners in groups of at most PathPlan::walk_lanes()
-/// vectors, one lane-batched exact walk per group, on per-worker scratch
-/// (the detector applies its fallback policy; the raw grid punts on it).
-/// Writes results[u] per unit and one fallback count per group to `fell`;
-/// returns their sum.
-template <typename D, typename Grid>
-FLEXCORE_HOT_PATH
-std::size_t reconstruct_grid(std::span<const D* const> dets,
-                             std::size_t vectors_per_channel, const Grid& grid,
-                             parallel::ThreadPool& pool,
-                             WorkspaceBank& workspaces,
-                             std::vector<std::size_t>* fell,
-                             std::span<DetectionResult> results) {
-  const std::size_t nv = vectors_per_channel;
-  const std::size_t nt = grid.nt;
-  const std::size_t lanes = PathPlan::walk_lanes();
-  const std::size_t per_channel = (nv + lanes - 1) / lanes;
-  const std::size_t groups = dets.size() * per_channel;
-  workspaces.ensure(pool.size());
-  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  fell->assign(groups, 0);
-  pool.parallel_for_worker(groups, [&](std::size_t w, std::size_t g) {
-    const std::size_t t = (g % per_channel) * lanes;
-    const std::size_t n = std::min(lanes, nv - t);
-    const std::size_t u = (g / per_channel) * nv + t;
-    (*fell)[g] = dets[g / per_channel]->reconstruct_winners(
-        std::span<const linalg::cplx>(grid.ybars).subspan(u * nt, n * nt),
-        std::span<const std::size_t>(grid.best_path).subspan(u, n),
-        std::span<const double>(grid.best_metric).subspan(u, n),
-        workspaces.at(w), results.subspan(u, n));
-  });
-  std::size_t total = 0;
-  for (const std::size_t k : *fell) total += k;
-  return total;
-}
-
-/// A detector's reusable detect_batch buffers: the grid output, per-worker
-/// reconstruction scratch and per-group fallback counts, kept at their
-/// high-water mark across calls (zero steady-state allocations).  Guarded
-/// by the detect_batch contract (one driver thread at a time).
-struct BatchScratch {
-  PathGridOutput grid;
-  WorkspaceBank workspaces;
-  std::vector<std::size_t> fell;
-};
-
-/// Detector::detect_batch over `pool` for a path-parallel detector: the
-/// vector x path grid, then its winner reconstruction (reconstruct_grid).
-template <PathParallelDetector D>
-void detect_batch_on_pool(const D& det, std::size_t num_paths,
-                          std::span<const linalg::CVec> ys, std::size_t nt,
-                          parallel::ThreadPool& pool, BatchScratch* scratch,
-                          BatchResult* out) {
-  const std::size_t nv = ys.size();
-  PathGridOutput& grid = scratch->grid;
-  run_path_grid(det, num_paths, ys, nt, pool, &grid);
-  out->results.assign(nv, DetectionResult{});
-  out->stats = DetectionStats{};
-  out->tasks = grid.tasks;
-  out->elapsed_seconds = grid.elapsed_seconds;
-
-  const D* const dets[] = {&det};
-  out->sic_fallbacks =
-      reconstruct_grid<D>(dets, nv, grid, pool, scratch->workspaces,
-                          &scratch->fell, out->results);
-  for (std::size_t v = 0; v < nv; ++v) out->stats += out->results[v].stats;
-}
-
 /// Output of one multi-channel frame-grid run.  "Unit" u = f * nv + t is
 /// the (subcarrier f, vector t) pair, subcarrier-major — the same layout as
 /// the input vectors.  Buffers are resized, never shrunk, so reusing the
@@ -277,6 +147,80 @@ void run_frame_grid(std::span<const D* const> dets,
   });
   out->elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Winner reconstruction of a grid's verdicts across `pool`: the vectors
+/// of channel f — `vectors_per_channel` consecutive units of `grid` — are
+/// completed by dets[f]->reconstruct_winners in groups of at most
+/// PathPlan::walk_lanes() vectors, one lane-batched exact walk per group,
+/// on per-worker scratch
+/// (the detector applies its fallback policy; the raw grid punts on it).
+/// Writes results[u] per unit and one fallback count per group to `fell`;
+/// returns their sum.
+template <typename D>
+FLEXCORE_HOT_PATH
+std::size_t reconstruct_grid(std::span<const D* const> dets,
+                             std::size_t vectors_per_channel,
+                             const FrameGridOutput& grid,
+                             parallel::ThreadPool& pool,
+                             WorkspaceBank& workspaces,
+                             std::vector<std::size_t>* fell,
+                             std::span<DetectionResult> results) {
+  const std::size_t nv = vectors_per_channel;
+  const std::size_t nt = grid.nt;
+  const std::size_t lanes = PathPlan::walk_lanes();
+  const std::size_t per_channel = (nv + lanes - 1) / lanes;
+  const std::size_t groups = dets.size() * per_channel;
+  workspaces.ensure(pool.size());
+  // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
+  fell->assign(groups, 0);
+  pool.parallel_for_worker(groups, [&](std::size_t w, std::size_t g) {
+    const std::size_t t = (g % per_channel) * lanes;
+    const std::size_t n = std::min(lanes, nv - t);
+    const std::size_t u = (g / per_channel) * nv + t;
+    (*fell)[g] = dets[g / per_channel]->reconstruct_winners(
+        std::span<const linalg::cplx>(grid.ybars).subspan(u * nt, n * nt),
+        std::span<const std::size_t>(grid.best_path).subspan(u, n),
+        std::span<const double>(grid.best_metric).subspan(u, n),
+        workspaces.at(w), results.subspan(u, n));
+  });
+  std::size_t total = 0;
+  for (const std::size_t k : *fell) total += k;
+  return total;
+}
+
+/// A detector's reusable detect_batch buffers: the grid output, per-worker
+/// reconstruction scratch and per-group fallback counts, kept at their
+/// high-water mark across calls (zero steady-state allocations).  Guarded
+/// by the detect_batch contract (one driver thread at a time).
+struct BatchScratch {
+  FrameGridOutput grid;
+  WorkspaceBank workspaces;
+  std::vector<std::size_t> fell;
+};
+
+/// Detector::detect_batch over `pool` for a path-parallel detector: the
+/// frame grid over its one channel, then its winner reconstruction
+/// (reconstruct_grid).
+template <PathParallelDetector D>
+void detect_batch_on_pool(const D& det, std::size_t num_paths,
+                          std::span<const linalg::CVec> ys, std::size_t nt,
+                          parallel::ThreadPool& pool, BatchScratch* scratch,
+                          BatchResult* out) {
+  const std::size_t nv = ys.size();
+  FrameGridOutput& grid = scratch->grid;
+  const D* const dets[] = {&det};
+  run_frame_grid<D>(dets, std::span<const std::size_t>(&num_paths, 1), ys, nv,
+                    nt, pool, &grid);
+  out->results.assign(nv, DetectionResult{});
+  out->stats = DetectionStats{};
+  out->tasks = grid.tasks;
+  out->elapsed_seconds = grid.elapsed_seconds;
+
+  out->sic_fallbacks =
+      reconstruct_grid<D>(dets, nv, grid, pool, scratch->workspaces,
+                          &scratch->fell, out->results);
+  for (std::size_t v = 0; v < nv; ++v) out->stats += out->results[v].stats;
 }
 
 }  // namespace flexcore::detect

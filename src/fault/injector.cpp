@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/obs.h"
-
 namespace flexcore::fault {
 
 namespace {
@@ -83,7 +81,6 @@ bool Injector::fires(const FaultRule& rule, std::size_t idx,
 void Injector::count(FaultKind kind) {
   counts_[static_cast<std::size_t>(kind)].fetch_add(1,
                                                     std::memory_order_relaxed);
-  obs::counter_add(obs::Counter::kFaultsInjected);
 }
 
 std::uint64_t Injector::injected_total() const {

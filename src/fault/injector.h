@@ -101,8 +101,8 @@ class Injector {
 
   /// Injects `rule` into the synthesized frame in place (payload/channel
   /// kinds; pressure kinds only count — the harness enacts them) and bumps
-  /// the by-kind counter + obs::Counter::kFaultsInjected.  The mutation
-  /// sites are seeded by (plan seed, cell, frame): deterministic.
+  /// the by-kind counter.  The mutation sites are seeded by (plan seed,
+  /// cell, frame): deterministic.
   void apply(const FaultRule& rule, std::size_t cell, std::uint64_t frame,
              sim::SynthFrame& fr);
 

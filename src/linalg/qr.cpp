@@ -28,7 +28,16 @@ constexpr double kRankTol = 1e-12;
 // and a zero R row instead of throwing (the shard-partial contract of
 // qr_mgs_tolerant); the branch is compile-time, so the full-rank code path
 // is the same instructions either way.
+//
+// Where the target has FMA (-march=native), GCC 12's loop vectorizer fuses
+// the complex multiply-adds of the two row-update loops in spite of
+// -ffp-contract=off, so there the core stays out of the vectorizer and
+// rounds like the portable build.  The portable build keeps its
+// vectorized (unfused) loops.
 template <bool Tolerant, typename PickFn>
+#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
+__attribute__((optimize("no-tree-loop-vectorize")))
+#endif
 FLEXCORE_HOT_PATH
 void mgs_core(CMatView h, CMat& q, CMat& r, std::vector<std::size_t>* perm,
               PickFn pick_next) {

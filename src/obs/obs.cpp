@@ -27,23 +27,10 @@ const char* to_string(Stage stage) {
 
 const char* to_string(Counter counter) {
   switch (counter) {
-    case Counter::kFramesSubmitted: return "frames_submitted";
-    case Counter::kFramesCompleted: return "frames_completed";
-    case Counter::kFramesDropped: return "frames_dropped";
-    case Counter::kFramesExpired: return "frames_expired";
-    case Counter::kFramesFailed: return "frames_failed";
-    case Counter::kReconfigsApplied: return "reconfigs_applied";
     case Counter::kPreprocReuseHits: return "preproc_reuse_hits";
     case Counter::kPreprocReuseMisses: return "preproc_reuse_misses";
     case Counter::kSicFallbacks: return "sic_fallbacks";
     case Counter::kI16BoundaryRescans: return "i16_boundary_rescans";
-    case Counter::kShardMergeFanins: return "shard_merge_fanins";
-    case Counter::kControlDecisions: return "control_decisions";
-    case Counter::kFramesQuarantined: return "frames_quarantined";
-    case Counter::kShardRetries: return "shard_retries";
-    case Counter::kShardBypasses: return "shard_bypasses";
-    case Counter::kWatchdogTransitions: return "watchdog_transitions";
-    case Counter::kFaultsInjected: return "faults_injected";
   }
   return "?";
 }
@@ -85,11 +72,6 @@ using SteadyClock = std::chrono::steady_clock;
 std::array<std::atomic<std::uint64_t>, kCounterCount>& counters() {
   static std::array<std::atomic<std::uint64_t>, kCounterCount> c{};
   return c;
-}
-
-std::array<std::atomic<std::uint64_t>, kMaxLadderRungs>& rungs() {
-  static std::array<std::atomic<std::uint64_t>, kMaxLadderRungs> r{};
-  return r;
 }
 
 std::atomic<std::uint32_t> g_sample_every{0};
@@ -230,7 +212,7 @@ std::uint64_t env_u64(const char* name, std::uint64_t def) {
 }
 
 [[maybe_unused]] const bool g_env_initialized = [] {
-  if (kLevel >= 2) {
+  if (kEnabled) {
     const char* trace = std::getenv("FLEXCORE_OBS_TRACE");
     const bool on =
         trace != nullptr && *trace != '\0' && std::strcmp(trace, "0") != 0;
@@ -262,7 +244,7 @@ std::uint64_t to_ns(std::chrono::steady_clock::time_point tp) {
 }
 
 bool tracing_enabled() {
-  if constexpr (kLevel < 2) return false;
+  if constexpr (!kEnabled) return false;
   return g_sample_every.load(std::memory_order_relaxed) != 0;
 }
 
@@ -271,11 +253,6 @@ namespace detail {
 void counter_add_impl(Counter counter, std::uint64_t n) {
   counters()[static_cast<std::size_t>(counter)].fetch_add(
       n, std::memory_order_relaxed);
-}
-
-void shed_ladder_rung_impl(std::size_t rung) {
-  if (rung >= kMaxLadderRungs) rung = kMaxLadderRungs - 1;
-  rungs()[rung].fetch_add(1, std::memory_order_relaxed);
 }
 
 void record_span_impl(Stage stage, std::uint64_t t0_ns, std::uint64_t t1_ns,
@@ -315,7 +292,7 @@ ObsConfig current_config() {
 }
 
 void set_thread_track(const char* name) {
-  if (kLevel < 2 || name == nullptr) return;
+  if (!kEnabled || name == nullptr) return;
   TlsState& tls = t_tls;
   std::snprintf(tls.pending_name, sizeof tls.pending_name, "%s", name);
   if (tls.ring != nullptr) {
@@ -329,7 +306,7 @@ void set_thread_track(const char* name) {
 
 TraceSnapshot drain_spans() {
   TraceSnapshot snap;
-  if (kLevel < 2) return snap;
+  if (!kEnabled) return snap;
   Registry& reg = registry();
   std::lock_guard lock(reg.mu);
   snap.tracks.reserve(reg.rings.size());
@@ -355,10 +332,7 @@ MetricsSnapshot metrics_snapshot() {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     snap.counters[i] = counters()[i].load(std::memory_order_relaxed);
   }
-  for (std::size_t i = 0; i < kMaxLadderRungs; ++i) {
-    snap.shed_per_rung[i] = rungs()[i].load(std::memory_order_relaxed);
-  }
-  if (kLevel >= 2) {
+  if (kEnabled) {
     Registry& reg = registry();
     std::lock_guard lock(reg.mu);
     for (const auto& ring : reg.rings) {
@@ -379,13 +353,6 @@ std::string metrics_to_text(const MetricsSnapshot& snapshot) {
                   static_cast<unsigned long long>(snapshot.counters[i]));
     out += line;
   }
-  for (std::size_t r = 0; r < kMaxLadderRungs; ++r) {
-    if (snapshot.shed_per_rung[r] == 0) continue;  // sparse: rungs are rare
-    std::snprintf(line, sizeof line, "obs_shed_frames{rung=\"%zu\"} %llu\n",
-                  r,
-                  static_cast<unsigned long long>(snapshot.shed_per_rung[r]));
-    out += line;
-  }
   std::snprintf(line, sizeof line, "obs_spans_recorded %llu\n",
                 static_cast<unsigned long long>(snapshot.spans_recorded));
   out += line;
@@ -404,14 +371,8 @@ std::string metrics_to_json(const MetricsSnapshot& snapshot) {
                   static_cast<unsigned long long>(snapshot.counters[i]));
     out += buf;
   }
-  out += "}, \"shed_per_rung\": [";
-  for (std::size_t r = 0; r < kMaxLadderRungs; ++r) {
-    std::snprintf(buf, sizeof buf, "%s%llu", r ? ", " : "",
-                  static_cast<unsigned long long>(snapshot.shed_per_rung[r]));
-    out += buf;
-  }
   std::snprintf(buf, sizeof buf,
-                "], \"spans_recorded\": %llu, \"spans_retained\": %llu}",
+                "}, \"spans_recorded\": %llu, \"spans_retained\": %llu}",
                 static_cast<unsigned long long>(snapshot.spans_recorded),
                 static_cast<unsigned long long>(snapshot.spans_retained));
   out += buf;
@@ -421,9 +382,8 @@ std::string metrics_to_json(const MetricsSnapshot& snapshot) {
 void reset_for_test(const ObsConfig& cfg) {
   configure(cfg);
   for (auto& c : counters()) c.store(0, std::memory_order_relaxed);
-  for (auto& r : rungs()) r.store(0, std::memory_order_relaxed);
   g_frame_seq.store(0, std::memory_order_relaxed);
-  if (kLevel < 2) return;
+  if (!kEnabled) return;
   Registry& reg = registry();
   std::lock_guard lock(reg.mu);
   const std::size_t cap = round_up_pow2(std::max<std::size_t>(

@@ -11,18 +11,21 @@
 //     reads a torn span) and allocation-free after the thread's first
 //     record (ring registration is the one cold-path lock + allocation —
 //     warm it up before entering a hot_path_guard scope).
-//   * Counters — process-global monotonic relaxed atomics (frames shed per
-//     degrade-ladder rung, i16 boundary rescans, SIC fallbacks,
-//     preprocessing reuse hits/misses, shard merge fan-ins, ...).
+//   * Counters — process-global monotonic relaxed atomics for the library
+//     events no runtime object counts: preprocessing reuse hits/misses, SIC
+//     fallbacks and i16 boundary rescans.  Frame outcomes, shard retries
+//     and bypasses, control decisions and injected faults are counted once,
+//     by their owners (api::RuntimeStats and its ShardStats,
+//     control::FeedbackLoop::decisions(), fault::Injector::injected()).
 //
 // Gating, coarse to fine:
 //   * FLEXCORE_OBS (compile time): 0 = everything compiles out (the inline
-//     wrappers below become empty), 1 = counters only, 2 = counters +
-//     spans.  Default 2; set via -DFLEXCORE_OBS=<n> (CMake option).
+//     wrappers below become empty); any other value compiles counters and
+//     spans in.  Default 2; set via -DFLEXCORE_OBS=<n> (CMake option).
 //   * Runtime sampling: spans are recorded only for frames whose TraceCtx
 //     was sampled by begin_frame() — every sample_every-th frame, 0 (the
 //     default) disabling span recording entirely.  Counters are always on
-//     at level >= 1.
+//     when obs is compiled in.
 //   * Environment: FLEXCORE_OBS_TRACE=1 enables tracing at process start
 //     (FLEXCORE_OBS_SAMPLE=<n> sets the sampling period, default 1;
 //     FLEXCORE_OBS_RING=<n> the per-thread ring capacity) — production
@@ -51,8 +54,8 @@
 
 namespace flexcore::obs {
 
-/// Compile-time observability level (see file comment).
-inline constexpr int kLevel = FLEXCORE_OBS;
+/// True when counters and spans are compiled in (FLEXCORE_OBS != 0).
+inline constexpr bool kEnabled = FLEXCORE_OBS != 0;
 
 /// Stage taxonomy of one frame's journey through the serving layers.
 /// Span names in exported traces and the indices of the per-stage latency
@@ -70,35 +73,15 @@ enum class Stage : std::uint8_t {
 inline constexpr std::size_t kStageCount = 8;
 const char* to_string(Stage stage);
 
-/// Monotonic process-global event counters (level >= 1).
+/// Monotonic process-global event counters.
 enum class Counter : std::uint8_t {
-  kFramesSubmitted = 0,  ///< frames enqueued (drops excluded)
-  kFramesCompleted,      ///< frames completed kDone
-  kFramesDropped,        ///< rejected by kDropNewest admission
-  kFramesExpired,        ///< shed by a deadline (queue-side or dispatch)
-  kFramesFailed,         ///< detection threw
-  kReconfigsApplied,     ///< detector swaps adopted at the frame boundary
-  kPreprocReuseHits,     ///< detect_frame reused cached preprocessing
-  kPreprocReuseMisses,   ///< detect_frame re-preprocessed
-  kSicFallbacks,         ///< vectors rescued by plain SIC
-  kI16BoundaryRescans,   ///< i16-tier winners re-derived by an exact rescan
-  kShardMergeFanins,     ///< shard partial-QR results merged (one per
-                         ///< cluster per sharded frame)
-  kControlDecisions,     ///< FeedbackLoop decisions emitted
-  kFramesQuarantined,    ///< frames completed kQuarantined (numeric faults)
-  kShardRetries,         ///< shard-stage fan-outs re-run after a shard fault
-  kShardBypasses,        ///< frames rerouted past a failed/stalled shard
-                         ///< fabric (merged-monolithic fallback)
-  kWatchdogTransitions,  ///< per-cell health state changes (CellHealth)
-  kFaultsInjected,       ///< faults injected by fault::Injector
+  kPreprocReuseHits = 0,  ///< detect_frame reused cached preprocessing
+  kPreprocReuseMisses,    ///< detect_frame re-preprocessed
+  kSicFallbacks,          ///< vectors rescued by plain SIC
+  kI16BoundaryRescans,    ///< i16-tier winners re-derived by an exact rescan
 };
-inline constexpr std::size_t kCounterCount = 17;
+inline constexpr std::size_t kCounterCount = 4;
 const char* to_string(Counter counter);
-
-/// Degrade-ladder rungs tracked by the per-rung shed counters (a
-/// load-degrade decision at degrade_step s bumps rung s; steps past the
-/// end fold into the last rung).
-inline constexpr std::size_t kMaxLadderRungs = 12;
 
 /// Trigger taxonomy of control-plane decisions (control::Decision::reason),
 /// packed into the aux field of kControl events.
@@ -153,46 +136,39 @@ struct TraceSnapshot {
 /// the last reset_for_test()).
 struct MetricsSnapshot {
   std::array<std::uint64_t, kCounterCount> counters{};
-  std::array<std::uint64_t, kMaxLadderRungs> shed_per_rung{};
   std::uint64_t spans_recorded = 0;  ///< spans ever written, all rings
   std::uint64_t spans_retained = 0;  ///< spans currently held by the rings
 };
 
 namespace detail {
-// Out-of-line implementations; reach them through the level-gated inline
-// wrappers below so FLEXCORE_OBS=0 compiles every call site away.
+// Out-of-line implementations; reach them through the kEnabled-gated
+// inline wrappers below so FLEXCORE_OBS=0 compiles every call site away.
 void counter_add_impl(Counter counter, std::uint64_t n);
-void shed_ladder_rung_impl(std::size_t rung);
 void record_span_impl(Stage stage, std::uint64_t t0_ns, std::uint64_t t1_ns,
                       const TraceCtx& ctx, std::uint32_t aux, bool instant);
 TraceCtx begin_frame_impl(std::uint32_t cell);
 }  // namespace detail
 
-/// Steady-clock nanoseconds since the process obs epoch.  Usable at every
-/// level (benches timestamp with it even when tracing is compiled out).
+/// Steady-clock nanoseconds since the process obs epoch.  Usable whether
+/// or not obs is compiled in (benches timestamp with it either way).
 std::uint64_t now_ns();
 
 /// Converts an already-captured steady-clock time_point to the same scale
 /// as now_ns() — the runtime spans reuse the timestamps it takes anyway.
 std::uint64_t to_ns(std::chrono::steady_clock::time_point tp);
 
-/// Bumps a monotonic counter (relaxed atomic; wait-free, no-op at level 0).
+/// Bumps a monotonic counter (relaxed atomic; wait-free, no-op when obs is
+/// compiled out).
 inline void counter_add(Counter counter, std::uint64_t n = 1) {
-  if constexpr (kLevel >= 1) detail::counter_add_impl(counter, n);
+  if constexpr (kEnabled) detail::counter_add_impl(counter, n);
   else { (void)counter; (void)n; }
 }
 
-/// Records one frame shed at degrade-ladder rung `rung` (level >= 1).
-inline void shed_ladder_rung(std::size_t rung) {
-  if constexpr (kLevel >= 1) detail::shed_ladder_rung_impl(rung);
-  else (void)rung;
-}
-
 /// True when this frame's spans should be recorded — the ONE check hot
-/// paths make before touching the clock.  Constant-folds to false at
-/// level < 2.
+/// paths make before touching the clock.  Constant-folds to false when obs
+/// is compiled out.
 inline bool want_span(const TraceCtx& ctx) {
-  if constexpr (kLevel >= 2) return ctx.sampled;
+  if constexpr (kEnabled) return ctx.sampled;
   else { (void)ctx; return false; }
 }
 
@@ -203,7 +179,7 @@ inline bool want_span(const TraceCtx& ctx) {
 /// want_span(ctx) — the wrapper does not re-check sampling.
 inline void record_span(Stage stage, std::uint64_t t0_ns, std::uint64_t t1_ns,
                         const TraceCtx& ctx, std::uint32_t aux = 0) {
-  if constexpr (kLevel >= 2) {
+  if constexpr (kEnabled) {
     detail::record_span_impl(stage, t0_ns, t1_ns, ctx, aux, false);
   } else {
     (void)stage; (void)t0_ns; (void)t1_ns; (void)ctx; (void)aux;
@@ -213,7 +189,7 @@ inline void record_span(Stage stage, std::uint64_t t0_ns, std::uint64_t t1_ns,
 /// Records one instant (point) event — control-plane decisions.
 inline void record_instant(Stage stage, std::uint64_t t_ns,
                            const TraceCtx& ctx, std::uint32_t aux = 0) {
-  if constexpr (kLevel >= 2) {
+  if constexpr (kEnabled) {
     detail::record_span_impl(stage, t_ns, t_ns, ctx, aux, true);
   } else {
     (void)stage; (void)t_ns; (void)ctx; (void)aux;
@@ -224,14 +200,14 @@ inline void record_instant(Stage stage, std::uint64_t t_ns,
 /// and the sampling verdict (every sample_every-th frame).  Atomics only —
 /// safe under the runtime lock and on hot paths.
 inline TraceCtx begin_frame(std::uint32_t cell) {
-  if constexpr (kLevel >= 2) return detail::begin_frame_impl(cell);
+  if constexpr (kEnabled) return detail::begin_frame_impl(cell);
   TraceCtx ctx;
   ctx.decided = true;
   ctx.cell = cell;
   return ctx;
 }
 
-/// True when span recording is live (level >= 2 and sample_every > 0).
+/// True when span recording is live (obs compiled in and sample_every > 0).
 bool tracing_enabled();
 
 /// Applies runtime knobs (sampling takes effect immediately; ring capacity
@@ -253,7 +229,7 @@ TraceSnapshot drain_spans();
 /// Counter snapshot (always consistent; relaxed reads).
 MetricsSnapshot metrics_snapshot();
 
-/// Prometheus-style "name value" lines, one per counter/rung.
+/// Prometheus-style "name value" lines, one per counter and span total.
 std::string metrics_to_text(const MetricsSnapshot& snapshot);
 /// The same snapshot as a JSON object.
 std::string metrics_to_json(const MetricsSnapshot& snapshot);

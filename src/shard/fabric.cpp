@@ -340,7 +340,6 @@ Fabric::Result Fabric::run(const api::FrameJob& job,
       // Every cluster responded but at least one faulted: one full re-fan
       // overwrites every row, so a transient fault heals here without the
       // caller ever noticing.
-      obs::counter_add(obs::Counter::kShardRetries);
       ++out.retries;
     }
   }
@@ -361,10 +360,7 @@ Fabric::Result Fabric::run(const api::FrameJob& job,
     for (std::size_t i = 0; i < job.ys.size(); ++i) {
       merged->zs[i] = job.ys[i];
     }
-    obs::counter_add(obs::Counter::kShardBypasses);
     out.bypassed = true;
-  } else {
-    obs::counter_add(obs::Counter::kShardMergeFanins, effective);
   }
 
   const auto merged_at = Clock::now();

@@ -12,6 +12,7 @@
 #include "detect/fcsd.h"
 #include "detect/path_grid.h"
 #include "frame_fixtures.h"
+#include "obs/obs.h"
 #include "parallel/hot_path_guard.h"
 #include "parallel/thread_pool.h"
 
@@ -155,7 +156,7 @@ TEST(Frame, AdaptiveFlexcoreFrameMatchesSequentialLifecycle) {
 TEST(Frame, SicFallbackAppliedInsideFrame) {
   // A tiny path budget at brutal noise deactivates every PE for some
   // vectors; the frame engine must apply the same SIC fallback detect()
-  // does and report the count.
+  // does, report the count and add it to obs::Counter::kSicFallbacks.
   fa::PipelineConfig cfg;
   cfg.detector = "flexcore-2";
   cfg.qam_order = 64;
@@ -163,8 +164,16 @@ TEST(Frame, SicFallbackAppliedInsideFrame) {
   fa::UplinkPipeline pipe(cfg);
   const double nv = 4.0;
   const Frame fr = make_frame(pipe.constellation(), 8, 25, 8, 8, nv, 25);
+  const auto fallbacks = [] {
+    return flexcore::obs::metrics_snapshot().counters[static_cast<std::size_t>(
+        flexcore::obs::Counter::kSicFallbacks)];
+  };
 
+  const std::uint64_t fallbacks0 = fallbacks();
   const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
+  if (flexcore::obs::kEnabled) {
+    EXPECT_EQ(fallbacks() - fallbacks0, out.sic_fallbacks);
+  }
   expect_bit_identical(out.results,
                        sequential_reference("flexcore-2", pipe.constellation(),
                                             fr, nv));
@@ -430,10 +439,11 @@ TEST(FrameGrid, SteadyStateGridDoesNotAllocate) {
 }
 
 TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
-  // The single-channel grid honours the same contract as the frame grid:
-  // with a warm PathGridOutput (and the per-call metrics vector gone), a
-  // full vector x path run performs ZERO heap allocations — at any thread
-  // count, for both the FlexCore and FCSD block kernels.
+  // The single-channel grid behind detect_batch (the frame grid over one
+  // channel) honours the same contract as a multi-channel frame: with a
+  // warm FrameGridOutput, a full vector x path run performs ZERO heap
+  // allocations — at any thread count, for both the FlexCore and FCSD
+  // block kernels.
   Constellation c(16);
   const double noise = ch::noise_var_for_snr_db(12.0);
   const Frame fr = make_frame(c, 1, 24, 6, 6, noise, 41);
@@ -442,13 +452,19 @@ TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
   flex.set_channel(fr.channels[0], noise);
   fd::FcsdDetector fcsd(c, 1);
   fcsd.set_channel(fr.channels[0], noise);
+  const fc::FlexCoreDetector* const flex_dets[] = {&flex};
+  const fd::FcsdDetector* const fcsd_dets[] = {&fcsd};
+  const std::size_t flex_paths[] = {flex.active_paths()};
+  const std::size_t fcsd_paths[] = {fcsd.num_paths()};
 
   for (std::size_t threads : {1u, 3u}) {
     flexcore::parallel::ThreadPool pool(threads);
-    fd::PathGridOutput grid;
+    fd::FrameGridOutput grid;
     const auto run_both = [&] {
-      fd::run_path_grid(flex, flex.active_paths(), fr.ys, 6, pool, &grid);
-      fd::run_path_grid(fcsd, fcsd.num_paths(), fr.ys, 6, pool, &grid);
+      fd::run_frame_grid<fc::FlexCoreDetector>(flex_dets, flex_paths, fr.ys,
+                                               fr.ys.size(), 6, pool, &grid);
+      fd::run_frame_grid<fd::FcsdDetector>(fcsd_dets, fcsd_paths, fr.ys,
+                                           fr.ys.size(), 6, pool, &grid);
     };
     run_both();  // warm: grow every buffer to its high-water mark
     run_both();

@@ -1220,7 +1220,7 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
     }
   }
   EXPECT_GT(rescued, 0u) << "scenario no longer reaches the i16 rescue";
-  if (flexcore::obs::kLevel >= 1) {
+  if (flexcore::obs::kEnabled) {
     EXPECT_EQ(rescans() - rescans0, rescued);
   }
 
@@ -1239,7 +1239,7 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
   job.noise_var = nv;
   const std::uint64_t rescans1 = rescans();
   const fa::FrameResult frame = pipe.detect_frame(job);
-  if (flexcore::obs::kLevel >= 1) {
+  if (flexcore::obs::kEnabled) {
     EXPECT_EQ(rescans() - rescans1, rescued);
   }
   ASSERT_EQ(frame.results.size(), per_vector.size());

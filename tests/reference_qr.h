@@ -25,7 +25,14 @@
 
 namespace flexcore::testref {
 
+// dot and axpy stay out of GCC's loop vectorizer for the reason given at
+// hermitian_mul_scalar below: where the target has FMA, it would fuse their
+// complex multiply-adds in spite of -ffp-contract=off.
+
 /// Hermitian inner product <a, b> = a^H b.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-loop-vectorize")))
+#endif
 inline linalg::cplx dot(const linalg::CVec& a, const linalg::CVec& b) {
   linalg::cplx s{0.0, 0.0};
   for (std::size_t i = 0; i < a.size(); ++i) s += std::conj(a[i]) * b[i];
@@ -33,6 +40,9 @@ inline linalg::cplx dot(const linalg::CVec& a, const linalg::CVec& b) {
 }
 
 /// y += alpha * x
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-loop-vectorize")))
+#endif
 inline void axpy(linalg::cplx alpha, const linalg::CVec& x,
                  linalg::CVec& y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
