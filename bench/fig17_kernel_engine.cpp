@@ -20,6 +20,12 @@
 // massive-64x8-sharded's flexcore-32 on a 64x8 channel at 16-QAM / -2 dB
 // (8 levels).
 //
+// Report-only "mgs" rows time the MGS lane kernel (linalg/qr_kernel.inc)
+// at the factorizations a fresh channel costs — the tolerant QR of a
+// 32x8 shard cluster, and the sorted QR FlexCore's set_channel runs on
+// massive-64x8-sharded's 16x8 merged stack and on coherent-12x12's 12x12
+// channels — against the column-at-a-time MGS of tests/reference_qr.h.
+//
 // Emits BENCH_kernels.json and EXITS NON-ZERO when any gate fails:
 //   * fp64 block >= 1.5x over the scalar loop at 12x12 / 64-QAM;
 //   * i16 block faster than the fp64 block at 12x12 and 16x16;
@@ -45,7 +51,10 @@
 #include "detect/fcsd.h"
 #include "detect/path_grid.h"
 #include "detect/path_kernels.h"
+#include "linalg/kernel_isa.h"
+#include "linalg/qr.h"
 #include "parallel/thread_pool.h"
+#include "reference_qr.h"
 #include "reference_walk.h"
 
 namespace fa = flexcore::api;
@@ -224,6 +233,71 @@ bool sweep_point(const char* spec, const Constellation& qam, std::size_t nr,
   return true;
 }
 
+/// Best-of-`rounds` wall clock of `factor` over every matrix of `mats`,
+/// per factorization.
+template <typename Factor>
+double ns_per_factorization(const std::vector<fl::CMat>& mats, int rounds,
+                            Factor&& factor) {
+  double best = 1e300;
+  for (int r = 0; r < rounds; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const fl::CMat& h : mats) factor(h);
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best * 1e9 / static_cast<double>(mats.size());
+}
+
+/// The "mgs" rows: the dispatched MGS kernel copy against the column
+/// reference at the fresh-channel shapes.
+void mgs_rows(fb::BenchJson& json, int reps) {
+  struct Shape {
+    const char* form;
+    std::size_t nr, nt;
+  };
+  const Shape shapes[] = {{"tolerant", 32, 8}, {"sorted", 16, 8},
+                          {"sorted", 12, 12}};
+  const int rounds = 40 * std::max(reps, 1);
+  std::printf("\nMGS core, ns per factorization (kernel copy %s): lanes vs "
+              "column reference\n",
+              fl::kernel_isa());
+  for (const Shape& sh : shapes) {
+    ch::Rng rng(1700 + sh.nr * 100 + sh.nt);
+    std::vector<fl::CMat> mats;
+    for (int m = 0; m < 64; ++m) {
+      mats.push_back(ch::rayleigh_iid(sh.nr, sh.nt, rng));
+    }
+    const bool tolerant = std::string(sh.form) == "tolerant";
+    fl::QrResult out;
+    fl::CMat q, r;
+    const double lanes =
+        ns_per_factorization(mats, rounds, [&](const fl::CMat& h) {
+          if (tolerant) {
+            fl::qr_mgs_tolerant_into(h, &q, &r);
+          } else {
+            fl::sorted_qr_wubben_into(h, &out);
+          }
+        });
+    const double reference =
+        ns_per_factorization(mats, rounds, [&](const fl::CMat& h) {
+          out = tolerant ? fr::qr_mgs_by_columns(h, /*tolerant=*/true)
+                         : fr::sorted_qr_wubben_by_columns(h);
+        });
+    std::printf("%-8s %2zux%-2zu  %8.1f vs %8.1f  (%.2fx)\n", sh.form, sh.nr,
+                sh.nt, lanes, reference, reference / lanes);
+    json.row()
+        .field("kernel", "mgs")
+        .field("form", sh.form)
+        .field("rows", sh.nr)
+        .field("cols", sh.nt)
+        .field("isa", fl::kernel_isa())
+        .field("ns_per_factorization", lanes)
+        .field("reference_ns_per_factorization", reference)
+        .field("speedup_vs_reference", reference / lanes);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -368,6 +442,8 @@ int main() {
                 flops / blk64.ns_per_path, blk16.ns_per_path);
     emit_rows(json, "fcsd-L1", nt, 64, paths, flops, scalar, blk64, blk16);
   }
+
+  mgs_rows(json, reps);
 
   // --- end-to-end SER gate of the quantized tier ---------------------------
   // Full detect_batch runs (grid + winner reconstruction + SIC fallback)

@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <exception>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "detect/fcsd.h"
@@ -56,6 +58,17 @@ void fold_batch_into_frame(detect::BatchResult& batch, std::size_t offset,
 }
 
 void validate_frame_job(const FrameJob& job, FrameCheck check) {
+  // The path search ranks candidate paths by error probabilities computed
+  // from the noise variance: a NaN, infinite or negative value selects
+  // garbage paths without any error.  Zero is a legitimate (noiseless)
+  // estimate.
+  if (!(job.noise_var >= 0.0) || std::isinf(job.noise_var)) {
+    char value[32];
+    std::snprintf(value, sizeof value, "%g", job.noise_var);
+    throw std::invalid_argument("FrameJob: noise_var = " +
+                                std::string(value) +
+                                " (must be finite and >= 0)");
+  }
   const std::size_t nsc = job.channels.size();
   const std::size_t nv = job.vectors_per_channel;
   if (job.ys.size() != nsc * nv) {

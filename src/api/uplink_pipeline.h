@@ -150,6 +150,7 @@ enum class FrameCheck {
 
 /// Validates a FrameJob's shape without running it; throws
 /// std::invalid_argument on degenerate jobs:
+///   * a noise_var that is NaN, infinite or negative (0 is accepted),
 ///   * ys.size() != channels.size() * vectors_per_channel (mismatched
 ///     per-subcarrier batch sizes),
 ///   * channels that do not share dimensions (subcarriers disagreeing on

@@ -47,6 +47,7 @@ TraceGenerator::TraceGenerator(const TraceConfig& cfg, std::uint64_t seed)
   }
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 ChannelTrace TraceGenerator::next() {
   const std::size_t nsc = cfg_.num_subcarriers;
   ChannelTrace trace;

@@ -4,6 +4,7 @@
 
 namespace flexcore::detect {
 
+FLEXCORE_NO_FMA_VECTORIZE
 void TrellisDetector::set_channel(const CMat& h, double /*noise_var*/) {
   qr_ = linalg::sorted_qr_wubben(h);
   const std::size_t nt = qr_.R.cols();
@@ -16,6 +17,7 @@ void TrellisDetector::set_channel(const CMat& h, double /*noise_var*/) {
   }
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 DetectionResult TrellisDetector::detect(const CVec& y) const {
   const CMat& r = qr_.R;
   const std::size_t nt = r.cols();

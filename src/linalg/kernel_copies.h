@@ -1,8 +1,8 @@
 // Build scaffolding shared by the sources that compile per-ISA lane-kernel
-// copies (linalg/hermitian_mul.cpp, detect/path_kernels.cpp) and by the
-// copy choice itself (linalg/kernel_isa.cpp): which copies a build
-// compiles, how a kernel body is inlined into each copy, and the baseline
-// copy's vector width.  Include it only there.
+// copies (linalg/hermitian_mul.cpp, linalg/qr.cpp, detect/path_kernels.cpp)
+// and by the copy choice itself (linalg/kernel_isa.cpp): which copies a
+// build compiles, how a kernel body is inlined into each copy, and the
+// baseline copy's vector width.  Include it only there.
 #pragma once
 
 // Sanitized builds compile only the baseline copy: same code, fully

@@ -1,9 +1,11 @@
 // The one startup choice of the per-ISA lane-kernel copy.
 //
 // A lane kernel lives or dies by its register width, so the library's
-// lane kernels — linalg's Q^H y rotation (hermitian_mul_into) and detect's
-// exact path walk and int16 kernel (detect/path_kernels.h) — are compiled
-// once per x86-64 ISA tier: baseline (SSE2), SSE4.1, AVX2 and AVX-512F.
+// lane kernels — linalg's Q^H y rotation (hermitian_mul_into) and MGS core
+// (qr_mgs*, sorted_qr_wubben and the shard partial QR, linalg/qr.h), and
+// detect's exact path walk and int16 kernel (detect/path_kernels.h) — are
+// compiled once per x86-64 ISA tier: baseline (SSE2), SSE4.1, AVX2 and
+// AVX-512F.
 // Each kernel family keeps a table of its copies indexed by KernelIsa, and
 // every table reads kernel_copy(), so one decision selects every lane
 // kernel of the process.  Every copy computes bit-identical results (the

@@ -98,6 +98,7 @@ CMat& CMat::operator-=(const CMat& o) {
   return *this;
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 CMat CMat::operator*(const CMat& o) const {
   assert(cols_ == o.rows_);
   CMat m(rows_, o.cols_);
@@ -113,6 +114,7 @@ CMat CMat::operator*(const CMat& o) const {
   return m;
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 CVec CMat::operator*(const CVec& v) const {
   assert(cols_ == v.size());
   CVec out(rows_, cplx{0.0, 0.0});
@@ -146,6 +148,7 @@ double CMat::max_abs_diff(const CMat& a, const CMat& b) {
   return m;
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 void accumulate_gram(CMatView h, CMat* gram) {
   const std::size_t rows = h.rows();
   const std::size_t cols = h.cols();

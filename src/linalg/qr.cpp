@@ -1,10 +1,16 @@
 #include "linalg/qr.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
+#include "linalg/kernel_copies.h"
+#include "linalg/kernel_isa.h"
 #include "linalg/solve.h"
 #include "parallel/hot_path.h"
 
@@ -14,30 +20,78 @@ namespace {
 
 constexpr double kRankTol = 1e-12;
 
+#if FLEXCORE_KERNEL_MULTIVERSION
+#pragma GCC push_options
+#pragma GCC target("sse4.1")
+#define FLEXCORE_ISA_NS isa_sse41
+#define FLEXCORE_ISA_VEC_BYTES 16
+#include "linalg/qr_kernel.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define FLEXCORE_ISA_NS isa_avx2
+#define FLEXCORE_ISA_VEC_BYTES 32
+#include "linalg/qr_kernel.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#define FLEXCORE_ISA_NS isa_avx512
+#define FLEXCORE_ISA_VEC_BYTES 64
+#include "linalg/qr_kernel.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+#pragma GCC pop_options
+#endif  // FLEXCORE_KERNEL_MULTIVERSION
+
+#define FLEXCORE_ISA_NS isa_base
+#define FLEXCORE_ISA_VEC_BYTES FLEXCORE_KERNEL_BASE_VEC_BYTES
+#include "linalg/qr_kernel.inc"
+#undef FLEXCORE_ISA_VEC_BYTES
+#undef FLEXCORE_ISA_NS
+
+/// One ISA copy of the MGS lane kernel (linalg/qr_kernel.inc).
+struct MgsKernel {
+  void (*norms)(const double*, std::size_t, std::size_t, double*);
+  void (*step)(double*, std::size_t, std::size_t, std::size_t, double,
+               double*);
+};
+
+MgsKernel pick_mgs() {
+#if FLEXCORE_KERNEL_MULTIVERSION
+  constexpr MgsKernel copies[] = {
+      {isa_base::mgs_norms, isa_base::mgs_step},
+      {isa_sse41::mgs_norms, isa_sse41::mgs_step},
+      {isa_avx2::mgs_norms, isa_avx2::mgs_step},
+      {isa_avx512::mgs_norms, isa_avx512::mgs_step}};
+#else
+  constexpr MgsKernel copies[] = {{isa_base::mgs_norms, isa_base::mgs_step}};
+#endif
+  return copies[static_cast<std::size_t>(kernel_copy())];
+}
+
+const MgsKernel g_mgs = pick_mgs();
+
 // The one MGS core: orthogonalizes the columns of `h` in the order chosen
 // by `pick_next` into caller storage — Q, R and, when `perm` is non-null,
-// the column permutation — reusing its capacity.  Q is the working matrix:
-// column k holds the residual of column k until step k normalizes it, and
-// step k then updates every later column row by row (all projections in
-// one pass, all updates in a second), so each projection still sums its
-// rows in ascending order, bit for bit what a column-at-a-time MGS
-// computes.  Until column j is processed, the real part of r(j, j) holds
-// its squared residual norm, downdated after each step (the standard SQRD
-// trick) — the only per-column state `pick_next(k, r)` reads.  With
-// Tolerant set, a pivot below the rank tolerance produces a zero Q column
-// and a zero R row instead of throwing (the shard-partial contract of
-// qr_mgs_tolerant); the branch is compile-time, so the full-rank code path
-// is the same instructions either way.
-//
-// Where the target has FMA (-march=native), GCC 12's loop vectorizer fuses
-// the complex multiply-adds of the two row-update loops in spite of
-// -ffp-contract=off, so there the core stays out of the vectorizer and
-// rounds like the portable build.  The portable build keeps its
-// vectorized (unfused) loops.
+// the column permutation — reusing its capacity.  Q is the working matrix
+// of the lane kernel (linalg/qr_kernel.inc), which normalizes column k and
+// projects it out of every later column, row by row in lanes; each
+// projection and each column norm still sums its rows in ascending order,
+// bit for bit what a column-at-a-time MGS computes.  Until column j is
+// processed, r(j, j) holds its downdated squared residual norm (the
+// standard SQRD trick; the only per-column state `pick_next(k, r)` reads)
+// and, in its imaginary part, the squared norm the kernel accumulated.
+// With Tolerant set, a pivot below the rank tolerance produces a zero Q
+// column and a zero R row instead of throwing (the shard-partial contract
+// of qr_mgs_tolerant); the branch is compile-time, so the full-rank code
+// path is the same instructions either way.
 template <bool Tolerant, typename PickFn>
-#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
-__attribute__((optimize("no-tree-loop-vectorize")))
-#endif
 FLEXCORE_HOT_PATH
 void mgs_core(CMatView h, CMat& q, CMat& r, std::vector<std::size_t>* perm,
               PickFn pick_next) {
@@ -54,13 +108,10 @@ void mgs_core(CMatView h, CMat& q, CMat& r, std::vector<std::size_t>* perm,
     perm->resize(nt);
     std::iota(perm->begin(), perm->end(), std::size_t{0});
   }
-  cplx* qd = q.data();
-  const auto column_norm2 = [&](std::size_t j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < nr; ++i) s += abs2(qd[i * nt + j]);
-    return s;
-  };
-  for (std::size_t j = 0; j < nt; ++j) r(j, j) = cplx{column_norm2(j), 0.0};
+  // std::complex<double> is array-compatible with double[2].
+  double* qd = reinterpret_cast<double*>(q.data());
+  double* rd = reinterpret_cast<double*>(r.data());
+  g_mgs.norms(qd, nr, nt, rd);
 
   for (std::size_t k = 0; k < nt; ++k) {
     const std::size_t pick = pick_next(k, r);
@@ -72,7 +123,7 @@ void mgs_core(CMatView h, CMat& q, CMat& r, std::vector<std::size_t>* perm,
       if (perm != nullptr) std::swap((*perm)[k], (*perm)[pick]);
     }
 
-    const double nrm = std::sqrt(column_norm2(k));
+    const double nrm = std::sqrt(r(k, k).imag());
     if (!std::isfinite(nrm)) {
       // NaN/Inf entries would otherwise sail PAST the rank tolerance (NaN
       // comparisons are false) and poison Q/R silently.  Thrown in the
@@ -86,31 +137,17 @@ void mgs_core(CMatView h, CMat& q, CMat& r, std::vector<std::size_t>* perm,
         // q's column k and r's row k.  H = Q R still holds (column k of H
         // reconstructs from the r(0..k-1, k) entries already stored), and
         // the dead level contributes nothing to R^H R.
-        for (std::size_t i = 0; i < nr; ++i) qd[i * nt + k] = cplx{0.0, 0.0};
+        for (std::size_t i = 0; i < nr; ++i) q(i, k) = cplx{0.0, 0.0};
         r(k, k) = cplx{0.0, 0.0};
         continue;
       }
       throw std::runtime_error("qr: rank-deficient matrix");
     }
     r(k, k) = cplx{nrm, 0.0};
-    for (std::size_t i = 0; i < nr; ++i) qd[i * nt + k] /= nrm;
-
-    // r(k, j) = q_k^H a_j for every j > k, accumulated row by row.
-    cplx* rk = r.data() + k * nt;
-    for (std::size_t i = 0; i < nr; ++i) {
-      const cplx* row = qd + i * nt;
-      const cplx qik = std::conj(row[k]);
-      for (std::size_t j = k + 1; j < nt; ++j) rk[j] += qik * row[j];
-    }
-    // a_j -= r(k, j) q_k, again row by row.
-    for (std::size_t i = 0; i < nr; ++i) {
-      cplx* row = qd + i * nt;
-      const cplx qik = row[k];
-      for (std::size_t j = k + 1; j < nt; ++j) row[j] += -rk[j] * qik;
-    }
+    g_mgs.step(qd, nr, nt, k, nrm, rd);
     // Cheap norm downdate, clamped against negative drift.
     for (std::size_t j = k + 1; j < nt; ++j) {
-      r(j, j) = cplx{std::max(0.0, r(j, j).real() - abs2(rk[j])), 0.0};
+      r(j, j).real(std::max(0.0, r(j, j).real() - abs2(r(k, j))));
     }
   }
 }
@@ -161,6 +198,7 @@ QrResult sorted_qr_wubben(CMatView h) {
   return out;
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 QrResult qr_householder(CMatView h) {
   const std::size_t nr = h.rows();
   const std::size_t nt = h.cols();

@@ -43,7 +43,9 @@ struct QrResult {
 /// baseband layer factorizes each cluster's rows in place, no copies of H.
 ///
 /// qr_mgs, qr_mgs_tolerant and sorted_qr_wubben share one MGS core that
-/// works in the output Q's own storage.  Their `_into` forms write into a
+/// works in the output Q's own storage, a lane kernel compiled per ISA
+/// (linalg/kernel_isa.h) whose every copy is bit-identical to a
+/// column-at-a-time MGS.  Their `_into` forms write into a
 /// caller's QrResult and reuse its capacity, so a warm result of any shape
 /// makes them allocation-free; the by-value forms wrap them.  `h` must not
 /// view the output's storage.  A throw leaves the output unspecified, so

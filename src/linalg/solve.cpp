@@ -10,6 +10,7 @@ constexpr double kPivotTol = 1e-13;
 
 // Gauss-Jordan with partial pivoting, reducing [a | rhs] in place to
 // [I | a^-1 rhs]. rhs may have any number of columns.
+FLEXCORE_NO_FMA_VECTORIZE
 void gauss_jordan(CMat& a, CMat& rhs) {
   const std::size_t n = a.rows();
   for (std::size_t k = 0; k < n; ++k) {
@@ -63,6 +64,7 @@ CVec solve(const CMat& a, const CVec& b) {
   return x;
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
 CMat cholesky(const CMat& a) {
   if (a.rows() != a.cols()) throw std::invalid_argument("cholesky: non-square");
   const std::size_t n = a.rows();

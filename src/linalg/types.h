@@ -31,6 +31,19 @@
 #include <cstddef>
 #include <vector>
 
+/// Keeps a function's std::complex arithmetic out of GCC's vectorizers
+/// where the target has FMA (-march=native).  GCC 12's loop vectorizer and
+/// its SLP complex-multiply pattern fuse vectorized complex multiply-adds
+/// in spite of -ffp-contract=off, so such a function would round
+/// differently from the portable build.  Expands to nothing in every other
+/// build, which therefore compiles unchanged.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
+#define FLEXCORE_NO_FMA_VECTORIZE \
+  __attribute__((optimize("no-tree-loop-vectorize", "no-tree-slp-vectorize")))
+#else
+#define FLEXCORE_NO_FMA_VECTORIZE
+#endif
+
 namespace flexcore::linalg {
 
 using cplx = std::complex<double>;

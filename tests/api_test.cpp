@@ -354,6 +354,57 @@ TEST(Pipeline, DetectRejectsWrongLengthVectors) {
   EXPECT_EQ(pipe.detect(ys).results.size(), 2u);
 }
 
+TEST(Pipeline, DetectFrameRejectsDegenerateNoiseVar) {
+  // A NaN, infinite or negative noise variance is refused before any
+  // preprocessing runs, in every FrameCheck mode; the message names the
+  // value.  Zero (a noiseless estimate) stays accepted.
+  fa::PipelineConfig cfg;
+  cfg.detector = "flexcore-32";
+  cfg.qam_order = 16;
+  cfg.threads = 1;
+  fa::UplinkPipeline pipe(cfg);
+  const double nv = ch::noise_var_for_snr_db(10.0);
+  const flexcore::testing::Frame fr =
+      flexcore::testing::make_frame(pipe.constellation(), 4, 3, 8, 8, nv, 77);
+  const fa::FrameResult good =
+      pipe.detect_frame(flexcore::testing::job_of(fr, nv));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double value;
+    const char* text;
+  } bad[] = {{std::numeric_limits<double>::quiet_NaN(), "nan"},
+             {-1.0, "-1"},
+             {inf, "inf"},
+             {-inf, "-inf"}};
+  for (const auto& b : bad) {
+    const fa::FrameJob job = flexcore::testing::job_of(fr, b.value);
+    for (const fa::FrameCheck check :
+         {fa::FrameCheck::kShape, fa::FrameCheck::kFull}) {
+      EXPECT_THROW(fa::validate_frame_job(job, check), std::invalid_argument)
+          << b.text;
+    }
+    try {
+      pipe.detect_frame(job);
+      ADD_FAILURE() << "detect_frame accepted noise_var " << b.text;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("noise_var = ") + b.text),
+                std::string::npos)
+          << msg;
+    }
+  }
+  EXPECT_NO_THROW(fa::validate_frame_job(flexcore::testing::job_of(fr, 0.0)));
+  EXPECT_EQ(pipe.detect_frame(flexcore::testing::job_of(fr, 0.0))
+                .results.size(),
+            fr.ys.size());
+
+  // The refusals left the session usable and its results unchanged.
+  flexcore::testing::expect_bit_identical(
+      pipe.detect_frame(flexcore::testing::job_of(fr, nv)).results,
+      good.results);
+}
+
 TEST(Pipeline, BatchedDetectMatchesDetectorAndAggregates) {
   fa::PipelineConfig cfg;
   cfg.detector = "flexcore-16";

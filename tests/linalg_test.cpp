@@ -1,9 +1,15 @@
 // Unit and property tests for the linalg substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <numeric>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
@@ -204,79 +210,248 @@ void expect_bitwise(const fl::QrResult& got, const fl::QrResult& want,
   EXPECT_EQ(got.perm, want.perm) << what;
 }
 
+/// A factorization's factors, or the message of the runtime_error it threw.
+struct QrOutcome {
+  std::optional<fl::QrResult> qr;
+  std::string error;
+};
+
+template <typename Fn>
+QrOutcome outcome_of(Fn&& factor) {
+  try {
+    return {factor(), {}};
+  } catch (const std::runtime_error& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+void expect_same_outcome(const QrOutcome& got, const QrOutcome& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.qr.has_value(), want.qr.has_value())
+      << what << ": got '" << got.error << "', want '" << want.error << "'";
+  if (want.qr) {
+    expect_bitwise(*got.qr, *want.qr, what);
+  } else {
+    EXPECT_EQ(got.error, want.error) << what;
+  }
+}
+
+/// Entry families of the MGS bitwise test.
+enum class Entries {
+  kGaussian,
+  kSignedZeros,  ///< Gaussian with +-0 re and im parts mixed in
+  kZeroSums,     ///< a diagonal whose projections sum only -0 products
+  kSubnormals,   ///< Gaussian with subnormal re and im parts mixed in
+  kMagnitudes,   ///< parts of magnitude 1e-150 .. 1e150
+  kEqualNorms,   ///< integer columns of one norm (Wübben ties)
+  kDeadColumns,  ///< dead at the first, a middle and the last step
+};
+
+CMat lane_case(std::size_t rows, std::size_t cols, Entries family,
+               std::mt19937_64& gen) {
+  std::normal_distribution<double> n;
+  std::uniform_int_distribution<int> coin(0, 3);
+  const auto zero = [&] { return coin(gen) % 2 == 0 ? 0.0 : -0.0; };
+  CMat m = random_matrix(rows, cols, gen);
+  switch (family) {
+    case Entries::kGaussian:
+      break;
+    case Entries::kSignedZeros:
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const cplx z = m(i, j);
+          m(i, j) = cplx{coin(gen) == 0 ? zero() : z.real(),
+                         coin(gen) == 0 ? zero() : z.imag()};
+        }
+      }
+      break;
+    case Entries::kZeroSums: {
+      // Column 0: +0 off its positive diagonal entry; later columns: -0
+      // off a negative one.  Every row's conj(q_i0) a_ij then has a -0 real
+      // part, so r(0, j) is +0 only if its sum starts from +0.
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const double sign = j == 0 ? 1.0 : -1.0;
+          m(i, j) = i == j ? cplx{sign * (0.5 + std::abs(n(gen))),
+                                  sign * (0.5 + std::abs(n(gen)))}
+                           : cplx{sign * 0.0, sign * 0.0};
+        }
+      }
+      break;
+    }
+    case Entries::kSubnormals:
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const cplx z = m(i, j);
+          m(i, j) = cplx{coin(gen) == 0 ? 1e-310 * n(gen) : z.real(),
+                         coin(gen) == 0 ? 1e-310 * n(gen) : z.imag()};
+        }
+      }
+      break;
+    case Entries::kMagnitudes: {
+      std::uniform_int_distribution<int> exponent(-150, 150);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          m(i, j) = cplx{n(gen) * std::pow(10.0, exponent(gen)),
+                         n(gen) * std::pow(10.0, exponent(gen))};
+        }
+      }
+      break;
+    }
+    case Entries::kEqualNorms: {
+      // Each column is the first one rotated down by j rows, with parts
+      // swapped and signs flipped at random: small integers, so every
+      // column norm is the same exact sum.
+      std::uniform_int_distribution<int> part(-3, 3);
+      std::vector<cplx> base(rows);
+      for (cplx& z : base) {
+        z = cplx{static_cast<double>(part(gen)),
+                 static_cast<double>(part(gen))};
+      }
+      base[0] = cplx{4.0, 1.0};  // no all-zero column
+      for (std::size_t j = 0; j < cols; ++j) {
+        for (std::size_t i = 0; i < rows; ++i) {
+          cplx z = base[(i + rows - j % rows) % rows];
+          if (coin(gen) == 0) z = cplx{z.imag(), z.real()};
+          if (coin(gen) == 0) z = -z;
+          m(i, j) = z;
+        }
+      }
+      break;
+    }
+    case Entries::kDeadColumns:
+      for (std::size_t i = 0; i < rows; ++i) m(i, 0) = cplx{0.0, 0.0};
+      if (cols >= 5) {
+        const std::size_t mid = std::max<std::size_t>(3, cols / 2);
+        for (std::size_t i = 0; i < rows; ++i) {
+          m(i, mid) = m(i, 1) + m(i, 2);
+          m(i, cols - 1) = m(i, 1);
+        }
+      }
+      break;
+  }
+  return m;
+}
+
 }  // namespace
 
 TEST(Qr, RowwiseCoreMatchesColumnReference) {
-  // The row-by-row MGS core against the column-at-a-time MGS it replaced:
-  // Q, R and perm bit for bit, for every decomposition built on it.  The
-  // `_into` calls share one warm output whose shape changes every case.
+  // The MGS lane kernel against the column-at-a-time MGS it replaced: Q, R
+  // and perm bit for bit, for every decomposition built on it, or the same
+  // failure.  The sweep covers every register-group remainder of every
+  // copy (1..32 columns on square, one-taller, 2nt+3 and 64-row inputs)
+  // and each entry family; the `_into` forms share warm outputs whose
+  // shape changes every case.
   namespace ref = flexcore::testref;
   std::mt19937_64 gen(2026);
   fl::QrResult warm;
   CMat warm_q, warm_r;
-  const auto check = [&](fl::CMatView h, const std::string& what) {
-    const fl::QrResult want = ref::qr_mgs_by_columns(h);
-    expect_bitwise(fl::qr_mgs(h), want, what + " qr_mgs");
-    fl::qr_mgs_into(h, &warm);
-    expect_bitwise(warm, want, what + " qr_mgs_into");
-    expect_bitwise(fl::qr_mgs_tolerant(h), want, what + " tolerant");
+  std::size_t factored = 0;
+  const auto check = [&](fl::CMatView h, bool with_fcsd,
+                         const std::string& what) {
+    const QrOutcome plain =
+        outcome_of([&] { return ref::qr_mgs_by_columns(h); });
+    expect_same_outcome(outcome_of([&] { return fl::qr_mgs(h); }), plain,
+                        what + " qr_mgs");
+    expect_same_outcome(outcome_of([&] {
+                          fl::qr_mgs_into(h, &warm);
+                          return warm;
+                        }),
+                        plain, what + " qr_mgs_into");
+    factored += plain.qr.has_value() ? 1 : 0;
 
-    const fl::QrResult sorted = ref::sorted_qr_wubben_by_columns(h);
-    expect_bitwise(fl::sorted_qr_wubben(h), sorted, what + " wubben");
-    fl::sorted_qr_wubben_into(h, &warm);
-    expect_bitwise(warm, sorted, what + " wubben_into");
+    // The tolerant form also takes rank-deficient input.
+    const QrOutcome tolerant = outcome_of(
+        [&] { return ref::qr_mgs_by_columns(h, /*tolerant=*/true); });
+    expect_same_outcome(outcome_of([&] { return fl::qr_mgs_tolerant(h); }),
+                        tolerant, what + " tolerant");
+    expect_same_outcome(outcome_of([&] {
+                          fl::qr_mgs_tolerant_into(h, &warm);
+                          return warm;
+                        }),
+                        tolerant, what + " tolerant_into");
+    expect_same_outcome(outcome_of([&] {
+                          fl::qr_mgs_tolerant_into(h, &warm_q, &warm_r);
+                          std::vector<std::size_t> identity(h.cols());
+                          std::iota(identity.begin(), identity.end(),
+                                    std::size_t{0});
+                          return fl::QrResult{warm_q, warm_r, identity};
+                        }),
+                        tolerant, what + " tolerant_into Q, R");
 
-    if (h.rows() == h.cols()) {
-      const fl::QrResult fcsd = fl::fcsd_sorted_qr(h.materialize(), 1);
+    const QrOutcome sorted =
+        outcome_of([&] { return ref::sorted_qr_wubben_by_columns(h); });
+    expect_same_outcome(outcome_of([&] { return fl::sorted_qr_wubben(h); }),
+                        sorted, what + " wubben");
+    expect_same_outcome(outcome_of([&] {
+                          fl::sorted_qr_wubben_into(h, &warm);
+                          return warm;
+                        }),
+                        sorted, what + " wubben_into");
+
+    if (with_fcsd && plain.qr) {
+      // FCSD orders by the Gram inverse, then factors with qr_mgs.
+      const fl::QrResult fcsd = fl::fcsd_sorted_qr(h, 1);
       fl::QrResult fcsd_want =
           ref::qr_mgs_by_columns(permuted(h.materialize(), fcsd.perm));
       fcsd_want.perm = fcsd.perm;
       expect_bitwise(fcsd, fcsd_want, what + " fcsd");
     }
-  };
-  // The tolerant form also takes rank-deficient input.
-  const auto check_tolerant = [&](fl::CMatView h, const std::string& what) {
-    const fl::QrResult want = ref::qr_mgs_by_columns(h, /*tolerant=*/true);
-    expect_bitwise(fl::qr_mgs_tolerant(h), want, what + " tolerant");
-    fl::qr_mgs_tolerant_into(h, &warm);
-    expect_bitwise(warm, want, what + " tolerant_into");
-    fl::qr_mgs_tolerant_into(h, &warm_q, &warm_r);
-    expect_bitwise(warm_q, want.Q, what + " tolerant_into Q");
-    expect_bitwise(warm_r, want.R, what + " tolerant_into R");
+    return tolerant;
   };
 
-  for (int t = 0; t < 40; ++t) {
-    const std::size_t n = 1 + static_cast<std::size_t>(t) % 16;
-    const CMat h = random_matrix(n, n, gen);
-    const std::string what = "square " + std::to_string(n);
-    check(h, what);
-    check_tolerant(h, what);
+  const Entries families[] = {
+      Entries::kGaussian,   Entries::kSignedZeros, Entries::kZeroSums,
+      Entries::kSubnormals, Entries::kMagnitudes,  Entries::kEqualNorms,
+      Entries::kDeadColumns};
+  for (std::size_t nt = 1; nt <= 32; ++nt) {
+    for (const std::size_t rows : {nt, nt + 1, 2 * nt + 3, std::size_t{64}}) {
+      for (const Entries family : families) {
+        const CMat h = lane_case(rows, nt, family, gen);
+        const std::string what = std::to_string(rows) + "x" +
+                                 std::to_string(nt) + " family " +
+                                 std::to_string(static_cast<int>(family));
+        const QrOutcome tolerant =
+            check(h,
+                  family != Entries::kMagnitudes &&
+                      family != Entries::kDeadColumns,
+                  what);
+        // Each family holds what it is named for.
+        if (family == Entries::kZeroSums && nt >= 2) {
+          EXPECT_FALSE(std::signbit(tolerant.qr->R(0, 1).real())) << what;
+        }
+        if (family == Entries::kEqualNorms) {
+          for (std::size_t j = 1; j < nt; ++j) {
+            EXPECT_EQ(fl::norm2(h.col(j)), fl::norm2(h.col(0))) << what;
+          }
+        }
+        if (family == Entries::kDeadColumns) {
+          EXPECT_EQ(tolerant.qr->R(0, 0), cplx{}) << what;
+          if (nt >= 5) {
+            const std::size_t mid = std::max<std::size_t>(3, nt / 2);
+            EXPECT_EQ(tolerant.qr->R(mid, mid), cplx{}) << what;
+            EXPECT_EQ(tolerant.qr->R(nt - 1, nt - 1), cplx{}) << what;
+          }
+        }
+      }
+    }
   }
+  // Most cases factor; the rest must have failed alike above.
+  EXPECT_GT(factored, 32u * 4u * 5u);
+
   for (int t = 0; t < 10; ++t) {
-    // A 64 x 8 channel in the two 32-row clusters of the shard layer.
+    // A 64 x 8 channel in the two 32-row cluster views of the shard layer.
     const CMat h = random_matrix(64, 8, gen);
     for (std::size_t c = 0; c < 2; ++c) {
-      const std::string what = "cluster " + std::to_string(c);
-      check(h.row_range(32 * c, 32), what);
-      check_tolerant(h.row_range(32 * c, 32), what);
+      check(h.row_range(32 * c, 32), false, "cluster " + std::to_string(c));
     }
-    check(h, "64x8");
-  }
-  for (int t = 0; t < 10; ++t) {
-    // Rank deficient: a duplicated column, and a cluster whose rows are
-    // all zero but five.
-    CMat dup = random_matrix(32, 8, gen);
-    dup.set_col(3 + static_cast<std::size_t>(t) % 5, dup.col(1));
-    check_tolerant(dup, "duplicated column");
+    // A cluster whose rows are all zero but five.
     CMat zero_rows(32, 8);
     const CMat live = random_matrix(5, 8, gen);
     for (std::size_t i = 0; i < 5; ++i) {
       for (std::size_t j = 0; j < 8; ++j) zero_rows(7 * i, j) = live(i, j);
     }
-    check_tolerant(zero_rows, "zero rows");
-    CMat square_dup = random_matrix(8, 8, gen);
-    square_dup.set_col(7, square_dup.col(0));
-    check_tolerant(square_dup, "square duplicated column");
+    check(zero_rows, false, "zero rows");
   }
 }
 

@@ -1,13 +1,14 @@
 // Column-at-a-time modified Gram-Schmidt: the bit-identity reference of
-// the library's MGS core (linalg/qr.cpp).  Also the scalar Q^H y loop,
-// the reference of the rotation lane kernel (linalg::hermitian_mul_into).
+// the library's MGS core (linalg/qr.cpp and its lane kernel,
+// linalg/qr_kernel.inc).  Also the scalar Q^H y loop, the reference of the
+// rotation lane kernel (linalg::hermitian_mul_into).
 //
 // The library orthogonalizes in the output Q's own storage and updates
-// every later column row by row.  This reference is the textbook form it
-// replaced: each residual column is copied out, projected and written back
-// one column at a time, with the residual norms in their own array.  Both
-// sum each projection over rows in ascending order, so Q, R and the
-// permutation must agree bit for bit (tests/linalg_test.cpp).
+// every later column row by row, in lanes.  This reference is the textbook
+// form: each residual column is copied out, projected and written back one
+// column at a time, with the residual norms in their own array.  Both sum
+// each projection and each norm over rows in ascending order, so Q, R and
+// the permutation must agree bit for bit (tests/linalg_test.cpp).
 #pragma once
 
 #include <algorithm>

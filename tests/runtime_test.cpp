@@ -173,6 +173,40 @@ TEST(Runtime, MalformedJobsThrowSynchronouslyAtSubmit) {
   EXPECT_FALSE(rt.run_one());
 }
 
+TEST(Runtime, SubmitRejectsDegenerateNoiseVar) {
+  // The noise-variance check is part of the shape checks, so it holds with
+  // the admission scan off and in front of the shard stage: nothing is
+  // admitted, nothing reaches a dispatcher.
+  for (const bool scan : {true, false}) {
+    for (const std::size_t shards : kShardCounts) {
+      fa::RuntimeConfig rcfg;
+      rcfg.threads = 1;
+      rcfg.dispatchers = 0;
+      rcfg.admission_scan = scan;
+      fa::Runtime rt(sharded(rcfg, shards));
+      fa::Cell& cell =
+          rt.open_cell({.detector = "flexcore-32", .qam_order = 16});
+      const double nv = ch::noise_var_for_snr_db(10.0);
+      const Frame fr = make_frame(cell.constellation(), 4, 3, 16, 8, nv, 78);
+      for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                               std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(rt.submit(cell, job_of(fr, bad)), std::invalid_argument)
+            << "noise_var " << bad << ", shards " << shards;
+      }
+      EXPECT_EQ(rt.stats().frames_in, 0u);
+      for (const auto& shard : rt.stats().shards) EXPECT_EQ(shard.frames, 0u);
+      EXPECT_FALSE(rt.run_one());
+
+      // Zero is a legitimate estimate and is admitted.
+      fa::FrameTicket t = rt.submit(cell, job_of(fr, 0.0));
+      EXPECT_EQ(rt.stats().frames_in, 1u);
+      while (rt.run_one()) {
+      }
+      EXPECT_EQ(t.wait(), fa::TicketStatus::kDone);
+    }
+  }
+}
+
 // ------------------------------------------- bit-identity and FIFO ordering
 
 TEST(Runtime, FourCellStressFifoAndBitIdentical) {
