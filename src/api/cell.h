@@ -46,9 +46,10 @@ struct CellConfig {
   /// cell's first reuses the per-subcarrier preprocessing (QR + path
   /// selection) of the previous frame — the caller asserts the channels are
   /// unchanged within the coherence interval.  A frame with a different
-  /// subcarrier count re-preprocesses automatically (the pipeline guards
-  /// the mismatch).  Independent of this policy, a submitted FrameJob with
-  /// reuse_preprocessing = true keeps that request.
+  /// subcarrier count, antenna geometry or noise_var re-preprocesses
+  /// automatically (the pipeline guards the mismatch).  Independent of this
+  /// policy, a submitted FrameJob with reuse_preprocessing = true keeps
+  /// that request.
   bool reuse_preprocessing = false;
 };
 

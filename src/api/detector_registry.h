@@ -1,7 +1,7 @@
 // String/config-driven detector construction — the library's front door.
 //
-// Every detector in the library is registered in a DetectorRegistry under
-// the same spelling its name() method reports, so specs round-trip:
+// Every detector reports, through name(), a spec that constructs it again,
+// so specs round-trip:
 //
 //   modulation::Constellation qam(64);
 //   api::DetectorConfig cfg;
@@ -10,22 +10,18 @@
 //   auto fcsd = api::make_detector("fcsd-L2", cfg);
 //   auto kbest = api::make_detector("kbest-8", cfg);
 //
-// Parametric families parse their parameter out of the spec suffix
-// (flexcore-<PEs>, a-flexcore-<PEs>, fcsd-L<L>, kbest-<K>, akbest-<B>);
-// bare family names fall back to the values in DetectorConfig.  The
-// path-parallel families additionally accept the precision-tier suffix
-// ":i16" (e.g. "flexcore-128:i16" or "fcsd-L1:i16"), which runs their block
-// kernels in the quantized int16 tier; the suffix is the only way to pick
-// a tier, and a bare spec runs fp64.  Unknown specs — including a
-// tier suffix on a family without block kernels, e.g. "zf:i16" — throw
-// std::invalid_argument listing the registered families.
-//
-// This registry is the seam later scaling work plugs into: alternative
-// backends register additional factories and every driver picks them up by
-// name, with no construction-site changes.
+// A spec is <family>[-<number>][:i16].  Parametric families take their
+// parameter from the number (flexcore-<PEs>, a-flexcore-<PEs>, fcsd-L<L>,
+// kbest-<K>, akbest-<B>); bare family names fall back to the values in
+// DetectorConfig or the family's default.  The path-parallel families
+// (flexcore, a-flexcore, fcsd) additionally accept the precision-tier
+// suffix ":i16" (e.g. "flexcore-128:i16" or "fcsd-L1:i16"), which runs
+// their block kernels in the quantized int16 tier; the suffix is the only
+// way to pick a tier, and a bare spec runs fp64.  Unknown specs —
+// including a tier suffix on a family without block kernels, e.g.
+// "zf:i16" — throw std::invalid_argument listing the known spec patterns.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -38,73 +34,35 @@
 
 namespace flexcore::api {
 
-/// Tuning knobs consumed by the registered factories.  `constellation` is
-/// required (detectors keep a non-owning pointer to it, so it must outlive
-/// them); everything else has library defaults.
+/// Tuning knobs make_detector reads.  `constellation` is required
+/// (detectors keep a non-owning pointer to it, so it must outlive them);
+/// everything else has library defaults.
 struct DetectorConfig {
   const modulation::Constellation* constellation = nullptr;
 
-  /// Base configuration for the "flexcore"/"a-flexcore" families (a spec
-  /// suffix overrides num_pes; the spec family decides adaptive vs plain
-  /// and the tier suffix decides `precision`).  Its pe_model also feeds
+  /// Base configuration for the "flexcore"/"a-flexcore" families.  A spec
+  /// number overrides num_pes, the tier suffix decides `precision`, and
+  /// the spec family decides adaptive vs plain: a-flexcore activates paths
+  /// up to flexcore.adaptive_threshold when it is > 0, and up to 0.95 (the
+  /// paper's Fig. 10 operating point) otherwise.  Its pe_model also feeds
   /// the "akbest" family.
   core::FlexCoreConfig flexcore;
 
   /// Options for the "ml-sd" family.
   detect::MlSphereDecoder::Options ml_sphere;
-
-  /// a-FlexCore activation threshold used when flexcore.adaptive_threshold
-  /// is unset (0); 0.95 is the paper's Fig. 10 operating point.
-  double adaptive_threshold = 0.95;
 };
 
-/// Registry of detector factories.  A factory inspects the spec and returns
-/// nullptr when the spec does not belong to its family; the first factory
-/// that accepts wins.  A factory that accepts a spec but finds it invalid
-/// (e.g. "flexcore-0") throws std::invalid_argument.
-class DetectorRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<detect::Detector>(
-      std::string_view spec, const DetectorConfig& cfg)>;
-
-  struct Entry {
-    std::string family;     ///< e.g. "kbest"
-    std::string canonical;  ///< e.g. "kbest-8" — round-trips through name()
-    std::string pattern;    ///< e.g. "kbest[-<K>]" (for error messages)
-    Factory factory;
-  };
-
-  void add(Entry entry);
-
-  /// Constructs the detector `spec` names.  Throws std::invalid_argument
-  /// for unknown specs (listing the registered families) and when
-  /// cfg.constellation is null.
-  std::unique_ptr<detect::Detector> make(std::string_view spec,
-                                         const DetectorConfig& cfg) const;
-
-  /// One canonical, fully-parameterized spelling per family; every entry
-  /// satisfies make(n, cfg)->name() == n.
-  std::vector<std::string> canonical_names() const;
-
-  /// Accepted spec patterns, for help/error text.
-  std::vector<std::string> patterns() const;
-
-  /// The process-wide registry, pre-populated with all built-in detectors.
-  static DetectorRegistry& global();
-
- private:
-  std::vector<Entry> entries_;
-};
-
-/// Constructs a detector by name from the global registry.
+/// Constructs the detector `spec` names.  Throws std::invalid_argument for
+/// unknown specs (listing the known spec patterns), for invalid parameters
+/// (e.g. "kbest-0") and when cfg.constellation is null.
 std::unique_ptr<detect::Detector> make_detector(std::string_view spec,
                                                 const DetectorConfig& cfg);
 
-/// One canonical, fully-parameterized spec per registered family (e.g.
-/// "flexcore-64", "fcsd-L1", "kbest-8", ...), in registration order.  Every
-/// returned spec constructs via make_detector and round-trips through
-/// name().  Benches/tests should iterate this instead of hard-coding the
-/// name table, so new backends are picked up automatically.
+/// One canonical, fully-parameterized spec per family (e.g. "flexcore-64",
+/// "fcsd-L1", "kbest-8", ...) plus one for the int16 tier, in a fixed
+/// order.  Every returned spec constructs via make_detector and
+/// round-trips through name().  Benches/tests should iterate this instead
+/// of hard-coding the name table.
 std::vector<std::string> list_specs();
 
 /// Same, but returns the concrete detector type for callers that need

@@ -33,15 +33,6 @@ const char* to_string(TicketStatus status) {
   return "?";
 }
 
-const char* to_string(CellHealth health) {
-  switch (health) {
-    case CellHealth::kHealthy: return "healthy";
-    case CellHealth::kDegraded: return "degraded";
-    case CellHealth::kQuarantining: return "quarantining";
-  }
-  return "?";
-}
-
 // ------------------------------------------------------------- FrameTicket
 
 /// Shared between the submitting thread, the completing thread and every

@@ -117,8 +117,6 @@ const char* to_string(TicketStatus status);
 ///                   estimates), not merely overloaded.
 enum class CellHealth { kHealthy, kDegraded, kQuarantining };
 
-const char* to_string(CellHealth health);
-
 /// Verdict of a ShardFaultProbe for one (shard, frame) prep attempt.
 /// Chaos harnesses install a probe (fault::Injector::shard_probe) to
 /// simulate cluster failures: `fail` makes the shard skip the prep and

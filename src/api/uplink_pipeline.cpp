@@ -1,5 +1,6 @@
 #include "api/uplink_pipeline.h"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +24,18 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 bool non_finite(const linalg::cplx& z) {
   return !std::isfinite(z.real()) || !std::isfinite(z.imag());
+}
+
+/// The path search ranks candidate paths by error probabilities computed
+/// from the noise variance: a NaN, infinite or negative value selects
+/// garbage paths without any error, so it is refused before any state
+/// changes.  Zero is a legitimate (noiseless) estimate.
+void check_noise_var(const char* where, double noise_var) {
+  if (noise_var >= 0.0 && !std::isinf(noise_var)) return;
+  char value[32];
+  std::snprintf(value, sizeof value, "%g", noise_var);
+  throw std::invalid_argument(std::string(where) + ": noise_var = " + value +
+                              " (must be finite and >= 0)");
 }
 
 /// Cold failure tail of detect_frame's preprocessing stage, hoisted out of
@@ -58,17 +71,7 @@ void fold_batch_into_frame(detect::BatchResult& batch, std::size_t offset,
 }
 
 void validate_frame_job(const FrameJob& job, FrameCheck check) {
-  // The path search ranks candidate paths by error probabilities computed
-  // from the noise variance: a NaN, infinite or negative value selects
-  // garbage paths without any error.  Zero is a legitimate (noiseless)
-  // estimate.
-  if (!(job.noise_var >= 0.0) || std::isinf(job.noise_var)) {
-    char value[32];
-    std::snprintf(value, sizeof value, "%g", job.noise_var);
-    throw std::invalid_argument("FrameJob: noise_var = " +
-                                std::string(value) +
-                                " (must be finite and >= 0)");
-  }
+  check_noise_var("FrameJob", job.noise_var);
   const std::size_t nsc = job.channels.size();
   const std::size_t nv = job.vectors_per_channel;
   if (job.ys.size() != nsc * nv) {
@@ -191,6 +194,7 @@ void UplinkPipeline::require_channel(const char* where,
 }
 
 void UplinkPipeline::set_channel(const linalg::CMat& h, double noise_var) {
+  check_noise_var("UplinkPipeline::set_channel", noise_var);
   det_->set_channel(h, noise_var);
   channel_set_ = true;
   channel_rows_ = h.rows();
@@ -362,13 +366,17 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
   // Within a static-channel coherence interval the caller can assert the
   // channels are unchanged and skip it entirely.
   ensure_frame_detectors(nsc);
-  // Reuse demands the SAME workload shape as the cached installs — count
-  // AND antenna geometry.  A same-count frame with different dimensions
-  // would walk mismatched QR state, so it re-preprocesses instead.
-  const bool reuse_hit = job.reuse_preprocessing &&
-                         frame_ready_channels_ == nsc &&
-                         frame_ready_rows_ == job.channels.front().rows() &&
-                         frame_ready_cols_ == job.channels.front().cols();
+  // Reuse demands the SAME workload as the cached installs — count,
+  // antenna geometry AND noise variance.  A same-count frame with different
+  // dimensions would walk mismatched QR state, and path selection depends
+  // on the noise variance, so either re-preprocesses instead.  The noise
+  // variance is compared bitwise (+0 and -0 differ).
+  const bool reuse_hit =
+      job.reuse_preprocessing && frame_ready_channels_ == nsc &&
+      frame_ready_rows_ == job.channels.front().rows() &&
+      frame_ready_cols_ == job.channels.front().cols() &&
+      std::bit_cast<std::uint64_t>(frame_ready_noise_var_) ==
+          std::bit_cast<std::uint64_t>(job.noise_var);
   obs::counter_add(reuse_hit ? obs::Counter::kPreprocReuseHits
                              : obs::Counter::kPreprocReuseMisses);
   if (!reuse_hit) {
@@ -410,6 +418,7 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
     frame_ready_channels_ = nsc;
     frame_ready_rows_ = job.channels.front().rows();
     frame_ready_cols_ = job.channels.front().cols();
+    frame_ready_noise_var_ = job.noise_var;
   }
   for (std::size_t f = 0; f < nsc; ++f) {
     out.sum_active_paths += static_cast<double>(frame_dets_[f]->parallel_tasks());

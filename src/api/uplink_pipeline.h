@@ -88,8 +88,9 @@ struct FrameJob {
   /// static-channel coherence interval, where consecutive frames share
   /// channels.  The caller asserts `channels` is unchanged since that
   /// call; only detection runs.  Ignored (full preprocessing) when the
-  /// previous frame had a different subcarrier count or antenna geometry,
-  /// or none ran yet.
+  /// previous frame had a different subcarrier count, antenna geometry or
+  /// noise_var (compared bitwise: path selection depends on it), or none
+  /// ran yet.
   /// The per-subcarrier loop cannot amortize this: set_channel overwrites
   /// the single-channel state on every subcarrier.
   bool reuse_preprocessing = false;
@@ -188,6 +189,9 @@ class UplinkPipeline {
 
   /// Installs a new channel (runs the detector's per-channel
   /// pre-processing).  Must be called before detect()/detect_soft().
+  /// Throws std::invalid_argument naming the value, before the detector is
+  /// touched (the installed channel stays), when noise_var is NaN,
+  /// infinite or negative; 0 is accepted.
   void set_channel(const linalg::CMat& h, double noise_var);
 
   /// Batched detection of vectors sharing the installed channel, through
@@ -300,8 +304,9 @@ class UplinkPipeline {
   // flat grid buffers and the per-worker scratch arenas.
   std::vector<std::unique_ptr<detect::Detector>> frame_dets_;
   std::size_t frame_ready_channels_ = 0;  // clones with installed channels
-  std::size_t frame_ready_rows_ = 0;      // geometry those installs used —
-  std::size_t frame_ready_cols_ = 0;      // reuse only on an exact match
+  std::size_t frame_ready_rows_ = 0;      // geometry and noise variance
+  std::size_t frame_ready_cols_ = 0;      // those installs used — reuse
+  double frame_ready_noise_var_ = 0.0;    // only on an exact match
   detect::FrameGridOutput frame_grid_;
   detect::WorkspaceBank workspaces_;
   std::vector<std::size_t> frame_fell_;  // SIC fallbacks per reconstruct group

@@ -61,19 +61,9 @@ std::vector<double> bounded_user_gains(std::size_t nt, double spread_db, Rng& rn
   return g;
 }
 
-CVec awgn(std::size_t n, double noise_var, Rng& rng) {
-  CVec v(n);
-  for (auto& z : v) z = rng.cgaussian(noise_var);
-  return v;
-}
-
 double noise_var_for_snr_db(double snr_db, double es) {
   const double snr = std::pow(10.0, snr_db / 10.0);
   return es / snr;
-}
-
-double snr_db_for_noise_var(double noise_var, double es) {
-  return 10.0 * std::log10(es / noise_var);
 }
 
 CVec transmit(const CMat& h, const CVec& s, double noise_var, Rng& rng) {

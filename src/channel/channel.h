@@ -38,18 +38,12 @@ CMat kronecker_channel(std::size_t nr, std::size_t nt, double rx_rho,
 /// (uniform in dB, then normalized to unit mean power).
 std::vector<double> bounded_user_gains(std::size_t nt, double spread_db, Rng& rng);
 
-/// Complex AWGN vector of length n with per-element variance `noise_var`.
-CVec awgn(std::size_t n, double noise_var, Rng& rng);
-
 /// Noise variance realizing a given *per-user* SNR (dB) — the paper's
 /// convention ("the individual SNRs of the scheduled users differ by no
 /// more than 3 dB").  With unit-energy symbols and unit-mean channel gains
 /// each user contributes Es of power per receive antenna, so
 ///   SNR_user = Es / noise_var.
 double noise_var_for_snr_db(double snr_db, double es = 1.0);
-
-/// The per-user SNR (dB) corresponding to a noise variance.
-double snr_db_for_noise_var(double noise_var, double es = 1.0);
 
 /// y = H s + n for one channel use.
 CVec transmit(const CMat& h, const CVec& s, double noise_var, Rng& rng);

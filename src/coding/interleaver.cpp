@@ -25,20 +25,6 @@ Interleaver::Interleaver(std::size_t n_cbps, std::size_t n_bpsc)
   }
 }
 
-BitVec Interleaver::interleave(const BitVec& in) const {
-  if (in.size() != n_cbps_) throw std::invalid_argument("interleave: bad size");
-  BitVec out(n_cbps_);
-  for (std::size_t k = 0; k < n_cbps_; ++k) out[fwd_[k]] = in[k];
-  return out;
-}
-
-BitVec Interleaver::deinterleave(const BitVec& in) const {
-  if (in.size() != n_cbps_) throw std::invalid_argument("deinterleave: bad size");
-  BitVec out(n_cbps_);
-  for (std::size_t k = 0; k < n_cbps_; ++k) out[inv_[k]] = in[k];
-  return out;
-}
-
 BitVec Interleaver::interleave_stream(const BitVec& in) const {
   if (in.size() % n_cbps_ != 0) {
     throw std::invalid_argument("interleave_stream: length not a block multiple");

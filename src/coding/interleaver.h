@@ -22,13 +22,8 @@ class Interleaver {
 
   std::size_t block_size() const noexcept { return n_cbps_; }
 
-  /// Interleaves exactly block_size() bits.
-  BitVec interleave(const BitVec& in) const;
-  /// Inverse permutation.
-  BitVec deinterleave(const BitVec& in) const;
-
-  /// Interleaves a longer stream block by block (length must be a multiple
-  /// of block_size()).
+  /// Interleaves a stream block by block (length must be a multiple of
+  /// block_size()); deinterleave_stream applies the inverse permutation.
   BitVec interleave_stream(const BitVec& in) const;
   BitVec deinterleave_stream(const BitVec& in) const;
 

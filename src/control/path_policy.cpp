@@ -17,28 +17,6 @@ double nominal_level_pe(const modulation::Constellation& c, double snr_db) {
   return std::clamp(pe, 1e-12, 1.0 - 1e-12);
 }
 
-namespace {
-
-core::PreprocessingResult run_model(const modulation::Constellation& c,
-                                    std::size_t nt, double snr_db,
-                                    std::size_t num_paths,
-                                    double stop_threshold) {
-  if (nt == 0) {
-    throw std::invalid_argument("control: nt must be >= 1");
-  }
-  const std::vector<double> pe(nt, nominal_level_pe(c, snr_db));
-  core::PreprocessingConfig pcfg;
-  pcfg.num_paths = num_paths;
-  pcfg.stop_threshold = stop_threshold;
-  // An uncapped candidate list keeps the frontier exactly optimal, so the
-  // solved count is the true model minimum (the budget is tiny next to a
-  // detector's per-channel run; determinism matters more than the memory).
-  pcfg.candidate_list_cap = num_paths + nt;
-  return core::find_most_promising_paths(pe, c.order(), pcfg);
-}
-
-}  // namespace
-
 PathDecision solve_path_count(const modulation::Constellation& c,
                               std::size_t nt, double snr_db,
                               const PathPolicyConfig& cfg) {
@@ -50,10 +28,21 @@ PathDecision solve_path_count(const modulation::Constellation& c,
     throw std::invalid_argument(
         "solve_path_count: target_error must be in (0, 1)");
   }
-  const double snr_eff = snr_db - cfg.snr_backoff_db;
+  if (nt == 0) {
+    throw std::invalid_argument("control: nt must be >= 1");
+  }
   const double coverage_goal = 1.0 - cfg.target_error;
+  const std::vector<double> pe(
+      nt, nominal_level_pe(c, snr_db - cfg.snr_backoff_db));
+  core::PreprocessingConfig pcfg;
+  pcfg.num_paths = cfg.max_paths;
+  pcfg.stop_threshold = coverage_goal;
+  // An uncapped candidate list keeps the frontier exactly optimal, so the
+  // solved count is the true model minimum (the budget is tiny next to a
+  // detector's per-channel run; determinism matters more than the memory).
+  pcfg.candidate_list_cap = cfg.max_paths + nt;
   const core::PreprocessingResult model =
-      run_model(c, nt, snr_eff, cfg.max_paths, coverage_goal);
+      core::find_most_promising_paths(pe, c.order(), pcfg);
 
   PathDecision d;
   d.pe = model.pe.front();
@@ -61,13 +50,6 @@ PathDecision solve_path_count(const modulation::Constellation& c,
   d.feasible = model.pc_sum >= coverage_goal;
   d.paths = std::clamp(model.paths.size(), cfg.min_paths, cfg.max_paths);
   return d;
-}
-
-double model_coverage(const modulation::Constellation& c, std::size_t nt,
-                      double snr_db, std::size_t paths) {
-  if (paths == 0) return 0.0;
-  // stop_threshold 2.0: never stop early (total model mass is < 1).
-  return run_model(c, nt, snr_db, paths, 2.0).pc_sum;
 }
 
 std::string path_spec(const std::string& family,

@@ -61,11 +61,6 @@ PathDecision solve_path_count(const modulation::Constellation& c,
                               std::size_t nt, double snr_db,
                               const PathPolicyConfig& cfg);
 
-/// Model coverage pc_sum of the best `paths` paths at `snr_db` — the
-/// forward model, for benches/tests checking minimality of the solve.
-double model_coverage(const modulation::Constellation& c, std::size_t nt,
-                      double snr_db, std::size_t paths);
-
 /// Registry spec realizing (at least) `paths` paths in the given detector
 /// family: "flexcore" maps 1:1 ("flexcore-<N>"); "fcsd" can only realize
 /// |Q|^L paths, so the smallest sufficient L is chosen ("fcsd-L<L>",

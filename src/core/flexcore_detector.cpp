@@ -62,8 +62,6 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
 
 std::size_t FlexCoreDetector::active_paths() const { return active_paths_; }
 
-double FlexCoreDetector::active_pc_sum() const { return preproc_.pc_sum; }
-
 FLEXCORE_HOT_PATH
 void FlexCoreDetector::rotate_into(const CVec& y,
                                    std::span<cplx> out) const {

@@ -106,9 +106,6 @@ class FlexCoreDetector : public Detector {
   /// the adaptive prefix size for a-FlexCore.
   std::size_t active_paths() const;
 
-  /// Cumulative model probability of the active path set.
-  double active_pc_sum() const;
-
   /// Pre-processing output for the current channel (selected position
   /// vectors, Pe values, multiplication counts).
   const PreprocessingResult& preprocessing() const { return preproc_; }

@@ -196,15 +196,6 @@ void search_paths(int constellation_order, const PreprocessingConfig& cfg,
 
 }  // namespace
 
-std::vector<double> level_error_probabilities(linalg::CMatView r,
-                                              double noise_var,
-                                              const Constellation& c,
-                                              modulation::PeModel model) {
-  std::vector<double> pe;
-  fill_level_error_probabilities(r, noise_var, c, model, &pe);
-  return pe;
-}
-
 FLEXCORE_HOT_PATH
 void find_most_promising_paths_into(linalg::CMatView r, double noise_var,
                                     const Constellation& c,
@@ -233,40 +224,6 @@ PreprocessingResult find_most_promising_paths(const std::vector<double>& pe,
   out.pe = pe;
   search_paths(constellation_order, cfg, ws, &out);
   return out;
-}
-
-std::vector<RankedPath> rank_paths_exhaustive(const std::vector<double>& pe,
-                                              int constellation_order,
-                                              std::size_t nt,
-                                              std::size_t num_paths) {
-  const std::uint64_t q = static_cast<std::uint64_t>(constellation_order);
-  double total_d = static_cast<double>(nt) * std::log2(static_cast<double>(q));
-  if (total_d > 24) {
-    throw std::invalid_argument("rank_paths_exhaustive: search space too large");
-  }
-  std::uint64_t total = 1;
-  for (std::size_t i = 0; i < nt; ++i) total *= q;
-
-  std::vector<RankedPath> all;
-  all.reserve(total);
-  for (std::uint64_t code = 0; code < total; ++code) {
-    PositionVector p(nt);
-    std::uint64_t v = code;
-    double pc = 1.0;
-    for (std::size_t i = 0; i < nt; ++i) {
-      const int k = static_cast<int>(v % q) + 1;
-      v /= q;
-      p[i] = k;
-      pc *= (1.0 - pe[i]) * std::pow(pe[i], k - 1);
-    }
-    all.push_back(RankedPath{std::move(p), pc});
-  }
-  std::sort(all.begin(), all.end(), [](const RankedPath& a, const RankedPath& b) {
-    if (a.pc != b.pc) return a.pc > b.pc;
-    return a.p < b.p;
-  });
-  if (all.size() > num_paths) all.resize(num_paths);
-  return all;
 }
 
 }  // namespace flexcore::core

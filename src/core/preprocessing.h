@@ -105,15 +105,11 @@ struct PathSearchWorkspace {
   std::vector<RankedPath> spare;
 };
 
-/// Computes the per-level error probabilities Pe(l) from the diagonal of R.
-/// Takes a row-range view so the sharded preprocessing can rank paths off a
-/// merged R that lives inside a stacked partial-QR buffer, no copy.
-std::vector<double> level_error_probabilities(linalg::CMatView r,
-                                              double noise_var,
-                                              const Constellation& c,
-                                              modulation::PeModel model);
-
-/// Runs the pre-processing tree search of §3.1.1.
+/// Runs the pre-processing tree search of §3.1.1: the per-level error
+/// probabilities Pe(l) from the diagonal of R, then the path search over
+/// them.  Takes a row-range view so the sharded preprocessing can rank
+/// paths off a merged R that lives inside a stacked partial-QR buffer, no
+/// copy.
 PreprocessingResult find_most_promising_paths(linalg::CMatView r,
                                               double noise_var,
                                               const Constellation& c,
@@ -136,13 +132,5 @@ void find_most_promising_paths_into(linalg::CMatView r, double noise_var,
 PreprocessingResult find_most_promising_paths(const std::vector<double>& pe,
                                               int constellation_order,
                                               const PreprocessingConfig& cfg);
-
-/// Reference implementation for tests: enumerate *all* |Q|^Nt position
-/// vectors, rank by Pc, return the top `num_paths`.  Exponential; only for
-/// tiny problems.
-std::vector<RankedPath> rank_paths_exhaustive(const std::vector<double>& pe,
-                                              int constellation_order,
-                                              std::size_t nt,
-                                              std::size_t num_paths);
 
 }  // namespace flexcore::core

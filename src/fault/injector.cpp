@@ -41,21 +41,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kCorruptPayload: return "corrupt_payload";
-    case FaultKind::kNonFinitePayload: return "nonfinite_payload";
-    case FaultKind::kNonFiniteChannel: return "nonfinite_channel";
-    case FaultKind::kRankDeficientChannel: return "rankdef_channel";
-    case FaultKind::kShardFail: return "shard_fail";
-    case FaultKind::kShardStall: return "shard_stall";
-    case FaultKind::kDeadlinePressure: return "deadline_pressure";
-    case FaultKind::kSubmitStorm: return "submit_storm";
-  }
-  return "?";
-}
-
 bool corrupts_frame(FaultKind kind) {
   switch (kind) {
     case FaultKind::kCorruptPayload:

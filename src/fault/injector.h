@@ -56,7 +56,6 @@ enum class FaultKind : std::uint8_t {
   kSubmitStorm,           ///< harness submits storm_copies duplicates
 };
 inline constexpr std::size_t kFaultKindCount = 9;
-const char* to_string(FaultKind kind);
 
 /// True for kinds that corrupt the frame's DATA so its detection result is
 /// untrusted (quarantined, failed, or garbage-Done); pressure/shard kinds

@@ -1,23 +1,8 @@
 #include "linalg/matrix.h"
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
-#include <stdexcept>
+#include <utility>
 
 namespace flexcore::linalg {
-
-CMat::CMat(std::initializer_list<std::initializer_list<cplx>> init) {
-  rows_ = init.size();
-  cols_ = rows_ ? init.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : init) {
-    if (row.size() != cols_) {
-      throw std::invalid_argument("CMat: ragged initializer list");
-    }
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
-}
 
 CMat CMat::identity(std::size_t n) {
   CMat m(n, n);
@@ -25,23 +10,10 @@ CMat CMat::identity(std::size_t n) {
   return m;
 }
 
-CMat CMat::diag(const CVec& d) {
-  CMat m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
 CVec CMat::col(std::size_t c) const {
   assert(c < cols_);
   CVec v(rows_);
   for (std::size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
-  return v;
-}
-
-CVec CMat::row(std::size_t r) const {
-  assert(r < rows_);
-  CVec v(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) v[c] = (*this)(r, c);
   return v;
 }
 
@@ -63,39 +35,6 @@ CMat CMat::hermitian() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) m(c, r) = std::conj((*this)(r, c));
   return m;
-}
-
-CMat CMat::transpose() const {
-  CMat m(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) m(c, r) = (*this)(r, c);
-  return m;
-}
-
-CMat CMat::operator+(const CMat& o) const {
-  assert(same_shape(o));
-  CMat m = *this;
-  m += o;
-  return m;
-}
-
-CMat CMat::operator-(const CMat& o) const {
-  assert(same_shape(o));
-  CMat m = *this;
-  m -= o;
-  return m;
-}
-
-CMat& CMat::operator+=(const CMat& o) {
-  assert(same_shape(o));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
-  return *this;
-}
-
-CMat& CMat::operator-=(const CMat& o) {
-  assert(same_shape(o));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= o.data_[i];
-  return *this;
 }
 
 FLEXCORE_NO_FMA_VECTORIZE
@@ -127,27 +66,6 @@ CVec CMat::operator*(const CVec& v) const {
   return out;
 }
 
-CMat CMat::operator*(cplx s) const {
-  CMat m = *this;
-  for (auto& z : m.data_) z *= s;
-  return m;
-}
-
-double CMat::frobenius_norm() const {
-  double s = 0.0;
-  for (cplx z : data_) s += abs2(z);
-  return std::sqrt(s);
-}
-
-double CMat::max_abs_diff(const CMat& a, const CMat& b) {
-  assert(a.same_shape(b));
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.data_.size(); ++i) {
-    m = std::max(m, std::abs(a.data_[i] - b.data_[i]));
-  }
-  return m;
-}
-
 FLEXCORE_NO_FMA_VECTORIZE
 void accumulate_gram(CMatView h, CMat* gram) {
   const std::size_t rows = h.rows();
@@ -166,21 +84,6 @@ void accumulate_gram(CMatView h, CMat* gram) {
       for (std::size_t k = 0; k < cols; ++k) grow[k] += hj * row[k];
     }
   }
-}
-
-std::string CMat::to_string(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      cplx z = (*this)(r, c);
-      os << z.real() << (z.imag() >= 0 ? "+" : "") << z.imag() << "j";
-      if (c + 1 < cols_) os << ", ";
-    }
-    os << (r + 1 == rows_ ? "]" : ";\n");
-  }
-  return os.str();
 }
 
 }  // namespace flexcore::linalg

@@ -4,9 +4,7 @@
 #include <cassert>
 #include <complex>
 #include <cstddef>
-#include <initializer_list>
 #include <span>
-#include <string>
 
 #include "linalg/types.h"
 
@@ -28,14 +26,8 @@ class CMat {
   CMat(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, cplx{0.0, 0.0}) {}
 
-  /// Build from a nested initializer list: CMat{{a,b},{c,d}}.
-  CMat(std::initializer_list<std::initializer_list<cplx>> init);
-
   /// Identity matrix of size n.
   static CMat identity(std::size_t n);
-
-  /// Matrix whose diagonal is d and off-diagonal entries are zero.
-  static CMat diag(const CVec& d);
 
   /// Reshapes to rows x cols with every entry `value`, reusing the
   /// storage: no allocation once it has held rows * cols entries.
@@ -74,8 +66,6 @@ class CMat {
 
   /// Extract column c as a vector.
   CVec col(std::size_t c) const;
-  /// Extract row r as a vector.
-  CVec row(std::size_t r) const;
   /// Overwrite column c.
   void set_col(std::size_t c, const CVec& v);
   /// Swap columns a and b in place.
@@ -83,30 +73,13 @@ class CMat {
 
   /// Conjugate (Hermitian) transpose.
   CMat hermitian() const;
-  /// Plain transpose (no conjugation).
-  CMat transpose() const;
 
-  CMat operator+(const CMat& o) const;
-  CMat operator-(const CMat& o) const;
   CMat operator*(const CMat& o) const;
   CVec operator*(const CVec& v) const;
-  CMat operator*(cplx s) const;
-
-  CMat& operator+=(const CMat& o);
-  CMat& operator-=(const CMat& o);
 
   bool same_shape(const CMat& o) const noexcept {
     return rows_ == o.rows_ && cols_ == o.cols_;
   }
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
-  /// Max |a_ij - b_ij| between two same-shape matrices.
-  static double max_abs_diff(const CMat& a, const CMat& b);
-
-  /// Human-readable dump (for diagnostics and test failure messages).
-  std::string to_string(int precision = 4) const;
 
  private:
   std::size_t rows_ = 0;

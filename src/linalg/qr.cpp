@@ -89,7 +89,7 @@ const MgsKernel g_mgs = pick_mgs();
 // and, in its imaginary part, the squared norm the kernel accumulated.
 // With Tolerant set, a pivot below the rank tolerance produces a zero Q
 // column and a zero R row instead of throwing (the shard-partial contract
-// of qr_mgs_tolerant); the branch is compile-time, so the full-rank code
+// of qr_mgs_tolerant_into); the branch is compile-time, so the full-rank code
 // path is the same instructions either way.
 template <bool Tolerant, typename PickFn>
 FLEXCORE_HOT_PATH
@@ -160,10 +160,6 @@ void qr_mgs_into(CMatView h, QrResult* out) {
   mgs_core<false>(h, out->Q, out->R, &out->perm, kNaturalOrder);
 }
 
-void qr_mgs_tolerant_into(CMatView h, QrResult* out) {
-  mgs_core<true>(h, out->Q, out->R, &out->perm, kNaturalOrder);
-}
-
 void qr_mgs_tolerant_into(CMatView h, CMat* q, CMat* r) {
   mgs_core<true>(h, *q, *r, nullptr, kNaturalOrder);
 }
@@ -186,85 +182,10 @@ QrResult qr_mgs(CMatView h) {
   return out;
 }
 
-QrResult qr_mgs_tolerant(CMatView h) {
-  QrResult out;
-  qr_mgs_tolerant_into(h, &out);
-  return out;
-}
-
 QrResult sorted_qr_wubben(CMatView h) {
   QrResult out;
   sorted_qr_wubben_into(h, &out);
   return out;
-}
-
-FLEXCORE_NO_FMA_VECTORIZE
-QrResult qr_householder(CMatView h) {
-  const std::size_t nr = h.rows();
-  const std::size_t nt = h.cols();
-  if (nr < nt) throw std::runtime_error("qr: requires rows >= cols");
-
-  CMat a = h.materialize();
-  CMat qfull = CMat::identity(nr);
-
-  for (std::size_t k = 0; k < nt; ++k) {
-    // Build Householder vector for column k, rows k..nr-1.
-    CVec x(nr - k);
-    for (std::size_t i = k; i < nr; ++i) x[i - k] = a(i, k);
-    const double xnorm = std::sqrt(norm2(x));
-    if (!std::isfinite(xnorm)) {
-      throw std::runtime_error("qr: non-finite matrix entries");
-    }
-    if (xnorm < kRankTol) throw std::runtime_error("qr: rank-deficient matrix");
-
-    // alpha = -e^{i arg(x0)} * ||x||  makes the pivot real and positive
-    // after reflection with the conventional sign choice.
-    const cplx x0 = x[0];
-    const double x0abs = std::abs(x0);
-    const cplx phase = (x0abs > 0) ? x0 / x0abs : cplx{1.0, 0.0};
-    const cplx alpha = -phase * xnorm;
-
-    CVec v = x;
-    v[0] -= alpha;
-    const double vnorm2 = norm2(v);
-    if (vnorm2 < kRankTol * kRankTol) continue;  // already triangular here
-
-    // Apply P = I - 2 v v^H / (v^H v) to A (rows k..) and accumulate into Q.
-    for (std::size_t j = k; j < nt; ++j) {
-      cplx s{0.0, 0.0};
-      for (std::size_t i = k; i < nr; ++i) s += std::conj(v[i - k]) * a(i, j);
-      s *= 2.0 / vnorm2;
-      for (std::size_t i = k; i < nr; ++i) a(i, j) -= s * v[i - k];
-    }
-    for (std::size_t j = 0; j < nr; ++j) {
-      cplx s{0.0, 0.0};
-      for (std::size_t i = k; i < nr; ++i) s += std::conj(v[i - k]) * qfull(i, j);
-      s *= 2.0 / vnorm2;
-      for (std::size_t i = k; i < nr; ++i) qfull(i, j) -= s * v[i - k];
-    }
-  }
-
-  // qfull currently holds P_{nt-1}...P_0, i.e. Q^H. Extract thin factors and
-  // normalize signs so that diag(R) is real positive (matches MGS).
-  CMat q(nr, nt);
-  CMat r(nt, nt);
-  for (std::size_t i = 0; i < nt; ++i)
-    for (std::size_t j = i; j < nt; ++j) r(i, j) = a(i, j);
-  for (std::size_t i = 0; i < nr; ++i)
-    for (std::size_t j = 0; j < nt; ++j) q(i, j) = std::conj(qfull(j, i));
-
-  for (std::size_t i = 0; i < nt; ++i) {
-    const cplx d = r(i, i);
-    const double dabs = std::abs(d);
-    if (dabs < kRankTol) throw std::runtime_error("qr: rank-deficient matrix");
-    const cplx ph = d / dabs;  // rotate row i of R and column i of Q
-    for (std::size_t j = i; j < nt; ++j) r(i, j) *= std::conj(ph);
-    for (std::size_t i2 = 0; i2 < nr; ++i2) q(i2, i) *= ph;
-  }
-
-  std::vector<std::size_t> perm(nt);
-  std::iota(perm.begin(), perm.end(), 0);
-  return QrResult{std::move(q), std::move(r), std::move(perm)};
 }
 
 QrResult fcsd_sorted_qr(CMatView h, std::size_t full_levels) {
@@ -322,23 +243,6 @@ QrResult fcsd_sorted_qr(CMatView h, std::size_t full_levels) {
   QrResult qr = qr_mgs(hp);
   qr.perm = perm;
   return qr;
-}
-
-CVec solve_upper(const CMat& r, const CVec& y) {
-  const std::size_t n = r.cols();
-  assert(r.rows() == n && y.size() == n);
-  CVec x(n);
-  for (std::size_t ii = 0; ii < n; ++ii) {
-    const std::size_t i = n - 1 - ii;
-    cplx s = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) s -= r(i, j) * x[j];
-    const cplx d = r(i, i);
-    if (std::abs(d) < kRankTol) {
-      throw std::runtime_error("solve_upper: singular diagonal");
-    }
-    x[i] = s / d;
-  }
-  return x;
 }
 
 }  // namespace flexcore::linalg

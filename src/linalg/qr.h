@@ -1,13 +1,14 @@
 // QR decompositions used by sphere-decoder-based MIMO detection.
 //
 // Three variants are provided:
-//  * qr_mgs / qr_householder : plain (unsorted) thin QR, H = Q R.
-//  * sorted_qr_wubben        : SQRD column ordering of Wübben et al. [13],
-//                              the standard ordering for SIC and FlexCore.
-//  * fcsd_sorted_qr          : the FCSD ordering of Barbero & Thompson [4],
-//                              which places the streams with the largest
-//                              noise amplification on the fully-expanded
-//                              (top) tree levels.
+//  * qr_mgs           : plain (unsorted) thin QR, H = Q R, and its
+//                       rank-tolerant form for the shard partials.
+//  * sorted_qr_wubben : SQRD column ordering of Wübben et al. [13], the
+//                       standard ordering for SIC and FlexCore.
+//  * fcsd_sorted_qr   : the FCSD ordering of Barbero & Thompson [4], which
+//                       places the streams with the largest noise
+//                       amplification on the fully-expanded (top) tree
+//                       levels.
 //
 // Column permutations are reported so callers can map detected symbols back
 // to the original transmit-antenna order.
@@ -42,34 +43,27 @@ struct QrResult {
 /// (CMat::row_range) — the per-cluster preprocessing of the sharded
 /// baseband layer factorizes each cluster's rows in place, no copies of H.
 ///
-/// qr_mgs, qr_mgs_tolerant and sorted_qr_wubben share one MGS core that
-/// works in the output Q's own storage, a lane kernel compiled per ISA
+/// qr_mgs, qr_mgs_tolerant_into and sorted_qr_wubben share one MGS core
+/// that works in the output Q's own storage, a lane kernel compiled per ISA
 /// (linalg/kernel_isa.h) whose every copy is bit-identical to a
-/// column-at-a-time MGS.  Their `_into` forms write into a
-/// caller's QrResult and reuse its capacity, so a warm result of any shape
-/// makes them allocation-free; the by-value forms wrap them.  `h` must not
+/// column-at-a-time MGS.  Their `_into` forms write into caller storage
+/// and reuse its capacity, so a warm output of any shape makes them
+/// allocation-free; the by-value forms wrap them.  `h` must not
 /// view the output's storage.  A throw leaves the output unspecified, so
 /// callers that must keep their factors on failure factor into scratch and
 /// swap on success (FlexCoreDetector::set_channel).
 QrResult qr_mgs(CMatView h);
 void qr_mgs_into(CMatView h, QrResult* out);
 
-/// qr_mgs without the full-rank requirement: a (numerically) rank-deficient
-/// pivot yields a zero Q column and a zero R row instead of throwing, so
-/// H = Q R still holds exactly and R^H R == H^H H is preserved.  This is
-/// the per-cluster factorization of src/shard/ — a cluster's antenna-row
+/// qr_mgs without the full-rank requirement, into bare Q and R (the
+/// permutation is the identity): a (numerically) rank-deficient pivot
+/// yields a zero Q column and a zero R row instead of throwing, so H = Q R
+/// still holds exactly and R^H R == H^H H is preserved.  This is the
+/// per-cluster factorization of src/shard/ — a cluster's antenna-row
 /// submatrix may be singular even when the full channel is not, and the
 /// partial-QR merge stays exact either way.  For full-column-rank input it
 /// is bit-identical to qr_mgs (same code path).
-QrResult qr_mgs_tolerant(CMatView h);
-void qr_mgs_tolerant_into(CMatView h, QrResult* out);
-/// The same factorization into bare Q and R (its permutation is the
-/// identity), for callers that keep only the factors: the shard partial.
 void qr_mgs_tolerant_into(CMatView h, CMat* q, CMat* r);
-
-/// Thin QR via Householder reflections (numerically more robust; used to
-/// cross-validate MGS in tests).
-QrResult qr_householder(CMatView h);
 
 /// Sorted QR decomposition (SQRD) of Wübben et al.: at each Gram-Schmidt
 /// step pick the not-yet-processed column of minimum residual norm.  The
@@ -106,8 +100,5 @@ void unpermute_into(std::type_identity_t<std::span<const T>> detected,
     (*out)[perm[i]] = detected[i];
   }
 }
-
-/// Solves R x = y for upper-triangular R by back substitution.
-CVec solve_upper(const CMat& r, const CVec& y);
 
 }  // namespace flexcore::linalg

@@ -51,19 +51,6 @@ CMat inverse(const CMat& a) {
   return rhs;
 }
 
-CVec solve(const CMat& a, const CVec& b) {
-  if (a.rows() != a.cols() || a.rows() != b.size()) {
-    throw std::invalid_argument("solve: shape mismatch");
-  }
-  CMat work = a;
-  CMat rhs(b.size(), 1);
-  for (std::size_t i = 0; i < b.size(); ++i) rhs(i, 0) = b[i];
-  gauss_jordan(work, rhs);
-  CVec x(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) x[i] = rhs(i, 0);
-  return x;
-}
-
 FLEXCORE_NO_FMA_VECTORIZE
 CMat cholesky(const CMat& a) {
   if (a.rows() != a.cols()) throw std::invalid_argument("cholesky: non-square");

@@ -14,9 +14,6 @@ CMat inverse(const CMat& a);
 /// Hermitian positive-definite matrix: a = L L^H.  Throws if not PD.
 CMat cholesky(const CMat& a);
 
-/// Solves A x = b via Gauss elimination with partial pivoting.
-CVec solve(const CMat& a, const CVec& b);
-
 /// Zero-forcing (pseudo-inverse) receive filter:  W = (H^H H)^-1 H^H.
 CMat zf_filter(const CMat& h);
 

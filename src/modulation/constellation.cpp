@@ -96,10 +96,4 @@ void Constellation::unmap_bits(int index, std::vector<std::uint8_t>& out) const 
   }
 }
 
-double Constellation::average_energy() const {
-  double e = 0.0;
-  for (cplx p : points_) e += linalg::abs2(p);
-  return e / static_cast<double>(order_);
-}
-
 }  // namespace flexcore::modulation

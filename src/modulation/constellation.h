@@ -89,9 +89,6 @@ class Constellation {
   /// Inverse of map_bits: appends `bits_per_symbol()` bits to `out`.
   void unmap_bits(int index, std::vector<std::uint8_t>& out) const;
 
-  /// Average symbol energy (should be 1.0 up to rounding; exposed for tests).
-  double average_energy() const;
-
  private:
   int order_;
   int side_;

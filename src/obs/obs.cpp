@@ -25,16 +25,6 @@ const char* to_string(Stage stage) {
   return "?";
 }
 
-const char* to_string(Counter counter) {
-  switch (counter) {
-    case Counter::kPreprocReuseHits: return "preproc_reuse_hits";
-    case Counter::kPreprocReuseMisses: return "preproc_reuse_misses";
-    case Counter::kSicFallbacks: return "sic_fallbacks";
-    case Counter::kI16BoundaryRescans: return "i16_boundary_rescans";
-  }
-  return "?";
-}
-
 const char* to_string(ControlReason reason) {
   switch (reason) {
     case ControlReason::kInit: return "init";
@@ -284,13 +274,6 @@ void configure(const ObsConfig& cfg) {
                         std::memory_order_relaxed);
 }
 
-ObsConfig current_config() {
-  ObsConfig cfg;
-  cfg.sample_every = g_sample_every.load(std::memory_order_relaxed);
-  cfg.ring_capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  return cfg;
-}
-
 void set_thread_track(const char* name) {
   if (!kEnabled || name == nullptr) return;
   TlsState& tls = t_tls;
@@ -342,41 +325,6 @@ MetricsSnapshot metrics_snapshot() {
     }
   }
   return snap;
-}
-
-std::string metrics_to_text(const MetricsSnapshot& snapshot) {
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    std::snprintf(line, sizeof line, "obs_%s %llu\n",
-                  to_string(static_cast<Counter>(i)),
-                  static_cast<unsigned long long>(snapshot.counters[i]));
-    out += line;
-  }
-  std::snprintf(line, sizeof line, "obs_spans_recorded %llu\n",
-                static_cast<unsigned long long>(snapshot.spans_recorded));
-  out += line;
-  std::snprintf(line, sizeof line, "obs_spans_retained %llu\n",
-                static_cast<unsigned long long>(snapshot.spans_retained));
-  out += line;
-  return out;
-}
-
-std::string metrics_to_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\"counters\": {";
-  char buf[96];
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    std::snprintf(buf, sizeof buf, "%s\"%s\": %llu", i ? ", " : "",
-                  to_string(static_cast<Counter>(i)),
-                  static_cast<unsigned long long>(snapshot.counters[i]));
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf,
-                "}, \"spans_recorded\": %llu, \"spans_retained\": %llu}",
-                static_cast<unsigned long long>(snapshot.spans_recorded),
-                static_cast<unsigned long long>(snapshot.spans_retained));
-  out += buf;
-  return out;
 }
 
 void reset_for_test(const ObsConfig& cfg) {

@@ -81,7 +81,6 @@ enum class Counter : std::uint8_t {
   kI16BoundaryRescans,    ///< i16-tier winners re-derived by an exact rescan
 };
 inline constexpr std::size_t kCounterCount = 4;
-const char* to_string(Counter counter);
 
 /// Trigger taxonomy of control-plane decisions (control::Decision::reason),
 /// packed into the aux field of kControl events.
@@ -213,7 +212,6 @@ bool tracing_enabled();
 /// Applies runtime knobs (sampling takes effect immediately; ring capacity
 /// for rings created afterwards).  Control-plane: locks.
 void configure(const ObsConfig& cfg);
-ObsConfig current_config();
 
 /// Names the calling thread's trace track ("shard0", "dispatcher1", ...).
 /// Cold-path: may lock and allocate (call at thread start).  A thread that
@@ -228,11 +226,6 @@ TraceSnapshot drain_spans();
 
 /// Counter snapshot (always consistent; relaxed reads).
 MetricsSnapshot metrics_snapshot();
-
-/// Prometheus-style "name value" lines, one per counter and span total.
-std::string metrics_to_text(const MetricsSnapshot& snapshot);
-/// The same snapshot as a JSON object.
-std::string metrics_to_json(const MetricsSnapshot& snapshot);
 
 /// Test hook: zeroes every counter, empties every ring (resizing them to
 /// cfg.ring_capacity), resets the frame-id/sampling sequence and applies

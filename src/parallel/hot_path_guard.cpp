@@ -46,8 +46,6 @@ std::atomic<std::uint64_t> g_deallocations{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<std::uint64_t> g_lock_acquisitions{0};
 
-std::atomic<bool> g_abort_on_violation{false};
-
 bool abort_env_enabled() {
   static const bool enabled = [] {
     const char* v = std::getenv("FLEXCORE_HOT_PATH_ABORT");
@@ -93,8 +91,7 @@ void note_alloc(std::size_t bytes) noexcept {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     g_alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
-  if (g_abort_on_violation.load(std::memory_order_relaxed) ||
-      abort_env_enabled()) {
+  if (abort_env_enabled()) {
     std::fprintf(stderr,
                  "flexcore hot-path guard: heap allocation of %zu bytes "
                  "inside an armed HotPathScope\n",
@@ -150,10 +147,6 @@ HotPathStats HotPathScope::delta() const noexcept {
 bool HotPathScope::armed_on_this_thread() noexcept {
   return t_counters.armed_depth > 0 ||
          g_process_armed.load(std::memory_order_relaxed) > 0;
-}
-
-void HotPathScope::set_abort_on_violation(bool on) noexcept {
-  g_abort_on_violation.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace flexcore::parallel

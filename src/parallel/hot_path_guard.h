@@ -93,12 +93,11 @@ class HotPathScope {
   /// kProcess scope is live anywhere).
   static bool armed_on_this_thread() noexcept;
 
-  /// Debug escape hatch: when set (or the FLEXCORE_HOT_PATH_ABORT=1
-  /// environment variable is present at first use), an allocation observed
-  /// while any scope is armed aborts with a diagnostic instead of merely
-  /// counting — turning a violated invariant into a stack trace at the
-  /// offending call site.  Off by default; tests assert via delta().
-  static void set_abort_on_violation(bool on) noexcept;
+  // Debug escape hatch: with FLEXCORE_HOT_PATH_ABORT=1 in the environment
+  // at first use, an allocation observed while any scope is armed aborts
+  // with a diagnostic instead of merely counting — turning a violated
+  // invariant into a stack trace at the offending call site.  Off by
+  // default; tests assert via delta().
 
  private:
   const char* label_;

@@ -82,27 +82,4 @@ linalg::CMat stack_partials(std::span<const PartialQr> partials) {
   return s;
 }
 
-MergedChannel merge_channel(linalg::CMatView h, std::span<const linalg::cplx> y,
-                            std::span<const RowRange> plan) {
-  if (y.size() != h.rows()) {
-    throw std::invalid_argument("merge_channel: y size != H rows");
-  }
-  const std::size_t nt = h.cols();
-  std::vector<PartialQr> partials;
-  partials.reserve(plan.size());
-  MergedChannel out;
-  out.z = linalg::CVec(merged_rows(plan, nt));
-  std::size_t zrow = 0;
-  for (const RowRange& range : plan) {
-    linalg::CMatView rows(h.data() + range.begin * nt, range.count, nt);
-    partials.push_back(compute_partial(rows));
-    const std::size_t k_c = compressed_rows(range, nt);
-    rotate_partial(partials.back(), y.subspan(range.begin, range.count),
-                   std::span<linalg::cplx>(out.z.data() + zrow, k_c));
-    zrow += k_c;
-  }
-  out.s = stack_partials(partials);
-  return out;
-}
-
 }  // namespace flexcore::shard

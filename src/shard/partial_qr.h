@@ -94,15 +94,4 @@ std::size_t merged_rows(std::span<const RowRange> plan, std::size_t nt);
 /// Partials must be ordered like the plan that produced them.
 linalg::CMat stack_partials(std::span<const PartialQr> partials);
 
-/// Convenience for tests and single-subcarrier callers: full partial-QR
-/// pipeline over one channel + one received vector under `plan`, returning
-/// the merged (S, z) pair.  The shard fabric (shard/fabric.h) runs the
-/// same three primitives spread across per-shard thread pools instead.
-struct MergedChannel {
-  linalg::CMat s;    ///< stacked compressed channel, K x Nt
-  linalg::CVec z;    ///< stacked rotated receive vector, K entries
-};
-MergedChannel merge_channel(linalg::CMatView h, std::span<const linalg::cplx> y,
-                            std::span<const RowRange> plan);
-
 }  // namespace flexcore::shard

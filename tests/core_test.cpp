@@ -14,10 +14,11 @@
 #include "core/flexcore_detector.h"
 #include "core/ordering_lut.h"
 #include "core/preprocessing.h"
-#include "detect/exhaustive.h"
 #include "detect/fcsd.h"
 #include "detect/sic.h"
 #include "linalg/qr.h"
+#include "modulation/error_rates.h"
+#include "reference_ml.h"
 #include "reference_preprocessing.h"
 
 namespace fa = flexcore::api;
@@ -111,7 +112,7 @@ TEST_P(PreprocessingExhaustive, MatchesExhaustiveRanking) {
   cfg.pe_model = GetParam();
   cfg.candidate_list_cap = 100000;  // unbounded frontier -> exact best-first
   const auto res = fc::find_most_promising_paths(qr.R, 0.3, c, cfg);
-  const auto want = fc::rank_paths_exhaustive(res.pe, 4, 3, 20);
+  const auto want = flexcore::testref::rank_paths_exhaustive(res.pe, 4, 3, 20);
   ASSERT_EQ(res.paths.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(res.paths[i].pc, want[i].pc, 1e-12)
@@ -328,8 +329,12 @@ TEST(Preprocessing, FlatSearchMatchesMultisetReference) {
         random_channel(nt, nt, 1000 + static_cast<std::uint64_t>(iter));
     const auto qr = flexcore::linalg::sorted_qr_wubben(h);
     const double nv = std::uniform_real_distribution<double>(0.01, 1.0)(gen);
-    const auto want_r = flexcore::testref::multiset_path_search(
-        fc::level_error_probabilities(qr.R, nv, c, cfg.pe_model), q, cfg);
+    std::vector<double> pe_r(nt);
+    for (std::size_t l = 0; l < nt; ++l) {
+      pe_r[l] = fm::level_error_probability(cfg.pe_model, c,
+                                            std::abs(qr.R(l, l)), nv);
+    }
+    const auto want_r = flexcore::testref::multiset_path_search(pe_r, q, cfg);
     expect_same_search(fc::find_most_promising_paths(qr.R, nv, c, cfg),
                        want_r, what + " (R overload)");
     fc::find_most_promising_paths_into(qr.R, nv, c, cfg, ws, &warm);
@@ -560,7 +565,7 @@ TEST(FlexCore, AllPathsWithExactOrderingIsML) {
     flex->set_channel(h, nv);
     EXPECT_EQ(flex->preprocessing().paths.size(), 64u);
     const auto got = flex->detect(y);
-    const auto want = fd::exhaustive_ml(c, h, y);
+    const auto want = flexcore::testref::exhaustive_ml(c, h, y);
     EXPECT_EQ(got.symbols, want.symbols);
     EXPECT_NEAR(got.metric, want.metric, 1e-9);
   }
@@ -724,7 +729,7 @@ TEST(FlexCore, AdaptiveUsesFewerPesOnCleanChannels) {
   flex->set_channel(h, 1e-5);  // nearly noiseless
   const std::size_t clean_paths = flex->active_paths();
   EXPECT_LE(clean_paths, 4u);
-  EXPECT_GE(flex->active_pc_sum(), 0.95);
+  EXPECT_GE(flex->preprocessing().pc_sum, 0.95);
 
   flex->set_channel(h, 0.6);  // very noisy
   EXPECT_GT(flex->active_paths(), clean_paths);
@@ -738,7 +743,7 @@ TEST(FlexCore, AdaptiveMatchesPlainWhenBudgetExhausted) {
   const auto plain =
       fa::make_detector("flexcore-16", {.constellation = &c});
   fa::DetectorConfig ad_cfg{.constellation = &c};
-  ad_cfg.adaptive_threshold = 0.9999;  // unreachable on a noisy channel
+  ad_cfg.flexcore.adaptive_threshold = 0.9999;  // unreachable when noisy
   const auto adaptive = fa::make_detector_as<fc::FlexCoreDetector>(
       "a-flexcore-16", ad_cfg);
   const CMat h = random_channel(8, 8, 29);

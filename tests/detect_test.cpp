@@ -9,13 +9,13 @@
 
 #include "api/detector_registry.h"
 #include "channel/channel.h"
-#include "detect/exhaustive.h"
 #include "detect/fcsd.h"
 #include "detect/kbest.h"
 #include "detect/linear.h"
 #include "detect/ml_sphere.h"
 #include "detect/sic.h"
 #include "detect/trellis.h"
+#include "reference_ml.h"
 #include "reference_walk.h"
 
 namespace fa = flexcore::api;
@@ -160,7 +160,8 @@ TEST(Sic, BeatsPlainZfAtModerateSnr) {
 TEST(Exhaustive, ThrowsOnHugeSearchSpace) {
   Constellation c(64);
   CMat h(8, 8);
-  EXPECT_THROW(fd::exhaustive_ml(c, h, CVec(8)), std::invalid_argument);
+  EXPECT_THROW(flexcore::testref::exhaustive_ml(c, h, CVec(8)),
+               std::invalid_argument);
 }
 
 class MlVsExhaustive
@@ -179,7 +180,7 @@ TEST_P(MlVsExhaustive, SphereDecoderIsExactlyML) {
                                       static_cast<std::size_t>(nt), nv, rng);
     sd->set_channel(sc.h, nv);
     const auto got = sd->detect(sc.y);
-    const auto want = fd::exhaustive_ml(c, sc.h, sc.y);
+    const auto want = flexcore::testref::exhaustive_ml(c, sc.h, sc.y);
     EXPECT_EQ(got.symbols, want.symbols) << "trial " << t;
     EXPECT_NEAR(got.metric, want.metric, 1e-8);
   }
@@ -295,7 +296,7 @@ TEST(Fcsd, FullExpansionEqualsExhaustiveML) {
     const Scenario sc = make_scenario(c, 3, 3, nv, rng);
     det->set_channel(sc.h, nv);
     const auto got = det->detect(sc.y);
-    const auto want = fd::exhaustive_ml(c, sc.h, sc.y);
+    const auto want = flexcore::testref::exhaustive_ml(c, sc.h, sc.y);
     EXPECT_EQ(got.symbols, want.symbols);
     EXPECT_NEAR(got.metric, want.metric, 1e-8);
   }
@@ -380,7 +381,7 @@ TEST(KBest, ExactForTwoLayersWithFullWidth) {
   for (int t = 0; t < 20; ++t) {
     const Scenario sc = make_scenario(c, 2, 2, nv, rng);
     det->set_channel(sc.h, nv);
-    const auto want = fd::exhaustive_ml(c, sc.h, sc.y);
+    const auto want = flexcore::testref::exhaustive_ml(c, sc.h, sc.y);
     EXPECT_EQ(det->detect(sc.y).symbols, want.symbols);
   }
 }
@@ -420,7 +421,7 @@ TEST(Trellis, ExactForTwoAntennas) {
   for (int t = 0; t < 20; ++t) {
     const Scenario sc = make_scenario(c, 2, 2, nv, rng);
     det->set_channel(sc.h, nv);
-    const auto want = fd::exhaustive_ml(c, sc.h, sc.y);
+    const auto want = flexcore::testref::exhaustive_ml(c, sc.h, sc.y);
     EXPECT_EQ(det->detect(sc.y).symbols, want.symbols);
   }
 }

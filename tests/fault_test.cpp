@@ -142,7 +142,7 @@ TEST(Injector, NonFiniteMutationsTripTheFullScan) {
   const double nv = 0.05;
   for (const ff::FaultKind kind : {ff::FaultKind::kNonFinitePayload,
                                    ff::FaultKind::kNonFiniteChannel}) {
-    SCOPED_TRACE(ff::to_string(kind));
+    SCOPED_TRACE(static_cast<int>(kind));
     ff::Injector inj({.seed = 7, .rules = {{.kind = kind}}});
     Frame fr = make_frame(qam, 4, 2, 6, 4, nv, 90);
     ASSERT_FALSE(frame_has_non_finite(fr));
@@ -243,11 +243,7 @@ TEST(Injector, ShardVerdictsHonorTargetFiltersAndCount) {
   EXPECT_EQ(via_probe.stall_us, 250u);
 }
 
-TEST(Injector, KindNamesAndCorruptionClasses) {
-  for (std::size_t k = 0; k < ff::kFaultKindCount; ++k) {
-    const auto kind = static_cast<ff::FaultKind>(k);
-    EXPECT_STRNE(ff::to_string(kind), "?") << k;
-  }
+TEST(Injector, CorruptionClasses) {
   EXPECT_TRUE(ff::corrupts_frame(ff::FaultKind::kNonFinitePayload));
   EXPECT_TRUE(ff::corrupts_frame(ff::FaultKind::kCorruptPayload));
   EXPECT_TRUE(ff::corrupts_frame(ff::FaultKind::kRankDeficientChannel));

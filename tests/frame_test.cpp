@@ -393,6 +393,35 @@ TEST(Frame, ReusePreprocessingSkipsInstallsAndMatches) {
                                             geom, nv));
 }
 
+TEST(Frame, ReuseRequiresSameNoiseVar) {
+  // Path selection depends on the noise variance: a reuse request after a
+  // noise change re-preprocesses and matches a fresh pipeline bit for bit,
+  // and at an unchanged noise variance the request still hits.
+  fa::PipelineConfig cfg;
+  cfg.detector = "flexcore-32";
+  cfg.qam_order = 16;
+  cfg.threads = 2;
+  fa::UplinkPipeline pipe(cfg);
+  const double quiet = ch::noise_var_for_snr_db(25.0);
+  const double loud = ch::noise_var_for_snr_db(0.0);
+  const Frame fr = make_frame(pipe.constellation(), 4, 3, 8, 8, quiet, 38);
+  pipe.detect_frame(job_of(fr, quiet));
+
+  fa::FrameJob changed = job_of(fr, loud);
+  changed.reuse_preprocessing = true;
+  const fa::FrameResult got = pipe.detect_frame(changed);
+  EXPECT_EQ(got.channels_installed, 4u) << "a noise change must reinstall";
+
+  fa::UplinkPipeline fresh(cfg);
+  const fa::FrameResult want = fresh.detect_frame(job_of(fr, loud));
+  EXPECT_EQ(got.sum_active_paths, want.sum_active_paths);
+  expect_bit_identical(got.results, want.results);
+
+  const fa::FrameResult hit = pipe.detect_frame(changed);
+  EXPECT_EQ(hit.channels_installed, 0u) << "same noise variance must reuse";
+  expect_bit_identical(hit.results, want.results);
+}
+
 // --------------------------------------------------------- zero-allocation
 
 TEST(FrameGrid, SteadyStateGridDoesNotAllocate) {

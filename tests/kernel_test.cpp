@@ -823,8 +823,13 @@ TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
   for (const std::string& spec : fa::list_specs()) {
     EXPECT_EQ(spec.find("fp32"), std::string::npos) << spec;
   }
-  for (const std::string& help : fa::DetectorRegistry::global().patterns()) {
-    EXPECT_EQ(help.find("fp32"), std::string::npos) << help;
+  try {
+    fa::make_detector("no-such-detector", cfg);
+    ADD_FAILURE() << "unknown spec accepted";
+  } catch (const std::invalid_argument& e) {
+    // The message lists every spec pattern.
+    EXPECT_EQ(std::string(e.what()).find("fp32"), std::string::npos)
+        << e.what();
   }
   // The suffix alone picks the tier: a bare spec is fp64, whatever
   // cfg.flexcore.precision says.

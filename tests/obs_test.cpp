@@ -120,7 +120,7 @@ TEST(ObsRing, CrossThreadDrainCollectsEveryTrack) {
   EXPECT_EQ(seen, (std::set<std::string>{"main", "aux0", "aux1"}));
 }
 
-TEST(ObsMetrics, CountersAndTextJsonRendering) {
+TEST(ObsMetrics, CountersSnapshot) {
   obs::reset_for_test(traced(0));
   obs::counter_add(obs::Counter::kPreprocReuseHits, 5);
   obs::counter_add(obs::Counter::kPreprocReuseMisses, 3);
@@ -138,22 +138,8 @@ TEST(ObsMetrics, CountersAndTextJsonRendering) {
   EXPECT_EQ(ms.counters[static_cast<std::size_t>(
                 obs::Counter::kI16BoundaryRescans)],
             1u);
-  const std::string text = obs::metrics_to_text(ms);
-  EXPECT_NE(text.find("obs_preproc_reuse_hits 5"), std::string::npos) << text;
-  EXPECT_NE(text.find("obs_preproc_reuse_misses 3"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("obs_sic_fallbacks 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("obs_i16_boundary_rescans 1"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("obs_spans_recorded 0"), std::string::npos) << text;
-  const std::string json = obs::metrics_to_json(ms);
-  EXPECT_NE(json.find("\"preproc_reuse_hits\": 5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"preproc_reuse_misses\": 3"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"sic_fallbacks\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"i16_boundary_rescans\": 1"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"spans_retained\": 0"), std::string::npos) << json;
+  EXPECT_EQ(ms.spans_recorded, 0u);
+  EXPECT_EQ(ms.spans_retained, 0u);
 }
 
 TEST(ObsExport, ChromeTraceIsWellFormed) {

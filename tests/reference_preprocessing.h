@@ -7,13 +7,19 @@
 // slots in a reusable workspace; both must emit the same paths with the
 // same pc values, pc_sum and Table 2 counters, bit for bit
 // (tests/core_test.cpp).
+//
+// Below it, the exhaustive ranking both searches approximate: every
+// position vector, sorted by Pc.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/preprocessing.h"
@@ -90,6 +96,44 @@ inline core::PreprocessingResult multiset_path_search(
     }
   }
   return out;
+}
+
+/// Enumerates *all* |Q|^Nt position vectors, ranks them by Pc (ties by
+/// position vector ascending) and returns the top `num_paths`.
+/// Exponential; only for tiny problems.
+inline std::vector<core::RankedPath> rank_paths_exhaustive(
+    const std::vector<double>& pe, int constellation_order, std::size_t nt,
+    std::size_t num_paths) {
+  using core::RankedPath;
+  const std::uint64_t q = static_cast<std::uint64_t>(constellation_order);
+  if (static_cast<double>(nt) * std::log2(static_cast<double>(q)) > 24) {
+    throw std::invalid_argument(
+        "rank_paths_exhaustive: search space too large");
+  }
+  std::uint64_t total = 1;
+  for (std::size_t i = 0; i < nt; ++i) total *= q;
+
+  std::vector<RankedPath> all;
+  all.reserve(total);
+  for (std::uint64_t code = 0; code < total; ++code) {
+    core::PositionVector p(nt);
+    std::uint64_t v = code;
+    double pc = 1.0;
+    for (std::size_t i = 0; i < nt; ++i) {
+      const int k = static_cast<int>(v % q) + 1;
+      v /= q;
+      p[i] = k;
+      pc *= (1.0 - pe[i]) * std::pow(pe[i], k - 1);
+    }
+    all.push_back(RankedPath{std::move(p), pc});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const RankedPath& a, const RankedPath& b) {
+              if (a.pc != b.pc) return a.pc > b.pc;
+              return a.p < b.p;
+            });
+  if (all.size() > num_paths) all.resize(num_paths);
+  return all;
 }
 
 }  // namespace flexcore::testref

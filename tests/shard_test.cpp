@@ -19,6 +19,7 @@
 #include "frame_fixtures.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
+#include "reference_linalg.h"
 #include "reference_qr.h"
 #include "shard/partial_qr.h"
 
@@ -35,6 +36,8 @@ using flexcore::testing::expect_bit_identical;
 using flexcore::testing::Frame;
 using flexcore::testing::job_of;
 using flexcore::testing::make_frame;
+using flexcore::testing::merge_channel;
+using flexcore::testing::MergedChannel;
 
 namespace {
 
@@ -45,7 +48,7 @@ namespace {
 constexpr double kMergeTol = 1e-8;
 
 double max_abs(const CMat& a, const CMat& b) {
-  return CMat::max_abs_diff(a, b);
+  return flexcore::testref::max_abs_diff(a, b);
 }
 
 double max_abs(const CVec& a, const CVec& b) {
@@ -113,7 +116,7 @@ TEST(PartialQr, SingleClusterIsBitIdenticalToPlainQr) {
   EXPECT_EQ(max_abs(partial.r, want.R), 0.0) << "C=1 R must be bit-identical";
 
   const auto plan = sh::plan_shards(8, 1);
-  const sh::MergedChannel merged = sh::merge_channel(h, y, plan);
+  const MergedChannel merged = merge_channel(h, y, plan);
   EXPECT_EQ(max_abs(merged.s, want.R), 0.0);
   CVec ybar(4);
   flexcore::testref::hermitian_mul_scalar(want.Q, y, ybar);
@@ -136,7 +139,7 @@ void check_merge_equivalence(std::size_t nt, std::size_t b, std::size_t c,
   const CMat h = ch::rayleigh_iid(b, nt, rng);
   const CVec y = random_cvec(b, rng);
   const auto plan = sh::plan_shards(b, c);
-  const sh::MergedChannel merged = sh::merge_channel(h, y, plan);
+  const MergedChannel merged = merge_channel(h, y, plan);
 
   ASSERT_EQ(merged.s.cols(), nt);
   ASSERT_EQ(merged.s.rows(), sh::merged_rows(plan, nt));
@@ -219,7 +222,7 @@ TEST(PartialQr, RankDeficientClusterMergesExactly) {
   EXPECT_LE(max_abs(recon, h.row_range(0, 4).materialize()), 1e-12);
 
   const auto plan = sh::plan_shards(8, 2);
-  const sh::MergedChannel merged = sh::merge_channel(h, y, plan);
+  const MergedChannel merged = merge_channel(h, y, plan);
   EXPECT_LE(max_abs(merged.s.hermitian() * merged.s, h.hermitian() * h),
             kMergeTol);
   const la::QrResult wh = la::sorted_qr_wubben(h);
@@ -253,7 +256,7 @@ TEST(PartialQr, DetectorFamiliesMatchOnMergedChannel) {
   }
   CMat merged_h;
   for (std::size_t t = 0; t < kVecs; ++t) {
-    sh::MergedChannel m = sh::merge_channel(h, ys[t], plan);
+    MergedChannel m = merge_channel(h, ys[t], plan);
     merged_h = std::move(m.s);  // identical every iteration (same H)
     zs.push_back(std::move(m.z));
   }
