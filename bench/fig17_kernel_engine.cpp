@@ -26,6 +26,13 @@
 // massive-64x8-sharded's 16x8 merged stack and on coherent-12x12's 12x12
 // channels — against the column-at-a-time MGS of tests/reference_qr.h.
 //
+// Report-only "trie" rows time one subcarrier's group of 7 vectors under
+// the block scan and the trie walk at massive-64x8-sharded's merged 16x8
+// (flexcore-32 and a-flexcore-32) and at coherent-12x12's 12x12: ns per
+// (vector, path), the node's cost in block-levels (the source of
+// PathPlan::kTrieNodeCost), the estimate's verdict and the faster kernel.
+// A trie verdict that differs from the block scan's fails the run.
+//
 // Emits BENCH_kernels.json and EXITS NON-ZERO when any gate fails:
 //   * fp64 block >= 1.5x over the scalar loop at 12x12 / 64-QAM;
 //   * i16 block faster than the fp64 block at 12x12 and 16x16;
@@ -40,6 +47,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +65,7 @@
 #include "parallel/thread_pool.h"
 #include "reference_qr.h"
 #include "reference_walk.h"
+#include "shard/partial_qr.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
@@ -64,6 +74,7 @@ namespace fd = flexcore::detect;
 namespace fb = flexcore::bench;
 namespace fl = flexcore::linalg;
 namespace fr = flexcore::testref;
+namespace fsh = flexcore::shard;
 using flexcore::modulation::Constellation;
 
 namespace {
@@ -298,6 +309,124 @@ void mgs_rows(fb::BenchJson& json, int reps) {
   }
 }
 
+/// The merged 16x8 channel massive-64x8-sharded's detectors see: a 64x8
+/// channel behind two antenna clusters' partial QRs.
+fl::CMat merged_massive_channel(ch::Rng& rng) {
+  const auto h = ch::rayleigh_iid(64, 8, rng);
+  std::vector<fsh::PartialQr> partials;
+  for (const fsh::RowRange range : fsh::plan_shards(64, 2)) {
+    partials.push_back(
+        fsh::compute_partial(h.row_range(range.begin, range.count)));
+  }
+  return fsh::stack_partials(partials);
+}
+
+/// The "trie" rows: one subcarrier's group of 7 rotated vectors (the
+/// serving benchmark's symbols per subcarrier) scanned by the block scan
+/// (detect::scan_each) and by the trie walk (PathPlan::scan_trie), over
+/// 16 channels of each serving shape.  ns per (vector, path) for both,
+/// the node's measured cost in block-levels (the source of
+/// PathPlan::kTrieNodeCost), the estimate's verdict (its trie share over
+/// the channels) and the faster measured kernel.  Returns false when the
+/// two kernels' verdicts differ (printing why).
+bool trie_rows(fb::BenchJson& json, int reps) {
+  struct Shape {
+    const char* name;
+    const char* spec;
+    int qam;
+    double snr_db;
+    bool merged;  ///< massive's merged 16x8, else a 12x12 channel
+  };
+  const Shape shapes[] = {{"massive", "flexcore-32", 16, -2.0, true},
+                          {"coherent", "flexcore-64", 64, 18.0, false},
+                          {"massive", "a-flexcore-32", 16, -2.0, true}};
+  constexpr std::size_t kGroup = 7;
+  constexpr int kChannels = 16;
+  const int rounds = 20 * std::max(reps, 1);
+  std::printf("\ntrie walk vs block scan, %zu vectors per subcarrier, %d "
+              "channels (kernel copy %s): ns per (vector, path), node cost "
+              "in block-levels, estimate vs faster\n",
+              kGroup, kChannels, fd::kernel_isa());
+  for (const Shape& sh : shapes) {
+    const Constellation c(sh.qam);
+    ch::Rng rng(1717);
+    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+        sh.spec, {.constellation = &c});
+    const double nv = ch::noise_var_for_snr_db(sh.snr_db);
+    double block_ns = 0.0, trie_ns = 0.0, walks = 0.0, nodes = 0.0;
+    double block_levels = 0.0;
+    int trie_verdicts = 0;
+    for (int k = 0; k < kChannels; ++k) {
+      const fl::CMat h =
+          sh.merged ? merged_massive_channel(rng) : ch::rayleigh_iid(12, 12, rng);
+      det->set_channel(h, nv);
+      const std::size_t nt = h.cols();
+      const std::size_t paths = det->active_paths();
+      const std::vector<fl::CVec> group =
+          rotated_batch(*det, h, c, nv, kGroup, rng);
+      fl::CVec ybars;
+      for (const fl::CVec& y : group) ybars.insert(ybars.end(), y.begin(), y.end());
+      std::size_t bp[kGroup], tp[kGroup];
+      double bm[kGroup], tm[kGroup];
+      const auto time = [&](auto&& scan) {
+        double best = 1e300;
+        for (int r = 0; r < rounds; ++r) {
+          const auto t0 = std::chrono::steady_clock::now();
+          scan();
+          best = std::min(best, std::chrono::duration<double, std::nano>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+        }
+        return best;
+      };
+      block_ns += time([&] {
+        fd::scan_each(*det, std::span<const fl::cplx>(ybars), paths, bp, bm);
+      });
+      trie_ns += time([&] { det->plan().scan_trie(ybars, tp, tm); });
+      for (std::size_t v = 0; v < kGroup; ++v) {
+        if (bp[v] != tp[v] || std::memcmp(&bm[v], &tm[v], sizeof(double)) != 0) {
+          std::fprintf(stderr,
+                       "FAIL: trie verdict (%zu, %.17g) != block scan (%zu, "
+                       "%.17g), %s %s channel %d vector %zu\n",
+                       tp[v], tm[v], bp[v], bm[v], sh.name, sh.spec, k, v);
+          return false;
+        }
+      }
+      walks += static_cast<double>(kGroup * paths);
+      nodes += static_cast<double>(det->plan().trie_nodes());
+      block_levels += static_cast<double>(kGroup * ((paths + 7) / 8) * nt);
+      trie_verdicts += det->scans_by_trie(kGroup);
+    }
+    const double node_cost = (trie_ns / nodes) / (block_ns / block_levels);
+    const double share = static_cast<double>(trie_verdicts) / kChannels;
+    const char* estimate = 2 * trie_verdicts > kChannels ? "trie" : "block";
+    const char* faster = trie_ns < block_ns ? "trie" : "block";
+    std::printf("%-8s %-13s block %6.2f, trie %6.2f ns/path (%.2fx), %5.1f "
+                "nodes, node = %.2f block-levels; estimate %s (share %.2f), "
+                "faster %s\n",
+                sh.name, sh.spec, block_ns / walks, trie_ns / walks,
+                block_ns / trie_ns, nodes / kChannels, node_cost, estimate,
+                share, faster);
+    json.row()
+        .field("kernel", "trie")
+        .field("shape", sh.name)
+        .field("detector", sh.spec)
+        .field("qam", sh.qam)
+        .field("vectors", kGroup)
+        .field("isa", fd::kernel_isa())
+        .field("block_ns_per_path", block_ns / walks)
+        .field("trie_ns_per_path", trie_ns / walks)
+        .field("speedup_vs_block", block_ns / trie_ns)
+        .field("trie_nodes", nodes / kChannels)
+        .field("node_cost_block_levels", node_cost)
+        .field("node_cost_weight", fd::PathPlan::kTrieNodeCost)
+        .field("estimate", estimate)
+        .field("estimate_trie_share", share)
+        .field("faster", faster);
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -444,6 +573,7 @@ int main() {
   }
 
   mgs_rows(json, reps);
+  if (!trie_rows(json, reps)) return kFailGates;
 
   // --- end-to-end SER gate of the quantized tier ---------------------------
   // Full detect_batch runs (grid + winner reconstruction + SIC fallback)

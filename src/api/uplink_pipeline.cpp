@@ -3,7 +3,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -24,18 +23,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 bool non_finite(const linalg::cplx& z) {
   return !std::isfinite(z.real()) || !std::isfinite(z.imag());
-}
-
-/// The path search ranks candidate paths by error probabilities computed
-/// from the noise variance: a NaN, infinite or negative value selects
-/// garbage paths without any error, so it is refused before any state
-/// changes.  Zero is a legitimate (noiseless) estimate.
-void check_noise_var(const char* where, double noise_var) {
-  if (noise_var >= 0.0 && !std::isinf(noise_var)) return;
-  char value[32];
-  std::snprintf(value, sizeof value, "%g", noise_var);
-  throw std::invalid_argument(std::string(where) + ": noise_var = " + value +
-                              " (must be finite and >= 0)");
 }
 
 /// Cold failure tail of detect_frame's preprocessing stage, hoisted out of
@@ -71,7 +58,7 @@ void fold_batch_into_frame(detect::BatchResult& batch, std::size_t offset,
 }
 
 void validate_frame_job(const FrameJob& job, FrameCheck check) {
-  check_noise_var("FrameJob", job.noise_var);
+  detect::check_noise_var("FrameJob", job.noise_var);
   const std::size_t nsc = job.channels.size();
   const std::size_t nv = job.vectors_per_channel;
   if (job.ys.size() != nsc * nv) {
@@ -194,7 +181,6 @@ void UplinkPipeline::require_channel(const char* where,
 }
 
 void UplinkPipeline::set_channel(const linalg::CMat& h, double noise_var) {
-  check_noise_var("UplinkPipeline::set_channel", noise_var);
   det_->set_channel(h, noise_var);
   channel_set_ = true;
   channel_rows_ = h.rows();

@@ -10,7 +10,7 @@ using detect::DetectionStats;
 using linalg::cplx;
 
 FLEXCORE_NO_FMA_VECTORIZE
-void AdaptiveKBestDetector::set_channel(const CMat& h, double noise_var) {
+void AdaptiveKBestDetector::install_channel(const CMat& h, double noise_var) {
   qr_ = linalg::sorted_qr_wubben(h);
   const std::size_t nt = qr_.R.cols();
   const int q = constellation_->order();

@@ -33,7 +33,6 @@ class AdaptiveKBestDetector : public Detector {
                             modulation::PeModel::kExactSer)
       : constellation_(&c), path_budget_(path_budget), pe_model_(pe_model) {}
 
-  void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
   std::string name() const override {
     return "akbest-" + std::to_string(path_budget_);
@@ -51,6 +50,8 @@ class AdaptiveKBestDetector : public Detector {
   }
 
  private:
+  void install_channel(const CMat& h, double noise_var) override;
+
   const Constellation* constellation_;
   std::size_t path_budget_;
   modulation::PeModel pe_model_;

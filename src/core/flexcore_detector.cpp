@@ -33,7 +33,7 @@ std::string FlexCoreDetector::name() const {
 }
 
 FLEXCORE_HOT_PATH
-void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
+void FlexCoreDetector::install_channel(const CMat& h, double noise_var) {
   detect::require_kernel_streams("FlexCoreDetector", h.cols());
   // Factor into scratch and swap on success: a refused channel (rank
   // deficient or non-finite) leaves the installed one, its noise variance
@@ -66,6 +66,18 @@ FLEXCORE_HOT_PATH
 void FlexCoreDetector::rotate_into(const CVec& y,
                                    std::span<cplx> out) const {
   linalg::hermitian_mul_into(qr_.Q, y, out);
+}
+
+FLEXCORE_HOT_PATH
+void FlexCoreDetector::scan_group(std::span<const cplx> ybars,
+                                  std::size_t num_paths,
+                                  std::span<std::size_t> best_path,
+                                  std::span<double> best_metric) const {
+  if (num_paths == plan().num_paths() && scans_by_trie(best_path.size())) {
+    plan().scan_trie(ybars, best_path, best_metric);
+  } else {
+    detect::scan_each(*this, ybars, num_paths, best_path, best_metric);
+  }
 }
 
 FLEXCORE_HOT_PATH

@@ -85,7 +85,6 @@ class FlexCoreDetector : public Detector {
  public:
   FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg);
 
-  void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
 
   /// Batched detection over the attached thread pool: fans the flat
@@ -129,6 +128,23 @@ class FlexCoreDetector : public Detector {
                          std::size_t first_path, std::size_t n_paths,
                          double* out_metrics) const {
     plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
+  }
+
+  /// The frame grid's scan of a group of this channel's rotated vectors
+  /// (ybars[k * Nt, (k + 1) * Nt) into best_path[k] / best_metric[k]) over
+  /// `num_paths` paths: one trie walk (PathPlan::scan_trie) when
+  /// scans_by_trie says it wins and the group covers every path, the block
+  /// scan per vector otherwise.  The verdicts are the same either way.
+  void scan_group(std::span<const linalg::cplx> ybars, std::size_t num_paths,
+                  std::span<std::size_t> best_path,
+                  std::span<double> best_metric) const;
+
+  /// Whether scan_group takes the trie walk for a group of `n` vectors:
+  /// PathPlan::trie_wins, the LUT mode's cost estimate.  The ":i16" tier
+  /// (whose exact plan holds no trie) and the ablation modes keep the
+  /// block scan.
+  bool scans_by_trie(std::size_t n) const noexcept {
+    return plan().trie_wins(n);
   }
 
   /// Heap footprint of the compiled plans (exact + the reduced tier's).
@@ -176,6 +192,8 @@ class FlexCoreDetector : public Detector {
   const OrderingLut& lut() const noexcept { return lut_; }
 
  private:
+  void install_channel(const CMat& h, double noise_var) override;
+
   /// Exact scan of every active path, then the winner's walk into
   /// `symbols`; +infinity when every path is deactivated.
   double walk_best(std::span<const linalg::cplx> ybar,

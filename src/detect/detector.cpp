@@ -1,8 +1,28 @@
 #include "detect/detector.h"
 
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <stdexcept>
 
 namespace flexcore::detect {
+
+namespace {
+
+[[noreturn]] void refuse_noise_var(const char* where, double noise_var) {
+  char value[32];
+  std::snprintf(value, sizeof value, "%g", noise_var);
+  throw std::invalid_argument(std::string(where) + ": noise_var = " + value +
+                              " (must be finite and >= 0)");
+}
+
+}  // namespace
+
+void check_noise_var(const char* where, double noise_var) {
+  if (!(noise_var >= 0.0) || std::isinf(noise_var)) {
+    refuse_noise_var(where, noise_var);
+  }
+}
 
 void Detector::set_thread_pool(parallel::ThreadPool* /*pool*/) {}
 

@@ -65,7 +65,7 @@ struct DetectionResult {
 ///  * `stats` is the sum of the per-vector stats, identical to per-vector
 ///    detect()'s.  Path-parallel detectors (FlexCore, FCSD) report the
 ///    closed-form cost of walking every path in full
-///    (detect::PathPlan::walk_stats), the work their grids really do.
+///    (detect::PathPlan::walk_stats), the paper's Table 2 accounting.
 ///  * `sic_fallbacks` counts vectors for which every path was deactivated
 ///    (FlexCore's out-of-constellation policy) and the detector fell back
 ///    to plain SIC slicing — the raw task grid punts this policy to
@@ -83,14 +83,27 @@ struct BatchResult {
   double elapsed_seconds = 0.0;
 };
 
+/// Throws std::invalid_argument naming `noise_var`, prefixed by `where`,
+/// unless it is finite and >= 0.  The path search ranks paths by error
+/// probabilities computed from the noise variance and the MMSE filter
+/// regularizes with it, so a NaN, infinite or negative value would install
+/// garbage without any error; zero is a legitimate (noiseless) estimate.
+/// The throw is out of line, so callers on the hot path stay lint-clean.
+void check_noise_var(const char* where, double noise_var);
+
 /// Abstract MIMO detector.
 class Detector {
  public:
   virtual ~Detector() = default;
 
   /// Installs a new channel.  `noise_var` is the per-receive-antenna complex
-  /// noise variance (Es = 1 constellations assumed).
-  virtual void set_channel(const CMat& h, double noise_var) = 0;
+  /// noise variance (Es = 1 constellations assumed).  Every detector checks
+  /// it first (check_noise_var), so a refused value leaves the installed
+  /// channel untouched.
+  void set_channel(const CMat& h, double noise_var) {
+    check_noise_var("Detector::set_channel", noise_var);
+    install_channel(h, noise_var);
+  }
 
   /// Detects one received vector.  Requires a prior set_channel call.
   virtual DetectionResult detect(const CVec& y) const = 0;
@@ -116,6 +129,11 @@ class Detector {
   /// detector spreads one vector's detection across.  1 for sequential
   /// detectors.
   virtual std::size_t parallel_tasks() const { return 1; }
+
+ private:
+  /// The detector's own channel install behind set_channel, with
+  /// `noise_var` already checked.
+  virtual void install_channel(const CMat& h, double noise_var) = 0;
 };
 
 }  // namespace flexcore::detect

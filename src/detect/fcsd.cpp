@@ -7,7 +7,7 @@
 
 namespace flexcore::detect {
 
-void FcsdDetector::set_channel(const CMat& h, double /*noise_var*/) {
+void FcsdDetector::install_channel(const CMat& h, double /*noise_var*/) {
   require_kernel_streams("FcsdDetector", h.cols());
   if (full_levels_ > h.cols()) {
     throw std::invalid_argument("FcsdDetector: full_levels > Nt");

@@ -28,7 +28,6 @@ class FcsdDetector : public Detector {
                Precision precision = Precision::kFloat64)
       : constellation_(&c), full_levels_(full_levels), plans_(precision) {}
 
-  void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
 
   /// Batched detection over the attached thread pool: fans the flat
@@ -69,6 +68,14 @@ class FcsdDetector : public Detector {
     plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
   }
 
+  /// The frame grid's scan of a group of rotated vectors: the block scan
+  /// per vector (detect::scan_each).
+  void scan_group(std::span<const linalg::cplx> ybars, std::size_t num_paths,
+                  std::span<std::size_t> best_path,
+                  std::span<double> best_metric) const {
+    scan_each(*this, ybars, num_paths, best_path, best_metric);
+  }
+
   Precision precision() const noexcept { return plans_.precision(); }
 
   /// Heap footprint of the compiled plans (exact + the reduced tier's).
@@ -102,6 +109,8 @@ class FcsdDetector : public Detector {
   const linalg::QrResult& qr() const noexcept { return qr_; }
 
  private:
+  void install_channel(const CMat& h, double noise_var) override;
+
   const Constellation* constellation_;
   std::size_t full_levels_;
   parallel::ThreadPool* pool_ = nullptr;

@@ -17,7 +17,6 @@ class KBestDetector : public Detector {
   KBestDetector(const Constellation& c, std::size_t k)
       : constellation_(&c), k_(k) {}
 
-  void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
 
   /// Sequential loop like the base class, but threading ONE workspace
@@ -34,6 +33,8 @@ class KBestDetector : public Detector {
   void detect_into(const CVec& y, Workspace& ws, DetectionResult* res) const;
 
  private:
+  void install_channel(const CMat& h, double noise_var) override;
+
   const Constellation* constellation_;
   std::size_t k_;
   linalg::QrResult qr_;

@@ -4,10 +4,12 @@
 
 namespace flexcore::detect {
 
-void LinearDetector::set_channel(const CMat& h, double noise_var) {
-  h_ = h;
+void LinearDetector::install_channel(const CMat& h, double noise_var) {
+  // The filter first: a singular channel throws here, before either member
+  // changes, so the previous channel stays installed whole.
   w_ = (kind_ == LinearKind::kZeroForcing) ? linalg::zf_filter(h)
                                            : linalg::mmse_filter(h, noise_var);
+  h_ = h;
 }
 
 DetectionResult LinearDetector::detect(const CVec& y) const {

@@ -7,7 +7,7 @@
 namespace flexcore::detect {
 
 FLEXCORE_NO_FMA_VECTORIZE
-void MlSphereDecoder::set_channel(const CMat& h, double /*noise_var*/) {
+void MlSphereDecoder::install_channel(const CMat& h, double /*noise_var*/) {
   qr_ = opt_.use_sorted_qr ? linalg::sorted_qr_wubben(h) : linalg::qr_mgs(h);
   const std::size_t nt = qr_.R.cols();
   const int q = constellation_->order();

@@ -3,6 +3,7 @@
 #include "parallel/hot_path.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <complex>
@@ -151,8 +152,13 @@ void PathPlan::compile_flexcore(const linalg::CMat& r,
           : policy == core::InvalidEntryPolicy::kDeactivate
               ? Mode::kLutRank
               : Mode::kGenericRank;
-  compile_selectors(paths, nt_, kLanes,
-                    mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
+  if (mode_ == Mode::kLutRank && with_trie_) {
+    compile_trie(paths);
+  } else {
+    compile_selectors(paths, nt_, kLanes,
+                      mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
+    trie_size_ = 0;
+  }
 }
 
 void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
@@ -165,6 +171,7 @@ void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   full_levels_ = full_levels;
   lut_ = nullptr;
   sel_.clear();
+  trie_size_ = 0;
   powq_.resize(full_levels);
   num_paths_ = 1;
   for (std::size_t d = 0; d < full_levels; ++d) {
@@ -196,6 +203,10 @@ inline int round_half_away(double a) noexcept {
 constexpr int kFpModeLut = 0;      // FlexCore, triangle LUT, kDeactivate
 constexpr int kFpModeGeneric = 1;  // FlexCore, triangle LUT, kSkipToValid
 constexpr int kFpModeFcsd = 3;     // FCSD (2 is the exact-sort ablation)
+
+/// Most keys the trie compile's rank sort takes (PathPlan::compile_trie
+/// sorts larger path sets with std::sort).
+constexpr std::size_t kTrieRankSortMax = 128;
 
 constexpr std::int32_t kI16Max = perfmodel::I16Format::kMax;
 constexpr std::int32_t kI16Min = perfmodel::I16Format::kMin;
@@ -260,6 +271,9 @@ struct FpKernelState {
   const double* pt_re = nullptr;  // constellation points (table modes)
   const double* pt_im = nullptr;
   const std::uint16_t* sel = nullptr;  // selector codes / clamped ranks
+  const PathTrieNode* trie = nullptr;  // the LUT mode's path trie
+  const std::uint32_t* trie_leaf = nullptr;  // each leaf's path
+  std::size_t trie_size = 0;
   const std::size_t* powq = nullptr;
   const core::OrderingLut* lut = nullptr;
   const modulation::Constellation* cst = nullptr;
@@ -332,23 +346,31 @@ using FpBlocksFn = void (*)(const FpKernelState&, const linalg::cplx*,
                             std::size_t, std::size_t, double*);
 using FpLanesFn = void (*)(const FpKernelState&, const linalg::cplx*,
                            const std::size_t*, std::size_t, double*, int*);
+using FpTrieFn = void (*)(const FpKernelState&, const linalg::cplx*,
+                          std::size_t, std::size_t*, double*);
+using KeySortFn = void (*)(const std::int64_t*, std::size_t, std::int64_t*);
 
 /// One per-ISA copy of the path kernels: the i16 kernel (solo 16-lane
 /// block / fused adjacent pair), the exact fp walk's block loop, its
-/// lane-batched path and SIC walks, and the lanes one walk call fills.
+/// lane-batched path and SIC walks, the trie walk, and the lanes one walk
+/// call and one trie walk fill.
 struct KernelCopy {
   I16EvalFn i16_one;
   I16EvalFn i16_pair;
   FpBlocksFn fp64;
   FpLanesFn fp_paths;
   FpLanesFn fp_sic;
+  FpTrieFn fp_trie;
+  KeySortFn sort_keys;
   std::size_t walk_lanes;
+  std::size_t trie_lanes;
 };
 
 #define FLEXCORE_KERNEL_COPY(ns)                                         \
   KernelCopy {                                                           \
     ns::eval_one, ns::eval_pair, ns::fp_blocks, ns::fp_lanes<false>,     \
-        ns::fp_lanes<true>, ns::kFpChain                                 \
+        ns::fp_lanes<true>, ns::fp_trie, ns::fp_rank_sort, ns::kFpChain, \
+        ns::kTrieLanes                                                   \
   }
 
 /// The copy linalg::kernel_copy() names (one startup choice for every lane
@@ -372,6 +394,17 @@ const KernelCopy g_kernels = pick_kernels();
 
 std::size_t PathPlan::walk_lanes() noexcept { return g_kernels.walk_lanes; }
 
+std::size_t PathPlan::trie_lanes() noexcept { return g_kernels.trie_lanes; }
+
+bool PathPlan::trie_wins(std::size_t n) const noexcept {
+  if (mode_ != Mode::kLutRank || !with_trie_) return false;
+  const std::size_t walks = (n + trie_lanes() - 1) / trie_lanes();
+  const std::size_t block_levels =
+      n * linalg::simd_blocks_of(num_paths_, kLanes) * nt_;
+  return kTrieNodeCost * static_cast<double>(walks * trie_size_) <
+         static_cast<double>(block_levels);
+}
+
 void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   static_assert(static_cast<int>(Mode::kLutRank) == kFpModeLut &&
                 static_cast<int>(Mode::kGenericRank) == kFpModeGeneric &&
@@ -392,10 +425,158 @@ void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   st->pt_re = pt_.re.data();
   st->pt_im = pt_.im.data();
   st->sel = sel_.data();
+  st->trie = trie_.data();
+  st->trie_leaf = trie_leaf_.data();
+  st->trie_size = trie_size_;
   st->powq = powq_.data();
   st->lut = lut_;
   st->cst = c_;
   st->policy = policy_;
+}
+
+namespace {
+
+/// The trie compile's scratch: the packed keys (twice over, the rank sort
+/// writing its output beside its input) and the live paths' indices.  A
+/// detector compiles on whichever thread installs its channel, so one warm
+/// scratch per thread serves every plan, instead of one per plan.
+struct TrieScratch {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> order;
+};
+thread_local TrieScratch t_trie_scratch;
+
+}  // namespace
+
+void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
+  // One pass over the ranks fills the selector table (compile_selectors'
+  // layout) and packs each path's sort key: rank - 1 in a 2^field_log-bit
+  // field per level, root level highest, and the path index below them.
+  // Sorted as plain integers, the keys give DFS preorder, the lowest index
+  // first among equal paths.  The field fits the constellation's ranks, or
+  // the widest rank the paths hold when that is too wide; wider sets sort
+  // rank by rank.  A path holding a rank outside 1..|Q| is deactivated on
+  // every vector, so it can never win a scan: only the live paths enter
+  // the trie.
+  const std::size_t nt = nt_;
+  const std::size_t np = paths.size();
+  const unsigned q = static_cast<unsigned>(q_);
+  const unsigned index_bits =
+      static_cast<unsigned>(std::bit_width(static_cast<std::uint64_t>(np)));
+  const auto field_log_of = [](unsigned widest) {
+    return static_cast<unsigned>(std::countr_zero(std::bit_ceil(
+        std::max(1u, static_cast<unsigned>(std::bit_width(widest))))));
+  };
+  unsigned field_log = field_log_of(q - 1);
+  if ((nt << field_log) + index_bits > 63) {
+    unsigned widest = 0;
+    for (const core::RankedPath& path : paths) {
+      for (const int r : path.p) {
+        const unsigned v = static_cast<unsigned>(r - 1);
+        if (v < q) widest = std::max(widest, v);
+      }
+    }
+    field_log = field_log_of(widest);
+  }
+  const unsigned bits = 1u << field_log;
+  const bool packed = nt * bits + index_bits <= 63;
+  // Multipliers, not shifts by a variable count (several uops each on
+  // x86-64 without BMI2); an unpacked key is never read.
+  std::uint64_t weight[kMaxLevels];
+  for (std::size_t i = 0; i < nt; ++i) {
+    weight[i] = packed ? std::uint64_t{1} << (i * bits + index_bits) : 0;
+  }
+  std::uint16_t code_of[256];
+  for (unsigned v = 0; v < q; ++v) {
+    code_of[v] = selector_code(*lut_, static_cast<int>(v) + 1);
+  }
+
+  sel_.assign(linalg::simd_blocks_of(np, kLanes) * nt * kLanes, code_of[0]);
+  std::vector<std::uint64_t>& key_of = t_trie_scratch.keys;
+  std::vector<std::uint32_t>& order = t_trie_scratch.order;
+  if (key_of.size() < 2 * np) key_of.resize(2 * np);
+  if (order.size() < np) order.resize(np);
+  std::size_t live = 0;
+  for (std::size_t p = 0; p < np; ++p) {
+    const int* r = paths[p].p.data();
+    std::uint16_t* codes = sel_.data() + (p / kLanes) * nt * kLanes + p % kLanes;
+    std::uint64_t key = p;
+    bool dead = false;
+    for (std::size_t i = 0; i < nt; ++i) {
+      const unsigned v = static_cast<unsigned>(r[i] - 1);
+      const bool valid = v < q;
+      codes[i * kLanes] = valid ? code_of[v] : kSelInvalid;
+      dead |= !valid;
+      key += v * weight[i];
+    }
+    key_of[live] = key;
+    order[live] = static_cast<std::uint32_t>(p);
+    live += !dead;
+  }
+  const auto rank_at = [&](std::uint32_t p, std::size_t depth) {
+    return paths[p].p[nt - 1 - depth];
+  };
+  std::uint64_t* keys = key_of.data();
+  if (packed && live <= kTrieRankSortMax) {
+    // Keys below 2^63 order alike as signed values.
+    g_kernels.sort_keys(reinterpret_cast<const std::int64_t*>(keys), live,
+                        reinterpret_cast<std::int64_t*>(keys + np));
+    keys += np;
+  } else if (packed) {
+    std::sort(keys, keys + live);
+  } else {
+    std::sort(order.begin(), order.begin() + live,
+              [&](std::uint32_t a, std::uint32_t b) {
+                for (std::size_t d = 0; d < nt; ++d) {
+                  if (rank_at(a, d) != rank_at(b, d)) {
+                    return rank_at(a, d) < rank_at(b, d);
+                  }
+                }
+                return a < b;
+              });
+  }
+  // Each path adds the nodes below the depth where it departs from its
+  // predecessor; a path equal to its predecessor adds none (its twin has
+  // the lower index and the same metric, so it wins every tie).  A first
+  // pass counts them, so the trie keeps the most nodes a compile has
+  // needed rather than the live paths x levels bound.
+  const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
+  const auto departs_at = [&](std::size_t k) -> std::size_t {
+    if (k == 0) return 0;
+    if (packed) {
+      const std::uint64_t diff = (keys[k] ^ keys[k - 1]) >> index_bits;
+      return diff == 0 ? nt
+                       : nt - 1 - ((std::bit_width(diff) - 1) >> field_log);
+    }
+    std::size_t d = 0;
+    while (d < nt && rank_at(order[k], d) == rank_at(order[k - 1], d)) ++d;
+    return d;
+  };
+  std::size_t nodes = 0;
+  std::size_t leaves = 0;
+  for (std::size_t k = 0; k < live; ++k) {
+    const std::size_t from = departs_at(k);
+    nodes += nt - from;
+    leaves += from < nt;
+  }
+  if (trie_.size() < nodes) trie_.resize(nodes);
+  if (trie_leaf_.size() < leaves) trie_leaf_.resize(leaves);
+  nodes = leaves = 0;
+  for (std::size_t k = 0; k < live; ++k) {
+    const std::size_t from = departs_at(k);
+    if (from == nt) continue;
+    const std::uint32_t p =
+        packed ? static_cast<std::uint32_t>(keys[k] & index_mask) : order[k];
+    const std::uint16_t* codes =
+        sel_.data() + (p / kLanes) * nt * kLanes + p % kLanes;
+    for (std::size_t d = from; d < nt; ++d) {
+      trie_[nodes++] = PathTrieNode{
+          codes[(nt - 1 - d) * kLanes], static_cast<std::uint8_t>(d),
+          static_cast<std::uint8_t>(k == 0 || d > from)};
+    }
+    trie_leaf_[leaves++] = p;
+  }
+  trie_size_ = nodes;
 }
 
 FLEXCORE_HOT_PATH
@@ -420,6 +601,19 @@ void PathPlan::walk_paths(std::span<const linalg::cplx> ybars,
   fill_kernel_state(&st);
   g_kernels.fp_paths(st, ybars.data(), paths.data(), paths.size(),
                      metrics.data(), symbols.data());
+}
+
+FLEXCORE_HOT_PATH
+void PathPlan::scan_trie(std::span<const linalg::cplx> ybars,
+                         std::span<std::size_t> best_path,
+                         std::span<double> best_metric) const {
+  assert(mode_ == Mode::kLutRank && with_trie_);
+  assert(ybars.size() == best_path.size() * nt_);
+  assert(best_metric.size() == best_path.size());
+  FpKernelState st;
+  fill_kernel_state(&st);
+  g_kernels.fp_trie(st, ybars.data(), best_path.size(), best_path.data(),
+                    best_metric.data());
 }
 
 FLEXCORE_HOT_PATH
@@ -484,6 +678,8 @@ std::size_t PathPlan::footprint_bytes() const noexcept {
   };
   return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
          sel_.size() * sizeof(std::uint16_t) +
+         trie_.size() * sizeof(PathTrieNode) +
+         trie_leaf_.size() * sizeof(std::uint32_t) +
          powq_.size() * sizeof(std::size_t);
 }
 

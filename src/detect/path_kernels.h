@@ -35,6 +35,16 @@
 //    one plan instead — winner reconstruction walks a group of vectors'
 //    winners in one call, since a single walk is a latency-bound chain
 //    that only other lanes' walks amortize.
+//  * scan_trie puts one channel's vectors in the lanes instead (up to
+//    trie_lanes(), max(8, native doubles)): the LUT mode also compiles
+//    the path set into a shared-prefix trie (PathTrieNode, DFS preorder),
+//    and one walk over it evaluates every prefix the paths share once per
+//    vector, where the block scan evaluates it once per path.  Each
+//    (vector, path) still runs its block-walk lane's operations in order,
+//    so the verdicts are bitwise scan_paths'.  The frame grid takes the
+//    trie walk for a group when trie_wins() estimates it faster (massive
+//    MIMO's hardened channels, whose paths share most of their prefixes);
+//    everything else keeps the block scan.
 //
 // PathPlan (fp64) is the library's one exact per-path walk: the grids,
 // winner reconstruction, sequential detect(), soft output, the SIC
@@ -103,6 +113,19 @@ using linalg::kernel_isa;
 /// (defined in path_kernels.cpp).
 struct FpKernelState;
 
+/// One node of a plan's path trie, stored in DFS preorder (root level
+/// first, children by ascending rank): the selector code of its rank at
+/// level levels() - 1 - depth, and whether it is the first child of its
+/// parent (the node that computes what its siblings share).  A node at
+/// depth levels() - 1 is a leaf; beside the nodes, the plan lists each
+/// leaf's path, the lowest index of the paths the leaf ends, in leaf
+/// order.
+struct PathTrieNode {
+  std::uint16_t code = 0;
+  std::uint8_t depth = 0;
+  std::uint8_t first = 0;
+};
+
 /// A compiled, SoA-blocked path set for one installed channel.  Compile
 /// once per set_channel (cheap next to QR + path selection), evaluate with
 /// path_metric_block from any thread — the plan is immutable after
@@ -113,6 +136,20 @@ class PathPlan {
   static constexpr std::size_t kLanes = linalg::kSimdLanes;
   /// Tree-depth cap of every path kernel (Nt <= 32).
   static constexpr std::size_t kMaxLevels = 32;
+  /// trie_wins' weight: the time of one trie node over trie_lanes()
+  /// vectors, in kLanes-path block-levels of the block scan.  The trie
+  /// rows of bench/fig17_kernel_engine.cpp measure it at the serving
+  /// shapes; on the 4-vCPU AVX-512 guest a node cost 1.1-1.2 block-levels
+  /// at massive's 16x8 / 16-QAM and 1.4-1.8 at coherent's 12x12 / 64-QAM,
+  /// where deeper cancellations and bushier roots make each node dearer.
+  /// The weight is the dear end, so a channel takes the trie only where it
+  /// wins at that price.
+  static constexpr double kTrieNodeCost = 1.75;
+
+  /// `with_trie` false leaves out the LUT mode's path trie (trie_wins()
+  /// stays false, and scan_trie must not be called): the ":i16" tier's
+  /// exact plan only ever walks single paths.
+  explicit PathPlan(bool with_trie = true) : with_trie_(with_trie) {}
 
   /// Compiles a FlexCore path set: `paths[p].p[i]` is the 1-based closeness
   /// rank at level i.  `exact_ordering` selects the exhaustive-sort
@@ -186,10 +223,43 @@ class PathPlan {
   /// AVX2, 32 on AVX-512).  Winner reconstruction groups vectors by it.
   static std::size_t walk_lanes() noexcept;
 
-  /// Cost of `n_paths` full walks in the paper's Table 2 accounting, with
-  /// paths_evaluated = n_paths.  Closed form from the plan's shape: every
-  /// walk runs all levels, because a deactivated lane keeps computing
-  /// beside its block — the work the grid really does.
+  /// Vectors one trie walk holds in its lanes: max(8, the dispatched
+  /// copy's doubles per register).  The frame grid groups one channel's
+  /// vectors by it.
+  static std::size_t trie_lanes() noexcept;
+
+  /// Nodes of the path trie the LUT mode compiles: one per distinct prefix
+  /// (root level first) of the paths whose every rank is valid.  0 in the
+  /// other modes, without the trie, and when every path holds an invalid
+  /// rank.
+  std::size_t trie_nodes() const noexcept { return trie_size_; }
+
+  /// The trie walk's cost estimate against the block scan for a group of
+  /// `n` vectors of this plan: true when ceil(n / trie_lanes()) walks of
+  /// trie_nodes() nodes, each node weighted kTrieNodeCost block-levels,
+  /// cost less than n scans of ceil(num_paths() / kLanes) blocks over
+  /// levels() levels.  Always false outside the LUT mode and without the
+  /// trie.
+  bool trie_wins(std::size_t n) const noexcept;
+
+  /// Best path and metric of each of the rotated vectors ybars[k * L,
+  /// (k + 1) * L) (L = levels()) over every path of the plan, through the
+  /// trie walk (LUT mode only): each vector's walks share every prefix the
+  /// paths share, with up to trie_lanes() vectors in the lanes.  Each
+  /// (vector, path) runs the operations of its block-walk lane in the same
+  /// order, and ties go to the lowest path index, so the verdicts are
+  /// bitwise scan_paths' over path_metric_block — path 0 at +infinity when
+  /// every path is deactivated.
+  void scan_trie(std::span<const linalg::cplx> ybars,
+                 std::span<std::size_t> best_path,
+                 std::span<double> best_metric) const;
+
+  /// The paper's Table 2 cost of `n_paths` full walks, with
+  /// paths_evaluated = n_paths: a closed form from the plan's shape that
+  /// counts every level of every path, as one processing element per path
+  /// would run it.  It is the per-path accounting, not the work the CPU
+  /// grid does: a deactivated lane computes beside its block, and the trie
+  /// walk evaluates a prefix the paths share once per vector.
   DetectionStats walk_stats(std::size_t n_paths) const noexcept;
 
   /// Heap bytes of the compiled plan (channel state + selector tables),
@@ -207,6 +277,11 @@ class PathPlan {
   void compile_channel(const linalg::CMat& r,
                        const modulation::Constellation& c,
                        bool with_diag_inverse);
+  /// The LUT mode's path compile: fills sel_ and builds the trie from the
+  /// paths' ranks in one pass (sorted packed rank keys, divergence depths
+  /// by XOR).  Allocation-free once the plan and the calling thread's
+  /// scratch are warm.
+  void compile_trie(std::span<const core::RankedPath> paths);
   /// Copies the plan's scalars and table pointers into the walk's kernel
   /// state (once per call; valid while the plan is unchanged).
   void fill_kernel_state(FpKernelState* st) const noexcept;
@@ -231,6 +306,15 @@ class PathPlan {
   // the base-triangle offset of the rank (selector_code); the ablation
   // modes store the rank itself, clamped to [0, |Q| + 1].
   std::vector<std::uint16_t> sel_;
+
+  // The LUT mode's path trie: trie_[0, trie_size_) in DFS preorder, and
+  // trie_leaf_ the path of each of its leaves in that order.  Both keep
+  // the most entries a compile has needed, so a recompile allocates
+  // nothing once warm.
+  bool with_trie_ = true;
+  std::vector<PathTrieNode> trie_;
+  std::vector<std::uint32_t> trie_leaf_;
+  std::size_t trie_size_ = 0;
 
   // FCSD digit decode: powq_[d] = |Q|^d for the enumerated levels.
   std::size_t full_levels_ = 0;
@@ -457,7 +541,8 @@ class PathPlanI16 {
 /// tier (it stays empty in fp64, so stale state can never be evaluated).
 class TieredPlans {
  public:
-  explicit TieredPlans(Precision precision) : precision_(precision) {}
+  explicit TieredPlans(Precision precision)
+      : precision_(precision), exact_(precision == Precision::kFloat64) {}
 
   /// Recompiles every plan the tier needs through `fn(plan)`, one call per
   /// plan (PathPlan first, then PathPlanI16 in the ":i16" tier).

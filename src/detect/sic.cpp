@@ -5,7 +5,7 @@
 
 namespace flexcore::detect {
 
-void SicDetector::set_channel(const CMat& h, double /*noise_var*/) {
+void SicDetector::install_channel(const CMat& h, double /*noise_var*/) {
   qr_ = linalg::sorted_qr_wubben(h);
 }
 

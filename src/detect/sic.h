@@ -18,7 +18,6 @@ class SicDetector : public Detector {
  public:
   explicit SicDetector(const Constellation& c) : constellation_(&c) {}
 
-  void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
 
   /// Sequential loop like the base class, but threading ONE workspace
@@ -35,6 +34,8 @@ class SicDetector : public Detector {
   void detect_into(const CVec& y, Workspace& ws, DetectionResult* res) const;
 
  private:
+  void install_channel(const CMat& h, double noise_var) override;
+
   const Constellation* constellation_;
   linalg::QrResult qr_;
 };

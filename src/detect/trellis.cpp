@@ -5,7 +5,7 @@
 namespace flexcore::detect {
 
 FLEXCORE_NO_FMA_VECTORIZE
-void TrellisDetector::set_channel(const CMat& h, double /*noise_var*/) {
+void TrellisDetector::install_channel(const CMat& h, double /*noise_var*/) {
   qr_ = linalg::sorted_qr_wubben(h);
   const std::size_t nt = qr_.R.cols();
   const int q = constellation_->order();

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "api/detector_registry.h"
 #include "channel/channel.h"
@@ -460,7 +463,69 @@ TEST(Trellis, RecoversNoiseless) {
   }
 }
 
+TEST(Detect, LinearSetChannelKeepsStateOnSingularChannel) {
+  // A channel whose filter is singular is refused with the previous channel
+  // installed whole: detect() afterwards returns what it returned before,
+  // symbols and metric bit for bit (the metric is measured against the
+  // installed H, so a half-installed channel shows in it).
+  Constellation c(16);
+  ch::Rng rng(2301);
+  const double nv = ch::noise_var_for_snr_db(12.0);
+  const Scenario sc = make_scenario(c, 8, 4, nv, rng);
+  CMat singular = ch::rayleigh_iid(8, 4, rng);
+  for (std::size_t r = 0; r < singular.rows(); ++r) singular(r, 2) = cplx{};
+  for (const char* spec : {"zf", "mmse"}) {
+    const auto det = fa::make_detector(spec, {.constellation = &c});
+    det->set_channel(sc.h, nv);
+    const fd::DetectionResult before = det->detect(sc.y);
+    EXPECT_ANY_THROW(det->set_channel(singular, 0.0)) << spec;
+    const fd::DetectionResult after = det->detect(sc.y);
+    EXPECT_EQ(after.symbols, before.symbols) << spec;
+    EXPECT_EQ(after.metric, before.metric) << spec;
+  }
+}
+
 // --------------------------------------------------------- cross-detector
+
+TEST(AllDetectors, SetChannelRefusesDegenerateNoiseVar) {
+  // Every detector refuses a NaN, negative or infinite noise variance
+  // before touching its state: the throw names the value, and detect()
+  // afterwards returns what it returned before, bit for bit.  Zero (a
+  // noiseless estimate) stays accepted.
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double value;
+    const char* text;
+  } bad[] = {{std::numeric_limits<double>::quiet_NaN(), "nan"},
+             {-1.0, "-1"},
+             {inf, "inf"},
+             {-inf, "-inf"}};
+  Constellation c(16);
+  for (const std::string& spec : fa::list_specs()) {
+    ch::Rng rng(2302);
+    const double nv = ch::noise_var_for_snr_db(10.0);
+    const Scenario sc = make_scenario(c, 6, 4, nv, rng);
+    const CMat other = ch::rayleigh_iid(6, 4, rng);
+    const auto det = fa::make_detector(spec, {.constellation = &c});
+    det->set_channel(sc.h, nv);
+    const fd::DetectionResult before = det->detect(sc.y);
+    for (const auto& b : bad) {
+      try {
+        det->set_channel(other, b.value);
+        ADD_FAILURE() << spec << " accepted noise_var " << b.text;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("noise_var = ") +
+                                              b.text),
+                  std::string::npos)
+            << spec << ": " << e.what();
+      }
+      const fd::DetectionResult after = det->detect(sc.y);
+      EXPECT_EQ(after.symbols, before.symbols) << spec << " " << b.text;
+      EXPECT_EQ(after.metric, before.metric) << spec << " " << b.text;
+    }
+    EXPECT_NO_THROW(det->set_channel(other, 0.0)) << spec;
+  }
+}
 
 TEST(AllDetectors, AgreeOnCleanChannel) {
   Constellation c(16);

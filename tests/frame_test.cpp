@@ -153,6 +153,37 @@ TEST(Frame, AdaptiveFlexcoreFrameMatchesSequentialLifecycle) {
   }
 }
 
+TEST(Frame, TrieFrameMatchesSequentialLifecycle) {
+  // massive-64x8-sharded's shape: merged 16x8 channels of a 64-antenna
+  // array behind two clusters, 16-QAM at -2 dB, flexcore-32, 7 vectors per
+  // subcarrier.  Every subcarrier's group takes the trie walk (checked on
+  // detectors holding the same channels), and the frame still equals the
+  // sequential lifecycle bit for bit; the other vector counts split into
+  // groups of one (block scan) and several trie walks.
+  fa::PipelineConfig cfg;
+  cfg.detector = "flexcore-32";
+  cfg.qam_order = 16;
+  cfg.threads = 2;
+  fa::UplinkPipeline pipe(cfg);
+  const double nv = ch::noise_var_for_snr_db(-2.0);
+  for (const std::size_t vpc : vector_counts(7)) {
+    const Frame fr = flexcore::testing::merged_frame(
+        make_frame(pipe.constellation(), 12, vpc, 64, 8, nv, 29), 2);
+    if (vpc == 7) {
+      fc::FlexCoreDetector probe(pipe.constellation(),
+                                 fc::FlexCoreConfig{.num_pes = 32});
+      for (std::size_t f = 0; f < fr.channels.size(); ++f) {
+        probe.set_channel(fr.channels[f], nv);
+        EXPECT_TRUE(probe.scans_by_trie(vpc)) << "subcarrier " << f;
+      }
+    }
+    const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));
+    expect_bit_identical(out.results,
+                         sequential_reference("flexcore-32",
+                                              pipe.constellation(), fr, nv));
+  }
+}
+
 TEST(Frame, SicFallbackAppliedInsideFrame) {
   // A tiny path budget at brutal noise deactivates every PE for some
   // vectors; the frame engine must apply the same SIC fallback detect()

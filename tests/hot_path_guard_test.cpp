@@ -21,6 +21,7 @@
 #include "api/runtime.h"
 #include "api/uplink_pipeline.h"
 #include "channel/channel.h"
+#include "core/flexcore_detector.h"
 #include "detect/path_kernels.h"
 #include "frame_fixtures.h"
 #include "linalg/qr.h"
@@ -29,6 +30,7 @@
 #include "parallel/thread_pool.h"
 
 namespace fa = flexcore::api;
+namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
 namespace fp = flexcore::parallel;
 namespace ch = flexcore::channel;
@@ -188,23 +190,47 @@ TEST(FrameSteadyState, ZeroAllocZeroLockSingleThread) {
 
 TEST(FrameSteadyState, FreshChannelZeroAllocSingleThread) {
   // Fresh-channel frames: every frame installs new channels, so the sorted
-  // QR, the path search and the plan compile run per subcarrier.  Once two
-  // frames' worth of channels have warmed the detectors' scratch, that
-  // path too touches no heap and no lock — alternating channels, so each
-  // install replaces a different one.  At 4 dB the adaptive detector's
-  // path counts differ between the two frames, so its results shrink and
-  // grow back.
-  for (const char* spec : {"flexcore-32", "a-flexcore-32", "flexcore-16:i16"}) {
+  // QR, the path search and the plan compile (path trie included) run per
+  // subcarrier.  Once two frames' worth of channels have warmed the
+  // detectors' scratch, that path too touches no heap and no lock —
+  // alternating channels, so each install replaces a different one.  At
+  // 4 dB the adaptive detector's path counts differ between the two
+  // frames, so its results shrink and grow back.  The last case is
+  // massive-64x8-sharded's shape, whose subcarriers scan by trie walk.
+  const struct {
+    const char* spec;
+    std::size_t nr, vectors;
+    double snr_db;
+    std::size_t shards;
+  } cases[] = {{"flexcore-32", 16, 3, 4.0, 1},
+               {"a-flexcore-32", 16, 3, 4.0, 1},
+               {"flexcore-16:i16", 16, 3, 4.0, 1},
+               {"flexcore-32", 64, 7, -2.0, 2}};
+  for (const auto& c : cases) {
+    const char* spec = c.spec;
     fa::PipelineConfig cfg;
     cfg.detector = spec;
     cfg.qam_order = 16;
     cfg.threads = 1;
     fa::UplinkPipeline pipe(cfg);
-    const double nv = ch::noise_var_for_snr_db(4.0);
-    const Frame frame_a =
-        make_frame(pipe.constellation(), 6, 3, 16, 8, nv, 47);
-    const Frame frame_b =
-        make_frame(pipe.constellation(), 6, 3, 16, 8, nv, 53);
+    const double nv = ch::noise_var_for_snr_db(c.snr_db);
+    const auto frame = [&](std::uint64_t seed) {
+      const Frame fr = make_frame(pipe.constellation(), 6, c.vectors, c.nr,
+                                  8, nv, seed);
+      return c.shards > 1 ? flexcore::testing::merged_frame(fr, c.shards) : fr;
+    };
+    const Frame frame_a = frame(47);
+    const Frame frame_b = frame(53);
+    if (c.shards > 1) {
+      fc::FlexCoreDetector probe(pipe.constellation(),
+                                 fc::FlexCoreConfig{.num_pes = 32});
+      for (const Frame* fr : {&frame_a, &frame_b}) {
+        for (const fl::CMat& h : fr->channels) {
+          probe.set_channel(h, nv);
+          EXPECT_TRUE(probe.scans_by_trie(c.vectors)) << spec;
+        }
+      }
+    }
     const fa::FrameJob job_a = job_of(frame_a, nv);
     const fa::FrameJob job_b = job_of(frame_b, nv);
     ASSERT_FALSE(job_a.reuse_preprocessing);

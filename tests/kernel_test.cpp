@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -679,6 +680,197 @@ TEST(KernelWalkLanes, GroupReconstructionMatchesPerVector) {
   }
 }
 
+// ------------------------------------------------------------ trie walk
+
+/// Asserts PathPlan::scan_trie's verdicts equal the block scan's
+/// (scan_paths over path_metric_block) bit for bit, best path and metric,
+/// on groups of every size 1 .. 2 trie_lanes() + 1 drawn from `ybars` in
+/// turn.  Returns the number of vectors whose every path was deactivated.
+std::size_t expect_trie_matches_block_scan(const fd::PathPlan& plan,
+                                           const std::vector<fl::CVec>& ybars,
+                                           const std::string& what) {
+  const std::size_t nt = plan.levels();
+  std::size_t all_dead = 0;
+  std::size_t next = 0;
+  for (std::size_t n = 1; n <= 2 * fd::PathPlan::trie_lanes() + 1; ++n) {
+    fl::CVec flat;
+    for (std::size_t k = 0; k < n; ++k) {
+      const fl::CVec& y = ybars[next++ % ybars.size()];
+      flat.insert(flat.end(), y.begin(), y.end());
+    }
+    std::vector<std::size_t> got_path(n, 999);
+    std::vector<double> got_metric(n, -1.0);
+    plan.scan_trie(flat, got_path, got_metric);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t want_path = 0;
+      double want_metric = 0.0;
+      fd::scan_paths(plan, std::span<const fl::cplx>(flat.data() + k * nt, nt),
+                     plan.num_paths(), &want_path, &want_metric);
+      const std::string at = what + " group " + std::to_string(n) +
+                             " vector " + std::to_string(k);
+      EXPECT_EQ(got_path[k], want_path) << at;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got_metric[k]),
+                std::bit_cast<std::uint64_t>(want_metric))
+          << at << ": " << got_metric[k] << " vs " << want_metric;
+      all_dead += std::isinf(want_metric);
+    }
+  }
+  return all_dead;
+}
+
+TEST(KernelTrie, WalkMatchesBlockScan) {
+  // Plain and adaptive FlexCore over QPSK, 16- and 64-QAM at Nt = 2..16
+  // and 32: shallow and deep tries, keys that pack into one word and keys
+  // that compare rank by rank, full and early-stopped path sets.
+  std::size_t shared = 0;
+  for (const int qam : {4, 16, 64}) {
+    const Constellation c(qam);
+    const double snr = qam == 4 ? 6.0 : qam == 16 ? 12.0 : 18.0;
+    std::vector<std::size_t> sizes;
+    for (std::size_t nt = 2; nt <= 16; ++nt) sizes.push_back(nt);
+    sizes.push_back(32);
+    for (const std::size_t nt : sizes) {
+      ch::Rng rng(2300 + 100 * static_cast<std::uint64_t>(qam) + nt);
+      const auto h = ch::rayleigh_iid(nt, nt, rng);
+      const double nv = ch::noise_var_for_snr_db(snr);
+      for (const char* family : {"flexcore-24", "a-flexcore-24"}) {
+        const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+            family, {.constellation = &c});
+        det->set_channel(h, nv);
+        const fd::PathPlan& plan = det->plan();
+        ASSERT_GT(plan.trie_nodes(), 0u) << family;
+        ASSERT_LE(plan.trie_nodes(), plan.num_paths() * nt) << family;
+        shared += plan.trie_nodes() < plan.num_paths() * nt;
+        std::vector<fl::CVec> ybars;
+        for (int v = 0; v < 9; ++v) {
+          ybars.push_back(det->rotate(random_y(h, c, nv, rng)));
+        }
+        expect_trie_matches_block_scan(
+            plan, ybars,
+            std::string(family) + " qam=" + std::to_string(qam) +
+                " nt=" + std::to_string(nt));
+      }
+    }
+  }
+  EXPECT_GT(shared, 40u) << "too few tries share a prefix";
+}
+
+TEST(KernelTrie, HandBuiltPathSetsMatchBlockScan) {
+  // Invalid ranks (0 and |Q| + 1) beside valid ones, prefixes shared at
+  // every depth and duplicated paths (equal codes on every level); then a
+  // set whose every path holds an invalid rank (an empty trie), and a tiny
+  // budget at brutal noise, where some vectors lose every path.
+  const HandScenario sc;
+  fd::PathPlan plan;
+  sc.compile(plan);
+  std::size_t duplicates = 0;
+  for (std::size_t p = 0; p < sc.paths.size(); ++p) {
+    for (std::size_t o = 0; o < p; ++o) {
+      duplicates += sc.paths[p].p == sc.paths[o].p;
+    }
+  }
+  ASSERT_GT(duplicates, 0u) << "the hand-built set lost its duplicates";
+  EXPECT_GT(plan.trie_nodes(), 0u);
+  EXPECT_LT(plan.trie_nodes(), sc.paths.size() * plan.levels());
+  expect_trie_matches_block_scan(plan, sc.ybars, "hand-built");
+
+  std::vector<fc::RankedPath> invalid = sc.paths;
+  for (std::size_t p = 0; p < invalid.size(); ++p) {
+    invalid[p].p[p % plan.levels()] = p % 2 == 0 ? 0 : sc.c.order() + 1;
+  }
+  fd::PathPlan empty;
+  empty.compile_flexcore(sc.det->qr().R, invalid, sc.c, sc.det->lut(), false,
+                         fc::InvalidEntryPolicy::kDeactivate);
+  EXPECT_EQ(empty.trie_nodes(), 0u);
+  EXPECT_EQ(expect_trie_matches_block_scan(empty, sc.ybars, "all invalid"),
+            std::size_t{(2 * fd::PathPlan::trie_lanes() + 1) *
+                        (fd::PathPlan::trie_lanes() + 1)});
+
+  const Constellation c(64);
+  ch::Rng rng(2401);
+  const auto h = ch::rayleigh_iid(8, 8, rng);
+  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-2", {.constellation = &c});
+  det->set_channel(h, 4.0);
+  std::vector<fl::CVec> ybars;
+  for (int v = 0; v < 24; ++v) {
+    ybars.push_back(det->rotate(random_y(h, c, 4.0, rng)));
+  }
+  const std::size_t all_dead =
+      expect_trie_matches_block_scan(det->plan(), ybars, "flexcore-2 at nv=4");
+  EXPECT_GT(all_dead, 0u) << "no vector lost every path";
+}
+
+/// The merged 16x8 channel of a 64x8 channel behind two antenna clusters:
+/// the channel massive-64x8-sharded's detectors see.
+fl::CMat merged_massive_channel(ch::Rng& rng) {
+  const auto h = ch::rayleigh_iid(64, 8, rng);
+  std::vector<sh::PartialQr> partials;
+  for (const sh::RowRange range : sh::plan_shards(64, 2)) {
+    partials.push_back(sh::compute_partial(h.row_range(range.begin, range.count)));
+  }
+  return sh::stack_partials(partials);
+}
+
+TEST(KernelTrie, SelectionFollowsTheEstimate) {
+  // The serving shapes pick their kernels over a 48-subcarrier frame each:
+  // massive's merged 16x8 / 16-QAM / -2 dB channels with 7 vectors per
+  // subcarrier take the trie, coherent's 12x12 / 64-QAM / 18 dB ones the
+  // block scan, and each verdict is the documented estimate.  One vector never takes the trie there;
+  // the ":i16" tier, the ablation modes and FCSD never do.
+  const std::size_t lanes = fd::PathPlan::trie_lanes();
+  const auto estimate = [&](const fc::FlexCoreDetector& det, std::size_t n) {
+    const fd::PathPlan& plan = det.plan();
+    return fd::PathPlan::kTrieNodeCost *
+               static_cast<double>((n + lanes - 1) / lanes *
+                                   plan.trie_nodes()) <
+           static_cast<double>(n * ((plan.num_paths() + 7) / 8) *
+                               plan.levels());
+  };
+  const Constellation qam16(16);
+  const Constellation qam64(64);
+  ch::Rng rng(2501);
+  const auto massive = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-32", {.constellation = &qam16});
+  const auto coherent = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-64", {.constellation = &qam64});
+  std::size_t coherent_tries = 0;
+  for (int f = 0; f < 48; ++f) {
+    massive->set_channel(merged_massive_channel(rng),
+                         ch::noise_var_for_snr_db(-2.0));
+    EXPECT_TRUE(massive->scans_by_trie(7)) << "massive subcarrier " << f;
+    EXPECT_FALSE(massive->scans_by_trie(1)) << "massive subcarrier " << f;
+    coherent->set_channel(ch::rayleigh_iid(12, 12, rng),
+                          ch::noise_var_for_snr_db(18.0));
+    coherent_tries += coherent->scans_by_trie(7);
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 16u, 40u}) {
+      EXPECT_EQ(massive->scans_by_trie(n), estimate(*massive, n)) << n;
+      EXPECT_EQ(coherent->scans_by_trie(n), estimate(*coherent, n)) << n;
+    }
+  }
+  // A coherent channel whose paths share unusually much can take the trie
+  // (it wins there too); the shape as a whole stays on the block scan.
+  EXPECT_LE(coherent_tries, 4u);
+
+  const fl::CMat h = merged_massive_channel(rng);
+  const double nv = ch::noise_var_for_snr_db(-2.0);
+  fa::DetectorConfig skip{.constellation = &qam16};
+  skip.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
+  fa::DetectorConfig exact{.constellation = &qam16};
+  exact.flexcore.ordering = fc::OrderingMode::kExactSort;
+  for (const auto& [spec, cfg] :
+       {std::pair{"flexcore-32:i16", fa::DetectorConfig{.constellation = &qam16}},
+        std::pair{"flexcore-32", skip}, std::pair{"flexcore-32", exact}}) {
+    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(spec, cfg);
+    det->set_channel(h, nv);
+    EXPECT_FALSE(det->scans_by_trie(7)) << spec;
+  }
+  fd::FcsdDetector fcsd(qam16, 1);
+  fcsd.set_channel(h, nv);
+  EXPECT_EQ(fcsd.plan().trie_nodes(), 0u);
+  EXPECT_FALSE(fcsd.plan().trie_wins(64));
+}
+
 // ------------------------------------------------------ Q^H y rotation
 
 /// A random double across the kernel's input range: signed zeros,
@@ -1257,7 +1449,8 @@ TEST(KernelRescue, I16RescueIsReachedCountedAndExact) {
 TEST(KernelI16, FootprintOrderingAcrossTiers) {
   // The storage story of the tiers: on one channel the int16 SoA plan is
   // smaller than the fp64 plan.  An i16 detector also holds the exact plan
-  // (every exact walk runs on it), so its footprint is exact + i16.
+  // (every exact walk runs on it), so its footprint is exact + i16; its
+  // exact plan leaves out the path trie, which only the fp64 grid walks.
   Constellation c(64);
   ch::Rng rng(33);
   const auto h = ch::rayleigh_iid(12, 12, rng);
@@ -1285,7 +1478,7 @@ TEST(KernelI16, FootprintOrderingAcrossTiers) {
   EXPECT_LT(b16, b64) << "i16 plan must undercut fp64";
 
   EXPECT_EQ(fp64->plan_footprint_bytes(), b64);
-  EXPECT_EQ(i16->plan_footprint_bytes(), b64 + b16);
+  EXPECT_EQ(i16->plan_footprint_bytes(), bytes_of(fd::PathPlan{false}) + b16);
 }
 
 TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
