@@ -323,7 +323,8 @@ fl::CMat merged_massive_channel(ch::Rng& rng) {
 
 /// The "trie" rows: one subcarrier's group of 7 rotated vectors (the
 /// serving benchmark's symbols per subcarrier) scanned by the block scan
-/// (detect::scan_each) and by the trie walk (PathPlan::scan_trie), over
+/// (detect::scan_paths per vector) and by the trie walk
+/// (PathPlan::scan_trie), over
 /// 16 channels of each serving shape.  ns per (vector, path) for both,
 /// the node's measured cost in block-levels (the source of
 /// PathPlan::kTrieNodeCost), the estimate's verdict (its trie share over
@@ -380,7 +381,10 @@ bool trie_rows(fb::BenchJson& json, int reps) {
         return best;
       };
       block_ns += time([&] {
-        fd::scan_each(*det, std::span<const fl::cplx>(ybars), paths, bp, bm);
+        for (std::size_t v = 0; v < kGroup; ++v) {
+          const std::span<const fl::cplx> ybar(ybars.data() + v * nt, nt);
+          fd::scan_paths(*det, ybar, paths, &bp[v], &bm[v]);
+        }
       });
       trie_ns += time([&] { det->plan().scan_trie(ybars, tp, tm); });
       for (std::size_t v = 0; v < kGroup; ++v) {
@@ -395,7 +399,7 @@ bool trie_rows(fb::BenchJson& json, int reps) {
       walks += static_cast<double>(kGroup * paths);
       nodes += static_cast<double>(det->plan().trie_nodes());
       block_levels += static_cast<double>(kGroup * ((paths + 7) / 8) * nt);
-      trie_verdicts += det->scans_by_trie(kGroup);
+      trie_verdicts += det->plan().trie_wins(kGroup);
     }
     const double node_cost = (trie_ns / nodes) / (block_ns / block_levels);
     const double share = static_cast<double>(trie_verdicts) / kChannels;

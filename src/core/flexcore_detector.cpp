@@ -69,18 +69,6 @@ void FlexCoreDetector::rotate_into(const CVec& y,
 }
 
 FLEXCORE_HOT_PATH
-void FlexCoreDetector::scan_group(std::span<const cplx> ybars,
-                                  std::size_t num_paths,
-                                  std::span<std::size_t> best_path,
-                                  std::span<double> best_metric) const {
-  if (num_paths == plan().num_paths() && scans_by_trie(best_path.size())) {
-    plan().scan_trie(ybars, best_path, best_metric);
-  } else {
-    detect::scan_each(*this, ybars, num_paths, best_path, best_metric);
-  }
-}
-
-FLEXCORE_HOT_PATH
 double FlexCoreDetector::walk_best(std::span<const cplx> ybar,
                                    std::span<int> symbols) const {
   std::size_t best_path = 0;

@@ -130,29 +130,13 @@ class FlexCoreDetector : public Detector {
     plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
   }
 
-  /// The frame grid's scan of a group of this channel's rotated vectors
-  /// (ybars[k * Nt, (k + 1) * Nt) into best_path[k] / best_metric[k]) over
-  /// `num_paths` paths: one trie walk (PathPlan::scan_trie) when
-  /// scans_by_trie says it wins and the group covers every path, the block
-  /// scan per vector otherwise.  The verdicts are the same either way.
-  void scan_group(std::span<const linalg::cplx> ybars, std::size_t num_paths,
-                  std::span<std::size_t> best_path,
-                  std::span<double> best_metric) const;
-
-  /// Whether scan_group takes the trie walk for a group of `n` vectors:
-  /// PathPlan::trie_wins, the LUT mode's cost estimate.  The ":i16" tier
-  /// (whose exact plan holds no trie) and the ablation modes keep the
-  /// block scan.
-  bool scans_by_trie(std::size_t n) const noexcept {
-    return plan().trie_wins(n);
-  }
-
   /// Heap footprint of the compiled plans (exact + the reduced tier's).
   std::size_t plan_footprint_bytes() const { return plans_.footprint_bytes(); }
 
   /// The exact (fp64) plan of the current channel, compiled in every tier:
   /// the walk behind detect(), reconstruction, soft output and the SIC
-  /// fallback.
+  /// fallback, and in the fp64 tier the frame grid's trie walk where
+  /// trie_wins(n) says it beats the block scan for a channel's n vectors.
   const detect::PathPlan& plan() const noexcept { return plans_.exact(); }
 
   /// The quantized plan of the current channel (compiled only when the

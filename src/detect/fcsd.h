@@ -68,14 +68,6 @@ class FcsdDetector : public Detector {
     plans_.path_metric_block(ybar, first_path, n_paths, out_metrics);
   }
 
-  /// The frame grid's scan of a group of rotated vectors: the block scan
-  /// per vector (detect::scan_each).
-  void scan_group(std::span<const linalg::cplx> ybars, std::size_t num_paths,
-                  std::span<std::size_t> best_path,
-                  std::span<double> best_metric) const {
-    scan_each(*this, ybars, num_paths, best_path, best_metric);
-  }
-
   Precision precision() const noexcept { return plans_.precision(); }
 
   /// Heap footprint of the compiled plans (exact + the reduced tier's).

@@ -1,9 +1,10 @@
 // The flat task grids at the heart of FlexCore's parallel detection (paper
 // §4): the GPU implementation generates Nsc * |E| threads (FlexCore) or
 // Nsc * |Q|^L threads (FCSD); here the same grids are executed by a
-// ThreadPool, with each task scanning a group of one channel's vectors
-// through the lane-parallel kernels (detect/path_kernels.h): the block
-// scan, or FlexCore's trie walk where it wins.
+// ThreadPool, with each task scanning one vector's paths through the
+// lane-parallel block kernel (detect/path_kernels.h), or, on a channel
+// where FlexCore's trie walk wins, a group of that channel's vectors
+// through the walk.
 //
 // run_frame_grid is the multi-channel (subcarrier x vector x path) grid
 // behind api::UplinkPipeline::detect_frame: one flat job covering every
@@ -21,6 +22,7 @@
 #pragma once
 
 #include <chrono>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -39,19 +41,18 @@ namespace flexcore::detect {
 
 /// A detector whose per-vector work decomposes into independent fixed
 /// paths, with allocation-free span kernels: rotate_into writes ybar = Q^H y
-/// into a caller buffer, and scan_group(ybars, num_paths, best_path,
-/// best_metric) finds the best of `num_paths` paths for each rotated
-/// vector of a group of one channel's vectors (ybars holds them back to
-/// back), with scan_paths' verdicts.
+/// into a caller buffer, the lane-parallel block kernel
+/// (detect/path_kernels.h) path_metric_block scores a block of paths of a
+/// rotated vector per call, and plan() is the exact PathPlan whose trie
+/// walk the frame grid takes where PathPlan::trie_wins says it wins.
 template <typename D>
 concept PathParallelDetector = requires(const D& d, const linalg::CVec& y,
                                         std::span<linalg::cplx> out,
-                                        std::span<const linalg::cplx> ybars,
-                                        std::size_t n,
-                                        std::span<std::size_t> best_path,
-                                        std::span<double> best_metric) {
+                                        std::span<const linalg::cplx> ybar,
+                                        std::size_t i, double* metrics) {
   d.rotate_into(y, out);
-  d.scan_group(ybars, n, best_path, best_metric);
+  d.path_metric_block(ybar, i, i, metrics);
+  { d.plan() } -> std::same_as<const PathPlan&>;
 };
 
 /// Paths per block-kernel call.  Sized for the widest tier: the int16
@@ -89,21 +90,6 @@ inline void scan_paths(const K& kernel, std::span<const linalg::cplx> ybar,
   *best_metric = best;
 }
 
-/// scan_paths over each rotated vector of a group: ybars[k * nt, (k + 1) *
-/// nt) into best_path[k] / best_metric[k], nt = ybars.size() /
-/// best_path.size().  The block scan of PathParallelDetector::scan_group.
-template <typename K>
-FLEXCORE_HOT_PATH
-inline void scan_each(const K& kernel, std::span<const linalg::cplx> ybars,
-                      std::size_t num_paths, std::span<std::size_t> best_path,
-                      std::span<double> best_metric) {
-  for (std::size_t k = 0; k < best_path.size(); ++k) {
-    const std::size_t nt = ybars.size() / best_path.size();
-    scan_paths(kernel, ybars.subspan(k * nt, nt), num_paths, &best_path[k],
-               &best_metric[k]);
-  }
-}
-
 /// Output of one multi-channel frame-grid run.  "Unit" u = f * nv + t is
 /// the (subcarrier f, vector t) pair, subcarrier-major — the same layout as
 /// the input vectors.  Buffers are resized, never shrunk, so reusing the
@@ -126,11 +112,14 @@ struct FrameGridOutput {
 /// Runs the subcarrier x vector x path grid of one frame: `dets[f]` is the
 /// per-subcarrier detector (channel already installed) evaluating
 /// `num_paths[f]` paths for each of the `vectors_per_channel` vectors
-/// `ys[f * vectors_per_channel + ...]`.  Each task takes a group of up to
-/// PathPlan::trie_lanes() vectors of one subcarrier: it rotates them into
-/// the flat ybar buffer, then has the detector scan the group
-/// (scan_group: the trie walk or the block scan).  Steady-state tasks
-/// perform zero heap allocations.
+/// `ys[f * vectors_per_channel + ...]`.  Each task rotates its vector into
+/// the flat ybar buffer and scans its paths through the block kernel with
+/// the minimum tracked inline.  On a subcarrier whose plan's trie walk wins
+/// for its vectors (every path scanned, PathPlan::trie_wins), the task of
+/// every PathPlan::kTrieLanes-th vector instead rotates a group of up to
+/// that many and scans them in one walk, and the others have nothing to
+/// do; the verdicts are the same.  Steady-state tasks perform zero heap
+/// allocations.
 template <PathParallelDetector D>
 FLEXCORE_HOT_PATH
 void run_frame_grid(std::span<const D* const> dets,
@@ -157,21 +146,27 @@ void run_frame_grid(std::span<const D* const> dets,
     return;
   }
 
-  const std::size_t lanes = PathPlan::trie_lanes();
-  const std::size_t per_channel = (nv + lanes - 1) / lanes;
   const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_for(nsc * per_channel, [&](std::size_t g) {
-    const std::size_t f = g / per_channel;
-    const std::size_t t = (g % per_channel) * lanes;
-    const std::size_t n = std::min(lanes, nv - t);
-    const std::size_t u = f * nv + t;
+  pool.parallel_for(units, [&](std::size_t u) {
+    const std::size_t f = u / nv;
     const D& det = *dets[f];
-    for (std::size_t k = u; k < u + n; ++k) {
-      det.rotate_into(ys[k], {out->ybars.data() + k * nt, nt});
+    const PathPlan& plan = det.plan();
+    if (num_paths[f] == plan.num_paths() && plan.trie_wins(nv)) {
+      const std::size_t t = u % nv;
+      if (t % PathPlan::kTrieLanes != 0) return;
+      const std::size_t n = std::min(PathPlan::kTrieLanes, nv - t);
+      for (std::size_t k = u; k < u + n; ++k) {
+        det.rotate_into(ys[k], {out->ybars.data() + k * nt, nt});
+      }
+      plan.scan_trie({out->ybars.data() + u * nt, n * nt},
+                     {out->best_path.data() + u, n},
+                     {out->best_metric.data() + u, n});
+      return;
     }
-    det.scan_group({out->ybars.data() + u * nt, n * nt}, num_paths[f],
-                   {out->best_path.data() + u, n},
-                   {out->best_metric.data() + u, n});
+    const std::span<linalg::cplx> ybar{out->ybars.data() + u * nt, nt};
+    det.rotate_into(ys[u], ybar);
+    scan_paths(det, std::span<const linalg::cplx>(ybar), num_paths[f],
+               &out->best_path[u], &out->best_metric[u]);
   });
   out->elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

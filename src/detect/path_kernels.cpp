@@ -67,26 +67,57 @@ std::uint16_t selector_code(const core::OrderingLut& lut, int k) {
       (static_cast<unsigned>(static_cast<std::uint8_t>(o.dq)) << 8));
 }
 
+/// The trie compile's sort keys, packed by compile_selectors in its pass
+/// over the ranks: key[k] and order[k] are the k-th live path's (every
+/// rank in 1..q) key, the sum of (rank - 1) * weight[level] plus the path
+/// index, and its index.
+struct TrieKeys {
+  const std::uint64_t* weight;
+  std::uint64_t* key;
+  std::uint32_t* order;
+  std::size_t live = 0;
+};
+
 /// Fills a FlexCore plan's selector table, path-major-blocked at `lanes`
 /// paths per block: selector codes when `lut` is given (the LUT mode),
 /// otherwise the ranks themselves clamped to [0, q + 1] (every rank outside
-/// 1..q is invalid alike).  Tail lanes of the last block get rank 1.
+/// 1..q is invalid alike).  Tail lanes of the last block get rank 1.  With
+/// `trie`, the same pass packs the live paths' trie keys.
 void compile_selectors(std::span<const core::RankedPath> paths,
                        std::size_t nt, std::size_t lanes,
                        const core::OrderingLut* lut, int q,
-                       std::vector<std::uint16_t>* sel) {
-  const auto code = [&](int k) {
-    return lut != nullptr ? selector_code(*lut, k)
-                          : static_cast<std::uint16_t>(std::clamp(k, 0, q + 1));
-  };
+                       std::vector<std::uint16_t>* sel,
+                       TrieKeys* trie = nullptr) {
+  // The code of every rank, clamped to [0, q + 1] first: 0 and q + 1 stand
+  // for every rank below and above 1..q.
+  std::uint16_t code[256 + 2];
+  for (int k = 0; k <= q + 1; ++k) {
+    code[k] = lut != nullptr ? selector_code(*lut, k)
+                             : static_cast<std::uint16_t>(k);
+  }
   sel->assign(linalg::simd_blocks_of(paths.size(), lanes) * nt * lanes,
-              code(1));
+              code[1]);
   for (std::size_t p = 0; p < paths.size(); ++p) {
-    const std::size_t b = p / lanes;
-    const std::size_t l = p % lanes;
-    for (std::size_t i = 0; i < nt; ++i) {
-      (*sel)[(b * nt + i) * lanes + l] = code(paths[p].p[i]);
+    const int* r = paths[p].p.data();
+    std::uint16_t* codes = sel->data() + (p / lanes) * nt * lanes + p % lanes;
+    if (trie == nullptr) {
+      for (std::size_t i = 0; i < nt; ++i) {
+        codes[i * lanes] = code[std::clamp(r[i], 0, q + 1)];
+      }
+      continue;
     }
+    std::uint64_t key = p;
+    unsigned widest = 0;  // rank - 1, an invalid rank wrapping past q
+    for (std::size_t i = 0; i < nt; ++i) {
+      const int k = std::clamp(r[i], 0, q + 1);
+      codes[i * lanes] = code[k];
+      const unsigned v = static_cast<unsigned>(k - 1);
+      widest = std::max(widest, v);
+      key += v * trie->weight[i];
+    }
+    trie->key[trie->live] = key;
+    trie->order[trie->live] = static_cast<std::uint32_t>(p);
+    trie->live += widest < static_cast<unsigned>(q);
   }
 }
 
@@ -152,12 +183,12 @@ void PathPlan::compile_flexcore(const linalg::CMat& r,
           : policy == core::InvalidEntryPolicy::kDeactivate
               ? Mode::kLutRank
               : Mode::kGenericRank;
+  trie_size_ = 0;
   if (mode_ == Mode::kLutRank && with_trie_) {
     compile_trie(paths);
   } else {
     compile_selectors(paths, nt_, kLanes,
                       mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
-    trie_size_ = 0;
   }
 }
 
@@ -352,8 +383,8 @@ using KeySortFn = void (*)(const std::int64_t*, std::size_t, std::int64_t*);
 
 /// One per-ISA copy of the path kernels: the i16 kernel (solo 16-lane
 /// block / fused adjacent pair), the exact fp walk's block loop, its
-/// lane-batched path and SIC walks, the trie walk, and the lanes one walk
-/// call and one trie walk fill.
+/// lane-batched path and SIC walks, the trie walk, the trie compile's key
+/// sort, and the lanes one walk call fills.
 struct KernelCopy {
   I16EvalFn i16_one;
   I16EvalFn i16_pair;
@@ -363,14 +394,12 @@ struct KernelCopy {
   FpTrieFn fp_trie;
   KeySortFn sort_keys;
   std::size_t walk_lanes;
-  std::size_t trie_lanes;
 };
 
 #define FLEXCORE_KERNEL_COPY(ns)                                         \
   KernelCopy {                                                           \
     ns::eval_one, ns::eval_pair, ns::fp_blocks, ns::fp_lanes<false>,     \
-        ns::fp_lanes<true>, ns::fp_trie, ns::fp_rank_sort, ns::kFpChain, \
-        ns::kTrieLanes                                                   \
+        ns::fp_lanes<true>, ns::fp_trie, ns::fp_rank_sort, ns::kFpChain  \
   }
 
 /// The copy linalg::kernel_copy() names (one startup choice for every lane
@@ -394,11 +423,9 @@ const KernelCopy g_kernels = pick_kernels();
 
 std::size_t PathPlan::walk_lanes() noexcept { return g_kernels.walk_lanes; }
 
-std::size_t PathPlan::trie_lanes() noexcept { return g_kernels.trie_lanes; }
-
 bool PathPlan::trie_wins(std::size_t n) const noexcept {
   if (mode_ != Mode::kLutRank || !with_trie_) return false;
-  const std::size_t walks = (n + trie_lanes() - 1) / trie_lanes();
+  const std::size_t walks = (n + kTrieLanes - 1) / kTrieLanes;
   const std::size_t block_levels =
       n * linalg::simd_blocks_of(num_paths_, kLanes) * nt_;
   return kTrieNodeCost * static_cast<double>(walks * trie_size_) <
@@ -449,15 +476,15 @@ thread_local TrieScratch t_trie_scratch;
 }  // namespace
 
 void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
-  // One pass over the ranks fills the selector table (compile_selectors'
-  // layout) and packs each path's sort key: rank - 1 in a 2^field_log-bit
-  // field per level, root level highest, and the path index below them.
-  // Sorted as plain integers, the keys give DFS preorder, the lowest index
-  // first among equal paths.  The field fits the constellation's ranks, or
-  // the widest rank the paths hold when that is too wide; wider sets sort
-  // rank by rank.  A path holding a rank outside 1..|Q| is deactivated on
-  // every vector, so it can never win a scan: only the live paths enter
-  // the trie.
+  // Each path's sort key packs rank - 1 in a 2^field_log-bit field per
+  // level, root level highest, and the path index below them.  Sorted as
+  // plain integers, the keys give DFS preorder, the lowest index first
+  // among equal paths.  The field fits the constellation's ranks, or the
+  // widest rank the paths hold when that is too wide; wider sets sort rank
+  // by rank.  A path holding a rank outside 1..|Q| is deactivated on every
+  // vector, so it can never win a scan: only the live paths enter the
+  // trie.  The selector table's pass packs the keys, and the nodes read
+  // their codes back from it.
   const std::size_t nt = nt_;
   const std::size_t np = paths.size();
   const unsigned q = static_cast<unsigned>(q_);
@@ -486,33 +513,14 @@ void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
   for (std::size_t i = 0; i < nt; ++i) {
     weight[i] = packed ? std::uint64_t{1} << (i * bits + index_bits) : 0;
   }
-  std::uint16_t code_of[256];
-  for (unsigned v = 0; v < q; ++v) {
-    code_of[v] = selector_code(*lut_, static_cast<int>(v) + 1);
-  }
 
-  sel_.assign(linalg::simd_blocks_of(np, kLanes) * nt * kLanes, code_of[0]);
   std::vector<std::uint64_t>& key_of = t_trie_scratch.keys;
   std::vector<std::uint32_t>& order = t_trie_scratch.order;
   if (key_of.size() < 2 * np) key_of.resize(2 * np);
   if (order.size() < np) order.resize(np);
-  std::size_t live = 0;
-  for (std::size_t p = 0; p < np; ++p) {
-    const int* r = paths[p].p.data();
-    std::uint16_t* codes = sel_.data() + (p / kLanes) * nt * kLanes + p % kLanes;
-    std::uint64_t key = p;
-    bool dead = false;
-    for (std::size_t i = 0; i < nt; ++i) {
-      const unsigned v = static_cast<unsigned>(r[i] - 1);
-      const bool valid = v < q;
-      codes[i * kLanes] = valid ? code_of[v] : kSelInvalid;
-      dead |= !valid;
-      key += v * weight[i];
-    }
-    key_of[live] = key;
-    order[live] = static_cast<std::uint32_t>(p);
-    live += !dead;
-  }
+  TrieKeys packing{weight, key_of.data(), order.data()};
+  compile_selectors(paths, nt, kLanes, lut_, q_, &sel_, &packing);
+  const std::size_t live = packing.live;
   const auto rank_at = [&](std::uint32_t p, std::size_t depth) {
     return paths[p].p[nt - 1 - depth];
   };
@@ -537,33 +545,23 @@ void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
   }
   // Each path adds the nodes below the depth where it departs from its
   // predecessor; a path equal to its predecessor adds none (its twin has
-  // the lower index and the same metric, so it wins every tie).  A first
-  // pass counts them, so the trie keeps the most nodes a compile has
-  // needed rather than the live paths x levels bound.
+  // the lower index and the same metric, so it wins every tie).
+  if (trie_.size() < live * nt) trie_.resize(live * nt);
+  if (trie_leaf_.size() < live) trie_leaf_.resize(live);
   const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
-  const auto departs_at = [&](std::size_t k) -> std::size_t {
-    if (k == 0) return 0;
-    if (packed) {
-      const std::uint64_t diff = (keys[k] ^ keys[k - 1]) >> index_bits;
-      return diff == 0 ? nt
-                       : nt - 1 - ((std::bit_width(diff) - 1) >> field_log);
-    }
-    std::size_t d = 0;
-    while (d < nt && rank_at(order[k], d) == rank_at(order[k - 1], d)) ++d;
-    return d;
-  };
   std::size_t nodes = 0;
   std::size_t leaves = 0;
   for (std::size_t k = 0; k < live; ++k) {
-    const std::size_t from = departs_at(k);
-    nodes += nt - from;
-    leaves += from < nt;
-  }
-  if (trie_.size() < nodes) trie_.resize(nodes);
-  if (trie_leaf_.size() < leaves) trie_leaf_.resize(leaves);
-  nodes = leaves = 0;
-  for (std::size_t k = 0; k < live; ++k) {
-    const std::size_t from = departs_at(k);
+    std::size_t from = 0;
+    if (k > 0 && packed) {
+      const std::uint64_t diff = (keys[k] ^ keys[k - 1]) >> index_bits;
+      from = diff == 0 ? nt
+                       : nt - 1 - ((std::bit_width(diff) - 1) >> field_log);
+    } else if (k > 0) {
+      const std::uint32_t a = order[k];
+      const std::uint32_t b = order[k - 1];
+      while (from < nt && rank_at(a, from) == rank_at(b, from)) ++from;
+    }
     if (from == nt) continue;
     const std::uint32_t p =
         packed ? static_cast<std::uint32_t>(keys[k] & index_mask) : order[k];

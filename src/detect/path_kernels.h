@@ -36,7 +36,7 @@
 //    winners in one call, since a single walk is a latency-bound chain
 //    that only other lanes' walks amortize.
 //  * scan_trie puts one channel's vectors in the lanes instead (up to
-//    trie_lanes(), max(8, native doubles)): the LUT mode also compiles
+//    kTrieLanes = 8): the LUT mode also compiles
 //    the path set into a shared-prefix trie (PathTrieNode, DFS preorder),
 //    and one walk over it evaluates every prefix the paths share once per
 //    vector, where the block scan evaluates it once per path.  Each
@@ -136,7 +136,11 @@ class PathPlan {
   static constexpr std::size_t kLanes = linalg::kSimdLanes;
   /// Tree-depth cap of every path kernel (Nt <= 32).
   static constexpr std::size_t kMaxLevels = 32;
-  /// trie_wins' weight: the time of one trie node over trie_lanes()
+  /// Vectors one trie walk holds in its lanes (a native register or more
+  /// in every ISA copy).  The frame grid groups a trie channel's vectors
+  /// by it.
+  static constexpr std::size_t kTrieLanes = kLanes;
+  /// trie_wins' weight: the time of one trie node over kTrieLanes
   /// vectors, in kLanes-path block-levels of the block scan.  The trie
   /// rows of bench/fig17_kernel_engine.cpp measure it at the serving
   /// shapes; on the 4-vCPU AVX-512 guest a node cost 1.1-1.2 block-levels
@@ -223,11 +227,6 @@ class PathPlan {
   /// AVX2, 32 on AVX-512).  Winner reconstruction groups vectors by it.
   static std::size_t walk_lanes() noexcept;
 
-  /// Vectors one trie walk holds in its lanes: max(8, the dispatched
-  /// copy's doubles per register).  The frame grid groups one channel's
-  /// vectors by it.
-  static std::size_t trie_lanes() noexcept;
-
   /// Nodes of the path trie the LUT mode compiles: one per distinct prefix
   /// (root level first) of the paths whose every rank is valid.  0 in the
   /// other modes, without the trie, and when every path holds an invalid
@@ -235,7 +234,7 @@ class PathPlan {
   std::size_t trie_nodes() const noexcept { return trie_size_; }
 
   /// The trie walk's cost estimate against the block scan for a group of
-  /// `n` vectors of this plan: true when ceil(n / trie_lanes()) walks of
+  /// `n` vectors of this plan: true when ceil(n / kTrieLanes) walks of
   /// trie_nodes() nodes, each node weighted kTrieNodeCost block-levels,
   /// cost less than n scans of ceil(num_paths() / kLanes) blocks over
   /// levels() levels.  Always false outside the LUT mode and without the
@@ -245,7 +244,7 @@ class PathPlan {
   /// Best path and metric of each of the rotated vectors ybars[k * L,
   /// (k + 1) * L) (L = levels()) over every path of the plan, through the
   /// trie walk (LUT mode only): each vector's walks share every prefix the
-  /// paths share, with up to trie_lanes() vectors in the lanes.  Each
+  /// paths share, with up to kTrieLanes vectors in the lanes.  Each
   /// (vector, path) runs the operations of its block-walk lane in the same
   /// order, and ties go to the lowest path index, so the verdicts are
   /// bitwise scan_paths' over path_metric_block — path 0 at +infinity when
@@ -277,10 +276,11 @@ class PathPlan {
   void compile_channel(const linalg::CMat& r,
                        const modulation::Constellation& c,
                        bool with_diag_inverse);
-  /// The LUT mode's path compile: fills sel_ and builds the trie from the
-  /// paths' ranks in one pass (sorted packed rank keys, divergence depths
-  /// by XOR).  Allocation-free once the plan and the calling thread's
-  /// scratch are warm.
+  /// The LUT mode's path compile with the trie: fills sel_, packing the
+  /// paths' rank keys in the same pass, sorts the keys and takes
+  /// divergence depths by XOR, the nodes' codes read back from sel_.
+  /// Allocation-free once the plan and the calling thread's scratch are
+  /// warm.
   void compile_trie(std::span<const core::RankedPath> paths);
   /// Copies the plan's scalars and table pointers into the walk's kernel
   /// state (once per call; valid while the plan is unchanged).
@@ -309,8 +309,8 @@ class PathPlan {
 
   // The LUT mode's path trie: trie_[0, trie_size_) in DFS preorder, and
   // trie_leaf_ the path of each of its leaves in that order.  Both keep
-  // the most entries a compile has needed, so a recompile allocates
-  // nothing once warm.
+  // the largest bound a compile has needed (live paths x levels nodes,
+  // live paths leaves), so a recompile allocates nothing once warm.
   bool with_trie_ = true;
   std::vector<PathTrieNode> trie_;
   std::vector<std::uint32_t> trie_leaf_;

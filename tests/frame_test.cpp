@@ -174,7 +174,7 @@ TEST(Frame, TrieFrameMatchesSequentialLifecycle) {
                                  fc::FlexCoreConfig{.num_pes = 32});
       for (std::size_t f = 0; f < fr.channels.size(); ++f) {
         probe.set_channel(fr.channels[f], nv);
-        EXPECT_TRUE(probe.scans_by_trie(vpc)) << "subcarrier " << f;
+        EXPECT_TRUE(probe.plan().trie_wins(vpc)) << "subcarrier " << f;
       }
     }
     const fa::FrameResult out = pipe.detect_frame(job_of(fr, nv));

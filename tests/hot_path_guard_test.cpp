@@ -227,7 +227,7 @@ TEST(FrameSteadyState, FreshChannelZeroAllocSingleThread) {
       for (const Frame* fr : {&frame_a, &frame_b}) {
         for (const fl::CMat& h : fr->channels) {
           probe.set_channel(h, nv);
-          EXPECT_TRUE(probe.scans_by_trie(c.vectors)) << spec;
+          EXPECT_TRUE(probe.plan().trie_wins(c.vectors)) << spec;
         }
       }
     }

@@ -17,6 +17,7 @@
 #include <initializer_list>
 #include <limits>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -684,7 +685,7 @@ TEST(KernelWalkLanes, GroupReconstructionMatchesPerVector) {
 
 /// Asserts PathPlan::scan_trie's verdicts equal the block scan's
 /// (scan_paths over path_metric_block) bit for bit, best path and metric,
-/// on groups of every size 1 .. 2 trie_lanes() + 1 drawn from `ybars` in
+/// on groups of every size 1 .. 2 kTrieLanes + 1 drawn from `ybars` in
 /// turn.  Returns the number of vectors whose every path was deactivated.
 std::size_t expect_trie_matches_block_scan(const fd::PathPlan& plan,
                                            const std::vector<fl::CVec>& ybars,
@@ -692,7 +693,7 @@ std::size_t expect_trie_matches_block_scan(const fd::PathPlan& plan,
   const std::size_t nt = plan.levels();
   std::size_t all_dead = 0;
   std::size_t next = 0;
-  for (std::size_t n = 1; n <= 2 * fd::PathPlan::trie_lanes() + 1; ++n) {
+  for (std::size_t n = 1; n <= 2 * fd::PathPlan::kTrieLanes + 1; ++n) {
     fl::CVec flat;
     for (std::size_t k = 0; k < n; ++k) {
       const fl::CVec& y = ybars[next++ % ybars.size()];
@@ -718,6 +719,24 @@ std::size_t expect_trie_matches_block_scan(const fd::PathPlan& plan,
   return all_dead;
 }
 
+/// The nodes a minimal trie of `paths` holds: the distinct prefixes (root
+/// level first) of the paths whose every rank lies in 1..q.
+std::size_t distinct_prefixes(const std::vector<fc::RankedPath>& paths,
+                              int q) {
+  std::set<std::vector<int>> prefixes;
+  for (const fc::RankedPath& path : paths) {
+    if (!std::ranges::all_of(path.p, [&](int r) { return r >= 1 && r <= q; })) {
+      continue;
+    }
+    std::vector<int> prefix;
+    for (auto r = path.p.rbegin(); r != path.p.rend(); ++r) {
+      prefix.push_back(*r);
+      prefixes.insert(prefix);
+    }
+  }
+  return prefixes.size();
+}
+
 TEST(KernelTrie, WalkMatchesBlockScan) {
   // Plain and adaptive FlexCore over QPSK, 16- and 64-QAM at Nt = 2..16
   // and 32: shallow and deep tries, keys that pack into one word and keys
@@ -739,7 +758,9 @@ TEST(KernelTrie, WalkMatchesBlockScan) {
         det->set_channel(h, nv);
         const fd::PathPlan& plan = det->plan();
         ASSERT_GT(plan.trie_nodes(), 0u) << family;
-        ASSERT_LE(plan.trie_nodes(), plan.num_paths() * nt) << family;
+        EXPECT_EQ(plan.trie_nodes(),
+                  distinct_prefixes(det->preprocessing().paths, qam))
+            << family << " nt=" << nt;
         shared += plan.trie_nodes() < plan.num_paths() * nt;
         std::vector<fl::CVec> ybars;
         for (int v = 0; v < 9; ++v) {
@@ -753,6 +774,32 @@ TEST(KernelTrie, WalkMatchesBlockScan) {
     }
   }
   EXPECT_GT(shared, 40u) << "too few tries share a prefix";
+
+  // More live paths than the lane rank sort takes (128), keys still packed
+  // (8 levels of 4-bit fields plus the index): the std::sort branch.  A
+  // trie from unsorted keys still walks correctly, only with prefixes
+  // repeated, so the node count is what shows the sort.
+  const Constellation c(16);
+  ch::Rng rng(2399);
+  const auto h = ch::rayleigh_iid(8, 8, rng);
+  const double nv = ch::noise_var_for_snr_db(12.0);
+  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-256", {.constellation = &c});
+  det->set_channel(h, nv);
+  std::size_t live = 0;
+  for (const fc::RankedPath& path : det->preprocessing().paths) {
+    live += std::ranges::all_of(path.p, [&](int r) {
+      return r >= 1 && r <= c.order();
+    });
+  }
+  ASSERT_GT(live, 128u);
+  EXPECT_EQ(det->plan().trie_nodes(),
+            distinct_prefixes(det->preprocessing().paths, c.order()));
+  std::vector<fl::CVec> ybars;
+  for (int v = 0; v < 9; ++v) {
+    ybars.push_back(det->rotate(random_y(h, c, nv, rng)));
+  }
+  expect_trie_matches_block_scan(det->plan(), ybars, "flexcore-256 nt=8");
 }
 
 TEST(KernelTrie, HandBuiltPathSetsMatchBlockScan) {
@@ -772,6 +819,7 @@ TEST(KernelTrie, HandBuiltPathSetsMatchBlockScan) {
   ASSERT_GT(duplicates, 0u) << "the hand-built set lost its duplicates";
   EXPECT_GT(plan.trie_nodes(), 0u);
   EXPECT_LT(plan.trie_nodes(), sc.paths.size() * plan.levels());
+  EXPECT_EQ(plan.trie_nodes(), distinct_prefixes(sc.paths, sc.c.order()));
   expect_trie_matches_block_scan(plan, sc.ybars, "hand-built");
 
   std::vector<fc::RankedPath> invalid = sc.paths;
@@ -783,8 +831,8 @@ TEST(KernelTrie, HandBuiltPathSetsMatchBlockScan) {
                          fc::InvalidEntryPolicy::kDeactivate);
   EXPECT_EQ(empty.trie_nodes(), 0u);
   EXPECT_EQ(expect_trie_matches_block_scan(empty, sc.ybars, "all invalid"),
-            std::size_t{(2 * fd::PathPlan::trie_lanes() + 1) *
-                        (fd::PathPlan::trie_lanes() + 1)});
+            std::size_t{(2 * fd::PathPlan::kTrieLanes + 1) *
+                        (fd::PathPlan::kTrieLanes + 1)});
 
   const Constellation c(64);
   ch::Rng rng(2401);
@@ -816,9 +864,10 @@ TEST(KernelTrie, SelectionFollowsTheEstimate) {
   // The serving shapes pick their kernels over a 48-subcarrier frame each:
   // massive's merged 16x8 / 16-QAM / -2 dB channels with 7 vectors per
   // subcarrier take the trie, coherent's 12x12 / 64-QAM / 18 dB ones the
-  // block scan, and each verdict is the documented estimate.  One vector never takes the trie there;
-  // the ":i16" tier, the ablation modes and FCSD never do.
-  const std::size_t lanes = fd::PathPlan::trie_lanes();
+  // block scan, and each verdict is the documented estimate.  One vector
+  // never takes the trie there; the ":i16" tier, the ablation modes and
+  // FCSD never do.
+  const std::size_t lanes = fd::PathPlan::kTrieLanes;
   const auto estimate = [&](const fc::FlexCoreDetector& det, std::size_t n) {
     const fd::PathPlan& plan = det.plan();
     return fd::PathPlan::kTrieNodeCost *
@@ -838,14 +887,14 @@ TEST(KernelTrie, SelectionFollowsTheEstimate) {
   for (int f = 0; f < 48; ++f) {
     massive->set_channel(merged_massive_channel(rng),
                          ch::noise_var_for_snr_db(-2.0));
-    EXPECT_TRUE(massive->scans_by_trie(7)) << "massive subcarrier " << f;
-    EXPECT_FALSE(massive->scans_by_trie(1)) << "massive subcarrier " << f;
+    EXPECT_TRUE(massive->plan().trie_wins(7)) << "massive subcarrier " << f;
+    EXPECT_FALSE(massive->plan().trie_wins(1)) << "massive subcarrier " << f;
     coherent->set_channel(ch::rayleigh_iid(12, 12, rng),
                           ch::noise_var_for_snr_db(18.0));
-    coherent_tries += coherent->scans_by_trie(7);
+    coherent_tries += coherent->plan().trie_wins(7);
     for (const std::size_t n : {1u, 7u, 8u, 9u, 16u, 40u}) {
-      EXPECT_EQ(massive->scans_by_trie(n), estimate(*massive, n)) << n;
-      EXPECT_EQ(coherent->scans_by_trie(n), estimate(*coherent, n)) << n;
+      EXPECT_EQ(massive->plan().trie_wins(n), estimate(*massive, n)) << n;
+      EXPECT_EQ(coherent->plan().trie_wins(n), estimate(*coherent, n)) << n;
     }
   }
   // A coherent channel whose paths share unusually much can take the trie
@@ -863,7 +912,7 @@ TEST(KernelTrie, SelectionFollowsTheEstimate) {
         std::pair{"flexcore-32", skip}, std::pair{"flexcore-32", exact}}) {
     const auto det = fa::make_detector_as<fc::FlexCoreDetector>(spec, cfg);
     det->set_channel(h, nv);
-    EXPECT_FALSE(det->scans_by_trie(7)) << spec;
+    EXPECT_FALSE(det->plan().trie_wins(7)) << spec;
   }
   fd::FcsdDetector fcsd(qam16, 1);
   fcsd.set_channel(h, nv);
