@@ -183,7 +183,7 @@ void PathPlan::compile_flexcore(const linalg::CMat& r,
           : policy == core::InvalidEntryPolicy::kDeactivate
               ? Mode::kLutRank
               : Mode::kGenericRank;
-  trie_size_ = 0;
+  trie_size_ = trie_leaves_ = 0;
   if (mode_ == Mode::kLutRank && with_trie_) {
     compile_trie(paths);
   } else {
@@ -202,7 +202,7 @@ void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   full_levels_ = full_levels;
   lut_ = nullptr;
   sel_.clear();
-  trie_size_ = 0;
+  trie_size_ = trie_leaves_ = 0;
   powq_.resize(full_levels);
   num_paths_ = 1;
   for (std::size_t d = 0; d < full_levels; ++d) {
@@ -302,9 +302,9 @@ struct FpKernelState {
   const double* pt_re = nullptr;  // constellation points (table modes)
   const double* pt_im = nullptr;
   const std::uint16_t* sel = nullptr;  // selector codes / clamped ranks
-  const PathTrieNode* trie = nullptr;  // the LUT mode's path trie
-  const std::uint32_t* trie_leaf = nullptr;  // each leaf's path
-  std::size_t trie_size = 0;
+  const std::uint32_t* trie_leaf = nullptr;  // the LUT mode's path trie:
+  const std::uint8_t* trie_from = nullptr;   // each leaf's path and depth
+  std::size_t trie_leaves = 0;
   const std::size_t* powq = nullptr;
   const core::OrderingLut* lut = nullptr;
   const modulation::Constellation* cst = nullptr;
@@ -452,9 +452,9 @@ void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   st->pt_re = pt_.re.data();
   st->pt_im = pt_.im.data();
   st->sel = sel_.data();
-  st->trie = trie_.data();
   st->trie_leaf = trie_leaf_.data();
-  st->trie_size = trie_size_;
+  st->trie_from = trie_from_.data();
+  st->trie_leaves = trie_leaves_;
   st->powq = powq_.data();
   st->lut = lut_;
   st->cst = c_;
@@ -546,8 +546,10 @@ void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
   // Each path adds the nodes below the depth where it departs from its
   // predecessor; a path equal to its predecessor adds none (its twin has
   // the lower index and the same metric, so it wins every tie).
-  if (trie_.size() < live * nt) trie_.resize(live * nt);
-  if (trie_leaf_.size() < live) trie_leaf_.resize(live);
+  if (trie_leaf_.size() < live) {
+    trie_leaf_.resize(live);
+    trie_from_.resize(live);
+  }
   const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
   std::size_t nodes = 0;
   std::size_t leaves = 0;
@@ -563,17 +565,12 @@ void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
       while (from < nt && rank_at(a, from) == rank_at(b, from)) ++from;
     }
     if (from == nt) continue;
-    const std::uint32_t p =
+    trie_leaf_[leaves] =
         packed ? static_cast<std::uint32_t>(keys[k] & index_mask) : order[k];
-    const std::uint16_t* codes =
-        sel_.data() + (p / kLanes) * nt * kLanes + p % kLanes;
-    for (std::size_t d = from; d < nt; ++d) {
-      trie_[nodes++] = PathTrieNode{
-          codes[(nt - 1 - d) * kLanes], static_cast<std::uint8_t>(d),
-          static_cast<std::uint8_t>(k == 0 || d > from)};
-    }
-    trie_leaf_[leaves++] = p;
+    trie_from_[leaves++] = static_cast<std::uint8_t>(from);
+    nodes += nt - from;
   }
+  trie_leaves_ = leaves;
   trie_size_ = nodes;
 }
 
@@ -676,8 +673,7 @@ std::size_t PathPlan::footprint_bytes() const noexcept {
   };
   return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
          sel_.size() * sizeof(std::uint16_t) +
-         trie_.size() * sizeof(PathTrieNode) +
-         trie_leaf_.size() * sizeof(std::uint32_t) +
+         trie_leaf_.size() * sizeof(std::uint32_t) + trie_from_.size() +
          powq_.size() * sizeof(std::size_t);
 }
 

@@ -37,7 +37,7 @@
 //    that only other lanes' walks amortize.
 //  * scan_trie puts one channel's vectors in the lanes instead (up to
 //    kTrieLanes = 8): the LUT mode also compiles
-//    the path set into a shared-prefix trie (PathTrieNode, DFS preorder),
+//    the path set into a shared-prefix trie (its leaves in DFS preorder),
 //    and one walk over it evaluates every prefix the paths share once per
 //    vector, where the block scan evaluates it once per path.  Each
 //    (vector, path) still runs its block-walk lane's operations in order,
@@ -112,19 +112,6 @@ using linalg::kernel_isa;
 /// The raw view of a compiled PathPlan that the per-ISA walk copies read
 /// (defined in path_kernels.cpp).
 struct FpKernelState;
-
-/// One node of a plan's path trie, stored in DFS preorder (root level
-/// first, children by ascending rank): the selector code of its rank at
-/// level levels() - 1 - depth, and whether it is the first child of its
-/// parent (the node that computes what its siblings share).  A node at
-/// depth levels() - 1 is a leaf; beside the nodes, the plan lists each
-/// leaf's path, the lowest index of the paths the leaf ends, in leaf
-/// order.
-struct PathTrieNode {
-  std::uint16_t code = 0;
-  std::uint8_t depth = 0;
-  std::uint8_t first = 0;
-};
 
 /// A compiled, SoA-blocked path set for one installed channel.  Compile
 /// once per set_channel (cheap next to QR + path selection), evaluate with
@@ -277,10 +264,9 @@ class PathPlan {
                        const modulation::Constellation& c,
                        bool with_diag_inverse);
   /// The LUT mode's path compile with the trie: fills sel_, packing the
-  /// paths' rank keys in the same pass, sorts the keys and takes
-  /// divergence depths by XOR, the nodes' codes read back from sel_.
-  /// Allocation-free once the plan and the calling thread's scratch are
-  /// warm.
+  /// paths' rank keys in the same pass, sorts the keys and takes each
+  /// leaf's divergence depth by XOR.  Allocation-free once the plan and
+  /// the calling thread's scratch are warm.
   void compile_trie(std::span<const core::RankedPath> paths);
   /// Copies the plan's scalars and table pointers into the walk's kernel
   /// state (once per call; valid while the plan is unchanged).
@@ -307,13 +293,19 @@ class PathPlan {
   // modes store the rank itself, clamped to [0, |Q| + 1].
   std::vector<std::uint16_t> sel_;
 
-  // The LUT mode's path trie: trie_[0, trie_size_) in DFS preorder, and
-  // trie_leaf_ the path of each of its leaves in that order.  Both keep
-  // the largest bound a compile has needed (live paths x levels nodes,
-  // live paths leaves), so a recompile allocates nothing once warm.
+  // The LUT mode's path trie, as its trie_leaves_ leaves in DFS preorder
+  // (root level first, children by ascending rank): trie_leaf_[k] is leaf
+  // k's path (the lowest index of the paths it ends) and trie_from_[k] the
+  // depth where that path leaves leaf k - 1's.  Leaf k adds the nodes at
+  // depths trie_from_[k] .. levels() - 1, each reading its selector code
+  // from sel_; the one at trie_from_[k] is a sibling of leaf k - 1's node
+  // there, every deeper one the first child of its parent.  trie_size_
+  // counts the nodes.  Both arrays keep the most live paths a compile has
+  // had, so a recompile allocates nothing once warm.
   bool with_trie_ = true;
-  std::vector<PathTrieNode> trie_;
   std::vector<std::uint32_t> trie_leaf_;
+  std::vector<std::uint8_t> trie_from_;
+  std::size_t trie_leaves_ = 0;
   std::size_t trie_size_ = 0;
 
   // FCSD digit decode: powq_[d] = |Q|^d for the enumerated levels.
