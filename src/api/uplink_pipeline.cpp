@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "detect/fcsd.h"
 #include "obs/obs.h"
 #include "parallel/hot_path.h"
 
@@ -242,37 +241,30 @@ void UplinkPipeline::ensure_frame_detectors(std::size_t count) {
   }
 }
 
-/// Fused grid for path-parallel detector families: returns false when the
-/// clones are not of type D (the caller tries the next family).
-template <typename D>
+/// Fused grid for the path-parallel detector families (the clones are
+/// detect::PathParallelDetectors).
 FLEXCORE_HOT_PATH
-bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
-  // Clones are homogeneous (same registry spec), so one cast decides the
-  // whole family — non-matching pipelines pay a single failed cast here.
-  if (dynamic_cast<const D*>(frame_dets_.front().get()) == nullptr) {
-    return false;
-  }
+void UplinkPipeline::path_frame(const FrameJob& job, FrameResult* out) {
+  using detect::PathParallelDetector;
   const std::size_t nsc = job.channels.size();
   const std::size_t nv = job.vectors_per_channel;
   // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
-  frame_typed_.resize(nsc);
+  frame_path_dets_.resize(nsc);
   // flexcore-lint: allow-next-line(HP001) warm-capacity reuse, never shrunk
   frame_paths_.resize(nsc);
   for (std::size_t f = 0; f < nsc; ++f) {
-    const D* d = static_cast<const D*>(frame_dets_[f].get());
-    frame_typed_[f] = d;
+    // Clones are homogeneous (same registry spec): detect_frame's one cast
+    // of the first decided the family of all.
+    const auto* d = static_cast<const PathParallelDetector*>(frame_dets_[f].get());
+    frame_path_dets_[f] = d;
     frame_paths_[f] = d->parallel_tasks();
   }
-  // Read back exactly the pointer type stored above; the void* detour only
-  // type-erases the member so ONE scratch vector serves every family.
-  const D* const* typed = reinterpret_cast<const D* const*>(frame_typed_.data());
   const std::size_t nt = job.channels.front().cols();
 
   const bool spans = obs::want_span(job.trace);
   const std::uint64_t grid_t0 = spans ? obs::now_ns() : 0;
-  detect::run_frame_grid<D>(std::span<const D* const>(typed, nsc),
-                            frame_paths_, job.ys, nv, nt, *pool_,
-                            &frame_grid_);
+  detect::run_frame_grid<PathParallelDetector>(
+      frame_path_dets_, frame_paths_, job.ys, nv, nt, *pool_, &frame_grid_);
   if (spans) {
     obs::record_span(obs::Stage::kPathGrid, grid_t0, obs::now_ns(),
                      job.trace);
@@ -287,9 +279,9 @@ bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
   // latency breakdown).
   const auto rec_t0 = std::chrono::steady_clock::now();
   const std::uint64_t rec_t0_ns = spans ? obs::now_ns() : 0;
-  out->sic_fallbacks += detect::reconstruct_grid<D>(
-      std::span<const D* const>(typed, nsc), nv, frame_grid_, *pool_,
-      workspaces_, &frame_fell_, out->results);
+  out->sic_fallbacks += detect::reconstruct_grid<PathParallelDetector>(
+      frame_path_dets_, nv, frame_grid_, *pool_, workspaces_, &frame_fell_,
+      out->results);
   for (std::size_t u = 0; u < nsc * nv; ++u) {
     out->stats += out->results[u].stats;
   }
@@ -298,12 +290,10 @@ bool UplinkPipeline::try_typed_frame(const FrameJob& job, FrameResult* out) {
     obs::record_span(obs::Stage::kReconstruct, rec_t0_ns, obs::now_ns(),
                      job.trace);
   }
-  return true;
 }
 
-/// Fallback for detectors without span kernels: per-subcarrier batches
-/// (still behind the parallel preprocessing and the pool-routed
-/// detect_batch overrides where they exist).
+/// Fallback for the sequential detectors: per-subcarrier batches behind
+/// the parallel preprocessing.
 void UplinkPipeline::generic_frame(const FrameJob& job, FrameResult* out) {
   const bool spans = obs::want_span(job.trace);
   const std::uint64_t t0_ns = spans ? obs::now_ns() : 0;
@@ -410,9 +400,13 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
     out.sum_active_paths += static_cast<double>(frame_dets_[f]->parallel_tasks());
   }
 
-  if (nv > 0 && !try_typed_frame<core::FlexCoreDetector>(job, &out) &&
-      !try_typed_frame<detect::FcsdDetector>(job, &out)) {
-    generic_frame(job, &out);
+  if (nv > 0) {
+    if (dynamic_cast<const detect::PathParallelDetector*>(
+            frame_dets_.front().get()) != nullptr) {
+      path_frame(job, &out);
+    } else {
+      generic_frame(job, &out);
+    }
   }
 
   if (out.sic_fallbacks > 0) {

@@ -43,6 +43,7 @@
 #include "api/detector_registry.h"
 #include "core/flexcore_detector.h"
 #include "detect/detector.h"
+#include "detect/path_detector.h"
 #include "detect/path_grid.h"
 #include "detect/workspace.h"
 #include "modulation/constellation.h"
@@ -213,9 +214,10 @@ class UplinkPipeline {
   /// Results are bit-identical to looping set_channel + detect over the
   /// same data.  Independent of set_channel (the single-channel state is
   /// untouched); counts channels/vectors toward the session counters.
-  /// Path-parallel detectors (flexcore / a-flexcore / fcsd families) run
-  /// the fused grid; other detectors fall back to per-subcarrier
-  /// detect_batch after the parallel preprocessing.
+  /// Path-parallel detectors (detect::PathParallelDetector: the flexcore,
+  /// a-flexcore and fcsd families) run the fused grid; other detectors
+  /// fall back to per-subcarrier detect_batch after the parallel
+  /// preprocessing.
   FrameResult detect_frame(const FrameJob& job);
 
   /// Buffer-reusing overload: writes into `*out`, whose buffers are resized
@@ -283,8 +285,7 @@ class UplinkPipeline {
   void require_channel(const char* where,
                        std::span<const linalg::CVec> ys) const;
   void ensure_frame_detectors(std::size_t count);
-  template <typename D>
-  bool try_typed_frame(const FrameJob& job, FrameResult* out);
+  void path_frame(const FrameJob& job, FrameResult* out);
   void generic_frame(const FrameJob& job, FrameResult* out);
 
   PipelineConfig cfg_;
@@ -311,11 +312,10 @@ class UplinkPipeline {
   detect::WorkspaceBank workspaces_;
   std::vector<std::size_t> frame_fell_;  // SIC fallbacks per reconstruct group
   std::vector<std::exception_ptr> frame_errors_;  // set_channel failures
-  // Per-call scratch of try_typed_frame, hoisted so steady-state frames
-  // reuse its capacity: the typed clone pointers (stored type-erased; the
-  // template reads them back as the D* it stored) and per-subcarrier path
-  // counts.
-  std::vector<const void*> frame_typed_;
+  // Per-call scratch of path_frame, hoisted so steady-state frames reuse
+  // its capacity: the clones as path-parallel detectors and their
+  // per-subcarrier path counts.
+  std::vector<const detect::PathParallelDetector*> frame_path_dets_;
   std::vector<std::size_t> frame_paths_;
 };
 

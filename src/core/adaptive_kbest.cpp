@@ -48,7 +48,9 @@ void AdaptiveKBestDetector::install_channel(const CMat& h, double noise_var) {
   }
 }
 
-DetectionResult AdaptiveKBestDetector::detect(const CVec& y) const {
+bool AdaptiveKBestDetector::detect_into(const CVec& y,
+                                        detect::Workspace& /*ws*/,
+                                        DetectionResult* res) const {
   const CMat& r = qr_.R;
   const std::size_t nt = r.cols();
   const std::size_t q = static_cast<std::size_t>(constellation_->order());
@@ -97,12 +99,11 @@ DetectionResult AdaptiveKBestDetector::detect(const CVec& y) const {
   std::vector<int> detected(nt);
   for (std::size_t ii = 0; ii < nt; ++ii) detected[nt - 1 - ii] = best.path[ii];
 
-  DetectionResult res;
-  res.symbols = linalg::unpermute(detected, qr_.perm);
-  res.metric = best.ped;
-  res.stats = stats;
-  res.stats.paths_evaluated = parallel_tasks();
-  return res;
+  res->symbols = linalg::unpermute(detected, qr_.perm);
+  res->metric = best.ped;
+  res->stats = stats;
+  res->stats.paths_evaluated = parallel_tasks();
+  return false;
 }
 
 }  // namespace flexcore::core

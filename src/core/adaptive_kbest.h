@@ -33,7 +33,6 @@ class AdaptiveKBestDetector : public Detector {
                             modulation::PeModel::kExactSer)
       : constellation_(&c), path_budget_(path_budget), pe_model_(pe_model) {}
 
-  DetectionResult detect(const CVec& y) const override;
   std::string name() const override {
     return "akbest-" + std::to_string(path_budget_);
   }
@@ -51,6 +50,8 @@ class AdaptiveKBestDetector : public Detector {
 
  private:
   void install_channel(const CMat& h, double noise_var) override;
+  bool detect_into(const CVec& y, detect::Workspace& ws,
+                   DetectionResult* res) const override;
 
   const Constellation* constellation_;
   std::size_t path_budget_;

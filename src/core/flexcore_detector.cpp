@@ -4,21 +4,16 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "detect/path_grid.h"
-#include "obs/obs.h"
-
 namespace flexcore::core {
 
 FlexCoreDetector::FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg)
-    : constellation_(&c),
+    : PathParallelDetector(c, cfg.precision, /*sic_fallback=*/true),
       cfg_(cfg),
-      lut_(c, cfg.lut_source),
-      plans_(cfg.precision) {
+      lut_(c) {
   if (cfg_.num_pes == 0) {
     throw std::invalid_argument("FlexCoreDetector: num_pes must be >= 1");
   }
@@ -51,130 +46,13 @@ void FlexCoreDetector::install_channel(const CMat& h, double noise_var) {
   pcfg.batch_expand = cfg_.batch_expand;
   find_most_promising_paths_into(qr_.R, noise_var, *constellation_, pcfg,
                                  search_ws_, &preproc_);
-  active_paths_ = preproc_.paths.size();
+  num_paths_ = preproc_.paths.size();
 
   const bool exact = cfg_.ordering == OrderingMode::kExactSort;
   plans_.compile([&](auto& plan) {
     plan.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_, exact,
                           cfg_.invalid_policy);
   });
-}
-
-std::size_t FlexCoreDetector::active_paths() const { return active_paths_; }
-
-FLEXCORE_HOT_PATH
-void FlexCoreDetector::rotate_into(const CVec& y,
-                                   std::span<cplx> out) const {
-  linalg::hermitian_mul_into(qr_.Q, y, out);
-}
-
-FLEXCORE_HOT_PATH
-double FlexCoreDetector::walk_best(std::span<const cplx> ybar,
-                                   std::span<int> symbols) const {
-  std::size_t best_path = 0;
-  double best_metric = std::numeric_limits<double>::infinity();
-  detect::scan_paths(plan(), ybar, active_paths_, &best_path, &best_metric);
-  return std::isinf(best_metric) ? best_metric
-                                 : plan().walk_path(ybar, best_path, symbols);
-}
-
-FLEXCORE_HOT_PATH
-bool FlexCoreDetector::finish(std::span<const cplx> ybar, double metric,
-                              std::span<int> symbols,
-                              DetectionResult* res) const {
-  // Every PE deactivated (possible only for tiny path budgets at extreme
-  // noise): plain SIC, which is always valid.
-  const bool fell = std::isinf(metric);
-  res->metric = fell ? plan().walk_sic(ybar, symbols) : metric;
-  res->stats = plan().walk_stats(active_paths_);
-  // Unpermute the tree-order decisions straight into the caller's buffer
-  // so steady state allocates nothing.
-  linalg::unpermute_into(symbols, qr_.perm, &res->symbols);
-  return fell;
-}
-
-FLEXCORE_HOT_PATH
-std::size_t FlexCoreDetector::reconstruct_winners(
-    std::span<const cplx> ybars, std::span<const std::size_t> best_path,
-    std::span<const double> best_metric, detect::Workspace& ws,
-    std::span<DetectionResult> res) const {
-  const std::size_t nt = qr_.R.cols();
-  const std::size_t n = best_path.size();
-  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
-  ws.symbols.resize(n * nt);
-  // flexcore-lint: allow-next-line(HP001) warm per-worker workspace
-  ws.d0.resize(n);
-  plan().walk_paths(ybars, best_path, ws.d0, ws.symbols);
-  std::size_t fell = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::span<const cplx> ybar = ybars.subspan(k * nt, nt);
-    const std::span<int> symbols(ws.symbols.data() + k * nt, nt);
-    double metric = std::isinf(best_metric[k]) ? best_metric[k] : ws.d0[k];
-    // The exact walk can disagree with the grid only in the ":i16" tier,
-    // where a decision that lands near a cell boundary can fall on the
-    // other side of it: the int16 kernel may crown a path the exact walk
-    // deactivates, or deactivate every path the exact walk keeps.  Those
-    // vectors are rescued with one exact block scan (the quantized grid
-    // already paid for the other 99%+); only when that scan also finds
-    // every path dead does the vector drop to plain SIC, exactly like the
-    // fp64 tier.
-    if (std::isinf(metric) && cfg_.precision == detect::Precision::kInt16) {
-      obs::counter_add(obs::Counter::kI16BoundaryRescans);
-      metric = walk_best(ybar, symbols);
-    }
-    fell += finish(ybar, metric, symbols, &res[k]);
-  }
-  return fell;
-}
-
-FLEXCORE_HOT_PATH
-bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
-                                          std::size_t best_path,
-                                          double best_metric,
-                                          detect::Workspace& ws,
-                                          DetectionResult* res) const {
-  return reconstruct_winners(ybar, {&best_path, 1}, {&best_metric, 1}, ws,
-                             {res, 1}) != 0;
-}
-
-bool FlexCoreDetector::detect_into(const CVec& y, detect::Workspace& ws,
-                                   DetectionResult* res) const {
-  ws.ybar.resize(qr_.R.cols());
-  rotate_into(y, ws.ybar);
-  ws.symbols.resize(ws.ybar.size());
-  return finish(ws.ybar, walk_best(ws.ybar, ws.symbols), ws.symbols, res);
-}
-
-void FlexCoreDetector::detect_batch(std::span<const CVec> ys,
-                                    detect::BatchResult* out) const {
-  if (pool_ == nullptr || active_paths_ == 0 || ys.empty()) {
-    // Sequential loop with the base-class contract (tasks = vector
-    // count), but with the SIC-fallback counter kept consistent with the
-    // pooled grid path.
-    out->results.assign(ys.size(), DetectionResult{});
-    out->stats = DetectionStats{};
-    out->sic_fallbacks = 0;
-    out->tasks = ys.size();
-    const auto t0 = std::chrono::steady_clock::now();
-    detect::Workspace ws;
-    for (std::size_t v = 0; v < ys.size(); ++v) {
-      out->sic_fallbacks += detect_into(ys[v], ws, &out->results[v]);
-      out->stats += out->results[v].stats;
-    }
-    out->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return;
-  }
-  detect::detect_batch_on_pool(*this, active_paths_, ys, qr_.R.cols(), *pool_,
-                               &batch_, out);
-}
-
-DetectionResult FlexCoreDetector::detect(const CVec& y) const {
-  detect::Workspace ws;
-  DetectionResult res;
-  detect_into(y, ws, &res);
-  return res;
 }
 
 SoftOutput FlexCoreDetector::detect_soft(const CVec& y) const {
@@ -192,7 +70,7 @@ SoftOutput FlexCoreDetector::detect_soft(const CVec& y) const {
 
   std::vector<int> tree(nt), sym;
   std::vector<std::uint8_t> bitbuf;
-  for (std::size_t p = 0; p < active_paths_; ++p) {
+  for (std::size_t p = 0; p < num_paths_; ++p) {
     const double metric = plan().walk_path(ybar, p, tree);
     if (std::isinf(metric)) continue;
     linalg::unpermute_into(tree, qr_.perm, &sym);

@@ -1,27 +1,19 @@
 #include "core/ordering_lut.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-#include <random>
 
 namespace flexcore::core {
 
-namespace {
-// Canonical triangle t1: residuals (u, v) with 0 <= v <= u <= h, where
-// h = half the slicer square side = constellation scale.
-}  // namespace
+OrderingLut::OrderingLut(const Constellation& c)
+    : c_(&c), base_(build_centroid_order()) {}
 
-OrderingLut::OrderingLut(const Constellation& c, LutSource source,
-                         int mc_samples, std::uint64_t seed)
-    : c_(&c) {
-  base_ = (source == LutSource::kCentroid)
-              ? build_centroid_order()
-              : build_monte_carlo_order(mc_samples, seed);
-}
-
-std::vector<OrderingLut::Offset> OrderingLut::order_for_point(double u,
-                                                              double v) const {
+std::vector<OrderingLut::Offset> OrderingLut::build_centroid_order() const {
+  // Canonical triangle t1: residuals (u, v) with 0 <= v <= u <= h, where
+  // h = half the slicer square side = constellation scale.  Its centroid,
+  // of the vertices (0,0), (h,0), (h,h):
+  const double h = c_->scale();
+  const double u = 2.0 * h / 3.0;
+  const double v = h / 3.0;
   // Candidate offsets within a window that is guaranteed to contain the |Q|
   // nearest lattice points (window (2*side+1)^2 >= 4*|Q| entries).
   const int side = c_->side();
@@ -48,44 +40,6 @@ std::vector<OrderingLut::Offset> OrderingLut::order_for_point(double u,
   });
   std::vector<Offset> order(static_cast<std::size_t>(c_->order()));
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = cands[k].off;
-  return order;
-}
-
-std::vector<OrderingLut::Offset> OrderingLut::build_centroid_order() const {
-  // Centroid of the triangle with vertices (0,0), (h,0), (h,h).
-  const double h = c_->scale();
-  return order_for_point(2.0 * h / 3.0, h / 3.0);
-}
-
-std::vector<OrderingLut::Offset> OrderingLut::build_monte_carlo_order(
-    int samples, std::uint64_t seed) const {
-  const double h = c_->scale();
-  std::mt19937_64 gen(seed);
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-
-  std::map<std::vector<std::int16_t>, int> histogram;
-  for (int s = 0; s < samples; ++s) {
-    // Uniform sample in t1: u in [0,h], v in [0,u] via rejection-free warp.
-    const double u = h * std::sqrt(unif(gen));
-    const double v = u * unif(gen);
-    const auto order = order_for_point(u, v);
-    std::vector<std::int16_t> key;
-    key.reserve(order.size());
-    for (const Offset& o : order) {
-      key.push_back(static_cast<std::int16_t>((o.di << 8) | (o.dq & 0xff)));
-    }
-    ++histogram[key];
-  }
-  // Most frequent order wins (ties broken by key order — deterministic).
-  const auto best = std::max_element(
-      histogram.begin(), histogram.end(),
-      [](const auto& a, const auto& b) { return a.second < b.second; });
-  std::vector<Offset> order;
-  order.reserve(best->first.size());
-  for (std::int16_t k : best->first) {
-    order.push_back(Offset{static_cast<std::int8_t>(k >> 8),
-                           static_cast<std::int8_t>(k & 0xff)});
-  }
   return order;
 }
 

@@ -8,8 +8,11 @@
 //    constellation lattice; the residual falls in a square of side d_min
 //    centered on that lattice point.
 //  * Split the square into 8 triangles.  For ONE canonical triangle store a
-//    precomputed distance order of lattice offsets; the other 7 follow by
-//    the constellation's dihedral symmetry.
+//    precomputed distance order of lattice offsets — the exact order at the
+//    triangle's centroid; the other 7 follow by the constellation's
+//    dihedral symmetry.  The paper instead takes the most frequent order
+//    over points sampled in the triangle; the two agree on the head of the
+//    order (tests/reference_lut.h holds the sampled derivation).
 //  * The k-th entry of the (transformed) order added to the center gives
 //    the k-th closest symbol.  If it lands outside the constellation the
 //    corresponding processing element is deactivated (paper behaviour), or
@@ -25,17 +28,6 @@ namespace flexcore::core {
 
 using linalg::cplx;
 using modulation::Constellation;
-
-/// How the canonical triangle's order is derived.
-enum class LutSource {
-  /// Distance order from the triangle's centroid: deterministic, and within
-  /// a fraction of a percent of the Monte-Carlo order (see tests).
-  kCentroid,
-  /// The paper's method: most frequent exact order over points sampled
-  /// uniformly in the triangle ("via computer simulations, compute the most
-  /// frequent sorted order"), with a fixed seed for reproducibility.
-  kMonteCarlo,
-};
 
 /// What to do when the LUT addresses a symbol outside the constellation.
 enum class InvalidEntryPolicy {
@@ -53,9 +45,7 @@ class OrderingLut {
     std::int8_t dq;  ///< imaginary-axis steps
   };
 
-  explicit OrderingLut(const Constellation& c,
-                       LutSource source = LutSource::kCentroid,
-                       int mc_samples = 20000, std::uint64_t seed = 0x5eed);
+  explicit OrderingLut(const Constellation& c);
 
   /// The symbol index of the k-th closest constellation point to z
   /// (k is 1-based, k <= |Q|), or -1 when the entry is invalid under
@@ -70,11 +60,9 @@ class OrderingLut {
   const Constellation& constellation() const noexcept { return *c_; }
 
  private:
+  /// Sorted lattice offsets (ascending distance) from the canonical
+  /// triangle's centroid.
   std::vector<Offset> build_centroid_order() const;
-  std::vector<Offset> build_monte_carlo_order(int samples, std::uint64_t seed) const;
-  /// Sorted lattice offsets (ascending distance) for an arbitrary residual
-  /// point `rep` inside the canonical triangle.
-  std::vector<Offset> order_for_point(double u, double v) const;
 
   const Constellation* c_;
   std::vector<Offset> base_;  ///< |Q| entries for triangle t1

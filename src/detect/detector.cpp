@@ -26,17 +26,24 @@ void check_noise_var(const char* where, double noise_var) {
 
 void Detector::set_thread_pool(parallel::ThreadPool* /*pool*/) {}
 
+DetectionResult Detector::detect(const CVec& y) const {
+  Workspace ws;
+  DetectionResult res;
+  detect_into(y, ws, &res);
+  return res;
+}
+
 void Detector::detect_batch(std::span<const CVec> ys, BatchResult* out) const {
-  out->results.clear();
-  out->results.reserve(ys.size());
+  out->results.resize(ys.size());
   out->stats = DetectionStats{};
   out->sic_fallbacks = 0;
   out->tasks = ys.size();
 
+  Workspace ws;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const CVec& y : ys) {
-    out->results.push_back(detect(y));
-    out->stats += out->results.back().stats;
+  for (std::size_t v = 0; v < ys.size(); ++v) {
+    out->sic_fallbacks += detect_into(ys[v], ws, &out->results[v]);
+    out->stats += out->results[v].stats;
   }
   out->elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

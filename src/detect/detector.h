@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "detect/workspace.h"
 #include "linalg/matrix.h"
 #include "modulation/constellation.h"
 
@@ -62,6 +63,8 @@ struct DetectionResult {
 /// Batch API contract:
 ///  * `results` holds one DetectionResult per input vector, in input order,
 ///    identical (symbols and metric) to what per-vector detect() returns.
+///    Both run the detector's one detect_into per vector, and a reused
+///    BatchResult's entries are overwritten whole.
 ///  * `stats` is the sum of the per-vector stats, identical to per-vector
 ///    detect()'s.  Path-parallel detectors (FlexCore, FCSD) report the
 ///    closed-form cost of walking every path in full
@@ -69,9 +72,9 @@ struct DetectionResult {
 ///  * `sic_fallbacks` counts vectors for which every path was deactivated
 ///    (FlexCore's out-of-constellation policy) and the detector fell back
 ///    to plain SIC slicing — the raw task grid punts this policy to
-///    detect_batch.
-///  * `tasks` is the units of parallel work (vectors * paths for grid
-///    detectors, plain vector count for the sequential default).
+///    detect_batch.  0 for every other detector.
+///  * `tasks` is the units of parallel work (vectors * paths for the
+///    pooled path grid, plain vector count for the sequential loop).
 ///  * `elapsed_seconds` is the wall-clock of the detection kernel (for grid
 ///    overrides: rotation + path grid + min-reduction, the paper's Fig. 11
 ///    timing; winner reconstruction is excluded).
@@ -105,15 +108,18 @@ class Detector {
     install_channel(h, noise_var);
   }
 
-  /// Detects one received vector.  Requires a prior set_channel call.
-  virtual DetectionResult detect(const CVec& y) const = 0;
+  /// Detects one received vector (detect_into on a fresh workspace).
+  /// Requires a prior set_channel call.
+  DetectionResult detect(const CVec& y) const;
 
   /// Detects a batch of received vectors sharing the installed channel.
-  /// This is the primary entry point for drivers: the base implementation
-  /// is a sequential detect() loop; path-parallel detectors (FlexCore,
-  /// FCSD) override it to fan the flat vector x path task grid across the
-  /// attached thread pool (see set_thread_pool).  See BatchResult for the
-  /// output contract.
+  /// This is the primary entry point for callers.  The base implementation
+  /// is the one sequential loop: detect_into per vector, one workspace
+  /// threaded through the batch.  Path-parallel detectors (FlexCore, FCSD;
+  /// detect::PathParallelDetector) override it to fan the flat vector x
+  /// path task grid across the attached thread pool (see set_thread_pool),
+  /// and run this loop without one.  See BatchResult for the output
+  /// contract.
   virtual void detect_batch(std::span<const CVec> ys, BatchResult* out) const;
 
   /// Attaches a (non-owning) thread pool for detect_batch overrides to fan
@@ -134,6 +140,14 @@ class Detector {
   /// The detector's own channel install behind set_channel, with
   /// `noise_var` already checked.
   virtual void install_channel(const CMat& h, double noise_var) = 0;
+
+  /// The detector's own detection of one vector behind detect and the
+  /// sequential detect_batch: scratch in `ws` (contents unspecified
+  /// between calls), result into `*res`, every field of which it must
+  /// write — the batch loop reuses its results across calls.  Returns
+  /// true when a fallback fired (FlexCore's plain-SIC rescue).
+  virtual bool detect_into(const CVec& y, Workspace& ws,
+                           DetectionResult* res) const = 0;
 };
 
 }  // namespace flexcore::detect

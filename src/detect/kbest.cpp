@@ -1,7 +1,6 @@
 #include "detect/kbest.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace flexcore::detect {
 
@@ -18,7 +17,7 @@ void KBestDetector::install_channel(const CMat& h, double /*noise_var*/) {
   }
 }
 
-void KBestDetector::detect_into(const CVec& y, Workspace& ws,
+bool KBestDetector::detect_into(const CVec& y, Workspace& ws,
                                 DetectionResult* res) const {
   const CMat& r = qr_.R;
   const std::size_t nt = r.cols();
@@ -88,35 +87,11 @@ void KBestDetector::detect_into(const CVec& y, Workspace& ws,
     ws.symbols[nt - 1 - ii] = best[ii];  // path was built top level first
   }
 
-  res->symbols = linalg::unpermute(ws.symbols, qr_.perm);
+  linalg::unpermute_into<int>(ws.symbols, qr_.perm, &res->symbols);
   res->metric = ws.d0[0];
   res->stats = stats;
   res->stats.paths_evaluated = k_;
-}
-
-DetectionResult KBestDetector::detect(const CVec& y) const {
-  Workspace ws;
-  DetectionResult res;
-  detect_into(y, ws, &res);
-  return res;
-}
-
-void KBestDetector::detect_batch(std::span<const CVec> ys,
-                                 BatchResult* out) const {
-  out->results.resize(ys.size());
-  out->stats = DetectionStats{};
-  out->sic_fallbacks = 0;
-  out->tasks = ys.size();
-
-  Workspace ws;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t v = 0; v < ys.size(); ++v) {
-    detect_into(ys[v], ws, &out->results[v]);
-    out->stats += out->results[v].stats;
-  }
-  out->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  return false;
 }
 
 }  // namespace flexcore::detect

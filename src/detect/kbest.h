@@ -7,7 +7,6 @@
 #pragma once
 
 #include "detect/detector.h"
-#include "detect/workspace.h"
 #include "linalg/qr.h"
 
 namespace flexcore::detect {
@@ -17,23 +16,15 @@ class KBestDetector : public Detector {
   KBestDetector(const Constellation& c, std::size_t k)
       : constellation_(&c), k_(k) {}
 
-  DetectionResult detect(const CVec& y) const override;
-
-  /// Sequential loop like the base class, but threading ONE workspace
-  /// through the whole batch so the survivor/candidate lists are not
-  /// reallocated per vector.
-  void detect_batch(std::span<const CVec> ys, BatchResult* out) const override;
-
   std::string name() const override { return "kbest-" + std::to_string(k_); }
   std::size_t parallel_tasks() const override { return k_; }
 
-  /// Buffer-reusing core of detect(): the per-level survivor/candidate
-  /// lists live as flat arrays in `ws` and are reused across calls instead
-  /// of being reallocated per vector.
-  void detect_into(const CVec& y, Workspace& ws, DetectionResult* res) const;
-
  private:
   void install_channel(const CMat& h, double noise_var) override;
+  /// The per-level survivor/candidate lists live as flat arrays in `ws`,
+  /// so the batch loop reallocates nothing per vector.
+  bool detect_into(const CVec& y, Workspace& ws,
+                   DetectionResult* res) const override;
 
   const Constellation* constellation_;
   std::size_t k_;

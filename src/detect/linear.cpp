@@ -12,24 +12,25 @@ void LinearDetector::install_channel(const CMat& h, double noise_var) {
   h_ = h;
 }
 
-DetectionResult LinearDetector::detect(const CVec& y) const {
+bool LinearDetector::detect_into(const CVec& y, Workspace& /*ws*/,
+                                 DetectionResult* res) const {
   const CVec x = w_ * y;
-  DetectionResult res;
-  res.symbols.resize(x.size());
+  res->symbols.resize(x.size());
   CVec s_hat(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    res.symbols[i] = constellation_->slice(x[i]);
-    s_hat[i] = constellation_->point(res.symbols[i]);
+    res->symbols[i] = constellation_->slice(x[i]);
+    s_hat[i] = constellation_->point(res->symbols[i]);
   }
   // Report the true residual so linear results are comparable with
   // tree-search metrics.
   const CVec r = linalg::sub(y, h_ * s_hat);
-  res.metric = linalg::norm2(r);
-  res.stats.paths_evaluated = 1;
+  res->metric = linalg::norm2(r);
+  res->stats = DetectionStats{};
+  res->stats.paths_evaluated = 1;
   // Filter multiply: Nr*Nt complex mults.
-  res.stats.real_mults = 4 * w_.rows() * w_.cols();
-  res.stats.flops = 8 * w_.rows() * w_.cols();
-  return res;
+  res->stats.real_mults = 4 * w_.rows() * w_.cols();
+  res->stats.flops = 8 * w_.rows() * w_.cols();
+  return false;
 }
 
 }  // namespace flexcore::detect

@@ -18,7 +18,6 @@ class LinearDetector : public Detector {
   LinearDetector(const Constellation& c, LinearKind kind)
       : constellation_(&c), kind_(kind) {}
 
-  DetectionResult detect(const CVec& y) const override;
   std::string name() const override {
     return kind_ == LinearKind::kZeroForcing ? "zf" : "mmse";
   }
@@ -29,6 +28,8 @@ class LinearDetector : public Detector {
 
  private:
   void install_channel(const CMat& h, double noise_var) override;
+  bool detect_into(const CVec& y, Workspace& ws,
+                   DetectionResult* res) const override;
 
   const Constellation* constellation_;
   LinearKind kind_;

@@ -84,7 +84,8 @@ void MlSphereDecoder::search(SearchState& st, std::size_t level,
   }
 }
 
-DetectionResult MlSphereDecoder::detect(const CVec& y) const {
+bool MlSphereDecoder::detect_into(const CVec& y, Workspace& /*ws*/,
+                                  DetectionResult* res) const {
   const std::size_t nt = qr_.R.cols();
   SearchState st;
   st.r = &qr_.R;
@@ -100,12 +101,11 @@ DetectionResult MlSphereDecoder::detect(const CVec& y) const {
 
   search(st, nt - 1, 0.0);
 
-  DetectionResult res;
-  res.symbols = linalg::unpermute(st.best, qr_.perm);
-  res.metric = st.best_metric;
-  res.stats = st.stats;
-  res.stats.paths_evaluated = 1;
-  return res;
+  res->symbols = linalg::unpermute(st.best, qr_.perm);
+  res->metric = st.best_metric;
+  res->stats = st.stats;
+  res->stats.paths_evaluated = 1;
+  return false;
 }
 
 }  // namespace flexcore::detect

@@ -28,11 +28,12 @@ class MlSphereDecoder : public Detector {
   MlSphereDecoder(const Constellation& c, Options opt)
       : constellation_(&c), opt_(opt) {}
 
-  DetectionResult detect(const CVec& y) const override;
   std::string name() const override { return "ml-sd"; }
 
  private:
   void install_channel(const CMat& h, double noise_var) override;
+  bool detect_into(const CVec& y, Workspace& ws,
+                   DetectionResult* res) const override;
 
   struct SearchState;
   void search(SearchState& st, std::size_t level, double ped) const;

@@ -8,12 +8,17 @@
 //
 // run_frame_grid is the multi-channel (subcarrier x vector x path) grid
 // behind api::UplinkPipeline::detect_frame: one flat job covering every
-// subcarrier of an OFDM frame.  Detector::detect_batch runs the same grid
-// with a single channel (detect_batch_on_pool adds the winner
-// reconstruction); the Fig. 11 benchmark times exactly that grid.
+// subcarrier of an OFDM frame.  PathParallelDetector::detect_batch
+// (detect/path_detector.h) runs the same grid with a single channel and
+// adds the winner reconstruction; the Fig. 11 benchmark times exactly that
+// grid.
 //
 // reconstruct_grid completes the grid's verdicts per group of one
 // channel's vectors, one lane-batched exact walk per group.
+//
+// Both are templates over the detector type D, a PathParallelDetector or
+// a class derived from it; every member they call is the base's and
+// non-virtual, so the grids dispatch nothing per task.
 //
 // The grid writes into a caller-owned output struct whose buffers are
 // resized, never shrunk, so steady-state runs perform zero heap
@@ -39,21 +44,7 @@
 
 namespace flexcore::detect {
 
-/// A detector whose per-vector work decomposes into independent fixed
-/// paths, with allocation-free span kernels: rotate_into writes ybar = Q^H y
-/// into a caller buffer, the lane-parallel block kernel
-/// (detect/path_kernels.h) path_metric_block scores a block of paths of a
-/// rotated vector per call, and plan() is the exact PathPlan whose trie
-/// walk the frame grid takes where PathPlan::trie_wins says it wins.
-template <typename D>
-concept PathParallelDetector = requires(const D& d, const linalg::CVec& y,
-                                        std::span<linalg::cplx> out,
-                                        std::span<const linalg::cplx> ybar,
-                                        std::size_t i, double* metrics) {
-  d.rotate_into(y, out);
-  d.path_metric_block(ybar, i, i, metrics);
-  { d.plan() } -> std::same_as<const PathPlan&>;
-};
+class PathParallelDetector;  // detect/path_detector.h
 
 /// Paths per block-kernel call.  Sized for the widest tier: the int16
 /// quantized plans evaluate a FUSED PAIR of 16-lane blocks per kernel call
@@ -120,7 +111,8 @@ struct FrameGridOutput {
 /// that many and scans them in one walk, and the others have nothing to
 /// do; the verdicts are the same.  Steady-state tasks perform zero heap
 /// allocations.
-template <PathParallelDetector D>
+template <typename D>
+  requires std::derived_from<D, PathParallelDetector>
 FLEXCORE_HOT_PATH
 void run_frame_grid(std::span<const D* const> dets,
                     std::span<const std::size_t> num_paths,
@@ -181,6 +173,7 @@ void run_frame_grid(std::span<const D* const> dets,
 /// Writes results[u] per unit and one fallback count per group to `fell`;
 /// returns their sum.
 template <typename D>
+  requires std::derived_from<D, PathParallelDetector>
 FLEXCORE_HOT_PATH
 std::size_t reconstruct_grid(std::span<const D* const> dets,
                              std::size_t vectors_per_channel,
@@ -210,40 +203,6 @@ std::size_t reconstruct_grid(std::span<const D* const> dets,
   std::size_t total = 0;
   for (const std::size_t k : *fell) total += k;
   return total;
-}
-
-/// A detector's reusable detect_batch buffers: the grid output, per-worker
-/// reconstruction scratch and per-group fallback counts, kept at their
-/// high-water mark across calls (zero steady-state allocations).  Guarded
-/// by the detect_batch contract (one driver thread at a time).
-struct BatchScratch {
-  FrameGridOutput grid;
-  WorkspaceBank workspaces;
-  std::vector<std::size_t> fell;
-};
-
-/// Detector::detect_batch over `pool` for a path-parallel detector: the
-/// frame grid over its one channel, then its winner reconstruction
-/// (reconstruct_grid).
-template <PathParallelDetector D>
-void detect_batch_on_pool(const D& det, std::size_t num_paths,
-                          std::span<const linalg::CVec> ys, std::size_t nt,
-                          parallel::ThreadPool& pool, BatchScratch* scratch,
-                          BatchResult* out) {
-  const std::size_t nv = ys.size();
-  FrameGridOutput& grid = scratch->grid;
-  const D* const dets[] = {&det};
-  run_frame_grid<D>(dets, std::span<const std::size_t>(&num_paths, 1), ys, nv,
-                    nt, pool, &grid);
-  out->results.assign(nv, DetectionResult{});
-  out->stats = DetectionStats{};
-  out->tasks = grid.tasks;
-  out->elapsed_seconds = grid.elapsed_seconds;
-
-  out->sic_fallbacks =
-      reconstruct_grid<D>(dets, nv, grid, pool, scratch->workspaces,
-                          &scratch->fell, out->results);
-  for (std::size_t v = 0; v < nv; ++v) out->stats += out->results[v].stats;
 }
 
 }  // namespace flexcore::detect

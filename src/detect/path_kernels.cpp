@@ -30,6 +30,22 @@ void require_kernel_streams(const char* who, std::size_t nt) {
   }
 }
 
+std::size_t fcsd_num_paths(const char* who, std::size_t q,
+                           std::size_t full_levels) {
+  std::size_t n = 1;
+  for (std::size_t d = 0; d < full_levels; ++d) {
+    if (q != 0 && n > std::numeric_limits<std::size_t>::max() / q) {
+      throw std::invalid_argument(
+          std::string(who) + ": |Q|^L = " + std::to_string(q) + "^" +
+          std::to_string(full_levels) + " paths (L = " +
+          std::to_string(full_levels) + ", |Q| = " + std::to_string(q) +
+          ") overflow std::size_t");
+    }
+    n *= q;
+  }
+  return n;
+}
+
 namespace {
 
 /// Throws std::invalid_argument, in every build, unless each path holds
@@ -197,6 +213,8 @@ void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   if (full_levels > r.cols()) {
     throw std::invalid_argument("PathPlan: fcsd full_levels > Nt");
   }
+  fcsd_num_paths("PathPlan", static_cast<std::size_t>(c.order()),
+                 full_levels);
   compile_channel(r, c, /*with_diag_inverse=*/false);
   mode_ = Mode::kFcsd;
   full_levels_ = full_levels;
@@ -1165,6 +1183,8 @@ void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
   if (full_levels > r.cols()) {
     throw std::invalid_argument("PathPlanI16: fcsd full_levels > Nt");
   }
+  fcsd_num_paths("PathPlanI16", static_cast<std::size_t>(c.order()),
+                 full_levels);
   compile_channel(r, c);
   mode_ = Mode::kFcsd;
   full_levels_ = full_levels;

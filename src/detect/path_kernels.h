@@ -103,6 +103,13 @@ inline constexpr double kI16SerTolerance = 1e-2;
 /// installed.
 void require_kernel_streams(const char* who, std::size_t nt);
 
+/// |Q|^L, the FCSD's path count, for a constellation of order `q` and L =
+/// `full_levels` enumerated levels.  Throws std::invalid_argument naming L
+/// and |Q|, prefixed by `who`, when it does not fit std::size_t (64^11 =
+/// 2^66 would wrap to 0 paths).
+std::size_t fcsd_num_paths(const char* who, std::size_t q,
+                           std::size_t full_levels);
+
 /// Name of the per-ISA kernel copy this process dispatched: "base",
 /// "sse41", "avx2" or "avx512".  One startup choice (linalg/kernel_isa.h)
 /// selects every lane kernel — the exact fp walk, the i16 kernel and the
@@ -158,7 +165,9 @@ class PathPlan {
   /// Compiles the FCSD path set: |Q|^full_levels paths whose base-|Q|
   /// digits enumerate the top levels (decoded on the fly — the selector
   /// table would dwarf the channel state for L = 2) and whose remaining
-  /// levels extend greedily by nearest-point slicing.
+  /// levels extend greedily by nearest-point slicing.  Throws
+  /// std::invalid_argument, before touching the plan, when full_levels
+  /// exceeds r.cols() or |Q|^full_levels does not fit std::size_t.
   void compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
                     const modulation::Constellation& c);
 

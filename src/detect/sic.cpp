@@ -1,24 +1,17 @@
 #include "detect/sic.h"
 
-#include <cassert>
-#include <chrono>
-
 namespace flexcore::detect {
 
 void SicDetector::install_channel(const CMat& h, double /*noise_var*/) {
   qr_ = linalg::sorted_qr_wubben(h);
 }
 
-void SicDetector::rotate_into(const CVec& y, std::span<cplx> out) const {
-  linalg::hermitian_mul_into(qr_.Q, y, out);
-}
-
-void SicDetector::detect_into(const CVec& y, Workspace& ws,
+bool SicDetector::detect_into(const CVec& y, Workspace& ws,
                               DetectionResult* res) const {
   const CMat& r = qr_.R;
   const std::size_t nt = r.cols();
   ws.ybar.resize(nt);
-  rotate_into(y, ws.ybar);
+  linalg::hermitian_mul_into(qr_.Q, y, ws.ybar);
   ws.symbols.assign(nt, 0);
   ws.s.assign(nt, cplx{0.0, 0.0});
 
@@ -43,34 +36,10 @@ void SicDetector::detect_into(const CVec& y, Workspace& ws,
     ++stats.nodes_visited;
   }
 
-  res->symbols = linalg::unpermute(ws.symbols, qr_.perm);
+  linalg::unpermute_into<int>(ws.symbols, qr_.perm, &res->symbols);
   res->metric = metric;
   res->stats = stats;
-}
-
-DetectionResult SicDetector::detect(const CVec& y) const {
-  Workspace ws;
-  DetectionResult res;
-  detect_into(y, ws, &res);
-  return res;
-}
-
-void SicDetector::detect_batch(std::span<const CVec> ys,
-                               BatchResult* out) const {
-  out->results.resize(ys.size());
-  out->stats = DetectionStats{};
-  out->sic_fallbacks = 0;
-  out->tasks = ys.size();
-
-  Workspace ws;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t v = 0; v < ys.size(); ++v) {
-    detect_into(ys[v], ws, &out->results[v]);
-    out->stats += out->results[v].stats;
-  }
-  out->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  return false;
 }
 
 }  // namespace flexcore::detect

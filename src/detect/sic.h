@@ -6,10 +6,7 @@
 // single-path FlexCore").
 #pragma once
 
-#include <span>
-
 #include "detect/detector.h"
-#include "detect/workspace.h"
 #include "linalg/qr.h"
 
 namespace flexcore::detect {
@@ -18,23 +15,14 @@ class SicDetector : public Detector {
  public:
   explicit SicDetector(const Constellation& c) : constellation_(&c) {}
 
-  DetectionResult detect(const CVec& y) const override;
-
-  /// Sequential loop like the base class, but threading ONE workspace
-  /// through the whole batch so per-vector scratch is not reallocated.
-  void detect_batch(std::span<const CVec> ys, BatchResult* out) const override;
-
   std::string name() const override { return "zf-sic"; }
-
-  /// Writes ybar = Q^H y into `out` without allocating (out.size() == Nt).
-  void rotate_into(const CVec& y, std::span<linalg::cplx> out) const;
-
-  /// Buffer-reusing core of detect(): rotation and per-level scratch live
-  /// in `ws`; only the result's symbol vector is (re)allocated.
-  void detect_into(const CVec& y, Workspace& ws, DetectionResult* res) const;
 
  private:
   void install_channel(const CMat& h, double noise_var) override;
+  /// Rotation and per-level scratch live in `ws`, so the batch loop
+  /// reallocates nothing per vector.
+  bool detect_into(const CVec& y, Workspace& ws,
+                   DetectionResult* res) const override;
 
   const Constellation* constellation_;
   linalg::QrResult qr_;

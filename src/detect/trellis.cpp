@@ -18,7 +18,8 @@ void TrellisDetector::install_channel(const CMat& h, double /*noise_var*/) {
 }
 
 FLEXCORE_NO_FMA_VECTORIZE
-DetectionResult TrellisDetector::detect(const CVec& y) const {
+bool TrellisDetector::detect_into(const CVec& y, Workspace& /*ws*/,
+                                  DetectionResult* res) const {
   const CMat& r = qr_.R;
   const std::size_t nt = r.cols();
   const std::size_t q = static_cast<std::size_t>(constellation_->order());
@@ -87,12 +88,11 @@ DetectionResult TrellisDetector::detect(const CVec& y) const {
     if (cur[x].metric < cur[winner].metric) winner = x;
   }
 
-  DetectionResult res;
-  res.symbols = linalg::unpermute(cur[winner].path, qr_.perm);
-  res.metric = cur[winner].metric;
-  res.stats = stats;
-  res.stats.paths_evaluated = q;
-  return res;
+  res->symbols = linalg::unpermute(cur[winner].path, qr_.perm);
+  res->metric = cur[winner].metric;
+  res->stats = stats;
+  res->stats.paths_evaluated = q;
+  return false;
 }
 
 }  // namespace flexcore::detect

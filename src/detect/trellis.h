@@ -18,7 +18,6 @@ class TrellisDetector : public Detector {
  public:
   explicit TrellisDetector(const Constellation& c) : constellation_(&c) {}
 
-  DetectionResult detect(const CVec& y) const override;
   std::string name() const override { return "trellis50"; }
   std::size_t parallel_tasks() const override {
     return static_cast<std::size_t>(constellation_->order());
@@ -26,6 +25,8 @@ class TrellisDetector : public Detector {
 
  private:
   void install_channel(const CMat& h, double noise_var) override;
+  bool detect_into(const CVec& y, Workspace& ws,
+                   DetectionResult* res) const override;
 
   const Constellation* constellation_;
   linalg::QrResult qr_;

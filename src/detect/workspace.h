@@ -1,11 +1,12 @@
 // Per-worker scratch arenas for the detection hot path.
 //
 // The task grids (detect/path_grid.h) and the buffer-reusing detector entry
-// points (FlexCoreDetector/FcsdDetector::reconstruct_winners,
-// SicDetector/KBestDetector::detect_into) take a Workspace instead of
-// allocating CVecs and symbol vectors per call: every buffer grows to its
-// high-water mark on first use and is reused afterwards, so steady-state
-// path tasks perform zero heap allocations.  Group reconstruction keeps
+// points (PathParallelDetector::reconstruct_winners, and every detector's
+// detect_into, which Detector::detect_batch's sequential loop threads one
+// Workspace through) take a Workspace instead of allocating CVecs and
+// symbol vectors per call: every buffer grows to its high-water mark on
+// first use and is reused afterwards, so steady-state path tasks perform
+// zero heap allocations.  Group reconstruction keeps
 // its per-lane symbols (levels per vector, vector-major) in `symbols` and
 // the lanes' metrics in `d0`; the lane-batched walk stages each lane's
 // rotated vector and selector codes on its own stack.

@@ -17,6 +17,7 @@
 #include "channel/channel.h"
 #include "core/flexcore_detector.h"
 #include "detect/fcsd.h"
+#include "detect/path_detector.h"
 #include "frame_fixtures.h"
 #include "parallel/thread_pool.h"
 #include "reference_walk.h"
@@ -168,31 +169,48 @@ TEST(Registry, MakeDetectorAsChecksType) {
 // ------------------------------------------------------------ detect_batch
 
 TEST(Batch, DefaultLoopMatchesPerVectorDetect) {
+  // Every sequential detector of the registry runs the base class's one
+  // loop over its detect_into.  Two channels' batches land in ONE
+  // BatchResult, so a result field detect_into fails to rewrite shows up
+  // in the second.
   Constellation c(16);
   const fa::DetectorConfig cfg{.constellation = &c};
   ch::Rng rng(7);
   const CMat h = ch::rayleigh_iid(6, 6, rng);
+  const CMat h2 = ch::rayleigh_iid(6, 6, rng);
   const double nv = 0.05;
   auto batch_rng = rng;  // detection draws nothing; keep draws aligned
 
-  for (const char* spec : {"zf-sic", "mmse", "kbest-8", "trellis50"}) {
+  std::size_t covered = 0;
+  for (const std::string& spec : fa::list_specs()) {
     const auto det = fa::make_detector(spec, cfg);
-    det->set_channel(h, nv);
-    const auto ys = random_batch(c, h, 12, nv, batch_rng);
-    fd::BatchResult out;
-    det->detect_batch(ys, &out);
-    ASSERT_EQ(out.results.size(), ys.size()) << spec;
-    EXPECT_EQ(out.tasks, ys.size()) << spec;
-    fd::DetectionStats want_stats;
-    for (std::size_t v = 0; v < ys.size(); ++v) {
-      const auto want = det->detect(ys[v]);
-      EXPECT_EQ(out.results[v].symbols, want.symbols) << spec;
-      EXPECT_EQ(out.results[v].metric, want.metric) << spec;
-      want_stats += want.stats;
+    if (dynamic_cast<const fd::PathParallelDetector*>(det.get()) != nullptr) {
+      continue;  // the pooled path grid: the Batch.*Threaded* tests
     }
-    EXPECT_EQ(out.stats.nodes_visited, want_stats.nodes_visited) << spec;
-    EXPECT_EQ(out.stats.flops, want_stats.flops) << spec;
+    ++covered;
+    fd::BatchResult out;
+    for (const CMat* channel : {&h, &h2}) {
+      det->set_channel(*channel, nv);
+      const auto ys = random_batch(c, *channel, 12, nv, batch_rng);
+      det->detect_batch(ys, &out);
+      ASSERT_EQ(out.results.size(), ys.size()) << spec;
+      EXPECT_EQ(out.tasks, ys.size()) << spec;
+      EXPECT_EQ(out.sic_fallbacks, 0u) << spec;
+      fd::DetectionStats want_stats;
+      for (std::size_t v = 0; v < ys.size(); ++v) {
+        const std::string what = spec + " vector " + std::to_string(v);
+        const auto want = det->detect(ys[v]);
+        EXPECT_EQ(out.results[v].symbols, want.symbols) << what;
+        EXPECT_EQ(out.results[v].metric, want.metric) << what;
+        expect_same_stats(out.results[v].stats, want.stats, what);
+        want_stats += want.stats;
+      }
+      EXPECT_EQ(out.stats.nodes_visited, want_stats.nodes_visited) << spec;
+      EXPECT_EQ(out.stats.flops, want_stats.flops) << spec;
+    }
   }
+  // zf, mmse, zf-sic, trellis50, ml-sd, kbest-8 and akbest-16.
+  EXPECT_EQ(covered, 7u);
 }
 
 TEST(Batch, FlexCoreThreadedOverrideMatchesDefaultLoop) {
@@ -290,13 +308,16 @@ TEST(Batch, FcsdThreadedOverrideMatchesDefaultLoop) {
   const double nv = 0.05;
   const auto ys = random_batch(c, h, 20, nv, rng);
 
-  for (const char* spec : {"fcsd-L1", "fcsd-L2"}) {
+  for (const char* spec : {"fcsd-L1", "fcsd-L2", "fcsd-L1:i16"}) {
     const auto det =
         fa::make_detector_as<fd::FcsdDetector>(spec, {.constellation = &c});
     det->set_channel(h, nv);
 
+    // Without a pool: the base class's sequential loop.
     fd::BatchResult seq;
     det->detect_batch(ys, &seq);
+    EXPECT_EQ(seq.tasks, ys.size()) << spec;
+    EXPECT_EQ(seq.sic_fallbacks, 0u) << spec;
 
     flexcore::parallel::ThreadPool pool(3);
     det->set_thread_pool(&pool);
@@ -313,6 +334,23 @@ TEST(Batch, FcsdThreadedOverrideMatchesDefaultLoop) {
       expect_same_stats(grid.results[v].stats, seq.results[v].stats, what);
     }
     expect_same_stats(grid.stats, seq.stats, spec);
+
+    // Finite vectors whose every path metric overflows to +infinity: an
+    // FCSD path never deactivates, so neither loop takes the SIC walk (an
+    // FCSD plan compiles none); the winner keeps its metric.
+    std::vector<CVec> huge = ys;
+    for (CVec& y : huge) {
+      for (auto& z : y) z *= 1e160;
+    }
+    for (flexcore::parallel::ThreadPool* p : {static_cast<flexcore::parallel::ThreadPool*>(nullptr), &pool}) {
+      det->set_thread_pool(p);
+      fd::BatchResult out;
+      det->detect_batch(huge, &out);
+      EXPECT_EQ(out.sic_fallbacks, 0u) << spec;
+      for (const fd::DetectionResult& r : out.results) {
+        EXPECT_TRUE(std::isinf(r.metric)) << spec;
+      }
+    }
   }
 }
 

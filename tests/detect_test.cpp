@@ -373,6 +373,50 @@ TEST(Fcsd, TooManyLevelsThrows) {
   EXPECT_THROW(det->set_channel(h, 0.1), std::invalid_argument);
 }
 
+TEST(Fcsd, PathCountOverflowIsRefused) {
+  // 64^11 = 2^66 paths do not fit std::size_t.  Unchecked, fcsd-L11
+  // wrapped to 0 paths and detected over none, and fcsd-L12 divided by a
+  // wrapped digit weight of 0.  Both specs are refused at make_detector,
+  // naming L and |Q|.
+  Constellation c(64);
+  const fa::DetectorConfig acfg{.constellation = &c};
+  for (const std::string levels : {"11", "12"}) {
+    const std::string spec = "fcsd-L" + levels;
+    try {
+      fa::make_detector(spec, acfg);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("L = " + levels), std::string::npos) << msg;
+      EXPECT_NE(msg.find("|Q| = 64"), std::string::npos) << msg;
+    }
+  }
+
+  // A path count that fits detects as before: the reference walk.
+  const double nv = ch::noise_var_for_snr_db(20.0);
+  ch::Rng rng(18);
+  const auto det = fa::make_detector_as<fd::FcsdDetector>("fcsd-L2", acfg);
+  const Scenario sc = make_scenario(c, 12, 12, nv, rng);
+  det->set_channel(sc.h, nv);
+  EXPECT_EQ(det->num_paths(), 4096u);
+  const auto res = det->detect(sc.y);
+  const auto want =
+      flexcore::testref::FcsdReference(*det, c).detect(det->rotate(sc.y));
+  EXPECT_EQ(res.symbols, want.symbols);
+  EXPECT_EQ(res.metric, want.metric);
+
+  // Each plan refuses the same input before touching itself.
+  fd::PathPlan plan;
+  fd::PathPlanI16 plan16;
+  plan.compile_fcsd(det->qr().R, 2, c);
+  plan16.compile_fcsd(det->qr().R, 2, c);
+  EXPECT_THROW(plan.compile_fcsd(det->qr().R, 11, c), std::invalid_argument);
+  EXPECT_THROW(plan16.compile_fcsd(det->qr().R, 11, c),
+               std::invalid_argument);
+  EXPECT_EQ(plan.num_paths(), 4096u);
+  EXPECT_EQ(plan16.num_paths(), 4096u);
+}
+
 // ------------------------------------------------------------------ K-best
 
 TEST(KBest, ExactForTwoLayersWithFullWidth) {
