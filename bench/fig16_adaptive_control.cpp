@@ -72,7 +72,7 @@ struct ModeResult {
 
 ModeResult run_mode(const fs::ScenarioConfig& scfg, const Constellation& qam,
                     bool adaptive, std::size_t static_paths,
-                    const ctl::ControlConfig& ccfg) {
+                    const ctl::PathPolicyConfig& policy) {
   fs::ScenarioDriver drv(scfg);
 
   fa::RuntimeConfig rcfg;
@@ -86,7 +86,7 @@ ModeResult run_mode(const fs::ScenarioConfig& scfg, const Constellation& qam,
   cell_cfg.qam_order = qam.order();
   fa::Cell& cell = rt.open_cell(cell_cfg);
 
-  ctl::FeedbackLoop loop(qam, scfg.trace.nt, ccfg);
+  ctl::FeedbackLoop loop(qam, scfg.trace.nt, policy);
   ch::Rng pilot_rng(scfg.seed ^ 0x9e3779b97f4a7c15ull);
 
   ModeResult mr;
@@ -163,10 +163,10 @@ int main() {
   const std::size_t nr = 8, nt = 4;
   Constellation qam(16);
 
-  ctl::ControlConfig ccfg;
-  ccfg.policy.target_error = 1e-2;
-  ccfg.policy.max_paths = 64;
-  const double target = ccfg.policy.target_error;
+  ctl::PathPolicyConfig policy;
+  policy.target_error = 1e-2;
+  policy.max_paths = 64;
+  const double target = policy.target_error;
 
   ch::TraceConfig tcfg;
   tcfg.nr = nr;
@@ -216,12 +216,12 @@ int main() {
     fs::ScenarioDriver probe(sc.cfg);
     // Static worst case: the smallest fixed budget meeting the target at
     // the lowest SNR the script ever reaches.
-    const ctl::PathDecision worst = ctl::solve_path_count(
-        qam, nt, probe.min_snr_db(), ccfg.policy);
+    const ctl::PathDecision worst =
+        ctl::solve_path_count(qam, nt, probe.min_snr_db(), policy);
 
     for (const bool adaptive : {false, true}) {
       const ModeResult mr =
-          run_mode(sc.cfg, qam, adaptive, worst.paths, ccfg);
+          run_mode(sc.cfg, qam, adaptive, worst.paths, policy);
       // Converged = the policy settled: no reconfiguration in the second
       // half of the run.  Only meaningful for the statically-conditioned
       // scenarios; the gate below uses fixed-snr.

@@ -137,8 +137,7 @@ int main() {
             .field((p + "partials").c_str(), ss.partials)
             .field((p + "rows").c_str(), ss.rows_processed)
             .field((p + "busy_s").c_str(), ss.busy_seconds)
-            .field((p + "threads").c_str(), ss.threads)
-            .field((p + "pinned").c_str(), ss.pinned_workers);
+            .field((p + "threads").c_str(), ss.threads);
       }
     }
   }

@@ -54,7 +54,7 @@ bool clean_hot_path_ok() {
                          fp::HotPathScope::Scope::kThread);
   pipe.detect_frame(job, &out);
   const auto d = guard.delta();
-  const bool alloc_ok = !fp::hot_path_guard_enabled() || d.allocations == 0;
+  const bool alloc_ok = d.allocations == 0;
   const bool lock_ok = d.lock_acquisitions == 0;
   std::printf("clean hot path: allocations=%llu locks=%llu  %s\n",
               static_cast<unsigned long long>(d.allocations),

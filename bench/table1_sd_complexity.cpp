@@ -25,7 +25,6 @@ int main() {
   const double snr_db = 13.0;  // per-user, as in Table 1's footnote
   const double nv = ch::noise_var_for_snr_db(snr_db);
   flexcore::modulation::Constellation qam(16);
-  flexcore::ofdm::OfdmConfig ofdm;  // 20 MHz Wi-Fi numerology
 
   fb::banner("Table 1: depth-first ML sphere decoder, 16-QAM, 13 dB, Rayleigh");
   std::printf("%-10s %-22s %-18s %-18s %-12s\n", "Antennas",
@@ -62,13 +61,12 @@ int main() {
 
     const double flops_per_vector = static_cast<double>(flops) / static_cast<double>(trials);
     const double gflops =
-        flops_per_vector * flexcore::ofdm::vectors_per_second(ofdm) / 1e9;
+        flops_per_vector * flexcore::ofdm::vectors_per_second() / 1e9;
     const double ver = static_cast<double>(vec_errors) / static_cast<double>(trials);
     // Achieved sum throughput ~ Nt streams of 16-QAM rate-1/2 scaled by the
     // vector success rate (uncoded proxy for the paper's measured column).
     const double tput = static_cast<double>(nt) *
-                        flexcore::ofdm::per_user_rate_mbps(ofdm, 4) *
-                        (1.0 - ver);
+                        flexcore::ofdm::per_user_rate_mbps(4) * (1.0 - ver);
 
     std::printf("%zux%zu        %-22.1f %-18.2f %-18.0f %-12.1f\n", nt, nt,
                 tput, gflops, flops_per_vector,

@@ -44,7 +44,8 @@
 //     the shard fabric (shard/fabric.h): per-antenna-cluster partial QR
 //     on per-shard driver threads and pools, merged into runtime-owned
 //     (S, z) buffers that the admitted job borrows instead of the
-//     caller's spans.
+//     caller's spans.  Shard threads keep the CPU affinity the process
+//     gave them; nothing is pinned.
 #pragma once
 
 #include <array>
@@ -165,11 +166,6 @@ struct RuntimeConfig {
   /// convention of parallel::ThreadPool: 1 = the driver thread alone).
   /// 0 = split the hardware threads evenly across shards (>= 1 each).
   std::size_t threads_per_shard = 0;
-  /// Pin each shard's threads (driver + spawned workers) to their own CPU
-  /// slice, shard s owning cpus [s*T, (s+1)*T) mod hardware_concurrency —
-  /// the "each cluster owns its cores" deployment.  Best-effort (see
-  /// parallel::PoolOptions).
-  bool pin_shard_workers = false;
   /// Upper bound, in microseconds, submit() waits for the shard fabric
   /// before cancelling the frame's fan-out and bypassing it (identity
   /// merge — the ticket NEVER hangs on a dead cluster).  0 waits forever.
@@ -266,7 +262,6 @@ class LatencyHistogram {
 struct ShardStats {
   std::size_t shard_id = 0;
   std::size_t threads = 0;         ///< workers of this shard's pool
-  std::size_t pinned_workers = 0;  ///< workers whose CPU pin took effect
   std::uint64_t frames = 0;        ///< frames this shard preprocessed
   std::uint64_t partials = 0;      ///< per-subcarrier partial QRs computed
   std::uint64_t rows_processed = 0;  ///< antenna rows factorized, summed

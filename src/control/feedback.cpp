@@ -9,30 +9,13 @@
 namespace flexcore::control {
 
 FeedbackLoop::FeedbackLoop(const modulation::Constellation& c, std::size_t nt,
-                           ControlConfig cfg)
-    : c_(&c), nt_(nt), cfg_(std::move(cfg)) {
+                           const PathPolicyConfig& policy)
+    : c_(&c), nt_(nt), policy_(policy) {
   if (nt_ == 0) {
     throw std::invalid_argument("FeedbackLoop: nt must be >= 1");
   }
-  if (!(cfg_.snr_alpha > 0.0 && cfg_.snr_alpha <= 1.0)) {
-    throw std::invalid_argument("FeedbackLoop: snr_alpha must be in (0, 1]");
-  }
-  if (cfg_.error_window == 0) {
-    throw std::invalid_argument("FeedbackLoop: error_window must be >= 1");
-  }
-  // A zero streak threshold would act on every frame: degrade_after = 0
-  // degrades even an idle queue, restore_after = 0 restores on every frame
-  // between load_low and load_high.
-  if (cfg_.degrade_after == 0) {
-    throw std::invalid_argument("FeedbackLoop: degrade_after must be >= 1");
-  }
-  if (cfg_.restore_after == 0) {
-    throw std::invalid_argument("FeedbackLoop: restore_after must be >= 1");
-  }
-  // Fail at construction, not mid-flight: the degrade ladder must name a
-  // realizable family and the solver config must be sane.
-  path_spec(cfg_.path_family, *c_, 1);
-  solve_path_count(*c_, nt_, 10.0, cfg_.policy);
+  // Fail at construction, not mid-flight: the solver config must be sane.
+  solve_path_count(*c_, nt_, 10.0, policy_);
 }
 
 std::optional<Decision> FeedbackLoop::observe(const Observation& obs) {
@@ -42,24 +25,22 @@ std::optional<Decision> FeedbackLoop::observe(const Observation& obs) {
   if (std::isfinite(obs.snr_db_estimate)) {
     snr_smooth_ = std::isnan(snr_smooth_)
                       ? obs.snr_db_estimate
-                      : cfg_.snr_alpha * obs.snr_db_estimate +
-                            (1.0 - cfg_.snr_alpha) * snr_smooth_;
+                      : kSnrAlpha * obs.snr_db_estimate +
+                            (1.0 - kSnrAlpha) * snr_smooth_;
   }
 
   // --- symbol-error integral action ---------------------------------------
   window_symbols_ += obs.symbols;
   window_errors_ += obs.symbol_errors;
-  if (++window_frames_ >= cfg_.error_window) {
+  if (++window_frames_ >= kErrorWindow) {
     if (window_symbols_ > 0) {
       const double ser = static_cast<double>(window_errors_) /
                          static_cast<double>(window_symbols_);
-      if (ser > cfg_.policy.target_error &&
-          backoff_db_ < cfg_.max_backoff_db) {
-        backoff_db_ = std::min(cfg_.max_backoff_db,
-                               backoff_db_ + cfg_.error_backoff_db);
+      if (ser > policy_.target_error && backoff_db_ < kMaxBackoffDb) {
+        backoff_db_ = std::min(kMaxBackoffDb, backoff_db_ + kErrorBackoffDb);
         resolve_reason_ = "error";
-      } else if (ser < cfg_.policy.target_error / 4.0 && backoff_db_ > 0.0) {
-        backoff_db_ = std::max(0.0, backoff_db_ - cfg_.error_backoff_db);
+      } else if (ser < policy_.target_error / 4.0 && backoff_db_ > 0.0) {
+        backoff_db_ = std::max(0.0, backoff_db_ - kErrorBackoffDb);
         resolve_reason_ = "error";
       }
     }
@@ -72,21 +53,20 @@ std::optional<Decision> FeedbackLoop::observe(const Observation& obs) {
   if (obs.queue_capacity > 0) {
     const double occupancy = static_cast<double>(obs.queue_depth) /
                              static_cast<double>(obs.queue_capacity);
-    if (occupancy >= cfg_.load_high) {
+    if (occupancy >= kLoadHigh) {
       ++high_run_;
       low_run_ = 0;
-    } else if (occupancy <= cfg_.load_low) {
+    } else if (occupancy <= kLoadLow) {
       ++low_run_;
       high_run_ = 0;
     } else {
       high_run_ = low_run_ = 0;
     }
-    if (high_run_ >= cfg_.degrade_after &&
-        degrade_step_ <= cfg_.max_degrade_steps) {
+    if (high_run_ >= kDegradeAfter && degrade_step_ <= kMaxDegradeSteps) {
       ++degrade_step_;
       high_run_ = 0;
       load_delta = 1;
-    } else if (low_run_ >= cfg_.restore_after && degrade_step_ > 0) {
+    } else if (low_run_ >= kRestoreAfter && degrade_step_ > 0) {
       --degrade_step_;
       low_run_ = 0;
       load_delta = -1;
@@ -100,16 +80,16 @@ std::optional<Decision> FeedbackLoop::observe(const Observation& obs) {
   // coherence hold; the streak counters already debounce them.
   if (load_delta > 0) return emit("load-degrade");
   if (load_delta < 0) return emit("load-restore");
-  if (frame_ - last_emit_frame_ < cfg_.min_hold_frames) return std::nullopt;
+  if (frame_ - last_emit_frame_ < kMinHoldFrames) return std::nullopt;
   const double eff = snr_smooth_ - backoff_db_;
   if (resolve_reason_ != nullptr) return emit(resolve_reason_);
-  if (std::abs(eff - solved_snr_db_) > cfg_.hysteresis_db) return emit("snr");
+  if (std::abs(eff - solved_snr_db_) > kHysteresisDb) return emit("snr");
   return std::nullopt;
 }
 
 std::optional<Decision> FeedbackLoop::emit(const char* reason) {
   const double eff = snr_smooth_ - backoff_db_;
-  const PathDecision pd = solve_path_count(*c_, nt_, eff, cfg_.policy);
+  const PathDecision pd = solve_path_count(*c_, nt_, eff, policy_);
   // Re-anchor hysteresis and the hold window at this solve even when the
   // spec comes out unchanged — that is what stops a slow drift from
   // re-solving every frame.
@@ -118,15 +98,14 @@ std::optional<Decision> FeedbackLoop::emit(const char* reason) {
   last_emit_frame_ = frame_;
 
   std::size_t paths = pd.paths;
-  const std::size_t halvings =
-      std::min(degrade_step_, cfg_.max_degrade_steps);
+  const std::size_t halvings = std::min(degrade_step_, kMaxDegradeSteps);
   for (std::size_t s = 0; s < halvings; ++s) {
-    paths = std::max(cfg_.policy.min_paths, paths / 2);
+    paths = std::max<std::size_t>(1, paths / 2);
   }
   // The terminal rung past the halvings: the family swap.
-  const std::string spec = degrade_step_ > cfg_.max_degrade_steps
-                               ? cfg_.degrade_detector
-                               : path_spec(cfg_.path_family, *c_, paths);
+  const std::string spec = degrade_step_ > kMaxDegradeSteps
+                               ? std::string(kDegradeDetector)
+                               : path_spec(paths);
   if (current_ && current_->detector == spec) return std::nullopt;
 
   Decision d;

@@ -11,19 +11,23 @@
 // The loop composes three controllers, all deterministic in the
 // observation sequence:
 //   * SNR tracking — an EWMA of the SNR estimates feeds PathPolicy's
-//     model inversion; hysteresis_db plus min_hold_frames stop the spec
+//     model inversion; kHysteresisDb plus kMinHoldFrames stop the spec
 //     from thrashing inside a coherence interval;
 //   * error feedback (integral action) — when the measured symbol-error
-//     rate over error_window frames misses the target, an SNR backoff
+//     rate over kErrorWindow frames misses the target, an SNR backoff
 //     accumulates (the model was too optimistic for this channel), which
 //     re-solves to more paths; sustained clean windows bleed it off;
 //   * load shedding — sustained queue pressure degrades the budget by
-//     halving the path count per step; past max_degrade_steps the ladder
-//     swaps the detector family to the linear-complexity degrade_detector
+//     halving the path count per step; past kMaxDegradeSteps the ladder
+//     swaps the detector family to the linear-complexity kDegradeDetector
 //     (graceful degradation instead of dropped frames); sustained slack
 //     restores one step at a time.  The ladder sheds no precision: no
 //     reduced tier beats the fp64 grid on every ISA copy (fig17), so a
 //     precision rung would slow the grid it is meant to relieve.
+//
+// The loop's only settings are the PathPolicyConfig's error target and
+// path budget.  Its tuning is the constants below: one configuration,
+// the one fig16 runs and the tests cover.
 #pragma once
 
 #include <cstddef>
@@ -37,42 +41,35 @@
 
 namespace flexcore::control {
 
-struct ControlConfig {
-  PathPolicyConfig policy;
-  /// Detector family realizing the solved path count ("flexcore",
-  /// "a-flexcore" or "fcsd"; see path_spec).
-  std::string path_family = "flexcore";
+/// EWMA weight of the newest SNR estimate (1 = no smoothing).
+inline constexpr double kSnrAlpha = 0.5;
+/// The smoothed effective SNR must move this far from the last solved
+/// point before the policy re-solves.
+inline constexpr double kHysteresisDb = 1.0;
+/// Minimum frames between emitted SNR/error-driven spec changes — the
+/// coherence-boundary rule: reconfigure at most once per interval.
+inline constexpr std::size_t kMinHoldFrames = 4;
 
-  /// EWMA weight of the newest SNR estimate (1 = no smoothing).
-  double snr_alpha = 0.5;
-  /// The smoothed effective SNR must move this far from the last solved
-  /// point before the policy re-solves.
-  double hysteresis_db = 1.0;
-  /// Minimum frames between emitted SNR/error-driven spec changes — the
-  /// coherence-boundary rule: reconfigure at most once per interval.
-  std::size_t min_hold_frames = 4;
+/// Symbol-error feedback: evaluated every kErrorWindow frames.  A window
+/// SER above the target grows the SNR backoff by kErrorBackoffDb (up to
+/// kMaxBackoffDb); a window below target / 4 shrinks it.
+inline constexpr std::size_t kErrorWindow = 8;
+inline constexpr double kErrorBackoffDb = 1.0;
+inline constexpr double kMaxBackoffDb = 6.0;
 
-  /// Symbol-error feedback: evaluated every error_window frames.  A window
-  /// SER above target_error grows the SNR backoff by error_backoff_db (up
-  /// to max_backoff_db); a window below target_error / 4 shrinks it.
-  std::size_t error_window = 8;
-  double error_backoff_db = 1.0;
-  double max_backoff_db = 6.0;
-
-  /// Queue occupancy (depth / capacity) at or above load_high counts as
-  /// pressure, at or below load_low as slack; in between both streaks
-  /// reset.  degrade_after consecutive pressure frames cost one degrade
-  /// step (immediately — load responses skip the SNR hold), restore_after
-  /// slack frames give one back.  Both must be >= 1.
-  double load_high = 0.75;
-  double load_low = 0.25;
-  std::size_t degrade_after = 3;
-  std::size_t restore_after = 8;
-  /// Halvings of the path budget before the terminal rung: degrade step
-  /// max_degrade_steps + 1 swaps the family to degrade_detector.
-  std::size_t max_degrade_steps = 3;
-  std::string degrade_detector = "zf-sic";
-};
+/// Queue occupancy (depth / capacity) at or above kLoadHigh counts as
+/// pressure, at or below kLoadLow as slack; in between both streaks reset.
+/// kDegradeAfter consecutive pressure frames cost one degrade step
+/// (immediately — load responses skip the SNR hold), kRestoreAfter slack
+/// frames give one back.
+inline constexpr double kLoadHigh = 0.75;
+inline constexpr double kLoadLow = 0.25;
+inline constexpr std::size_t kDegradeAfter = 3;
+inline constexpr std::size_t kRestoreAfter = 8;
+/// Halvings of the path budget before the terminal rung: degrade step
+/// kMaxDegradeSteps + 1 swaps the family to kDegradeDetector.
+inline constexpr std::size_t kMaxDegradeSteps = 3;
+inline constexpr const char* kDegradeDetector = "zf-sic";
 
 /// One frame's observables.  All fields optional in spirit: NaN SNR means
 /// no estimate this frame, symbols == 0 means no error feedback,
@@ -98,10 +95,11 @@ struct Decision {
 
 class FeedbackLoop {
  public:
-  /// `nt` is the cell's user count (tree depth of the model).  The
+  /// `nt` is the cell's user count (tree depth of the model); `policy`
+  /// holds the error target and the cell's path budget.  The
   /// constellation must outlive the loop.
   FeedbackLoop(const modulation::Constellation& c, std::size_t nt,
-               ControlConfig cfg);
+               const PathPolicyConfig& policy);
 
   /// Feeds one frame's observables; returns the spec change to apply at
   /// the next frame boundary, if any.  Deterministic: two loops fed the
@@ -120,7 +118,6 @@ class FeedbackLoop {
   const std::vector<Decision>& decisions() const noexcept {
     return decisions_;
   }
-  const ControlConfig& config() const noexcept { return cfg_; }
 
  private:
   /// Solves the current spec from the smoothed state; emits iff it
@@ -129,7 +126,7 @@ class FeedbackLoop {
 
   const modulation::Constellation* c_;
   std::size_t nt_;
-  ControlConfig cfg_;
+  PathPolicyConfig policy_;
 
   std::size_t frame_ = 0;
   double snr_smooth_ = std::numeric_limits<double>::quiet_NaN();

@@ -20,9 +20,8 @@ double nominal_level_pe(const modulation::Constellation& c, double snr_db) {
 PathDecision solve_path_count(const modulation::Constellation& c,
                               std::size_t nt, double snr_db,
                               const PathPolicyConfig& cfg) {
-  if (cfg.min_paths == 0 || cfg.max_paths < cfg.min_paths) {
-    throw std::invalid_argument(
-        "solve_path_count: need 1 <= min_paths <= max_paths");
+  if (cfg.max_paths == 0) {
+    throw std::invalid_argument("solve_path_count: max_paths must be >= 1");
   }
   if (!(cfg.target_error > 0.0 && cfg.target_error < 1.0)) {
     throw std::invalid_argument(
@@ -32,8 +31,7 @@ PathDecision solve_path_count(const modulation::Constellation& c,
     throw std::invalid_argument("control: nt must be >= 1");
   }
   const double coverage_goal = 1.0 - cfg.target_error;
-  const std::vector<double> pe(
-      nt, nominal_level_pe(c, snr_db - cfg.snr_backoff_db));
+  const std::vector<double> pe(nt, nominal_level_pe(c, snr_db));
   core::PreprocessingConfig pcfg;
   pcfg.num_paths = cfg.max_paths;
   pcfg.stop_threshold = coverage_goal;
@@ -48,30 +46,15 @@ PathDecision solve_path_count(const modulation::Constellation& c,
   d.pe = model.pe.front();
   d.coverage = model.pc_sum;
   d.feasible = model.pc_sum >= coverage_goal;
-  d.paths = std::clamp(model.paths.size(), cfg.min_paths, cfg.max_paths);
+  d.paths = std::clamp<std::size_t>(model.paths.size(), 1, cfg.max_paths);
   return d;
 }
 
-std::string path_spec(const std::string& family,
-                      const modulation::Constellation& c, std::size_t paths) {
+std::string path_spec(std::size_t paths) {
   if (paths == 0) {
     throw std::invalid_argument("path_spec: paths must be >= 1");
   }
-  if (family == "flexcore" || family == "a-flexcore") {
-    return family + "-" + std::to_string(paths);
-  }
-  if (family == "fcsd") {
-    const std::size_t q = static_cast<std::size_t>(c.order());
-    std::size_t realized = q;
-    int level = 1;
-    while (realized < paths && level < 2) {
-      realized *= q;
-      ++level;
-    }
-    return "fcsd-L" + std::to_string(level);
-  }
-  throw std::invalid_argument("path_spec: unsupported family \"" + family +
-                              "\" (flexcore, a-flexcore, fcsd)");
+  return "flexcore-" + std::to_string(paths);
 }
 
 }  // namespace flexcore::control

@@ -31,15 +31,10 @@ struct PathPolicyConfig {
   /// Residual model error the path set must stay under: the solver picks
   /// the smallest N with pc_sum(N) >= 1 - target_error.
   double target_error = 1e-2;
-  /// Clamp range for the solved count.  max_paths is the cell's compute
-  /// budget (its PE pool share); when even max_paths misses the target the
-  /// decision reports feasible = false and returns max_paths.
-  std::size_t min_paths = 1;
+  /// The cell's compute budget (its PE pool share), the upper end of the
+  /// solved count's range [1, max_paths]; when even max_paths misses the
+  /// target the decision reports feasible = false and returns max_paths.
   std::size_t max_paths = 256;
-  /// Safety margin subtracted from the SNR estimate before solving —
-  /// absorbs estimator noise and the gap between the nominal flat-gain
-  /// model and real per-level R diagonals.
-  double snr_backoff_db = 0.0;
 };
 
 /// One solver verdict.
@@ -61,12 +56,8 @@ PathDecision solve_path_count(const modulation::Constellation& c,
                               std::size_t nt, double snr_db,
                               const PathPolicyConfig& cfg);
 
-/// Registry spec realizing (at least) `paths` paths in the given detector
-/// family: "flexcore" maps 1:1 ("flexcore-<N>"); "fcsd" can only realize
-/// |Q|^L paths, so the smallest sufficient L is chosen ("fcsd-L<L>",
-/// capped at L = 2 — beyond that the FCSD path count dwarfs any budget).
-/// Throws std::invalid_argument for other families.
-std::string path_spec(const std::string& family,
-                      const modulation::Constellation& c, std::size_t paths);
+/// Registry spec realizing `paths` paths: "flexcore-<paths>".  Throws
+/// std::invalid_argument for 0 paths.
+std::string path_spec(std::size_t paths);
 
 }  // namespace flexcore::control

@@ -9,18 +9,10 @@ namespace flexcore::core {
 using detect::DetectionStats;
 using linalg::cplx;
 
-FLEXCORE_NO_FMA_VECTORIZE
 void AdaptiveKBestDetector::install_channel(const CMat& h, double noise_var) {
   qr_ = linalg::sorted_qr_wubben(h);
+  rx_ = detect::diagonal_points(qr_.R, *constellation_);
   const std::size_t nt = qr_.R.cols();
-  const int q = constellation_->order();
-
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (int x = 0; x < q; ++x) {
-      rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
-    }
-  }
 
   // Per-level widths = number of DISTINCT path prefixes the most promising
   // position vectors need at each level.  (Not the maximum rank: a K-best

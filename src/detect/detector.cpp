@@ -24,6 +24,18 @@ void check_noise_var(const char* where, double noise_var) {
   }
 }
 
+FLEXCORE_NO_FMA_VECTORIZE
+std::vector<CVec> diagonal_points(const CMat& r, const Constellation& c) {
+  const std::size_t q = static_cast<std::size_t>(c.order());
+  std::vector<CVec> rx(r.cols(), CVec(q));
+  for (std::size_t i = 0; i < r.cols(); ++i) {
+    for (std::size_t x = 0; x < q; ++x) {
+      rx[i][x] = r(i, i) * c.point(static_cast<int>(x));
+    }
+  }
+  return rx;
+}
+
 void Detector::set_thread_pool(parallel::ThreadPool* /*pool*/) {}
 
 DetectionResult Detector::detect(const CVec& y) const {

@@ -94,6 +94,11 @@ struct BatchResult {
 /// The throw is out of line, so callers on the hot path stay lint-clean.
 void check_noise_var(const char* where, double noise_var);
 
+/// rx[i][x] = R(i,i) * c.point(x) for every level i and symbol x: the
+/// scaled constellation the sequential tree detectors (K-best, adaptive
+/// K-best, trellis, ML sphere decoder) slice each level against.
+std::vector<CVec> diagonal_points(const CMat& r, const Constellation& c);
+
 /// Abstract MIMO detector.
 class Detector {
  public:

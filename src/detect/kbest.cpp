@@ -4,17 +4,9 @@
 
 namespace flexcore::detect {
 
-FLEXCORE_NO_FMA_VECTORIZE
 void KBestDetector::install_channel(const CMat& h, double /*noise_var*/) {
   qr_ = linalg::sorted_qr_wubben(h);
-  const std::size_t nt = qr_.R.cols();
-  const int q = constellation_->order();
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (int x = 0; x < q; ++x) {
-      rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
-    }
-  }
+  rx_ = diagonal_points(qr_.R, *constellation_);
 }
 
 bool KBestDetector::detect_into(const CVec& y, Workspace& ws,

@@ -1,10 +1,11 @@
 // Depth-first maximum-likelihood sphere decoder (Geosphere-class baseline).
 //
 // Transforms the ML problem argmin ||ybar - R s||^2 into a tree search
-// (paper §2) and explores it depth-first with Schnorr-Euchner child ordering
-// and radius pruning, which guarantees the exact ML solution.  This is the
-// "ML" / "Geosphere" reference curve of Figs. 9 and 10, and the detector
-// whose instrumented FLOP counts reproduce Table 1.
+// (paper §2) over the Wübben sorted QR, and explores it depth-first with
+// Schnorr-Euchner child ordering and radius pruning, which guarantees the
+// exact ML solution.  This is the "ML" / "Geosphere" reference curve of
+// Figs. 9 and 10, and the detector whose instrumented FLOP counts
+// reproduce Table 1.
 #pragma once
 
 #include "detect/detector.h"
@@ -19,8 +20,6 @@ class MlSphereDecoder : public Detector {
     /// When truncated the decoder returns the best leaf found so far, so the
     /// result is no longer guaranteed ML.
     std::uint64_t max_nodes = 0;
-    /// Use the Wübben sorted QR (recommended; dramatically fewer nodes).
-    bool use_sorted_qr = true;
   };
 
   explicit MlSphereDecoder(const Constellation& c)

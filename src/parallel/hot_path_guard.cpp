@@ -10,15 +10,10 @@
 // allocates through operator new(size, nothrow), and leaving it on the
 // default allocator while delete routes to free() is an alloc/dealloc
 // family mismatch under ASan.
-//
-// FLEXCORE_NO_ALLOC_GUARD compiles the interposition out (the scope then
-// counts only locks; hot_path_guard_enabled() reports false so tests can
-// skip their allocation assertions).
 
 #include "parallel/hot_path_guard.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -37,22 +32,14 @@ struct ThreadCounters {
 
 thread_local ThreadCounters t_counters;
 
-/// Process-wide counters, touched only while a kProcess scope is live (or
-/// for the abort diagnostic).  Relaxed: counts are read after the scope's
+/// Process-wide counters, touched only while a kProcess scope is live.
+/// Relaxed: counts are read after the scope's
 /// region quiesced, not used for synchronization.
 std::atomic<int> g_process_armed{0};
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_deallocations{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<std::uint64_t> g_lock_acquisitions{0};
-
-bool abort_env_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("FLEXCORE_HOT_PATH_ABORT");
-    return v != nullptr && v[0] == '1';
-  }();
-  return enabled;
-}
 
 HotPathStats thread_snapshot() noexcept {
   return {t_counters.allocations, t_counters.deallocations,
@@ -68,14 +55,6 @@ HotPathStats process_snapshot() noexcept {
 
 }  // namespace
 
-bool hot_path_guard_enabled() noexcept {
-#ifdef FLEXCORE_NO_ALLOC_GUARD
-  return false;
-#else
-  return true;
-#endif
-}
-
 namespace guard_detail {
 
 void note_alloc(std::size_t bytes) noexcept {
@@ -90,13 +69,6 @@ void note_alloc(std::size_t bytes) noexcept {
   if (process_armed) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     g_alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  if (abort_env_enabled()) {
-    std::fprintf(stderr,
-                 "flexcore hot-path guard: heap allocation of %zu bytes "
-                 "inside an armed HotPathScope\n",
-                 bytes);
-    std::abort();
   }
 }
 
@@ -153,8 +125,6 @@ bool HotPathScope::armed_on_this_thread() noexcept {
 
 // ------------------------------------------------- allocator interposition
 
-#ifndef FLEXCORE_NO_ALLOC_GUARD
-
 namespace {
 namespace fpg = flexcore::parallel::guard_detail;
 }  // namespace
@@ -166,10 +136,7 @@ void* operator new(std::size_t sz) {
 }
 void* operator new[](std::size_t sz) { return ::operator new(sz); }
 void* operator new(std::size_t sz, std::align_val_t al) {
-  fpg::note_alloc(sz);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (sz + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
+  if (void* p = ::operator new(sz, al, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t sz, std::align_val_t al) {
@@ -185,7 +152,10 @@ void* operator new[](std::size_t sz, const std::nothrow_t& t) noexcept {
 void* operator new(std::size_t sz, std::align_val_t al,
                    const std::nothrow_t&) noexcept {
   fpg::note_alloc(sz);
+  // aligned_alloc wants a multiple of the alignment.  A size within a - 1
+  // of SIZE_MAX has none: rounding it up would wrap to 0, so refuse it.
   const std::size_t a = static_cast<std::size_t>(al);
+  if (sz > SIZE_MAX - (a - 1)) return nullptr;
   const std::size_t rounded = (sz + a - 1) / a * a;
   return std::aligned_alloc(a, rounded ? rounded : a);
 }
@@ -230,5 +200,3 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
   fpg::note_dealloc();
   std::free(p);
 }
-
-#endif  // FLEXCORE_NO_ALLOC_GUARD

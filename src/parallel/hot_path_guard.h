@@ -22,13 +22,11 @@
 //     owns quiescing unrelated threads (test binaries do).
 //
 // Allocation events come from operator new/delete interposition compiled
-// into the library (parallel/hot_path_guard.cpp) in every build type —
-// a relaxed-atomic counter bump per allocation, unmeasurable next to the
-// allocation itself.  Builds can opt out with -DFLEXCORE_NO_ALLOC_GUARD
-// (hot_path_guard_enabled() then reports false and tests skip their
-// allocation assertions).  Lock events come from the explicit
-// guard_detail::note_lock() calls at every ThreadPool / Runtime /
-// shard-fabric lock-acquisition site and from the GuardedMutex wrapper.
+// into the library (parallel/hot_path_guard.cpp) in every build — a
+// relaxed-atomic counter bump per allocation, unmeasurable next to the
+// allocation itself — so the scope's counts always mean what they say.
+// Lock events come from the explicit guard_detail::note_lock() calls at
+// every ThreadPool / Runtime / shard-fabric lock-acquisition site.
 //
 // The counters answer "how many", not "is it contended": the invariant the
 // repo enforces is that lock acquisitions on the dispatch path are O(1)
@@ -38,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 #include "parallel/hot_path.h"
 
@@ -51,11 +48,6 @@ struct HotPathStats {
   std::uint64_t alloc_bytes = 0;       ///< bytes requested from operator new
   std::uint64_t lock_acquisitions = 0; ///< instrumented mutex acquisitions
 };
-
-/// True when the allocator interposition is compiled into this binary
-/// (i.e. the library was built without FLEXCORE_NO_ALLOC_GUARD).  Lock
-/// counting is always available.
-bool hot_path_guard_enabled() noexcept;
 
 namespace guard_detail {
 // Hooks called by the interposed allocator and the instrumented lock
@@ -93,44 +85,10 @@ class HotPathScope {
   /// kProcess scope is live anywhere).
   static bool armed_on_this_thread() noexcept;
 
-  // Debug escape hatch: with FLEXCORE_HOT_PATH_ABORT=1 in the environment
-  // at first use, an allocation observed while any scope is armed aborts
-  // with a diagnostic instead of merely counting — turning a violated
-  // invariant into a stack trace at the offending call site.  Off by
-  // default; tests assert via delta().
-
  private:
   const char* label_;
   Scope scope_;
   HotPathStats start_;
-};
-
-/// A std::mutex wrapper whose acquisitions are visible to HotPathScope.
-/// Meets Lockable, so it drops into std::lock_guard / std::unique_lock /
-/// std::condition_variable_any unchanged.  Prefer it for NEW control-plane
-/// state; existing std::mutex sites instead call
-/// guard_detail::note_lock() right after acquiring (the
-/// condition_variable-heavy loops keep their plain std::mutex waits).
-class GuardedMutex {
- public:
-  void lock() {
-    mu_.lock();
-    guard_detail::note_lock();
-  }
-  bool try_lock() {
-    if (!mu_.try_lock()) return false;
-    guard_detail::note_lock();
-    return true;
-  }
-  void unlock() { mu_.unlock(); }
-
-  /// The wrapped mutex, for condition_variable wait sites that need the
-  /// raw type (note_lock() manually after re-acquisition where it
-  /// matters).
-  std::mutex& inner() noexcept { return mu_; }
-
- private:
-  std::mutex mu_;
 };
 
 }  // namespace flexcore::parallel

@@ -5,64 +5,18 @@
 #include "parallel/hot_path.h"
 #include "parallel/hot_path_guard.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace flexcore::parallel {
-
-namespace {
-
-/// Best-effort affinity pin of one native thread handle; false when the
-/// platform has no API or the kernel rejects the cpu id.
-bool pin_native_thread(std::thread::native_handle_type handle, int cpu) {
-#ifdef __linux__
-  if (cpu < 0 || static_cast<unsigned>(cpu) >= CPU_SETSIZE) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  return pthread_setaffinity_np(handle, sizeof set, &set) == 0;
-#else
-  (void)handle;
-  (void)cpu;
-  return false;
-#endif
-}
-
-}  // namespace
 
 std::size_t default_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-bool pin_current_thread(int cpu) {
-#ifdef __linux__
-  return pin_native_thread(pthread_self(), cpu);
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
 ThreadPool::ThreadPool(std::size_t num_threads)
-    : ThreadPool(PoolOptions{num_threads, {}}) {}
-
-ThreadPool::ThreadPool(const PoolOptions& options)
-    : num_threads_(std::max<std::size_t>(
-          1, options.threads > 0 ? options.threads : default_thread_count())) {
+    : num_threads_(num_threads > 0 ? num_threads : default_thread_count()) {
   active_.reserve(16);  // steady-state run_job must not allocate
   workers_.reserve(num_threads_ - 1);
   for (std::size_t i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
-    if (!options.pin_cpus.empty()) {
-      // Pin from here with the spawned thread's handle: synchronous (the
-      // count is final when the constructor returns) and never touching
-      // the CALLER's affinity — the submitting thread stays wherever the
-      // application put it.
-      const int cpu = options.pin_cpus[i % options.pin_cpus.size()];
-      pinned_workers_ += pin_native_thread(workers_.back().native_handle(), cpu);
-    }
   }
 }
 

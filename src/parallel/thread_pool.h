@@ -33,47 +33,20 @@ namespace flexcore::parallel {
 /// Number of worker threads to use by default (>= 1).
 std::size_t default_thread_count();
 
-/// Pins the CALLING thread to one CPU.  Returns false when the platform
-/// has no affinity API or the kernel rejected the cpu id (out of range,
-/// not in the allowed set); the thread keeps its previous affinity either
-/// way — pinning is strictly best-effort.
-bool pin_current_thread(int cpu);
-
-/// Construction options for ThreadPool.  The plain size_t constructor is
-/// the common case; this struct adds the optional worker CPU-affinity
-/// pinning the sharded runtime uses to keep each shard's pool on its own
-/// cores (off by default: `pin_cpus` empty means no pinning anywhere).
-struct PoolOptions {
-  std::size_t threads = 0;  ///< 0 = default_thread_count()
-  /// CPU ids to pin SPAWNED workers to, round-robin: spawned worker w
-  /// (w in 1..threads-1, i.e. everyone but the submitting caller — the
-  /// pool never touches the caller's affinity) is pinned to
-  /// pin_cpus[w % pin_cpus.size()].  Invalid ids are ignored per worker
-  /// (best-effort); see ThreadPool::pinned_workers for how many stuck.
-  std::vector<int> pin_cpus;
-};
-
 /// Fixed-size thread pool supporting concurrent fork-join jobs.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers (including the caller as a participant:
-  /// with num_threads == 1 no extra thread is spawned and parallel_for runs
-  /// inline, which makes single-threaded baselines exact).
+  /// Creates `num_threads` workers, default_thread_count() for 0 (the
+  /// caller participates: with num_threads == 1 no extra thread is spawned
+  /// and parallel_for runs inline, which makes single-threaded baselines
+  /// exact).  Workers keep the CPU affinity the process gave them.
   explicit ThreadPool(std::size_t num_threads);
-  /// As above, plus optional worker CPU pinning (PoolOptions::pin_cpus).
-  explicit ThreadPool(const PoolOptions& options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const noexcept { return num_threads_; }
-
-  /// Number of spawned workers whose affinity pin took effect (0 when
-  /// PoolOptions::pin_cpus was empty or the platform has no affinity API;
-  /// at most size() - 1, since the caller is never pinned).  Settled
-  /// before the constructor returns.
-  std::size_t pinned_workers() const noexcept { return pinned_workers_; }
 
   /// Raw job shape: process iterations [begin, end) on behalf of `worker`.
   /// `worker` is a stable index in [0, size()); a submitting thread always
@@ -159,7 +132,6 @@ class ThreadPool {
   void run_chunks(JobState& job, std::size_t worker);
 
   std::size_t num_threads_;
-  std::size_t pinned_workers_ = 0;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;

@@ -48,8 +48,8 @@ struct Fabric::PrepJob {
 };
 
 struct Fabric::Shard {
-  Shard(std::size_t id_in, const parallel::PoolOptions& pool_opts)
-      : id(id_in), pool(pool_opts), worker_partials(pool.size()) {}
+  Shard(std::size_t id_in, std::size_t threads)
+      : id(id_in), pool(threads), worker_partials(pool.size()) {}
 
   const std::size_t id;
   parallel::ThreadPool pool;
@@ -69,7 +69,6 @@ struct Fabric::Shard {
   std::uint64_t rows_processed = 0;
   std::uint64_t faults = 0;  ///< attempts this shard failed (injected+numeric)
   double busy_seconds = 0.0;
-  int driver_cpu = -1;  ///< pin target for the driver thread, -1 = none
 
   std::thread thread;  ///< started by Fabric after construction
 };
@@ -84,22 +83,7 @@ Fabric::Fabric(const api::RuntimeConfig& cfg)
 
   shards_.reserve(cfg.shards);
   for (std::size_t s = 0; s < cfg.shards; ++s) {
-    parallel::PoolOptions opts;
-    opts.threads = threads_per_shard;
-    int driver_cpu = -1;
-    if (cfg.pin_shard_workers) {
-      // Shard s owns the cpu slice [s*T, (s+1)*T) mod hw.  Slot 0 goes to
-      // the driver (= the pool's worker 0, which ThreadPool never pins);
-      // spawned worker w takes pin_cpus[w], w in 1..T-1.
-      opts.pin_cpus.resize(threads_per_shard);
-      for (std::size_t w = 0; w < threads_per_shard; ++w) {
-        opts.pin_cpus[w] =
-            static_cast<int>((s * threads_per_shard + w) % hw);
-      }
-      driver_cpu = opts.pin_cpus[0];
-    }
-    shards_.emplace_back(std::make_unique<Shard>(s, opts));
-    shards_.back()->driver_cpu = driver_cpu;
+    shards_.emplace_back(std::make_unique<Shard>(s, threads_per_shard));
   }
   // Spawn the drivers only after every Shard exists: a throw above must
   // not leave joinable threads behind.
@@ -201,7 +185,6 @@ bool Fabric::run_prep(std::size_t shard_id, const PrepJob& pj) {
 
 void Fabric::shard_loop(std::size_t shard_id) {
   Shard& sh = *shards_[shard_id];
-  if (sh.driver_cpu >= 0) parallel::pin_current_thread(sh.driver_cpu);
   {
     char track[32];
     std::snprintf(track, sizeof(track), "shard%zu", shard_id);
@@ -384,7 +367,6 @@ std::vector<api::ShardStats> Fabric::shard_stats() const {
     api::ShardStats ss;
     ss.shard_id = sh->id;
     ss.threads = sh->pool.size();
-    ss.pinned_workers = sh->pool.pinned_workers();
     std::lock_guard lock(sh->mu);
     parallel::guard_detail::note_lock();
     ss.frames = sh->frames;

@@ -3,9 +3,9 @@
 // when RuntimeConfig::shards > 1.  The B antenna rows split into C
 // contiguous clusters (shard::plan_shards); each cluster's driver thread
 // runs the partial QR of its rows and the rotation of its slice of every
-// received vector, for every subcarrier, on its own ThreadPool (optionally
-// CPU-pinned), and the partials stack into the merged (S, z) the detector
-// consumes (shard/partial_qr.h: exact, not approximate).  The admitted job
+// received vector, for every subcarrier, on its own ThreadPool, and the
+// partials stack into the merged (S, z) the detector consumes
+// (shard/partial_qr.h: exact, not approximate).  The admitted job
 // borrows fabric-owned merged buffers, so the caller's spans are released
 // when submit() returns.  A failing shard is retried once, then the frame
 // is bypassed (identity merge); a stalled one is cancelled after
@@ -35,9 +35,8 @@ struct MergedFrame {
 
 class Fabric {
  public:
-  /// Reads shards, threads_per_shard, pin_shard_workers,
-  /// shard_stall_budget_us and shard_fault_probe; spawns one driver per
-  /// shard.
+  /// Reads shards, threads_per_shard, shard_stall_budget_us and
+  /// shard_fault_probe; spawns one driver per shard.
   explicit Fabric(const api::RuntimeConfig& cfg);
   /// Joins the drivers.  Every MergedFrame handed out must be released
   /// first (they return to this fabric's freelist).

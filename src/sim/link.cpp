@@ -10,12 +10,12 @@ namespace flexcore::sim {
 UplinkPacketLink::UplinkPacketLink(const LinkConfig& cfg)
     : cfg_(cfg),
       c_(cfg.qam_order),
-      interleaver_(ofdm::coded_bits_per_ofdm_symbol(cfg.ofdm, c_.bits_per_symbol()),
+      interleaver_(ofdm::coded_bits_per_ofdm_symbol(c_.bits_per_symbol()),
                    static_cast<std::size_t>(c_.bits_per_symbol())),
-      info_bits_(ofdm::padded_info_bits(cfg.info_bits_per_user, cfg.ofdm,
+      info_bits_(ofdm::padded_info_bits(cfg.info_bits_per_user,
                                         c_.bits_per_symbol())) {
   const std::size_t ncbps =
-      ofdm::coded_bits_per_ofdm_symbol(cfg_.ofdm, c_.bits_per_symbol());
+      ofdm::coded_bits_per_ofdm_symbol(c_.bits_per_symbol());
   n_ofdm_symbols_ = 2 * (info_bits_ + 6) / ncbps;
 }
 
@@ -127,7 +127,7 @@ PacketOutcome UplinkPacketLink::run_packet_impl(
     const channel::ChannelTrace& trace, double noise_var,
     channel::Rng& rng) const {
   const std::size_t nt = trace.per_subcarrier.front().cols();
-  const std::size_t nsc = cfg_.ofdm.data_subcarriers;
+  const std::size_t nsc = ofdm::kDataSubcarriers;
   if (trace.per_subcarrier.size() < nsc) {
     throw std::invalid_argument("run_packet: trace has fewer subcarriers than needed");
   }
@@ -199,7 +199,7 @@ PacketOutcome UplinkPacketLink::run_packet_soft(core::FlexCoreDetector& det,
                                                 double noise_var,
                                                 channel::Rng& rng) const {
   const std::size_t nt = trace.per_subcarrier.front().cols();
-  const std::size_t nsc = cfg_.ofdm.data_subcarriers;
+  const std::size_t nsc = ofdm::kDataSubcarriers;
   const int bps = c_.bits_per_symbol();
 
   std::vector<UserTx> users(nt);

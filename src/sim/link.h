@@ -26,8 +26,8 @@
 
 namespace flexcore::sim {
 
+/// The link runs the 802.11 numerology of ofdm/ofdm.h.
 struct LinkConfig {
-  ofdm::OfdmConfig ofdm;
   int qam_order = 64;
   /// Requested info bits per user per packet (rounded up via
   /// ofdm::padded_info_bits so coded bits fill whole OFDM symbols).

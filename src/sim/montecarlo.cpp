@@ -90,7 +90,7 @@ ThroughputResult measure_impl(const LinkConfig& lcfg,
 
   modulation::Constellation c(lcfg.qam_order);
   out.throughput_mbps = ofdm::network_throughput_mbps(
-      lcfg.ofdm, c.bits_per_symbol(), out.per_user_per.data(), tcfg.nt);
+      c.bits_per_symbol(), out.per_user_per.data(), tcfg.nt);
   return out;
 }
 

@@ -346,11 +346,11 @@ SoakScenarioReport run_soak_scenario(const SoakScenarioConfig& cfg) {
                          static_cast<double>(rep.clean_symbols);
       const double oracle_ser = static_cast<double>(rep.oracle_errors) /
                                 static_cast<double>(rep.clean_symbols);
-      if (ser > oracle_ser + cfg.ser_margin) {
+      if (ser > oracle_ser + kSerMargin) {
         rep.violations.push_back(cfg.name + ": clean-frame SER " +
                                  std::to_string(ser) + " exceeds oracle " +
                                  std::to_string(oracle_ser) + " + margin " +
-                                 std::to_string(cfg.ser_margin));
+                                 std::to_string(kSerMargin));
       }
     }
   }

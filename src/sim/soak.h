@@ -21,7 +21,7 @@
 //     the end of the campaign;
 //   * accuracy — on sampled clean done-frames, detection matches a fresh
 //     synchronous pipeline bit-for-bit (shards == 1) and the clean-frame
-//     SER stays within ser_margin of that oracle (any shard count).
+//     SER stays within kSerMargin of that oracle (any shard count).
 //
 // Violations are collected as human-readable strings in the report, not
 // thrown: one soak run reports every broken invariant at once, and the
@@ -36,6 +36,9 @@
 #include "fault/injector.h"
 
 namespace flexcore::sim {
+
+/// Allowed clean-frame SER excess over the synchronous oracle (absolute).
+inline constexpr double kSerMargin = 0.02;
 
 /// One chaos scenario: workload shape + dynamics + fault plan.
 struct SoakScenarioConfig {
@@ -76,8 +79,6 @@ struct SoakScenarioConfig {
   api::RuntimeConfig runtime;
   /// Sample period of the synchronous-oracle spot check (0 disables).
   std::size_t spot_check_every = 16;
-  /// Allowed clean-frame SER excess over the oracle (absolute).
-  double ser_margin = 0.02;
 };
 
 /// Outcome of one scenario.  `violations` is empty iff every invariant

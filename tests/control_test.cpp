@@ -116,45 +116,27 @@ TEST(PathPolicy, ClampsAndInfeasibilityAreExplicit) {
   EXPECT_EQ(d.paths, cfg.max_paths);
   EXPECT_LT(d.coverage, 1.0 - cfg.target_error);
 
-  cfg.min_paths = 4;
   cfg.max_paths = 256;
   cfg.target_error = 0.5;  // trivially met by the root path at high SNR
   const ctl::PathDecision e = ctl::solve_path_count(qam, 8, 30.0, cfg);
   EXPECT_TRUE(e.feasible);
-  EXPECT_EQ(e.paths, cfg.min_paths);  // clamped up from 1
+  EXPECT_EQ(e.paths, 1u);
 
   EXPECT_THROW(ctl::solve_path_count(qam, 0, 10.0, cfg),
                std::invalid_argument);
 }
 
-TEST(PathPolicy, SnrBackoffCostsPaths) {
-  Constellation qam(16);
-  ctl::PathPolicyConfig cfg;
-  cfg.target_error = 1e-2;
-  cfg.max_paths = 1024;
-  ctl::PathPolicyConfig margin = cfg;
-  margin.snr_backoff_db = 3.0;
-  EXPECT_GT(ctl::solve_path_count(qam, 4, 10.0, margin).paths,
-            ctl::solve_path_count(qam, 4, 10.0, cfg).paths);
-}
-
 TEST(PathPolicy, PathSpecFamilies) {
-  Constellation qam(16);
-  EXPECT_EQ(ctl::path_spec("flexcore", qam, 24), "flexcore-24");
-  EXPECT_EQ(ctl::path_spec("a-flexcore", qam, 8), "a-flexcore-8");
-  EXPECT_EQ(ctl::path_spec("fcsd", qam, 10), "fcsd-L1");   // 16 >= 10
-  EXPECT_EQ(ctl::path_spec("fcsd", qam, 17), "fcsd-L2");   // needs 256
-  EXPECT_EQ(ctl::path_spec("fcsd", qam, 10000), "fcsd-L2");  // capped
-  EXPECT_THROW(ctl::path_spec("kbest", qam, 8), std::invalid_argument);
-  EXPECT_THROW(ctl::path_spec("flexcore", qam, 0), std::invalid_argument);
+  EXPECT_EQ(ctl::path_spec(24), "flexcore-24");
+  EXPECT_THROW(ctl::path_spec(0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ feedback loop
 
 TEST(FeedbackLoop, ConvergesAtFixedSnr) {
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 64;
+  ctl::PathPolicyConfig cfg;
+  cfg.max_paths = 64;
   ctl::FeedbackLoop loop(qam, 4, cfg);
   std::size_t emitted = 0;
   for (int i = 0; i < 100; ++i) {
@@ -164,20 +146,20 @@ TEST(FeedbackLoop, ConvergesAtFixedSnr) {
   EXPECT_EQ(emitted, 1u);
   ASSERT_TRUE(loop.current().has_value());
   EXPECT_EQ(loop.current()->reason, std::string("init"));
-  const std::size_t solved =
-      ctl::solve_path_count(qam, 4, 12.0, cfg.policy).paths;
+  const std::size_t solved = ctl::solve_path_count(qam, 4, 12.0, cfg).paths;
   EXPECT_EQ(loop.current()->detector,
             "flexcore-" + std::to_string(solved));
 }
 
 TEST(FeedbackLoop, HysteresisStopsThrash) {
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 64;
-  cfg.hysteresis_db = 1.0;
+  ctl::PathPolicyConfig cfg;
+  cfg.max_paths = 64;
   ctl::FeedbackLoop loop(qam, 4, cfg);
   std::size_t emitted = 0;
-  // +-0.4 dB wobble around 12: inside the hysteresis band after smoothing.
+  // +-0.4 dB wobble around 12: inside the kHysteresisDb = 1 dB band after
+  // smoothing.
+  static_assert(ctl::kHysteresisDb > 0.4);
   for (int i = 0; i < 200; ++i) {
     emitted += loop.observe(snr_obs(12.0 + (i % 2 ? 0.4 : -0.4))).has_value();
   }
@@ -186,9 +168,8 @@ TEST(FeedbackLoop, HysteresisStopsThrash) {
 
 TEST(FeedbackLoop, TracksRampAndHonoursHold) {
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 256;
-  cfg.min_hold_frames = 4;
+  ctl::PathPolicyConfig cfg;
+  cfg.max_paths = 256;
   ctl::FeedbackLoop loop(qam, 4, cfg);
   for (int i = 0; i < 100; ++i) {
     loop.observe(snr_obs(18.0 - 0.1 * i));  // 18 -> 8 dB ramp
@@ -200,15 +181,15 @@ TEST(FeedbackLoop, TracksRampAndHonoursHold) {
     EXPECT_GE(log[i].paths, log[i - 1].paths);
     // ...and changes respect the coherence hold.
     EXPECT_GE(log[i].frame_index - log[i - 1].frame_index,
-              cfg.min_hold_frames);
+              ctl::kMinHoldFrames);
   }
   EXPECT_GT(log.back().paths, log.front().paths);
 }
 
 TEST(FeedbackLoop, DeterministicGivenSameObservables) {
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 64;
+  ctl::PathPolicyConfig cfg;
+  cfg.max_paths = 64;
   ctl::FeedbackLoop a(qam, 4, cfg), b(qam, 4, cfg);
   ch::Rng rng(5);
   std::vector<ctl::Observation> seq;
@@ -237,9 +218,8 @@ TEST(FeedbackLoop, DeterministicGivenSameObservables) {
 
 TEST(FeedbackLoop, ErrorFeedbackBacksOffThenRecovers) {
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 256;
-  cfg.error_window = 4;
+  ctl::PathPolicyConfig cfg;
+  cfg.max_paths = 256;
   ctl::FeedbackLoop loop(qam, 4, cfg);
   ctl::Observation clean = snr_obs(14.0);
   clean.symbols = 100;
@@ -247,77 +227,62 @@ TEST(FeedbackLoop, ErrorFeedbackBacksOffThenRecovers) {
   const std::size_t init_paths = loop.current()->paths;
 
   // Sustained SER above target at the same reported SNR: the integral
-  // action must distrust the model and buy more paths.
+  // action must distrust the model and buy more paths.  Five error
+  // windows of bad frames.
   ctl::Observation bad = clean;
   bad.symbol_errors = 5;  // 5e-2 > 1e-2 target
-  for (int i = 0; i < 20; ++i) loop.observe(bad);
+  for (std::size_t i = 0; i < 5 * ctl::kErrorWindow; ++i) loop.observe(bad);
   EXPECT_GT(loop.error_backoff_db(), 0.0);
   EXPECT_GT(loop.current()->paths, init_paths);
 
-  // Clean windows bleed the backoff back off.
-  for (int i = 0; i < 60; ++i) loop.observe(clean);
+  // Clean windows bleed the backoff back off: one kErrorBackoffDb step
+  // per window, then a hold before the re-solve.
+  const std::size_t windows =
+      static_cast<std::size_t>(ctl::kMaxBackoffDb / ctl::kErrorBackoffDb) + 2;
+  for (std::size_t i = 0; i < windows * ctl::kErrorWindow; ++i) {
+    loop.observe(clean);
+  }
   EXPECT_EQ(loop.error_backoff_db(), 0.0);
   EXPECT_EQ(loop.current()->paths, init_paths);
 }
 
 TEST(FeedbackLoop, LoadDegradesToFamilySwapAndRestores) {
   Constellation qam(16);
-  ctl::ControlConfig cfg;
-  cfg.policy.max_paths = 64;
-  cfg.degrade_after = 2;
-  cfg.restore_after = 3;
-  cfg.max_degrade_steps = 2;
+  ctl::PathPolicyConfig cfg;
+  cfg.max_paths = 64;
   ctl::FeedbackLoop loop(qam, 4, cfg);
   loop.observe(snr_obs(10.0));  // init at a path-hungry SNR
   const std::size_t solved = loop.current()->paths;
-  ASSERT_GT(solved, 4u) << "scenario needs headroom to halve";
+  ASSERT_GE(solved >> ctl::kMaxDegradeSteps, 1u)
+      << "scenario needs headroom to halve";
 
-  // Sustained pressure: halve, halve, then swap families.
+  // Sustained pressure: halve kMaxDegradeSteps times, then swap families.
   std::vector<std::string> specs;
-  for (int i = 0;
-       i < 30 && loop.degrade_step() <= cfg.max_degrade_steps; ++i) {
+  for (std::size_t i = 0; i < 10 * ctl::kDegradeAfter; ++i) {
+    if (loop.degrade_step() > ctl::kMaxDegradeSteps) break;
     if (auto d = loop.observe(load_obs(10.0, 4, 4))) {
       specs.push_back(d->detector);
     }
   }
-  ASSERT_EQ(specs.size(), 3u);
-  EXPECT_EQ(specs[0], "flexcore-" + std::to_string(solved / 2));
-  EXPECT_EQ(specs[1], "flexcore-" + std::to_string(solved / 4));
-  EXPECT_EQ(specs[2], "zf-sic");
+  ASSERT_EQ(specs.size(), ctl::kMaxDegradeSteps + 1);
+  for (std::size_t step = 1; step <= ctl::kMaxDegradeSteps; ++step) {
+    EXPECT_EQ(specs[step - 1], "flexcore-" + std::to_string(solved >> step));
+  }
+  EXPECT_EQ(specs.back(), ctl::kDegradeDetector);
   EXPECT_EQ(loop.decisions().back().reason, std::string("load-degrade"));
 
   // Sustained slack walks the ladder back up to the full solved budget.
   std::size_t restores = 0;
-  for (int i = 0; i < 50; ++i) {
+  for (std::size_t i = 0; i < 7 * ctl::kRestoreAfter; ++i) {
     if (auto d = loop.observe(load_obs(10.0, 0, 4))) {
       ++restores;
       EXPECT_EQ(d->reason, std::string("load-restore"));
     }
   }
-  EXPECT_EQ(restores, 3u);
+  EXPECT_EQ(restores, ctl::kMaxDegradeSteps + 1);
   EXPECT_EQ(loop.degrade_step(), 0u);
   EXPECT_EQ(loop.current()->detector,
             "flexcore-" + std::to_string(solved));
-}
-
-TEST(FeedbackLoop, RejectsZeroStreakThresholds) {
-  // A zero streak threshold would act on every frame: degrade_after = 0
-  // walks an idle cell down the ladder, restore_after = 0 restores on
-  // every frame between load_low and load_high.  Both are refused at
-  // construction, like the other degenerate knobs.
-  Constellation qam(16);
-  ctl::ControlConfig no_degrade_streak;
-  no_degrade_streak.degrade_after = 0;
-  EXPECT_THROW(ctl::FeedbackLoop(qam, 4, no_degrade_streak),
-               std::invalid_argument);
-  ctl::ControlConfig no_restore_streak;
-  no_restore_streak.restore_after = 0;
-  EXPECT_THROW(ctl::FeedbackLoop(qam, 4, no_restore_streak),
-               std::invalid_argument);
-  ctl::ControlConfig one_frame_streaks;
-  one_frame_streaks.degrade_after = 1;
-  one_frame_streaks.restore_after = 1;
-  EXPECT_NO_THROW(ctl::FeedbackLoop(qam, 4, one_frame_streaks));
 }
 
 TEST(FeedbackLoop, NoDecisionBeforeFirstSnrEstimate) {
@@ -625,12 +590,10 @@ TEST(ClosedLoop, AdaptiveMeetsTargetWithFewerPathsThanWorstCase) {
                  {.frames = 12, .snr_db_begin = 9.0, .snr_db_end = 16.0}};
   sc.seed = 21;
 
-  ctl::ControlConfig ccfg;
-  ccfg.policy.target_error = 1e-2;
-  ccfg.policy.max_paths = 64;
-  ccfg.min_hold_frames = 2;
-  const std::size_t worst =
-      ctl::solve_path_count(qam, nt, 9.0, ccfg.policy).paths;
+  ctl::PathPolicyConfig policy;
+  policy.target_error = 1e-2;
+  policy.max_paths = 64;
+  const std::size_t worst = ctl::solve_path_count(qam, nt, 9.0, policy).paths;
 
   double paths_static = 0.0, paths_adaptive = 0.0;
   std::size_t errors_adaptive = 0, symbols_adaptive = 0;
@@ -642,7 +605,7 @@ TEST(ClosedLoop, AdaptiveMeetsTargetWithFewerPathsThanWorstCase) {
     fa::Runtime rt(rcfg);
     fa::Cell& cell = rt.open_cell(
         {.detector = "flexcore-" + std::to_string(worst), .qam_order = 16});
-    ctl::FeedbackLoop loop(qam, nt, ccfg);
+    ctl::FeedbackLoop loop(qam, nt, policy);
 
     fs::ScenarioStep step;
     while (drv.next(&step)) {
@@ -675,7 +638,7 @@ TEST(ClosedLoop, AdaptiveMeetsTargetWithFewerPathsThanWorstCase) {
   }
   const double ser = static_cast<double>(errors_adaptive) /
                      static_cast<double>(symbols_adaptive);
-  EXPECT_LE(ser, 2.0 * ccfg.policy.target_error);
+  EXPECT_LE(ser, 2.0 * policy.target_error);
   EXPECT_LT(paths_adaptive, 0.8 * paths_static)
       << "adaptive did not save compute over the static worst case";
 }

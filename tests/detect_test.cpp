@@ -195,39 +195,17 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{4, 4, 10.0}, std::tuple{16, 2, 12.0},
                       std::tuple{16, 3, 14.0}, std::tuple{4, 5, 3.0}));
 
-TEST(MlSphere, UnsortedQrGivesSameAnswer) {
+TEST(MlSphere, MatchesExhaustiveMlAtLowSnr) {
   Constellation c(16);
   const double nv = ch::noise_var_for_snr_db(7.2);
   ch::Rng rng(6);
-  fa::DetectorConfig unsorted_cfg{.constellation = &c};
-  unsorted_cfg.ml_sphere = {.max_nodes = 0, .use_sorted_qr = false};
-  const auto sorted = fa::make_detector("ml-sd", {.constellation = &c});
-  const auto unsorted = fa::make_detector("ml-sd", unsorted_cfg);
+  const auto sd = fa::make_detector("ml-sd", {.constellation = &c});
   for (int t = 0; t < 20; ++t) {
     const Scenario sc = make_scenario(c, 3, 3, nv, rng);
-    sorted->set_channel(sc.h, nv);
-    unsorted->set_channel(sc.h, nv);
-    EXPECT_EQ(sorted->detect(sc.y).symbols, unsorted->detect(sc.y).symbols);
+    sd->set_channel(sc.h, nv);
+    EXPECT_EQ(sd->detect(sc.y).symbols,
+              flexcore::testref::exhaustive_ml(c, sc.h, sc.y).symbols);
   }
-}
-
-TEST(MlSphere, SortedQrVisitsFewerNodes) {
-  Constellation c(16);
-  const double nv = ch::noise_var_for_snr_db(6.2);
-  ch::Rng rng(7);
-  fa::DetectorConfig unsorted_cfg{.constellation = &c};
-  unsorted_cfg.ml_sphere = {.max_nodes = 0, .use_sorted_qr = false};
-  const auto sorted = fa::make_detector("ml-sd", {.constellation = &c});
-  const auto unsorted = fa::make_detector("ml-sd", unsorted_cfg);
-  std::uint64_t n_sorted = 0, n_unsorted = 0;
-  for (int t = 0; t < 30; ++t) {
-    const Scenario sc = make_scenario(c, 6, 6, nv, rng);
-    sorted->set_channel(sc.h, nv);
-    unsorted->set_channel(sc.h, nv);
-    n_sorted += sorted->detect(sc.y).stats.nodes_visited;
-    n_unsorted += unsorted->detect(sc.y).stats.nodes_visited;
-  }
-  EXPECT_LT(n_sorted, n_unsorted);
 }
 
 TEST(MlSphere, NodeCountDropsWithSnr) {
@@ -253,7 +231,7 @@ TEST(MlSphere, TruncationStillReturnsACandidate) {
   const double nv = ch::noise_var_for_snr_db(1.0);
   ch::Rng rng(9);
   fa::DetectorConfig trunc_cfg{.constellation = &c};
-  trunc_cfg.ml_sphere = {.max_nodes = 50, .use_sorted_qr = true};
+  trunc_cfg.ml_sphere = {.max_nodes = 50};
   const auto sd = fa::make_detector("ml-sd", trunc_cfg);
   const Scenario sc = make_scenario(c, 8, 8, nv, rng);
   sd->set_channel(sc.h, nv);

@@ -15,6 +15,8 @@
 //    do not grow with the grid's path count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -54,7 +56,6 @@ void heap_roundtrip(std::size_t bytes) {
 // ------------------------------------------------------------ guard basics
 
 TEST(Guard, CountsThisThreadsAllocations) {
-  if (!fp::hot_path_guard_enabled()) GTEST_SKIP() << "alloc guard disabled";
   fp::HotPathScope guard("alloc counting");
   EXPECT_TRUE(fp::HotPathScope::armed_on_this_thread());
   void* p = ::operator new(sizeof(int));
@@ -66,7 +67,6 @@ TEST(Guard, CountsThisThreadsAllocations) {
 }
 
 TEST(Guard, ScopesNestIndependently) {
-  if (!fp::hot_path_guard_enabled()) GTEST_SKIP() << "alloc guard disabled";
   fp::HotPathScope outer("outer");
   heap_roundtrip(1);
   {
@@ -79,18 +79,38 @@ TEST(Guard, ScopesNestIndependently) {
   EXPECT_GE(outer.delta().allocations, 2u);
 }
 
-TEST(Guard, GuardedMutexCountsAcquisitions) {
-  fp::GuardedMutex mu;
-  fp::HotPathScope guard("lock counting");
-  mu.lock();
-  mu.unlock();
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
-  EXPECT_EQ(guard.delta().lock_acquisitions, 2u);
+TEST(Guard, CountsPoolLockAcquisitions) {
+  // A real lock site: a threads = 2 pool's run_job takes the pool mutex on
+  // the submitting thread to post the job and again to wait for it, so a
+  // kThread scope around the submits counts at least one acquisition per
+  // job.
+  fp::ThreadPool pool(2);
+  std::vector<int> sink(64, 0);
+  constexpr std::uint64_t kJobs = 4;
+  fp::HotPathScope guard("pool lock counting");
+  for (std::uint64_t j = 0; j < kJobs; ++j) {
+    pool.parallel_for(sink.size(), [&](std::size_t i) { sink[i] += 1; });
+  }
+  EXPECT_GE(guard.delta().lock_acquisitions, kJobs);
+  for (int v : sink) EXPECT_EQ(v, static_cast<int>(kJobs));
+}
+
+TEST(Guard, AlignedNewRefusesUnroundableSize) {
+  // Within alignment - 1 of SIZE_MAX a size has no multiple of the
+  // alignment: the throwing form must throw and the nothrow form return
+  // null, never hand out a small block.  The volatile keeps the compiler
+  // from seeing (and warning about) the constant size.
+  volatile std::size_t huge = SIZE_MAX - 8;
+  constexpr std::align_val_t kAlign{64};
+  EXPECT_THROW(::operator delete(::operator new(huge, kAlign), kAlign),
+               std::bad_alloc);
+  EXPECT_THROW(::operator delete[](::operator new[](huge, kAlign), kAlign),
+               std::bad_alloc);
+  EXPECT_EQ(::operator new(huge, kAlign, std::nothrow), nullptr);
+  EXPECT_EQ(::operator new[](huge, kAlign, std::nothrow), nullptr);
 }
 
 TEST(Guard, ThreadScopeIgnoresOtherThreads) {
-  if (!fp::hot_path_guard_enabled()) GTEST_SKIP() << "alloc guard disabled";
   // A worker allocating on another thread must be invisible to a kThread
   // scope and visible to a kProcess scope.  The std::thread constructor
   // itself allocates its shared state on THIS thread, so the thread-scope
@@ -131,9 +151,7 @@ TEST(KernelTiers, PathMetricBlockAllocAndLockFreeAllTiers) {
   plan64.path_metric_block(ybar, 0, paths, metrics.data());
   plan16.path_metric_block(ybar, 0, paths, metrics.data());
   const auto d = guard.delta();
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_EQ(d.allocations, 0u);
-  }
+  EXPECT_EQ(d.allocations, 0u);
   EXPECT_EQ(d.lock_acquisitions, 0u);
 }
 
@@ -153,9 +171,7 @@ TEST(PoolLocks, SingleThreadedPoolRunsJobsLockFree) {
   }
   const auto d = guard.delta();
   EXPECT_EQ(d.lock_acquisitions, 0u);
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_EQ(d.allocations, 0u);
-  }
+  EXPECT_EQ(d.allocations, 0u);
 }
 
 // ------------------------------------------- detect_frame steady state
@@ -180,9 +196,7 @@ TEST(FrameSteadyState, ZeroAllocZeroLockSingleThread) {
   fp::HotPathScope guard("detect_frame steady state", Scope::kThread);
   pipe.detect_frame(job, &out);
   const auto d = guard.delta();
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_EQ(d.allocations, 0u) << "steady-state frame touched the heap";
-  }
+  EXPECT_EQ(d.allocations, 0u) << "steady-state frame touched the heap";
   EXPECT_EQ(d.lock_acquisitions, 0u)
       << "steady-state frame took a lock on a threads=1 pool";
   EXPECT_EQ(out.results.size(), fr.ys.size());
@@ -244,10 +258,8 @@ TEST(FrameSteadyState, FreshChannelZeroAllocSingleThread) {
     pipe.detect_frame(job_a, &out);
     pipe.detect_frame(job_b, &out);
     const auto d = guard.delta();
-    if (fp::hot_path_guard_enabled()) {
-      EXPECT_EQ(d.allocations, 0u)
-          << spec << ": fresh-channel frame touched the heap";
-    }
+    EXPECT_EQ(d.allocations, 0u)
+        << spec << ": fresh-channel frame touched the heap";
     EXPECT_EQ(d.lock_acquisitions, 0u) << spec;
     EXPECT_EQ(out.channels_installed, 6u) << spec;
     EXPECT_EQ(out.results.size(), frame_b.ys.size()) << spec;
@@ -301,9 +313,7 @@ TEST(RuntimeEnvelope, RunOneCostIndependentOfPathCount) {
   // 16x the paths, identical control plane: dispatchers == 0 and
   // threads == 1 make the counts deterministic, so exact equality holds.
   EXPECT_EQ(db.lock_acquisitions, ds.lock_acquisitions);
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_EQ(db.allocations, ds.allocations);
-  }
+  EXPECT_EQ(db.allocations, ds.allocations);
   // And the envelope itself is small: a handful of control-plane locks per
   // frame (queue, ticket, completion), nothing per task or per path.
   EXPECT_LE(ds.lock_acquisitions, 32u * kCycles);
@@ -350,9 +360,7 @@ TEST(ShardedEnvelope, SubmitCompleteCostIndependentOfPathCount) {
   // per-path lock or allocation would blow hundreds past this.
   const auto slack_locks = ds.lock_acquisitions + 8u * kCycles;
   EXPECT_LE(db.lock_acquisitions, slack_locks);
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_LE(db.allocations, ds.allocations + 8u * kCycles);
-  }
+  EXPECT_LE(db.allocations, ds.allocations + 8u * kCycles);
 }
 
 // --------------------------------------- tracing-enabled steady state
@@ -391,10 +399,8 @@ TEST(ObsSteadyState, TracingEnabledKeepsDetectFrameZeroAllocZeroLock) {
   fp::HotPathScope guard("traced detect_frame steady state", Scope::kThread);
   pipe.detect_frame(job, &out);
   const auto d = guard.delta();
-  if (fp::hot_path_guard_enabled()) {
-    EXPECT_EQ(d.allocations, 0u)
-        << "traced steady-state frame touched the heap";
-  }
+  EXPECT_EQ(d.allocations, 0u)
+      << "traced steady-state frame touched the heap";
   EXPECT_EQ(d.lock_acquisitions, 0u)
       << "traced steady-state frame took a lock";
   EXPECT_EQ(out.results.size(), fr.ys.size());

@@ -312,9 +312,7 @@ TEST(ObsControl, DecisionsBumpCountersAndShedRungs) {
   obs::reset_for_test(traced(1, 64));
   obs::set_thread_track("control");
   Constellation qam(16);
-  fc::ControlConfig cfg;
-  cfg.degrade_after = 2;
-  fc::FeedbackLoop loop(qam, 4, cfg);
+  fc::FeedbackLoop loop(qam, 4, fc::PathPolicyConfig{});
 
   // At 10 dB the loop solves ~100 paths, so every halving changes the
   // spec and emits.

@@ -2,15 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "parallel/thread_pool.h"
 
@@ -174,117 +169,6 @@ TEST(ThreadPool, ConcurrentWorkerIndexExclusivePerJob) {
   }
   for (auto& t : submitters) t.join();
   EXPECT_FALSE(overlap.load());
-}
-
-#ifdef __linux__
-namespace {
-
-/// CPUs this process is allowed to run on (pinning outside the allowed set
-/// is rejected by the kernel, so the test must pick from here).
-std::vector<int> allowed_cpus() {
-  std::vector<int> cpus;
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof set, &set) != 0) return cpus;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &set)) cpus.push_back(c);
-  }
-  return cpus;
-}
-
-}  // namespace
-
-TEST(ThreadPool, AffinityPinsSpawnedWorkersOnly) {
-  const std::vector<int> cpus = allowed_cpus();
-  ASSERT_FALSE(cpus.empty());
-  const int target = cpus.front();
-
-  fp::PoolOptions opts;
-  opts.threads = 3;
-  opts.pin_cpus = {target};
-  fp::ThreadPool pool(opts);
-  EXPECT_EQ(pool.size(), 3u);
-  // Both spawned workers pinned (the caller / worker 0 never is).
-  EXPECT_EQ(pool.pinned_workers(), 2u);
-
-  // Every iteration that runs on a SPAWNED worker must be on the target
-  // cpu; worker 0 (this thread) is wherever the scheduler left it.
-  std::atomic<int> off_target{0};
-  std::atomic<int> spawned_seen{0};
-  // A round where worker 0 races through every chunk proves nothing; retry
-  // until a spawned worker participated (usually round one).  The budget is
-  // wall-clock, not a round count: a round takes microseconds, and the
-  // pinned workers can wait longer than fifty of them for their cpu while
-  // the submitter or another process holds it.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (spawned_seen.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    pool.parallel_for_worker(10000, [&](std::size_t w, std::size_t) {
-      if (w == 0) return;
-      spawned_seen.fetch_add(1, std::memory_order_relaxed);
-      if (sched_getcpu() != target) {
-        off_target.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  EXPECT_EQ(off_target.load(), 0);
-  // On a single-cpu machine the submitting thread can legitimately starve
-  // the pinned workers of chunks (everyone shares the one core), so only
-  // demand participation when there is real parallelism to be had.
-  if (cpus.size() > 1) {
-    EXPECT_GT(spawned_seen.load(), 0) << "spawned workers never ran";
-  }
-
-  // The pool still covers every index under pinning.
-  std::vector<std::atomic<int>> hits(1003);
-  pool.parallel_for(1003, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, AffinityRoundRobinAcrossCpuList) {
-  const std::vector<int> cpus = allowed_cpus();
-  if (cpus.size() < 2) GTEST_SKIP() << "needs >= 2 allowed cpus";
-
-  fp::PoolOptions opts;
-  opts.threads = 5;  // spawned workers 1..4 over two cpus
-  opts.pin_cpus = {cpus[0], cpus[1]};
-  fp::ThreadPool pool(opts);
-  EXPECT_EQ(pool.pinned_workers(), 4u);
-
-  // An out-of-range id is best-effort-skipped, not fatal.
-  fp::PoolOptions bad;
-  bad.threads = 2;
-  bad.pin_cpus = {CPU_SETSIZE + 7};
-  fp::ThreadPool tolerant(bad);
-  EXPECT_EQ(tolerant.pinned_workers(), 0u);
-  std::atomic<int> ran{0};
-  tolerant.parallel_for(64, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, PinCurrentThreadRoundTrips) {
-  const std::vector<int> cpus = allowed_cpus();
-  ASSERT_FALSE(cpus.empty());
-  std::atomic<bool> ok{false};
-  // Pin a scratch thread, not the test runner's.
-  std::thread t([&] {
-    if (!fp::pin_current_thread(cpus.back())) return;
-    ok.store(sched_getcpu() == cpus.back());
-  });
-  t.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_FALSE(fp::pin_current_thread(-1)) << "invalid ids report failure";
-}
-#endif  // __linux__
-
-TEST(ThreadPool, NoPinningByDefault) {
-  // The plain constructor and empty pin_cpus never pin anything.
-  fp::ThreadPool plain(4);
-  EXPECT_EQ(plain.pinned_workers(), 0u);
-  fp::PoolOptions opts;
-  opts.threads = 4;
-  fp::ThreadPool unpinned(opts);
-  EXPECT_EQ(unpinned.pinned_workers(), 0u);
 }
 
 TEST(ThreadPool, ParallelSumMatchesSequential) {

@@ -24,28 +24,26 @@ using flexcore::modulation::Constellation;
 // ------------------------------------------------------------------- OFDM
 
 TEST(Ofdm, WifiRateConstants) {
-  fo::OfdmConfig cfg;  // defaults = paper's 802.11 numerology
-  // 48 data subcarriers / 4 us = 12M vectors per second.
-  EXPECT_NEAR(fo::vectors_per_second(cfg), 12e6, 1.0);
+  // The paper's 802.11 numerology: 48 data subcarriers / 4 us = 12M
+  // vectors per second.
+  EXPECT_NEAR(fo::vectors_per_second(), 12e6, 1.0);
   // 64-QAM rate 1/2: 48 * 6 * 0.5 / 4us = 36 Mbit/s per user.
-  EXPECT_NEAR(fo::per_user_rate_mbps(cfg, 6), 36.0, 1e-9);
+  EXPECT_NEAR(fo::per_user_rate_mbps(6), 36.0, 1e-9);
   // 16-QAM rate 1/2: 24 Mbit/s per user.
-  EXPECT_NEAR(fo::per_user_rate_mbps(cfg, 4), 24.0, 1e-9);
+  EXPECT_NEAR(fo::per_user_rate_mbps(4), 24.0, 1e-9);
 }
 
 TEST(Ofdm, NetworkThroughputSumsUsers) {
-  fo::OfdmConfig cfg;
   const double per[4] = {0.0, 0.5, 1.0, 0.0};
   // 16-QAM: 24 * (1 + 0.5 + 0 + 1) = 60 Mbit/s.
-  EXPECT_NEAR(fo::network_throughput_mbps(cfg, 4, per, 4), 60.0, 1e-9);
+  EXPECT_NEAR(fo::network_throughput_mbps(4, per, 4), 60.0, 1e-9);
 }
 
 TEST(Ofdm, PaddedInfoBitsFillsWholeSymbols) {
-  fo::OfdmConfig cfg;
   for (int bps : {2, 4, 6}) {
-    const std::size_t ncbps = fo::coded_bits_per_ofdm_symbol(cfg, bps);
+    const std::size_t ncbps = fo::coded_bits_per_ofdm_symbol(bps);
     for (std::size_t req : {100u, 1000u, 4096u}) {
-      const std::size_t info = fo::padded_info_bits(req, cfg, bps);
+      const std::size_t info = fo::padded_info_bits(req, bps);
       EXPECT_GE(info, req);
       EXPECT_EQ((2 * (info + 6)) % ncbps, 0u) << "bps=" << bps << " req=" << req;
       // Padding never adds more than one block.
@@ -87,13 +85,13 @@ TEST(Link, PerfectChannelDeliversEveryPacket) {
   for (bool ok : out.user_ok) EXPECT_TRUE(ok);
   EXPECT_EQ(out.symbol_errors, 0u);
   EXPECT_EQ(out.vectors_detected,
-            link.ofdm_symbols_per_packet() * lcfg.ofdm.data_subcarriers);
+            link.ofdm_symbols_per_packet() * fo::kDataSubcarriers);
 }
 
 TEST(Link, InfoBitsArePaddedConsistently) {
   const fs::LinkConfig lcfg = small_link(64);
   fs::UplinkPacketLink link(lcfg);
-  const std::size_t ncbps = fo::coded_bits_per_ofdm_symbol(lcfg.ofdm, 6);
+  const std::size_t ncbps = fo::coded_bits_per_ofdm_symbol(6);
   EXPECT_EQ((2 * (link.info_bits() + 6)) % ncbps, 0u);
   EXPECT_EQ(link.ofdm_symbols_per_packet(),
             2 * (link.info_bits() + 6) / ncbps);
@@ -187,8 +185,7 @@ TEST(MonteCarlo, ThroughputReflectsPer) {
   // Clean: every packet lands, throughput = Nt * per-user rate.
   const auto clean = fs::measure_throughput(*det, lcfg, tcfg, 1e-9, 4, 11);
   EXPECT_NEAR(clean.avg_per, 0.0, 1e-12);
-  EXPECT_NEAR(clean.throughput_mbps, 4 * fo::per_user_rate_mbps(lcfg.ofdm, 4),
-              1e-9);
+  EXPECT_NEAR(clean.throughput_mbps, 4 * fo::per_user_rate_mbps(4), 1e-9);
 
   // Noisy: PER > 0 and throughput drops accordingly.
   const auto noisy = fs::measure_throughput(*det, lcfg, tcfg, 0.5, 4, 11);
