@@ -34,8 +34,10 @@ int main() {
   fb::rule();
 
   for (double rho : {1.0, 0.999, 0.99, 0.95, 0.9, 0.8}) {
-    const auto fresh = fa::make_detector("flexcore-64", {.constellation = &qam});
-    const auto stale = fa::make_detector("flexcore-64", {.constellation = &qam});
+    const auto fresh =
+        fa::make_detector("flexcore-64", {.constellation = &qam});
+    const auto stale =
+        fa::make_detector("flexcore-64", {.constellation = &qam});
 
     ch::Rng rng(25);
     std::size_t err_fresh = 0, err_stale = 0, symbols = 0;

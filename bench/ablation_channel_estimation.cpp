@@ -75,7 +75,8 @@ int main() {
                   "-", "-");
     } else {
       std::printf("LS, %zu repeat(s)%-2s %-12.4f %-16.5f %-+18.3f\n", repeats,
-                  "", static_cast<double>(errors) / static_cast<double>(symbols),
+                  "",
+                  static_cast<double>(errors) / static_cast<double>(symbols),
                   mse / static_cast<double>(trials),
                   nv_bias / static_cast<double>(trials));
     }

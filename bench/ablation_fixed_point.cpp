@@ -104,8 +104,10 @@ int main() {
       }
     }
     agreement /= static_cast<double>(channels);
-    const double ser64 = static_cast<double>(err64) / static_cast<double>(symbols);
-    const double ser16 = static_cast<double>(err16) / static_cast<double>(symbols);
+    const double ser64 =
+        static_cast<double>(err64) / static_cast<double>(symbols);
+    const double ser16 =
+        static_cast<double>(err16) / static_cast<double>(symbols);
     const double gap = ser16 - ser64;
     worst_gap = std::max(worst_gap, gap);
     std::printf("%-10d %-8.1f %-20.4f %-12.5f %-12.5f %+-10.5f\n", cs.qam,

@@ -84,7 +84,8 @@ int main() {
         errors += res.symbols[u] != tx[u];
       }
     }
-    const double ser = static_cast<double>(errors) / static_cast<double>(symbols);
+    const double ser =
+        static_cast<double>(errors) / static_cast<double>(symbols);
     if (baseline_ser == 0.0) baseline_ser = ser > 0 ? ser : 1e-12;
     std::printf("%-28s %-12.4f %-14.2f %-16.2f\n", v.label, ser,
                 seconds / static_cast<double>(trials) * 1e6,

@@ -89,8 +89,9 @@ int main() {
   const auto ys_base = make_batch(h, qam, base_nsc, nv, rng);
   const double t_fcsd1 = time_per_vector(*fcsd1, ys_base, pool, reps);
   const double t_fcsd2 = time_per_vector(*fcsd2, ys_base, pool, reps);
-  std::printf("baseline FCSD (full pool, Nsc=%zu): L=1 %.3f us/vec, L=2 %.3f us/vec\n",
-              base_nsc, t_fcsd1 * 1e6, t_fcsd2 * 1e6);
+  std::printf(
+      "baseline FCSD (full pool, Nsc=%zu): L=1 %.3f us/vec, L=2 %.3f us/vec\n",
+      base_nsc, t_fcsd1 * 1e6, t_fcsd2 * 1e6);
 
   // --- CPU thread-scaling rows (OpenMP-N analogue).
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {

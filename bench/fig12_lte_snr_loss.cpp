@@ -51,7 +51,8 @@ double measure_path_rate(std::size_t nt, const Constellation& qam) {
     }
     ys.push_back(ch::transmit(h, s, nv, rng));
   }
-  flexcore::parallel::ThreadPool pool(flexcore::parallel::default_thread_count());
+  flexcore::parallel::ThreadPool pool(
+      flexcore::parallel::default_thread_count());
   flex->set_thread_pool(&pool);
   flexcore::detect::BatchResult out;
   flex->detect_batch(ys, &out);

@@ -358,15 +358,17 @@ bool trie_rows(fb::BenchJson& json, int reps) {
     double block_levels = 0.0;
     int trie_verdicts = 0;
     for (int k = 0; k < kChannels; ++k) {
-      const fl::CMat h =
-          sh.merged ? merged_massive_channel(rng) : ch::rayleigh_iid(12, 12, rng);
+      const fl::CMat h = sh.merged ? merged_massive_channel(rng)
+                                   : ch::rayleigh_iid(12, 12, rng);
       det->set_channel(h, nv);
       const std::size_t nt = h.cols();
       const std::size_t paths = det->active_paths();
       const std::vector<fl::CVec> group =
           rotated_batch(*det, h, c, nv, kGroup, rng);
       fl::CVec ybars;
-      for (const fl::CVec& y : group) ybars.insert(ybars.end(), y.begin(), y.end());
+      for (const fl::CVec& y : group) {
+        ybars.insert(ybars.end(), y.begin(), y.end());
+      }
       std::size_t bp[kGroup], tp[kGroup];
       double bm[kGroup], tm[kGroup];
       const auto time = [&](auto&& scan) {
@@ -388,7 +390,8 @@ bool trie_rows(fb::BenchJson& json, int reps) {
       });
       trie_ns += time([&] { det->plan().scan_trie(ybars, tp, tm); });
       for (std::size_t v = 0; v < kGroup; ++v) {
-        if (bp[v] != tp[v] || std::memcmp(&bm[v], &tm[v], sizeof(double)) != 0) {
+        if (bp[v] != tp[v] ||
+            std::memcmp(&bm[v], &tm[v], sizeof(double)) != 0) {
           std::fprintf(stderr,
                        "FAIL: trie verdict (%zu, %.17g) != block scan (%zu, "
                        "%.17g), %s %s channel %d vector %zu\n",
@@ -627,8 +630,10 @@ int main() {
         }
       }
     }
-    const double ser64 = static_cast<double>(err64) / static_cast<double>(symbols);
-    const double ser16 = static_cast<double>(err16) / static_cast<double>(symbols);
+    const double ser64 =
+        static_cast<double>(err64) / static_cast<double>(symbols);
+    const double ser16 =
+        static_cast<double>(err16) / static_cast<double>(symbols);
     ser_gap = ser16 - ser64;
     std::printf("\nSER (12x12, 64-QAM, 22 dB, %zu symbols): fp64 %.5f, "
                 "i16 %.5f, gap %+.5f (tolerance %.3f)\n",

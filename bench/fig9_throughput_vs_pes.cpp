@@ -108,7 +108,8 @@ void run_panel(const Panel& p, std::size_t packets, bool full,
   report(*fcsd1, fcsd1->num_paths(), "L=1");
   if (p.qam == 16 || full) {
     const auto fcsd2 = fa::make_detector_as<fd::FcsdDetector>("fcsd-L2", acfg);
-    const std::size_t fcsd_packets = p.qam == 64 ? std::max<std::size_t>(packets / 2, 4) : packets;
+    const std::size_t fcsd_packets =
+        p.qam == 64 ? std::max<std::size_t>(packets / 2, 4) : packets;
     const auto r =
         fs::measure_throughput(*fcsd2, lcfg, tcfg, nv, fcsd_packets, seed);
     std::printf("%-16s %-8zu %-18.1f %-10.3f %-12s\n", fcsd2->name().c_str(),

@@ -59,10 +59,12 @@ int main() {
       }
     }
 
-    const double flops_per_vector = static_cast<double>(flops) / static_cast<double>(trials);
+    const double flops_per_vector =
+        static_cast<double>(flops) / static_cast<double>(trials);
     const double gflops =
         flops_per_vector * flexcore::ofdm::vectors_per_second() / 1e9;
-    const double ver = static_cast<double>(vec_errors) / static_cast<double>(trials);
+    const double ver =
+        static_cast<double>(vec_errors) / static_cast<double>(trials);
     // Achieved sum throughput ~ Nt streams of 16-QAM rate-1/2 scaled by the
     // vector success rate (uncoded proxy for the paper's measured column).
     const double tput = static_cast<double>(nt) *

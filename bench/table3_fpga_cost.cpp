@@ -35,8 +35,9 @@ int main() {
         pm::area_delay_product(flex) / pm::area_delay_product(fcsd);
     std::printf("  %zux%zu: area-delay FlexCore/FCSD = %.3f  (paper: %s)\n",
                 nt, nt, ratio, nt == 8 ? "1.737" : "1.578");
-    std::printf("         max PEs at 75%% utilization: FlexCore %zu, FCSD %zu\n",
-                pm::max_instantiable_pes(flex), pm::max_instantiable_pes(fcsd));
+    std::printf(
+        "         max PEs at 75%% utilization: FlexCore %zu, FCSD %zu\n",
+        pm::max_instantiable_pes(flex), pm::max_instantiable_pes(fcsd));
   }
 
   std::printf("\nSpot-check of §5.3 processing throughput at 5.5 ns, M=32:\n");

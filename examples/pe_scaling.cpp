@@ -73,7 +73,8 @@ int main() {
   detect::BatchResult batch;
   t0 = Clock::now();
   det->detect_batch(ys, &batch);
-  const double t_grid = std::chrono::duration<double>(Clock::now() - t0).count();
+  const double t_grid =
+      std::chrono::duration<double>(Clock::now() - t0).count();
   double checksum3 = 0.0;
   for (const auto& r : batch.results) checksum3 += r.metric;
   std::printf("vector x path grid:      %8.1f ms  (checksum %.3f, "

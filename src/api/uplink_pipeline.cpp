@@ -255,7 +255,8 @@ void UplinkPipeline::path_frame(const FrameJob& job, FrameResult* out) {
   for (std::size_t f = 0; f < nsc; ++f) {
     // Clones are homogeneous (same registry spec): detect_frame's one cast
     // of the first decided the family of all.
-    const auto* d = static_cast<const PathParallelDetector*>(frame_dets_[f].get());
+    const auto* d =
+        static_cast<const PathParallelDetector*>(frame_dets_[f].get());
     frame_path_dets_[f] = d;
     frame_paths_[f] = d->parallel_tasks();
   }
@@ -397,7 +398,8 @@ void UplinkPipeline::detect_frame(const FrameJob& job, FrameResult* out_ptr) {
     frame_ready_noise_var_ = job.noise_var;
   }
   for (std::size_t f = 0; f < nsc; ++f) {
-    out.sum_active_paths += static_cast<double>(frame_dets_[f]->parallel_tasks());
+    out.sum_active_paths +=
+        static_cast<double>(frame_dets_[f]->parallel_tasks());
   }
 
   if (nv > 0) {

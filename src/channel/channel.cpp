@@ -48,7 +48,8 @@ CMat kronecker_channel(std::size_t nr, std::size_t nt, double rx_rho,
   return h;
 }
 
-std::vector<double> bounded_user_gains(std::size_t nt, double spread_db, Rng& rng) {
+std::vector<double> bounded_user_gains(std::size_t nt, double spread_db,
+                                       Rng& rng) {
   std::vector<double> g(nt);
   double mean = 0.0;
   for (std::size_t i = 0; i < nt; ++i) {

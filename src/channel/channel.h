@@ -36,7 +36,8 @@ CMat kronecker_channel(std::size_t nr, std::size_t nt, double rx_rho,
 
 /// Per-user linear power gains with a total spread of at most `spread_db`
 /// (uniform in dB, then normalized to unit mean power).
-std::vector<double> bounded_user_gains(std::size_t nt, double spread_db, Rng& rng);
+std::vector<double> bounded_user_gains(std::size_t nt, double spread_db,
+                                       Rng& rng);
 
 /// Noise variance realizing a given *per-user* SNR (dB) — the paper's
 /// convention ("the individual SNRs of the scheduled users differ by no

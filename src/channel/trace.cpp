@@ -51,7 +51,8 @@ FLEXCORE_NO_FMA_VECTORIZE
 ChannelTrace TraceGenerator::next() {
   const std::size_t nsc = cfg_.num_subcarriers;
   ChannelTrace trace;
-  trace.user_gains = bounded_user_gains(cfg_.nt, cfg_.user_power_spread_db, rng_);
+  trace.user_gains =
+      bounded_user_gains(cfg_.nt, cfg_.user_power_spread_db, rng_);
 
   // Draw correlated tap matrices G_k, then transform to the frequency
   // domain: H(f) = sum_k G_k * exp(-j 2 pi f k / Nsc).

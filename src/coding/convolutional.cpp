@@ -31,9 +31,9 @@ struct Trellis {
         const auto parity = [](std::uint32_t v) {
           return static_cast<std::uint8_t>(std::popcount(v) & 1);
         };
-        branch[static_cast<std::size_t>(s)][static_cast<std::size_t>(b)] = Branch{
-            parity(reg & ConvCode::kG0), parity(reg & ConvCode::kG1),
-            static_cast<int>(reg >> 1)};
+        branch[static_cast<std::size_t>(s)][static_cast<std::size_t>(b)] =
+            Branch{parity(reg & ConvCode::kG0), parity(reg & ConvCode::kG1),
+                   static_cast<int>(reg >> 1)};
       }
     }
   }
@@ -101,8 +101,8 @@ BitVec conv_encode(const BitVec& info) {
   out.reserve(2 * (info.size() + kTail));
   int state = 0;
   auto push = [&](std::uint8_t bit) {
-    const Branch& br =
-        t.branch[static_cast<std::size_t>(state)][static_cast<std::size_t>(bit)];
+    const Branch& br = t.branch[static_cast<std::size_t>(state)]
+                               [static_cast<std::size_t>(bit)];
     out.push_back(br.out0);
     out.push_back(br.out1);
     state = br.next_state;
@@ -119,7 +119,8 @@ BitVec viterbi_decode(const BitVec& coded) {
   const std::size_t steps = coded.size() / 2;
   return viterbi_core(steps, [&](std::size_t step, std::uint8_t o0,
                                  std::uint8_t o1) {
-    return static_cast<double>((coded[2 * step] != o0) + (coded[2 * step + 1] != o1));
+    return static_cast<double>((coded[2 * step] != o0) +
+                               (coded[2 * step + 1] != o1));
   });
 }
 

@@ -27,22 +27,28 @@ Interleaver::Interleaver(std::size_t n_cbps, std::size_t n_bpsc)
 
 BitVec Interleaver::interleave_stream(const BitVec& in) const {
   if (in.size() % n_cbps_ != 0) {
-    throw std::invalid_argument("interleave_stream: length not a block multiple");
+    throw std::invalid_argument(
+        "interleave_stream: length not a block multiple");
   }
   BitVec out(in.size());
   for (std::size_t base = 0; base < in.size(); base += n_cbps_) {
-    for (std::size_t k = 0; k < n_cbps_; ++k) out[base + fwd_[k]] = in[base + k];
+    for (std::size_t k = 0; k < n_cbps_; ++k) {
+      out[base + fwd_[k]] = in[base + k];
+    }
   }
   return out;
 }
 
 BitVec Interleaver::deinterleave_stream(const BitVec& in) const {
   if (in.size() % n_cbps_ != 0) {
-    throw std::invalid_argument("deinterleave_stream: length not a block multiple");
+    throw std::invalid_argument(
+        "deinterleave_stream: length not a block multiple");
   }
   BitVec out(in.size());
   for (std::size_t base = 0; base < in.size(); base += n_cbps_) {
-    for (std::size_t k = 0; k < n_cbps_; ++k) out[base + inv_[k]] = in[base + k];
+    for (std::size_t k = 0; k < n_cbps_; ++k) {
+      out[base + inv_[k]] = in[base + k];
+    }
   }
   return out;
 }
@@ -50,11 +56,14 @@ BitVec Interleaver::deinterleave_stream(const BitVec& in) const {
 std::vector<double> Interleaver::deinterleave_stream(
     const std::vector<double>& in) const {
   if (in.size() % n_cbps_ != 0) {
-    throw std::invalid_argument("deinterleave_stream: length not a block multiple");
+    throw std::invalid_argument(
+        "deinterleave_stream: length not a block multiple");
   }
   std::vector<double> out(in.size());
   for (std::size_t base = 0; base < in.size(); base += n_cbps_) {
-    for (std::size_t k = 0; k < n_cbps_; ++k) out[base + inv_[k]] = in[base + k];
+    for (std::size_t k = 0; k < n_cbps_; ++k) {
+      out[base + inv_[k]] = in[base + k];
+    }
   }
   return out;
 }

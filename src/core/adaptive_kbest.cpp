@@ -82,7 +82,9 @@ bool AdaptiveKBestDetector::detect_into(const CVec& y,
     std::partial_sort(candidates.begin(),
                       candidates.begin() + static_cast<std::ptrdiff_t>(keep),
                       candidates.end(),
-                      [](const Partial& a, const Partial& b) { return a.ped < b.ped; });
+                      [](const Partial& a, const Partial& b) {
+                        return a.ped < b.ped;
+                      });
     candidates.resize(keep);
     survivors = std::move(candidates);
   }

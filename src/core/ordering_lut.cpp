@@ -4,23 +4,24 @@
 
 namespace flexcore::core {
 
-OrderingLut::OrderingLut(const Constellation& c)
-    : c_(&c), base_(build_centroid_order()) {}
+namespace {
 
-std::vector<OrderingLut::Offset> OrderingLut::build_centroid_order() const {
+/// The lattice offsets in ascending distance from the canonical triangle's
+/// centroid (ties: real-axis step, then imaginary-axis step).
+std::vector<OrderingLut::Offset> build_centroid_order(const Constellation& c) {
   // Canonical triangle t1: residuals (u, v) with 0 <= v <= u <= h, where
   // h = half the slicer square side = constellation scale.  Its centroid,
   // of the vertices (0,0), (h,0), (h,h):
-  const double h = c_->scale();
+  const double h = c.scale();
   const double u = 2.0 * h / 3.0;
   const double v = h / 3.0;
   // Candidate offsets within a window that is guaranteed to contain the |Q|
   // nearest lattice points (window (2*side+1)^2 >= 4*|Q| entries).
-  const int side = c_->side();
-  const double step = c_->min_distance();
+  const int side = c.side();
+  const double step = c.min_distance();
   struct Cand {
     double d2;
-    Offset off;
+    OrderingLut::Offset off;
   };
   std::vector<Cand> cands;
   cands.reserve(static_cast<std::size_t>((2 * side + 1) * (2 * side + 1)));
@@ -29,19 +30,49 @@ std::vector<OrderingLut::Offset> OrderingLut::build_centroid_order() const {
       const double dx = di * step - u;
       const double dy = dq * step - v;
       cands.push_back(Cand{dx * dx + dy * dy,
-                           Offset{static_cast<std::int8_t>(di),
-                                  static_cast<std::int8_t>(dq)}});
+                           OrderingLut::Offset{static_cast<std::int8_t>(di),
+                                               static_cast<std::int8_t>(dq)}});
     }
   }
-  std::stable_sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-    if (a.d2 != b.d2) return a.d2 < b.d2;
-    if (a.off.di != b.off.di) return a.off.di < b.off.di;
-    return a.off.dq < b.off.dq;
-  });
-  std::vector<Offset> order(static_cast<std::size_t>(c_->order()));
+  std::stable_sort(cands.begin(), cands.end(),
+                   [](const Cand& a, const Cand& b) {
+                     if (a.d2 != b.d2) return a.d2 < b.d2;
+                     if (a.off.di != b.off.di) return a.off.di < b.off.di;
+                     return a.off.dq < b.off.dq;
+                   });
+  std::vector<OrderingLut::Offset> order(static_cast<std::size_t>(c.order()));
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = cands[k].off;
   return order;
 }
+
+/// Order kOrder's centroid order, built on the first call from whichever
+/// thread makes it (every constellation of one order is the same).  The
+/// static's initialization is thread-safe; later calls read it lock-free.
+template <int kOrder>
+const std::vector<OrderingLut::Offset>& centroid_order(const Constellation& c) {
+  static const std::vector<OrderingLut::Offset> order =
+      build_centroid_order(c);
+  return order;
+}
+
+const std::vector<OrderingLut::Offset>& shared_centroid_order(
+    const Constellation& c) {
+  switch (c.order()) {
+    case 4:
+      return centroid_order<4>(c);
+    case 16:
+      return centroid_order<16>(c);
+    case 64:
+      return centroid_order<64>(c);
+    default:  // a Constellation is 4-, 16-, 64- or 256-QAM
+      return centroid_order<256>(c);
+  }
+}
+
+}  // namespace
+
+OrderingLut::OrderingLut(const Constellation& c)
+    : c_(&c), base_(&shared_centroid_order(c)) {}
 
 int OrderingLut::kth_symbol(cplx z, int k, InvalidEntryPolicy policy) const {
   const int side = c_->side();
@@ -62,7 +93,7 @@ int OrderingLut::kth_symbol(cplx z, int k, InvalidEntryPolicy policy) const {
   const bool swap_axes = av > au;
 
   int found = 0;
-  for (const Offset& base : base_) {
+  for (const Offset& base : *base_) {
     int di = base.di;
     int dq = base.dq;
     if (swap_axes) std::swap(di, dq);

@@ -51,21 +51,21 @@ class OrderingLut {
   /// (k is 1-based, k <= |Q|), or -1 when the entry is invalid under
   /// `policy` (kDeactivate and out of constellation, or kSkipToValid with
   /// fewer than k valid entries).
-  int kth_symbol(cplx z, int k,
-                 InvalidEntryPolicy policy = InvalidEntryPolicy::kDeactivate) const;
+  int kth_symbol(
+      cplx z, int k,
+      InvalidEntryPolicy policy = InvalidEntryPolicy::kDeactivate) const;
 
   /// Canonical (triangle-1) order, exposed for tests and benches.
-  const std::vector<Offset>& base_order() const noexcept { return base_; }
+  const std::vector<Offset>& base_order() const noexcept { return *base_; }
 
   const Constellation& constellation() const noexcept { return *c_; }
 
  private:
-  /// Sorted lattice offsets (ascending distance) from the canonical
-  /// triangle's centroid.
-  std::vector<Offset> build_centroid_order() const;
-
   const Constellation* c_;
-  std::vector<Offset> base_;  ///< |Q| entries for triangle t1
+  /// |Q| entries for triangle t1: the lattice offsets in ascending distance
+  /// from its centroid.  One per constellation order, built the first time
+  /// any LUT of that order is, and shared by every LUT of that order.
+  const std::vector<Offset>* base_;
 };
 
 }  // namespace flexcore::core

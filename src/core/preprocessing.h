@@ -17,16 +17,29 @@
 // expands children w <= l (this makes every position vector reachable
 // exactly once); a bounded candidate list L of size N_PE holds the frontier.
 //
+// Children the search could never emit are not created.  After the node
+// being expanded, at most R = num_paths - emitted paths remain; a child
+// that R or more live nodes beat (the list, plus the nodes this round
+// popped but has not yet expanded) can never be one of them: pops are
+// best-first, and a trim that drops a better node drops the child too.
+// The levels are walked in one order per search, Pe(l) descending with
+// ties to the higher level (the positions tie-break), so a node's children
+// arrive best first and the first one that fails ends the node.  The same
+// argument lets the list drop every entry R or more nodes beat, so it
+// never holds more than R.  Emitted paths, their pc and pc_sum are those
+// of the search that creates every child (tests/core_test.cpp checks it).
+//
 // The frontier is flat: each node is packed into a slot of a
-// PathSearchWorkspace — its ranks as bytes (rank - 1, so 256-QAM fits),
-// its pc and the level whose increment created it — and the candidate list
-// is an array of slot indices sorted so that the best node (highest pc,
-// ties to the lexicographically smallest positions) sits last.  A round
-// pops the `batch` best slots off the back, inserts their children in
-// sorted position and trims the worst off the front; expanded and trimmed
-// slots are recycled, and the arrays are sized once per call to the most
-// slots a search can hold live.  With a warm workspace and result
-// (FlexCoreDetector keeps both) the search allocates nothing.
+// PathSearchWorkspace — its ranks as bytes (rank - 1, so 256-QAM fits)
+// and the level whose increment created it — and the candidate list is an
+// array of (pc, slot) entries sorted best first (highest pc, ties to the
+// lexicographically smallest positions) from a head that moves down the
+// array as the best leave.  A round pops the `batch` best entries off the
+// head, inserts their children from the worst end and trims the worst;
+// expanded and dropped slots are recycled, and the arrays are sized once
+// per call to the most slots a search can hold live.  With a warm
+// workspace and result (FlexCoreDetector keeps both) the search allocates
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +91,9 @@ struct PreprocessingResult {
   double pc_sum = 0.0;
   /// Per-level error probabilities Pe(l), array index = level-1.
   std::vector<double> pe;
-  /// Real multiplications spent (Table 2 accounting: one multiply per child
-  /// probability update, Nt-1 for the root).
+  /// Real multiplications spent (Table 2 accounting: Nt-1 for the root,
+  /// then one per child probability the search forms — the children it
+  /// creates plus each failed check that ends a node).
   std::uint64_t real_mults = 0;
   /// Number of tree nodes expanded.
   std::uint64_t nodes_expanded = 0;
@@ -89,17 +103,29 @@ struct PreprocessingResult {
 /// allocates nothing.  Contents are private to find_most_promising_paths;
 /// callers only keep the object alive.
 struct PathSearchWorkspace {
-  /// Node slot s: its pc and the 1-based level whose increment created it.
-  struct Node {
+  /// A node in the list or a round: its pc and slot.
+  struct Entry {
     double pc = 0.0;
-    std::uint32_t last_inc = 0;
+    std::uint32_t slot = 0;
   };
-  std::vector<Node> nodes;
-  /// Slot s's ranks minus one, at [s * Nt, (s + 1) * Nt).
-  std::vector<std::uint8_t> ranks;
+  /// Slot s's ranks minus one, at byte [s * stride, s * stride + Nt) of a
+  /// stride of whole words (the padding stays zero).
+  std::vector<std::uint64_t> ranks;
+  /// Slot s's 1-based level whose increment created it.
+  std::vector<std::uint32_t> last_inc;
   std::vector<std::uint32_t> free_slots;  ///< recycled slots, a stack
-  std::vector<std::uint32_t> frontier;    ///< the list: worst first, best last
-  std::vector<std::uint32_t> round;       ///< the slots one round expands
+  std::vector<Entry> list;                ///< best first, from a moving head
+  std::vector<Entry> round;               ///< the nodes one round expands
+  /// One step of the walk order (Pe descending, ties to the higher level):
+  /// its 0-based level, and whether a child that fails there ends its node.
+  struct Step {
+    std::uint32_t level = 0;
+    bool ends = false;
+  };
+  std::vector<Step> walk;
+  /// masks[li * words + w]: bit j of word w marks step j as a level below
+  /// li, words = ceil(Nt / 64).
+  std::vector<std::uint64_t> masks;
   /// Path entries (with their position vectors' capacity) parked when a
   /// result came out shorter than the one before it.
   std::vector<RankedPath> spare;
@@ -127,8 +153,9 @@ void find_most_promising_paths_into(linalg::CMatView r, double noise_var,
 /// index = level-1) — the seam the control plane's path-count solver uses
 /// to invert the model at a *nominal* SNR, with no channel realization in
 /// hand.  `cfg.pe_model` is ignored (the pe values are taken as given).
-/// Throws std::invalid_argument unless 1 <= constellation_order <= 256:
-/// the frontier stores ranks as bytes (every Constellation qualifies).
+/// Throws std::invalid_argument unless 1 <= constellation_order <= 256
+/// (the frontier stores ranks as bytes; every Constellation qualifies)
+/// and every Pe(l) lies in [0, 1] (both overloads check it).
 PreprocessingResult find_most_promising_paths(const std::vector<double>& pe,
                                               int constellation_order,
                                               const PreprocessingConfig& cfg);

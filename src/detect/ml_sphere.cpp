@@ -53,13 +53,15 @@ void MlSphereDecoder::search(SearchState& st, std::size_t level,
   auto& order = st.order[i];
   const CVec& rx = rx_[i];
   for (int x = 0; x < st.q; ++x) {
-    dist[static_cast<std::size_t>(x)] = linalg::abs2(b - rx[static_cast<std::size_t>(x)]);
+    const auto xi = static_cast<std::size_t>(x);
+    dist[xi] = linalg::abs2(b - rx[xi]);
   }
   st.stats.real_mults += 2 * static_cast<std::uint64_t>(st.q);
   st.stats.flops += 5 * static_cast<std::uint64_t>(st.q);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int bdx) {
-    return dist[static_cast<std::size_t>(a)] < dist[static_cast<std::size_t>(bdx)];
+    return dist[static_cast<std::size_t>(a)] <
+           dist[static_cast<std::size_t>(bdx)];
   });
 
   for (int x : order) {

@@ -161,7 +161,8 @@ void run_frame_grid(std::span<const D* const> dets,
                &out->best_path[u], &out->best_metric[u]);
   });
   out->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 /// Winner reconstruction of a grid's verdicts across `pool`: the vectors

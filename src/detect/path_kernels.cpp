@@ -267,7 +267,8 @@ struct I16KernelState {
   std::size_t nt = 0, q = 0, full_levels = 0;
   int side = 0, pbits = 0, fbits = 0;
   int pt_half = 0;  // lround(scale * 2^P): PAM half-step at the point scale
-  int mode = 0;  // PathPlanI16::Mode, as int: 0 lut / 1 generic / 2 exact / 3 fcsd
+  // PathPlanI16::Mode, as int: 0 lut / 1 generic / 2 exact / 3 fcsd.
+  int mode = 0;
   double metric_unscale = 0.0;
   const std::int16_t* r_re = nullptr;
   const std::int16_t* r_im = nullptr;
@@ -892,10 +893,12 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   rx_pack_.resize(nt * q);
   for (std::size_t i = 0; i < nt; ++i) {
     const linalg::cplx rii = r(i, i);
-    rh_re_q_[i] = static_cast<std::int32_t>(std::clamp(
-        std::lround(rii.real() * scale_ * fs), -long{QF::kMax}, long{QF::kMax}));
-    rh_im_q_[i] = static_cast<std::int32_t>(std::clamp(
-        std::lround(rii.imag() * scale_ * fs), -long{QF::kMax}, long{QF::kMax}));
+    rh_re_q_[i] = static_cast<std::int32_t>(
+        std::clamp(std::lround(rii.real() * scale_ * fs), -long{QF::kMax},
+                   long{QF::kMax}));
+    rh_im_q_[i] = static_cast<std::int32_t>(
+        std::clamp(std::lround(rii.imag() * scale_ * fs), -long{QF::kMax},
+                   long{QF::kMax}));
     for (std::size_t x = 0; x < q; ++x) {
       const int er = 2 * (static_cast<int>(x) / side_) - (side_ - 1);
       const int eq = 2 * (static_cast<int>(x) % side_) - (side_ - 1);

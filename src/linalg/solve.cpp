@@ -24,10 +24,14 @@ void gauss_jordan(CMat& a, CMat& rhs) {
         pmax = v;
       }
     }
-    if (pmax < kPivotTol) throw std::runtime_error("gauss_jordan: singular matrix");
+    if (pmax < kPivotTol) {
+      throw std::runtime_error("gauss_jordan: singular matrix");
+    }
     if (piv != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
-      for (std::size_t j = 0; j < rhs.cols(); ++j) std::swap(rhs(k, j), rhs(piv, j));
+      for (std::size_t j = 0; j < rhs.cols(); ++j) {
+        std::swap(rhs(k, j), rhs(piv, j));
+      }
     }
     const cplx inv_p = cplx{1.0, 0.0} / a(k, k);
     for (std::size_t j = 0; j < n; ++j) a(k, j) *= inv_p;
@@ -59,7 +63,9 @@ CMat cholesky(const CMat& a) {
   for (std::size_t j = 0; j < n; ++j) {
     double d = a(j, j).real();
     for (std::size_t k = 0; k < j; ++k) d -= abs2(l(j, k));
-    if (d <= 0.0) throw std::runtime_error("cholesky: matrix not positive definite");
+    if (d <= 0.0) {
+      throw std::runtime_error("cholesky: matrix not positive definite");
+    }
     const double ljj = std::sqrt(d);
     l(j, j) = cplx{ljj, 0.0};
     for (std::size_t i = j + 1; i < n; ++i) {

@@ -15,7 +15,8 @@ bool is_supported_order(int m) {
 
 Constellation::Constellation(int order) : order_(order) {
   if (!is_supported_order(order)) {
-    throw std::invalid_argument("Constellation: order must be 4, 16, 64 or 256");
+    throw std::invalid_argument(
+        "Constellation: order must be 4, 16, 64 or 256");
   }
   side_ = static_cast<int>(std::lround(std::sqrt(static_cast<double>(order))));
   bits_ = 0;
@@ -53,7 +54,8 @@ int Constellation::slice(cplx z) const noexcept {
 }
 
 int Constellation::unbounded_axis_index(double coord) const noexcept {
-  return static_cast<int>(std::lround((coord * inv_scale_ + (side_ - 1)) / 2.0));
+  return static_cast<int>(
+      std::lround((coord * inv_scale_ + (side_ - 1)) / 2.0));
 }
 
 int Constellation::kth_nearest_exact(cplx z, int k) const {
@@ -84,7 +86,8 @@ int Constellation::map_bits(const std::vector<std::uint8_t>& bits,
                          gray_to_axis_[static_cast<std::size_t>(v_im)]);
 }
 
-void Constellation::unmap_bits(int index, std::vector<std::uint8_t>& out) const {
+void Constellation::unmap_bits(int index,
+                               std::vector<std::uint8_t>& out) const {
   const int half = bits_ / 2;
   const int g_re = axis_to_gray_[static_cast<std::size_t>(axis_re(index))];
   const int g_im = axis_to_gray_[static_cast<std::size_t>(axis_im(index))];

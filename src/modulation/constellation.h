@@ -35,7 +35,8 @@ class Constellation {
   /// Builds an M-QAM constellation.  `order` must be a perfect square power
   /// of four (4, 16, 64, 256); throws std::invalid_argument otherwise.
   explicit Constellation(int order);
-  explicit Constellation(QamOrder order) : Constellation(static_cast<int>(order)) {}
+  explicit Constellation(QamOrder order)
+      : Constellation(static_cast<int>(order)) {}
 
   int order() const noexcept { return order_; }                ///< M
   int side() const noexcept { return side_; }                  ///< sqrt(M)
@@ -51,7 +52,9 @@ class Constellation {
 
   /// All constellation points, indexed by symbol index.
   const std::vector<cplx>& points() const noexcept { return points_; }
-  cplx point(int index) const { return points_[static_cast<std::size_t>(index)]; }
+  cplx point(int index) const {
+    return points_[static_cast<std::size_t>(index)];
+  }
 
   /// PAM amplitude for axis index i in [0, side): (2i - (side-1)) * scale.
   double pam_level(int i) const noexcept {
@@ -84,7 +87,8 @@ class Constellation {
   int kth_nearest_exact(cplx z, int k) const;
 
   /// Gray-maps `bits_per_symbol()` bits (MSB first) to a symbol index.
-  int map_bits(const std::vector<std::uint8_t>& bits, std::size_t offset = 0) const;
+  int map_bits(const std::vector<std::uint8_t>& bits,
+               std::size_t offset = 0) const;
 
   /// Inverse of map_bits: appends `bits_per_symbol()` bits to `out`.
   void unmap_bits(int index, std::vector<std::uint8_t>& out) const;

@@ -36,7 +36,8 @@ double level_error_probability(PeModel model, const Constellation& c,
     case PeModel::kPaperErfc: {
       // Eq. 4 as printed; Es = 1 with our unit-energy constellations.
       const double sigma = std::sqrt(noise_var);
-      const double prefactor = 2.0 + 2.0 / std::sqrt(static_cast<double>(c.order()));
+      const double prefactor =
+          2.0 + 2.0 / std::sqrt(static_cast<double>(c.order()));
       pe = prefactor * std::erfc(std::abs(r_ll) / sigma);
       break;
     }

@@ -49,8 +49,10 @@ class Fixed {
     Fixed f;
     const double scaled = v * kScale;
     const double clamped =
-        std::clamp(scaled, static_cast<double>(kMin), static_cast<double>(kMax));
-    f.raw_ = static_cast<std::int32_t>(clamped >= 0 ? clamped + 0.5 : clamped - 0.5);
+        std::clamp(scaled, static_cast<double>(kMin),
+                   static_cast<double>(kMax));
+    f.raw_ = static_cast<std::int32_t>(clamped >= 0 ? clamped + 0.5
+                                                    : clamped - 0.5);
     return f;
   }
   static constexpr Fixed from_raw(std::int32_t raw) {
@@ -76,7 +78,9 @@ class Fixed {
         std::clamp<std::int64_t>(p >> kFracBits, kMin, kMax)));
   }
   friend constexpr bool operator<(Fixed a, Fixed b) { return a.raw_ < b.raw_; }
-  friend constexpr bool operator==(Fixed a, Fixed b) { return a.raw_ == b.raw_; }
+  friend constexpr bool operator==(Fixed a, Fixed b) {
+    return a.raw_ == b.raw_;
+  }
 
  private:
   static constexpr std::int32_t saturate(std::int64_t v) {

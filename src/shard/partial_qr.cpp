@@ -48,7 +48,8 @@ PartialQr compute_partial(linalg::CMatView h_rows) {
   return out;
 }
 
-void rotate_partial(const PartialQr& partial, std::span<const linalg::cplx> y_rows,
+void rotate_partial(const PartialQr& partial,
+                    std::span<const linalg::cplx> y_rows,
                     std::span<linalg::cplx> out) {
   if (partial.q.empty()) {
     // Pass-through cluster: ybar_c = y_c verbatim.

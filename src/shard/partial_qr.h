@@ -84,7 +84,8 @@ void compute_partial_into(linalg::CMatView h_rows, PartialQr* out);
 /// ybar_c = Q_c^H y_c into `out` (compressed_rows entries); pass-through
 /// clusters copy their slice.  `y_rows` is the cluster's row slice of the
 /// full received vector.
-void rotate_partial(const PartialQr& partial, std::span<const linalg::cplx> y_rows,
+void rotate_partial(const PartialQr& partial,
+                    std::span<const linalg::cplx> y_rows,
                     std::span<linalg::cplx> out);
 
 /// Total merged rows K = sum over clusters of compressed_rows.

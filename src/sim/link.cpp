@@ -129,7 +129,8 @@ PacketOutcome UplinkPacketLink::run_packet_impl(
   const std::size_t nt = trace.per_subcarrier.front().cols();
   const std::size_t nsc = ofdm::kDataSubcarriers;
   if (trace.per_subcarrier.size() < nsc) {
-    throw std::invalid_argument("run_packet: trace has fewer subcarriers than needed");
+    throw std::invalid_argument(
+        "run_packet: trace has fewer subcarriers than needed");
   }
 
   // Transmit side.
@@ -141,8 +142,8 @@ PacketOutcome UplinkPacketLink::run_packet_impl(
 
   // Detected symbol index per user, time-major like UserTx::symbols:
   // slot = t * nsc + f.
-  std::vector<std::vector<int>> detected(nt,
-                                         std::vector<int>(users[0].symbols.size()));
+  std::vector<std::vector<int>> detected(
+      nt, std::vector<int>(users[0].symbols.size()));
 
   // Build the whole frame: channels are per-subcarrier (static over the
   // packet) and symbol t of subcarrier f uses trace.per_subcarrier[f].
@@ -194,10 +195,9 @@ PacketOutcome UplinkPacketLink::run_packet_impl(
   return out;
 }
 
-PacketOutcome UplinkPacketLink::run_packet_soft(core::FlexCoreDetector& det,
-                                                const channel::ChannelTrace& trace,
-                                                double noise_var,
-                                                channel::Rng& rng) const {
+PacketOutcome UplinkPacketLink::run_packet_soft(
+    core::FlexCoreDetector& det, const channel::ChannelTrace& trace,
+    double noise_var, channel::Rng& rng) const {
   const std::size_t nt = trace.per_subcarrier.front().cols();
   const std::size_t nsc = ofdm::kDataSubcarriers;
   const int bps = c_.bits_per_symbol();

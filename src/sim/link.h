@@ -85,7 +85,9 @@ class UplinkPacketLink {
 
   const LinkConfig& config() const noexcept { return cfg_; }
   std::size_t info_bits() const noexcept { return info_bits_; }
-  std::size_t ofdm_symbols_per_packet() const noexcept { return n_ofdm_symbols_; }
+  std::size_t ofdm_symbols_per_packet() const noexcept {
+    return n_ofdm_symbols_;
+  }
   const modulation::Constellation& constellation() const noexcept { return c_; }
 
  private:

@@ -30,7 +30,8 @@ VerResult measure_vector_error_rate(detect::Detector& det,
     std::vector<int> tx(sc.nt);
     for (std::size_t v = 0; v < vectors_per_channel; ++v) {
       for (std::size_t u = 0; u < sc.nt; ++u) {
-        tx[u] = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(sc.qam_order)));
+        tx[u] = static_cast<int>(
+            rng.uniform_int(static_cast<std::uint64_t>(sc.qam_order)));
         s[u] = c.point(tx[u]);
       }
       const linalg::CVec y = channel::transmit(h, s, noise_var, rng);

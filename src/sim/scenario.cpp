@@ -49,7 +49,8 @@ bool ScenarioDriver::next(ScenarioStep* step) {
                      : 0.0;
   current_.index = frame_++;
   current_.segment = segment_;
-  current_.snr_db = seg.snr_db_begin + frac * (seg.snr_db_end - seg.snr_db_begin);
+  current_.snr_db =
+      seg.snr_db_begin + frac * (seg.snr_db_end - seg.snr_db_begin);
   current_.noise_var = channel::noise_var_for_snr_db(current_.snr_db);
   current_.channel_changed = channel_changed;
   current_.load_burst = seg.load_burst;

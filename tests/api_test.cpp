@@ -1,14 +1,18 @@
 // Tests for the api subsystem: the detector registry (string-driven
 // construction, name round-trips, error paths), the batch-detection
 // contract (default sequential loop vs the thread-pool grid overrides) and
-// the UplinkPipeline facade.
+// the UplinkPipeline facade; and the ordering LUT orders the detectors
+// share across threads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "detect/path_detector.h"
 #include "frame_fixtures.h"
 #include "parallel/thread_pool.h"
+#include "reference_lut.h"
 #include "reference_walk.h"
 
 namespace fa = flexcore::api;
@@ -59,6 +64,49 @@ void expect_same_stats(const fd::DetectionStats& got,
 }
 
 }  // namespace
+
+// ------------------------------------------------------ shared LUT orders
+
+// First in this file, so that no LUT of any order exists yet and the
+// threads race to build each one: detectors are constructed on the
+// dispatcher threads of several runtimes at once.
+TEST(OrderingLutShare, FourOrdersFromSeveralThreadsMatchFreshBuilds) {
+  const std::array<Constellation, 4> cs = {Constellation(4), Constellation(16),
+                                           Constellation(64),
+                                           Constellation(256)};
+  constexpr std::size_t kThreads = 4;
+  using Order = std::vector<fc::OrderingLut::Offset>;
+  std::array<std::array<const Order*, 4>, kThreads> seen{};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        const std::size_t o = (i + t) % cs.size();
+        const fc::OrderingLut lut(cs[o]);
+        seen[t][o] = &lut.base_order();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t o = 0; o < cs.size(); ++o) {
+    // A fresh build: the order at the canonical triangle's centroid.
+    const double h = cs[o].scale();
+    const auto fresh =
+        flexcore::testref::lut_order_at(cs[o], 2.0 * h / 3.0, h / 3.0);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t][o], seen[0][o]) << "order " << cs[o].order();
+      const Order& got = *seen[t][o];
+      ASSERT_EQ(got.size(), fresh.size()) << "order " << cs[o].order();
+      for (std::size_t k = 0; k < fresh.size(); ++k) {
+        EXPECT_EQ(got[k].di, fresh[k].di) << cs[o].order() << " entry " << k;
+        EXPECT_EQ(got[k].dq, fresh[k].dq) << cs[o].order() << " entry " << k;
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------- registry
 
@@ -342,7 +390,8 @@ TEST(Batch, FcsdThreadedOverrideMatchesDefaultLoop) {
     for (CVec& y : huge) {
       for (auto& z : y) z *= 1e160;
     }
-    for (flexcore::parallel::ThreadPool* p : {static_cast<flexcore::parallel::ThreadPool*>(nullptr), &pool}) {
+    for (flexcore::parallel::ThreadPool* p :
+         {static_cast<flexcore::parallel::ThreadPool*>(nullptr), &pool}) {
       det->set_thread_pool(p);
       fd::BatchResult out;
       det->detect_batch(huge, &out);

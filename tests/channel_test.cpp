@@ -25,7 +25,9 @@ TEST(Rng, CgaussianVariance) {
   ch::Rng rng(7);
   double sum2 = 0.0;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) sum2 += flexcore::linalg::abs2(rng.cgaussian(2.0));
+  for (int i = 0; i < n; ++i) {
+    sum2 += flexcore::linalg::abs2(rng.cgaussian(2.0));
+  }
   EXPECT_NEAR(sum2 / n, 2.0, 0.05);
 }
 

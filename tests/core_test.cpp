@@ -8,6 +8,9 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/detector_registry.h"
 #include "channel/channel.h"
@@ -18,6 +21,8 @@
 #include "detect/sic.h"
 #include "linalg/qr.h"
 #include "modulation/error_rates.h"
+#include "parallel/hot_path_guard.h"
+#include "shard/partial_qr.h"
 #include "reference_lut.h"
 #include "reference_ml.h"
 #include "reference_preprocessing.h"
@@ -75,7 +80,8 @@ TEST(Preprocessing, PathsAreUniqueAndDescending) {
   std::set<std::string> seen;
   double prev = 2.0;
   for (const auto& rp : res.paths) {
-    EXPECT_TRUE(seen.insert(key_of(rp.p)).second) << "duplicate " << key_of(rp.p);
+    EXPECT_TRUE(seen.insert(key_of(rp.p)).second) << "duplicate "
+        << key_of(rp.p);
     EXPECT_LE(rp.pc, prev + 1e-15) << "not descending";
     prev = rp.pc;
     for (int v : rp.p) {
@@ -250,50 +256,37 @@ void expect_same_search(const fc::PreprocessingResult& got,
 
 }  // namespace
 
-TEST(Preprocessing, FlatSearchMatchesMultisetReference) {
-  // The flat frontier against the multiset search it replaced, through
-  // both public overloads and through one warm workspace and result that
-  // every case reuses (shapes and path counts change under it).  Half the
-  // pe-vector cases repeat one Pe on every level (a quarter of those a
-  // near-certain error), so pc ties are common and the positions
-  // tie-break decides.
+namespace {
+
+/// One random configuration of the search comparisons, in both overloads'
+/// forms: Pe values drawn directly, and a channel's R with its noise.
+struct SearchCase {
+  std::string what;
+  int q = 4;
+  fc::PreprocessingConfig cfg;
+  std::vector<double> pe;
+  CMat r;
+  double nv = 0.0;
+  std::vector<double> pe_r;  ///< the model's Pe(l) for (r, nv)
+};
+
+/// 240 configurations: Nt 1-32, |Q| 4-256, 1-300 paths, half of them with
+/// the a-FlexCore stop, caps below and above the path count, batch_expand
+/// 1-8.  Half the Pe vectors repeat one Pe on every level (a quarter of
+/// those a near-certain error), so pc ties are common and the positions
+/// tie-break decides.
+std::vector<SearchCase> random_search_cases() {
   std::mt19937_64 gen(20261017);
   const auto uniform = [&](std::size_t lo, std::size_t hi) {
     return std::uniform_int_distribution<std::size_t>(lo, hi)(gen);
   };
   const int orders[] = {4, 16, 64, 256};
-  const Constellation constellations[] = {Constellation(4), Constellation(16),
-                                          Constellation(64),
-                                          Constellation(256)};
-  // Ranks at the byte boundary: a top level that is almost surely wrong
-  // runs its rank up to 256 within the first 300 sequential paths.
-  for (std::size_t nt : {1u, 2u}) {
-    for (std::size_t batch : {1u, 8u}) {
-      fc::PreprocessingConfig cfg;
-      cfg.num_paths = 300;
-      cfg.batch_expand = batch;
-      std::vector<double> pe(nt, 1e-3);
-      pe.back() = 1.0 - 1e-9;
-      const auto want = flexcore::testref::multiset_path_search(pe, 256, cfg);
-      const auto got = fc::find_most_promising_paths(pe, 256, cfg);
-      expect_same_search(got, want, "byte boundary nt " + std::to_string(nt));
-      int top = 0;
-      for (const auto& rp : got.paths) {
-        top = std::max(top, *std::max_element(rp.p.begin(), rp.p.end()));
-      }
-      if (batch == 1) {
-        EXPECT_EQ(top, 256) << "nt " << nt;
-      }
-    }
-  }
-
-  fc::PathSearchWorkspace ws;
-  fc::PreprocessingResult warm;
+  std::vector<SearchCase> cases;
   for (int iter = 0; iter < 240; ++iter) {
+    SearchCase sc;
     const std::size_t nt = uniform(1, 32);
-    const std::size_t qi = uniform(0, 3);
-    const int q = orders[qi];
-    fc::PreprocessingConfig cfg;
+    sc.q = orders[uniform(0, 3)];
+    fc::PreprocessingConfig& cfg = sc.cfg;
     cfg.num_paths = uniform(1, 300);
     cfg.stop_threshold = uniform(0, 1) == 0 ? 0.95 : 1.0;
     const std::size_t cap_kind = uniform(0, 2);
@@ -303,44 +296,199 @@ TEST(Preprocessing, FlatSearchMatchesMultisetReference) {
       cfg.candidate_list_cap = uniform(cfg.num_paths, 4 * cfg.num_paths);
     }
     cfg.batch_expand = uniform(1, 8);
-    const std::string what = "iter " + std::to_string(iter) + " nt " +
-                             std::to_string(nt) + " q " + std::to_string(q) +
-                             " paths " + std::to_string(cfg.num_paths) +
-                             " cap " + std::to_string(cfg.candidate_list_cap) +
-                             " batch " + std::to_string(cfg.batch_expand);
+    sc.what = "iter " + std::to_string(iter) + " nt " + std::to_string(nt) +
+              " q " + std::to_string(sc.q) + " paths " +
+              std::to_string(cfg.num_paths) + " cap " +
+              std::to_string(cfg.candidate_list_cap) + " batch " +
+              std::to_string(cfg.batch_expand);
 
-    // pe-vector overload (the control plane's seam).
-    std::vector<double> pe(nt);
+    sc.pe.resize(nt);
     std::uniform_real_distribution<double> pe_dist(1e-6, 0.9);
     const std::size_t shape = uniform(0, 7);
     if (shape == 0) {
-      std::fill(pe.begin(), pe.end(), 1.0 - 1e-9);
+      std::fill(sc.pe.begin(), sc.pe.end(), 1.0 - 1e-9);
     } else if (shape < 4) {
-      std::fill(pe.begin(), pe.end(), pe_dist(gen));
+      std::fill(sc.pe.begin(), sc.pe.end(), pe_dist(gen));
     } else {
-      for (double& x : pe) x = pe_dist(gen);
+      for (double& x : sc.pe) x = pe_dist(gen);
     }
-    const auto want_pe = flexcore::testref::multiset_path_search(pe, q, cfg);
-    expect_same_search(fc::find_most_promising_paths(pe, q, cfg), want_pe,
-                       what + " (pe overload)");
+
+    const Constellation c(sc.q);
+    sc.r = flexcore::linalg::sorted_qr_wubben(
+               random_channel(nt, nt, 1000 + static_cast<std::uint64_t>(iter)))
+               .R;
+    sc.nv = std::uniform_real_distribution<double>(0.01, 1.0)(gen);
+    sc.pe_r.resize(nt);
+    for (std::size_t l = 0; l < nt; ++l) {
+      sc.pe_r[l] = fm::level_error_probability(cfg.pe_model, c,
+                                               std::abs(sc.r(l, l)), sc.nv);
+    }
+    cases.push_back(std::move(sc));
+  }
+  return cases;
+}
+
+/// Ranks at the byte boundary: a top level that is almost surely wrong
+/// runs its rank up to 256 within the first 300 sequential paths.
+std::vector<std::pair<fc::PreprocessingConfig, std::vector<double>>>
+byte_boundary_cases() {
+  std::vector<std::pair<fc::PreprocessingConfig, std::vector<double>>> cases;
+  for (std::size_t nt : {1u, 2u}) {
+    for (std::size_t batch : {1u, 8u}) {
+      fc::PreprocessingConfig cfg;
+      cfg.num_paths = 300;
+      cfg.batch_expand = batch;
+      std::vector<double> pe(nt, 1e-3);
+      pe.back() = 1.0 - 1e-9;
+      cases.emplace_back(cfg, pe);
+    }
+  }
+  return cases;
+}
+
+}  // namespace
+
+TEST(Preprocessing, FlatSearchMatchesMultisetReference) {
+  // The flat frontier against the multiset search it replaced (with the
+  // same pruning rule), through both public overloads and through one
+  // warm workspace and result that every case reuses (shapes and path
+  // counts change under it).
+  for (const auto& [cfg, pe] : byte_boundary_cases()) {
+    const auto want = flexcore::testref::multiset_path_search(pe, 256, cfg,
+                                                              /*prune=*/true);
+    const auto got = fc::find_most_promising_paths(pe, 256, cfg);
+    const std::string what = "byte boundary nt " + std::to_string(pe.size());
+    expect_same_search(got, want, what);
+    int top = 0;
+    for (const auto& rp : got.paths) {
+      top = std::max(top, *std::max_element(rp.p.begin(), rp.p.end()));
+    }
+    if (cfg.batch_expand == 1) {
+      EXPECT_EQ(top, 256) << what;
+    }
+  }
+
+  fc::PathSearchWorkspace ws;
+  fc::PreprocessingResult warm;
+  for (const SearchCase& sc : random_search_cases()) {
+    // pe-vector overload (the control plane's seam).
+    const auto want_pe = flexcore::testref::multiset_path_search(
+        sc.pe, sc.q, sc.cfg, /*prune=*/true);
+    expect_same_search(fc::find_most_promising_paths(sc.pe, sc.q, sc.cfg),
+                       want_pe, sc.what + " (pe overload)");
 
     // R overload, by value and into the warm workspace.
-    const Constellation& c = constellations[qi];
-    const CMat h =
-        random_channel(nt, nt, 1000 + static_cast<std::uint64_t>(iter));
-    const auto qr = flexcore::linalg::sorted_qr_wubben(h);
-    const double nv = std::uniform_real_distribution<double>(0.01, 1.0)(gen);
-    std::vector<double> pe_r(nt);
-    for (std::size_t l = 0; l < nt; ++l) {
-      pe_r[l] = fm::level_error_probability(cfg.pe_model, c,
-                                            std::abs(qr.R(l, l)), nv);
-    }
-    const auto want_r = flexcore::testref::multiset_path_search(pe_r, q, cfg);
-    expect_same_search(fc::find_most_promising_paths(qr.R, nv, c, cfg),
-                       want_r, what + " (R overload)");
-    fc::find_most_promising_paths_into(qr.R, nv, c, cfg, ws, &warm);
-    expect_same_search(warm, want_r, what + " (R overload, warm)");
+    const Constellation c(sc.q);
+    const auto want_r = flexcore::testref::multiset_path_search(
+        sc.pe_r, sc.q, sc.cfg, /*prune=*/true);
+    expect_same_search(fc::find_most_promising_paths(sc.r, sc.nv, c, sc.cfg),
+                       want_r, sc.what + " (R overload)");
+    fc::find_most_promising_paths_into(sc.r, sc.nv, c, sc.cfg, ws, &warm);
+    expect_same_search(warm, want_r, sc.what + " (R overload, warm)");
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Preprocessing, PruningEmitsWhatTheFullSearchEmits) {
+  // The pruning rule is exact: the search that creates every child emits
+  // the same paths, pc values, pc_sum and node count as the one that skips
+  // the children it could never emit, on every configuration above; only
+  // the multiplications differ, and pruning never adds any.
+  const auto check = [](const std::vector<double>& pe, int q,
+                        const fc::PreprocessingConfig& cfg,
+                        const std::string& what) {
+    const auto full = flexcore::testref::multiset_path_search(pe, q, cfg,
+                                                              /*prune=*/false);
+    const auto pruned = flexcore::testref::multiset_path_search(
+        pe, q, cfg, /*prune=*/true);
+    ASSERT_EQ(pruned.paths.size(), full.paths.size()) << what;
+    for (std::size_t i = 0; i < full.paths.size(); ++i) {
+      ASSERT_EQ(pruned.paths[i].p, full.paths[i].p) << what << " path " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pruned.paths[i].pc),
+                std::bit_cast<std::uint64_t>(full.paths[i].pc))
+          << what << " path " << i;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pruned.pc_sum),
+              std::bit_cast<std::uint64_t>(full.pc_sum))
+        << what;
+    EXPECT_EQ(pruned.nodes_expanded, full.nodes_expanded) << what;
+    EXPECT_LE(pruned.real_mults, full.real_mults) << what;
+  };
+  for (const auto& [cfg, pe] : byte_boundary_cases()) {
+    check(pe, 256, cfg, "byte boundary nt " + std::to_string(pe.size()));
+  }
+  for (const SearchCase& sc : random_search_cases()) {
+    check(sc.pe, sc.q, sc.cfg, sc.what + " (pe)");
+    check(sc.pe_r, sc.q, sc.cfg, sc.what + " (R)");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Preprocessing, ServedShapesMatchReferenceWarm) {
+  // The two served shapes, alternating through one warm workspace and
+  // result: massive-64x8-sharded's merged 16x8 R (two 32-antenna clusters'
+  // partial QRs stacked, then sorted-QR'd; 16-QAM, 32 paths, -2 dB) and
+  // coherent-12x12's 12x12 R (64-QAM, 64 paths, 18 dB).  Each search is
+  // bitwise the reference's, and a warm one allocates nothing.
+  struct Shape {
+    const char* name;
+    Constellation c;
+    std::size_t paths;
+    double nv;
+    std::vector<CMat> rs;
+  };
+  Shape massive{"massive", Constellation(16), 32,
+                ch::noise_var_for_snr_db(-2.0), {}};
+  Shape coherent{"coherent", Constellation(64), 64,
+                 ch::noise_var_for_snr_db(18.0), {}};
+  ch::Rng rng(27);
+  const auto plan = flexcore::shard::plan_shards(64, 2);
+  for (int i = 0; i < 6; ++i) {
+    const CMat h = ch::rayleigh_iid(64, 8, rng);
+    std::vector<flexcore::shard::PartialQr> partials;
+    for (const flexcore::shard::RowRange& range : plan) {
+      partials.push_back(flexcore::shard::compute_partial(
+          flexcore::linalg::CMatView(h.data() + range.begin * 8, range.count,
+                                     8)));
+    }
+    const CMat s = flexcore::shard::stack_partials(partials);
+    ASSERT_EQ(s.rows(), 16u);
+    massive.rs.push_back(flexcore::linalg::sorted_qr_wubben(s).R);
+    coherent.rs.push_back(
+        flexcore::linalg::sorted_qr_wubben(ch::rayleigh_iid(12, 12, rng)).R);
+  }
+
+  fc::PathSearchWorkspace ws;
+  fc::PreprocessingResult warm;
+  for (std::size_t i = 0; i < massive.rs.size(); ++i) {
+    for (const Shape* sh : {&massive, &coherent}) {
+      fc::PreprocessingConfig cfg;
+      cfg.num_paths = sh->paths;
+      const CMat& r = sh->rs[i];
+      fc::find_most_promising_paths_into(r, sh->nv, sh->c, cfg, ws, &warm);
+      std::vector<double> pe(r.cols());
+      for (std::size_t l = 0; l < pe.size(); ++l) {
+        pe[l] = fm::level_error_probability(cfg.pe_model, sh->c,
+                                            std::abs(r(l, l)), sh->nv);
+      }
+      const auto want = flexcore::testref::multiset_path_search(
+          pe, sh->c.order(), cfg, /*prune=*/true);
+      expect_same_search(warm, want,
+                         std::string(sh->name) + " " + std::to_string(i));
+      EXPECT_EQ(warm.paths.size(), sh->paths) << sh->name;
+    }
+  }
+
+  for (const Shape* sh : {&massive, &coherent}) {
+    fc::PreprocessingConfig cfg;
+    cfg.num_paths = sh->paths;
+    fc::find_most_promising_paths_into(sh->rs.front(), sh->nv, sh->c, cfg, ws,
+                                       &warm);
+    flexcore::parallel::HotPathScope guard(
+        "warm path search", flexcore::parallel::HotPathScope::Scope::kThread);
+    fc::find_most_promising_paths_into(sh->rs.back(), sh->nv, sh->c, cfg, ws,
+                                       &warm);
+    EXPECT_EQ(guard.delta().allocations, 0u) << sh->name;
   }
 }
 
@@ -352,6 +500,20 @@ TEST(Preprocessing, ConstellationOrderOutsideByteRangeThrows) {
   EXPECT_THROW(fc::find_most_promising_paths(pe, 257, cfg),
                std::invalid_argument);
   EXPECT_NO_THROW(fc::find_most_promising_paths(pe, 256, cfg));
+}
+
+TEST(Preprocessing, PeOutsideUnitIntervalThrows) {
+  // The pruning rule orders a node's children by Pe, which holds only for
+  // probabilities: a negative, above-one or NaN Pe(l) is refused.
+  fc::PreprocessingConfig cfg;
+  for (double bad : {-0.1, 1.5, std::nan("")}) {
+    std::vector<double> pe(4, 0.1);
+    pe[2] = bad;
+    EXPECT_THROW(fc::find_most_promising_paths(pe, 16, cfg),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_NO_THROW(fc::find_most_promising_paths({0.0, 1.0, 0.5}, 16, cfg));
 }
 
 // ------------------------------------------------------------ ordering LUT
@@ -407,7 +569,8 @@ TEST_P(OrderingLutTest, SkipPolicyAlwaysYieldsValidDistinctSymbols) {
     std::set<int> seen;
     int k = 1;
     for (; k <= c.order(); ++k) {
-      const int sym = lut.kth_symbol(z, k, fc::InvalidEntryPolicy::kSkipToValid);
+      const int sym = lut.kth_symbol(z, k,
+                                     fc::InvalidEntryPolicy::kSkipToValid);
       if (sym < 0) break;  // ran out of in-range entries
       EXPECT_TRUE(seen.insert(sym).second);
     }
@@ -471,7 +634,8 @@ TEST_P(OrderingLutTest, PositionalAgreementUniformAcrossOctants) {
     }
   }
   // All octants within a narrow band of each other.
-  const auto [mn, mx] = std::minmax_element(per_octant.begin(), per_octant.end());
+  const auto [mn, mx] = std::minmax_element(per_octant.begin(),
+                                            per_octant.end());
   EXPECT_GT(*mn, 0);
   EXPECT_LT(static_cast<double>(*mx - *mn),
             0.15 * static_cast<double>(8 * per_oct_trials))
@@ -559,7 +723,8 @@ TEST(FlexCore, AllPathsWithExactOrderingIsML) {
     const CMat h = random_channel(3, 3, 2000 + static_cast<unsigned>(t));
     CVec s(3);
     for (int u = 0; u < 3; ++u) {
-      s[static_cast<std::size_t>(u)] = c.point(static_cast<int>(rng.uniform_int(4)));
+      s[static_cast<std::size_t>(u)] =
+          c.point(static_cast<int>(rng.uniform_int(4)));
     }
     const CVec y = ch::transmit(h, s, nv, rng);
     flex->set_channel(h, nv);
@@ -604,7 +769,8 @@ TEST(FlexCore, MorePesNeverHurtStatistically) {
       std::vector<int> tx(8);
       for (int u = 0; u < 8; ++u) {
         tx[static_cast<std::size_t>(u)] = static_cast<int>(rng.uniform_int(16));
-        s[static_cast<std::size_t>(u)] = c.point(tx[static_cast<std::size_t>(u)]);
+        s[static_cast<std::size_t>(u)] =
+            c.point(tx[static_cast<std::size_t>(u)]);
       }
       const CVec y = ch::transmit(h, s, nv, rng);
       flex->set_channel(h, nv);
@@ -644,7 +810,8 @@ TEST(FlexCore, BeatsFcsdAtEqualBudgetInOperatingRegime) {
       std::vector<int> tx(8);
       for (int u = 0; u < 8; ++u) {
         tx[static_cast<std::size_t>(u)] = static_cast<int>(rng.uniform_int(64));
-        s[static_cast<std::size_t>(u)] = c.point(tx[static_cast<std::size_t>(u)]);
+        s[static_cast<std::size_t>(u)] =
+            c.point(tx[static_cast<std::size_t>(u)]);
       }
       const CVec y = ch::transmit(h, s, nv, rng);
       det.set_channel(h, nv);
@@ -850,8 +1017,9 @@ TEST(FlexCore, LutOrderingErrorRateCloseToExactSort) {
     const auto rl = lut_det->detect(y).symbols;
     const auto re = exact_det->detect(y).symbols;
     for (int u = 0; u < 6; ++u) {
-      lut_err += rl[static_cast<std::size_t>(u)] != tx[static_cast<std::size_t>(u)];
-      exact_err += re[static_cast<std::size_t>(u)] != tx[static_cast<std::size_t>(u)];
+      const auto ui = static_cast<std::size_t>(u);
+      lut_err += rl[ui] != tx[ui];
+      exact_err += re[ui] != tx[ui];
     }
   }
   // LUT must stay within 40% relative of exact-sort (paper: "negligible").

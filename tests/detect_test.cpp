@@ -45,7 +45,8 @@ Scenario make_scenario(const Constellation& c, std::size_t nr, std::size_t nt,
   sc.tx.resize(nt);
   sc.s.resize(nt);
   for (std::size_t u = 0; u < nt; ++u) {
-    sc.tx[u] = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(c.order())));
+    sc.tx[u] = static_cast<int>(
+        rng.uniform_int(static_cast<std::uint64_t>(c.order())));
     sc.s[u] = c.point(sc.tx[u]);
   }
   sc.y = ch::transmit(sc.h, sc.s, noise_var, rng);
@@ -174,8 +175,8 @@ TEST_P(MlVsExhaustive, SphereDecoderIsExactlyML) {
   const auto [order, nt, snr_db] = GetParam();
   Constellation c(order);
   // Tuple SNRs were calibrated as receive-sum values; convert to per-user.
-  const double nv =
-      ch::noise_var_for_snr_db(snr_db - 10.0 * std::log10(static_cast<double>(nt)));
+  const double nv = ch::noise_var_for_snr_db(
+      snr_db - 10.0 * std::log10(static_cast<double>(nt)));
   ch::Rng rng(100 + static_cast<unsigned>(order + nt));
   const auto sd = fa::make_detector("ml-sd", {.constellation = &c});
   for (int t = 0; t < 25; ++t) {

@@ -89,8 +89,9 @@ TEST(AdaptiveKBest, MoreBudgetNeverWorse) {
       CVec s(6);
       std::vector<int> tx(6);
       for (int u = 0; u < 6; ++u) {
-        tx[static_cast<std::size_t>(u)] = static_cast<int>(rng.uniform_int(16));
-        s[static_cast<std::size_t>(u)] = c.point(tx[static_cast<std::size_t>(u)]);
+        const auto ui = static_cast<std::size_t>(u);
+        tx[ui] = static_cast<int>(rng.uniform_int(16));
+        s[ui] = c.point(tx[ui]);
       }
       const CVec y = ch::transmit(h, s, nv, rng);
       const auto res = det->detect(y);
@@ -290,7 +291,8 @@ TEST(FixedPath, HighAgreementWithDoubleDecisions) {
   CVec s(6);
   for (int v = 0; v < 60; ++v) {
     for (int u = 0; u < 6; ++u) {
-      s[static_cast<std::size_t>(u)] = c.point(static_cast<int>(rng.uniform_int(16)));
+      s[static_cast<std::size_t>(u)] =
+          c.point(static_cast<int>(rng.uniform_int(16)));
     }
     ys.push_back(ch::transmit(h, s, nv, rng));
   }

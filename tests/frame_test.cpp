@@ -469,8 +469,8 @@ TEST(FrameGrid, SteadyStateGridDoesNotAllocate) {
   std::vector<std::size_t> paths;
   Frame fr = make_frame(c, nsc, nv, n, n, noise, 32);
   for (std::size_t f = 0; f < nsc; ++f) {
-    dets.push_back(
-        std::make_unique<fc::FlexCoreDetector>(c, fc::FlexCoreConfig{.num_pes = 8}));
+    dets.push_back(std::make_unique<fc::FlexCoreDetector>(
+        c, fc::FlexCoreConfig{.num_pes = 8}));
     dets.back()->set_channel(fr.channels[f], noise);
     ptrs.push_back(dets.back().get());
     paths.push_back(dets.back()->active_paths());

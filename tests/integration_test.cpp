@@ -73,7 +73,8 @@ TEST(Integration, ThroughputMonotoneInSnr) {
   for (double snr : {4.0, 8.0, 12.0, 20.0}) {
     const double nv = ch::noise_var_for_snr_db(snr);
     const auto r = fs::measure_throughput(*det, lcfg, tcfg, nv, 8, 42);
-    EXPECT_GE(r.throughput_mbps + 6.0, prev) << "snr=" << snr;  // small MC slack
+    // Small Monte-Carlo slack.
+    EXPECT_GE(r.throughput_mbps + 6.0, prev) << "snr=" << snr;
     prev = r.throughput_mbps;
   }
 }
@@ -156,7 +157,8 @@ TEST(Integration, BatchDetectMatchesSequentialAcrossATrace) {
     flexcore::linalg::CVec s(12);
     for (int v = 0; v < 6; ++v) {
       for (int u = 0; u < 12; ++u) {
-        s[static_cast<std::size_t>(u)] = qam.point(static_cast<int>(rng.uniform_int(64)));
+        s[static_cast<std::size_t>(u)] =
+            qam.point(static_cast<int>(rng.uniform_int(64)));
       }
       ys.push_back(ch::transmit(h, s, nv, rng));
     }
@@ -217,8 +219,9 @@ TEST(Integration, EstimatedCsiLinkConvergesToGenie) {
       flexcore::linalg::CVec s(6);
       std::vector<int> tx(6);
       for (int u = 0; u < 6; ++u) {
-        tx[static_cast<std::size_t>(u)] = static_cast<int>(data_rng.uniform_int(16));
-        s[static_cast<std::size_t>(u)] = qam.point(tx[static_cast<std::size_t>(u)]);
+        const auto ui = static_cast<std::size_t>(u);
+        tx[ui] = static_cast<int>(data_rng.uniform_int(16));
+        s[ui] = qam.point(tx[ui]);
       }
       const auto y = ch::transmit(h, s, nv, data_rng);
       const auto res = det->detect(y);

@@ -855,7 +855,8 @@ fl::CMat merged_massive_channel(ch::Rng& rng) {
   const auto h = ch::rayleigh_iid(64, 8, rng);
   std::vector<sh::PartialQr> partials;
   for (const sh::RowRange range : sh::plan_shards(64, 2)) {
-    partials.push_back(sh::compute_partial(h.row_range(range.begin, range.count)));
+    partials.push_back(
+        sh::compute_partial(h.row_range(range.begin, range.count)));
   }
   return sh::stack_partials(partials);
 }
@@ -908,7 +909,8 @@ TEST(KernelTrie, SelectionFollowsTheEstimate) {
   fa::DetectorConfig exact{.constellation = &qam16};
   exact.flexcore.ordering = fc::OrderingMode::kExactSort;
   for (const auto& [spec, cfg] :
-       {std::pair{"flexcore-32:i16", fa::DetectorConfig{.constellation = &qam16}},
+       {std::pair{"flexcore-32:i16",
+                  fa::DetectorConfig{.constellation = &qam16}},
         std::pair{"flexcore-32", skip}, std::pair{"flexcore-32", exact}}) {
     const auto det = fa::make_detector_as<fc::FlexCoreDetector>(spec, cfg);
     det->set_channel(h, nv);
@@ -1222,8 +1224,10 @@ TEST(KernelI16, SerWithinToleranceAcrossFamiliesAndQam) {
           }
         }
       }
-      const double ser64 = static_cast<double>(err64) / static_cast<double>(symbols);
-      const double ser16 = static_cast<double>(err16) / static_cast<double>(symbols);
+      const double ser64 =
+          static_cast<double>(err64) / static_cast<double>(symbols);
+      const double ser16 =
+          static_cast<double>(err16) / static_cast<double>(symbols);
       EXPECT_LE(ser16, ser64 + fd::kI16SerTolerance)
           << sw.i16 << " qam=" << qam_order << " ser64=" << ser64
           << " ser16=" << ser16;

@@ -83,7 +83,9 @@ TEST(Matrix, MatVecMatchesMatMat) {
   for (std::size_t i = 0; i < 3; ++i) vm(i, 0) = v[i];
   const CMat prod = a * vm;
   const CVec pv = a * v;
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_LT(std::abs(prod(i, 0) - pv[i]), 1e-12);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_LT(std::abs(prod(i, 0) - pv[i]), 1e-12);
+  }
 }
 
 TEST(Matrix, SwapColsIsInvolution) {
@@ -97,7 +99,8 @@ TEST(Matrix, SwapColsIsInvolution) {
 
 // ---------------------------------------------------------------- QR family
 
-class QrReconstruction : public ::testing::TestWithParam<std::pair<int, int>> {};
+class QrReconstruction
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(QrReconstruction, MgsFactorsAreValid) {
   auto [nr, nt] = GetParam();

@@ -86,10 +86,12 @@ TEST_P(ConstellationTest, GrayAdjacentSymbolsDifferInOneBit) {
   for (int i = 0; i < side; ++i) {
     for (int q = 0; q < side; ++q) {
       if (i + 1 < side) {
-        EXPECT_EQ(hamming(c.index_from_axes(i, q), c.index_from_axes(i + 1, q)), 1);
+        EXPECT_EQ(
+            hamming(c.index_from_axes(i, q), c.index_from_axes(i + 1, q)), 1);
       }
       if (q + 1 < side) {
-        EXPECT_EQ(hamming(c.index_from_axes(i, q), c.index_from_axes(i, q + 1)), 1);
+        EXPECT_EQ(
+            hamming(c.index_from_axes(i, q), c.index_from_axes(i, q + 1)), 1);
       }
     }
   }

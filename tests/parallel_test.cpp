@@ -19,7 +19,8 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   fp::ThreadPool pool(1);
   std::vector<int> hits(100, 0);
   pool.parallel_for(100, [&](std::size_t i) { hits[i]++; });
-  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
+  EXPECT_TRUE(
+      std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
 }
 
 TEST(ThreadPool, EveryIndexVisitedExactlyOnce) {

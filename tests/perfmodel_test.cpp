@@ -27,10 +27,12 @@ TEST(FpgaModel, AreaDelayOverheadMatchesPaperRatios) {
   // Table 3 caption: FlexCore's path increases area-delay product by ~73.7%
   // (Nt=8) and ~57.8% (Nt=12) over the FCSD.
   const double r8 =
-      pm::area_delay_product(pm::paper_pe_resource(pm::EngineKind::kFlexCore, 8)) /
+      pm::area_delay_product(
+          pm::paper_pe_resource(pm::EngineKind::kFlexCore, 8)) /
       pm::area_delay_product(pm::paper_pe_resource(pm::EngineKind::kFcsd, 8));
   const double r12 =
-      pm::area_delay_product(pm::paper_pe_resource(pm::EngineKind::kFlexCore, 12)) /
+      pm::area_delay_product(
+          pm::paper_pe_resource(pm::EngineKind::kFlexCore, 12)) /
       pm::area_delay_product(pm::paper_pe_resource(pm::EngineKind::kFcsd, 12));
   EXPECT_NEAR(r8, 1.737, 0.05);
   EXPECT_NEAR(r12, 1.578, 0.05);
@@ -126,7 +128,8 @@ TEST(LteModel, FcsdFeasibilityLevels) {
   // Budget that affords 64..4095 paths at 1.25 MHz -> L = 1 only.
   const auto& narrow = pm::kLteModes[0];
   const double rate_l1 =
-      65.0 * static_cast<double>(pm::vectors_per_slot(narrow)) / pm::kSlotSeconds;
+      65.0 * static_cast<double>(pm::vectors_per_slot(narrow)) /
+      pm::kSlotSeconds;
   EXPECT_EQ(pm::fcsd_supported_level(rate_l1, narrow, 64), 1);
   // Tiny budget: not even L = 1.
   EXPECT_EQ(pm::fcsd_supported_level(1e3, narrow, 64), -1);
@@ -157,9 +160,12 @@ TEST(FixedPoint, SaturatesInsteadOfWrapping) {
 TEST(FixedPoint, ArithmeticMatchesDoubleWithinQuantum) {
   using F = pm::Fixed<16, 11>;
   const double a = 1.375, b = -2.25;
-  EXPECT_NEAR((F::from_double(a) + F::from_double(b)).to_double(), a + b, 2.0 / F::kScale);
-  EXPECT_NEAR((F::from_double(a) - F::from_double(b)).to_double(), a - b, 2.0 / F::kScale);
-  EXPECT_NEAR((F::from_double(a) * F::from_double(b)).to_double(), a * b, 4.0 / F::kScale);
+  EXPECT_NEAR((F::from_double(a) + F::from_double(b)).to_double(), a + b,
+              2.0 / F::kScale);
+  EXPECT_NEAR((F::from_double(a) - F::from_double(b)).to_double(), a - b,
+              2.0 / F::kScale);
+  EXPECT_NEAR((F::from_double(a) * F::from_double(b)).to_double(), a * b,
+              4.0 / F::kScale);
 }
 
 TEST(FixedPoint, ComplexPedMatchesDouble) {

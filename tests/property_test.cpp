@@ -81,7 +81,8 @@ TEST_P(QrPropertySweep, InverseSolvesRandomSystems) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QrPropertySweep, ::testing::Range<std::uint64_t>(0, 16));
+INSTANTIATE_TEST_SUITE_P(Seeds, QrPropertySweep,
+                         ::testing::Range<std::uint64_t>(0, 16));
 
 // ----------------------------------------------- position-vector bijection
 
@@ -144,7 +145,8 @@ TEST_P(BijectionSweep, PreprocessingCoversDistinctLeavesExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BijectionSweep, ::testing::Range<std::uint64_t>(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, BijectionSweep,
+                         ::testing::Range<std::uint64_t>(0, 10));
 
 // --------------------------------------------------------------- model sums
 
@@ -183,7 +185,8 @@ TEST_P(ModelSweep, DedupRuleNeverProducesDuplicates) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ModelSweep, ::testing::Range<std::uint64_t>(0, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, ModelSweep,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 // -------------------------------------------------------------- LUT sweeps
 
@@ -244,7 +247,8 @@ TEST_P(ViterbiSweep, SingleBitErrorAnywhereIsAlwaysCorrected) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Strides, ViterbiSweep, ::testing::Range<std::uint64_t>(0, 8));
+INSTANTIATE_TEST_SUITE_P(Strides, ViterbiSweep,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 // --------------------------------------------------------- fixed point sweep
 
@@ -272,7 +276,8 @@ TEST_P(FixedSweep, ComplexProductErrorBounded) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FixedSweep, ::testing::Range<std::uint64_t>(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, FixedSweep,
+                         ::testing::Range<std::uint64_t>(0, 6));
 
 // -------------------------------------------------------- channel stationarity
 
@@ -298,4 +303,5 @@ TEST_P(ChannelSweep, TraceEnergyIndependentOfConfigKnobs) {
       << "taps=" << cfg.num_taps << " rho=" << cfg.rx_correlation;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChannelSweep, ::testing::Range<std::uint64_t>(0, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, ChannelSweep,
+                         ::testing::Range<std::uint64_t>(0, 8));

@@ -3,10 +3,17 @@
 //
 // This is the search as first written: a std::multiset frontier ordered
 // by pc descending, then position vectors ascending, whose every node owns
-// its position vector.  The library runs the same rounds over packed node
-// slots in a reusable workspace; both must emit the same paths with the
-// same pc values, pc_sum and Table 2 counters, bit for bit
-// (tests/core_test.cpp).
+// its position vector.  With `prune` it also skips every child the search
+// can never emit: after the node being expanded, R = num_paths - emitted
+// paths remain, and a child that R or more live nodes beat (the frontier
+// plus the nodes this round popped but has not yet expanded) cannot be
+// one of them.  It walks a node's children in Pe order (descending, ties
+// to the higher level), and a failed child ends the node unless a later
+// level's Pe sits just below its own or its pc is no longer normal.  The
+// library prunes its list too; this reference keeps every node it creates
+// until the capacity trim.  The pruned reference must equal the library in
+// every field, bit for bit, and the unpruned one must emit the same paths,
+// pc values, pc_sum and node count (tests/core_test.cpp).
 //
 // Below it, the exhaustive ranking both searches approximate: every
 // position vector, sorted by Pc.
@@ -17,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -28,7 +36,7 @@ namespace flexcore::testref {
 
 inline core::PreprocessingResult multiset_path_search(
     const std::vector<double>& pe, int constellation_order,
-    const core::PreprocessingConfig& cfg) {
+    const core::PreprocessingConfig& cfg, bool prune) {
   using core::PositionVector;
   using core::RankedPath;
   struct Node {
@@ -47,6 +55,25 @@ inline core::PreprocessingResult multiset_path_search(
   }
   const std::size_t nt = pe.size();
   const int q = constellation_order;
+
+  // Children in Pe order: levels listed high to low, then stably sorted by
+  // Pe descending.  Unpruned, the order does not matter.
+  std::vector<int> levels;
+  for (int w = static_cast<int>(nt); w >= 1; --w) levels.push_back(w);
+  std::stable_sort(levels.begin(), levels.end(), [&](int a, int b) {
+    return pe[static_cast<std::size_t>(a - 1)] >
+           pe[static_cast<std::size_t>(b - 1)];
+  });
+  // Whether a failed child at level w may end its node: its pc is normal
+  // and no later level's Pe lies in [Pe(w) (1 - 2^-48), Pe(w)).
+  const auto failure_ends_node = [&](std::size_t at, double pc) {
+    const double pe_w = pe[static_cast<std::size_t>(levels[at] - 1)];
+    for (std::size_t m = at + 1; m < levels.size(); ++m) {
+      const double pe_m = pe[static_cast<std::size_t>(levels[m] - 1)];
+      if (pe_m != pe_w && pe_m >= pe_w * (1.0 - 0x1p-48)) return false;
+    }
+    return pc >= std::numeric_limits<double>::min();
+  };
 
   core::PreprocessingResult out;
   out.pe = pe;
@@ -71,24 +98,46 @@ inline core::PreprocessingResult multiset_path_search(
       frontier.erase(it);
     }
 
-    for (Node& node : round) {
+    for (std::size_t k = 0; k < round.size(); ++k) {
       if (out.paths.size() >= cfg.num_paths ||
           out.pc_sum >= cfg.stop_threshold) {
         break;
       }
+      Node& node = round[k];
       out.pc_sum += node.pc;
       ++out.nodes_expanded;
-      for (int w = 1; w <= node.last_inc; ++w) {
+      const std::size_t budget = cfg.num_paths - out.paths.size() - 1;
+      for (std::size_t at = 0; at < levels.size(); ++at) {
+        const int w = levels[at];
+        if (w > node.last_inc) continue;
+        if (prune && budget == 0) break;
         int& entry = node.p[static_cast<std::size_t>(w - 1)];
         if (entry >= q) continue;
         ++entry;
-        const double child_pc =
-            node.pc * out.pe[static_cast<std::size_t>(w - 1)];
-        ++out.real_mults;
-        frontier.insert(Node{node.p, child_pc, w});
+        Node child{node.p, node.pc * out.pe[static_cast<std::size_t>(w - 1)],
+                   w};
         --entry;
+        ++out.real_mults;
+        if (prune) {
+          // Live nodes that beat the child, counted up to the budget.
+          const NodeGreater better;
+          std::size_t ahead = 0;
+          for (std::size_t i = k + 1; i < round.size(); ++i) {
+            if (better(round[i], child)) ++ahead;
+          }
+          for (auto it = frontier.begin();
+               it != frontier.end() && ahead < budget && better(*it, child);
+               ++it) {
+            ++ahead;
+          }
+          if (ahead >= budget) {
+            if (failure_ends_node(at, child.pc)) break;
+            continue;
+          }
+        }
+        frontier.insert(std::move(child));
       }
-      out.paths.push_back(RankedPath{std::move(node.p), node.pc});
+      out.paths.push_back(RankedPath{node.p, node.pc});
     }
 
     while (frontier.size() > cap) {

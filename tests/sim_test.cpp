@@ -45,7 +45,8 @@ TEST(Ofdm, PaddedInfoBitsFillsWholeSymbols) {
     for (std::size_t req : {100u, 1000u, 4096u}) {
       const std::size_t info = fo::padded_info_bits(req, bps);
       EXPECT_GE(info, req);
-      EXPECT_EQ((2 * (info + 6)) % ncbps, 0u) << "bps=" << bps << " req=" << req;
+      EXPECT_EQ((2 * (info + 6)) % ncbps, 0u)
+          << "bps=" << bps << " req=" << req;
       // Padding never adds more than one block.
       EXPECT_LT(info, req + ncbps);
     }
@@ -224,7 +225,10 @@ TEST(Batch, FcsdBatchMatchesSequentialDetection) {
   std::vector<flexcore::detect::DetectionResult> want;
   for (int v = 0; v < 40; ++v) {
     flexcore::linalg::CVec s(6);
-    for (int u = 0; u < 6; ++u) s[static_cast<std::size_t>(u)] = c.point(static_cast<int>(rng.uniform_int(16)));
+    for (int u = 0; u < 6; ++u) {
+      s[static_cast<std::size_t>(u)] =
+          c.point(static_cast<int>(rng.uniform_int(16)));
+    }
     ys.push_back(ch::transmit(h, s, nv, rng));
     want.push_back(det->detect(ys.back()));
   }
@@ -253,7 +257,10 @@ TEST(Batch, FlexCoreBatchMatchesSequential) {
   std::vector<flexcore::linalg::CVec> ys;
   for (int v = 0; v < 30; ++v) {
     flexcore::linalg::CVec s(6);
-    for (int u = 0; u < 6; ++u) s[static_cast<std::size_t>(u)] = c.point(static_cast<int>(rng.uniform_int(16)));
+    for (int u = 0; u < 6; ++u) {
+      s[static_cast<std::size_t>(u)] =
+          c.point(static_cast<int>(rng.uniform_int(16)));
+    }
     ys.push_back(ch::transmit(h, s, nv, rng));
   }
 

@@ -391,8 +391,8 @@ HotRegions find_hot_regions(const SourceFile& f) {
       }
     }
     if (close == std::string::npos) {
-      hr.errors.push_back(
-          {f.path, line, "LNT001", "unbalanced braces after FLEXCORE_HOT_PATH"});
+      hr.errors.push_back({f.path, line, "LNT001",
+                           "unbalanced braces after FLEXCORE_HOT_PATH"});
       continue;
     }
     hr.ranges.emplace_back(line, f.line_of(close));
