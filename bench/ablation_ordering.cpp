@@ -1,7 +1,7 @@
 // Ablation: the triangle ordering LUT (§3.2) vs exhaustive per-level
 // sorting, and the two out-of-constellation policies.
 //
-// Quantifies two design choices DESIGN.md calls out:
+// Quantifies two design choices:
 //  * LUT (no sort, the paper's contribution) vs exact sort (upper bound);
 //  * deactivate-on-invalid (the paper's FPGA behaviour) vs skip-to-valid.
 // Reported: uncoded symbol error rate and per-vector detection time.

@@ -1,10 +1,11 @@
 // Ablation: the per-level error-probability model feeding pre-processing.
 //
-// DESIGN.md documents why the printed Eq. 4 ("PaperErfc": no minimum-
-// distance factor, prefactor > 2) cannot be the model the paper actually
-// validated in Fig. 14.  This bench quantifies the impact: at dense
-// constellations the literal formula collapses the Pe profile and the path
-// allocation degenerates to a single level, costing real SER.
+// README's "Path selection" section gives why the printed Eq. 4
+// ("PaperErfc": no minimum-distance factor, prefactor > 2) cannot be the
+// model the paper actually validated in Fig. 14.  This bench quantifies the
+// impact: at dense constellations the literal formula collapses the Pe
+// profile and the path allocation degenerates to a single level, costing
+// real SER.
 #include <cstdio>
 #include <vector>
 
@@ -36,8 +37,7 @@ int main() {
   for (const Case& cs : {Case{8, 16, 11.0}, Case{8, 64, 17.0}}) {
     Constellation qam(cs.qam);
     const double nv = ch::noise_var_for_snr_db(cs.snr);
-    for (auto model : {fm::PeModel::kExactSer, fm::PeModel::kPaperErfc,
-                       fm::PeModel::kRayleighCalibrated}) {
+    for (auto model : {fm::PeModel::kExactSer, fm::PeModel::kPaperErfc}) {
       fa::DetectorConfig acfg{.constellation = &qam};
       acfg.flexcore.pe_model = model;
       const auto det =
@@ -73,10 +73,9 @@ int main() {
         }
       }
 
-      const char* name = model == fm::PeModel::kExactSer ? "ExactSer (default)"
-                         : model == fm::PeModel::kPaperErfc
-                             ? "PaperErfc (literal)"
-                             : "RayleighCalibrated";
+      const char* name = model == fm::PeModel::kExactSer
+                             ? "ExactSer (default)"
+                             : "PaperErfc (literal)";
       std::printf("%zux%zu %d-QAM %-6.1f %-22s %-12.4f [", cs.nt, cs.nt,
                   cs.qam, cs.snr, name,
                   static_cast<double>(errors) / static_cast<double>(symbols));

@@ -3,7 +3,7 @@
 // function of the number of Sphere-decoder paths |E| FlexCore considers and
 // of the subcarrier batch size Nsc.
 //
-// Platform substitution (DESIGN.md): the paper times CUDA kernels on a GTX
+// Platform substitution: the paper times CUDA kernels on a GTX
 // 970; we time the identical flat (vector x path) task grid on a CPU thread
 // pool — both detectors on the same infrastructure, which is the paper's
 // stated methodology for a fair algorithmic comparison.  The "OpenMP-N"

@@ -153,7 +153,7 @@ int main() {
     for (const double rate : {path_rate, gpu_rate}) {
       std::printf("\n[engine rate %.2f Mpaths/s%s]\n", rate / 1e6,
                   rate == path_rate ? " — measured on this CPU"
-                                    : " — GPU-class (scaled; see DESIGN.md)");
+                                    : " — GPU-class (scaled)");
       std::printf("%-10s %-14s %-18s %-22s %-14s\n", "LTE mode", "budget/vec",
                   "FlexCore loss(dB)", "FCSD loss(dB)", "SIC loss(dB)");
       fb::rule();

@@ -7,7 +7,7 @@
 // the rank of the *transmitted* point.  The model predicts
 // P(k) = (1 - Pe) * Pe^(k-1) with Pe anchored to the k = 1 probability
 // (the exact AWGN SER).  The paper's Fig. 14 additionally overlays WARP
-// measurements; our substitution (DESIGN.md) is the synthetic AWGN channel,
+// measurements; our substitution is the synthetic AWGN channel,
 // which is exactly what the model describes.
 #include <cmath>
 #include <cstdio>

@@ -2,7 +2,7 @@
 // processing elements for FlexCore, FCSD and the trellis decoder [50],
 // against ML and MMSE bounds — {8x8, 12x12} x {16-, 64-QAM} at SNRs where
 // the ML detector reaches PER ~ 0.1 and ~ 0.01 (the paper's operating
-// points, re-calibrated on our synthetic traces per DESIGN.md).
+// points, re-calibrated on our synthetic traces).
 //
 // Default run covers the two headline panels (8x8 16-QAM, 12x12 64-QAM);
 // FLEXCORE_FULL=1 adds the other two panels and the FCSD's |Q|^2 = 4096

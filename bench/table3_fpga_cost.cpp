@@ -1,6 +1,6 @@
 // Table 3 reproduction: single-processing-element FPGA implementation cost
 // for FlexCore and FCSD engines at 64-QAM on the XCVU440 (paper synthesis
-// numbers drive the model; see DESIGN.md's substitution table), plus the
+// numbers drive the model: perfmodel/fpga_model.h), plus the
 // derived area-delay products and the caption's overhead ratios.
 #include <cstdio>
 

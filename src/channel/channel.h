@@ -2,9 +2,9 @@
 //
 // The paper's evaluation uses over-the-air WARP v3 measurements (8x8) and
 // trace-driven simulation from measured 1x12 traces (12x12).  We do not have
-// those traces; per DESIGN.md §3 the stand-in is a Kronecker-correlated
-// Rayleigh model with (a) exponential correlation across the co-located AP
-// antennas and (b) a bounded per-user power spread, matching the paper's
+// those traces; the stand-in is a Kronecker-correlated Rayleigh model with
+// (a) exponential correlation across the co-located AP antennas and (b) a
+// bounded per-user power spread, matching the paper's
 // scheduling rule that "the individual SNRs of the scheduled users differ by
 // no more than 3 dB".
 #pragma once

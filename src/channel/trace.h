@@ -48,8 +48,7 @@ struct TraceConfig {
 /// assumption; smaller rho models user mobility (§3.1's "dynamic channels"
 /// discussion, where pre-processing must be re-run on fresh estimates).
 /// Innovations are drawn independently per subcarrier — temporal
-/// correlation is exact, innovation frequency-correlation is simplified
-/// (documented in DESIGN.md).
+/// correlation is exact, innovation frequency-correlation is simplified.
 ChannelTrace evolve_trace(const ChannelTrace& trace, double rho, Rng& rng);
 
 /// Deterministic generator of ChannelTrace realizations.

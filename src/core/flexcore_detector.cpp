@@ -17,6 +17,13 @@ FlexCoreDetector::FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg)
   if (cfg_.num_pes == 0) {
     throw std::invalid_argument("FlexCoreDetector: num_pes must be >= 1");
   }
+  if (cfg_.precision == detect::Precision::kInt16 &&
+      (cfg_.ordering != OrderingMode::kLut ||
+       cfg_.invalid_policy != InvalidEntryPolicy::kDeactivate)) {
+    throw std::invalid_argument(
+        "FlexCoreDetector: the :i16 tier runs only the triangle LUT with "
+        "deactivation (no exact-sort or skip-to-valid ablation)");
+  }
 }
 
 std::string FlexCoreDetector::name() const {

@@ -47,7 +47,7 @@ struct FlexCoreConfig {
   /// If > 0, run as a-FlexCore: activate only the first paths whose
   /// cumulative Pc reaches this threshold (0.95 in the paper's Fig. 10).
   double adaptive_threshold = 0.0;
-  /// Per-level error-probability model (DESIGN.md "Eq. 4 prefactor").
+  /// Per-level error-probability model (README, "Path selection").
   /// Default kExactSer: the SER-calibrated model the paper's Appendix
   /// validates in Fig. 14.  kPaperErfc (Eq. 4 exactly as printed, which
   /// drops the constellation minimum-distance factor) is kept as an
@@ -61,9 +61,11 @@ struct FlexCoreConfig {
   std::size_t batch_expand = 1;
   /// Compute tier of the path grids (detect/path_kernels.h): kFloat64 is
   /// the exact plan; kInt16 runs the quantized fixed-point kernel (spec
-  /// suffix ":i16", accuracy bounded by detect::kI16SerTolerance).  Winner
-  /// reconstruction and the sequential detect() path run the exact plan in
-  /// both tiers.
+  /// suffix ":i16", accuracy bounded by detect::kI16SerTolerance), which
+  /// compiles only kLut with kDeactivate: the constructor throws
+  /// std::invalid_argument for kInt16 beside either ordering ablation.
+  /// Winner reconstruction and the sequential detect() path run the exact
+  /// plan in both tiers.
   detect::Precision precision = detect::Precision::kFloat64;
 };
 

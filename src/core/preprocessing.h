@@ -72,7 +72,8 @@ struct PreprocessingConfig {
   /// total probability over all paths is < 1).
   double stop_threshold = 1.0;
   /// Analytic model for Pe(l).  kExactSer is the calibrated model the
-  /// paper's Fig. 14 validates; see DESIGN.md "Eq. 4 prefactor".
+  /// paper's Fig. 14 validates; README, "Path selection", says why it and
+  /// not Eq. 4 as printed.
   modulation::PeModel pe_model = modulation::PeModel::kExactSer;
   /// Candidate-list capacity; 0 = num_paths (the paper's rule).  Larger
   /// values trade memory for an exactly-optimal frontier (ablation).

@@ -64,6 +64,25 @@ void require_path_lengths(const char* who,
   }
 }
 
+/// Throws std::invalid_argument, before a plan is modified, unless the
+/// FCSD's `full_levels` fits r's levels and every R(i,i) is real: the
+/// greedy levels divide b by Re R(i,i) on each axis, which is
+/// std::complex's division only for a real divisor.  Every QR of the
+/// library stores R(i,i) as a real number.
+void require_fcsd_shape(const char* who, const linalg::CMat& r,
+                        std::size_t full_levels) {
+  if (full_levels > r.cols()) {
+    throw std::invalid_argument(std::string(who) + ": fcsd full_levels > Nt");
+  }
+  for (std::size_t i = 0; i < r.cols(); ++i) {
+    if (r(i, i).imag() != 0.0) {
+      throw std::invalid_argument(std::string(who) + ": fcsd R(" +
+                                  std::to_string(i) + "," + std::to_string(i) +
+                                  ") is not real");
+    }
+  }
+}
+
 /// Selector code of an invalid rank (outside 1..|Q|): di = kSelInvalidDi,
 /// which no real LUT offset takes (|di| <= side).
 constexpr int kSelInvalidDi = -128;
@@ -156,21 +175,6 @@ void PathPlan::compile_channel(const linalg::CMat& r,
     for (std::size_t j = 0; j < nt; ++j) r_.set(i * nt + j, r(i, j));
   }
 
-  // rx[i][x] = R(i,i) * point(x), the same double product the scalar
-  // detectors tabulate — computed here so the plan is self-contained, and
-  // bit-identical because it is the identical operation on identical
-  // values (guarded by tests/kernel_test.cpp).
-  const std::size_t q = static_cast<std::size_t>(q_);
-  rx_.resize(nt * q);
-  for (std::size_t i = 0; i < nt; ++i) {
-    const linalg::cplx rii = r(i, i);
-    for (std::size_t x = 0; x < q; ++x) {
-      rx_.set(i * q + x, rii * c.point(static_cast<int>(x)));
-    }
-  }
-
-  pt_.assign(c.points());
-
   if (with_diag_inverse) {
     rdi_.resize(nt);
     for (std::size_t i = 0; i < nt; ++i) {
@@ -194,7 +198,6 @@ void PathPlan::compile_flexcore(const linalg::CMat& r,
   lut_ = &lut;
   policy_ = policy;
   full_levels_ = 0;
-  powq_.clear();
   mode_ = exact_ordering ? Mode::kExactRank
           : policy == core::InvalidEntryPolicy::kDeactivate
               ? Mode::kLutRank
@@ -210,23 +213,16 @@ void PathPlan::compile_flexcore(const linalg::CMat& r,
 
 void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
                             const modulation::Constellation& c) {
-  if (full_levels > r.cols()) {
-    throw std::invalid_argument("PathPlan: fcsd full_levels > Nt");
-  }
-  fcsd_num_paths("PathPlan", static_cast<std::size_t>(c.order()),
-                 full_levels);
+  require_fcsd_shape("PathPlan", r, full_levels);
+  const std::size_t paths = fcsd_num_paths(
+      "PathPlan", static_cast<std::size_t>(c.order()), full_levels);
   compile_channel(r, c, /*with_diag_inverse=*/false);
+  num_paths_ = paths;
   mode_ = Mode::kFcsd;
   full_levels_ = full_levels;
   lut_ = nullptr;
   sel_.clear();
   trie_size_ = trie_leaves_ = 0;
-  powq_.resize(full_levels);
-  num_paths_ = 1;
-  for (std::size_t d = 0; d < full_levels; ++d) {
-    powq_[d] = num_paths_;
-    num_paths_ *= static_cast<std::size_t>(q_);
-  }
 }
 
 namespace {
@@ -265,10 +261,9 @@ constexpr std::int32_t kI16Min = perfmodel::I16Format::kMin;
 /// grids run, so the pointers stay valid across the whole scan).
 struct I16KernelState {
   std::size_t nt = 0, q = 0, full_levels = 0;
-  int side = 0, pbits = 0, fbits = 0;
+  int side = 0, pbits = 0;
   int pt_half = 0;  // lround(scale * 2^P): PAM half-step at the point scale
-  // PathPlanI16::Mode, as int: 0 lut / 1 generic / 2 exact / 3 fcsd.
-  int mode = 0;
+  bool fcsd = false;  // the FCSD plan (else FlexCore's LUT mode)
   double metric_unscale = 0.0;
   const std::int16_t* r_re = nullptr;
   const std::int16_t* r_im = nullptr;
@@ -278,7 +273,6 @@ struct I16KernelState {
   const std::int16_t* rdi_im = nullptr;
   const std::int32_t* rh_re = nullptr;  // R(i,i)*scale at 2^F (affine rx)
   const std::int32_t* rh_im = nullptr;
-  const int* gbits = nullptr;
   const int* slicer_shift = nullptr;
   const std::int32_t* slice_ar = nullptr;
   const std::int32_t* slice_ai = nullptr;
@@ -297,10 +291,6 @@ struct I16KernelState {
   const std::int32_t* pam_s = nullptr;
   const std::uint8_t* pam_wide = nullptr;
   const std::uint16_t* sel = nullptr;
-  const std::size_t* powq = nullptr;
-  const core::OrderingLut* lut = nullptr;
-  const modulation::Constellation* cst = nullptr;
-  core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate;
 };
 
 }  // namespace
@@ -316,15 +306,10 @@ struct FpKernelState {
   const double* r_im = nullptr;
   const double* rdi_re = nullptr;  // 1/R(i,i) (FlexCore plans)
   const double* rdi_im = nullptr;
-  const double* rx_re = nullptr;  // R(i,i)*point tables (table modes)
-  const double* rx_im = nullptr;
-  const double* pt_re = nullptr;  // constellation points (table modes)
-  const double* pt_im = nullptr;
   const std::uint16_t* sel = nullptr;  // selector codes / clamped ranks
   const std::uint32_t* trie_leaf = nullptr;  // the LUT mode's path trie:
   const std::uint8_t* trie_from = nullptr;   // each leaf's path and depth
   std::size_t trie_leaves = 0;
-  const std::size_t* powq = nullptr;
   const core::OrderingLut* lut = nullptr;
   const modulation::Constellation* cst = nullptr;
   core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate;
@@ -466,15 +451,10 @@ void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   st->r_im = r_.im.data();
   st->rdi_re = rdi_.re.data();
   st->rdi_im = rdi_.im.data();
-  st->rx_re = rx_.re.data();
-  st->rx_im = rx_.im.data();
-  st->pt_re = pt_.re.data();
-  st->pt_im = pt_.im.data();
   st->sel = sel_.data();
   st->trie_leaf = trie_leaf_.data();
   st->trie_from = trie_from_.data();
   st->trie_leaves = trie_leaves_;
-  st->powq = powq_.data();
   st->lut = lut_;
   st->cst = c_;
   st->policy = policy_;
@@ -690,10 +670,8 @@ std::size_t PathPlan::footprint_bytes() const noexcept {
   const auto split = [](const linalg::SplitVec& v) {
     return (v.re.size() + v.im.size()) * sizeof(double);
   };
-  return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
-         sel_.size() * sizeof(std::uint16_t) +
-         trie_leaf_.size() * sizeof(std::uint32_t) + trie_from_.size() +
-         powq_.size() * sizeof(std::size_t);
+  return split(r_) + split(rdi_) + sel_.size() * sizeof(std::uint16_t) +
+         trie_leaf_.size() * sizeof(std::uint32_t) + trie_from_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -797,7 +775,8 @@ constexpr std::int64_t kI32Limit = 2147483647;
 }  // namespace
 
 void PathPlanI16::compile_channel(const linalg::CMat& r,
-                                  const modulation::Constellation& c) {
+                                  const modulation::Constellation& c,
+                                  bool with_tables) {
   // (The fp64 plan skips 1/R(i,i) for FCSD; the quantized tier always
   // compiles it — the greedy FCSD slice runs through the same compiled
   // slicer as rank > 1 lanes.)
@@ -808,7 +787,6 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   side_ = c.side();
   scale_ = c.scale();
   inv_scale_ = c.inv_scale();
-  c_ = &c;
   const std::size_t q = static_cast<std::size_t>(q_);
 
   using QF = perfmodel::I16Format;
@@ -880,9 +858,9 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // rx rows are affine in the axis indices: rx[i][x] = R(i,i) * point(x)
   // with point = ((2 a_re - (side-1)) + j (2 a_im - (side-1))) * scale, so
   // one quantized complex step rh = R(i,i) * scale * 2^F per level
-  // reproduces the whole row.  The kernel's hot mode computes the metric
+  // reproduces the whole row.  The kernel's LUT mode computes the metric
   // reference straight from the sliced axis indices with this identity (no
-  // per-lane row gather), and the table modes read the same values here, so
+  // per-lane row gather), and the FCSD's table holds the same values, so
   // every mode sees identical quantized rx.  The doubled-axis offsets obey
   // (side-1) * (|rh_re| + |rh_im|) <= kMax + 2(side-1): the exact corner
   // value is part of vmax, which bounds it by kMax at 2^F, and each step
@@ -890,7 +868,6 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // every kernel intermediate fits int32 untouched.
   rh_re_q_.assign(nt, 0);
   rh_im_q_.assign(nt, 0);
-  rx_pack_.resize(nt * q);
   for (std::size_t i = 0; i < nt; ++i) {
     const linalg::cplx rii = r(i, i);
     rh_re_q_[i] = static_cast<std::int32_t>(
@@ -899,36 +876,43 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
     rh_im_q_[i] = static_cast<std::int32_t>(
         std::clamp(std::lround(rii.imag() * scale_ * fs), -long{QF::kMax},
                    long{QF::kMax}));
-    for (std::size_t x = 0; x < q; ++x) {
-      const int er = 2 * (static_cast<int>(x) / side_) - (side_ - 1);
-      const int eq = 2 * (static_cast<int>(x) % side_) - (side_ - 1);
-      rx_pack_[i * q + x] = pack_i16_pair(
-          static_cast<std::int16_t>(std::clamp<std::int32_t>(
-              er * rh_re_q_[i] - eq * rh_im_q_[i], -QF::kMax, QF::kMax)),
-          static_cast<std::int16_t>(std::clamp<std::int32_t>(
-              er * rh_im_q_[i] + eq * rh_re_q_[i], -QF::kMax, QF::kMax)));
-    }
   }
   // Quantized points are defined AFFINELY in the axis indices — the grid is
   // pam(a) = (2a - (side-1)) * scale, so one quantized half-step reproduces
   // every point: pt_q[a_re, a_im] = ((2 a_re - (side-1)) h, (2 a_im -
-  // (side-1)) h).  The kernel's hot mode computes recurrence symbols
+  // (side-1)) h).  The kernel's LUT mode computes recurrence symbols
   // straight from sliced axis indices with this identity (no table gather
-  // on the decision-feedback chain), and the table modes read the same
-  // values here, so all modes agree bit-for-bit.  h is capped so the edge
+  // on the decision-feedback chain), and the FCSD's table holds the same
+  // values, so all modes agree bit-for-bit.  h is capped so the edge
   // level (side-1) * h stays in int16 — same bound the per-point
   // quantization obeyed.
   pt_half_q_ = static_cast<std::int32_t>(std::lround(scale_ * ps));
   pt_half_q_ = std::min<std::int32_t>(
       pt_half_q_, static_cast<std::int32_t>(QF::kMax) / (side_ - 1));
   pt_half_q_ = std::max<std::int32_t>(pt_half_q_, 1);
-  pt_pack_.resize(q);
-  for (std::size_t x = 0; x < q; ++x) {
-    const int ai = static_cast<int>(x) / side_;
-    const int aq = static_cast<int>(x) % side_;
-    pt_pack_[x] = pack_i16_pair(
-        static_cast<std::int16_t>((2 * ai - (side_ - 1)) * pt_half_q_),
-        static_cast<std::int16_t>((2 * aq - (side_ - 1)) * pt_half_q_));
+  rx_pack_.clear();
+  pt_pack_.clear();
+  if (with_tables) {
+    rx_pack_.resize(nt * q);
+    for (std::size_t i = 0; i < nt; ++i) {
+      for (std::size_t x = 0; x < q; ++x) {
+        const int er = 2 * (static_cast<int>(x) / side_) - (side_ - 1);
+        const int eq = 2 * (static_cast<int>(x) % side_) - (side_ - 1);
+        rx_pack_[i * q + x] = pack_i16_pair(
+            static_cast<std::int16_t>(std::clamp<std::int32_t>(
+                er * rh_re_q_[i] - eq * rh_im_q_[i], -QF::kMax, QF::kMax)),
+            static_cast<std::int16_t>(std::clamp<std::int32_t>(
+                er * rh_im_q_[i] + eq * rh_re_q_[i], -QF::kMax, QF::kMax)));
+      }
+    }
+    pt_pack_.resize(q);
+    for (std::size_t x = 0; x < q; ++x) {
+      const int ai = static_cast<int>(x) / side_;
+      const int aq = static_cast<int>(x) % side_;
+      pt_pack_[x] = pack_i16_pair(
+          static_cast<std::int16_t>((2 * ai - (side_ - 1)) * pt_half_q_),
+          static_cast<std::int16_t>((2 * aq - (side_ - 1)) * pt_half_q_));
+    }
   }
 
   // Quantized diagonal inverses + per-level slicer / PAM tables.
@@ -1166,39 +1150,29 @@ void PathPlanI16::compile_flexcore(const linalg::CMat& r,
                                    const core::OrderingLut& lut,
                                    bool exact_ordering,
                                    core::InvalidEntryPolicy policy) {
+  if (exact_ordering || policy != core::InvalidEntryPolicy::kDeactivate) {
+    throw std::invalid_argument(
+        "PathPlanI16: the int16 tier compiles only the triangle LUT with "
+        "deactivation (no exact-sort or skip-to-valid ablation)");
+  }
   require_path_lengths("PathPlanI16", paths, r.cols());
-  compile_channel(r, c);
+  compile_channel(r, c, /*with_tables=*/false);
   num_paths_ = paths.size();
-  lut_ = &lut;
-  policy_ = policy;
+  fcsd_ = false;
   full_levels_ = 0;
-  powq_.clear();
-  mode_ = exact_ordering ? Mode::kExactRank
-          : policy == core::InvalidEntryPolicy::kDeactivate
-              ? Mode::kLutRank
-              : Mode::kGenericRank;
-  compile_selectors(paths, nt_, kLanes,
-                    mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
+  compile_selectors(paths, nt_, kLanes, &lut, q_, &sel_);
 }
 
 void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
                                const modulation::Constellation& c) {
-  if (full_levels > r.cols()) {
-    throw std::invalid_argument("PathPlanI16: fcsd full_levels > Nt");
-  }
-  fcsd_num_paths("PathPlanI16", static_cast<std::size_t>(c.order()),
-                 full_levels);
-  compile_channel(r, c);
-  mode_ = Mode::kFcsd;
+  require_fcsd_shape("PathPlanI16", r, full_levels);
+  const std::size_t paths = fcsd_num_paths(
+      "PathPlanI16", static_cast<std::size_t>(c.order()), full_levels);
+  compile_channel(r, c, /*with_tables=*/true);
+  num_paths_ = paths;
+  fcsd_ = true;
   full_levels_ = full_levels;
-  lut_ = nullptr;
   sel_.clear();
-  powq_.resize(full_levels);
-  num_paths_ = 1;
-  for (std::size_t d = 0; d < full_levels; ++d) {
-    powq_[d] = num_paths_;
-    num_paths_ *= static_cast<std::size_t>(q_);
-  }
 }
 
 int PathPlanI16::slicer_center(std::size_t level, double eff) const {
@@ -1231,8 +1205,7 @@ std::size_t PathPlanI16::footprint_bytes() const noexcept {
           tab_hi_.size() + pam_f_.size() + pam_d_.size() + pam_s_.size()) *
              sizeof(std::int32_t) +
          (pam_e_.size() + pam_p_.size()) * sizeof(std::int64_t) +
-         pam_wide_.size() + sel_.size() * sizeof(std::uint16_t) +
-         powq_.size() * sizeof(std::size_t);
+         pam_wide_.size() + sel_.size() * sizeof(std::uint16_t);
 }
 
 FLEXCORE_HOT_PATH
@@ -1256,9 +1229,8 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.full_levels = full_levels_;
   st.side = side_;
   st.pbits = pbits_;
-  st.fbits = fbits_;
   st.pt_half = pt_half_q_;
-  st.mode = static_cast<int>(mode_);
+  st.fcsd = fcsd_;
   st.metric_unscale = metric_unscale_;
   st.r_re = r_re_q_.data();
   st.r_im = r_im_q_.data();
@@ -1268,7 +1240,6 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.rdi_im = rdi_im_q_.data();
   st.rh_re = rh_re_q_.data();
   st.rh_im = rh_im_q_.data();
-  st.gbits = gbits_.data();
   st.slicer_shift = slicer_shift_.data();
   st.slice_ar = slice_ar_.data();
   st.slice_ai = slice_ai_.data();
@@ -1287,10 +1258,6 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.pam_s = pam_s_.data();
   st.pam_wide = pam_wide_.data();
   st.sel = sel_.empty() ? nullptr : sel_.data();
-  st.powq = powq_.data();
-  st.lut = lut_;
-  st.cst = c_;
-  st.policy = policy_;
 
   double tmp[2 * kLanes];
   std::size_t written = 0;

@@ -12,8 +12,8 @@
 //    path-major-blocked (blocks of kLanes paths, codes of one level
 //    contiguous across the block's lanes) — the base-triangle LUT offset
 //    of the path's rank there, or an invalid-rank sentinel — plus the
-//    channel state (R rows, 1/R(i,i), the R(i,i)*point reconstruction
-//    table, the constellation points) split into re/im structure-of-arrays.
+//    channel state (R rows and 1/R(i,i)) split into re/im
+//    structure-of-arrays.
 //  * path_metric_block(ybar, first, n, out) then evaluates whole blocks of
 //    paths per call: lane = path, the per-level interference-cancellation
 //    loop written as split real/imag lane-register arithmetic.  Every lane
@@ -21,9 +21,11 @@
 //    transform picked from the residual by lane selects, the transformed
 //    LUT offset and the bounds test that deactivates a lane, then the
 //    decided point and its metric reference rebuilt from the axis indices.
-//    A rank is data (a selector code), not control flow.  Only the table
-//    modes (FCSD, skip-to-valid, exact sort) decide per lane on staged
-//    arrays.
+//    A rank is data (a selector code), not control flow.  The FCSD decides
+//    in the registers too: an enumerated level's symbol is a digit of the
+//    lane's path index, a greedy level's the SIC walk's clamped slice of
+//    b / R(i,i).  Only the two ordering ablations (skip-to-valid, exact
+//    sort) decide per lane, on staged arrays.
 //  * The walk, like the int16 kernel, is compiled once per x86-64 ISA
 //    (baseline, SSE4.1, AVX2, AVX-512F), each copy at its native register
 //    width, and dispatched by the process-wide startup choice that also
@@ -167,7 +169,8 @@ class PathPlan {
   /// table would dwarf the channel state for L = 2) and whose remaining
   /// levels extend greedily by nearest-point slicing.  Throws
   /// std::invalid_argument, before touching the plan, when full_levels
-  /// exceeds r.cols() or |Q|^full_levels does not fit std::size_t.
+  /// exceeds r.cols(), |Q|^full_levels does not fit std::size_t, or an
+  /// R(i,i) has a nonzero imaginary part.
   void compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
                     const modulation::Constellation& c);
 
@@ -290,9 +293,8 @@ class PathPlan {
   double inv_scale_ = 0.0;     ///< Constellation::inv_scale() (slicer)
 
   // Channel state, split re/im.  R rows are stored dense row-major (only
-  // the upper triangle is read); rdi is 1/R(i,i); rx[i*q + x] is
-  // R(i,i) * point(x); pt is the constellation point table.
-  linalg::SplitVec r_, rdi_, rx_, pt_;
+  // the upper triangle is read); rdi is 1/R(i,i) (FlexCore plans).
+  linalg::SplitVec r_, rdi_;
 
   // FlexCore selector table, path-major-blocked:
   //   sel_[(block * nt_ + level) * kLanes + lane]
@@ -317,9 +319,7 @@ class PathPlan {
   std::size_t trie_leaves_ = 0;
   std::size_t trie_size_ = 0;
 
-  // FCSD digit decode: powq_[d] = |Q|^d for the enumerated levels.
-  std::size_t full_levels_ = 0;
-  std::vector<std::size_t> powq_;
+  std::size_t full_levels_ = 0;  ///< the FCSD's enumerated levels
 
   const modulation::Constellation* c_ = nullptr;  ///< slice / exact order
   const core::OrderingLut* lut_ = nullptr;        ///< kGenericRank fallback
@@ -330,8 +330,8 @@ class PathPlan {
 /// Table 3) mapped onto CPU SIMD.  Same compile/evaluate contract as
 /// PathPlan, different number format:
 ///
-///  * Channel state is stored as int16 SoA (R rows, R(i,i)*point tables,
-///    constellation points) under per-plan scale factors computed at
+///  * Channel state is stored as int16 SoA (R rows, and for the FCSD the
+///    R(i,i)*point and point tables) under per-plan scale factors computed at
 ///    compile (set_channel) time — power-of-two scales chosen so the whole
 ///    interference-cancellation recurrence is overflow-free in int32 and
 ///    the fractional resolution never exceeds the shared Q-format
@@ -374,7 +374,10 @@ class PathPlanI16 {
   /// steps outside before the bounds check kills the lane).
   static constexpr int kPamPad = 4;
 
-  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd.
+  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd, but the
+  /// tier compiles only the LUT mode: compile_flexcore also throws
+  /// std::invalid_argument, before touching the plan, for the exact-sort
+  /// or skip-to-valid ablation.
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,
@@ -415,10 +418,9 @@ class PathPlanI16 {
   int slicer_center(std::size_t level, double eff) const;
 
  private:
-  enum class Mode : std::uint8_t { kLutRank, kGenericRank, kExactRank, kFcsd };
-
+  /// `with_tables` compiles rx_pack_ / pt_pack_, which only the FCSD reads.
   void compile_channel(const linalg::CMat& r,
-                       const modulation::Constellation& c);
+                       const modulation::Constellation& c, bool with_tables);
   /// Compiles level `level`'s slicer table `tab` (kSlicerBuckets entries)
   /// into tab_c_ .. tab_hi_; `kappa` is the table's axis steps per bucket.
   void fit_table_slicer(std::size_t level, double kappa, std::int8_t* tab);
@@ -427,7 +429,7 @@ class PathPlanI16 {
   /// in-coverage lane can hold there.
   void fit_pam_row(std::size_t level, double x, double erx_max);
 
-  Mode mode_ = Mode::kLutRank;
+  bool fcsd_ = false;  ///< the FCSD plan (else FlexCore's LUT mode)
   std::size_t nt_ = 0;
   std::size_t num_paths_ = 0;
   int q_ = 0;
@@ -442,7 +444,7 @@ class PathPlanI16 {
   int fbits_ = 0;
   int pbits_ = 0;
   /// Quantized PAM half-step at 2^P: pt[a_re, a_im] = ((2 a_re -
-  /// (side-1)) h, ...) exactly — the kernel's hot mode rebuilds recurrence
+  /// (side-1)) h, ...) exactly — the kernel's LUT mode rebuilds recurrence
   /// symbols from sliced axis indices with this identity instead of
   /// gathering the table (keeps the decision-feedback chain in registers).
   std::int32_t pt_half_q_ = 0;
@@ -457,15 +459,15 @@ class PathPlanI16 {
 
   /// Per-level quantized complex row step rh = R(i,i) * scale * 2^F: the
   /// rx table is exactly affine in the doubled axis offsets with this
-  /// step, which the kernel's hot mode exploits to rebuild the metric
+  /// step, which the kernel's LUT mode exploits to rebuild the metric
   /// reference from sliced axis indices instead of gathering the row.
   std::vector<std::int32_t> rh_re_q_, rh_im_q_;
 
-  // The quantized rx[i][x] = R(i,i)*point(x) and point tables, stored ONLY
-  // packed: one int32 per symbol holding the (re, im) int16 pair (re low,
-  // im high), so the table modes' decided-point gather is a single read
-  // per lane per table and the unpack is two vector shifts.  The hot mode
-  // never reads them (it rebuilds both values from rh / pt_half_q_).
+  // The FCSD's quantized rx[i][x] = R(i,i)*point(x) and point tables,
+  // stored ONLY packed: one int32 per symbol holding the (re, im) int16
+  // pair (re low, im high), so the decided-point gather is a single read
+  // per lane per table and the unpack is two vector shifts.  Empty in the
+  // LUT mode, which rebuilds both values from rh / pt_half_q_.
   std::vector<std::int32_t> rx_pack_, pt_pack_;
 
   // Quantized 1/R(i,i): raw int16 pair at per-level scale 2^gbits_[i]
@@ -525,16 +527,10 @@ class PathPlanI16 {
   std::vector<std::uint8_t> pam_wide_;
 
   // FlexCore selector table, path-major-blocked exactly like PathPlan but
-  // kLanes = 16 wide: the same selector codes (LUT mode) or clamped ranks
-  // (ablation modes).
+  // kLanes = 16 wide: the same selector codes.
   std::vector<std::uint16_t> sel_;
 
-  std::size_t full_levels_ = 0;
-  std::vector<std::size_t> powq_;
-
-  const modulation::Constellation* c_ = nullptr;
-  const core::OrderingLut* lut_ = nullptr;
-  core::InvalidEntryPolicy policy_ = core::InvalidEntryPolicy::kDeactivate;
+  std::size_t full_levels_ = 0;  ///< the FCSD's enumerated levels
 };
 
 /// The compiled plans of one path-parallel detector: the exact plan

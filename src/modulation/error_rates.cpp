@@ -41,11 +41,9 @@ double level_error_probability(PeModel model, const Constellation& c,
       pe = prefactor * std::erfc(std::abs(r_ll) / sigma);
       break;
     }
-    case PeModel::kExactSer:
-    case PeModel::kRayleighCalibrated: {
+    case PeModel::kExactSer: {
       // Appendix Eq. 10/11: the geometric model is anchored so that the k=1
-      // probability equals the exact AWGN SER; both variants therefore
-      // evaluate the same closed form.
+      // probability equals the exact AWGN SER.
       pe = qam_symbol_error(c, std::abs(r_ll), noise_var);
       break;
     }

@@ -1,7 +1,7 @@
 // Analytic symbol-error-rate expressions for AWGN QAM.
 //
 // These feed FlexCore's probabilistic path model (Eq. 4 / Appendix Eq. 11 of
-// the paper).  Three variants of the per-level "first point wrong"
+// the paper).  Two variants of the per-level "first point wrong"
 // probability Pe are provided; see docs on PeModel.
 #pragma once
 
@@ -23,19 +23,19 @@ double pam_symbol_error(int m, double dmin, double sigma_r);
 double qam_symbol_error(const Constellation& c, double gain, double noise_var);
 
 /// Which analytic model supplies the per-level probability Pe(l) used by
-/// FlexCore's pre-processing (see DESIGN.md "Eq. 4 prefactor").
+/// FlexCore's pre-processing (README, "Path selection", says why the search
+/// uses kExactSer and not Eq. 4 as printed).
 enum class PeModel {
   /// Eq. 4 exactly as printed in the paper:
   ///   Pe = (2 + 2/sqrt(M)) * erfc(|R(l,l)| * sqrt(Es) / sigma),
-  /// clamped into (0, 1).  This is the default used everywhere.
+  /// clamped into (0, 1).  An ablation (bench/ablation_pe_model).
   kPaperErfc,
   /// Exact AWGN square-QAM SER (qam_symbol_error) — the "true" probability
-  /// that the nearest point is not the transmitted one.
+  /// that the nearest point is not the transmitted one, and the default of
+  /// PreprocessingConfig and FlexCoreConfig.  It is also the Appendix Eq. 10
+  /// calibration: Pe = exp(-c / sigma^2) with c chosen so that the k = 1
+  /// probability matches the exact SER takes this value.
   kExactSer,
-  /// Appendix Eq. 10 calibration: Pe = exp(-c / sigma^2) with c chosen so
-  /// the k = 1 probability matches the exact SER.  Identical to kExactSer by
-  /// construction; kept separate to document the derivation.
-  kRayleighCalibrated,
 };
 
 /// Per-level probability Pe(l) that the closest constellation point to the

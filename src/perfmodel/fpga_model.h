@@ -1,12 +1,12 @@
 // FPGA implementation cost model (Table 3 / Fig. 13 reproduction).
 //
 // We cannot synthesize for the Xilinx Virtex UltraScale XCVU440 in this
-// environment, so — per DESIGN.md §3 — the model is parameterized with the
-// paper's published single-PE synthesis results (Table 3) and evaluates the
-// same derived quantities the paper reports: area-delay products, pipelined
-// processing throughput (the paper's formula log2|Q|*Nt*fmax / (paths/M)),
-// power at 100% utilization, energy per bit, and the extrapolated PE count
-// at 75% device utilization.
+// environment, so the model is parameterized with the paper's published
+// single-PE synthesis results (Table 3) and evaluates the same derived
+// quantities the paper reports: area-delay products, pipelined processing
+// throughput (the paper's formula log2|Q|*Nt*fmax / (paths/M)), power at
+// 100% utilization, energy per bit, and the extrapolated PE count at 75%
+// device utilization.
 #pragma once
 
 #include <cstddef>

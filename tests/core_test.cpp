@@ -130,8 +130,7 @@ TEST_P(PreprocessingExhaustive, MatchesExhaustiveRanking) {
 
 INSTANTIATE_TEST_SUITE_P(AllPeModels, PreprocessingExhaustive,
                          ::testing::Values(fm::PeModel::kPaperErfc,
-                                           fm::PeModel::kExactSer,
-                                           fm::PeModel::kRayleighCalibrated));
+                                           fm::PeModel::kExactSer));
 
 TEST(Preprocessing, TrimmedFrontierCloseToExact) {
   // The paper's bounded candidate list (|L| <= N_PE) is a heuristic; verify

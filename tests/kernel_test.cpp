@@ -174,13 +174,16 @@ TEST(KernelEquivalence, FlexCorePlanMatchesReference) {
 }
 
 TEST(KernelEquivalence, FcsdPlanMatchesReference) {
-  for (int qam : {4, 16, 64}) {
+  // Every constellation's digit split into axis indices (256-QAM at L = 1
+  // only: L = 2 would walk 65,536 reference paths per vector).
+  for (int qam : {4, 16, 64, 256}) {
     Constellation c(qam);
     for (std::size_t nt : {2u, 4u, 8u, 12u, 16u}) {
       ch::Rng rng(999 * static_cast<std::uint64_t>(qam) + nt);
       const auto h = ch::rayleigh_iid(nt, nt, rng);
       const double nv = ch::noise_var_for_snr_db(15.0);
       for (std::size_t levels : {1u, 2u}) {
+        if (qam == 256 && levels == 2) continue;
         fd::FcsdDetector det(c, levels);
         det.set_channel(h, nv);
         const fr::FcsdReference ref(det, c);
@@ -195,6 +198,56 @@ TEST(KernelEquivalence, FcsdPlanMatchesReference) {
       }
     }
   }
+
+  // The inputs of KernelI16.FcsdGreedySliceGolden: vectors scaled up to 4x,
+  // so that greedy slices fall off the grid and clamp to its edge.
+  for (int qam : {16, 64}) {
+    Constellation c(qam);
+    ch::Rng rng(770 + static_cast<std::uint64_t>(qam));
+    const auto h = ch::rayleigh_iid(8, 8, rng);
+    const double nv = ch::noise_var_for_snr_db(14.0);
+    fd::FcsdDetector det(c, 1);
+    det.set_channel(h, nv);
+    const fr::FcsdReference ref(det, c);
+    for (int v = 0; v < 12; ++v) {
+      fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
+      for (fl::cplx& z : ybar) z *= static_cast<double>(1 << (v % 3));
+      expect_plan_matches_reference(det.plan(), ref, det.num_paths(), ybar,
+                                    "fcsd-L1 scaled qam=" +
+                                        std::to_string(qam) + " v=" +
+                                        std::to_string(v));
+    }
+  }
+
+  // A top-level b whose quotient b / R(i,i) slices to another point than
+  // the reciprocal product b * (1 / R(i,i)): found by stepping b one ulp at
+  // a time across the slicer's decision boundaries, so the greedy levels
+  // must divide as the reference does.
+  Constellation c(64);
+  const double nv = ch::noise_var_for_snr_db(15.0);
+  const double up = std::numeric_limits<double>::infinity();
+  bool found = false;
+  for (std::uint64_t seed = 0; seed < 8 && !found; ++seed) {
+    ch::Rng rng(4200 + seed);
+    const auto h = ch::rayleigh_iid(4, 4, rng);
+    fd::FcsdDetector det(c, 0);
+    det.set_channel(h, nv);
+    const double rt = det.qr().R(3, 3).real();
+    for (int m = 1 - c.side() / 2; m < c.side() / 2 && !found; ++m) {
+      double b = 2.0 * m * c.scale() * rt;
+      for (int k = 0; k < 32; ++k) b = std::nextafter(b, -up);
+      for (int k = 0; k < 64 && !found; ++k) {
+        b = std::nextafter(b, up);
+        found = c.slice({b / rt, 0.0}) != c.slice({b * (1.0 / rt), 0.0});
+      }
+      if (!found) continue;
+      const fr::FcsdReference ref(det, c);
+      fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
+      ybar[3] = {b, 0.0};
+      expect_plan_matches_reference(det.plan(), ref, 1, ybar, "fcsd-L0 tie");
+    }
+  }
+  EXPECT_TRUE(found) << "no b slices apart under division and reciprocal";
 }
 
 TEST(KernelEquivalence, SicWalkMatchesReference) {
@@ -304,45 +357,53 @@ TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
   // The walk evaluates four native-width chains per call (up to 32 paths
   // on AVX-512) from block-aligned starts and single blocks elsewhere, so
   // the ranges below start on and off block and chunk boundaries and span
-  // several chunks plus a tail; each must equal the reference walk.
+  // several chunks plus a tail; each must equal the reference walk.  The
+  // FCSD-L2 plan's top digit runs over 16 consecutive paths, so most
+  // ranges start inside a run.
   Constellation c(16);
   ch::Rng rng(13);
   const auto h = ch::rayleigh_iid(8, 8, rng);
   const double nv = ch::noise_var_for_snr_db(14.0);
+  const auto check = [&](const fd::PathParallelDetector& det, const auto& ref,
+                         const std::string& what) {
+    const std::size_t paths = det.parallel_tasks();
+    ASSERT_GT(paths, 64u) << what;
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {3, 5},
+        {7, 9},
+        {paths - 3, 3},
+        {1, paths - 1},
+        {8, 8},
+        {8, 40},
+        {24, 50},
+        {40, paths - 40},
+        {0, paths},
+        {32, paths - 32},
+        {0, 70},
+        {8, 67},
+        {16, 48},
+        {56, 33},
+    };
+    for (int rep = 0; rep < 3; ++rep) {
+      const fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
+      for (const auto& [first, n] : ranges) {
+        ASSERT_LE(first + n, paths) << what;
+        std::vector<double> part(n);
+        det.path_metric_block(ybar, first, n, part.data());
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(part[k], ref.path_metric(ybar, first + k))
+              << what << " first=" << first << " n=" << n << " k=" << k;
+        }
+      }
+    }
+  };
   const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
       "flexcore-100", {.constellation = &c});
   det->set_channel(h, nv);
-  const std::size_t paths = det->active_paths();
-  ASSERT_GT(paths, 64u);
-  const fr::FlexCoreReference ref(*det);
-  const std::pair<std::size_t, std::size_t> ranges[] = {
-      {3, 5},
-      {7, 9},
-      {paths - 3, 3},
-      {1, paths - 1},
-      {8, 8},
-      {8, 40},
-      {24, 50},
-      {40, paths - 40},
-      {0, paths},
-      {32, paths - 32},
-      {0, 70},
-      {8, 67},
-      {16, 48},
-      {56, 33},
-  };
-  for (int rep = 0; rep < 3; ++rep) {
-    const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-    for (const auto& [first, n] : ranges) {
-      ASSERT_LE(first + n, paths);
-      std::vector<double> part(n);
-      det->path_metric_block(ybar, first, n, part.data());
-      for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_EQ(part[k], ref.path_metric(ybar, first + k))
-            << "first=" << first << " n=" << n << " k=" << k;
-      }
-    }
-  }
+  check(*det, fr::FlexCoreReference(*det), "flexcore-100");
+  fd::FcsdDetector fcsd(c, 2);
+  fcsd.set_channel(h, nv);
+  check(fcsd, fr::FcsdReference(fcsd, c), "fcsd-L2");
 }
 
 /// A hand-built path set over `nt` levels: rank 1 everywhere except the
@@ -577,7 +638,7 @@ TEST(KernelWalkLanes, FlexCoreLanesMatchReference) {
 }
 
 TEST(KernelWalkLanes, FcsdLanesMatchReference) {
-  for (int qam : {4, 16}) {
+  for (int qam : {4, 16, 64}) {
     Constellation c(qam);
     ch::Rng rng(700 + static_cast<std::uint64_t>(qam));
     const auto h = ch::rayleigh_iid(8, 8, rng);
@@ -1045,6 +1106,42 @@ TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
   EXPECT_NO_THROW((void)i16.slicer_center(3, 0.0));
   EXPECT_THROW((void)fd::PathPlanI16{}.slicer_center(0, 0.0),
                std::invalid_argument);
+}
+
+TEST(KernelPlans, FcsdCompileRejectsComplexDiagonalBeforeTouchingThePlan) {
+  // The greedy levels divide by Re R(i,i) on each axis, std::complex's
+  // division only for a real R(i,i): both tiers refuse any other, and the
+  // previously compiled plan stays as it was.
+  Constellation c(16);
+  ch::Rng rng(6);
+  const auto h = ch::rayleigh_iid(4, 4, rng);
+  const double nv = ch::noise_var_for_snr_db(12.0);
+  fd::FcsdDetector det(c, 1);
+  det.set_channel(h, nv);
+  const fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
+  fl::CMat complex_diag = det.qr().R;
+  complex_diag(2, 2) += fl::cplx{0.0, 1e-3};
+  const auto check = [&](auto& plan, const char* tier) {
+    plan.compile_fcsd(det.qr().R, 1, c);
+    std::vector<double> before(det.num_paths()), after(det.num_paths());
+    plan.path_metric_block(ybar, 0, before.size(), before.data());
+    try {
+      plan.compile_fcsd(complex_diag, 2, c);
+      ADD_FAILURE() << tier << ": complex R(i,i) accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("R(2,2) is not real"),
+                std::string::npos)
+          << tier << ": " << e.what();
+    }
+    EXPECT_EQ(plan.num_paths(), det.num_paths()) << tier;
+    EXPECT_EQ(plan.levels(), 4u) << tier;
+    plan.path_metric_block(ybar, 0, after.size(), after.data());
+    EXPECT_EQ(before, after) << tier;
+  };
+  fd::PathPlan fp64;
+  check(fp64, "fp64");
+  fd::PathPlanI16 i16;
+  check(i16, "i16");
 }
 
 // ------------------------------------------------------- spec grammar
@@ -1546,6 +1643,26 @@ TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
   // No ":fp64" spelling: a bare spec is the fp64 tier.
   EXPECT_THROW(fa::make_detector("a-flexcore-8:fp64", cfg),
                std::invalid_argument);
+  // The tier compiles only the triangle LUT with deactivation: the ordering
+  // ablations are refused with it, in the detector and in the plan.
+  fa::DetectorConfig skip = cfg;
+  skip.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
+  fa::DetectorConfig exact = cfg;
+  exact.flexcore.ordering = fc::OrderingMode::kExactSort;
+  for (const fa::DetectorConfig& ablation : {skip, exact}) {
+    EXPECT_THROW(fa::make_detector("flexcore-32:i16", ablation),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(fa::make_detector("flexcore-32", ablation));
+  }
+  const HandScenario sc;
+  fd::PathPlanI16 plan;
+  EXPECT_THROW(sc.compile(plan, /*exact_ordering=*/true),
+               std::invalid_argument);
+  EXPECT_THROW(plan.compile_flexcore(sc.det->qr().R, sc.paths, sc.c,
+                                     sc.det->lut(), false,
+                                     fc::InvalidEntryPolicy::kSkipToValid),
+               std::invalid_argument);
+  EXPECT_FALSE(plan.compiled());
   // Detectors without block kernels reject the tier like any unknown spec.
   EXPECT_THROW(fa::make_detector("zf:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("kbest-8:i16", cfg), std::invalid_argument);
