@@ -3,8 +3,9 @@
 // README's "Path selection" section gives why the printed Eq. 4
 // ("PaperErfc": no minimum-distance factor, prefactor > 2) cannot be the
 // model the paper actually validated in Fig. 14.  This bench quantifies the
-// impact: at dense constellations the literal formula collapses the Pe
-// profile and the path allocation degenerates to a single level, costing
+// impact: at dense constellations the literal formula flattens the path
+// allocation, capping every level at a low rank (the max-rank profile)
+// instead of giving the less reliable levels deeper ranks, and that costs
 // real SER.
 #include <cstdio>
 #include <vector>
@@ -86,9 +87,10 @@ int main() {
     }
   }
 
-  std::printf("\nReading: the literal Eq. 4 concentrates all alternate ranks "
-              "on one level for dense\nconstellations (see the max-rank "
-              "profile) and costs SER; the SER-calibrated model\nspreads "
-              "them according to true per-level reliability.\n");
+  std::printf("\nReading: the literal Eq. 4 flattens the path allocation "
+              "for dense\nconstellations, capping every level at a low rank "
+              "(see the max-rank profile),\nand costs SER; the "
+              "SER-calibrated model spreads the ranks according to true\n"
+              "per-level reliability.\n");
   return 0;
 }

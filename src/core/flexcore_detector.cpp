@@ -17,13 +17,9 @@ FlexCoreDetector::FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg)
   if (cfg_.num_pes == 0) {
     throw std::invalid_argument("FlexCoreDetector: num_pes must be >= 1");
   }
-  if (cfg_.precision == detect::Precision::kInt16 &&
-      (cfg_.ordering != OrderingMode::kLut ||
-       cfg_.invalid_policy != InvalidEntryPolicy::kDeactivate)) {
-    throw std::invalid_argument(
-        "FlexCoreDetector: the :i16 tier runs only the triangle LUT with "
-        "deactivation (no exact-sort or skip-to-valid ablation)");
-  }
+  detect::require_lut_ordering("FlexCoreDetector",
+                               cfg_.ordering == OrderingMode::kExactSort,
+                               cfg_.invalid_policy);
 }
 
 std::string FlexCoreDetector::name() const {

@@ -34,7 +34,10 @@ using detect::Detector;
 using linalg::CMat;
 using linalg::CVec;
 
-/// How the k-th closest symbol is located during the path walk.
+/// How the k-th closest symbol is located during the path walk.  A
+/// detector runs only kLut; kExactSort names the ablation that
+/// bench/ablation_ordering runs on the scalar reference walk
+/// (tests/reference_walk.h).
 enum class OrderingMode {
   kLut,        ///< triangle LUT (the paper's design; no sorting)
   kExactSort,  ///< exhaustive per-level sort (ablation / upper bound)
@@ -51,8 +54,14 @@ struct FlexCoreConfig {
   /// Default kExactSer: the SER-calibrated model the paper's Appendix
   /// validates in Fig. 14.  kPaperErfc (Eq. 4 exactly as printed, which
   /// drops the constellation minimum-distance factor) is kept as an
-  /// ablation; it degenerates the path allocation for dense constellations.
+  /// ablation; for dense constellations it flattens the path allocation,
+  /// capping every level at a low rank instead of following the levels'
+  /// reliability (bench/ablation_pe_model).
   modulation::PeModel pe_model = modulation::PeModel::kExactSer;
+  /// The paper's ordering: the triangle LUT, deactivating a path whose
+  /// entry leaves the constellation.  These are the only legal values (the
+  /// constructor throws std::invalid_argument for any other); the fields
+  /// stay because the serving benchmark's replay reads them.
   OrderingMode ordering = OrderingMode::kLut;
   InvalidEntryPolicy invalid_policy = InvalidEntryPolicy::kDeactivate;
   /// Candidate-list cap for pre-processing (0 = num_pes, the paper's rule).
@@ -61,9 +70,7 @@ struct FlexCoreConfig {
   std::size_t batch_expand = 1;
   /// Compute tier of the path grids (detect/path_kernels.h): kFloat64 is
   /// the exact plan; kInt16 runs the quantized fixed-point kernel (spec
-  /// suffix ":i16", accuracy bounded by detect::kI16SerTolerance), which
-  /// compiles only kLut with kDeactivate: the constructor throws
-  /// std::invalid_argument for kInt16 beside either ordering ablation.
+  /// suffix ":i16", accuracy bounded by detect::kI16SerTolerance).
   /// Winner reconstruction and the sequential detect() path run the exact
   /// plan in both tiers.
   detect::Precision precision = detect::Precision::kFloat64;

@@ -30,6 +30,16 @@ void require_kernel_streams(const char* who, std::size_t nt) {
   }
 }
 
+void require_lut_ordering(const char* who, bool exact_ordering,
+                          core::InvalidEntryPolicy policy) {
+  if (exact_ordering || policy != core::InvalidEntryPolicy::kDeactivate) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": the path kernels compile only the triangle LUT with deactivation "
+        "(no exact-sort or skip-to-valid ablation)");
+  }
+}
+
 std::size_t fcsd_num_paths(const char* who, std::size_t q,
                            std::size_t full_levels) {
   std::size_t n = 1;
@@ -113,23 +123,19 @@ struct TrieKeys {
   std::size_t live = 0;
 };
 
-/// Fills a FlexCore plan's selector table, path-major-blocked at `lanes`
-/// paths per block: selector codes when `lut` is given (the LUT mode),
-/// otherwise the ranks themselves clamped to [0, q + 1] (every rank outside
-/// 1..q is invalid alike).  Tail lanes of the last block get rank 1.  With
-/// `trie`, the same pass packs the live paths' trie keys.
+/// Fills a FlexCore plan's selector table with `lut`'s selector codes,
+/// path-major-blocked at `lanes` paths per block.  Tail lanes of the last
+/// block get rank 1.  With `trie`, the same pass packs the live paths' trie
+/// keys.
 void compile_selectors(std::span<const core::RankedPath> paths,
                        std::size_t nt, std::size_t lanes,
-                       const core::OrderingLut* lut, int q,
+                       const core::OrderingLut& lut, int q,
                        std::vector<std::uint16_t>* sel,
                        TrieKeys* trie = nullptr) {
   // The code of every rank, clamped to [0, q + 1] first: 0 and q + 1 stand
-  // for every rank below and above 1..q.
+  // for every rank below and above 1..q, invalid alike.
   std::uint16_t code[256 + 2];
-  for (int k = 0; k <= q + 1; ++k) {
-    code[k] = lut != nullptr ? selector_code(*lut, k)
-                             : static_cast<std::uint16_t>(k);
-  }
+  for (int k = 0; k <= q + 1; ++k) code[k] = selector_code(lut, k);
   sel->assign(linalg::simd_blocks_of(paths.size(), lanes) * nt * lanes,
               code[1]);
   for (std::size_t p = 0; p < paths.size(); ++p) {
@@ -168,7 +174,6 @@ void PathPlan::compile_channel(const linalg::CMat& r,
   side_ = c.side();
   scale_ = c.scale();
   inv_scale_ = c.inv_scale();
-  c_ = &c;
 
   r_.resize(nt * nt);
   for (std::size_t i = 0; i < nt; ++i) {
@@ -192,22 +197,17 @@ void PathPlan::compile_flexcore(const linalg::CMat& r,
                                 const core::OrderingLut& lut,
                                 bool exact_ordering,
                                 core::InvalidEntryPolicy policy) {
+  require_lut_ordering("PathPlan", exact_ordering, policy);
   require_path_lengths("PathPlan", paths, r.cols());
   compile_channel(r, c, /*with_diag_inverse=*/true);
   num_paths_ = paths.size();
-  lut_ = &lut;
-  policy_ = policy;
+  fcsd_ = false;
   full_levels_ = 0;
-  mode_ = exact_ordering ? Mode::kExactRank
-          : policy == core::InvalidEntryPolicy::kDeactivate
-              ? Mode::kLutRank
-              : Mode::kGenericRank;
   trie_size_ = trie_leaves_ = 0;
-  if (mode_ == Mode::kLutRank && with_trie_) {
-    compile_trie(paths);
+  if (with_trie_) {
+    compile_trie(paths, lut);
   } else {
-    compile_selectors(paths, nt_, kLanes,
-                      mode_ == Mode::kLutRank ? &lut : nullptr, q_, &sel_);
+    compile_selectors(paths, nt_, kLanes, lut, q_, &sel_);
   }
 }
 
@@ -218,9 +218,8 @@ void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
       "PathPlan", static_cast<std::size_t>(c.order()), full_levels);
   compile_channel(r, c, /*with_diag_inverse=*/false);
   num_paths_ = paths;
-  mode_ = Mode::kFcsd;
+  fcsd_ = true;
   full_levels_ = full_levels;
-  lut_ = nullptr;
   sel_.clear();
   trie_size_ = trie_leaves_ = 0;
 }
@@ -243,11 +242,6 @@ inline int round_half_away(double a) noexcept {
   const double f = c - static_cast<double>(t);
   return t + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
 }
-
-// PathPlan::Mode as the fp walk reads it from FpKernelState::mode.
-constexpr int kFpModeLut = 0;      // FlexCore, triangle LUT, kDeactivate
-constexpr int kFpModeGeneric = 1;  // FlexCore, triangle LUT, kSkipToValid
-constexpr int kFpModeFcsd = 3;     // FCSD (2 is the exact-sort ablation)
 
 /// Most keys the trie compile's rank sort takes (PathPlan::compile_trie
 /// sorts larger path sets with std::sort).
@@ -300,19 +294,16 @@ struct I16KernelState {
 struct FpKernelState {
   std::size_t nt = 0, q = 0, full_levels = 0;
   int side = 0;
-  int mode = kFpModeLut;
+  bool fcsd = false;  // the FCSD plan (else FlexCore's LUT mode)
   double scale = 0.0, inv_scale = 0.0;
   const double* r_re = nullptr;  // R rows; the diagonal is R(i,i) for rx
   const double* r_im = nullptr;
   const double* rdi_re = nullptr;  // 1/R(i,i) (FlexCore plans)
   const double* rdi_im = nullptr;
-  const std::uint16_t* sel = nullptr;  // selector codes / clamped ranks
-  const std::uint32_t* trie_leaf = nullptr;  // the LUT mode's path trie:
+  const std::uint16_t* sel = nullptr;  // selector codes (FlexCore plans)
+  const std::uint32_t* trie_leaf = nullptr;  // the FlexCore path trie:
   const std::uint8_t* trie_from = nullptr;   // each leaf's path and depth
   std::size_t trie_leaves = 0;
-  const core::OrderingLut* lut = nullptr;
-  const modulation::Constellation* cst = nullptr;
-  core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate;
 };
 
 namespace {
@@ -428,7 +419,7 @@ const KernelCopy g_kernels = pick_kernels();
 std::size_t PathPlan::walk_lanes() noexcept { return g_kernels.walk_lanes; }
 
 bool PathPlan::trie_wins(std::size_t n) const noexcept {
-  if (mode_ != Mode::kLutRank || !with_trie_) return false;
+  if (fcsd_ || !with_trie_) return false;
   const std::size_t walks = (n + kTrieLanes - 1) / kTrieLanes;
   const std::size_t block_levels =
       n * linalg::simd_blocks_of(num_paths_, kLanes) * nt_;
@@ -437,14 +428,11 @@ bool PathPlan::trie_wins(std::size_t n) const noexcept {
 }
 
 void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
-  static_assert(static_cast<int>(Mode::kLutRank) == kFpModeLut &&
-                static_cast<int>(Mode::kGenericRank) == kFpModeGeneric &&
-                static_cast<int>(Mode::kFcsd) == kFpModeFcsd);
   st->nt = nt_;
   st->q = static_cast<std::size_t>(q_);
   st->full_levels = full_levels_;
   st->side = side_;
-  st->mode = static_cast<int>(mode_);
+  st->fcsd = fcsd_;
   st->scale = scale_;
   st->inv_scale = inv_scale_;
   st->r_re = r_.re.data();
@@ -455,9 +443,6 @@ void PathPlan::fill_kernel_state(FpKernelState* st) const noexcept {
   st->trie_leaf = trie_leaf_.data();
   st->trie_from = trie_from_.data();
   st->trie_leaves = trie_leaves_;
-  st->lut = lut_;
-  st->cst = c_;
-  st->policy = policy_;
 }
 
 namespace {
@@ -474,7 +459,8 @@ thread_local TrieScratch t_trie_scratch;
 
 }  // namespace
 
-void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
+void PathPlan::compile_trie(std::span<const core::RankedPath> paths,
+                            const core::OrderingLut& lut) {
   // Each path's sort key packs rank - 1 in a 2^field_log-bit field per
   // level, root level highest, and the path index below them.  Sorted as
   // plain integers, the keys give DFS preorder, the lowest index first
@@ -518,7 +504,7 @@ void PathPlan::compile_trie(std::span<const core::RankedPath> paths) {
   if (key_of.size() < 2 * np) key_of.resize(2 * np);
   if (order.size() < np) order.resize(np);
   TrieKeys packing{weight, key_of.data(), order.data()};
-  compile_selectors(paths, nt, kLanes, lut_, q_, &sel_, &packing);
+  compile_selectors(paths, nt, kLanes, lut, q_, &sel_, &packing);
   const std::size_t live = packing.live;
   const auto rank_at = [&](std::uint32_t p, std::size_t depth) {
     return paths[p].p[nt - 1 - depth];
@@ -601,7 +587,7 @@ FLEXCORE_HOT_PATH
 void PathPlan::scan_trie(std::span<const linalg::cplx> ybars,
                          std::span<std::size_t> best_path,
                          std::span<double> best_metric) const {
-  assert(mode_ == Mode::kLutRank && with_trie_);
+  assert(!fcsd_ && with_trie_);
   assert(ybars.size() == best_path.size() * nt_);
   assert(best_metric.size() == best_path.size());
   FpKernelState st;
@@ -622,7 +608,7 @@ FLEXCORE_HOT_PATH
 void PathPlan::walk_sic(std::span<const linalg::cplx> ybars,
                         std::span<double> metrics,
                         std::span<int> symbols) const {
-  assert(mode_ != Mode::kFcsd && ybars.size() == metrics.size() * nt_);
+  assert(!fcsd_ && ybars.size() == metrics.size() * nt_);
   assert(symbols.size() == ybars.size());
   FpKernelState st;
   fill_kernel_state(&st);
@@ -649,7 +635,7 @@ DetectionStats PathPlan::walk_stats(std::size_t n_paths) const noexcept {
   const std::uint64_t terms = nt * (nt == 0 ? 0 : nt - 1) / 2;
   std::uint64_t mults = 4 * terms;
   std::uint64_t flops = 8 * terms;
-  if (mode_ == Mode::kFcsd) {
+  if (fcsd_) {
     const std::uint64_t greedy = nt - full_levels_;
     mults += 2 * nt + 4 * greedy;
     flops += 5 * nt + 8 * greedy;
@@ -1150,17 +1136,13 @@ void PathPlanI16::compile_flexcore(const linalg::CMat& r,
                                    const core::OrderingLut& lut,
                                    bool exact_ordering,
                                    core::InvalidEntryPolicy policy) {
-  if (exact_ordering || policy != core::InvalidEntryPolicy::kDeactivate) {
-    throw std::invalid_argument(
-        "PathPlanI16: the int16 tier compiles only the triangle LUT with "
-        "deactivation (no exact-sort or skip-to-valid ablation)");
-  }
+  require_lut_ordering("PathPlanI16", exact_ordering, policy);
   require_path_lengths("PathPlanI16", paths, r.cols());
   compile_channel(r, c, /*with_tables=*/false);
   num_paths_ = paths.size();
   fcsd_ = false;
   full_levels_ = 0;
-  compile_selectors(paths, nt_, kLanes, &lut, q_, &sel_);
+  compile_selectors(paths, nt_, kLanes, lut, q_, &sel_);
 }
 
 void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,

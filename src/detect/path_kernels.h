@@ -24,8 +24,10 @@
 //    A rank is data (a selector code), not control flow.  The FCSD decides
 //    in the registers too: an enumerated level's symbol is a digit of the
 //    lane's path index, a greedy level's the SIC walk's clamped slice of
-//    b / R(i,i).  Only the two ordering ablations (skip-to-valid, exact
-//    sort) decide per lane, on staged arrays.
+//    b / R(i,i).  No lane decides on staged arrays: the plans compile the
+//    paper's triangle LUT with deactivation and the FCSD only, and the
+//    ordering ablations (skip-to-valid, exact sort) run on the scalar
+//    reference walk of tests/reference_walk.h.
 //  * The walk, like the int16 kernel, is compiled once per x86-64 ISA
 //    (baseline, SSE4.1, AVX2, AVX-512F), each copy at its native register
 //    width, and dispatched by the process-wide startup choice that also
@@ -105,6 +107,15 @@ inline constexpr double kI16SerTolerance = 1e-2;
 /// installed.
 void require_kernel_streams(const char* who, std::size_t nt);
 
+/// Throws std::invalid_argument, prefixed by `who`, for either ordering
+/// ablation: the exhaustive sort (`exact_ordering`) or an invalid-entry
+/// policy other than kDeactivate.  The plans compile only the paper's
+/// triangle LUT with deactivation; the ablations run on the scalar reference
+/// walk (tests/reference_walk.h).  FlexCoreDetector and both plans'
+/// compile_flexcore call it before touching any state.
+void require_lut_ordering(const char* who, bool exact_ordering,
+                          core::InvalidEntryPolicy policy);
+
 /// |Q|^L, the FCSD's path count, for a constellation of order `q` and L =
 /// `full_levels` enumerated levels.  Throws std::invalid_argument naming L
 /// and |Q|, prefixed by `who`, when it does not fit std::size_t (64^11 =
@@ -152,12 +163,11 @@ class PathPlan {
   explicit PathPlan(bool with_trie = true) : with_trie_(with_trie) {}
 
   /// Compiles a FlexCore path set: `paths[p].p[i]` is the 1-based closeness
-  /// rank at level i.  `exact_ordering` selects the exhaustive-sort
-  /// ablation instead of the triangle LUT; `policy` is the detector's
-  /// invalid-entry policy (kDeactivate compiles to the in-lane LUT walk,
-  /// kSkipToValid falls back to per-lane OrderingLut calls).  `lut` must
-  /// outlive the plan.  Throws std::invalid_argument, before touching the
-  /// plan, when a path does not hold exactly r.cols() ranks.
+  /// rank at level i, ordered by `lut`'s triangle offsets, and a path whose
+  /// offset leaves the constellation is deactivated.  Throws
+  /// std::invalid_argument, before touching the plan, for the ordering
+  /// ablations (require_lut_ordering) and when a path does not hold exactly
+  /// r.cols() ranks.
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,
@@ -226,9 +236,9 @@ class PathPlan {
   /// AVX2, 32 on AVX-512).  Winner reconstruction groups vectors by it.
   static std::size_t walk_lanes() noexcept;
 
-  /// Nodes of the path trie the LUT mode compiles: one per distinct prefix
-  /// (root level first) of the paths whose every rank is valid.  0 in the
-  /// other modes, without the trie, and when every path holds an invalid
+  /// Nodes of the path trie a FlexCore plan compiles: one per distinct
+  /// prefix (root level first) of the paths whose every rank is valid.  0
+  /// for the FCSD, without the trie, and when every path holds an invalid
   /// rank.
   std::size_t trie_nodes() const noexcept { return trie_size_; }
 
@@ -236,14 +246,13 @@ class PathPlan {
   /// `n` vectors of this plan: true when ceil(n / kTrieLanes) walks of
   /// trie_nodes() nodes, each node weighted kTrieNodeCost block-levels,
   /// cost less than n scans of ceil(num_paths() / kLanes) blocks over
-  /// levels() levels.  Always false outside the LUT mode and without the
-  /// trie.
+  /// levels() levels.  Always false for the FCSD and without the trie.
   bool trie_wins(std::size_t n) const noexcept;
 
   /// Best path and metric of each of the rotated vectors ybars[k * L,
   /// (k + 1) * L) (L = levels()) over every path of the plan, through the
-  /// trie walk (LUT mode only): each vector's walks share every prefix the
-  /// paths share, with up to kTrieLanes vectors in the lanes.  Each
+  /// trie walk (FlexCore plans only): each vector's walks share every
+  /// prefix the paths share, with up to kTrieLanes vectors in the lanes.  Each
   /// (vector, path) runs the operations of its block-walk lane in the same
   /// order, and ties go to the lowest path index, so the verdicts are
   /// bitwise scan_paths' over path_metric_block — path 0 at +infinity when
@@ -265,26 +274,21 @@ class PathPlan {
   std::size_t footprint_bytes() const noexcept;
 
  private:
-  enum class Mode : std::uint8_t {
-    kLutRank,      ///< FlexCore, triangle LUT, kDeactivate (fast path)
-    kGenericRank,  ///< FlexCore, triangle LUT, kSkipToValid (per-lane calls)
-    kExactRank,    ///< FlexCore, exhaustive per-level sort (ablation)
-    kFcsd,         ///< FCSD digit enumeration + greedy slicing
-  };
-
   void compile_channel(const linalg::CMat& r,
                        const modulation::Constellation& c,
                        bool with_diag_inverse);
-  /// The LUT mode's path compile with the trie: fills sel_, packing the
-  /// paths' rank keys in the same pass, sorts the keys and takes each
-  /// leaf's divergence depth by XOR.  Allocation-free once the plan and
-  /// the calling thread's scratch are warm.
-  void compile_trie(std::span<const core::RankedPath> paths);
+  /// The FlexCore path compile with the trie: fills sel_ with `lut`'s
+  /// selector codes, packing the paths' rank keys in the same pass, sorts
+  /// the keys and takes each leaf's divergence depth by XOR.
+  /// Allocation-free once the plan and the calling thread's scratch are
+  /// warm.
+  void compile_trie(std::span<const core::RankedPath> paths,
+                    const core::OrderingLut& lut);
   /// Copies the plan's scalars and table pointers into the walk's kernel
   /// state (once per call; valid while the plan is unchanged).
   void fill_kernel_state(FpKernelState* st) const noexcept;
 
-  Mode mode_ = Mode::kLutRank;
+  bool fcsd_ = false;          ///< the FCSD plan (else FlexCore's LUT mode)
   std::size_t nt_ = 0;         ///< levels (0 = not compiled)
   std::size_t num_paths_ = 0;  ///< paths the plan covers
   int q_ = 0;                  ///< constellation order
@@ -298,13 +302,12 @@ class PathPlan {
 
   // FlexCore selector table, path-major-blocked:
   //   sel_[(block * nt_ + level) * kLanes + lane]
-  // is path block*kLanes+lane's selector code at `level` (tail lanes of the
-  // last block hold rank 1's code and are never emitted).  The LUT mode stores
-  // the base-triangle offset of the rank (selector_code); the ablation
-  // modes store the rank itself, clamped to [0, |Q| + 1].
+  // is path block*kLanes+lane's selector code at `level`: the base-triangle
+  // offset of its rank (selector_code).  Tail lanes of the last block hold
+  // rank 1's code and are never emitted.
   std::vector<std::uint16_t> sel_;
 
-  // The LUT mode's path trie, as its trie_leaves_ leaves in DFS preorder
+  // The FlexCore path trie, as its trie_leaves_ leaves in DFS preorder
   // (root level first, children by ascending rank): trie_leaf_[k] is leaf
   // k's path (the lowest index of the paths it ends) and trie_from_[k] the
   // depth where that path leaves leaf k - 1's.  Leaf k adds the nodes at
@@ -320,10 +323,6 @@ class PathPlan {
   std::size_t trie_size_ = 0;
 
   std::size_t full_levels_ = 0;  ///< the FCSD's enumerated levels
-
-  const modulation::Constellation* c_ = nullptr;  ///< slice / exact order
-  const core::OrderingLut* lut_ = nullptr;        ///< kGenericRank fallback
-  core::InvalidEntryPolicy policy_ = core::InvalidEntryPolicy::kDeactivate;
 };
 
 /// The quantized tier (":i16"): the paper's 16-bit FPGA datapath (§5.3,
@@ -374,10 +373,8 @@ class PathPlanI16 {
   /// steps outside before the bounds check kills the lane).
   static constexpr int kPamPad = 4;
 
-  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd, but the
-  /// tier compiles only the LUT mode: compile_flexcore also throws
-  /// std::invalid_argument, before touching the plan, for the exact-sort
-  /// or skip-to-valid ablation.
+  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd (the
+  /// ordering ablations are refused alike).
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,

@@ -13,7 +13,6 @@ FixedPathEval fixed_path_walk(const modulation::Constellation& c,
                               const core::OrderingLut& lut,
                               const linalg::CMat& r,
                               const core::PositionVector& p,
-                              core::InvalidEntryPolicy policy,
                               const linalg::CVec& ybar) {
   const std::size_t nt = r.cols();
 
@@ -37,7 +36,7 @@ FixedPathEval fixed_path_walk(const modulation::Constellation& c,
     FC b = FC::from_cplx(ybar[i]);
     for (std::size_t j = i + 1; j < nt; ++j) b = b - rq[i][j] * s[j];
     const FC eff = b * rinv[i];
-    const int x = lut.kth_symbol(eff.to_cplx(), p[i], policy);
+    const int x = lut.kth_symbol(eff.to_cplx(), p[i]);
     if (x < 0) return ev;
     ev.symbols[i] = x;
     s[i] = FC::from_cplx(c.point(x));
@@ -60,9 +59,9 @@ double fixed_vs_double_agreement(const core::FlexCoreDetector& det,
     double best = std::numeric_limits<double>::infinity();
     std::vector<int> best_sym;
     for (std::size_t pidx = 0; pidx < det.active_paths(); ++pidx) {
-      const auto ev = fixed_path_walk(
-          det.constellation(), det.lut(), det.qr().R,
-          det.preprocessing().paths[pidx].p, det.config().invalid_policy, ybar);
+      const auto ev =
+          fixed_path_walk(det.constellation(), det.lut(), det.qr().R,
+                          det.preprocessing().paths[pidx].p, ybar);
       if (ev.valid && ev.metric < best) {
         best = ev.metric;
         best_sym = ev.symbols;

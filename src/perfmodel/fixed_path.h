@@ -26,12 +26,12 @@ struct FixedPathEval {
 /// Walks one position-vector path with every arithmetic operation quantized
 /// to Q(16, kFracBits): quantized R, quantized 1/R(l,l) (the per-channel
 /// reciprocal the hardware precomputes to avoid dividers, §4), quantized
-/// interference cancellation and l2-norm.
+/// interference cancellation and l2-norm.  A LUT entry outside the
+/// constellation deactivates the path, as in the detectors.
 FixedPathEval fixed_path_walk(const modulation::Constellation& c,
                               const core::OrderingLut& lut,
                               const linalg::CMat& r,
                               const core::PositionVector& p,
-                              core::InvalidEntryPolicy policy,
                               const linalg::CVec& ybar);
 
 /// Fraction of detection decisions over `ys` where a full fixed-point

@@ -26,6 +26,7 @@
 #include "reference_lut.h"
 #include "reference_ml.h"
 #include "reference_preprocessing.h"
+#include "reference_walk.h"
 
 namespace fa = flexcore::api;
 namespace fc = flexcore::core;
@@ -709,11 +710,12 @@ TEST(FlexCore, SinglePathEqualsSic) {
 TEST(FlexCore, AllPathsWithExactOrderingIsML) {
   // Position vectors biject onto tree leaves, so selecting all |Q|^Nt paths
   // with exact per-level ordering makes FlexCore an exhaustive ML detector.
+  // The exact sort is an ablation no plan compiles: it runs on the scalar
+  // reference walk over the detector's QR and path set.
   Constellation c(4);
   ch::Rng rng(22);
   fa::DetectorConfig acfg{.constellation = &c};
   acfg.flexcore.num_pes = 64;  // 4^3
-  acfg.flexcore.ordering = fc::OrderingMode::kExactSort;
   acfg.flexcore.candidate_list_cap = 100000;
   const auto flex =
       fa::make_detector_as<fc::FlexCoreDetector>("flexcore", acfg);
@@ -728,7 +730,9 @@ TEST(FlexCore, AllPathsWithExactOrderingIsML) {
     const CVec y = ch::transmit(h, s, nv, rng);
     flex->set_channel(h, nv);
     EXPECT_EQ(flex->preprocessing().paths.size(), 64u);
-    const auto got = flex->detect(y);
+    const flexcore::testref::FlexCoreReference exact(
+        *flex, fc::OrderingMode::kExactSort);
+    const auto got = exact.detect(flex->rotate(y));
     const auto want = flexcore::testref::exhaustive_ml(c, h, y);
     EXPECT_EQ(got.symbols, want.symbols);
     EXPECT_NEAR(got.metric, want.metric, 1e-9);
@@ -990,15 +994,13 @@ TEST(FlexCore, SoftOutputSignsMatchHardDecision) {
 TEST(FlexCore, LutOrderingErrorRateCloseToExactSort) {
   // What matters is not decision-by-decision equality (the approximate
   // order legitimately picks different — similar-quality — candidates) but
-  // that the error *rate* stays close to the exact-sort upper bound.
+  // that the error *rate* stays close to the exact-sort upper bound.  The
+  // exact sort (with skip-to-valid) walks the detector's QR and path set on
+  // the scalar reference walk.
   Constellation c(16);
   const double nv = ch::noise_var_for_snr_db(5.2);
-  const auto lut_det =
-      fa::make_detector("flexcore-16", {.constellation = &c});
-  fa::DetectorConfig exact_acfg{.constellation = &c};
-  exact_acfg.flexcore.ordering = fc::OrderingMode::kExactSort;
-  exact_acfg.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
-  const auto exact_det = fa::make_detector("flexcore-16", exact_acfg);
+  const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-16", {.constellation = &c});
 
   ch::Rng rng(35);
   std::size_t lut_err = 0, exact_err = 0;
@@ -1011,10 +1013,13 @@ TEST(FlexCore, LutOrderingErrorRateCloseToExactSort) {
       s[static_cast<std::size_t>(u)] = c.point(tx[static_cast<std::size_t>(u)]);
     }
     const CVec y = ch::transmit(h, s, nv, rng);
-    lut_det->set_channel(h, nv);
-    exact_det->set_channel(h, nv);
-    const auto rl = lut_det->detect(y).symbols;
-    const auto re = exact_det->detect(y).symbols;
+    det->set_channel(h, nv);
+    const auto rl = det->detect(y).symbols;
+    const auto re = flexcore::testref::FlexCoreReference(
+                        *det, fc::OrderingMode::kExactSort,
+                        fc::InvalidEntryPolicy::kSkipToValid)
+                        .detect(det->rotate(y))
+                        .symbols;
     for (int u = 0; u < 6; ++u) {
       const auto ui = static_cast<std::size_t>(u);
       lut_err += rl[ui] != tx[ui];

@@ -267,8 +267,7 @@ TEST(FixedPath, MetricTracksDoubleEngine) {
     const double dbl = det->plan().walk_path(ybar, p, symbols);
     const auto fix = pm::fixed_path_walk(det->constellation(), det->lut(),
                                          det->qr().R,
-                                         det->preprocessing().paths[p].p,
-                                         det->config().invalid_policy, ybar);
+                                         det->preprocessing().paths[p].p, ybar);
     // Paths valid in double should be valid in fixed point and vice versa
     // except within quantization of the slicer boundary; metrics agree to
     // Q4.11 resolution accumulated over the walk.

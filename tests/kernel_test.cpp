@@ -1,7 +1,7 @@
 // Tests for the lane-parallel path-kernel engine (detect/path_kernels.h):
 // the exact fp64 plan (block walk, single-path walk, SIC walk) bit-identical
 // to the scalar reference walks of tests/reference_walk.h across detector
-// families x ordering modes x constellations x MIMO sizes — in whichever
+// families x constellations x MIMO sizes — in whichever
 // per-ISA copy FLEXCORE_I16_ISA pins — the reduced tiers within their
 // documented SER tolerances, the i16 tier's exact rescue, and the
 // precision spec grammar round-tripping through the registry.
@@ -94,40 +94,20 @@ std::size_t expect_plan_matches_reference(const fd::PathPlan& plan,
 // ----------------------------------------------------- fp64 bit-identity
 
 TEST(KernelEquivalence, FlexCorePlanMatchesReference) {
-  // Every FlexCore walk mode: the triangle LUT with deactivation (the
-  // block fast path), the LUT with skip-to-valid and the exhaustive sort
-  // (the per-lane ablation modes), for plain and adaptive FlexCore.
-  struct Mode {
-    const char* name;
-    fc::OrderingMode ordering;
-    fc::InvalidEntryPolicy policy;
-  };
-  const Mode modes[] = {
-      {"lut", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kDeactivate},
-      {"skip", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kSkipToValid},
-      {"exact", fc::OrderingMode::kExactSort,
-       fc::InvalidEntryPolicy::kDeactivate},
-  };
+  // The triangle LUT with deactivation, for plain and adaptive FlexCore.
   const auto check = [&](const Constellation& c, const fl::CMat& h,
                          double nv, std::initializer_list<const char*> families,
                          ch::Rng& rng, const std::string& shape) {
-    for (const Mode& mode : modes) {
-      fa::DetectorConfig cfg{.constellation = &c};
-      cfg.flexcore.ordering = mode.ordering;
-      cfg.flexcore.invalid_policy = mode.policy;
-      for (const char* family : families) {
-        const auto det =
-            fa::make_detector_as<fc::FlexCoreDetector>(family, cfg);
-        ASSERT_EQ(det->config().invalid_policy, mode.policy);
-        det->set_channel(h, nv);
-        const fr::FlexCoreReference ref(*det);
-        const std::string what =
-            std::string(family) + "/" + mode.name + " " + shape;
-        for (int rep = 0; rep < 3; ++rep) {
-          const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-          expect_plan_matches_reference(det->plan(), ref, det->active_paths(),
-                                        ybar, what);
-        }
+    for (const char* family : families) {
+      const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+          family, {.constellation = &c});
+      det->set_channel(h, nv);
+      const fr::FlexCoreReference ref(*det);
+      const std::string what = std::string(family) + " " + shape;
+      for (int rep = 0; rep < 3; ++rep) {
+        const fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
+        expect_plan_matches_reference(det->plan(), ref, det->active_paths(),
+                                      ybar, what);
       }
     }
   };
@@ -447,8 +427,8 @@ struct HandScenario {
   }
 
   template <typename Plan>
-  void compile(Plan& plan, bool exact_ordering = false) const {
-    plan.compile_flexcore(det->qr().R, paths, c, det->lut(), exact_ordering,
+  void compile(Plan& plan) const {
+    plan.compile_flexcore(det->qr().R, paths, c, det->lut(), false,
                           fc::InvalidEntryPolicy::kDeactivate);
   }
 };
@@ -472,13 +452,12 @@ void expect_invalid_ranks_deactivate(const Plan& plan, const HandScenario& sc,
 TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
   // Every decision kind of the LUT walk on one plan: rank 1, ranks 2..|Q|
   // under all eight dihedral transforms, and both invalid ranks (0 and
-  // |Q| + 1), beside all-rank-1 sub-vectors; then the same paths under the
-  // exact-sort ablation.
+  // |Q| + 1), beside all-rank-1 sub-vectors.
   const HandScenario sc;
   fd::PathPlan plan;
   sc.compile(plan);
   const fr::FlexCoreReference ref(sc.det->qr().R, sc.c, sc.det->lut(),
-                                  sc.paths, sc.det->config());
+                                  sc.paths);
   const fl::CMat& r = sc.det->qr().R;
   const std::size_t top = r.cols() - 1;
   const double h = sc.c.scale();
@@ -502,22 +481,6 @@ TEST(KernelEquivalence, HandBuiltRanksMatchReference) {
   EXPECT_GT(dead, 0u);
   EXPECT_LT(dead, sc.paths.size() * sc.ybars.size());
   expect_invalid_ranks_deactivate(plan, sc, "lut");
-
-  // The exact-sort ablation on the same paths: ranks 0 and |Q| + 1
-  // deactivate the path there too, in the plan and in the reference.
-  fd::PathPlan exact;
-  sc.compile(exact, /*exact_ordering=*/true);
-  fc::FlexCoreConfig exact_cfg = sc.det->config();
-  exact_cfg.ordering = fc::OrderingMode::kExactSort;
-  const fr::FlexCoreReference exact_ref(r, sc.c, sc.det->lut(), sc.paths,
-                                        exact_cfg);
-  std::size_t exact_dead = 0;
-  for (std::size_t v = 0; v < 16; ++v) {
-    exact_dead += expect_plan_matches_reference(
-        exact, exact_ref, sc.paths.size(), sc.ybars[v], "hand-built exact");
-  }
-  EXPECT_GT(exact_dead, 0u);
-  expect_invalid_ranks_deactivate(exact, sc, "exact");
 }
 
 // ------------------------------------------------- lane-batched walks
@@ -584,57 +547,35 @@ void expect_lanes_match_reference(const fd::PathPlan& plan, const Ref& ref,
 }
 
 TEST(KernelWalkLanes, FlexCoreLanesMatchReference) {
-  // Every FlexCore walk mode (LUT, skip-to-valid, exact sort) of plain and
-  // adaptive FlexCore, on registry detectors, and the hand-built paths
-  // whose invalid ranks kill lanes beside live ones in the same group.
-  struct Mode {
-    const char* name;
-    fc::OrderingMode ordering;
-    fc::InvalidEntryPolicy policy;
-  };
-  const Mode modes[] = {
-      {"lut", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kDeactivate},
-      {"skip", fc::OrderingMode::kLut, fc::InvalidEntryPolicy::kSkipToValid},
-      {"exact", fc::OrderingMode::kExactSort,
-       fc::InvalidEntryPolicy::kDeactivate},
-  };
+  // Plain and adaptive FlexCore on registry detectors, and the hand-built
+  // paths whose invalid ranks kill lanes beside live ones in the same
+  // group.
   for (int qam : {16, 64}) {
     Constellation c(qam);
     ch::Rng rng(600 + static_cast<std::uint64_t>(qam));
     const auto h = ch::rayleigh_iid(12, 12, rng);
     const double nv = ch::noise_var_for_snr_db(qam == 64 ? 14.0 : 8.0);
-    for (const Mode& mode : modes) {
-      fa::DetectorConfig cfg{.constellation = &c};
-      cfg.flexcore.ordering = mode.ordering;
-      cfg.flexcore.invalid_policy = mode.policy;
-      for (const char* family : {"flexcore-48", "a-flexcore-48"}) {
-        const auto det =
-            fa::make_detector_as<fc::FlexCoreDetector>(family, cfg);
-        det->set_channel(h, nv);
-        const fr::FlexCoreReference ref(*det);
-        expect_lanes_match_reference(
-            det->plan(), ref, det->active_paths(),
-            lane_ybars(h, c, nv, det->qr().Q, rng),
-            std::string(family) + "/" + mode.name +
-                " qam=" + std::to_string(qam));
-      }
+    for (const char* family : {"flexcore-48", "a-flexcore-48"}) {
+      const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
+          family, {.constellation = &c});
+      det->set_channel(h, nv);
+      const fr::FlexCoreReference ref(*det);
+      expect_lanes_match_reference(
+          det->plan(), ref, det->active_paths(),
+          lane_ybars(h, c, nv, det->qr().Q, rng),
+          std::string(family) + " qam=" + std::to_string(qam));
     }
   }
 
   const HandScenario sc;
-  for (const bool exact : {false, true}) {
-    fd::PathPlan plan;
-    sc.compile(plan, exact);
-    fc::FlexCoreConfig cfg = sc.det->config();
-    if (exact) cfg.ordering = fc::OrderingMode::kExactSort;
-    const fr::FlexCoreReference ref(sc.det->qr().R, sc.c, sc.det->lut(),
-                                    sc.paths, cfg);
-    std::size_t mixed = 0;
-    expect_lanes_match_reference(plan, ref, sc.paths.size(), sc.ybars,
-                                 exact ? "hand-built exact" : "hand-built",
-                                 &mixed);
-    EXPECT_GT(mixed, 0u) << "no group mixes dead and live lanes";
-  }
+  fd::PathPlan plan;
+  sc.compile(plan);
+  const fr::FlexCoreReference ref(sc.det->qr().R, sc.c, sc.det->lut(),
+                                  sc.paths);
+  std::size_t mixed = 0;
+  expect_lanes_match_reference(plan, ref, sc.paths.size(), sc.ybars,
+                               "hand-built", &mixed);
+  EXPECT_GT(mixed, 0u) << "no group mixes dead and live lanes";
 }
 
 TEST(KernelWalkLanes, FcsdLanesMatchReference) {
@@ -927,8 +868,7 @@ TEST(KernelTrie, SelectionFollowsTheEstimate) {
   // massive's merged 16x8 / 16-QAM / -2 dB channels with 7 vectors per
   // subcarrier take the trie, coherent's 12x12 / 64-QAM / 18 dB ones the
   // block scan, and each verdict is the documented estimate.  One vector
-  // never takes the trie there; the ":i16" tier, the ablation modes and
-  // FCSD never do.
+  // never takes the trie there; the ":i16" tier and FCSD never do.
   const std::size_t lanes = fd::PathPlan::kTrieLanes;
   const auto estimate = [&](const fc::FlexCoreDetector& det, std::size_t n) {
     const fd::PathPlan& plan = det.plan();
@@ -965,18 +905,10 @@ TEST(KernelTrie, SelectionFollowsTheEstimate) {
 
   const fl::CMat h = merged_massive_channel(rng);
   const double nv = ch::noise_var_for_snr_db(-2.0);
-  fa::DetectorConfig skip{.constellation = &qam16};
-  skip.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
-  fa::DetectorConfig exact{.constellation = &qam16};
-  exact.flexcore.ordering = fc::OrderingMode::kExactSort;
-  for (const auto& [spec, cfg] :
-       {std::pair{"flexcore-32:i16",
-                  fa::DetectorConfig{.constellation = &qam16}},
-        std::pair{"flexcore-32", skip}, std::pair{"flexcore-32", exact}}) {
-    const auto det = fa::make_detector_as<fc::FlexCoreDetector>(spec, cfg);
-    det->set_channel(h, nv);
-    EXPECT_FALSE(det->plan().trie_wins(7)) << spec;
-  }
+  const auto i16 = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-32:i16", {.constellation = &qam16});
+  i16->set_channel(h, nv);
+  EXPECT_FALSE(i16->plan().trie_wins(7));
   fd::FcsdDetector fcsd(qam16, 1);
   fcsd.set_channel(h, nv);
   EXPECT_EQ(fcsd.plan().trie_nodes(), 0u);
@@ -1136,6 +1068,48 @@ TEST(KernelPlans, FcsdCompileRejectsComplexDiagonalBeforeTouchingThePlan) {
     EXPECT_EQ(plan.num_paths(), det.num_paths()) << tier;
     EXPECT_EQ(plan.levels(), 4u) << tier;
     plan.path_metric_block(ybar, 0, after.size(), after.data());
+    EXPECT_EQ(before, after) << tier;
+  };
+  fd::PathPlan fp64;
+  check(fp64, "fp64");
+  fd::PathPlanI16 i16;
+  check(i16, "i16");
+}
+
+TEST(KernelPlans, OrderingAblationsAreRefusedBeforeTouchingThePlan) {
+  // The plans compile only the triangle LUT with deactivation; the exact
+  // sort and skip-to-valid run on the scalar reference walk.  A FlexCore
+  // detector refuses either ablation at construction in both tiers, and
+  // both tiers' compile_flexcore refuse it, leaving the previously compiled
+  // plan as it was.
+  Constellation c(16);
+  fa::DetectorConfig skip{.constellation = &c};
+  skip.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
+  fa::DetectorConfig exact{.constellation = &c};
+  exact.flexcore.ordering = fc::OrderingMode::kExactSort;
+  for (const char* spec : {"flexcore-32", "flexcore-32:i16"}) {
+    for (const fa::DetectorConfig& ablation : {skip, exact}) {
+      EXPECT_THROW(fa::make_detector(spec, ablation), std::invalid_argument)
+          << spec;
+    }
+  }
+
+  const HandScenario sc;
+  const auto check = [&](auto& plan, const char* tier) {
+    sc.compile(plan);
+    std::vector<double> before(sc.paths.size()), after(sc.paths.size());
+    plan.path_metric_block(sc.ybars[0], 0, before.size(), before.data());
+    for (const auto& [exact_ordering, policy] :
+         {std::pair{true, fc::InvalidEntryPolicy::kDeactivate},
+          std::pair{false, fc::InvalidEntryPolicy::kSkipToValid}}) {
+      EXPECT_THROW(plan.compile_flexcore(sc.det->qr().R, sc.paths, sc.c,
+                                         sc.det->lut(), exact_ordering, policy),
+                   std::invalid_argument)
+          << tier << " exact_ordering=" << exact_ordering;
+    }
+    EXPECT_EQ(plan.num_paths(), sc.paths.size()) << tier;
+    EXPECT_EQ(plan.levels(), 8u) << tier;
+    plan.path_metric_block(sc.ybars[0], 0, after.size(), after.data());
     EXPECT_EQ(before, after) << tier;
   };
   fd::PathPlan fp64;
@@ -1643,26 +1617,6 @@ TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
   // No ":fp64" spelling: a bare spec is the fp64 tier.
   EXPECT_THROW(fa::make_detector("a-flexcore-8:fp64", cfg),
                std::invalid_argument);
-  // The tier compiles only the triangle LUT with deactivation: the ordering
-  // ablations are refused with it, in the detector and in the plan.
-  fa::DetectorConfig skip = cfg;
-  skip.flexcore.invalid_policy = fc::InvalidEntryPolicy::kSkipToValid;
-  fa::DetectorConfig exact = cfg;
-  exact.flexcore.ordering = fc::OrderingMode::kExactSort;
-  for (const fa::DetectorConfig& ablation : {skip, exact}) {
-    EXPECT_THROW(fa::make_detector("flexcore-32:i16", ablation),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(fa::make_detector("flexcore-32", ablation));
-  }
-  const HandScenario sc;
-  fd::PathPlanI16 plan;
-  EXPECT_THROW(sc.compile(plan, /*exact_ordering=*/true),
-               std::invalid_argument);
-  EXPECT_THROW(plan.compile_flexcore(sc.det->qr().R, sc.paths, sc.c,
-                                     sc.det->lut(), false,
-                                     fc::InvalidEntryPolicy::kSkipToValid),
-               std::invalid_argument);
-  EXPECT_FALSE(plan.compiled());
   // Detectors without block kernels reject the tier like any unknown spec.
   EXPECT_THROW(fa::make_detector("zf:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("kbest-8:i16", cfg), std::invalid_argument);

@@ -18,6 +18,7 @@
 #include "perfmodel/fixed_point.h"
 #include "reference_linalg.h"
 #include "reference_ml.h"
+#include "reference_walk.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
@@ -88,6 +89,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QrPropertySweep,
 
 class BijectionSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The exact sort is an ablation no plan compiles: these sweeps run it on
+// the scalar reference walk over the detector's QR and path set.
+
 TEST_P(BijectionSweep, AllPositionVectorsWithExactOrderingAreML) {
   // For any channel and observation, the |Q|^Nt position vectors map
   // bijectively onto tree leaves, so exhaustive FlexCore == exhaustive ML.
@@ -103,9 +107,9 @@ TEST_P(BijectionSweep, AllPositionVectorsWithExactOrderingAreML) {
          std::pow(4.0, static_cast<double>(nt))) {
     acfg.flexcore.num_pes *= 4;
   }
-  acfg.flexcore.ordering = fc::OrderingMode::kExactSort;
   acfg.flexcore.candidate_list_cap = 1u << 20;
-  const auto det = fa::make_detector("flexcore", acfg);
+  const auto det =
+      fa::make_detector_as<fc::FlexCoreDetector>("flexcore", acfg);
   det->set_channel(h, nv);
 
   fl::CVec s(nt);
@@ -113,7 +117,8 @@ TEST_P(BijectionSweep, AllPositionVectorsWithExactOrderingAreML) {
     s[u] = c.point(static_cast<int>(rng.uniform_int(4)));
   }
   const fl::CVec y = ch::transmit(h, s, nv, rng);
-  const auto flex = det->detect(y);
+  const auto flex = ref::FlexCoreReference(*det, fc::OrderingMode::kExactSort)
+                        .detect(det->rotate(y));
   const auto ml = ref::exhaustive_ml(c, h, y);
   EXPECT_EQ(flex.symbols, ml.symbols);
   EXPECT_NEAR(flex.metric, ml.metric, 1e-9);
@@ -127,20 +132,20 @@ TEST_P(BijectionSweep, PreprocessingCoversDistinctLeavesExactly) {
   const fl::CMat h = ch::rayleigh_iid(4, 4, rng);
   fa::DetectorConfig acfg{.constellation = &c};
   acfg.flexcore.num_pes = 32;
-  acfg.flexcore.ordering = fc::OrderingMode::kExactSort;
   const auto det =
       fa::make_detector_as<fc::FlexCoreDetector>("flexcore", acfg);
   det->set_channel(h, 0.05);
   fl::CVec s(4, c.point(0));
   const fl::CVec y = ch::transmit(h, s, 0.05, rng);
   const fl::CVec ybar = det->rotate(y);
+  const ref::FlexCoreReference exact(*det, fc::OrderingMode::kExactSort);
 
   std::set<std::vector<int>> leaves;
-  std::vector<int> symbols(4);
   for (std::size_t p = 0; p < det->active_paths(); ++p) {
     // Exact ordering never deactivates for k <= |Q|.
-    ASSERT_TRUE(std::isfinite(det->plan().walk_path(ybar, p, symbols)));
-    EXPECT_TRUE(leaves.insert(symbols).second)
+    const ref::PathEval ev = exact.evaluate_path(ybar, p);
+    ASSERT_TRUE(ev.valid && std::isfinite(ev.metric));
+    EXPECT_TRUE(leaves.insert(ev.symbols).second)
         << "two position vectors resolved to the same leaf";
   }
 }

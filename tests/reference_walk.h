@@ -7,7 +7,9 @@
 // that plan is tested against — same operations in the same order on the
 // same values — and the "scalar" rows fig17_kernel_engine and
 // micro_kernels time the plan against.  They also keep the per-walk
-// Table 2 instrumentation the plan's closed-form walk_stats must match.
+// Table 2 instrumentation the plan's closed-form walk_stats must match, and
+// FlexCore's walk also runs the two ordering ablations no plan compiles
+// (exact sort, skip-to-valid), whose SER bench/ablation_ordering measures.
 //
 // A reference snapshots the detector's installed channel (R, 1/R(i,i) and
 // the R(i,i) * point tables): rebuild it after every set_channel.
@@ -56,28 +58,34 @@ inline std::vector<CVec> level_points(const CMat& r,
   return rx;
 }
 
-/// FlexCore's walk over the channel installed in `det`.
+/// FlexCore's walk over the channel installed in `det`: each level's k-th
+/// closest symbol by `ordering` (the detector's own walk is the triangle
+/// LUT), an entry outside the constellation handled by `policy` (the
+/// detector's own walk deactivates the path).
 class FlexCoreReference {
  public:
-  explicit FlexCoreReference(const core::FlexCoreDetector& det)
+  explicit FlexCoreReference(
+      const core::FlexCoreDetector& det,
+      core::OrderingMode ordering = core::OrderingMode::kLut,
+      core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate)
       : FlexCoreReference(det.qr().R, det.constellation(), det.lut(),
-                          det.preprocessing().paths, det.config()) {
+                          det.preprocessing().paths, ordering, policy) {
     det_ = &det;
   }
 
-  /// Test-only: the walk of an explicit path set over upper-triangular `r`
-  /// (`cfg` supplies the ordering mode and invalid-entry policy).  detect()
-  /// needs a detector's permutation and is unavailable here.
-  FlexCoreReference(const CMat& r, const modulation::Constellation& c,
-                    const core::OrderingLut& lut,
-                    std::span<const core::RankedPath> paths,
-                    const core::FlexCoreConfig& cfg)
+  /// Test-only: the walk of an explicit path set over upper-triangular `r`.
+  /// detect() needs a detector's permutation and is unavailable here.
+  FlexCoreReference(
+      const CMat& r, const modulation::Constellation& c,
+      const core::OrderingLut& lut, std::span<const core::RankedPath> paths,
+      core::OrderingMode ordering = core::OrderingMode::kLut,
+      core::InvalidEntryPolicy policy = core::InvalidEntryPolicy::kDeactivate)
       : r_(&r),
         c_(&c),
         lut_(&lut),
         paths_(paths),
-        ordering_(cfg.ordering),
-        policy_(cfg.invalid_policy),
+        ordering_(ordering),
+        policy_(policy),
         rx_(level_points(r, c)) {
     for (std::size_t i = 0; i < r_->cols(); ++i) {
       r_diag_inv_.push_back(cplx{1.0, 0.0} / (*r_)(i, i));

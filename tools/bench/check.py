@@ -1,15 +1,106 @@
 #!/usr/bin/env python3
 """Validators of the benches' BENCH_*.json files (stdlib only).
 
-    tools/bench/check.py kernels <BENCH_kernels.json>
+    tools/bench/check.py {control,sharded,soak,kernels} <BENCH_*.json>
 
 Exits non-zero, with the failed assertion and its row, when a file does
 not hold what its bench promises; prints a one-line summary otherwise.
-`kernels` checks bench/fig17_kernel_engine's rows.  The checks are assert
-statements, so the script refuses to run under python -O.
+`control` checks bench/fig16_adaptive_control's rows, `sharded`
+bench/fig18_sharded_runtime's, `soak` bench/fig19_soak_chaos's and
+`kernels` bench/fig17_kernel_engine's.  The checks are assert statements,
+so the script refuses to run under python -O.
 """
 import json
 import sys
+
+
+def check_control(doc):
+    assert doc['bench'] == 'control', doc.get('bench')
+    rows = doc['rows']
+    assert rows, 'no rows emitted'
+    required = {'scenario', 'mode', 'target_error', 'avg_paths_per_subcarrier',
+                'ser', 'reconfigs', 'converged', 'met_target', 'lat_count'}
+    for row in rows:
+        missing = required - row.keys()
+        assert not missing, f'missing fields {missing} in {row}'
+    fixed = [r for r in rows
+             if r['scenario'] == 'fixed-snr' and r['mode'] == 'adaptive']
+    assert len(fixed) == 1, 'fixed-snr adaptive row missing'
+    assert fixed[0]['converged'] == 1, 'adaptive policy did not converge'
+    assert fixed[0]['met_target'] == 1, 'adaptive policy missed the target'
+    print(f'BENCH_control.json OK: {len(rows)} rows')
+
+
+def check_sharded(doc):
+    assert doc['bench'] == 'sharded', doc.get('bench')
+    assert 'hardware_concurrency' in doc, 'missing hardware_concurrency'
+    rows = doc['rows']
+    assert rows, 'no rows emitted'
+    required = {'cells', 'shards', 'frames_per_cell', 'antennas',
+                'streams', 'vectors_per_sec', 'frames_in', 'frames_out',
+                'latency_p50_us', 'latency_p99_us', 'seconds'}
+    for row in rows:
+        missing = required - row.keys()
+        assert not missing, f'missing fields {missing} in {row}'
+        expect = row['cells'] * row['frames_per_cell']
+        assert row['frames_out'] == expect, \
+            f"frames_out {row['frames_out']} != {expect}"
+        # Per-shard counter consistency: every shard saw every frame,
+        # and the per-cluster rows partition the B antenna rows.
+        if row['shards'] >= 2:
+            ids = [int(k[len('shard'):-len('_frames')])
+                   for k in row if k.startswith('shard')
+                   and k.endswith('_frames')]
+            assert ids, f'no shard counters in shards={row["shards"]} row'
+            frames = {row[f'shard{i}_frames'] for i in ids}
+            assert frames == {expect}, \
+                f'per-shard frames {frames} != {{{expect}}}'
+            rows_sum = sum(row[f'shard{i}_rows'] for i in ids)
+            vecs = expect * 12  # nsc=12 subcarriers per frame
+            assert rows_sum == vecs * row['antennas'], \
+                f'shard rows {rows_sum} do not partition B'
+    mono = [r for r in rows if r['shards'] == 0]
+    sharded = [r for r in rows if r['shards'] >= 2]
+    assert mono and sharded, 'need monolithic and sharded rows'
+    print(f'BENCH_sharded.json OK: {len(rows)} rows '
+          f'({len(mono)} monolithic, {len(sharded)} sharded)')
+
+
+def check_soak(doc):
+    assert doc['bench'] == 'soak', doc.get('bench')
+    rows = doc['rows']
+    assert len(rows) >= 4, f'expected >= 4 scenarios, got {len(rows)}'
+    required = {'scenario', 'rounds', 'frames_submitted', 'frames_done',
+                'frames_quarantined', 'frames_failed', 'frames_dropped',
+                'frames_expired', 'reconfigs', 'faults_injected',
+                'injected_bad', 'injected_bad_done', 'tickets_lost',
+                'fifo_violations', 'spot_checks', 'bit_mismatches',
+                'shard_retries', 'shard_bypasses', 'violations', 'ok'}
+    total_reconfigs = 0
+    for row in rows:
+        missing = required - row.keys()
+        assert not missing, f'missing fields {missing} in {row}'
+        assert row['ok'] == 'true', f"{row['scenario']} not ok: {row}"
+        assert row['violations'] == 0, row
+        assert row['tickets_lost'] == 0, row
+        assert row['fifo_violations'] == 0, row
+        assert row['faults_injected'] > 0, \
+            f"{row['scenario']} injected no faults"
+        terminal = (row['frames_done'] + row['frames_quarantined'] +
+                    row['frames_failed'] + row['frames_dropped'] +
+                    row['frames_expired'])
+        assert terminal == row['frames_submitted'], \
+            f"{row['scenario']}: {terminal} != {row['frames_submitted']}"
+        total_reconfigs += row['reconfigs']
+    assert total_reconfigs >= 1000, \
+        f'only {total_reconfigs} reconfigurations'
+    quarantined = sum(r['frames_quarantined'] for r in rows)
+    bypasses = sum(r['shard_bypasses'] for r in rows)
+    assert quarantined > 0, 'no scenario exercised the quarantine path'
+    assert bypasses > 0, 'no scenario exercised the shard bypass ladder'
+    print(f'BENCH_soak.json OK: {len(rows)} scenarios, '
+          f'{total_reconfigs} reconfigs, {quarantined} quarantined, '
+          f'{bypasses} bypasses')
 
 
 def check_kernels(doc):
@@ -87,7 +178,8 @@ def check_kernels(doc):
           f"i16 ser gap {ser['i16']['ser_gap_vs_fp64']}")
 
 
-CHECKS = {'kernels': check_kernels}
+CHECKS = {'control': check_control, 'sharded': check_sharded,
+          'soak': check_soak, 'kernels': check_kernels}
 
 
 def main(argv):
