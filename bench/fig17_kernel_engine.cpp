@@ -136,23 +136,24 @@ double scan_block(const D& det, const std::vector<fl::CVec>& ybars,
   return sum;
 }
 
-/// One scalar + two block rows for a (detector, MIMO size) sweep point —
-/// the single place that defines the BENCH_kernels.json timing-row schema.
-/// `flops_per_path` is the plan's Table 2 count of one walk
-/// (PathPlan::walk_stats), the same work in every tier, so `gflops` is
-/// the work rate each kernel achieves on it; `isa` is the dispatched
+/// One scalar + one block row per tier for a (detector, MIMO size) sweep
+/// point — the single place that defines the BENCH_kernels.json
+/// timing-row schema.  A null `blk16` leaves out the i16 row (the FCSD
+/// has no i16 tier).  `flops_per_path` is the plan's Table 2 count of one
+/// walk (PathPlan::walk_stats), the same work in every tier, so `gflops`
+/// is the work rate each kernel achieves on it; `isa` is the dispatched
 /// kernel copy (detect::kernel_isa) the block rows ran.
 void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
                int qam, std::size_t paths, double flops_per_path,
-               const Timing& scalar, const Timing& blk64, const Timing& blk16) {
+               const Timing& scalar, const Timing& blk64, const Timing* blk16) {
   const struct {
     const char* kernel;
     const char* precision;
     double ns;
   } rows[] = {{"scalar", "fp64", scalar.ns_per_path},
               {"block", "fp64", blk64.ns_per_path},
-              {"block", "i16", blk16.ns_per_path}};
-  for (const auto& r : rows) {
+              {"block", "i16", blk16 ? blk16->ns_per_path : 0.0}};
+  for (const auto& r : std::span(rows, blk16 ? 3 : 2)) {
     json.row()
         .field("detector", detector)
         .field("mimo", mimo)
@@ -474,7 +475,7 @@ int main() {
                 pt.blk16.ns_per_path, speedups, pt.flops,
                 pt.flops / pt.blk64.ns_per_path);
     emit_rows(json, "flexcore-128", nt, 64, pt.paths, pt.flops, pt.scalar,
-              pt.blk64, pt.blk16);
+              pt.blk64, &pt.blk16);
 
     if (nt == 12) {
       gate_seen = true;
@@ -527,13 +528,13 @@ int main() {
                   pt.scalar.ns_per_path, pt.blk64.ns_per_path,
                   pt.blk16.ns_per_path);
       emit_rows(json, sv.spec, sv.nt, sv.qam, pt.paths, pt.flops, pt.scalar,
-                pt.blk64, pt.blk16);
+                pt.blk64, &pt.blk16);
     }
   }
 
   // FCSD context rows: the same engine accelerates the competitor too
   // (both graphs run the identical grid infrastructure, the paper's
-  // fairness methodology).
+  // fairness methodology), in fp64, its only tier.
   {
     const std::size_t nt = 12;
     ch::Rng rng(77);
@@ -541,14 +542,8 @@ int main() {
     const double noise = ch::noise_var_for_snr_db(18.0);
     fd::FcsdDetector fcsd64(qam, 1);
     fcsd64.set_channel(h, noise);
-    fd::FcsdDetector fcsd16(qam, 1, fd::Precision::kInt16);
-    fcsd16.set_channel(h, noise);
     const std::size_t paths = fcsd64.num_paths();
 
-    const auto flex =
-        fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128",
-                                                   {.constellation = &qam});
-    flex->set_channel(h, noise);  // only for identical rotation geometry
     std::vector<fl::CVec> ybars;
     {
       fl::CVec s(nt);
@@ -567,16 +562,15 @@ int main() {
         walks, reps, [&] { return scan_scalar(ref64, ybars, paths); });
     const Timing blk64 = time_kernel(
         walks, reps, [&] { return scan_block(fcsd64, ybars, paths); });
-    const Timing blk16 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd16, ybars, paths); });
     const double flops =
         static_cast<double>(fcsd64.plan().walk_stats(1).flops);
     std::printf("\nfcsd-L1 12x12: scalar %.2f ns/path, block fp64 %.2f "
-                "(%.2fx, %.0f flops/path, %.2f GFLOP/s), block i16 %.2f\n",
+                "(%.2fx, %.0f flops/path, %.2f GFLOP/s)\n",
                 scalar.ns_per_path, blk64.ns_per_path,
                 scalar.ns_per_path / blk64.ns_per_path, flops,
-                flops / blk64.ns_per_path, blk16.ns_per_path);
-    emit_rows(json, "fcsd-L1", nt, 64, paths, flops, scalar, blk64, blk16);
+                flops / blk64.ns_per_path);
+    emit_rows(json, "fcsd-L1", nt, 64, paths, flops, scalar, blk64,
+              nullptr);
   }
 
   mgs_rows(json, reps);

@@ -27,7 +27,7 @@ constexpr SpecEntry kSpecs[] = {
     {"zf-sic", "zf-sic (alias: sic)"},
     {"trellis50", "trellis50 (alias: trellis)"},
     {"ml-sd", "ml-sd (alias: ml; options: cfg.ml_sphere)"},
-    {"fcsd-L1", "fcsd-L<L>[:i16] (bare = L1)"},
+    {"fcsd-L1", "fcsd-L<L> (bare = L1)"},
     {"kbest-8", "kbest-<K> (bare = K8)"},
     {"akbest-16",
      "akbest-<budget> (bare = 16; Pe model: cfg.flexcore.pe_model)"},
@@ -36,7 +36,7 @@ constexpr SpecEntry kSpecs[] = {
      "a-flexcore[-<PEs>][:i16] (threshold: "
      "cfg.flexcore.adaptive_threshold, else 0.95)"},
     {"flexcore-64:i16",
-     "<path-parallel spec>:i16 (int16 quantized block kernels, "
+     "<flexcore or a-flexcore spec>:i16 (int16 quantized block kernels, "
      "LUT-compiled slicing)"},
 };
 
@@ -121,9 +121,9 @@ std::unique_ptr<detect::Detector> make_detector(std::string_view spec,
           require_constellation(cfg, spec), cfg.ml_sphere);
     }
   }
-  if (f == "fcsd" && (!p.number || p.levels)) {
+  if (fp64 && f == "fcsd" && (!p.number || p.levels)) {
     return std::make_unique<detect::FcsdDetector>(
-        require_constellation(cfg, spec), p.number.value_or(1), p.precision);
+        require_constellation(cfg, spec), p.number.value_or(1));
   }
   if (p.levels) throw_unknown(spec);
   if (fp64 && f == "kbest") {

@@ -13,13 +13,13 @@
 // A spec is <family>[-<number>][:i16].  Parametric families take their
 // parameter from the number (flexcore-<PEs>, a-flexcore-<PEs>, fcsd-L<L>,
 // kbest-<K>, akbest-<B>); bare family names fall back to the values in
-// DetectorConfig or the family's default.  The path-parallel families
-// (flexcore, a-flexcore, fcsd) additionally accept the precision-tier
-// suffix ":i16" (e.g. "flexcore-128:i16" or "fcsd-L1:i16"), which runs
-// their block kernels in the quantized int16 tier; the suffix is the only
-// way to pick a tier, and a bare spec runs fp64.  Unknown specs —
-// including a tier suffix on a family without block kernels, e.g.
-// "zf:i16" — throw std::invalid_argument listing the known spec patterns.
+// DetectorConfig or the family's default.  The FlexCore families
+// (flexcore, a-flexcore) additionally accept the precision-tier suffix
+// ":i16" (e.g. "flexcore-128:i16"), which runs their block kernels in the
+// quantized int16 tier; the suffix is the only way to pick a tier, and a
+// bare spec runs fp64.  Unknown specs — including a tier suffix on any
+// other family, e.g. "fcsd-L1:i16" or "zf:i16" — throw
+// std::invalid_argument listing the known spec patterns.
 #pragma once
 
 #include <memory>

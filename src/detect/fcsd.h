@@ -20,16 +20,13 @@ namespace flexcore::detect {
 class FcsdDetector : public PathParallelDetector {
  public:
   /// `full_levels` = L, the number of fully-expanded levels (1 or 2 in the
-  /// paper's evaluation).  `precision` selects the compute tier of the
-  /// path grids (spec suffix ":i16"); everything outside the grid stays
-  /// double.  Throws std::invalid_argument naming L and |Q| when |Q|^L
-  /// does not fit std::size_t.
-  FcsdDetector(const Constellation& c, std::size_t full_levels,
-               Precision precision = Precision::kFloat64);
+  /// paper's evaluation).  The grids run fp64: the ":i16" tier is
+  /// FlexCore's alone.  Throws std::invalid_argument naming L and |Q| when
+  /// |Q|^L does not fit std::size_t.
+  FcsdDetector(const Constellation& c, std::size_t full_levels);
 
   std::string name() const override {
-    return "fcsd-L" + std::to_string(full_levels_) +
-           precision_suffix(precision());
+    return "fcsd-L" + std::to_string(full_levels_);
   }
 
   /// |Q|^L — the number of independent paths / required PEs.

@@ -254,15 +254,12 @@ constexpr std::int32_t kI16Min = perfmodel::I16Format::kMin;
 /// only, filled per path_metric_block call (the plan is immutable while
 /// grids run, so the pointers stay valid across the whole scan).
 struct I16KernelState {
-  std::size_t nt = 0, q = 0, full_levels = 0;
+  std::size_t nt = 0;
   int side = 0, pbits = 0;
   int pt_half = 0;  // lround(scale * 2^P): PAM half-step at the point scale
-  bool fcsd = false;  // the FCSD plan (else FlexCore's LUT mode)
   double metric_unscale = 0.0;
   const std::int16_t* r_re = nullptr;
   const std::int16_t* r_im = nullptr;
-  const std::int32_t* rx_pack = nullptr;
-  const std::int32_t* pt_pack = nullptr;
   const std::int16_t* rdi_re = nullptr;
   const std::int16_t* rdi_im = nullptr;
   const std::int32_t* rh_re = nullptr;  // R(i,i)*scale at 2^F (affine rx)
@@ -710,16 +707,6 @@ inline std::int32_t quantize_i32(double raw, double cap) noexcept {
   return static_cast<std::int32_t>(c >= 0.0 ? c + 0.5 : c - 0.5);
 }
 
-/// (re, im) int16 pair packed into one int32: re in the low 16 bits, im in
-/// the high 16 (two's-complement bit patterns, routed through unsigned so
-/// no shift ever overflows a signed value).
-inline std::int32_t pack_i16_pair(std::int16_t re, std::int16_t im) noexcept {
-  const std::uint32_t u =
-      static_cast<std::uint32_t>(static_cast<std::uint16_t>(re)) |
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(im)) << 16);
-  return static_cast<std::int32_t>(u);
-}
-
 /// The floor-affine form (x * c + d) >> s through the points (x[k], y[k]),
 /// k < n, x ascending.  Closed form c = round(slope * 2^s), tried with its
 /// two neighbours for s = s_max down to s_max - 3; d is the least value of
@@ -761,11 +748,7 @@ constexpr std::int64_t kI32Limit = 2147483647;
 }  // namespace
 
 void PathPlanI16::compile_channel(const linalg::CMat& r,
-                                  const modulation::Constellation& c,
-                                  bool with_tables) {
-  // (The fp64 plan skips 1/R(i,i) for FCSD; the quantized tier always
-  // compiles it — the greedy FCSD slice runs through the same compiled
-  // slicer as rank > 1 lanes.)
+                                  const modulation::Constellation& c) {
   const std::size_t nt = r.cols();
   require_kernel_streams("PathPlanI16", nt);
   nt_ = nt;
@@ -844,14 +827,12 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // rx rows are affine in the axis indices: rx[i][x] = R(i,i) * point(x)
   // with point = ((2 a_re - (side-1)) + j (2 a_im - (side-1))) * scale, so
   // one quantized complex step rh = R(i,i) * scale * 2^F per level
-  // reproduces the whole row.  The kernel's LUT mode computes the metric
-  // reference straight from the sliced axis indices with this identity (no
-  // per-lane row gather), and the FCSD's table holds the same values, so
-  // every mode sees identical quantized rx.  The doubled-axis offsets obey
-  // (side-1) * (|rh_re| + |rh_im|) <= kMax + 2(side-1): the exact corner
-  // value is part of vmax, which bounds it by kMax at 2^F, and each step
-  // rounds by at most 1/2 — so rows fit int16 after a defensive clamp and
-  // every kernel intermediate fits int32 untouched.
+  // reproduces the whole row.  The kernel computes the metric reference
+  // straight from the sliced axis indices with this identity (no per-lane
+  // row gather).  The doubled-axis offsets obey (side-1) * (|rh_re| +
+  // |rh_im|) <= kMax + 2(side-1): the exact corner value is part of vmax,
+  // which bounds it by kMax at 2^F, and each step rounds by at most 1/2 —
+  // so every kernel intermediate fits int32 untouched.
   rh_re_q_.assign(nt, 0);
   rh_im_q_.assign(nt, 0);
   for (std::size_t i = 0; i < nt; ++i) {
@@ -866,40 +847,14 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // Quantized points are defined AFFINELY in the axis indices — the grid is
   // pam(a) = (2a - (side-1)) * scale, so one quantized half-step reproduces
   // every point: pt_q[a_re, a_im] = ((2 a_re - (side-1)) h, (2 a_im -
-  // (side-1)) h).  The kernel's LUT mode computes recurrence symbols
-  // straight from sliced axis indices with this identity (no table gather
-  // on the decision-feedback chain), and the FCSD's table holds the same
-  // values, so all modes agree bit-for-bit.  h is capped so the edge
-  // level (side-1) * h stays in int16 — same bound the per-point
-  // quantization obeyed.
+  // (side-1)) h).  The kernel computes recurrence symbols straight from
+  // sliced axis indices with this identity (no table gather on the
+  // decision-feedback chain).  h is capped so the edge level (side-1) * h
+  // stays in int16 — same bound the per-point quantization obeyed.
   pt_half_q_ = static_cast<std::int32_t>(std::lround(scale_ * ps));
   pt_half_q_ = std::min<std::int32_t>(
       pt_half_q_, static_cast<std::int32_t>(QF::kMax) / (side_ - 1));
   pt_half_q_ = std::max<std::int32_t>(pt_half_q_, 1);
-  rx_pack_.clear();
-  pt_pack_.clear();
-  if (with_tables) {
-    rx_pack_.resize(nt * q);
-    for (std::size_t i = 0; i < nt; ++i) {
-      for (std::size_t x = 0; x < q; ++x) {
-        const int er = 2 * (static_cast<int>(x) / side_) - (side_ - 1);
-        const int eq = 2 * (static_cast<int>(x) % side_) - (side_ - 1);
-        rx_pack_[i * q + x] = pack_i16_pair(
-            static_cast<std::int16_t>(std::clamp<std::int32_t>(
-                er * rh_re_q_[i] - eq * rh_im_q_[i], -QF::kMax, QF::kMax)),
-            static_cast<std::int16_t>(std::clamp<std::int32_t>(
-                er * rh_im_q_[i] + eq * rh_re_q_[i], -QF::kMax, QF::kMax)));
-      }
-    }
-    pt_pack_.resize(q);
-    for (std::size_t x = 0; x < q; ++x) {
-      const int ai = static_cast<int>(x) / side_;
-      const int aq = static_cast<int>(x) % side_;
-      pt_pack_[x] = pack_i16_pair(
-          static_cast<std::int16_t>((2 * ai - (side_ - 1)) * pt_half_q_),
-          static_cast<std::int16_t>((2 * aq - (side_ - 1)) * pt_half_q_));
-    }
-  }
 
   // Quantized diagonal inverses + per-level slicer / PAM tables.
   rdi_re_q_.assign(nt, 0);
@@ -1138,23 +1093,9 @@ void PathPlanI16::compile_flexcore(const linalg::CMat& r,
                                    core::InvalidEntryPolicy policy) {
   require_lut_ordering("PathPlanI16", exact_ordering, policy);
   require_path_lengths("PathPlanI16", paths, r.cols());
-  compile_channel(r, c, /*with_tables=*/false);
+  compile_channel(r, c);
   num_paths_ = paths.size();
-  fcsd_ = false;
-  full_levels_ = 0;
   compile_selectors(paths, nt_, kLanes, lut, q_, &sel_);
-}
-
-void PathPlanI16::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
-                               const modulation::Constellation& c) {
-  require_fcsd_shape("PathPlanI16", r, full_levels);
-  const std::size_t paths = fcsd_num_paths(
-      "PathPlanI16", static_cast<std::size_t>(c.order()), full_levels);
-  compile_channel(r, c, /*with_tables=*/true);
-  num_paths_ = paths;
-  fcsd_ = true;
-  full_levels_ = full_levels;
-  sel_.clear();
 }
 
 int PathPlanI16::slicer_center(std::size_t level, double eff) const {
@@ -1176,7 +1117,6 @@ std::size_t PathPlanI16::footprint_bytes() const noexcept {
   return (r_re_q_.size() + r_im_q_.size() + rdi_re_q_.size() +
           rdi_im_q_.size()) *
              sizeof(std::int16_t) +
-         (rx_pack_.size() + pt_pack_.size()) * sizeof(std::int32_t) +
          (rh_re_q_.size() + rh_im_q_.size()) * sizeof(std::int32_t) +
          gbits_.size() * sizeof(int) + slicer_shift_.size() * sizeof(int) +
          (slice_ar_.size() + slice_ai_.size() + slice_off_.size() +
@@ -1207,17 +1147,12 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
 
   I16KernelState st;
   st.nt = nt_;
-  st.q = static_cast<std::size_t>(q_);
-  st.full_levels = full_levels_;
   st.side = side_;
   st.pbits = pbits_;
   st.pt_half = pt_half_q_;
-  st.fcsd = fcsd_;
   st.metric_unscale = metric_unscale_;
   st.r_re = r_re_q_.data();
   st.r_im = r_im_q_.data();
-  st.rx_pack = rx_pack_.data();
-  st.pt_pack = pt_pack_.data();
   st.rdi_re = rdi_re_q_.data();
   st.rdi_im = rdi_im_q_.data();
   st.rh_re = rh_re_q_.data();
@@ -1239,7 +1174,7 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.pam_d = pam_d_.data();
   st.pam_s = pam_s_.data();
   st.pam_wide = pam_wide_.data();
-  st.sel = sel_.empty() ? nullptr : sel_.data();
+  st.sel = sel_.data();
 
   double tmp[2 * kLanes];
   std::size_t written = 0;

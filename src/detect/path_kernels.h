@@ -59,11 +59,13 @@
 // values, in every ISA copy and every lane of a batched walk, verified by
 // tests/kernel_test.cpp (the build turns FMA contraction off, so no copy
 // fuses a multiply-add the reference rounds twice).
-// PathPlanI16 is the one reduced tier: the paper's 16-bit fixed-point
-// FPGA datapath (selected by the ":i16" registry spec suffix; see README
-// "Kernel engine & precision tiers" for when it is safe).
+// PathPlanI16 is the one reduced tier, FlexCore's alone: the paper's
+// 16-bit fixed-point FPGA datapath (selected by the ":i16" registry spec
+// suffix; see README "Kernel engine & precision tiers" for when it is
+// safe).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -81,8 +83,9 @@
 namespace flexcore::detect {
 
 /// Compute tier of the path grids.  kFloat64 is the exact tier; kInt16 runs
-/// the quantized fixed-point tier (PathPlanI16) — winner reconstruction and
-/// everything outside the grid stays double in both.
+/// the quantized fixed-point tier (PathPlanI16, FlexCore's path sets only)
+/// — winner reconstruction and everything outside the grid stays double in
+/// both.
 enum class Precision {
   kFloat64,
   kInt16,
@@ -326,17 +329,18 @@ class PathPlan {
 };
 
 /// The quantized tier (":i16"): the paper's 16-bit FPGA datapath (§5.3,
-/// Table 3) mapped onto CPU SIMD.  Same compile/evaluate contract as
-/// PathPlan, different number format:
+/// Table 3) mapped onto CPU SIMD, for FlexCore's path sets alone (the FCSD
+/// runs fp64 only).  Same compile/evaluate contract as
+/// PathPlan::compile_flexcore, different number format:
 ///
-///  * Channel state is stored as int16 SoA (R rows, and for the FCSD the
-///    R(i,i)*point and point tables) under per-plan scale factors computed at
-///    compile (set_channel) time — power-of-two scales chosen so the whole
-///    interference-cancellation recurrence is overflow-free in int32 and
-///    the fractional resolution never exceeds the shared Q-format
-///    (perfmodel::I16Format, Q4.11).  The stored state is a quarter of the
-///    fp64 plan's element width, and a register holds twice as many int32
-///    lanes as doubles, so blocks are kLanes = 16 paths wide.
+///  * Channel state is stored as int16 SoA (R rows) under per-plan scale
+///    factors computed at compile (set_channel) time — power-of-two scales
+///    chosen so the whole interference-cancellation recurrence is
+///    overflow-free in int32 and the fractional resolution never exceeds
+///    the shared Q-format (perfmodel::I16Format, Q4.11).  The stored state
+///    is a quarter of the fp64 plan's element width, and a register holds
+///    twice as many int32 lanes as doubles, so blocks are kLanes = 16 paths
+///    wide.
 ///  * The per-level walk runs in 32-bit integer lanes: b accumulates exact
 ///    int32 products of int16 values, the effective point is an int32
 ///    product against the quantized 1/R(i,i), and the Euclidean metric
@@ -345,13 +349,13 @@ class PathPlan {
 ///    table per (plan, level) covering the reachable effective-point
 ///    range, so the runtime rounded-center divide/compare chain collapses
 ///    to shift + bucket arithmetic (out-of-coverage buckets are a sentinel
-///    that deactivates the lane / clamps the greedy FCSD slice).  No plan
-///    stores the table: it is compiled into an exact affine form over its
-///    in-coverage buckets, which rank > 1 lanes and FCSD's greedy slice
-///    read.  Rank-1 lanes slice through a second affine form with
-///    1/R(i,i) folded in, and the triangle classification's PAM reference
-///    is an affine form too — every LUT-rank lane decides in the
-///    registers, at the copy's native int32 width.
+///    that deactivates the lane).  No plan stores the table: it is
+///    compiled into an exact affine form over its in-coverage buckets,
+///    which rank > 1 lanes read.  Rank-1 lanes slice through a second
+///    affine form with 1/R(i,i) folded in, and the triangle
+///    classification's PAM reference is an affine form too — every lane
+///    decides in the registers, at the copy's native int32 width, and
+///    rebuilds its symbol and metric reference from axis indices.
 ///
 /// Metrics are returned as doubles (raw accumulator * 2^-2F), so the grid
 /// min-reduction and winner reconstruction are unchanged.  The tier is
@@ -365,7 +369,7 @@ class PathPlanI16 {
   /// Buckets of each level's compiled slicer.
   static constexpr std::size_t kSlicerBuckets = 256;
   /// Slicer sentinel: effective point outside the slicer's coverage
-  /// (deactivates the lane in FlexCore modes; clamps in FCSD greedy mode).
+  /// (deactivates the lane).
   static constexpr std::int8_t kSlicerInvalid =
       std::numeric_limits<std::int8_t>::min();
   /// Extended axis-index pad kept around the constellation in the slicer
@@ -373,15 +377,13 @@ class PathPlanI16 {
   /// steps outside before the bounds check kills the lane).
   static constexpr int kPamPad = 4;
 
-  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd (the
-  /// ordering ablations are refused alike).
+  /// Same contract as PathPlan::compile_flexcore (the ordering ablations
+  /// are refused alike).
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,
                         const core::OrderingLut& lut, bool exact_ordering,
                         core::InvalidEntryPolicy policy);
-  void compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
-                    const modulation::Constellation& c);
 
   void clear() { nt_ = num_paths_ = 0; }
   bool compiled() const noexcept { return nt_ != 0; }
@@ -399,7 +401,7 @@ class PathPlanI16 {
   std::size_t footprint_bytes() const noexcept;
 
   // --- quantization introspection (tests / benches) ----------------------
-  /// Fractional bits of the channel scale 2^F (R rows, rx tables, b).
+  /// Fractional bits of the channel scale 2^F (R rows, row steps, b).
   /// Capped at perfmodel's shared Q-format resolution.
   int frac_bits() const noexcept { return fbits_; }
   /// Fractional bits of the constellation-point scale 2^P.
@@ -407,17 +409,16 @@ class PathPlanI16 {
   /// Per-level fractional bits of the quantized 1/R(i,i).
   int rdi_bits(std::size_t level) const { return gbits_[level]; }
   /// Runs the compiled slicer of `level` — the affine form rank > 1 lanes
-  /// and FCSD's greedy slice read — on an effective-point coordinate
-  /// (value domain): the unclamped axis index the kernel would pick, or
-  /// kSlicerInvalid when `eff` falls outside the slicer's coverage.
+  /// read — on an effective-point coordinate (value domain): the unclamped
+  /// axis index the kernel would pick, or kSlicerInvalid when `eff` falls
+  /// outside the slicer's coverage.
   /// Exposed so tests can check golden patterns against hand-computed
   /// slices.  Throws std::invalid_argument unless level < levels().
   int slicer_center(std::size_t level, double eff) const;
 
  private:
-  /// `with_tables` compiles rx_pack_ / pt_pack_, which only the FCSD reads.
   void compile_channel(const linalg::CMat& r,
-                       const modulation::Constellation& c, bool with_tables);
+                       const modulation::Constellation& c);
   /// Compiles level `level`'s slicer table `tab` (kSlicerBuckets entries)
   /// into tab_c_ .. tab_hi_; `kappa` is the table's axis steps per bucket.
   void fit_table_slicer(std::size_t level, double kappa, std::int8_t* tab);
@@ -426,7 +427,6 @@ class PathPlanI16 {
   /// in-coverage lane can hold there.
   void fit_pam_row(std::size_t level, double x, double erx_max);
 
-  bool fcsd_ = false;  ///< the FCSD plan (else FlexCore's LUT mode)
   std::size_t nt_ = 0;
   std::size_t num_paths_ = 0;
   int q_ = 0;
@@ -434,16 +434,16 @@ class PathPlanI16 {
   double scale_ = 0.0;
   double inv_scale_ = 0.0;
 
-  // Per-plan quantization state.  fbits_ (F): channel scale, R rows / rx
-  // tables / the cancellation accumulator b are value * 2^F; pbits_ (P):
+  // Per-plan quantization state.  fbits_ (F): channel scale, R rows / row
+  // steps / the cancellation accumulator b are value * 2^F; pbits_ (P):
   // point scale; ybar is quantized per call at 2^(F+P) so the j-loop's
   // int16*int16 products land on ybar's scale with no runtime shift.
   int fbits_ = 0;
   int pbits_ = 0;
   /// Quantized PAM half-step at 2^P: pt[a_re, a_im] = ((2 a_re -
-  /// (side-1)) h, ...) exactly — the kernel's LUT mode rebuilds recurrence
-  /// symbols from sliced axis indices with this identity instead of
-  /// gathering the table (keeps the decision-feedback chain in registers).
+  /// (side-1)) h, ...) exactly — the kernel rebuilds recurrence symbols
+  /// from sliced axis indices with this identity (keeps the
+  /// decision-feedback chain in registers).
   std::int32_t pt_half_q_ = 0;
   double metric_unscale_ = 0.0;  ///< 2^-2F: raw uint32 metric -> double
   /// Saturation bound of the per-call ybar quantization (raw units at
@@ -455,17 +455,10 @@ class PathPlanI16 {
   std::vector<std::int16_t> r_re_q_, r_im_q_;
 
   /// Per-level quantized complex row step rh = R(i,i) * scale * 2^F: the
-  /// rx table is exactly affine in the doubled axis offsets with this
-  /// step, which the kernel's LUT mode exploits to rebuild the metric
-  /// reference from sliced axis indices instead of gathering the row.
+  /// row value R(i,i) * point is exactly affine in the doubled axis
+  /// offsets with this step, which the kernel exploits to rebuild the
+  /// metric reference from sliced axis indices.
   std::vector<std::int32_t> rh_re_q_, rh_im_q_;
-
-  // The FCSD's quantized rx[i][x] = R(i,i)*point(x) and point tables,
-  // stored ONLY packed: one int32 per symbol holding the (re, im) int16
-  // pair (re low, im high), so the decided-point gather is a single read
-  // per lane per table and the unpack is two vector shifts.  Empty in the
-  // LUT mode, which rebuilds both values from rh / pt_half_q_.
-  std::vector<std::int32_t> rx_pack_, pt_pack_;
 
   // Quantized 1/R(i,i): raw int16 pair at per-level scale 2^gbits_[i]
   // (a non-finite inverse — rank-deficient channel — compiles to raw 0,
@@ -501,7 +494,7 @@ class PathPlanI16 {
 
   // The table slicer in affine form, for rank > 1 lanes (which keep the
   // table slicer's center; rank-1 lanes keep the rotation-folded form
-  // above) and FCSD's greedy slice: per level, the in-coverage buckets are
+  // above): per level, the in-coverage buckets are
   // [tab_lo_, tab_hi_] (empty on a rank-deficient level; every other
   // bucket is the sentinel), and on them the table entry is exactly
   //   (bucket * tab_c_ + tab_d_) >> tab_s_,
@@ -526,13 +519,12 @@ class PathPlanI16 {
   // FlexCore selector table, path-major-blocked exactly like PathPlan but
   // kLanes = 16 wide: the same selector codes.
   std::vector<std::uint16_t> sel_;
-
-  std::size_t full_levels_ = 0;  ///< the FCSD's enumerated levels
 };
 
 /// The compiled plans of one path-parallel detector: the exact plan
 /// always (every exact walk runs on it), plus the i16 plan in the ":i16"
-/// tier (it stays empty in fp64, so stale state can never be evaluated).
+/// tier, which only FlexCore has (it stays empty in fp64, so stale state
+/// can never be evaluated).
 class TieredPlans {
  public:
   explicit TieredPlans(Precision precision)
@@ -545,6 +537,14 @@ class TieredPlans {
     fn(exact_);
     i16_.clear();
     if (precision_ == Precision::kInt16) fn(i16_);
+  }
+
+  /// Recompiles the exact plan alone through `fn(plan)`: the compile of a
+  /// detector whose tier is always fp64 (the FCSD).
+  template <typename Compile>
+  void compile_exact(Compile&& fn) {
+    assert(precision_ == Precision::kFloat64);
+    fn(exact_);
   }
 
   Precision precision() const noexcept { return precision_; }

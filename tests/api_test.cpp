@@ -130,7 +130,6 @@ TEST(Registry, EveryCanonicalNameRoundTrips) {
       {"flexcore:i16", "flexcore-64:i16"},
       {"a-flexcore-8:i16", "a-flexcore-8:i16"},
       {"fcsd", "fcsd-L1"},
-      {"fcsd:i16", "fcsd-L1:i16"},
       {"fcsd-L0", "fcsd-L0"},
       {"kbest", "kbest-8"},
       {"akbest", "akbest-16"},
@@ -170,11 +169,11 @@ TEST(Registry, UnknownNameThrowsListingFamilies) {
   // list_specs() order; malformed numbers and misplaced tiers get it too.
   const std::string known =
       "\"; known: zf, mmse, zf-sic (alias: sic), trellis50 (alias: trellis), "
-      "ml-sd (alias: ml; options: cfg.ml_sphere), fcsd-L<L>[:i16] (bare = "
-      "L1), kbest-<K> (bare = K8), akbest-<budget> (bare = 16; Pe model: "
+      "ml-sd (alias: ml; options: cfg.ml_sphere), fcsd-L<L> (bare = L1), "
+      "kbest-<K> (bare = K8), akbest-<budget> (bare = 16; Pe model: "
       "cfg.flexcore.pe_model), flexcore[-<PEs>][:i16] (base config: "
       "cfg.flexcore), a-flexcore[-<PEs>][:i16] (threshold: "
-      "cfg.flexcore.adaptive_threshold, else 0.95), <path-parallel "
+      "cfg.flexcore.adaptive_threshold, else 0.95), <flexcore or a-flexcore "
       "spec>:i16 (int16 quantized block kernels, LUT-compiled slicing)";
   const auto message_of = [&](const std::string& spec) -> std::string {
     try {
@@ -185,9 +184,9 @@ TEST(Registry, UnknownNameThrowsListingFamilies) {
     return "accepted";
   };
   for (const char* bad :
-       {"zf:i16", "kbest-8:i16", "flexcore-16:fp64", "flexcore-16:i16:i16",
-        "fcsd-L", "fcsd-Lx", "flexcore-", "FLEXCORE-8", "", "no-such-detector",
-        "flexcoreX", "flexcore-12x", "kbest-"}) {
+       {"zf:i16", "kbest-8:i16", "fcsd-L1:i16", "fcsd:i16", "flexcore-16:fp64",
+        "flexcore-16:i16:i16", "fcsd-L", "fcsd-Lx", "flexcore-", "FLEXCORE-8",
+        "", "no-such-detector", "flexcoreX", "flexcore-12x", "kbest-"}) {
     EXPECT_EQ(message_of(bad),
               "api::make_detector: no detector \"" + std::string(bad) + known)
         << bad;
@@ -356,7 +355,7 @@ TEST(Batch, FcsdThreadedOverrideMatchesDefaultLoop) {
   const double nv = 0.05;
   const auto ys = random_batch(c, h, 20, nv, rng);
 
-  for (const char* spec : {"fcsd-L1", "fcsd-L2", "fcsd-L1:i16"}) {
+  for (const char* spec : {"fcsd-L1", "fcsd-L2"}) {
     const auto det =
         fa::make_detector_as<fd::FcsdDetector>(spec, {.constellation = &c});
     det->set_channel(h, nv);

@@ -384,16 +384,11 @@ TEST(Fcsd, PathCountOverflowIsRefused) {
   EXPECT_EQ(res.symbols, want.symbols);
   EXPECT_EQ(res.metric, want.metric);
 
-  // Each plan refuses the same input before touching itself.
+  // The plan refuses the same input before touching itself.
   fd::PathPlan plan;
-  fd::PathPlanI16 plan16;
   plan.compile_fcsd(det->qr().R, 2, c);
-  plan16.compile_fcsd(det->qr().R, 2, c);
   EXPECT_THROW(plan.compile_fcsd(det->qr().R, 11, c), std::invalid_argument);
-  EXPECT_THROW(plan16.compile_fcsd(det->qr().R, 11, c),
-               std::invalid_argument);
   EXPECT_EQ(plan.num_paths(), 4096u);
-  EXPECT_EQ(plan16.num_paths(), 4096u);
 }
 
 // ------------------------------------------------------------------ K-best

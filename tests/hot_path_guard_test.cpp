@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/detector_registry.h"
 #include "api/runtime.h"
 #include "api/uplink_pipeline.h"
 #include "channel/channel.h"
@@ -129,20 +130,24 @@ TEST(Guard, ThreadScopeIgnoresOtherThreads) {
 // ------------------------------------------------- kernel tiers alloc-free
 
 TEST(KernelTiers, PathMetricBlockAllocAndLockFreeAllTiers) {
-  // Compile both precision tiers on the same FCSD channel, then
-  // assert a full sweep of path_metric_block touches neither the heap nor
-  // any instrumented lock — the per-path contract of the kernel engine.
+  // Compile the FCSD's fp64 plan and an ":i16" FlexCore detector's int16
+  // plan on the same channel, then assert a full sweep of
+  // path_metric_block touches neither the heap nor any instrumented lock
+  // — the per-path contract of the kernel engine.
   flexcore::modulation::Constellation c(16);
   ch::Rng rng(29);
   const fl::CMat h = ch::rayleigh_iid(6, 6, rng);
   const fl::QrResult qr = fl::fcsd_sorted_qr(h, 1);
 
   fd::PathPlan plan64;
-  fd::PathPlanI16 plan16;
   plan64.compile_fcsd(qr.R, 1, c);
-  plan16.compile_fcsd(qr.R, 1, c);
   const std::size_t paths = plan64.num_paths();
   ASSERT_EQ(paths, 16u);
+  const auto flex = fa::make_detector_as<fc::FlexCoreDetector>(
+      "flexcore-16:i16", {.constellation = &c});
+  flex->set_channel(h, ch::noise_var_for_snr_db(14.0));
+  const fd::PathPlanI16& plan16 = flex->plan_i16();
+  ASSERT_EQ(plan16.num_paths(), paths);
 
   std::vector<fl::cplx> ybar(qr.R.cols(), fl::cplx{0.3, -0.2});
   std::vector<double> metrics(paths);

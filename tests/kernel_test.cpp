@@ -1042,7 +1042,7 @@ TEST(KernelPlans, CompileRejectsMisshapenPathsBeforeTouchingThePlan) {
 
 TEST(KernelPlans, FcsdCompileRejectsComplexDiagonalBeforeTouchingThePlan) {
   // The greedy levels divide by Re R(i,i) on each axis, std::complex's
-  // division only for a real R(i,i): both tiers refuse any other, and the
+  // division only for a real R(i,i): the plan refuses any other, and the
   // previously compiled plan stays as it was.
   Constellation c(16);
   ch::Rng rng(6);
@@ -1053,27 +1053,22 @@ TEST(KernelPlans, FcsdCompileRejectsComplexDiagonalBeforeTouchingThePlan) {
   const fl::CVec ybar = det.rotate(random_y(h, c, nv, rng));
   fl::CMat complex_diag = det.qr().R;
   complex_diag(2, 2) += fl::cplx{0.0, 1e-3};
-  const auto check = [&](auto& plan, const char* tier) {
-    plan.compile_fcsd(det.qr().R, 1, c);
-    std::vector<double> before(det.num_paths()), after(det.num_paths());
-    plan.path_metric_block(ybar, 0, before.size(), before.data());
-    try {
-      plan.compile_fcsd(complex_diag, 2, c);
-      ADD_FAILURE() << tier << ": complex R(i,i) accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("R(2,2) is not real"),
-                std::string::npos)
-          << tier << ": " << e.what();
-    }
-    EXPECT_EQ(plan.num_paths(), det.num_paths()) << tier;
-    EXPECT_EQ(plan.levels(), 4u) << tier;
-    plan.path_metric_block(ybar, 0, after.size(), after.data());
-    EXPECT_EQ(before, after) << tier;
-  };
-  fd::PathPlan fp64;
-  check(fp64, "fp64");
-  fd::PathPlanI16 i16;
-  check(i16, "i16");
+  fd::PathPlan plan;
+  plan.compile_fcsd(det.qr().R, 1, c);
+  std::vector<double> before(det.num_paths()), after(det.num_paths());
+  plan.path_metric_block(ybar, 0, before.size(), before.data());
+  try {
+    plan.compile_fcsd(complex_diag, 2, c);
+    ADD_FAILURE() << "complex R(i,i) accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("R(2,2) is not real"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(plan.num_paths(), det.num_paths());
+  EXPECT_EQ(plan.levels(), 4u);
+  plan.path_metric_block(ybar, 0, after.size(), after.data());
+  EXPECT_EQ(before, after);
 }
 
 TEST(KernelPlans, OrderingAblationsAreRefusedBeforeTouchingThePlan) {
@@ -1159,17 +1154,23 @@ TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
 
 TEST(KernelI16, SlicerLutGoldenPattern) {
   // With R = I the effective point equals the incoming coordinate, so the
-  // compiled per-level slicer LUT — the affine form FCSD's greedy slice and
-  // every rank > 1 lane read — must reproduce the textbook rounded
-  // slice a = round((eff/scale + side - 1) / 2) over the whole covered
-  // grid: exact at cell centers, stable at +-0.7 half-cells (well over a
-  // bucket away from every decision boundary), pad indices outside the
-  // constellation, and the deactivating sentinel beyond the coverage.
+  // compiled per-level slicer LUT — the affine form every rank > 1 lane
+  // reads — must reproduce the textbook rounded slice a = round((eff/scale
+  // + side - 1) / 2) over the whole covered grid: exact at cell centers,
+  // stable at +-0.7 half-cells (well over a bucket away from every
+  // decision boundary), pad indices outside the constellation, and the
+  // deactivating sentinel beyond the coverage.
   for (int qam : {4, 16, 64}) {
     Constellation c(qam);
     const int side = c.side();
+    // The slicers are compiled per channel, whatever the path set: one
+    // rank-1 path.
+    const fc::OrderingLut lut(c);
+    std::vector<fc::RankedPath> paths(1);
+    paths[0].p.assign(4, 1);
     fd::PathPlanI16 plan;
-    plan.compile_fcsd(fl::CMat::identity(4), 1, c);
+    plan.compile_flexcore(fl::CMat::identity(4), paths, c, lut, false,
+                          fc::InvalidEntryPolicy::kDeactivate);
     for (std::size_t level = 0; level < 4; ++level) {
       // Value coverage is +-(side + kPamPad) * scale; the centers (and
       // their +-0.7 half-cell offsets) of a in [-2, side+1] all fall
@@ -1253,7 +1254,6 @@ TEST(KernelI16, SerWithinToleranceAcrossFamiliesAndQam) {
   const Sweep sweeps[] = {
       {"flexcore-32", "flexcore-32:i16", {2, 4, 8, 12, 16}},
       {"a-flexcore-32", "a-flexcore-32:i16", {2, 4, 8, 12}},
-      {"fcsd-L1", "fcsd-L1:i16", {2, 4, 8}},
   };
   const std::pair<int, double> operating[] = {{4, 8.0}, {16, 14.0},
                                               {64, 20.0}};
@@ -1456,34 +1456,6 @@ TEST(KernelI16, TallChannelWideResidualGolden) {
   }
 }
 
-TEST(KernelI16, FcsdGreedySliceGolden) {
-  // FCSD's greedy levels slice through the same compiled slicer as rank > 1
-  // lanes and clamp an out-of-coverage eff to the grid's edge on its side.
-  // Pinned bit for bit at 16- and 64-QAM, on vectors scaled up to 4x so
-  // that slices fall off the grid and out of the slicer's coverage.
-  const std::pair<int, std::uint64_t> goldens[] = {
-      {16, 0x3222f1574df59eb7ull}, {64, 0x9b1871bc9216184eull}};
-  for (const auto& [qam, golden] : goldens) {
-    Constellation c(qam);
-    ch::Rng rng(770 + static_cast<std::uint64_t>(qam));
-    const auto h = ch::rayleigh_iid(8, 8, rng);
-    const double nv = ch::noise_var_for_snr_db(14.0);
-    const auto det = fa::make_detector_as<fd::FcsdDetector>(
-        "fcsd-L1:i16", {.constellation = &c});
-    det->set_channel(h, nv);
-    std::uint64_t fnv = 1469598103934665603ull;
-    std::vector<double> m(det->num_paths());
-    for (int v = 0; v < 12; ++v) {
-      fl::CVec ybar = det->rotate(random_y(h, c, nv, rng));
-      for (fl::cplx& z : ybar) z *= static_cast<double>(1 << (v % 3));
-      det->path_metric_block(ybar, 0, m.size(), m.data());
-      fnv = fnv_metrics(fnv, m);
-    }
-    EXPECT_EQ(fnv, golden) << "qam=" << qam
-                           << " (std::printf(\"%llx\", fnv))";
-  }
-}
-
 // Outside the KernelI16 suite on purpose: it compares the exact walk
 // against the scalar reference bit for bit, which CI checks once per ISA
 // copy and under the native-arch build alongside KernelEquivalence.
@@ -1608,8 +1580,7 @@ TEST(KernelI16, FootprintOrderingAcrossTiers) {
 TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
   Constellation c(16);
   const fa::DetectorConfig cfg{.constellation = &c};
-  for (const char* spec :
-       {"flexcore-16:i16", "a-flexcore-8:i16", "fcsd-L1:i16"}) {
+  for (const char* spec : {"flexcore-16:i16", "a-flexcore-8:i16"}) {
     const auto det = fa::make_detector(spec, cfg);
     EXPECT_EQ(det->name(), spec);
     EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
@@ -1617,7 +1588,10 @@ TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {
   // No ":fp64" spelling: a bare spec is the fp64 tier.
   EXPECT_THROW(fa::make_detector("a-flexcore-8:fp64", cfg),
                std::invalid_argument);
-  // Detectors without block kernels reject the tier like any unknown spec.
+  // The tier is FlexCore's: the FCSD and the detectors without block
+  // kernels reject it like any unknown spec.
+  EXPECT_THROW(fa::make_detector("fcsd-L1:i16", cfg), std::invalid_argument);
+  EXPECT_THROW(fa::make_detector("fcsd:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("zf:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("kbest-8:i16", cfg), std::invalid_argument);
   EXPECT_THROW(fa::make_detector("ml-sd:i16", cfg), std::invalid_argument);

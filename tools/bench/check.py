@@ -2,15 +2,30 @@
 """Validators of the benches' BENCH_*.json files (stdlib only).
 
     tools/bench/check.py {control,sharded,soak,kernels} <BENCH_*.json>
+    tools/bench/check.py compare --baseline a1.json [a2.json ...]
+        --candidate b1.json [b2.json ...] [--max-regress 0.03]
+        [--field vectors_per_sec]
 
 Exits non-zero, with the failed assertion and its row, when a file does
 not hold what its bench promises; prints a one-line summary otherwise.
 `control` checks bench/fig16_adaptive_control's rows, `sharded`
 bench/fig18_sharded_runtime's, `soak` bench/fig19_soak_chaos's and
-`kernels` bench/fig17_kernel_engine's.  The checks are assert statements,
-so the script refuses to run under python -O.
+`kernels` bench/fig17_kernel_engine's.  These checks are assert
+statements, so the script refuses to run them under python -O.
+
+`compare` is a throughput gate between runs of one bench over one sweep:
+the candidate's best geomean of --field (over the rows where it is
+positive) must not fall more than --max-regress below the baseline's
+best, and every run on both sides must have the same row count.  CI uses
+it to pin the overhead of tracing-enabled builds against FLEXCORE_OBS=0
+builds.  Taking the best of several files per side is deliberate: single
+runs on shared CI runners swing far more than any real tracing overhead,
+and best-of-N only damps noise — it cannot hide a systematic regression.
+It exits 1 with a FAIL line on stderr when a check fails.
 """
+import argparse
 import json
+import math
 import sys
 
 
@@ -178,15 +193,63 @@ def check_kernels(doc):
           f"i16 ser gap {ser['i16']['ser_gap_vs_fp64']}")
 
 
+def fail(msg):
+    print(f'FAIL: {msg}', file=sys.stderr)
+    sys.exit(1)
+
+
+def geomean(path, field):
+    with open(path) as f:
+        doc = json.load(f)
+    vals = [row[field] for row in doc.get('rows', [])
+            if isinstance(row.get(field), (int, float)) and row[field] > 0]
+    if not vals:
+        fail(f'{path}: no positive {field!r} values')
+    return math.exp(sum(math.log(v) for v in vals) / len(vals)), len(vals)
+
+
+def best_geomean(paths, field):
+    runs = [geomean(p, field) for p in paths]
+    rows = {n for _, n in runs}
+    if len(rows) != 1:
+        fail(f'row count differs across {paths}: {sorted(rows)}')
+    return max(g for g, _ in runs), rows.pop()
+
+
+def compare(argv):
+    parser = argparse.ArgumentParser(prog='check.py compare')
+    parser.add_argument('--baseline', nargs='+', required=True)
+    parser.add_argument('--candidate', nargs='+', required=True)
+    parser.add_argument('--max-regress', type=float, default=0.03)
+    parser.add_argument('--field', default='vectors_per_sec')
+    args = parser.parse_args(argv)
+    base, nb = best_geomean(args.baseline, args.field)
+    cand, nc = best_geomean(args.candidate, args.field)
+    if nb != nc:
+        fail(f'row count mismatch: baseline {nb} vs candidate {nc}')
+    ratio = cand / base
+    verdict = 'OK' if ratio >= 1.0 - args.max_regress else 'FAIL'
+    print(f'{verdict}: best geomean {args.field} baseline {base:.0f} '
+          f'(of {len(args.baseline)} runs) vs candidate {cand:.0f} '
+          f'(of {len(args.candidate)} runs) over {nb} rows -> '
+          f'ratio {ratio:.4f} (gate {1.0 - args.max_regress:.4f})')
+    if verdict == 'FAIL':
+        sys.exit(1)
+
+
 CHECKS = {'control': check_control, 'sharded': check_sharded,
           'soak': check_soak, 'kernels': check_kernels}
 
 
 def main(argv):
+    if len(argv) > 1 and argv[1] == 'compare':
+        compare(argv[2:])
+        return
     if not __debug__:
         sys.exit('check.py: the checks are assert statements; run without -O')
     if len(argv) != 3 or argv[1] not in CHECKS:
-        sys.exit(f'usage: {argv[0]} {{{",".join(CHECKS)}}} <json>')
+        sys.exit(f'usage: {argv[0]} {{{",".join(CHECKS)}}} <json> | '
+                 f'compare --baseline ... --candidate ...')
     with open(argv[2]) as f:
         CHECKS[argv[1]](json.load(f))
 
